@@ -127,59 +127,6 @@ BENCHMARK(BM_Datalog_GroundedPipeline)
     ->Range(8, 32)
     ->Unit(benchmark::kMillisecond);
 
-// Thread sweep (docs/TUNING.md): semi-naive transitive closure of a sparse
-// pseudo-random graph, EvalOptions.num_threads in {1, 2, 4, 8}. The delta
-// passes here enumerate thousands of rows per round, which is the regime
-// where splitting the outermost match loop across the pool pays off.
-// Results are byte-identical across the sweep (checked in
-// tests/parallel_test.cc); only the wall clock should move.
-void BM_Datalog_Threads(benchmark::State& state) {
-  relspec_bench::ScopedBenchMetrics bench_metrics(__func__);
-  int n = static_cast<int>(state.range(0));
-  int threads = static_cast<int>(state.range(1));
-  size_t tuples = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    Database db;
-    (void)db.Declare(0, 2);
-    (void)db.Declare(1, 2);
-    // Deterministic sparse digraph: 4 out-edges per node via an LCG.
-    uint64_t lcg = 0x2545f4914f6cdd1dull;
-    for (int i = 0; i < n; ++i) {
-      for (int e = 0; e < 4; ++e) {
-        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-        db.Insert(0, {static_cast<Value>(i),
-                      static_cast<Value>((lcg >> 33) % n)});
-      }
-    }
-    DRule base;
-    base.num_vars = 2;
-    base.head = DAtom{1, {DTerm::Var(0), DTerm::Var(1)}};
-    base.body = {DAtom{0, {DTerm::Var(0), DTerm::Var(1)}}};
-    DRule step;
-    step.num_vars = 3;
-    step.head = DAtom{1, {DTerm::Var(0), DTerm::Var(2)}};
-    step.body = {DAtom{1, {DTerm::Var(0), DTerm::Var(1)}},
-                 DAtom{0, {DTerm::Var(1), DTerm::Var(2)}}};
-    EvalOptions opts;
-    opts.num_threads = threads;
-    state.ResumeTiming();
-    auto stats = Evaluate({base, step}, &db, opts);
-    if (!stats.ok()) {
-      state.SkipWithError(stats.status().ToString().c_str());
-      return;
-    }
-    tuples = db.relation(1).size();
-    benchmark::DoNotOptimize(db);
-  }
-  state.counters["n"] = n;
-  state.counters["threads"] = threads;
-  state.counters["closure_tuples"] = static_cast<double>(tuples);
-}
-BENCHMARK(BM_Datalog_Threads)
-    ->ArgsProduct({{256}, {1, 2, 4, 8}})
-    ->Unit(benchmark::kMillisecond);
-
 // Join with index probes: a star join Q(x) :- A(x,y), B(y,z), C(z,w).
 void BM_Datalog_IndexedJoin(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));

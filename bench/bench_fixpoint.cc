@@ -61,37 +61,6 @@ BENCHMARK(BM_Fixpoint_ChiEntries_Subset)
     ->DenseRange(2, 7, 1)
     ->Unit(benchmark::kMillisecond);
 
-// Thread sweep (docs/TUNING.md): the subset family again, with
-// FixpointOptions.num_threads in {1, 2, 4, 8}. Chi passes dominate here
-// (hundreds of entries closed per pass), which is the workload the parallel
-// gather-then-merge pass targets. The converged labeling is identical at
-// every thread count (checked in tests/parallel_test.cc); pass counts may
-// differ (Jacobi across chunks converges in more passes than Gauss-Seidel).
-void BM_Fixpoint_Threads(benchmark::State& state) {
-  ScopedBenchMetrics bench_metrics(__func__);
-  int n = static_cast<int>(state.range(0));
-  int threads = static_cast<int>(state.range(1));
-  std::string source = SubsetProgram(n);
-  EngineOptions options;
-  options.fixpoint.num_threads = threads;
-  size_t entries = 0;
-  for (auto _ : state) {
-    auto db = FunctionalDatabase::FromSource(source, options);
-    if (!db.ok()) {
-      state.SkipWithError(db.status().ToString().c_str());
-      return;
-    }
-    entries = (*db)->labeling().chi().num_entries();
-    benchmark::DoNotOptimize(db);
-  }
-  state.counters["n"] = n;
-  state.counters["threads"] = threads;
-  state.counters["chi_entries"] = static_cast<double>(entries);
-}
-BENCHMARK(BM_Fixpoint_Threads)
-    ->ArgsProduct({{7}, {1, 2, 4, 8}})
-    ->Unit(benchmark::kMillisecond);
-
 // Trunk growth with the depth c of the deepest ground fact: linear for one
 // symbol, 2^(c+1)-1 for two — the exponential-size remark of Section 4.
 void BM_Fixpoint_TrunkGrowth(benchmark::State& state) {

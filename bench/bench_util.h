@@ -72,9 +72,9 @@ inline std::string RotationProgram(int k) {
 inline std::string SubsetProgram(int n) {
   std::string out = "B(0, b0).\n";
   for (int i = 0; i < n; ++i) {
-    std::string sym = "s" + std::to_string(i);
-    // Note: symbol names must not look like variables; use fi prefix.
-    sym = "set" + std::to_string(i);
+    // Symbol names must not look like variables, hence the "set" prefix.
+    std::string sym = "set";
+    sym += std::to_string(i);
     out += "B(t, x) -> B(" + sym + "(t), x).\n";           // copy all bits
     out += "B(t, x) -> B(" + sym + "(t), b" + std::to_string(i) + ").\n";
   }

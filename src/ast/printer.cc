@@ -34,7 +34,11 @@ std::string ToString(const Atom& atom, const SymbolTable& symbols) {
   std::vector<std::string> parts;
   if (atom.fterm.has_value()) parts.push_back(ToString(*atom.fterm, symbols));
   for (const NfArg& a : atom.args) parts.push_back(ToString(a, symbols));
-  if (!parts.empty()) out += "(" + Join(parts, ",") + ")";
+  if (!parts.empty()) {
+    out += "(";
+    out += Join(parts, ",");
+    out += ")";
+  }
   return out;
 }
 

@@ -11,13 +11,13 @@
 //     rounds, term depth, and tracked allocation bytes.
 //
 // Engine phases poll it at natural safe points (once per round, per table
-// entry, per rule batch, per parallel chunk). A breach is *sticky*: the
-// first one wins, every later poll returns the same Status, and the phases
-// unwind through the normal Status plumbing. Budget breaches (not errors)
-// are eligible for graceful degradation: with allow_partial the engine
-// keeps the monotone state it has already computed — a sound
-// under-approximation of the fixpoint — and returns it marked `truncated`
-// together with the breach reason and progress metrics.
+// entry, per rule batch). A breach is *sticky*: the first one wins, every
+// later poll returns the same Status, and the phases unwind through the
+// normal Status plumbing. Budget breaches (not errors) are eligible for
+// graceful degradation: with allow_partial the engine keeps the monotone
+// state it has already computed — a sound under-approximation of the
+// fixpoint — and returns it marked `truncated` together with the breach
+// reason and progress metrics.
 //
 // Thread safety: every method is safe to call concurrently; RequestCancel
 // is additionally async-signal-safe (one relaxed atomic store) so a SIGINT
@@ -77,10 +77,9 @@ class ResourceGovernor {
     return cancel_.load(std::memory_order_relaxed);
   }
 
-  /// Cheap poll for parallel workers: true once the computation must stop
-  /// (recorded breach, pending cancellation, or expired deadline). Does NOT
-  /// record a breach itself — workers that observe it just drain; the
-  /// coordinating thread turns the condition into a Status via Check().
+  /// Cheap poll: true once the computation must stop (recorded breach,
+  /// pending cancellation, or expired deadline). Does NOT record a breach
+  /// itself; Check() turns the condition into a Status.
   bool ShouldAbort() const;
 
   /// Polls cancellation and the deadline; records and returns the first

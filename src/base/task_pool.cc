@@ -1,6 +1,7 @@
 #include "src/base/task_pool.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/base/metrics.h"
 #include "src/base/str_util.h"
@@ -11,83 +12,38 @@ namespace relspec {
 TaskPool::TaskPool(int num_threads)
     : num_threads_(std::max(1, num_threads)) {
   RELSPEC_GAUGE_SET("task_pool.workers", num_threads_);
-  slots_.reserve(static_cast<size_t>(num_threads_));
-  for (int i = 0; i < num_threads_; ++i) {
-    slots_.push_back(std::make_unique<Slot>());
-  }
   threads_.reserve(static_cast<size_t>(num_threads_ - 1));
   for (int i = 1; i < num_threads_; ++i) {
     threads_.emplace_back([this, i] {
       Tracer::Global().SetCurrentThreadName(StrFormat("worker-%d", i));
-      WorkerLoop(static_cast<size_t>(i));
+      WorkerLoop();
     });
   }
 }
 
 TaskPool::~TaskPool() {
   {
-    std::lock_guard<std::mutex> lk(wake_mu_);
+    std::lock_guard<std::mutex> lk(mu_);
     stop_ = true;
   }
-  wake_cv_.notify_all();
+  cv_.notify_all();
   for (std::thread& t : threads_) t.join();
 }
 
-size_t TaskPool::NumChunks(size_t range, size_t min_grain) const {
-  if (range == 0) return 0;
-  if (min_grain == 0) min_grain = 1;
-  size_t by_grain = (range + min_grain - 1) / min_grain;
-  size_t target = static_cast<size_t>(num_threads_) * kChunksPerThread;
-  return std::max<size_t>(1, std::min(by_grain, target));
-}
-
-bool TaskPool::RunOneTask(size_t self) {
-  std::function<void()> task;
-  {
-    Slot& own = *slots_[self];
-    std::lock_guard<std::mutex> lk(own.mu);
-    if (!own.tasks.empty()) {
-      task = std::move(own.tasks.back());
-      own.tasks.pop_back();
-    }
-  }
-  if (!task) {
-    for (size_t k = 1; k < slots_.size() && !task; ++k) {
-      Slot& victim = *slots_[(self + k) % slots_.size()];
-      std::lock_guard<std::mutex> lk(victim.mu);
-      if (!victim.tasks.empty()) {
-        task = std::move(victim.tasks.front());
-        victim.tasks.pop_front();
-      }
-    }
-    if (task) {
-      RELSPEC_COUNTER("task_pool.steals");
-      RELSPEC_TRACE_INSTANT1("task_pool", "steal", "lane", self);
-    }
-  }
-  if (!task) return false;
-  {
-    std::lock_guard<std::mutex> lk(wake_mu_);
-    --queued_;
-  }
-  RELSPEC_COUNTER("task_pool.tasks");
-  {
-    RELSPEC_TRACE_SPAN("task_pool", "run");
-    task();
-  }
-  return true;
-}
-
-void TaskPool::WorkerLoop(size_t self) {
+void TaskPool::WorkerLoop() {
   while (true) {
+    std::function<void()> task;
     {
       RELSPEC_TRACE_SPAN("task_pool", "park");
-      std::unique_lock<std::mutex> lk(wake_mu_);
-      wake_cv_.wait(lk, [this] { return stop_ || queued_ > 0; });
+      std::unique_lock<std::mutex> lk(mu_);
+      cv_.wait(lk, [this] { return stop_ || !tasks_.empty(); });
       if (stop_) return;
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    while (RunOneTask(self)) {
-    }
+    RELSPEC_COUNTER("task_pool.tasks");
+    RELSPEC_TRACE_SPAN("task_pool", "run");
+    task();
   }
 }
 
@@ -98,69 +54,10 @@ void TaskPool::Submit(std::function<void()> task) {
     return;
   }
   {
-    std::lock_guard<std::mutex> lk(wake_mu_);
-    // Round-robin over the worker-owned slots (1..n-1); slot 0 belongs to
-    // whichever thread is inside ParallelFor and may sit idle otherwise.
-    size_t lane = 1 + (submit_rr_++ % static_cast<size_t>(num_threads_ - 1));
-    Slot& slot = *slots_[lane];
-    std::lock_guard<std::mutex> sg(slot.mu);
-    slot.tasks.push_back(std::move(task));
-    ++queued_;
+    std::lock_guard<std::mutex> lk(mu_);
+    tasks_.push_back(std::move(task));
   }
-  wake_cv_.notify_one();
-}
-
-void TaskPool::ParallelFor(size_t begin, size_t end, size_t min_grain,
-                           const ChunkFn& fn) {
-  if (end <= begin) return;
-  size_t range = end - begin;
-  size_t nchunks = NumChunks(range, min_grain);
-  if (num_threads_ <= 1 || nchunks <= 1) {
-    fn(begin, end, 0);
-    return;
-  }
-  RELSPEC_COUNTER("task_pool.parallel_fors");
-  std::lock_guard<std::mutex> submit_lk(submit_mu_);
-
-  // Batch completion state. `remaining` is guarded by `mu`; the worker that
-  // drops it to zero notifies under the lock and never touches the batch
-  // again, so destruction on return is safe.
-  struct Batch {
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t remaining;
-  } batch;
-  batch.remaining = nchunks;
-
-  size_t base = range / nchunks;
-  size_t rem = range % nchunks;
-  size_t pos = begin;
-  {
-    std::lock_guard<std::mutex> lk(wake_mu_);
-    for (size_t ci = 0; ci < nchunks; ++ci) {
-      size_t len = base + (ci < rem ? 1 : 0);
-      size_t lo = pos;
-      size_t hi = pos + len;
-      pos = hi;
-      auto task = [&fn, &batch, lo, hi, ci] {
-        fn(lo, hi, ci);
-        std::lock_guard<std::mutex> g(batch.mu);
-        if (--batch.remaining == 0) batch.cv.notify_all();
-      };
-      Slot& slot = *slots_[ci % static_cast<size_t>(num_threads_)];
-      std::lock_guard<std::mutex> sg(slot.mu);
-      slot.tasks.push_back(std::move(task));
-      ++queued_;
-    }
-  }
-  wake_cv_.notify_all();
-
-  // The submitting thread works the batch too (slot 0), then waits for
-  // chunks stolen by workers that are still in flight.
-  while (RunOneTask(0)) {
-  }
-  std::unique_lock<std::mutex> bl(batch.mu);
-  batch.cv.wait(bl, [&batch] { return batch.remaining == 0; });
+  cv_.notify_one();
 }
 
 }  // namespace relspec

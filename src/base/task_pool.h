@@ -1,35 +1,20 @@
-// TaskPool: a fixed-size work-stealing thread pool for the evaluation hot
-// loops (DATALOG delta joins, chi-table passes).
+// TaskPool: a fixed-size thread pool that executes served requests
+// (task-per-request serving, see src/serve/server.cc).
 //
-// Shape (after the task-based many-core designs, e.g. MxTasking): N-1
-// background workers plus the submitting thread, one mutex-guarded deque per
-// worker. Owners pop from the back of their own deque (LIFO, cache-warm);
-// idle workers steal from the front of a victim's deque (FIFO, oldest —
-// i.e. largest remaining — work first). Tasks here are coarse chunks of an
-// index range, hundreds of microseconds to milliseconds each, so the
-// per-task mutex cost is noise; the point of stealing is load balance when
-// chunk costs are skewed, not lock-freedom.
-//
-// Determinism contract (see docs/ARCHITECTURE.md): ParallelFor decomposes
-// [begin, end) into NumChunks(range, min_grain) contiguous chunks whose
-// boundaries depend only on (range, min_grain, num_threads) — never on
-// scheduling. The chunk index passed to the callback lets callers gather
-// results into per-chunk slots and merge them in chunk order on the calling
-// thread, which makes the merged result independent of which worker ran
-// which chunk. All parallel call sites in this codebase follow that
-// gather-then-merge discipline.
+// Shape: N-1 background workers named worker-1 .. worker-(N-1) (trace lanes,
+// see src/base/trace.h) draining one mutex-guarded FIFO deque, woken by one
+// condition variable. Evaluation itself (fixpoint/chi passes, DATALOG rule
+// passes) is single-threaded and never uses the pool.
 //
 // Instrumented (see docs/OBSERVABILITY.md): task_pool.workers (gauge),
-// task_pool.tasks, task_pool.steals, task_pool.parallel_fors (counters).
+// task_pool.tasks (counter).
 
 #ifndef RELSPEC_BASE_TASK_POOL_H_
 #define RELSPEC_BASE_TASK_POOL_H_
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -40,7 +25,7 @@ class TaskPool {
  public:
   /// Creates a pool of `num_threads` execution lanes: the calling thread
   /// plus num_threads - 1 spawned workers. Clamped to >= 1; a 1-thread pool
-  /// spawns nothing and runs everything inline on the caller.
+  /// spawns nothing and runs every task inline on the caller.
   explicit TaskPool(int num_threads);
   ~TaskPool();
   TaskPool(const TaskPool&) = delete;
@@ -48,54 +33,23 @@ class TaskPool {
 
   int num_threads() const { return num_threads_; }
 
-  /// Number of chunks ParallelFor(begin, end, min_grain, ...) will produce
-  /// for a range of `range` elements: ceil(range / min_grain), capped at
-  /// num_threads * kChunksPerThread. Depends only on the arguments and the
-  /// pool size, so callers can pre-size per-chunk result buffers.
-  size_t NumChunks(size_t range, size_t min_grain) const;
-
-  /// fn(chunk_begin, chunk_end, chunk_index): chunks partition [begin, end)
-  /// in order; chunk_index < NumChunks(end - begin, min_grain). Blocks until
-  /// every chunk has run; the calling thread participates. Not reentrant:
-  /// fn must not itself call ParallelFor on this pool. Concurrent calls from
-  /// distinct threads are serialized.
-  using ChunkFn = std::function<void(size_t begin, size_t end, size_t chunk)>;
-  void ParallelFor(size_t begin, size_t end, size_t min_grain,
-                   const ChunkFn& fn);
-
-  /// Fire-and-forget: enqueues one task for any worker (task-per-request
-  /// serving, see src/serve/server.cc). On a 1-thread pool the task runs
-  /// inline on the caller before Submit returns. Tasks must track their own
-  /// completion: the destructor stops workers without draining, so a task
-  /// still queued when the pool dies is silently dropped — owners drain
-  /// (e.g. an in-flight count) before destroying the pool. Safe to call
-  /// concurrently with ParallelFor and from multiple threads.
+  /// Fire-and-forget: enqueues one task for any worker. On a 1-thread pool
+  /// the task runs inline on the caller before Submit returns. Tasks must
+  /// track their own completion: the destructor stops workers without
+  /// draining, so a task still queued when the pool dies is silently
+  /// dropped — owners drain (e.g. an in-flight count) before destroying the
+  /// pool. Safe to call from multiple threads.
   void Submit(std::function<void()> task);
 
-  /// Oversubscription factor: more chunks than lanes so stealing can
-  /// rebalance skewed chunk costs.
-  static constexpr size_t kChunksPerThread = 4;
-
  private:
-  struct Slot {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
-
-  /// Pops own back, else steals a victim's front. Returns false when every
-  /// deque is empty.
-  bool RunOneTask(size_t self);
-  void WorkerLoop(size_t self);
+  void WorkerLoop();
 
   int num_threads_;
-  std::vector<std::unique_ptr<Slot>> slots_;  // slot 0: submitting thread
   std::vector<std::thread> threads_;
-  std::mutex submit_mu_;  // serializes ParallelFor batches
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-  size_t queued_ = 0;  // tasks sitting in deques; guarded by wake_mu_
-  bool stop_ = false;  // guarded by wake_mu_
-  size_t submit_rr_ = 0;  // Submit round-robin cursor; guarded by wake_mu_
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<std::function<void()>> tasks_;  // guarded by mu_
+  bool stop_ = false;                        // guarded by mu_
 };
 
 }  // namespace relspec

@@ -7,7 +7,6 @@
 #include "src/base/logging.h"
 #include "src/base/metrics.h"
 #include "src/base/str_util.h"
-#include "src/base/task_pool.h"
 #include "src/base/trace.h"
 
 namespace relspec {
@@ -155,12 +154,6 @@ Status Labeling::RunToFixpoint(const FixpointOptions& options) {
     return chi.Value(chi.EntryFor(boundary_seeds_.at(p)));
   };
 
-  // Shared worker pool for chi-table passes; null means fully sequential.
-  std::unique_ptr<TaskPool> pool;
-  if (options.num_threads > 1) {
-    pool = std::make_unique<TaskPool>(options.num_threads);
-  }
-
   bool changed = true;
   while (changed && !truncated_) {
     changed = false;
@@ -283,7 +276,7 @@ Status Labeling::RunToFixpoint(const FixpointOptions& options) {
 
     // 5. One pass over the chi table.
     shared_->ctx_changed = false;
-    StatusOr<bool> chi_changed = chi.ProcessAllOnce(pool.get());
+    StatusOr<bool> chi_changed = chi.ProcessAllOnce();
     if (!chi_changed.ok()) {
       RELSPEC_RETURN_NOT_OK(degrade(chi_changed.status()));
       break;

@@ -43,14 +43,8 @@ struct FixpointOptions {
   size_t max_chi_entries = 1'000'000;
   /// Cap on chaotic-iteration rounds (safety net; 0 = unlimited).
   size_t max_rounds = 0;
-  /// Worker threads for chi-table passes (1 = fully sequential, today's
-  /// exact behavior). With N > 1 each full pass over the table is split
-  /// across a work-stealing pool with chunk-local gather and a
-  /// single-threaded merge; the converged labeling is identical either way
-  /// (see docs/ARCHITECTURE.md, "Determinism contract").
-  int num_threads = 1;
   /// Optional resource governor (deadline, cancellation, budgets), polled
-  /// once per round and per chi-table entry/chunk. Must outlive the call.
+  /// once per round and per chi-table entry. Must outlive the call.
   ResourceGovernor* governor = nullptr;
   /// Graceful degradation: when a resource breach (kResourceExhausted,
   /// kCancelled, kDeadlineExceeded) interrupts the iteration, return the

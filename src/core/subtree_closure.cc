@@ -1,6 +1,5 @@
 #include "src/core/subtree_closure.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/base/failpoint.h"
@@ -8,57 +7,8 @@
 #include "src/base/logging.h"
 #include "src/base/metrics.h"
 #include "src/base/str_util.h"
-#include "src/base/task_pool.h"
 
 namespace relspec {
-
-// Live-table policy: child seeds are interned into the table as demanded,
-// context emissions go straight to the shared bitset (today's exact
-// single-threaded behavior).
-struct ChiEngine::SequentialPolicy {
-  ChiEngine* e;
-
-  DynamicBitset ChildValue(const DynamicBitset& seed) {
-    return e->Value(e->EntryFor(seed));
-  }
-  const DynamicBitset& ctx() const { return *e->ctx_; }
-  void CtxSet(CtxIdx c) {
-    e->ctx_->Set(c);
-    *e->ctx_changed_ = true;
-  }
-};
-
-// Snapshot policy for one chunk of a parallel pass. Reads are against the
-// start-of-pass table (plus this chunk's own updates, for Gauss-Seidel
-// convergence within the chunk); every write lands in chunk-local buffers
-// that the calling thread merges in chunk order.
-struct ChiEngine::ChunkPolicy {
-  const ChiEngine* e;
-  /// ctx snapshot | this chunk's emissions (what BodySatisfied sees).
-  DynamicBitset eff_ctx;
-  /// This chunk's emissions only (merged into the live ctx afterwards).
-  DynamicBitset* ctx_add;
-  /// entry id -> value recomputed by this chunk.
-  std::unordered_map<uint32_t, DynamicBitset>* updated;
-  /// Seeds absent from the table, in first-demand order.
-  std::unordered_map<DynamicBitset, uint32_t, DynamicBitsetHash>* seen_seeds;
-  std::vector<DynamicBitset>* new_seeds;
-
-  DynamicBitset ChildValue(const DynamicBitset& seed) {
-    auto it = e->index_.find(seed);
-    if (it != e->index_.end()) {
-      auto u = updated->find(it->second);
-      return u != updated->end() ? u->second : e->entries_[it->second].value;
-    }
-    if (seen_seeds->emplace(seed, 0).second) new_seeds->push_back(seed);
-    return seed;  // a fresh entry starts with value == seed
-  }
-  const DynamicBitset& ctx() const { return eff_ctx; }
-  void CtxSet(CtxIdx c) {
-    eff_ctx.Set(c);
-    ctx_add->Set(c);
-  }
-};
 
 uint32_t ChiEngine::EntryFor(const DynamicBitset& seed) {
   RELSPEC_COUNTER("chi.lookups");
@@ -74,9 +24,8 @@ uint32_t ChiEngine::EntryFor(const DynamicBitset& seed) {
   return id;
 }
 
-template <typename Policy>
-bool ChiEngine::CloseNodeWith(Policy& policy, DynamicBitset* T,
-                              std::vector<DynamicBitset>* child_labels) {
+bool ChiEngine::CloseNode(DynamicBitset* T,
+                          std::vector<DynamicBitset>* child_labels) {
   RELSPEC_COUNTER("chi.close_node_calls");
   const size_t num_syms = ground_->num_symbols();
   const size_t num_atoms = ground_->num_atoms();
@@ -90,12 +39,12 @@ bool ChiEngine::CloseNodeWith(Policy& policy, DynamicBitset* T,
     while (seeds_changed) {
       seeds_changed = false;
       for (size_t f = 0; f < num_syms; ++f) {
-        (*child_labels)[f] = policy.ChildValue(seeds[f]);
+        (*child_labels)[f] = Value(EntryFor(seeds[f]));
       }
       for (const GroundRule& rule : ground_->local_rules()) {
         if (rule.head_kind != GroundRule::HeadKind::kChild) continue;
         if (seeds[rule.head_sym].Test(rule.head_id)) continue;
-        if (BodySatisfied(rule, *T, policy.ctx(),
+        if (BodySatisfied(rule, *T, *ctx_,
                           [&](SymIdx s) -> const DynamicBitset& {
                             return (*child_labels)[s];
                           })) {
@@ -111,8 +60,8 @@ bool ChiEngine::CloseNodeWith(Policy& policy, DynamicBitset* T,
       if (rule.head_kind == GroundRule::HeadKind::kChild) continue;
       bool is_eps = rule.head_kind == GroundRule::HeadKind::kEps;
       if (is_eps && T->Test(rule.head_id)) continue;
-      if (!is_eps && policy.ctx().Test(rule.head_id)) continue;
-      if (BodySatisfied(rule, *T, policy.ctx(),
+      if (!is_eps && ctx_->Test(rule.head_id)) continue;
+      if (BodySatisfied(rule, *T, *ctx_,
                         [&](SymIdx s) -> const DynamicBitset& {
                           return (*child_labels)[s];
                         })) {
@@ -121,7 +70,8 @@ bool ChiEngine::CloseNodeWith(Policy& policy, DynamicBitset* T,
           t_changed = true;
           changed = true;
         } else {
-          policy.CtxSet(rule.head_id);
+          ctx_->Set(rule.head_id);
+          *ctx_changed_ = true;
           changed = true;
         }
       }
@@ -131,16 +81,7 @@ bool ChiEngine::CloseNodeWith(Policy& policy, DynamicBitset* T,
   return changed;
 }
 
-bool ChiEngine::CloseNode(DynamicBitset* T,
-                          std::vector<DynamicBitset>* child_labels) {
-  SequentialPolicy policy{this};
-  return CloseNodeWith(policy, T, child_labels);
-}
-
-StatusOr<bool> ChiEngine::ProcessAllOnce(TaskPool* pool) {
-  if (pool != nullptr && pool->num_threads() > 1 && entries_.size() > 1) {
-    return ProcessAllOnceParallel(pool);
-  }
+StatusOr<bool> ChiEngine::ProcessAllOnce() {
   RELSPEC_COUNTER("chi.passes");
   RELSPEC_SCOPED_TIMER("chi.pass_ns");
   RELSPEC_FAILPOINT("chi.pass");
@@ -163,78 +104,6 @@ StatusOr<bool> ChiEngine::ProcessAllOnce(TaskPool* pool) {
       entry_changed = true;
     }
     changed |= entry_changed;
-  }
-  if (changed) expand_cache_.clear();
-  return changed;
-}
-
-StatusOr<bool> ChiEngine::ProcessAllOnceParallel(TaskPool* pool) {
-  RELSPEC_COUNTER("chi.passes");
-  RELSPEC_COUNTER("chi.parallel_passes");
-  RELSPEC_SCOPED_TIMER("chi.pass_ns");
-  RELSPEC_PHASE("chi.parallel_pass");
-  RELSPEC_FAILPOINT("chi.pass");
-
-  const size_t n = entries_.size();
-  const DynamicBitset ctx_snapshot = *ctx_;
-  struct ChunkOut {
-    std::vector<std::pair<uint32_t, DynamicBitset>> updated;  // sorted by id
-    std::vector<DynamicBitset> new_seeds;  // in first-demand order
-    DynamicBitset ctx_add;
-  };
-  std::vector<ChunkOut> outs(pool->NumChunks(n, 1));
-
-  // Fan-out: the table, index and live ctx are read-only here; every write
-  // goes to chunk-local buffers.
-  pool->ParallelFor(0, n, 1, [&](size_t lo, size_t hi, size_t chunk) {
-    ChunkOut& out = outs[chunk];
-    out.ctx_add = DynamicBitset(ctx_snapshot.size());
-    // Cooperative cancellation: a chunk that starts after a breach drains
-    // immediately (its empty buffers merge as no-ops); the coordinating
-    // thread turns the condition into a Status below.
-    if (governor_ != nullptr && governor_->ShouldAbort()) return;
-    std::unordered_map<uint32_t, DynamicBitset> updated;
-    std::unordered_map<DynamicBitset, uint32_t, DynamicBitsetHash> seen_seeds;
-    ChunkPolicy policy{this,     ctx_snapshot,   &out.ctx_add,
-                       &updated, &seen_seeds,    &out.new_seeds};
-    for (size_t i = lo; i < hi; ++i) {
-      RELSPEC_COUNTER("chi.entries_processed");
-      DynamicBitset T = entries_[i].value;
-      std::vector<DynamicBitset> child_labels;
-      CloseNodeWith(policy, &T, &child_labels);
-      if (T != entries_[i].value) {
-        updated[static_cast<uint32_t>(i)] = std::move(T);
-      }
-    }
-    out.updated.assign(updated.begin(), updated.end());
-    std::sort(out.updated.begin(), out.updated.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-  });
-
-  // Single-threaded merge in chunk order.
-  bool changed = false;
-  for (ChunkOut& out : outs) {
-    for (auto& [id, value] : out.updated) {
-      entries_[id].value = std::move(value);
-      changed = true;
-    }
-    for (DynamicBitset& seed : out.new_seeds) {
-      size_t before = entries_.size();
-      EntryFor(seed);
-      // A fresh entry has not been closed yet; force another pass.
-      if (entries_.size() > before) changed = true;
-    }
-    if (ctx_->UnionWith(out.ctx_add)) {
-      *ctx_changed_ = true;
-      changed = true;
-    }
-  }
-  if (entries_.size() > max_entries_) {
-    return Status::ResourceExhausted(
-        StrFormat("chi table exceeded max_entries=%zu", max_entries_));
-  }
-  if (governor_ != nullptr) {
-    RELSPEC_RETURN_NOT_OK(governor_->CheckNodes(entries_.size()));
   }
   if (changed) expand_cache_.clear();
   return changed;

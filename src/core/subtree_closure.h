@@ -33,7 +33,6 @@
 namespace relspec {
 
 class ResourceGovernor;
-class TaskPool;
 
 /// Evaluates a ground rule body against a node label, its children's labels
 /// and the context. `child_label` is any callable SymIdx -> const
@@ -71,20 +70,11 @@ class ChiEngine {
   /// Processes every entry once. Returns true if any value, context bit or
   /// table membership changed.
   ///
-  /// Sequentially (pool null or single-threaded) this is Gauss-Seidel:
-  /// entries demanded during the pass are appended and processed within the
-  /// same pass, and each closure sees every update made before it. With a
-  /// pool, the pass is parallelized gather-then-merge: the entry range is
-  /// chunked across workers; each chunk closes its entries against the
-  /// start-of-pass table and context snapshot (Gauss-Seidel within the
-  /// chunk via a local overlay, Jacobi across chunks), gathering updated
-  /// values, newly demanded seeds and context emissions into chunk-local
-  /// buffers; the calling thread then merges the buffers in chunk order.
-  /// Both modes converge to the same least fixpoint (the iteration is
-  /// monotone over a finite lattice); the parallel mode may take more
-  /// passes. Newly demanded entries count as a change so the surrounding
+  /// This is Gauss-Seidel: entries demanded during the pass are appended and
+  /// processed within the same pass, and each closure sees every update made
+  /// before it. Newly demanded entries count as a change so the surrounding
   /// loop always runs another pass to close them.
-  StatusOr<bool> ProcessAllOnce(TaskPool* pool = nullptr);
+  StatusOr<bool> ProcessAllOnce();
 
   /// Child labels of a node with (converged) label `label` at depth >= c.
   /// Only meaningful once the surrounding fixpoint has converged. Cached;
@@ -97,8 +87,8 @@ class ChiEngine {
   void set_max_entries(size_t n) { max_entries_ = n; }
 
   /// Attaches a governor (may be null). ProcessAllOnce then polls it per
-  /// entry (sequential) / per chunk and after the merge (parallel); breaches
-  /// surface as that governor's Status. The governor must outlive the engine.
+  /// entry; breaches surface as that governor's Status. The governor must
+  /// outlive the engine.
   void set_governor(ResourceGovernor* g) { governor_ = g; }
 
   /// Drops every entry and cached expansion. Entry values are only valid
@@ -127,24 +117,12 @@ class ChiEngine {
     DynamicBitset value;
   };
 
-  /// How CloseNodeWith touches the world outside the node: child-seed
-  /// lookup, context reads and context emissions. SequentialPolicy writes
-  /// through to the live table and context; ChunkPolicy (parallel passes)
-  /// reads a snapshot and buffers every write chunk-locally.
-  struct SequentialPolicy;
-  struct ChunkPolicy;
-
   /// Runs the node-local closure for label T: iterates child seeds and
-  /// labels to their mutual fixpoint, fires eps-head additions into T and
-  /// context emissions through the policy. Returns true if T or ctx
-  /// changed. On return, `child_labels` holds the children's labels for the
-  /// final T.
-  template <typename Policy>
-  bool CloseNodeWith(Policy& policy, DynamicBitset* T,
-                     std::vector<DynamicBitset>* child_labels);
+  /// labels to their mutual fixpoint (demanding child seeds from the live
+  /// table), fires eps-head additions into T and context emissions into the
+  /// shared context. Returns true if T or ctx changed. On return,
+  /// `child_labels` holds the children's labels for the final T.
   bool CloseNode(DynamicBitset* T, std::vector<DynamicBitset>* child_labels);
-
-  StatusOr<bool> ProcessAllOnceParallel(TaskPool* pool);
 
   const GroundProgram* ground_;
   DynamicBitset* ctx_;

@@ -1,7 +1,6 @@
 #include "src/datalog/evaluator.h"
 
 #include <limits>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -10,7 +9,6 @@
 #include "src/base/logging.h"
 #include "src/base/metrics.h"
 #include "src/base/str_util.h"
-#include "src/base/task_pool.h"
 #include "src/base/trace.h"
 
 namespace relspec {
@@ -216,105 +214,24 @@ struct PassWindows {
       : floor(atoms, 0), limit(atoms, std::numeric_limits<size_t>::max()) {}
 };
 
-// Builds every hash index a Matcher pass over `rule.body` will probe, so
-// that the probes issued concurrently by worker threads are pure reads.
-// Whether a column of atom j is bound at probe time is static: it is bound
-// iff it holds a constant or a variable that occurs in a positive atom
-// before j (the matcher binds every variable of an atom when it descends
-// past it, and negated atoms are ordered last and bind nothing).
-void PrebuildProbeIndexes(const DRule& rule, const Database& db) {
-  std::unordered_set<uint32_t> bound_vars;
-  for (const DAtom& atom : rule.body) {
-    if (atom.negated) continue;  // negation probes the tuple set, not an index
-    std::vector<int> cols;
-    for (size_t c = 0; c < atom.args.size(); ++c) {
-      const DTerm& t = atom.args[c];
-      if (!t.IsVar() || bound_vars.count(t.id) > 0) {
-        cols.push_back(static_cast<int>(c));
-      }
-    }
-    if (!cols.empty()) db.relation(atom.pred).EnsureIndex(cols);
-    for (const DTerm& t : atom.args) {
-      if (t.IsVar()) bound_vars.insert(t.id);
-    }
-  }
-}
-
 // Runs one matching pass of `rule` under `win`, inserting instantiated
 // heads into db and bumping stats at original-rule index `oi`.
-//
-// With a pool, the pass is parallelized over the window of body atom 0 —
-// the outermost enumeration loop of the matcher. Each chunk matches with
-// its own Matcher (thread-local bindings) into a per-chunk head-tuple
-// vector; the database is read-only during the fan-out (indexes are
-// pre-built, inserts deferred), and the chunks are then merged with a
-// single-threaded deduplicating insert in chunk order. Since chunks
-// partition atom 0's row range in order and that range is the outermost
-// loop, the concatenation reproduces the sequential match order exactly:
-// contents and insertion order are byte-identical to a 1-thread run.
 void RunMatchPass(const DRule& rule, size_t oi, const PassWindows& win,
-                  TaskPool* pool, ResourceGovernor* governor, Database* db,
-                  EvalStats* stats, bool* changed) {
-  auto record_insert = [&](const Tuple& head) {
-    if (db->Insert(rule.head.pred, head)) {
+                  Database* db, EvalStats* stats, bool* changed) {
+  Matcher m(*db, rule.body, rule.num_vars);
+  for (size_t j = 0; j < rule.body.size(); ++j) {
+    m.SetRowFloor(j, win.floor[j]);
+    m.SetRowLimit(j, win.limit[j]);
+  }
+  m.Match([&](const std::vector<uint32_t>& bindings) {
+    ++stats->rule_firings;
+    ++stats->per_rule_firings[oi];
+    if (db->Insert(rule.head.pred, InstantiateHead(rule.head, bindings))) {
       ++stats->tuples_derived;
       ++stats->per_rule_derived[oi];
       *changed = true;
     }
-  };
-
-  size_t split_lo = rule.body.empty() ? 0 : win.floor[0];
-  size_t split_hi = rule.body.empty()
-                        ? 0
-                        : std::min(win.limit[0],
-                                   db->relation(rule.body[0].pred).size());
-  bool parallel = pool != nullptr && !rule.body.empty() &&
-                  !rule.body[0].negated && split_hi > split_lo + 1;
-  if (!parallel) {
-    Matcher m(*db, rule.body, rule.num_vars);
-    for (size_t j = 0; j < rule.body.size(); ++j) {
-      m.SetRowFloor(j, win.floor[j]);
-      m.SetRowLimit(j, win.limit[j]);
-    }
-    m.Match([&](const std::vector<uint32_t>& bindings) {
-      ++stats->rule_firings;
-      ++stats->per_rule_firings[oi];
-      record_insert(InstantiateHead(rule.head, bindings));
-    });
-    return;
-  }
-
-  RELSPEC_PHASE("datalog.parallel_pass");
-  PrebuildProbeIndexes(rule, *db);
-  struct ChunkOut {
-    std::vector<Tuple> heads;  // in match order
-    size_t firings = 0;
-  };
-  std::vector<ChunkOut> outs(pool->NumChunks(split_hi - split_lo, 1));
-  pool->ParallelFor(
-      split_lo, split_hi, 1, [&](size_t lo, size_t hi, size_t chunk) {
-        ChunkOut& out = outs[chunk];
-        // Cooperative cancellation: a chunk starting after a breach drains
-        // immediately (its empty head buffer merges as a no-op); the
-        // coordinating thread turns the condition into a Status afterwards.
-        if (governor != nullptr && governor->ShouldAbort()) return;
-        Matcher m(*db, rule.body, rule.num_vars);
-        for (size_t j = 0; j < rule.body.size(); ++j) {
-          m.SetRowFloor(j, win.floor[j]);
-          m.SetRowLimit(j, win.limit[j]);
-        }
-        m.SetRowFloor(0, lo);
-        m.SetRowLimit(0, hi);
-        m.Match([&](const std::vector<uint32_t>& bindings) {
-          ++out.firings;
-          out.heads.push_back(InstantiateHead(rule.head, bindings));
-        });
-      });
-  for (ChunkOut& out : outs) {
-    stats->rule_firings += out.firings;
-    stats->per_rule_firings[oi] += out.firings;
-    for (Tuple& head : out.heads) record_insert(head);
-  }
+  });
 }
 
 }  // namespace
@@ -327,8 +244,7 @@ namespace {
 StatusOr<EvalStats> EvaluateStratum(const std::vector<DRule>& rules,
                                     const std::vector<size_t>& rule_index,
                                     size_t total_rules, Database* db,
-                                    const EvalOptions& options,
-                                    TaskPool* pool) {
+                                    const EvalOptions& options) {
   EvalStats stats;
   stats.per_rule_firings.assign(total_rules, 0);
   stats.per_rule_derived.assign(total_rules, 0);
@@ -372,8 +288,7 @@ StatusOr<EvalStats> EvaluateStratum(const std::vector<DRule>& rules,
         for (size_t i = 0; i < rule.body.size(); ++i) {
           win.limit[i] = snapshot[rule.body[i].pred];
         }
-        RunMatchPass(rule, oi, win, pool, options.governor, db, &stats,
-                     &changed);
+        RunMatchPass(rule, oi, win, db, &stats, &changed);
       } else if (rule.body.empty()) {
         // A bodiless rule is a fact; it fires exactly once.
         if (stats.iterations == 1) {
@@ -411,8 +326,7 @@ StatusOr<EvalStats> EvaluateStratum(const std::vector<DRule>& rules,
               win.limit[j] = old_size[rule.body[j].pred];
             }
           }
-          RunMatchPass(rule, oi, win, pool, options.governor, db, &stats,
-                       &changed);
+          RunMatchPass(rule, oi, win, db, &stats, &changed);
           if (first_round) break;  // one full pass suffices in round 1
         }
       }
@@ -420,8 +334,7 @@ StatusOr<EvalStats> EvaluateStratum(const std::vector<DRule>& rules,
         return Status::ResourceExhausted(
             StrFormat("evaluation exceeded max_tuples=%zu", options.max_tuples));
       }
-      // Per-rule poll: converts a mid-pass abort (chunks drained above) into
-      // the breach Status and bounds cancellation latency to one rule pass.
+      // Per-rule poll: bounds cancellation latency to one rule pass.
       if (options.governor != nullptr) {
         RELSPEC_RETURN_NOT_OK(
             options.governor->CheckTuples(db->TotalTuples()));
@@ -505,19 +418,12 @@ StatusOr<EvalStats> Evaluate(const std::vector<DRule>& rules, Database* db,
   std::vector<DRule> prepared = rules;
   for (DRule& r : prepared) r.body = NegatedLast(r.body);
 
-  // One pool for the whole evaluation; null keeps every pass on the exact
-  // single-threaded code path.
-  std::unique_ptr<TaskPool> pool;
-  if (options.num_threads > 1) {
-    pool = std::make_unique<TaskPool>(options.num_threads);
-  }
-
   if (!HasNegation(prepared)) {
     std::vector<size_t> identity(prepared.size());
     for (size_t i = 0; i < identity.size(); ++i) identity[i] = i;
     RELSPEC_ASSIGN_OR_RETURN(
         EvalStats stats, EvaluateStratum(prepared, identity, prepared.size(),
-                                         db, options, pool.get()));
+                                         db, options));
     RecordEvalMetrics(stats);
     return stats;
   }
@@ -541,8 +447,7 @@ StatusOr<EvalStats> Evaluate(const std::vector<DRule>& rules, Database* db,
     if (strata[s].empty()) continue;
     RELSPEC_ASSIGN_OR_RETURN(
         EvalStats st, EvaluateStratum(strata[s], strata_index[s],
-                                      prepared.size(), db, options,
-                                      pool.get()));
+                                      prepared.size(), db, options));
     total.iterations += st.iterations;
     total.tuples_derived += st.tuples_derived;
     total.rule_firings += st.rule_firings;

@@ -27,16 +27,8 @@ struct EvalOptions {
   /// Hard cap on total stored tuples; exceeded -> ResourceExhausted.
   size_t max_tuples = 50'000'000;
   /// Optional resource governor (deadline, cancellation, tuple budget),
-  /// polled once per iteration, per rule pass, and — on the parallel path —
-  /// at every chunk boundary. Must outlive the call.
+  /// polled once per iteration and per rule pass. Must outlive the call.
   ResourceGovernor* governor = nullptr;
-  /// Worker threads for the matching phase (1 = fully sequential, today's
-  /// exact behavior). With N > 1 each rule pass splits its outermost row
-  /// range across a work-stealing pool; derived tuples are gathered per
-  /// chunk and merged with a single-threaded deduplicating insert in chunk
-  /// order, so relation contents AND row order are byte-identical to a
-  /// 1-thread run (see docs/ARCHITECTURE.md, "Determinism contract").
-  int num_threads = 1;
 };
 
 struct EvalStats {

@@ -74,10 +74,6 @@ const std::vector<uint32_t>& Relation::Probe(const std::vector<int>& columns,
   return it == index.map.end() ? kEmpty : it->second;
 }
 
-void Relation::EnsureIndex(const std::vector<int>& columns) const {
-  BuildIndex(columns);
-}
-
 const Relation::ColumnIndex& Relation::BuildIndex(
     const std::vector<int>& columns) const {
   uint64_t mask = 0;

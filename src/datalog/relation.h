@@ -92,12 +92,6 @@ class Relation {
   const std::vector<uint32_t>& Probe(const std::vector<int>& columns,
                                      const Tuple& key) const;
 
-  /// Builds (or catches up) the hash index for `columns` now. After this,
-  /// Probe calls for the same column set are pure reads until the next
-  /// Insert — which is what makes concurrent probing from the parallel
-  /// evaluator safe (indexes are pre-built before workers fan out).
-  void EnsureIndex(const std::vector<int>& columns) const;
-
   void Clear();
 
  private:

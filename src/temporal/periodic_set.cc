@@ -62,7 +62,10 @@ std::string PeriodicSet::ToString() const {
     parts.push_back(
         StrFormat("%llu+%llui", (unsigned long long)s, (unsigned long long)p));
   }
-  return "{" + Join(parts, ", ") + "}";
+  std::string out = "{";
+  out += Join(parts, ", ");
+  out += "}";
+  return out;
 }
 
 }  // namespace relspec

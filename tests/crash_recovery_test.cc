@@ -104,12 +104,6 @@ std::vector<std::string> MakeBatches(unsigned seed) {
   return batches;
 }
 
-EngineOptions SingleThreaded() {
-  EngineOptions opts;
-  opts.fixpoint.num_threads = 1;  // keep the forked child free of threads
-  return opts;
-}
-
 DurableOptions DurableEveryTwo() {
   DurableOptions dopts;
   dopts.checkpoint_every = 2;  // exercise rotation mid-run
@@ -130,11 +124,11 @@ int ChildWorkload(const std::string& failpoint_spec, const std::string& source,
                   const std::vector<std::string>& batches,
                   const std::string& wal_path, int ack_fd) {
   if (!failpoint::Configure(failpoint_spec).ok()) return 40;
-  auto db = FunctionalDatabase::OpenDurable(source, wal_path, DurableEveryTwo(),
-                                            SingleThreaded());
+  auto db =
+      FunctionalDatabase::OpenDurable(source, wal_path, DurableEveryTwo());
   if (!db.ok()) return 41;
   for (size_t i = 0; i < batches.size(); ++i) {
-    auto stats = (*db)->LogAndApplyDeltas(batches[i], SingleThreaded());
+    auto stats = (*db)->LogAndApplyDeltas(batches[i]);
     if (!stats.ok()) return 42;
     char ack = static_cast<char>('0' + i);
     if (::write(ack_fd, &ack, 1) != 1) return 43;
@@ -187,7 +181,7 @@ void RecoverAndVerify(const std::string& source,
                       const std::string& wal_path, int acked) {
   RecoveryStats rec;
   auto db = FunctionalDatabase::OpenDurable(source, wal_path, DurableEveryTwo(),
-                                            SingleThreaded(), &rec);
+                                            EngineOptions(), &rec);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   RefState got = Render(db->get());
 
@@ -205,7 +199,7 @@ void RecoverAndVerify(const std::string& source,
 
   // Converge: the remaining batches must land exactly on ref[N].
   for (size_t i = static_cast<size_t>(match); i < batches.size(); ++i) {
-    auto stats = (*db)->LogAndApplyDeltas(batches[i], SingleThreaded());
+    auto stats = (*db)->LogAndApplyDeltas(batches[i]);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   }
   EXPECT_TRUE(Render(db->get()) == ref.back());
@@ -213,7 +207,7 @@ void RecoverAndVerify(const std::string& source,
 
   // And a final reopen replays whatever the convergence run logged.
   auto reopened = FunctionalDatabase::OpenDurable(
-      source, wal_path, DurableEveryTwo(), SingleThreaded());
+      source, wal_path, DurableEveryTwo());
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   RefState re = Render(reopened->get());
   EXPECT_EQ(re.spec_text, ref.back().spec_text);
@@ -222,6 +216,8 @@ void RecoverAndVerify(const std::string& source,
 }
 
 class CrashRecoveryTest : public ::testing::TestWithParam<int> {};
+// Spot checks that run on the first five seeds only.
+class CrashRecoverySpotCheckTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CrashRecoveryTest, KillAtEveryWalSiteRecoversByteIdentical) {
   const unsigned seed = static_cast<unsigned>(GetParam());
@@ -233,11 +229,11 @@ TEST_P(CrashRecoveryTest, KillAtEveryWalSiteRecoversByteIdentical) {
   // recovery replays through).
   std::vector<RefState> ref;
   {
-    auto db = FunctionalDatabase::FromSource(source, SingleThreaded());
+    auto db = FunctionalDatabase::FromSource(source);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     ref.push_back(Render(db->get()));
     for (const std::string& batch : batches) {
-      auto stats = (*db)->ApplyDeltaText(batch, SingleThreaded());
+      auto stats = (*db)->ApplyDeltaText(batch);
       ASSERT_TRUE(stats.ok()) << stats.status().ToString();
       ref.push_back(Render(db->get()));
     }
@@ -291,11 +287,11 @@ TEST_P(CrashRecoveryTest, KillDuringTornTailTruncationRecovers) {
 
   std::vector<RefState> ref;
   {
-    auto db = FunctionalDatabase::FromSource(source, SingleThreaded());
+    auto db = FunctionalDatabase::FromSource(source);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     ref.push_back(Render(db->get()));
     for (const std::string& batch : batches) {
-      auto stats = (*db)->ApplyDeltaText(batch, SingleThreaded());
+      auto stats = (*db)->ApplyDeltaText(batch);
       ASSERT_TRUE(stats.ok());
       ref.push_back(Render(db->get()));
     }
@@ -306,11 +302,10 @@ TEST_P(CrashRecoveryTest, KillDuringTornTailTruncationRecovers) {
   // because the record write is a single syscall).
   {
     auto db = FunctionalDatabase::OpenDurable(source, wal_path,
-                                              DurableEveryTwo(),
-                                              SingleThreaded());
+                                              DurableEveryTwo());
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     for (const std::string& batch : batches) {
-      ASSERT_TRUE((*db)->LogAndApplyDeltas(batch, SingleThreaded()).ok());
+      ASSERT_TRUE((*db)->LogAndApplyDeltas(batch).ok());
     }
   }
   auto bytes = DeltaWal::ReadFile(wal_path);
@@ -326,7 +321,7 @@ TEST_P(CrashRecoveryTest, KillDuringTornTailTruncationRecovers) {
   // ...and the parent's recovery still lands on the full reference state.
   RecoveryStats rec;
   auto db = FunctionalDatabase::OpenDurable(source, wal_path, DurableEveryTwo(),
-                                            SingleThreaded(), &rec);
+                                            EngineOptions(), &rec);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   EXPECT_TRUE(Render(db->get()) == ref.back());
   CleanWalFiles(wal_path);
@@ -334,9 +329,8 @@ TEST_P(CrashRecoveryTest, KillDuringTornTailTruncationRecovers) {
 
 // Under fsync=batch an unsynced acknowledged batch MAY be lost, but recovery
 // must still land on some exact prefix — never a torn or reordered state.
-TEST_P(CrashRecoveryTest, BatchFsyncCrashRecoversToExactPrefix) {
+TEST_P(CrashRecoverySpotCheckTest, BatchFsyncCrashRecoversToExactPrefix) {
   const unsigned seed = static_cast<unsigned>(GetParam());
-  if (seed >= 5) GTEST_SKIP() << "prefix-consistency spot check: 5 seeds";
   const std::string source = MakeSource(seed);
   const std::vector<std::string> batches = MakeBatches(seed);
   const std::string wal_path = ::testing::TempDir() + "crash_batch_seed" +
@@ -345,11 +339,11 @@ TEST_P(CrashRecoveryTest, BatchFsyncCrashRecoversToExactPrefix) {
 
   std::vector<RefState> ref;
   {
-    auto db = FunctionalDatabase::FromSource(source, SingleThreaded());
+    auto db = FunctionalDatabase::FromSource(source);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     ref.push_back(Render(db->get()));
     for (const std::string& batch : batches) {
-      ASSERT_TRUE((*db)->ApplyDeltaText(batch, SingleThreaded()).ok());
+      ASSERT_TRUE((*db)->ApplyDeltaText(batch).ok());
       ref.push_back(Render(db->get()));
     }
   }
@@ -364,11 +358,10 @@ TEST_P(CrashRecoveryTest, BatchFsyncCrashRecoversToExactPrefix) {
     DurableOptions dopts;
     dopts.wal.fsync = FsyncMode::kBatch;
     dopts.wal.batch_every = 2;
-    auto db = FunctionalDatabase::OpenDurable(source, wal_path, dopts,
-                                              SingleThreaded());
+    auto db = FunctionalDatabase::OpenDurable(source, wal_path, dopts);
     if (!db.ok()) ::_exit(41);
     for (const std::string& batch : batches) {
-      if (!(*db)->LogAndApplyDeltas(batch, SingleThreaded()).ok()) ::_exit(42);
+      if (!(*db)->LogAndApplyDeltas(batch).ok()) ::_exit(42);
       char ack = '.';
       if (::write(pipe_fds[1], &ack, 1) != 1) ::_exit(43);
     }
@@ -385,8 +378,7 @@ TEST_P(CrashRecoveryTest, BatchFsyncCrashRecoversToExactPrefix) {
   DurableOptions dopts;
   dopts.wal.fsync = FsyncMode::kBatch;
   dopts.wal.batch_every = 2;
-  auto db = FunctionalDatabase::OpenDurable(source, wal_path, dopts,
-                                            SingleThreaded());
+  auto db = FunctionalDatabase::OpenDurable(source, wal_path, dopts);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   RefState got = Render(db->get());
   bool is_prefix = false;
@@ -406,8 +398,8 @@ int DaemonChildWorkload(const std::string& failpoint_spec,
                         const std::string& source, const std::string& wal_path,
                         const std::string& socket_path, int ready_fd) {
   if (!failpoint::Configure(failpoint_spec).ok()) return 40;
-  auto db = FunctionalDatabase::OpenDurable(source, wal_path, DurableEveryTwo(),
-                                            SingleThreaded());
+  auto db =
+      FunctionalDatabase::OpenDurable(source, wal_path, DurableEveryTwo());
   if (!db.ok()) return 41;
   serve::ServerOptions options;
   options.unix_path = socket_path;
@@ -472,11 +464,11 @@ TEST_P(CrashRecoveryTest, DaemonKillAtWalSitesPreservesAckedUpdates) {
 
   std::vector<RefState> ref;
   {
-    auto db = FunctionalDatabase::FromSource(source, SingleThreaded());
+    auto db = FunctionalDatabase::FromSource(source);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     ref.push_back(Render(db->get()));
     for (const std::string& batch : batches) {
-      auto stats = (*db)->ApplyDeltaText(batch, SingleThreaded());
+      auto stats = (*db)->ApplyDeltaText(batch);
       ASSERT_TRUE(stats.ok()) << stats.status().ToString();
       ref.push_back(Render(db->get()));
     }
@@ -517,9 +509,9 @@ TEST_P(CrashRecoveryTest, DaemonKillAtWalSitesPreservesAckedUpdates) {
 // Graceful shutdown is the opposite contract: RequestShutdown (exactly what
 // relspecd's SIGTERM handler calls) must reply to the request already on the
 // wire, flush a contract-valid trace, and leave the WAL replayable.
-TEST_P(CrashRecoveryTest, DaemonShutdownDrainsInFlightRepliesAndTrace) {
+TEST_P(CrashRecoverySpotCheckTest,
+       DaemonShutdownDrainsInFlightRepliesAndTrace) {
   const unsigned seed = static_cast<unsigned>(GetParam());
-  if (seed >= 5) GTEST_SKIP() << "drain spot check: 5 seeds";
   const std::string source = MakeSource(seed);
   const std::vector<std::string> batches = MakeBatches(seed);
   const std::string wal_path = ::testing::TempDir() + "daemon_drain_seed" +
@@ -534,8 +526,7 @@ TEST_P(CrashRecoveryTest, DaemonShutdownDrainsInFlightRepliesAndTrace) {
   uint64_t fp_after_updates = 0;
   {
     auto db = FunctionalDatabase::OpenDurable(source, wal_path,
-                                              DurableEveryTwo(),
-                                              SingleThreaded());
+                                              DurableEveryTwo());
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     serve::ServerOptions options;
     options.unix_path = socket_path;
@@ -580,7 +571,7 @@ TEST_P(CrashRecoveryTest, DaemonShutdownDrainsInFlightRepliesAndTrace) {
 
   // The drained WAL replays to the exact acked state.
   auto reopened = FunctionalDatabase::OpenDurable(
-      source, wal_path, DurableEveryTwo(), SingleThreaded());
+      source, wal_path, DurableEveryTwo());
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ((*reopened)->Fingerprint(), fp_after_updates);
   CleanWalFiles(wal_path);
@@ -588,6 +579,8 @@ TEST_P(CrashRecoveryTest, DaemonShutdownDrainsInFlightRepliesAndTrace) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrashRecoveryTest, ::testing::Range(0, 15));
+INSTANTIATE_TEST_SUITE_P(Seeds, CrashRecoverySpotCheckTest,
+                         ::testing::Range(0, 5));
 
 }  // namespace
 }  // namespace relspec

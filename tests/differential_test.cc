@@ -1,13 +1,12 @@
 // Differential testing: the same program evaluated along independent
 // implementation paths must produce byte-identical artifacts.
 //
-//   (a) parallel fixpoint with 1, 2, and 8 threads -> identical text and
-//       binary spec serializations (the determinism contract),
-//   (b) snapshot save -> load -> re-serialize -> byte-identical to the
+//   (a) snapshot save -> load -> re-serialize -> byte-identical to the
 //       direct run, in both the binary and the text format,
-//   (c) naive vs semi-naive DATALOG evaluation of CONGR -> identical
+//   (b) naive vs semi-naive DATALOG evaluation of CONGR -> identical
 //       materialized databases,
-//   (d) cached vs uncached query answers -> identical enumerations.
+//   (c) cached vs uncached query answers -> identical enumerations,
+//   (d) incremental deltas -> identical to a rebuild.
 
 #include <gtest/gtest.h>
 
@@ -31,11 +30,8 @@ using testutil::RandomProgram;
 using testutil::RandomProgramRich;
 using testutil::UniverseUpTo;
 
-std::unique_ptr<FunctionalDatabase> BuildWithThreads(const std::string& source,
-                                                     int threads) {
-  EngineOptions options;
-  options.fixpoint.num_threads = threads;
-  auto db = FunctionalDatabase::FromSource(source, options);
+std::unique_ptr<FunctionalDatabase> Build(const std::string& source) {
+  auto db = FunctionalDatabase::FromSource(source);
   EXPECT_TRUE(db.ok()) << db.status().ToString();
   return db.ok() ? std::move(*db) : nullptr;
 }
@@ -50,7 +46,10 @@ std::string RenderDatabase(const datalog::Database& db) {
     std::sort(rows.begin(), rows.end());
     out += "pred " + std::to_string(p) + "\n";
     for (const auto& row : rows) {
-      for (datalog::Value v : row) out += " " + std::to_string(v);
+      for (datalog::Value v : row) {
+        out += " ";
+        out += std::to_string(v);
+      }
       out += "\n";
     }
   }
@@ -59,38 +58,7 @@ std::string RenderDatabase(const datalog::Database& db) {
 
 class DifferentialTest : public ::testing::TestWithParam<int> {};
 
-// (a) Thread counts 1, 2, 8 must serialize byte-identically: not just the
-// same facts, the same bytes (cluster order, boundary order, everything).
-TEST_P(DifferentialTest, SpecsByteIdenticalAcrossThreadCounts) {
-  std::mt19937 rng(static_cast<unsigned>(GetParam()) * 40503u + 1u);
-  std::string source = RandomProgram(&rng);
-  SCOPED_TRACE(source);
-
-  auto db1 = BuildWithThreads(source, 1);
-  auto db2 = BuildWithThreads(source, 2);
-  auto db8 = BuildWithThreads(source, 8);
-  ASSERT_TRUE(db1 && db2 && db8);
-
-  auto s1 = db1->BuildGraphSpec();
-  auto s2 = db2->BuildGraphSpec();
-  auto s8 = db8->BuildGraphSpec();
-  ASSERT_TRUE(s1.ok() && s2.ok() && s8.ok());
-
-  std::string text1 = SpecIo::Serialize(*s1);
-  EXPECT_EQ(text1, SpecIo::Serialize(*s2));
-  EXPECT_EQ(text1, SpecIo::Serialize(*s8));
-
-  std::string bin1 = Snapshot::Serialize(*s1);
-  EXPECT_EQ(bin1, Snapshot::Serialize(*s2));
-  EXPECT_EQ(bin1, Snapshot::Serialize(*s8));
-
-  auto e1 = db1->BuildEquationalSpec();
-  auto e8 = db8->BuildEquationalSpec();
-  ASSERT_TRUE(e1.ok() && e8.ok());
-  EXPECT_EQ(SpecIo::Serialize(*e1), SpecIo::Serialize(*e8));
-}
-
-// (b) A snapshot-reloaded specification is indistinguishable from the
+// (a) A snapshot-reloaded specification is indistinguishable from the
 // directly built one: binary and text serializations round-trip to the
 // same bytes, and membership agrees over the inner universe.
 TEST_P(DifferentialTest, SnapshotReloadIsByteIdentical) {
@@ -98,7 +66,7 @@ TEST_P(DifferentialTest, SnapshotReloadIsByteIdentical) {
   std::string source = RandomProgramRich(&rng);
   SCOPED_TRACE(source);
 
-  auto db = BuildWithThreads(source, 1);
+  auto db = Build(source);
   ASSERT_TRUE(db);
   auto spec = db->BuildGraphSpec();
   ASSERT_TRUE(spec.ok());
@@ -127,14 +95,14 @@ TEST_P(DifferentialTest, SnapshotReloadIsByteIdentical) {
   EXPECT_EQ(ebin, Snapshot::Serialize(*ereloaded));
 }
 
-// (c) Naive and semi-naive evaluation of the CONGR canonical form must
+// (b) Naive and semi-naive evaluation of the CONGR canonical form must
 // materialize exactly the same database.
 TEST_P(DifferentialTest, NaiveVsSemiNaiveCongr) {
   std::mt19937 rng(static_cast<unsigned>(GetParam()) * 16807u + 7u);
   std::string source = RandomProgram(&rng);
   SCOPED_TRACE(source);
 
-  auto db = BuildWithThreads(source, 1);
+  auto db = Build(source);
   ASSERT_TRUE(db);
   auto espec = db->BuildEquationalSpec();
   ASSERT_TRUE(espec.ok());
@@ -147,14 +115,14 @@ TEST_P(DifferentialTest, NaiveVsSemiNaiveCongr) {
   EXPECT_EQ(RenderDatabase(semi->db), RenderDatabase(naive->db));
 }
 
-// (d) A warm cache must hand back answers identical to a cold evaluation,
+// (c) A warm cache must hand back answers identical to a cold evaluation,
 // and a fingerprint change must miss.
 TEST_P(DifferentialTest, CachedAnswersMatchUncached) {
   std::mt19937 rng(static_cast<unsigned>(GetParam()) * 69621u + 11u);
   std::string source = RandomProgram(&rng);
   SCOPED_TRACE(source);
 
-  auto db = BuildWithThreads(source, 1);
+  auto db = Build(source);
   ASSERT_TRUE(db);
   QueryCache cache;
 
@@ -180,12 +148,12 @@ TEST_P(DifferentialTest, CachedAnswersMatchUncached) {
   }
 }
 
-// (e) Incremental maintenance (paper Section 5, docs/INCREMENTAL.md):
+// (d) Incremental maintenance (paper Section 5, docs/INCREMENTAL.md):
 // applying a mixed insert/delete sequence batch by batch must be
 // indistinguishable from rebuilding from the edited program — identical
 // spec text, identical snapshot bytes, identical equational spec, identical
-// fingerprint — at every thread count, and the repaired spec must still
-// round-trip through the binary snapshot byte-identically.
+// fingerprint — and the repaired spec must still round-trip through the
+// binary snapshot byte-identically.
 TEST_P(DifferentialTest, IncrementalDeltasMatchRebuild) {
   std::mt19937 rng(static_cast<unsigned>(GetParam()) * 25173u + 13u);
   std::string source = RandomProgramRich(&rng);
@@ -222,38 +190,34 @@ TEST_P(DifferentialTest, IncrementalDeltasMatchRebuild) {
   // the full-rebuild fallback, which must be equivalent too.
   batches.push_back("+ P0(f(0), c).\n");
 
-  for (int threads : {1, 2, 8}) {
-    SCOPED_TRACE(threads);
-    EngineOptions opts;
-    opts.fixpoint.num_threads = threads;
-    auto db = FunctionalDatabase::FromSource(source, opts);
-    ASSERT_TRUE(db.ok()) << db.status().ToString();
-    for (const std::string& batch : batches) {
-      SCOPED_TRACE(batch);
-      auto stats = (*db)->ApplyDeltaText(batch, opts);
-      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EngineOptions opts;
+  auto db = FunctionalDatabase::FromSource(source, opts);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  for (const std::string& batch : batches) {
+    SCOPED_TRACE(batch);
+    auto stats = (*db)->ApplyDeltaText(batch, opts);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
 
-      auto fresh =
-          FunctionalDatabase::FromProgram((*db)->original_program(), opts);
-      ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    auto fresh =
+        FunctionalDatabase::FromProgram((*db)->original_program(), opts);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
 
-      auto ispec = (*db)->BuildGraphSpec();
-      auto fspec = (*fresh)->BuildGraphSpec();
-      ASSERT_TRUE(ispec.ok() && fspec.ok());
-      EXPECT_EQ(SpecIo::Serialize(*ispec), SpecIo::Serialize(*fspec));
-      std::string ibin = Snapshot::Serialize(*ispec);
-      EXPECT_EQ(ibin, Snapshot::Serialize(*fspec));
-      EXPECT_EQ((*db)->Fingerprint(), (*fresh)->Fingerprint());
+    auto ispec = (*db)->BuildGraphSpec();
+    auto fspec = (*fresh)->BuildGraphSpec();
+    ASSERT_TRUE(ispec.ok() && fspec.ok());
+    EXPECT_EQ(SpecIo::Serialize(*ispec), SpecIo::Serialize(*fspec));
+    std::string ibin = Snapshot::Serialize(*ispec);
+    EXPECT_EQ(ibin, Snapshot::Serialize(*fspec));
+    EXPECT_EQ((*db)->Fingerprint(), (*fresh)->Fingerprint());
 
-      auto reloaded = Snapshot::ParseGraphSpec(ibin);
-      ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-      EXPECT_EQ(ibin, Snapshot::Serialize(*reloaded));
+    auto reloaded = Snapshot::ParseGraphSpec(ibin);
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+    EXPECT_EQ(ibin, Snapshot::Serialize(*reloaded));
 
-      auto iespec = (*db)->BuildEquationalSpec();
-      auto fespec = (*fresh)->BuildEquationalSpec();
-      ASSERT_TRUE(iespec.ok() && fespec.ok());
-      EXPECT_EQ(SpecIo::Serialize(*iespec), SpecIo::Serialize(*fespec));
-    }
+    auto iespec = (*db)->BuildEquationalSpec();
+    auto fespec = (*fresh)->BuildEquationalSpec();
+    ASSERT_TRUE(iespec.ok() && fespec.ok());
+    EXPECT_EQ(SpecIo::Serialize(*iespec), SpecIo::Serialize(*fespec));
   }
 }
 

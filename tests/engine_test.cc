@@ -168,6 +168,23 @@ TEST(Engine, TwoSymbolCrossPropagation) {
   EXPECT_TRUE((*db)->Verify().ok());
 }
 
+TEST(Engine, ThreeWayRotationHasPeriodThree) {
+  auto db = FunctionalDatabase::FromSource(R"(
+    OnCall(0, alice).
+    Rotate(alice, bob).
+    Rotate(bob, carol).
+    Rotate(carol, alice).
+    OnCall(t, x), Rotate(x, y) -> OnCall(t+1, y).
+  )");
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  // alice at t % 3 == 0, bob at 1, carol at 2.
+  EXPECT_TRUE(*(*db)->HoldsFactText("OnCall(0, alice)"));
+  EXPECT_TRUE(*(*db)->HoldsFactText("OnCall(4, bob)"));
+  EXPECT_FALSE(*(*db)->HoldsFactText("OnCall(7, carol)"));
+  EXPECT_TRUE(*(*db)->HoldsFactText("OnCall(9, alice)"));
+  EXPECT_TRUE((*db)->Verify().ok());
+}
+
 TEST(Engine, DeepGroundFactTrunk) {
   // A fact at depth 6 forces a deep trunk; everything still works.
   auto db = FunctionalDatabase::FromSource(R"(

@@ -1,7 +1,6 @@
 // ResourceGovernor unit tests plus end-to-end budget/cancellation coverage:
 // sticky first breach, graceful degradation soundness, truncated-spec
-// serialization round-trips, and prompt cancellation of the parallel
-// evaluator.
+// serialization round-trips, and prompt cancellation of the fixpoint.
 
 #include <gtest/gtest.h>
 
@@ -219,12 +218,12 @@ TEST(GovernorEngine, TruncatedEquationalSpecRoundTripsThroughSpecIo) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel evaluation cancels within one chunk boundary
+// The fixpoint observes cancellation, deadlines and budgets promptly
 // ---------------------------------------------------------------------------
 
-TEST(GovernorParallel, ParallelFixpointObservesCancellationPromptly) {
-  // A program whose chi table is big enough that a multi-threaded pass has
-  // many chunks: the on-call rotation with a wide constant set.
+TEST(GovernorFixpoint, ObservesCancellationPromptly) {
+  // A program whose chi table is non-trivial: the on-call rotation with a
+  // wide constant set.
   std::string source;
   for (int i = 0; i < 12; ++i) {
     source += "P(0, k" + std::to_string(i) + ").\n";
@@ -237,22 +236,21 @@ TEST(GovernorParallel, ParallelFixpointObservesCancellationPromptly) {
 
   EngineOptions options;
   options.governor = &governor;
-  options.fixpoint.num_threads = 4;
   auto start = std::chrono::steady_clock::now();
   auto db = FunctionalDatabase::FromSource(source, options);
   auto elapsed = std::chrono::steady_clock::now() - start;
 
   ASSERT_FALSE(db.ok());
   EXPECT_TRUE(db.status().IsCancelled()) << db.status().ToString();
-  // Workers drain at the next chunk boundary: the whole run must die well
-  // under a second even though the uncancelled build is non-trivial.
+  // The fixpoint polls per round and per chi entry: the whole run must die
+  // well under a second even though the uncancelled build is non-trivial.
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             1000)
-      << "cancellation took more than one chunk boundary to observe";
+      << "cancellation was not observed at the next poll";
 }
 
-TEST(GovernorParallel, ParallelFixpointHonorsAnExpiredDeadline) {
+TEST(GovernorFixpoint, HonorsAnExpiredDeadline) {
   GovernorLimits limits;
   limits.deadline_ms = 1;
   ResourceGovernor governor(limits);
@@ -260,7 +258,6 @@ TEST(GovernorParallel, ParallelFixpointHonorsAnExpiredDeadline) {
 
   EngineOptions options;
   options.governor = &governor;
-  options.fixpoint.num_threads = 4;
   auto start = std::chrono::steady_clock::now();
   auto db = FunctionalDatabase::FromSource(kMeets, options);
   auto elapsed = std::chrono::steady_clock::now() - start;
@@ -270,29 +267,24 @@ TEST(GovernorParallel, ParallelFixpointHonorsAnExpiredDeadline) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             1000)
-      << "expired deadline took more than one chunk boundary to observe";
+      << "expired deadline was not observed at the next poll";
 }
 
-TEST(GovernorParallel, ParallelAndSequentialTruncationAreBothSound) {
-  // The same budget under 1 and 4 threads: both runs must either fail with
-  // a breach or (with allow_partial) produce sound truncated databases.
+TEST(GovernorFixpoint, TruncationIsSound) {
+  // A node budget breach under allow_partial must produce a sound truncated
+  // database that still holds the base facts.
   GovernorLimits limits;
   limits.max_nodes = 2;
-  for (int threads : {1, 4}) {
-    ResourceGovernor governor(limits);
-    EngineOptions options;
-    options.governor = &governor;
-    options.allow_partial = true;
-    options.fixpoint.num_threads = threads;
-    auto db = FunctionalDatabase::FromSource(kMeets, options);
-    ASSERT_TRUE(db.ok()) << "threads=" << threads << ": "
-                         << db.status().ToString();
-    EXPECT_TRUE((*db)->truncated()) << "threads=" << threads;
-    auto holds = (*db)->HoldsFactText("Meets(0, Tony)");
-    ASSERT_TRUE(holds.ok());
-    EXPECT_TRUE(*holds) << "base fact lost under truncation, threads="
-                        << threads;
-  }
+  ResourceGovernor governor(limits);
+  EngineOptions options;
+  options.governor = &governor;
+  options.allow_partial = true;
+  auto db = FunctionalDatabase::FromSource(kMeets, options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_TRUE((*db)->truncated());
+  auto holds = (*db)->HoldsFactText("Meets(0, Tony)");
+  ASSERT_TRUE(holds.ok());
+  EXPECT_TRUE(*holds) << "base fact lost under truncation";
 }
 
 }  // namespace

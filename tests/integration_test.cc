@@ -187,10 +187,8 @@ TEST(ListExample, IncrementalEqualsRecompute) {
   auto e2 = rec->Enumerate(4, 10000);
   ASSERT_TRUE(e1.ok());
   ASSERT_TRUE(e2.ok());
-  std::sort(e1->begin(), e1->end());
-  std::sort(e2->begin(), e2->end());
-  // Compare as (term, constant-name) pairs: the two answers use different
-  // symbol tables.
+  // Compare as sorted (term, constant-name) pairs: the two answers use
+  // different symbol tables.
   auto render = [](const QueryAnswer& ans,
                    const std::vector<ConcreteAnswer>& list) {
     std::vector<std::string> out;

@@ -25,7 +25,10 @@ inline std::string RandomProgram(std::mt19937* rng) {
   for (int& a : arity) a = 1 + pick(2);
   auto pred_atom = [&](int p, const std::string& term,
                        const std::string& cst) {
-    std::string s = "P" + std::to_string(p) + "(" + term;
+    std::string s = "P";
+    s += std::to_string(p);
+    s += "(";
+    s += term;
     if (arity[p] == 2) s += ", " + cst;
     return s + ")";
   };

@@ -17,9 +17,11 @@
 #   synthetic +50% p99 regression exits 1 under --threshold p99_ns=0.2.
 # MODE daemon: COMPARE_BINARY carries relspecd instead. The daemon replay
 #   (--connect) of the update-free default mix must reproduce the in-process
-#   answers_hash bit-for-bit; then a durable daemon is killed -9 after an
-#   update replay and its recovered fingerprint (relspecd --ping) must match
-#   the pre-kill one — acked updates survive the crash.
+#   answers_hash bit-for-bit, and the daemon's --trace-out timeline, written
+#   on its SIGTERM drain, must carry the main lane and the worker-1 lane of
+#   its request pool; then a durable daemon is killed -9 after an update
+#   replay and its recovered fingerprint (relspecd --ping) must match the
+#   pre-kill one — acked updates survive the crash.
 set -u
 
 serve="$1"
@@ -132,6 +134,7 @@ EOF
     echo "PASS: self-compare green, synthetic p99 regression gates"
     ;;
   daemon)
+    [ -n "$trace_check" ] || fail "daemon mode needs TRACE_CHECK_BINARY"
     daemon="$compare"  # this mode's second binary is relspecd
     sock="$tmpdir/d.sock"
     wal="$tmpdir/d.wal"
@@ -147,8 +150,10 @@ EOF
     }
 
     # 1) Wire parity: the daemon replay of the update-free default mix must
-    #    reproduce the in-process answers_hash bit-for-bit.
-    "$daemon" --rotation 8 --socket "$sock" >"$tmpdir/daemon1.log" 2>&1 &
+    #    reproduce the in-process answers_hash bit-for-bit. Requests run on
+    #    the daemon's pool workers, so its timeline has a worker-1 lane.
+    "$daemon" --rotation 8 --socket "$sock" --threads 2 \
+        --trace-out "$tmpdir/daemon1.json" >"$tmpdir/daemon1.log" 2>&1 &
     dpid=$!
     wait_for_socket || fail "daemon did not come up (see daemon1.log)"
     "$serve" "${common[@]}" --out "$tmpdir/inproc.json" >/dev/null 2>&1 \
@@ -170,6 +175,9 @@ EOF
     wait "$dpid"
     code=$?
     [ "$code" -eq 0 ] || fail "daemon SIGTERM drain must exit 0, got $code"
+    "$trace_check" "$tmpdir/daemon1.json" --min-events 10 \
+        --require-lane main --require-lane worker-1 \
+      || fail "daemon trace lacks the main + worker-1 lanes"
 
     # 2) Crash durability: replay updates into a durable daemon, kill -9,
     #    recover from the WAL — the fingerprint must survive the crash.

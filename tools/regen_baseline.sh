@@ -31,6 +31,7 @@
 # Thresholds are deliberately generous (default 3.0 = 4x allowed) because
 # CI runs on shared 1-core containers where absolute times swing wildly;
 # the gate exists to catch order-of-magnitude regressions, not 10% drifts.
+# Suite filters and thresholds are defined once, in tools/bench_suites.py.
 # Rerun this script on the reference machine and commit the result whenever
 # an intentional perf change lands.
 set -euo pipefail
@@ -46,35 +47,10 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-echo "== bench_query =="
-"$BUILD_DIR"/bench/bench_query \
-    --benchmark_filter='BM_Query_(Incremental|CachedWarm)/8$|BM_Query_(ColdStartPipeline|WarmStartSnapshot)/14$' \
-    --benchmark_min_time=0.05 --benchmark_format=json \
-    > "$TMP/query.json"
-
-echo "== bench_trace =="
-"$BUILD_DIR"/bench/bench_trace \
-    --benchmark_filter='BM_Trace_Disabled_CallSite$|BM_Trace_Enabled_Idle$|BM_Trace_Export$' \
-    --benchmark_min_time=0.05 --benchmark_format=json \
-    > "$TMP/trace.json"
-
-echo "== bench_delta =="
-"$BUILD_DIR"/bench/bench_delta \
-    --benchmark_filter='BM_Delta_(ShallowRepair|FullRecompute)/14$|BM_Delta_NoopBatch$' \
-    --benchmark_min_time=0.05 --benchmark_format=json \
-    > "$TMP/delta.json"
-
-echo "== bench_wal =="
-"$BUILD_DIR"/bench/bench_wal \
-    --benchmark_filter='BM_Wal_Append/0$|BM_Wal_ScanBytes/512$|BM_Wal_DurableUpdate/0$|BM_Wal_Recover/16$' \
-    --benchmark_min_time=0.05 --benchmark_format=json \
-    > "$TMP/wal.json"
-
-echo "== bench_slowlog =="
-"$BUILD_DIR"/bench/bench_slowlog \
-    --benchmark_filter='BM_Slowlog_(Disabled|Sampled|AlwaysOn|Dump)$' \
-    --benchmark_min_time=0.05 --benchmark_format=json \
-    > "$TMP/slowlog.json"
+for suite in bench_query bench_trace bench_delta bench_wal bench_slowlog; do
+  echo "== $suite =="
+  python3 tools/bench_suites.py run "$BUILD_DIR" "$suite" "$TMP/$suite.json"
+done
 
 echo "== bench_serve =="
 "$BUILD_DIR"/tools/relspec_bench_serve \
@@ -104,63 +80,7 @@ done
 kill -TERM "$DAEMON_PID"
 wait "$DAEMON_PID"
 
-python3 - "$TMP/query.json" "$TMP/trace.json" "$TMP/delta.json" \
-    "$TMP/wal.json" "$TMP/slowlog.json" "$TMP/serve.json" \
-    "$TMP/serve_durable.json" "$TMP/serve_daemon.json" \
-    BENCH_baseline.json <<'EOF'
-import json, sys
-
-def suite_from_gbench(path):
-    """Google-benchmark JSON -> {metric: {value, dir}} (real_time, ns)."""
-    metrics = {}
-    with open(path) as f:
-        for b in json.load(f)["benchmarks"]:
-            name = b["name"].replace("/", "_")
-            assert b["time_unit"] in ("ns", "us", "ms"), b["time_unit"]
-            scale = {"ns": 1, "us": 1e3, "ms": 1e6}[b["time_unit"]]
-            metrics[name + "_ns"] = {
-                "value": round(b["real_time"] * scale, 3),
-                "dir": "lower",
-            }
-    return metrics
-
-baseline = {
-    "schema": "relspec-bench-v1",
-    "note": "committed perf baseline; regenerate with tools/regen_baseline.sh "
-            "and commit whenever an intentional perf change lands",
-    "suites": {
-        "bench_query": {
-            "thresholds": {"default": 3.0},
-            "metrics": suite_from_gbench(sys.argv[1]),
-        },
-        "bench_trace": {
-            "thresholds": {"default": 3.0},
-            "metrics": suite_from_gbench(sys.argv[2]),
-        },
-        "bench_delta": {
-            "thresholds": {"default": 3.0},
-            "metrics": suite_from_gbench(sys.argv[3]),
-        },
-        "bench_wal": {
-            "thresholds": {"default": 3.0},
-            "metrics": suite_from_gbench(sys.argv[4]),
-        },
-        "bench_slowlog": {
-            "thresholds": {"default": 3.0},
-            "metrics": suite_from_gbench(sys.argv[5]),
-        },
-        # The serve reports already carry their suites in gate-ready form.
-        "bench_serve": json.load(open(sys.argv[6]))["suites"]["bench_serve"],
-        "bench_serve_durable":
-            json.load(open(sys.argv[7]))["suites"]["bench_serve_durable"],
-        "bench_serve_daemon":
-            json.load(open(sys.argv[8]))["suites"]["bench_serve_daemon"],
-    },
-}
-with open(sys.argv[9], "w") as f:
-    json.dump(baseline, f, indent=2)
-    f.write("\n")
-total = sum(len(s["metrics"]) for s in baseline["suites"].values())
-print(f"wrote {sys.argv[9]}: {len(baseline['suites'])} suites, "
-      f"{total} metrics")
-EOF
+python3 tools/bench_suites.py baseline BENCH_baseline.json \
+    "$TMP/bench_query.json" "$TMP/bench_trace.json" "$TMP/bench_delta.json" \
+    "$TMP/bench_wal.json" "$TMP/bench_slowlog.json" "$TMP/serve.json" \
+    "$TMP/serve_durable.json" "$TMP/serve_daemon.json"

@@ -45,9 +45,9 @@
 //
 // Each client lane owns its own FunctionalDatabase, GraphSpecification and
 // QueryCache (the cache and parts of the engine are documented
-// not-thread-safe); lanes are scheduled through the existing TaskPool so
-// worker threads appear as named lanes in the Perfetto timeline. Requests
-// slower than --slow-ms emit a "slow_request" instant into the trace.
+// not-thread-safe); each lane runs on its own thread, named client-N in the
+// Perfetto timeline. Requests slower than --slow-ms emit a "slow_request"
+// instant into the trace.
 //
 // Per-request SLO: --deadline-ms / --request-max-tuples construct a fresh
 // ResourceGovernor per request. A breach is an *error reply* counted in the
@@ -77,7 +77,6 @@
 #include "src/base/metrics.h"
 #include "src/base/status.h"
 #include "src/base/str_util.h"
-#include "src/base/task_pool.h"
 #include "src/base/trace.h"
 #include "src/core/engine.h"
 #include "src/core/query.h"
@@ -162,8 +161,8 @@ void PrintHelp() {
       "\n"
       "load shape:\n"
       "  --qps N                       target request rate (default 2000)\n"
-      "  --clients N                   client lanes routed through the task\n"
-      "                                pool (default 2)\n"
+      "  --clients N                   client lanes, one thread each\n"
+      "                                (default 2)\n"
       "  --duration-ms N               run length; request count is\n"
       "                                qps * duration (default 1000)\n"
       "  --requests N                  exact request count (overrides\n"
@@ -449,7 +448,8 @@ StatusOr<Workload> BuildWorkload(const Options& opt, std::string source) {
       if (a == pin) {
         body += sym.constant_name(consts[SplitMix64(&rng) % consts.size()]);
       } else {
-        std::string var = "x" + std::to_string(a);
+        std::string var = "x";
+        var += std::to_string(a);
         body += var;
         if (head.size() > 2) head += ", ";
         head += var;
@@ -1045,20 +1045,21 @@ int Run(int argc, char** argv) {
         reg.GetHistogram(std::string("serve.latency_ns.") + kTypeNames[t]);
   }
 
-  TaskPool pool(opt.clients);
   auto wall0 = std::chrono::steady_clock::now();
   {
     RELSPEC_PHASE("serve.run");
     auto start = std::chrono::steady_clock::now();
-    // min_grain 1 over [0, clients) yields exactly one chunk per lane.
-    pool.ParallelFor(0, static_cast<size_t>(opt.clients), 1,
-                     [&](size_t begin, size_t end, size_t /*chunk*/) {
-                       for (size_t lane = begin; lane < end; ++lane) {
-                         ServeLane(opt, *workload, reqs, start, lane,
-                                   static_cast<size_t>(opt.clients), lat_all,
-                                   svc_all, lat_type, &clients[lane]);
-                       }
-                     });
+    std::vector<std::thread> lanes;
+    lanes.reserve(clients.size());
+    for (size_t lane = 0; lane < clients.size(); ++lane) {
+      lanes.emplace_back([&, lane] {
+        Tracer::Global().SetCurrentThreadName(
+            StrFormat("client-%zu", lane));
+        ServeLane(opt, *workload, reqs, start, lane, clients.size(), lat_all,
+                  svc_all, lat_type, &clients[lane]);
+      });
+    }
+    for (std::thread& t : lanes) t.join();
   }
   auto wall1 = std::chrono::steady_clock::now();
 

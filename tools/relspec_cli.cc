@@ -51,9 +51,6 @@
 //                               (open in Perfetto / chrome://tracing);
 //                               flushed on every exit path, including
 //                               governor breaches (exit 7)
-//     --threads N               worker threads for fixpoint evaluation
-//                               (default 1; results are byte-identical for
-//                               any N — see docs/ARCHITECTURE.md)
 //     --deadline-ms N           wall-clock budget for the whole run
 //     --max-tuples N            budget on derived DATALOG tuples
 //     --max-nodes N             budget on chi-table entries / clusters
@@ -194,11 +191,6 @@ void PrintHelp(const char* argv0) {
       "                                timeline (open in Perfetto or\n"
       "                                chrome://tracing); flushed on every\n"
       "                                exit path, including breaches\n"
-      "  --threads N                   worker threads for fixpoint\n"
-      "                                evaluation (default 1; results are\n"
-      "                                byte-identical for any N -- see\n"
-      "                                docs/ARCHITECTURE.md and\n"
-      "                                docs/TUNING.md)\n"
       "  --deadline-ms N               wall-clock budget for the whole run\n"
       "                                (exit 7 when exceeded)\n"
       "  --max-tuples N                budget on derived DATALOG tuples\n"
@@ -347,16 +339,6 @@ int RunCli(int argc, char** argv) {
       want_info = true;
     } else if (flag == "--verify") {
       want_verify = true;
-    } else if (flag == "--threads" || flag.rfind("--threads=", 0) == 0) {
-      std::string value = flag == "--threads"
-                              ? next()
-                              : flag.substr(strlen("--threads="));
-      int n = atoi(value.c_str());
-      if (n < 1) {
-        return UsageError("--threads expects a positive integer, got \"" +
-                          value + "\"");
-      }
-      options.fixpoint.num_threads = n;
     } else if (flag == "--deadline-ms" || flag == "--max-tuples" ||
                flag == "--max-nodes" || flag == "--max-depth" ||
                flag == "--trace-out") {

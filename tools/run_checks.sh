@@ -17,9 +17,9 @@
 #        tools/run_checks.sh --bench [BUILD_DIR]
 #
 # --tsan builds with -DRELSPEC_SANITIZE=thread (default dir: build-tsan) and
-# runs the concurrency-sensitive test binaries (task pool, evaluator,
-# fixpoint, engine, event tracer) under ThreadSanitizer, then exits. See
-# docs/TUNING.md.
+# runs the concurrency-sensitive test binaries (task pool, request serving,
+# evaluator, fixpoint, engine, event tracer) under ThreadSanitizer, then
+# exits. See docs/ARCHITECTURE.md.
 #
 # --asan builds with -DRELSPEC_SANITIZE=address,undefined (default dir:
 # build-asan) and runs the fault-injection suites (failpoint, governor,
@@ -110,10 +110,10 @@ if [[ "${1:-}" == "--tsan" ]]; then
       -DRELSPEC_BUILD_BENCHMARKS=OFF -DRELSPEC_BUILD_EXAMPLES=OFF \
       -DRELSPEC_WERROR=OFF
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
-      parallel_test datalog_test fixpoint_test engine_test \
+      parallel_test serve_test datalog_test fixpoint_test engine_test \
       failpoint_test governor_test differential_test trace_test
   echo "== tsan tests =="
-  for t in parallel_test datalog_test fixpoint_test engine_test \
+  for t in parallel_test serve_test datalog_test fixpoint_test engine_test \
            failpoint_test governor_test differential_test trace_test; do
     echo "-- $t"
     "$BUILD_DIR"/tests/"$t"
