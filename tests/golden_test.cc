@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,6 +30,10 @@ struct GoldenCase {
   const char* name;     // test label and golden stem
   const char* program;  // path under examples/programs/
 };
+
+// Without this, gtest prints the case as its raw pointer bytes, which change
+// with address-space randomisation and so make the listed test names unstable.
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.program; }
 
 const GoldenCase kCases[] = {
     {"meets", "meets.rsp"},
