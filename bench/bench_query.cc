@@ -202,4 +202,44 @@ void BM_Query_Enumerate(benchmark::State& state) {
 }
 BENCHMARK(BM_Query_Enumerate)->RangeMultiplier(4)->Range(16, 1024);
 
+// E23 — enumeration on a dead-end answer: a robot on a 3-place triangle
+// (9 move symbols), where almost every term lies in an answer-free cluster.
+// Only terms that can still reach an answer are expanded, so the cost
+// follows the answers printed, not the 9^depth terms below the horizon.
+void BM_Query_EnumerateDeadEnd(benchmark::State& state) {
+  ScopedBenchMetrics bench_metrics(__func__);
+  auto db = FunctionalDatabase::FromSource(R"(
+    At(0, p0).
+    Connected(p0, p1).
+    Connected(p1, p2).
+    Connected(p2, p0).
+    At(s, x), Connected(x, y) -> At(move(s, x, y), y).
+  )");
+  if (!db.ok()) {
+    state.SkipWithError(db.status().ToString().c_str());
+    return;
+  }
+  auto q = ParseQuery("?(y) At(y, p2).", (*db)->mutable_program());
+  if (!q.ok()) {
+    state.SkipWithError(q.status().ToString().c_str());
+    return;
+  }
+  auto ans = AnswerQuery(db->get(), *q);
+  if (!ans.ok()) {
+    state.SkipWithError(ans.status().ToString().c_str());
+    return;
+  }
+  int depth = static_cast<int>(state.range(0));
+  size_t answers = 0;
+  for (auto _ : state) {
+    auto list = ans->Enumerate(depth, 64);
+    if (list.ok()) answers = list->size();
+    benchmark::DoNotOptimize(list);
+  }
+  state.counters["depth"] = static_cast<double>(depth);
+  state.counters["answers"] = static_cast<double>(answers);
+  state.counters["symbols"] = static_cast<double>(ans->alphabet().size());
+}
+BENCHMARK(BM_Query_EnumerateDeadEnd)->DenseRange(4, 8, 2);
+
 }  // namespace

@@ -28,13 +28,6 @@ ResourceGovernor::ResourceGovernor(GovernorLimits limits)
       start_(std::chrono::steady_clock::now()),
       deadline_(ComputeDeadline(start_, limits.deadline_ms)) {}
 
-bool ResourceGovernor::ShouldAbort() const {
-  if (breached_.load(std::memory_order_acquire)) return true;
-  if (cancel_.load(std::memory_order_relaxed)) return true;
-  return deadline_ != std::chrono::steady_clock::time_point::max() &&
-         std::chrono::steady_clock::now() >= deadline_;
-}
-
 Status ResourceGovernor::Check() {
   if (breached_.load(std::memory_order_acquire)) return status();
   if (cancel_.load(std::memory_order_relaxed)) {
@@ -68,7 +61,7 @@ Status ResourceGovernor::CheckNodes(uint64_t level) {
   RELSPEC_RETURN_NOT_OK(Check());
   if (limits_.max_nodes != 0 && level > limits_.max_nodes) {
     return RecordBreach(Status::ResourceExhausted(
-        StrFormat("fixpoint nodes %llu exceeded max_nodes=%llu",
+        StrFormat("nodes %llu exceeded max_nodes=%llu",
                   static_cast<unsigned long long>(level),
                   static_cast<unsigned long long>(limits_.max_nodes))));
   }

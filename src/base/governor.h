@@ -46,8 +46,8 @@ struct GovernorLimits {
   /// Maximum derived tuples across all DATALOG strata. Breach ->
   /// kResourceExhausted.
   uint64_t max_tuples = 0;
-  /// Maximum fixpoint nodes: chi-table entries plus trunk labels. Breach ->
-  /// kResourceExhausted.
+  /// Maximum nodes: fixpoint chi-table entries plus trunk labels, and the
+  /// frontier of answer enumeration. Breach -> kResourceExhausted.
   uint64_t max_nodes = 0;
   /// Maximum Kleene-iteration rounds of the core fixpoint. Breach ->
   /// kResourceExhausted.
@@ -76,11 +76,6 @@ class ResourceGovernor {
   bool cancel_requested() const {
     return cancel_.load(std::memory_order_relaxed);
   }
-
-  /// Cheap poll: true once the computation must stop (recorded breach,
-  /// pending cancellation, or expired deadline). Does NOT record a breach
-  /// itself; Check() turns the condition into a Status.
-  bool ShouldAbort() const;
 
   /// Polls cancellation and the deadline; records and returns the first
   /// breach (sticky — once non-OK, every later call returns that Status).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <map>
 #include <set>
 
@@ -59,8 +58,35 @@ StatusOr<bool> QueryAnswer::Contains(const std::optional<Path>& term,
   return std::find(tuples.begin(), tuples.end(), tuple) != tuples.end();
 }
 
+void QueryAnswer::ComputeAnswerDistance() {
+  const size_t n = per_cluster_.size();
+  std::vector<std::vector<uint32_t>> predecessors(n);
+  for (uint32_t c = 0; c < n; ++c) {
+    for (uint32_t succ : graph_.cluster(c).successors) {
+      predecessors[succ].push_back(c);
+    }
+  }
+  answer_distance_.assign(n, kNoAnswer);
+  std::vector<uint32_t> queue;
+  for (uint32_t c = 0; c < n; ++c) {
+    if (!per_cluster_[c].empty()) {
+      answer_distance_[c] = 0;
+      queue.push_back(c);
+    }
+  }
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const uint32_t c = queue[head];
+    for (uint32_t pred : predecessors[c]) {
+      if (answer_distance_[pred] != kNoAnswer) continue;
+      answer_distance_[pred] = answer_distance_[c] + 1;
+      queue.push_back(pred);
+    }
+  }
+}
+
 StatusOr<std::vector<ConcreteAnswer>> QueryAnswer::Enumerate(
     int max_depth, size_t max_count, ResourceGovernor* governor) const {
+  RELSPEC_PHASE("query.enumerate");
   std::vector<ConcreteAnswer> out;
   if (!functional_) {
     for (const auto& tuple : flat_) {
@@ -70,28 +96,54 @@ StatusOr<std::vector<ConcreteAnswer>> QueryAnswer::Enumerate(
     std::sort(out.begin(), out.end());
     return out;
   }
-  // Breadth-first over terms, walking clusters by successor.
-  std::deque<std::pair<Path, uint32_t>> queue;
-  queue.emplace_back(Path::Zero(), graph_.ClusterOf(Path::Zero()));
-  while (!queue.empty() && out.size() < max_count) {
-    auto [path, cluster] = std::move(queue.front());
-    queue.pop_front();
+  // Breadth-first over terms, walking clusters by successor. A child is
+  // queued only if an answer is reachable from it within max_depth, so the
+  // cut subtrees emit nothing and the output keeps its shortlex order. Each
+  // node records its parent; a Path is built only for nodes that emit.
+  struct Node {
+    uint32_t parent;
+    uint32_t sym;
+    uint32_t cluster;
+    int depth;
+  };
+  std::vector<Node> nodes;
+  nodes.push_back(Node{0, 0, graph_.ClusterOf(Path::Zero()), 0});
+  std::vector<FuncId> symbols;
+  size_t head = 0;
+  for (; head < nodes.size() && out.size() < max_count; ++head) {
+    const Node node = nodes[head];
     RELSPEC_FAILPOINT("query.enumerate");
     if (governor != nullptr) {
       RELSPEC_RETURN_NOT_OK(
-          governor->CheckDepth(static_cast<uint64_t>(path.depth())));
+          governor->CheckDepth(static_cast<uint64_t>(node.depth)));
+      RELSPEC_RETURN_NOT_OK(governor->CheckNodes(nodes.size()));
     }
-    for (const auto& tuple : per_cluster_[cluster]) {
-      if (out.size() >= max_count) break;
-      out.push_back(ConcreteAnswer{path, tuple});
-    }
-    if (path.depth() < max_depth) {
-      for (size_t s = 0; s < alphabet_.size(); ++s) {
-        queue.emplace_back(path.Extend(alphabet_[s]),
-                           graph_.SuccessorOf(cluster, static_cast<SymIdx>(s)));
+    const auto& tuples = per_cluster_[node.cluster];
+    if (!tuples.empty()) {
+      symbols.resize(static_cast<size_t>(node.depth));
+      for (uint32_t i = static_cast<uint32_t>(head); i != 0;
+           i = nodes[i].parent) {
+        symbols[static_cast<size_t>(nodes[i].depth - 1)] =
+            alphabet_[nodes[i].sym];
+      }
+      const Path path(symbols);
+      for (const auto& tuple : tuples) {
+        if (out.size() >= max_count) break;
+        out.push_back(ConcreteAnswer{path, tuple});
       }
     }
+    const int64_t remaining =
+        static_cast<int64_t>(max_depth) - node.depth - 1;
+    if (remaining < 0) continue;
+    for (size_t s = 0; s < alphabet_.size(); ++s) {
+      const uint32_t child =
+          graph_.SuccessorOf(node.cluster, static_cast<SymIdx>(s));
+      if (answer_distance_[child] > remaining) continue;
+      nodes.push_back(Node{static_cast<uint32_t>(head),
+                           static_cast<uint32_t>(s), child, node.depth + 1});
+    }
   }
+  RELSPEC_COUNTER_ADD("query.enumerate_nodes", head);
   return out;
 }
 
@@ -252,7 +304,9 @@ StatusOr<QueryAnswer> AnswerQueryIncremental(FunctionalDatabase* db,
                                join_against(&graph.cluster(c).label));
       answer_tuples += out.per_cluster_[c].size();
     }
-    if (!out.functional_) {
+    if (out.functional_) {
+      out.ComputeAnswerDistance();
+    } else {
       // The functional variable is existential: flatten to a finite set.
       std::set<std::vector<ConstId>> seen;
       for (const auto& tuples : out.per_cluster_) {
@@ -335,6 +389,7 @@ StatusOr<QueryAnswer> AnswerQueryRecompute(FunctionalDatabase* db,
         if (sa.pred == qpred) out.per_cluster_[c].push_back(sa.args);
       });
     }
+    out.ComputeAnswerDistance();
   } else {
     std::set<std::vector<ConstId>> seen;
     if (func_var.has_value()) {
@@ -362,6 +417,7 @@ size_t QueryAnswer::ApproxBytes() const {
          c.label.size() / 8 + c.successors.size() * sizeof(uint32_t);
   }
   n += alphabet_.size() * sizeof(FuncId);
+  n += answer_distance_.size() * sizeof(uint32_t);
   for (const auto& tuples : per_cluster_) {
     n += sizeof(tuples) + tuples.size() * sizeof(std::vector<ConstId>);
     for (const auto& t : tuples) n += t.size() * sizeof(ConstId);

@@ -18,6 +18,7 @@
 #ifndef RELSPEC_CORE_QUERY_H_
 #define RELSPEC_CORE_QUERY_H_
 
+#include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -65,9 +66,12 @@ class QueryAnswer {
                           const std::vector<ConstId>& tuple) const;
 
   /// Concrete answers: finite answers are returned in full; infinite ones
-  /// are expanded breadth-first over terms up to max_depth / max_count. The
-  /// optional governor is polled per expanded term; its max_depth budget
-  /// bounds the term depth reached (CheckDepth), turning a runaway
+  /// are expanded breadth-first over terms up to max_depth / max_count, in
+  /// shortlex order. Only terms that can still reach an answer within
+  /// max_depth are expanded, so the cost follows the output, not
+  /// |Sigma|^max_depth. The optional governor is polled per expanded term:
+  /// its max_depth budget bounds the term depth reached (CheckDepth) and its
+  /// max_nodes budget bounds the frontier (CheckNodes), turning a runaway
   /// enumeration into kResourceExhausted.
   StatusOr<std::vector<ConcreteAnswer>> Enumerate(
       int max_depth, size_t max_count,
@@ -84,6 +88,8 @@ class QueryAnswer {
 
   const SymbolTable& symbols() const { return symbols_; }
   const LabelGraph& graph() const { return graph_; }
+  /// Function symbols of the term alphabet, in successor-index order.
+  const std::vector<FuncId>& alphabet() const { return alphabet_; }
   const std::vector<std::vector<std::vector<ConstId>>>& tuples_per_cluster()
       const {
     return per_cluster_;
@@ -99,12 +105,20 @@ class QueryAnswer {
                                                     const Query&,
                                                     ResourceGovernor*);
 
+  /// Fills answer_distance_ from graph_ and per_cluster_ by one reverse BFS
+  /// over the successor map. Called once, when a functional answer is built.
+  void ComputeAnswerDistance();
+
   bool functional_ = false;
   std::vector<std::string> columns_;
   // Functional answers: aligned with graph_ clusters.
   LabelGraph graph_;
   std::vector<FuncId> alphabet_;
   std::vector<std::vector<std::vector<ConstId>>> per_cluster_;
+  // Successor steps from each cluster to the nearest cluster with tuples;
+  // kNoAnswer when none is reachable (e.g. the sink of a truncated graph).
+  static constexpr uint32_t kNoAnswer = UINT32_MAX;
+  std::vector<uint32_t> answer_distance_;
   // Finite answers:
   std::vector<std::vector<ConstId>> flat_;
   SymbolTable symbols_;

@@ -33,13 +33,11 @@ TEST(Governor, DefaultLimitsGovernNothing) {
   EXPECT_TRUE(g.ChargeRound().ok());
   EXPECT_TRUE(g.ChargeBytes(1ull << 40).ok());
   EXPECT_FALSE(g.breached());
-  EXPECT_FALSE(g.ShouldAbort());
 }
 
 TEST(Governor, CancellationIsSticky) {
   ResourceGovernor g;
   g.RequestCancel();
-  EXPECT_TRUE(g.ShouldAbort());
   Status first = g.Check();
   EXPECT_TRUE(first.IsCancelled()) << first.ToString();
   // Every later poll — including budget polls — returns the first breach.
@@ -53,7 +51,6 @@ TEST(Governor, DeadlineBreachesWithDeadlineExceeded) {
   limits.deadline_ms = 1;
   ResourceGovernor g(limits);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_TRUE(g.ShouldAbort());
   EXPECT_TRUE(g.Check().IsDeadlineExceeded()) << g.Check().ToString();
   EXPECT_GE(g.elapsed_ms(), 1);
 }
@@ -108,17 +105,6 @@ TEST(Governor, FirstBreachWinsAndPeaksTrackProgress) {
   // ProgressString carries the observed peaks for breach messages.
   EXPECT_NE(g.ProgressString().find("nodes=9"), std::string::npos)
       << g.ProgressString();
-}
-
-TEST(Governor, ShouldAbortDoesNotRecordABreach) {
-  GovernorLimits limits;
-  limits.deadline_ms = 1;
-  ResourceGovernor g(limits);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_TRUE(g.ShouldAbort());
-  // Workers only poll; the coordinator converts the condition to a Status.
-  EXPECT_FALSE(g.breached());
-  EXPECT_TRUE(g.status().ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <random>
 
 #include "src/ast/validate.h"
 #include "src/base/governor.h"
@@ -11,6 +13,7 @@
 #include "src/core/engine.h"
 #include "src/core/query.h"
 #include "src/parser/parser.h"
+#include "tests/random_program.h"
 
 namespace relspec {
 namespace {
@@ -327,6 +330,181 @@ TEST(Query, CachedHitSkipsGovernorMissConsultsIt) {
   auto miss = AnswerQueryCached(db.get(), *q, &cache, &breached);
   ASSERT_FALSE(miss.ok());
   EXPECT_TRUE(miss.status().IsResourceBreach()) << miss.status().ToString();
+}
+
+// --- output-sensitive enumeration ------------------------------------------
+
+// The unpruned breadth-first walk: every term up to max_depth, in shortlex
+// order. The oracle for Enumerate, which expands only terms that can still
+// reach an answer and must emit the same answers in the same order.
+std::vector<ConcreteAnswer> UnprunedEnumerate(const QueryAnswer& ans,
+                                              int max_depth,
+                                              size_t max_count) {
+  std::vector<ConcreteAnswer> out;
+  const LabelGraph& graph = ans.graph();
+  std::deque<std::pair<Path, uint32_t>> queue;
+  queue.emplace_back(Path::Zero(), graph.ClusterOf(Path::Zero()));
+  while (!queue.empty() && out.size() < max_count) {
+    auto [path, cluster] = std::move(queue.front());
+    queue.pop_front();
+    for (const auto& tuple : ans.tuples_per_cluster()[cluster]) {
+      if (out.size() >= max_count) break;
+      out.push_back(ConcreteAnswer{path, tuple});
+    }
+    if (path.depth() < max_depth) {
+      for (size_t s = 0; s < ans.alphabet().size(); ++s) {
+        queue.emplace_back(path.Extend(ans.alphabet()[s]),
+                           graph.SuccessorOf(cluster, static_cast<SymIdx>(s)));
+      }
+    }
+  }
+  return out;
+}
+
+// Answers as raw symbol and constant ids, in emission order.
+std::vector<std::string> Ids(const std::vector<ConcreteAnswer>& list) {
+  std::vector<std::string> out;
+  for (const ConcreteAnswer& a : list) {
+    std::string s;
+    for (FuncId f : a.term->symbols()) s += std::to_string(f) + ".";
+    s += "|";
+    for (ConstId c : a.tuple) s += std::to_string(c) + ",";
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+// Depths 0-6 and counts that cut mid-cluster, against the oracle.
+void ExpectMatchesOracle(const QueryAnswer& ans, const std::string& label) {
+  ASSERT_TRUE(ans.has_functional_answer()) << label;
+  for (int depth = 0; depth <= 6; ++depth) {
+    for (size_t count : {size_t{1}, size_t{3}, size_t{64}, size_t{1} << 20}) {
+      auto got = ans.Enumerate(depth, count);
+      ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+      std::vector<ConcreteAnswer> want = UnprunedEnumerate(ans, depth, count);
+      EXPECT_EQ(Ids(*got), Ids(want))
+          << label << " depth=" << depth << " count=" << count;
+    }
+  }
+}
+
+// Every functional predicate of `source`, queried uniformly through both
+// the incremental and the recompute method.
+void ExpectProgramMatchesOracle(const std::string& source) {
+  auto db = FunctionalDatabase::FromSource(source);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const SymbolTable& symbols = (*db)->program().symbols;
+  for (PredId p = 0; p < symbols.num_predicates(); ++p) {
+    const PredicateInfo& info = symbols.predicate(p);
+    if (!info.functional || info.name[0] == '$') continue;
+    std::string cols = info.arity == 2 ? "s, x" : "s";
+    std::string qtext = "?(" + cols + ") " + info.name + "(" + cols + ").";
+    auto q = ParseQuery(qtext, (*db)->mutable_program());
+    ASSERT_TRUE(q.ok()) << qtext;
+    auto inc = AnswerQueryIncremental(db->get(), *q);
+    ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+    ExpectMatchesOracle(*inc, "incremental " + qtext);
+    auto rec = AnswerQueryRecompute(db->get(), *q);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    ExpectMatchesOracle(*rec, "recompute " + qtext);
+  }
+}
+
+class EnumerateOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(EnumerateOracleTest, PrunedWalkMatchesUnprunedWalk) {
+  std::mt19937 rng(static_cast<unsigned>(GetParam()) * 7919u + 13u);
+  std::string source = testutil::RandomProgram(&rng);
+  SCOPED_TRACE(source);
+  ExpectProgramMatchesOracle(source);
+}
+
+TEST_P(EnumerateOracleTest, RichPrunedWalkMatchesUnprunedWalk) {
+  std::mt19937 rng(static_cast<unsigned>(GetParam()) * 2654435761u + 99u);
+  std::string source = testutil::RandomProgramRich(&rng);
+  SCOPED_TRACE(source);
+  ExpectProgramMatchesOracle(source);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EnumerateOracleTest, ::testing::Range(0, 25));
+
+TEST(Query, TruncatedGraphEnumerationMatchesOracle) {
+  // A node budget breach under allow_partial leaves a truncated label graph
+  // whose unresolved successors lead to the empty, self-looping sink.
+  GovernorLimits limits;
+  limits.max_nodes = 2;
+  ResourceGovernor governor(limits);
+  EngineOptions options;
+  options.governor = &governor;
+  options.allow_partial = true;
+  auto db = FunctionalDatabase::FromSource(kMeets, options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE((*db)->truncated());
+  auto q = ParseQuery("?(t, x) Meets(t, x).", (*db)->mutable_program());
+  ASSERT_TRUE(q.ok());
+  auto ans = AnswerQueryIncremental(db->get(), *q);
+  ASSERT_TRUE(ans.ok()) << ans.status().ToString();
+  ASSERT_NE(ans->graph().unknown_cluster(), kInvalidId);
+  EXPECT_FALSE(ans->IsEmpty());
+  ExpectMatchesOracle(*ans, "truncated");
+}
+
+constexpr const char* kRobot = R"(
+  At(0, p0).
+  Connected(p0, p1).
+  Connected(p1, p2).
+  Connected(p2, p0).
+  Connected(p0, p3).
+  At(s, x), Connected(x, y) -> At(move(s, x, y), y).
+)";
+
+TEST(Query, DeadEndEnumerationIsOutputSensitive) {
+  auto db = FunctionalDatabase::FromSource(kRobot);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  auto q = ParseQuery("?(y) At(y, p2).", (*db)->mutable_program());
+  ASSERT_TRUE(q.ok());
+  auto ans = AnswerQuery(db->get(), *q);
+  ASSERT_TRUE(ans.ok()) << ans.status().ToString();
+  MetricsRegistry::Global().Reset();
+  EnableMetrics(true);
+  auto list = ans->Enumerate(/*max_depth=*/7, /*max_count=*/64);
+  EnableMetrics(false);
+  uint64_t expanded =
+      MetricsRegistry::Global().Snapshot().counter("query.enumerate_nodes");
+  MetricsRegistry::Global().Reset();
+  ASSERT_TRUE(list.ok()) << list.status().ToString();
+  EXPECT_EQ(list->size(), 2u);  // plans of 2 and 5 moves reach p2
+  // The unpruned walk expands all |Sigma|^7 terms; the pruned walk only the
+  // terms along the 5-move plan, whose prefix is the 2-move plan.
+  EXPECT_GT(expanded, 0u);
+  EXPECT_LE(expanded, 100u);
+}
+
+TEST(Query, NodeBudgetBoundsEnumerationFrontier) {
+  auto db = FunctionalDatabase::FromSource(R"(
+    P(a).
+    P(b).
+    P(c).
+    P(x) -> Member(ext(0, x), x).
+    P(y), Member(s, x) -> Member(ext(s, y), y).
+    P(y), Member(s, x) -> Member(ext(s, y), x).
+  )");
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  auto q = ParseQuery("?(s, x) Member(s, x).", (*db)->mutable_program());
+  ASSERT_TRUE(q.ok());
+  auto ans = AnswerQuery(db->get(), *q);
+  ASSERT_TRUE(ans.ok()) << ans.status().ToString();
+  GovernorLimits limits;
+  limits.max_nodes = 4;
+  ResourceGovernor governor(limits);
+  auto list = ans->Enumerate(/*max_depth=*/6, /*max_count=*/1u << 20,
+                             &governor);
+  ASSERT_FALSE(list.ok());
+  EXPECT_TRUE(list.status().IsResourceExhausted()) << list.status().ToString();
+  // Ungoverned, the same answer enumerates in full.
+  auto full = ans->Enumerate(/*max_depth=*/6, /*max_count=*/1u << 20);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_GT(full->size(), 4u);
 }
 
 // --- delta-driven cache invalidation (docs/INCREMENTAL.md) ------------------

@@ -24,7 +24,8 @@ SUITES = {
     "bench_query": (
         "bench_query",
         r"BM_Query_(Incremental|CachedWarm)/8$"
-        r"|BM_Query_(ColdStartPipeline|WarmStartSnapshot)/14$"),
+        r"|BM_Query_(ColdStartPipeline|WarmStartSnapshot)/14$"
+        r"|BM_Query_EnumerateDeadEnd/6$"),
     "bench_trace": (
         "bench_trace",
         r"BM_Trace_Disabled_CallSite$|BM_Trace_Enabled_Idle$"

@@ -54,6 +54,7 @@
 //     --deadline-ms N           wall-clock budget for the whole run
 //     --max-tuples N            budget on derived DATALOG tuples
 //     --max-nodes N             budget on chi-table entries / clusters
+//                               and the enumeration frontier
 //     --max-depth N             budget on term depth during enumeration
 //     --allow-partial           degrade gracefully on a resource breach:
 //                               emit a sound partial result marked truncated
@@ -194,8 +195,9 @@ void PrintHelp(const char* argv0) {
       "  --deadline-ms N               wall-clock budget for the whole run\n"
       "                                (exit 7 when exceeded)\n"
       "  --max-tuples N                budget on derived DATALOG tuples\n"
-      "  --max-nodes N                 budget on chi-table entries and\n"
-      "                                clusters\n"
+      "  --max-nodes N                 budget on chi-table entries,\n"
+      "                                clusters and the enumeration\n"
+      "                                frontier\n"
       "  --max-depth N                 budget on term depth during\n"
       "                                enumeration\n"
       "  --allow-partial               degrade gracefully on a resource\n"
