@@ -51,9 +51,9 @@ int main() {
   printf("\n== Section 5: the query Member(s, a) ==\n");
   auto query = ParseQuery("?(s) Member(s, a).", (*db)->mutable_program());
   if (!query.ok()) return 1;
-  auto answer = AnswerQueryIncremental(db->get(), *query);
+  auto answer = AnswerQuery(db->get(), *query);
   if (!answer.ok()) return 1;
-  printf("  incremental specification: %s", answer->ToString().c_str());
+  printf("  answer specification (Q(B), F): %s", answer->ToString().c_str());
   auto lists = answer->Enumerate(/*max_depth=*/3, /*max_count=*/100);
   if (lists.ok()) {
     printf("  lists of length <= 3 containing a:\n");

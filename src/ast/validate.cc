@@ -151,15 +151,4 @@ Status ValidateQuery(const Query& query, const SymbolTable& symbols) {
   return Status::OK();
 }
 
-bool IsUniformQuery(const Query& query) {
-  for (const Atom& a : query.atoms) {
-    if (!a.fterm.has_value()) continue;
-    const FuncTerm& t = *a.fterm;
-    if (t.IsGround()) continue;           // ground terms are allowed
-    if (t.has_var && t.depth() == 0) continue;  // bare variable
-    return false;
-  }
-  return true;
-}
-
 }  // namespace relspec

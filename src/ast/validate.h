@@ -36,10 +36,6 @@ bool IsNormalProgram(const Program& program);
 /// functional variable, answer_vars all occur in the atoms.
 Status ValidateQuery(const Query& query, const SymbolTable& symbols);
 
-/// True if the query is uniform (Section 5): its only non-ground functional
-/// term is a bare functional variable.
-bool IsUniformQuery(const Query& query);
-
 }  // namespace relspec
 
 #endif  // RELSPEC_AST_VALIDATE_H_

@@ -104,6 +104,28 @@ StatusOr<FuncTerm> PurifyGroundTerm(const FuncTerm& term, SymbolTable* symbols) 
   return std::move(*rewritten->fterm);
 }
 
+bool DecodePureSymbol(const SymbolTable& symbols, FuncId f, FuncId* mixed,
+                      std::vector<ConstId>* args) {
+  const std::string& name = symbols.function(f).name;
+  const size_t brace = name.find('{');
+  if (brace == std::string::npos || name.back() != '}') return false;
+  StatusOr<FuncId> g = symbols.FindFunction(name.substr(0, brace));
+  if (!g.ok() || symbols.function(*g).arity < 2) return false;
+  args->clear();
+  for (const std::string& part :
+       Split(std::string_view(name).substr(brace + 1, name.size() - brace - 2),
+             ',')) {
+    StatusOr<ConstId> c = symbols.FindConstant(part);
+    if (!c.ok()) return false;
+    args->push_back(*c);
+  }
+  if (args->size() + 1 != static_cast<size_t>(symbols.function(*g).arity)) {
+    return false;
+  }
+  *mixed = *g;
+  return true;
+}
+
 StatusOr<MixedToPureStats> MixedToPure(Program* program) {
   RELSPEC_PHASE("purify");
   MixedToPureStats stats;

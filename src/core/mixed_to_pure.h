@@ -31,6 +31,12 @@ StatusOr<MixedToPureStats> MixedToPure(Program* program);
 /// pure encodings; interns any needed symbols into `symbols`.
 StatusOr<FuncTerm> PurifyGroundTerm(const FuncTerm& term, SymbolTable* symbols);
 
+/// The inverse of the pure encoding, by read-only lookup: if `f` is the pure
+/// symbol g{a,...} of a mixed application g(s, a, ...), sets `*mixed` to g
+/// and `*args` to (a, ...) and returns true. False for every other symbol.
+bool DecodePureSymbol(const SymbolTable& symbols, FuncId f, FuncId* mixed,
+                      std::vector<ConstId>* args);
+
 }  // namespace relspec
 
 #endif  // RELSPEC_CORE_MIXED_TO_PURE_H_

@@ -1,7 +1,6 @@
 #include "src/core/query.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <set>
 
@@ -12,6 +11,7 @@
 #include "src/base/metrics.h"
 #include "src/base/str_util.h"
 #include "src/base/trace.h"
+#include "src/core/mixed_to_pure.h"
 #include "src/datalog/evaluator.h"
 
 namespace relspec {
@@ -176,22 +176,77 @@ std::string QueryAnswer::ToString() const {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental answers (Theorem 5.1)
+// Answers from (B, F)
 // ---------------------------------------------------------------------------
 
-StatusOr<QueryAnswer> AnswerQueryIncremental(FunctionalDatabase* db,
-                                             const Query& query,
-                                             ResourceGovernor* governor) {
+namespace {
+
+// One reading of a query term's applications as a walk over the engine
+// alphabet, with the constants the walk binds to the variable arguments of
+// mixed applications, innermost first.
+struct TermWalk {
+  std::vector<SymIdx> syms;
+  std::vector<ConstId> binds;
+};
+
+// Every walk a term can stand for, found by read-only lookup. A pure symbol
+// stands for itself; a mixed application g(s, args) stands for each encoding
+// g{a...} in the alphabet whose constants agree with its constant arguments.
+// A symbol or constant outside the alphabet leaves no walk: no fact holds at
+// such a term, since rules are range-restricted.
+std::vector<TermWalk> WalksOf(const FuncTerm& term, const SymbolTable& symbols,
+                              const GroundProgram& ground) {
+  std::vector<TermWalk> walks(1);
+  std::vector<ConstId> decoded;
+  for (const FuncApply& app : term.apps) {
+    // The alphabet symbols this application stands for, with their binds.
+    std::vector<TermWalk> steps;
+    if (symbols.function(app.fn).arity < 2) {
+      const SymIdx s = ground.SymIndexOf(app.fn);
+      if (s != kInvalidId) steps.push_back(TermWalk{{s}, {}});
+    } else {
+      for (SymIdx s = 0; s < ground.num_symbols(); ++s) {
+        FuncId mixed = kInvalidId;
+        if (!DecodePureSymbol(symbols, ground.alphabet()[s], &mixed,
+                              &decoded) ||
+            mixed != app.fn) {
+          continue;
+        }
+        TermWalk step{{s}, {}};
+        bool agrees = true;
+        for (size_t i = 0; i < app.args.size() && agrees; ++i) {
+          if (app.args[i].IsVariable()) {
+            step.binds.push_back(decoded[i]);
+          } else {
+            agrees = app.args[i].id == decoded[i];
+          }
+        }
+        if (agrees) steps.push_back(std::move(step));
+      }
+    }
+    std::vector<TermWalk> next;
+    for (const TermWalk& w : walks) {
+      for (const TermWalk& step : steps) {
+        TermWalk n = w;
+        n.syms.insert(n.syms.end(), step.syms.begin(), step.syms.end());
+        n.binds.insert(n.binds.end(), step.binds.begin(), step.binds.end());
+        next.push_back(std::move(n));
+      }
+    }
+    walks = std::move(next);
+  }
+  return walks;
+}
+
+}  // namespace
+
+StatusOr<QueryAnswer> AnswerQuery(FunctionalDatabase* db, const Query& query,
+                                  ResourceGovernor* governor) {
   RELSPEC_PHASE("query.incremental");
   RELSPEC_COUNTER("query.incremental_answers");
   if (governor != nullptr) RELSPEC_RETURN_NOT_OK(governor->Check());
-  RELSPEC_RETURN_NOT_OK(ValidateQuery(query, db->program().symbols));
-  if (!IsUniformQuery(query)) {
-    return Status::InvalidArgument(
-        "incremental answers require a uniform query (Theorem 5.1); use "
-        "AnswerQueryRecompute");
-  }
   const SymbolTable& symbols = db->program().symbols;
+  RELSPEC_RETURN_NOT_OK(ValidateQuery(query, symbols));
   const GroundProgram& ground = db->ground();
   const LabelGraph& graph = db->label_graph();
   std::optional<VarId> func_var = FunctionalVarOf(query);
@@ -214,18 +269,36 @@ StatusOr<QueryAnswer> AnswerQueryIncremental(FunctionalDatabase* db,
     return idx;
   };
 
-  // Per-atom relation sources.
-  enum class Source { kSlice, kFixed, kGlobal };
+  // Per-atom plans. A functional atom's relation is read off the labels its
+  // walks reach: from each answer cluster when the term is built on the
+  // functional variable, once from the cluster of 0 otherwise. Its join
+  // columns are its arguments plus its mixed-argument variables. Global
+  // atoms and 0-based terms have fixed tuples.
   struct AtomPlan {
-    Source source = Source::kGlobal;
-    std::vector<datalog::Tuple> fixed_tuples;  // kFixed / kGlobal
+    bool per_cluster = false;
+    std::vector<TermWalk> walks;
+    std::vector<datalog::Tuple> fixed_tuples;
     datalog::DAtom datom;
   };
-  std::vector<AtomPlan> plans;
-  bool any_slice = false;
+  std::vector<AtomPlan> plans(query.atoms.size());
+  auto read_walks = [&](PredId pred, const std::vector<TermWalk>& walks,
+                        uint32_t start, auto&& emit) {
+    datalog::Tuple tuple;
+    for (const TermWalk& w : walks) {
+      uint32_t c = start;
+      for (SymIdx s : w.syms) c = graph.SuccessorOf(c, s);
+      graph.cluster(c).label.ForEach([&](size_t b) {
+        const SliceAtom& sa = ground.atom(static_cast<AtomIdx>(b));
+        if (sa.pred != pred) return;
+        tuple = sa.args;
+        tuple.insert(tuple.end(), w.binds.begin(), w.binds.end());
+        emit(tuple);
+      });
+    }
+  };
   for (size_t i = 0; i < query.atoms.size(); ++i) {
     const Atom& a = query.atoms[i];
-    AtomPlan plan;
+    AtomPlan& plan = plans[i];
     plan.datom.pred = static_cast<PredId>(i);
     for (const NfArg& arg : a.args) {
       plan.datom.args.push_back(arg.IsConstant()
@@ -233,7 +306,6 @@ StatusOr<QueryAnswer> AnswerQueryIncremental(FunctionalDatabase* db,
                                     : datalog::DTerm::Var(var_of(arg.id)));
     }
     if (!a.fterm.has_value()) {
-      plan.source = Source::kGlobal;
       for (CtxIdx ci = 0; ci < ground.num_ctx(); ++ci) {
         const CtxProp& prop = ground.ctx_prop(ci);
         if (prop.kind == CtxProp::Kind::kGlobal && prop.pred == a.pred &&
@@ -241,19 +313,23 @@ StatusOr<QueryAnswer> AnswerQueryIncremental(FunctionalDatabase* db,
           plan.fixed_tuples.push_back(prop.args);
         }
       }
-    } else if (a.fterm->IsGround()) {
-      plan.source = Source::kFixed;
-      RELSPEC_ASSIGN_OR_RETURN(Path path, db->PathOfGroundTerm(*a.fterm));
-      const DynamicBitset& label = db->labeling().LabelOf(path);
-      label.ForEach([&](size_t b) {
-        const SliceAtom& sa = ground.atom(static_cast<AtomIdx>(b));
-        if (sa.pred == a.pred) plan.fixed_tuples.push_back(sa.args);
-      });
-    } else {
-      plan.source = Source::kSlice;
-      any_slice = true;
+      continue;
     }
-    plans.push_back(std::move(plan));
+    for (const FuncApply& app : a.fterm->apps) {
+      for (const NfArg& arg : app.args) {
+        if (arg.IsVariable()) {
+          plan.datom.args.push_back(datalog::DTerm::Var(var_of(arg.id)));
+        }
+      }
+    }
+    plan.walks = WalksOf(*a.fterm, symbols, ground);
+    plan.per_cluster = a.fterm->has_var;
+    if (!plan.per_cluster) {
+      read_walks(a.pred, plan.walks, graph.ClusterOf(Path::Zero()),
+                 [&](const datalog::Tuple& t) {
+                   plan.fixed_tuples.push_back(t);
+                 });
+    }
   }
 
   // Projection: the non-functional answer columns.
@@ -264,145 +340,56 @@ StatusOr<QueryAnswer> AnswerQueryIncremental(FunctionalDatabase* db,
   }
   uint32_t num_vars = static_cast<uint32_t>(var_index.size());
 
-  auto join_against = [&](const DynamicBitset* cluster_label)
+  // The answer tuples of the terms in `cluster` (any cluster when the query
+  // has no functional variable).
+  auto join_at = [&](uint32_t cluster)
       -> StatusOr<std::vector<std::vector<ConstId>>> {
     datalog::Database jdb;
     std::vector<datalog::DAtom> body;
     for (size_t i = 0; i < plans.size(); ++i) {
+      const PredId pred = static_cast<PredId>(i);
       RELSPEC_RETURN_NOT_OK(jdb.Declare(
-          static_cast<PredId>(i),
-          static_cast<int>(plans[i].datom.args.size())));
-      if (plans[i].source == Source::kSlice) {
-        cluster_label->ForEach([&](size_t b) {
-          const SliceAtom& sa = ground.atom(static_cast<AtomIdx>(b));
-          if (sa.pred == query.atoms[i].pred) {
-            jdb.Insert(static_cast<PredId>(i), sa.args);
-          }
-        });
+          pred, static_cast<int>(plans[i].datom.args.size())));
+      if (plans[i].per_cluster) {
+        read_walks(query.atoms[i].pred, plans[i].walks, cluster,
+                   [&](const datalog::Tuple& t) { jdb.Insert(pred, t); });
       } else {
-        for (const auto& t : plans[i].fixed_tuples) {
-          jdb.Insert(static_cast<PredId>(i), t);
-        }
+        for (const auto& t : plans[i].fixed_tuples) jdb.Insert(pred, t);
       }
       body.push_back(plans[i].datom);
     }
     return datalog::JoinProject(jdb, body, num_vars, projection);
   };
 
-  if (func_var.has_value()) {
+  if (!func_var.has_value()) {
+    RELSPEC_ASSIGN_OR_RETURN(out.flat_, join_at(kInvalidId));
+    return out;
+  }
+  std::vector<std::vector<std::vector<ConstId>>> per_cluster(
+      graph.num_clusters());
+  uint64_t answer_tuples = 0;
+  for (uint32_t c = 0; c < graph.num_clusters(); ++c) {
+    // The per-cluster join is the unit of work; poll the per-request
+    // governor here so a deadline cuts a huge answer off mid-flight.
+    if (governor != nullptr) {
+      RELSPEC_RETURN_NOT_OK(governor->CheckTuples(answer_tuples));
+    }
+    RELSPEC_ASSIGN_OR_RETURN(per_cluster[c], join_at(c));
+    // Canonical order, so Enumerate lists a term's tuples ascending whatever
+    // order the join found them in.
+    std::sort(per_cluster[c].begin(), per_cluster[c].end());
+    answer_tuples += per_cluster[c].size();
+  }
+  if (out.functional_) {
     out.graph_ = graph;
     out.alphabet_ = ground.alphabet();
-    out.per_cluster_.resize(graph.num_clusters());
-    uint64_t answer_tuples = 0;
-    for (uint32_t c = 0; c < graph.num_clusters(); ++c) {
-      // The per-cluster join is the unit of work; poll the per-request
-      // governor here so a deadline cuts a huge answer off mid-flight.
-      if (governor != nullptr) {
-        RELSPEC_RETURN_NOT_OK(governor->CheckTuples(answer_tuples));
-      }
-      RELSPEC_ASSIGN_OR_RETURN(out.per_cluster_[c],
-                               join_against(&graph.cluster(c).label));
-      answer_tuples += out.per_cluster_[c].size();
-    }
-    if (out.functional_) {
-      out.ComputeAnswerDistance();
-    } else {
-      // The functional variable is existential: flatten to a finite set.
-      std::set<std::vector<ConstId>> seen;
-      for (const auto& tuples : out.per_cluster_) {
-        seen.insert(tuples.begin(), tuples.end());
-      }
-      out.flat_.assign(seen.begin(), seen.end());
-      out.per_cluster_.clear();
-      out.graph_ = LabelGraph();
-      out.alphabet_.clear();
-    }
-  } else {
-    (void)any_slice;  // no functional variable => no slice sources
-    RELSPEC_ASSIGN_OR_RETURN(out.flat_, join_against(nullptr));
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Recompute answers (the general method)
-// ---------------------------------------------------------------------------
-
-StatusOr<QueryAnswer> AnswerQueryRecompute(FunctionalDatabase* db,
-                                           const Query& query,
-                                           ResourceGovernor* governor) {
-  RELSPEC_PHASE("query.recompute");
-  RELSPEC_COUNTER("query.recompute_answers");
-  if (governor != nullptr) RELSPEC_RETURN_NOT_OK(governor->Check());
-  RELSPEC_RETURN_NOT_OK(ValidateQuery(query, db->program().symbols));
-  static std::atomic<int> counter{0};
-  std::string pred_name = StrFormat("$query%d", counter++);
-
-  Program extended = db->original_program();
-  // The query was parsed against the transformed symbol table; share it so
-  // variable/predicate ids line up.
-  extended.symbols = db->program().symbols;
-
-  std::optional<VarId> func_var = FunctionalVarOf(query);
-  bool functional =
-      func_var.has_value() &&
-      std::find(query.answer_vars.begin(), query.answer_vars.end(),
-                *func_var) != query.answer_vars.end();
-
-  Rule query_rule;
-  query_rule.body = query.atoms;
-  Atom head;
-  int arity = static_cast<int>(query.answer_vars.size());
-  RELSPEC_ASSIGN_OR_RETURN(
-      head.pred, extended.symbols.InternPredicate(pred_name, arity, functional));
-  if (functional) head.fterm = FuncTerm::Var(*func_var);
-  for (VarId v : query.answer_vars) {
-    if (functional && v == *func_var) continue;
-    head.args.push_back(NfArg::Variable(v));
-  }
-  query_rule.head = std::move(head);
-  extended.rules.push_back(std::move(query_rule));
-
-  // The recompute method pays a full sub-pipeline (ground/fixpoint/Q); the
-  // per-request governor rides it through the existing engine plumbing, so
-  // a deadline or node budget interrupts the rebuild cooperatively.
-  EngineOptions sub_options;
-  sub_options.governor = governor;
-  RELSPEC_ASSIGN_OR_RETURN(
-      std::unique_ptr<FunctionalDatabase> sub,
-      FunctionalDatabase::FromProgram(std::move(extended), sub_options));
-  RELSPEC_ASSIGN_OR_RETURN(PredId qpred,
-                           sub->program().symbols.FindPredicate(pred_name));
-
-  QueryAnswer out;
-  out.symbols_ = sub->program().symbols;
-  out.columns_ = ColumnNames(query, out.symbols_);
-  out.functional_ = functional;
-  const GroundProgram& sground = sub->ground();
-  if (functional) {
-    out.graph_ = sub->label_graph();
-    out.alphabet_ = sground.alphabet();
-    out.per_cluster_.resize(out.graph_.num_clusters());
-    for (uint32_t c = 0; c < out.graph_.num_clusters(); ++c) {
-      out.graph_.cluster(c).label.ForEach([&](size_t b) {
-        const SliceAtom& sa = sground.atom(static_cast<AtomIdx>(b));
-        if (sa.pred == qpred) out.per_cluster_[c].push_back(sa.args);
-      });
-    }
+    out.per_cluster_ = std::move(per_cluster);
     out.ComputeAnswerDistance();
   } else {
+    // The functional variable is existential: flatten to a finite set.
     std::set<std::vector<ConstId>> seen;
-    if (func_var.has_value()) {
-      // Existential functional variable: QUERY facts may live in slices of
-      // any cluster if the head is functional — but we made the head
-      // non-functional, so they are globals.
-    }
-    for (CtxIdx ci = 0; ci < sground.num_ctx(); ++ci) {
-      const CtxProp& prop = sground.ctx_prop(ci);
-      if (prop.kind == CtxProp::Kind::kGlobal && prop.pred == qpred &&
-          sub->labeling().ctx().Test(ci)) {
-        seen.insert(prop.args);
-      }
+    for (const auto& tuples : per_cluster) {
+      seen.insert(tuples.begin(), tuples.end());
     }
     out.flat_.assign(seen.begin(), seen.end());
   }
@@ -429,14 +416,6 @@ size_t QueryAnswer::ApproxBytes() const {
   n += 24 * (symbols_.num_predicates() + symbols_.num_functions() +
              symbols_.num_constants() + symbols_.num_variables());
   return n;
-}
-
-StatusOr<QueryAnswer> AnswerQuery(FunctionalDatabase* db, const Query& query,
-                                  ResourceGovernor* governor) {
-  if (IsUniformQuery(query)) {
-    return AnswerQueryIncremental(db, query, governor);
-  }
-  return AnswerQueryRecompute(db, query, governor);
 }
 
 StatusOr<bool> YesNo(FunctionalDatabase* db, const Query& query,

@@ -1,19 +1,24 @@
 // Query answering with finitely represented (possibly infinite) answers
 // (Section 5).
 //
-// Queries are positive conjunctions with at most one functional variable.
-// Two construction strategies are provided:
+// Queries are positive conjunctions with at most one functional variable s.
+// Every query is answered from the engine's own specification (B, F): the
+// answer is (Q(B), F), the query joined against each cluster's label, over
+// the unchanged successor graph. No fixpoint is recomputed.
 //
-//  * AnswerQueryRecompute — the general method: add a QUERY rule to Z and
-//    build the specification of the extended program's least fixpoint; the
-//    QUERY slices form the answer's relational specification (Q(B'), F').
-//  * AnswerQueryIncremental — for *uniform* queries (the only non-ground
-//    functional term is a bare variable, Theorem 5.1): evaluate the query
-//    against each slice of the existing primary database B, reusing the
-//    successor maps F unchanged: (Q(B), F). No fixpoint recomputation.
+// This is exact for any query, not only the uniform ones of Theorem 5.1.
+// Beyond the trunk, a child's label is a function of its parent's label, so
+// the cluster partition is a right congruence: every term t of a cluster C
+// has f(t) in the cluster SuccessorOf(C, f). An atom at f_k(...f_1(s)...)
+// therefore reads, for cluster C, the label reached by walking f_1 ... f_k
+// from C; an atom on a 0-based term walks from the cluster of 0. A mixed
+// application with variable arguments, ext(s, y), ranges over the
+// alphabet's pure encodings ext{a} and binds y = a as a join column. A
+// symbol or constant outside the alphabet leaves no walk, and the atom holds
+// nowhere: rules are range-restricted, so no fact lies at such a term.
 //
-// AnswerQuery dispatches to the incremental method whenever the query is
-// uniform.
+// AnswerQuery only reads the engine: symbols are found by lookup, never
+// interned, and labels come from the graph, not the on-demand labeling.
 
 #ifndef RELSPEC_CORE_QUERY_H_
 #define RELSPEC_CORE_QUERY_H_
@@ -67,7 +72,7 @@ class QueryAnswer {
 
   /// Concrete answers: finite answers are returned in full; infinite ones
   /// are expanded breadth-first over terms up to max_depth / max_count, in
-  /// shortlex order. Only terms that can still reach an answer within
+  /// shortlex order, a term's tuples ascending. Only terms that can still reach an answer within
   /// max_depth are expanded, so the cost follows the output, not
   /// |Sigma|^max_depth. The optional governor is polled per expanded term:
   /// its max_depth budget bounds the term depth reached (CheckDepth) and its
@@ -98,12 +103,8 @@ class QueryAnswer {
   std::string ToString() const;
 
  private:
-  friend StatusOr<QueryAnswer> AnswerQueryIncremental(FunctionalDatabase*,
-                                                      const Query&,
-                                                      ResourceGovernor*);
-  friend StatusOr<QueryAnswer> AnswerQueryRecompute(FunctionalDatabase*,
-                                                    const Query&,
-                                                    ResourceGovernor*);
+  friend StatusOr<QueryAnswer> AnswerQuery(FunctionalDatabase*, const Query&,
+                                           ResourceGovernor*);
 
   /// Fills answer_distance_ from graph_ and per_cluster_ by one reverse BFS
   /// over the successor map. Called once, when a functional answer is built.
@@ -124,25 +125,15 @@ class QueryAnswer {
   SymbolTable symbols_;
 };
 
-/// General method: extend Z with a QUERY rule and rebuild. The optional
-/// `governor` bounds THIS answer only (per-request deadline/budgets for a
-/// serving loop): it governs the sub-pipeline the recompute method builds,
-/// and is polled per cluster by the incremental method. A breach surfaces
-/// as the governor's sticky Status (kDeadlineExceeded / kResourceExhausted
-/// / kCancelled), never as process state — callers decide whether that is
-/// an error reply or fatal. Pass nullptr (the default) for ungoverned
-/// answers; distinct from EngineOptions::governor, which governs the
-/// engine *build*.
-StatusOr<QueryAnswer> AnswerQueryRecompute(FunctionalDatabase* db,
-                                           const Query& query,
-                                           ResourceGovernor* governor = nullptr);
-
-/// Incremental method for uniform queries (Theorem 5.1).
-StatusOr<QueryAnswer> AnswerQueryIncremental(
-    FunctionalDatabase* db, const Query& query,
-    ResourceGovernor* governor = nullptr);
-
-/// Dispatches: incremental for uniform queries, recompute otherwise.
+/// Answers `query` from the engine's (B, F) without changing the engine. The
+/// optional `governor` bounds THIS answer only (per-request deadline/budgets
+/// for a serving loop) and is polled per cluster. A breach surfaces as the
+/// governor's sticky Status (kDeadlineExceeded / kResourceExhausted /
+/// kCancelled), never as process state — callers decide whether that is an
+/// error reply or fatal. Pass nullptr (the default) for ungoverned answers;
+/// distinct from EngineOptions::governor, which governs the engine *build*.
+/// On a truncated engine, terms routed through the unknown sink read an
+/// empty label: the answer is a sound under-approximation.
 StatusOr<QueryAnswer> AnswerQuery(FunctionalDatabase* db, const Query& query,
                                   ResourceGovernor* governor = nullptr);
 

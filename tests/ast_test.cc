@@ -197,7 +197,6 @@ TEST(Validate, QueryShape) {
   q.atoms.push_back(f.MeetsAtom(FuncTerm::Var(f.t), NfArg::Variable(f.x)));
   q.answer_vars = {f.t, f.x};
   EXPECT_TRUE(ValidateQuery(q, f.program.symbols).ok());
-  EXPECT_TRUE(IsUniformQuery(q));
 
   Query empty;
   EXPECT_TRUE(ValidateQuery(empty, f.program.symbols).IsInvalidArgument());
@@ -206,17 +205,17 @@ TEST(Validate, QueryShape) {
   bad_var.answer_vars.push_back(f.y);  // y not in the query
   EXPECT_TRUE(ValidateQuery(bad_var, f.program.symbols).IsInvalidArgument());
 
+  // Functional terms above the variable, and ground ones, are valid too.
   Query nonuniform;
   nonuniform.atoms.push_back(
       f.MeetsAtom(FuncTerm::Var(f.t).Apply(f.succ), NfArg::Variable(f.x)));
   nonuniform.answer_vars = {f.t};
-  EXPECT_FALSE(IsUniformQuery(nonuniform));
+  EXPECT_TRUE(ValidateQuery(nonuniform, f.program.symbols).ok());
 
-  // A ground functional term keeps the query uniform.
   Query with_ground = q;
   with_ground.atoms.push_back(
       f.MeetsAtom(FuncTerm::Zero().Apply(f.succ), NfArg::Variable(f.x)));
-  EXPECT_TRUE(IsUniformQuery(with_ground));
+  EXPECT_TRUE(ValidateQuery(with_ground, f.program.symbols).ok());
 }
 
 // ---------- printing ----------

@@ -1,5 +1,6 @@
-// Unit tests for query answering (Section 5): incremental vs recompute,
-// uniform detection, enumeration, membership, yes-no.
+// Unit tests for query answering (Section 5): answers from (B, F) against
+// the rebuild oracle, enumeration, membership, yes-no, and the read-only
+// contract.
 
 #include <gtest/gtest.h>
 
@@ -7,12 +8,12 @@
 #include <deque>
 #include <random>
 
-#include "src/ast/validate.h"
 #include "src/base/governor.h"
 #include "src/base/metrics.h"
 #include "src/core/engine.h"
 #include "src/core/query.h"
 #include "src/parser/parser.h"
+#include "tests/query_oracle.h"
 #include "tests/random_program.h"
 
 namespace relspec {
@@ -35,21 +36,6 @@ Path NatPath(const FunctionalDatabase& db, int n) {
   FuncId succ = *db.program().symbols.FindFunction("+1");
   std::vector<FuncId> syms(static_cast<size_t>(n), succ);
   return Path(std::move(syms));
-}
-
-// Renders answers as strings for order-insensitive comparison across symbol
-// tables.
-std::vector<std::string> Render(const QueryAnswer& ans,
-                                const std::vector<ConcreteAnswer>& list) {
-  std::vector<std::string> out;
-  for (const ConcreteAnswer& a : list) {
-    std::string s = a.term.has_value() ? a.term->ToWord(ans.symbols()) : "-";
-    s += "|";
-    for (ConstId c : a.tuple) s += ans.symbols().constant_name(c) + ",";
-    out.push_back(std::move(s));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 TEST(Query, FunctionalAnswerEnumeration) {
@@ -121,7 +107,6 @@ TEST(Query, GroundTermAtomConstrainsJoin) {
   // Who meets on day 4 and is followed by whom? Meets(4, x), Next(x, y).
   auto q = ParseQuery("?(x, y) Meets(4, x), Next(x, y).", db->mutable_program());
   ASSERT_TRUE(q.ok());
-  EXPECT_TRUE(IsUniformQuery(*q));  // ground terms keep uniformity
   auto ans = AnswerQuery(db.get(), *q);
   ASSERT_TRUE(ans.ok()) << ans.status().ToString();
   auto all = ans->Enumerate(0, 10);
@@ -136,26 +121,21 @@ TEST(Query, IncrementalMatchesRecomputeOnJoinQuery) {
   auto q = ParseQuery("?(t, x, y) Meets(t, x), Next(x, y).",
                       db->mutable_program());
   ASSERT_TRUE(q.ok());
-  auto inc = AnswerQueryIncremental(db.get(), *q);
-  auto rec = AnswerQueryRecompute(db.get(), *q);
-  ASSERT_TRUE(inc.ok()) << inc.status().ToString();
-  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
-  auto e1 = inc->Enumerate(8, 10000);
-  auto e2 = rec->Enumerate(8, 10000);
-  ASSERT_TRUE(e1.ok());
-  ASSERT_TRUE(e2.ok());
-  EXPECT_EQ(Render(*inc, *e1), Render(*rec, *e2));
-  EXPECT_EQ(e1->size(), 9u);
+  testutil::ExpectAnswerMatchesOracle(db.get(), *q, "join");
+  auto ans = AnswerQuery(db.get(), *q);
+  ASSERT_TRUE(ans.ok()) << ans.status().ToString();
+  auto list = ans->Enumerate(8, 10000);
+  ASSERT_TRUE(list.ok());
+  EXPECT_EQ(list->size(), 9u);
 }
 
-TEST(Query, NonUniformQueryFallsBackToRecompute) {
+TEST(Query, NonUniformQueryMatchesRecomputeOracle) {
   auto db = BuildMeets();
-  // Meets(t+1, x): non-uniform (non-ground, non-variable functional term).
+  // Meets(t+1, x): non-uniform (non-ground, non-variable functional term),
+  // answered by walking one successor step from each cluster.
   auto q = ParseQuery("?(t, x) Meets(t+1, x).", db->mutable_program());
   ASSERT_TRUE(q.ok());
-  EXPECT_FALSE(IsUniformQuery(*q));
-  EXPECT_TRUE(
-      AnswerQueryIncremental(db.get(), *q).status().IsInvalidArgument());
+  testutil::ExpectAnswerMatchesOracle(db.get(), *q, "t+1");
   auto ans = AnswerQuery(db.get(), *q);
   ASSERT_TRUE(ans.ok()) << ans.status().ToString();
   // Answers: t such that Meets(t+1, x): day t+1 is x's day.
@@ -232,13 +212,13 @@ TEST(Query, ListMembershipUniformAnswers) {
 TEST(Query, RepeatedQueriesDoNotInterfere) {
   auto db = BuildMeets();
   for (int i = 0; i < 3; ++i) {
-    auto q = ParseQuery("?(t) Meets(t, Tony).", db->mutable_program());
+    auto q = ParseQuery("?(t) Meets(t+1, Tony).", db->mutable_program());
     ASSERT_TRUE(q.ok());
-    auto rec = AnswerQueryRecompute(db.get(), *q);
-    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
-    auto list = rec->Enumerate(4, 100);
+    auto ans = AnswerQuery(db.get(), *q);
+    ASSERT_TRUE(ans.ok()) << ans.status().ToString();
+    auto list = ans->Enumerate(4, 100);
     ASSERT_TRUE(list.ok());
-    EXPECT_EQ(list->size(), 3u);  // days 0, 2, 4
+    EXPECT_EQ(list->size(), 2u);  // days 1 and 3 precede Tony's days
   }
 }
 
@@ -269,46 +249,46 @@ TEST(Query, GenerousGovernorDoesNotBreach) {
 
 TEST(Query, TinyTupleBudgetBreachesIncremental) {
   auto db = BuildMeets();
-  // Uniform query -> incremental path, which polls CheckTuples per cluster.
+  // AnswerQuery polls CheckTuples per cluster.
   auto q = ParseQuery("?(t, x) Meets(t, x).", db->mutable_program());
   ASSERT_TRUE(q.ok());
   GovernorLimits limits;
   limits.max_tuples = 1;
   ResourceGovernor governor(limits);
-  auto ans = AnswerQueryIncremental(db.get(), *q, &governor);
+  auto ans = AnswerQuery(db.get(), *q, &governor);
   ASSERT_FALSE(ans.ok());
   EXPECT_TRUE(ans.status().IsResourceBreach()) << ans.status().ToString();
   // The breach is per-request state: a fresh governor (or none) answers.
-  auto retry = AnswerQueryIncremental(db.get(), *q);
+  auto retry = AnswerQuery(db.get(), *q);
   EXPECT_TRUE(retry.ok()) << retry.status().ToString();
 }
 
-TEST(Query, PreBreachedGovernorRejectsRecompute) {
+TEST(Query, PreBreachedGovernorRejectsNonUniformQuery) {
   auto db = BuildMeets();
-  // Non-uniform -> recompute path; the governor rides the sub-build.
   auto q = ParseQuery("?(x) Meets(t+1, x).", db->mutable_program());
   ASSERT_TRUE(q.ok());
   GovernorLimits limits;
   ResourceGovernor governor(limits);
   governor.RequestCancel();
-  auto ans = AnswerQueryRecompute(db.get(), *q, &governor);
+  auto ans = AnswerQuery(db.get(), *q, &governor);
   ASSERT_FALSE(ans.ok());
   EXPECT_TRUE(ans.status().IsResourceBreach()) << ans.status().ToString();
 }
 
-TEST(Query, TinyNodeBudgetBreachesRecompute) {
+TEST(Query, TinyTupleBudgetBreachesNonUniformQuery) {
   auto db = BuildMeets();
-  auto q = ParseQuery("?(x) Meets(t+1, x).", db->mutable_program());
+  auto q = ParseQuery("?(t, x) Meets(t+1, x).", db->mutable_program());
   ASSERT_TRUE(q.ok());
   GovernorLimits limits;
-  limits.max_nodes = 1;  // the QUERY-extended sub-build needs more
+  limits.max_tuples = 1;  // every cluster holds one answer tuple
   ResourceGovernor governor(limits);
-  auto ans = AnswerQueryRecompute(db.get(), *q, &governor);
+  auto ans = AnswerQuery(db.get(), *q, &governor);
   ASSERT_FALSE(ans.ok());
-  EXPECT_TRUE(ans.status().IsResourceBreach()) << ans.status().ToString();
+  EXPECT_TRUE(ans.status().IsResourceExhausted()) << ans.status().ToString();
   // The database itself is untouched: ungoverned answers still work.
-  auto retry = AnswerQueryRecompute(db.get(), *q);
-  EXPECT_TRUE(retry.ok()) << retry.status().ToString();
+  auto retry = AnswerQuery(db.get(), *q);
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  EXPECT_FALSE(retry->IsEmpty());
 }
 
 TEST(Query, CachedHitSkipsGovernorMissConsultsIt) {
@@ -330,6 +310,191 @@ TEST(Query, CachedHitSkipsGovernorMissConsultsIt) {
   auto miss = AnswerQueryCached(db.get(), *q, &cache, &breached);
   ASSERT_FALSE(miss.ok());
   EXPECT_TRUE(miss.status().IsResourceBreach()) << miss.status().ToString();
+}
+
+// --- answers against the rebuild oracle ------------------------------------
+
+// Query shapes over one functional predicate of a random program: a
+// successor step, a two-step walk joined with a uniform atom, and the
+// existential form of the first. `g` falls back to f when the program has
+// one symbol; the constants a and b occur in every generated program.
+std::vector<std::string> ShapesFor(const SymbolTable& symbols,
+                                   const PredicateInfo& info) {
+  const std::string g = symbols.FindFunction("g").ok() ? "g" : "f";
+  const std::string& p = info.name;
+  if (info.arity == 2) {
+    return {"?(s, x) " + p + "(f(s), x).",
+            "?(s) " + p + "(f(" + g + "(s)), a), " + p + "(s, b).",
+            "?(x) " + p + "(f(s), x)."};
+  }
+  return {"?(s) " + p + "(f(s)).",
+          "?(s) " + p + "(f(" + g + "(s))), " + p + "(s).",
+          "? " + p + "(f(s))."};
+}
+
+void ExpectShapesMatchOracle(const std::string& source) {
+  auto db = FunctionalDatabase::FromSource(source);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const SymbolTable& symbols = (*db)->program().symbols;
+  const size_t num_predicates = symbols.num_predicates();
+  for (PredId p = 0; p < num_predicates; ++p) {
+    const PredicateInfo info = symbols.predicate(p);
+    if (!info.functional || info.name[0] == '$') continue;
+    for (const std::string& qtext : ShapesFor(symbols, info)) {
+      auto q = ParseQuery(qtext, (*db)->mutable_program());
+      ASSERT_TRUE(q.ok()) << qtext << ": " << q.status().ToString();
+      testutil::ExpectAnswerMatchesOracle(db->get(), *q, qtext);
+    }
+  }
+}
+
+class AnswerOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(AnswerOracleTest, RandomProgramMatchesOracle) {
+  std::mt19937 rng(static_cast<unsigned>(GetParam()) * 7919u + 13u);
+  std::string source = testutil::RandomProgram(&rng);
+  SCOPED_TRACE(source);
+  ExpectShapesMatchOracle(source);
+}
+
+TEST_P(AnswerOracleTest, RichProgramMatchesOracle) {
+  std::mt19937 rng(static_cast<unsigned>(GetParam()) * 2654435761u + 99u);
+  std::string source = testutil::RandomProgramRich(&rng);
+  SCOPED_TRACE(source);
+  ExpectShapesMatchOracle(source);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AnswerOracleTest, ::testing::Range(0, 25));
+
+constexpr const char* kLists = R"(
+  P(a).
+  P(b).
+  P(c).
+  P(x) -> Member(ext(0, x), x).
+  P(y), Member(s, x) -> Member(ext(s, y), y).
+  P(y), Member(s, x) -> Member(ext(s, y), x).
+)";
+
+TEST(Query, MixedTermShapesMatchOracle) {
+  auto db = FunctionalDatabase::FromSource(kLists);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  for (const char* qtext : {
+           // Variable mixed arguments range over the alphabet's ext{a}.
+           "?(s, y, x) Member(ext(s, y), x).",
+           "?(s, y) Member(ext(s, y), y).",
+           "?(s, x, y) Member(ext(ext(s, y), x), y).",
+           // 0-based terms, with and without a functional variable.
+           "?(y, x) Member(ext(0, y), x).",
+           "?(s, y) Member(ext(0, y), y), Member(s, y).",
+           "?(x) Member(ext(ext(0, a), b), x).",
+           // Constant mixed arguments, known and unknown.
+           "?(s) Member(ext(s, c), a).",
+           "?(s) Member(ext(s, c9), a).",
+           "?(x) Member(ext(0, c9), x).",
+           // A pure symbol the engine never saw.
+           "?(s) Member(h(s), a).",
+           // A mixed-variable atom joined with a global atom.
+           "?(s, y) Member(ext(s, y), a), P(y).",
+       }) {
+    auto q = ParseQuery(qtext, (*db)->mutable_program());
+    ASSERT_TRUE(q.ok()) << qtext << ": " << q.status().ToString();
+    testutil::ExpectAnswerMatchesOracle(db->get(), *q, qtext,
+                                        /*contains_depth=*/4,
+                                        /*enumerate_depth=*/5);
+  }
+}
+
+// AnswerQuery reads the engine and changes none of it: no labels cached, no
+// symbols interned, the same fingerprint, however many distinct deep terms
+// and non-uniform shapes are asked.
+TEST(Query, AnswersLeaveEngineStateUnchanged) {
+  auto db = FunctionalDatabase::FromSource(kLists);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  std::vector<Query> queries;
+  const char* kConsts[] = {"a", "b", "c"};
+  for (int i = 0; i < 50; ++i) {
+    // A distinct ground list of length 8 + i; every fifth one ends in a
+    // constant the program never mentions.
+    std::string term = "0";
+    for (int d = 0; d < 8 + i; ++d) {
+      term = "ext(" + term + ", " + kConsts[(d * 7 + i) % 3] + ")";
+    }
+    if (i % 5 == 0) term = "ext(" + term + ", c9)";
+    std::string qtext = "?(x) Member(" + term + ", x).";
+    auto q = ParseQuery(qtext, (*db)->mutable_program());
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    queries.push_back(*q);
+  }
+  const char* kShapes[] = {
+      "?(s, y, x) Member(ext(s, y), x).",
+      "?(s) Member(ext(s, c9), a).",
+      "?(s) Member(h(s), a).",
+      "?(y, x) Member(ext(0, y), x).",
+      "?(s, x, y) Member(ext(ext(s, y), x), y).",
+  };
+  for (int i = 0; i < 50; ++i) {
+    auto q = ParseQuery(kShapes[i % 5], (*db)->mutable_program());
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    queries.push_back(*q);
+  }
+  const SymbolTable& symbols = (*db)->program().symbols;
+  const size_t terms = (*db)->labeling().terms().size();
+  const size_t functions = symbols.num_functions();
+  const size_t constants = symbols.num_constants();
+  const size_t predicates = symbols.num_predicates();
+  const size_t variables = symbols.num_variables();
+  const uint64_t fingerprint = (*db)->Fingerprint();
+  for (int round = 0; round < 100; ++round) {
+    for (const Query& q : queries) {
+      auto ans = AnswerQuery(db->get(), q);
+      ASSERT_TRUE(ans.ok()) << ans.status().ToString();
+    }
+  }
+  EXPECT_EQ((*db)->labeling().terms().size(), terms);
+  EXPECT_EQ(symbols.num_functions(), functions);
+  EXPECT_EQ(symbols.num_constants(), constants);
+  EXPECT_EQ(symbols.num_predicates(), predicates);
+  EXPECT_EQ(symbols.num_variables(), variables);
+  EXPECT_EQ((*db)->Fingerprint(), fingerprint);
+}
+
+// On a truncated graph a ground term whose walk runs into the unknown sink
+// reads the sink's empty label: a sound under-approximation, as Contains.
+TEST(Query, TruncatedGroundTermThroughSinkReadsEmpty) {
+  GovernorLimits limits;
+  limits.max_nodes = 2;
+  ResourceGovernor governor(limits);
+  EngineOptions options;
+  options.governor = &governor;
+  options.allow_partial = true;
+  auto db = FunctionalDatabase::FromSource(kMeets, options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE((*db)->truncated());
+  const LabelGraph& graph = (*db)->label_graph();
+  auto full = FunctionalDatabase::FromSource(kMeets);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  int through_sink = 0;
+  for (int n = 0; n <= 8; ++n) {
+    auto q = ParseQuery("?(x) Meets(" + std::to_string(n) + ", x).",
+                        (*db)->mutable_program());
+    ASSERT_TRUE(q.ok());
+    auto ans = AnswerQuery(db->get(), *q);
+    ASSERT_TRUE(ans.ok()) << ans.status().ToString();
+    if (graph.ClusterOf(NatPath(**db, n)) == graph.unknown_cluster()) {
+      ++through_sink;
+      EXPECT_TRUE(ans->IsEmpty()) << "day " << n;
+    }
+    auto list = ans->Enumerate(0, 100);
+    ASSERT_TRUE(list.ok());
+    for (const ConcreteAnswer& a : *list) {
+      const std::string fact = "Meets(" + std::to_string(n) + ", " +
+                               ans->symbols().constant_name(a.tuple[0]) + ")";
+      auto holds = (*full)->HoldsFactText(fact);
+      ASSERT_TRUE(holds.ok()) << holds.status().ToString();
+      EXPECT_TRUE(*holds) << fact;
+    }
+  }
+  EXPECT_GT(through_sink, 0);
 }
 
 // --- output-sensitive enumeration ------------------------------------------
@@ -388,8 +553,7 @@ void ExpectMatchesOracle(const QueryAnswer& ans, const std::string& label) {
   }
 }
 
-// Every functional predicate of `source`, queried uniformly through both
-// the incremental and the recompute method.
+// Every functional predicate of `source`, queried at s and at f(s).
 void ExpectProgramMatchesOracle(const std::string& source) {
   auto db = FunctionalDatabase::FromSource(source);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
@@ -398,15 +562,16 @@ void ExpectProgramMatchesOracle(const std::string& source) {
     const PredicateInfo& info = symbols.predicate(p);
     if (!info.functional || info.name[0] == '$') continue;
     std::string cols = info.arity == 2 ? "s, x" : "s";
-    std::string qtext = "?(" + cols + ") " + info.name + "(" + cols + ").";
-    auto q = ParseQuery(qtext, (*db)->mutable_program());
-    ASSERT_TRUE(q.ok()) << qtext;
-    auto inc = AnswerQueryIncremental(db->get(), *q);
-    ASSERT_TRUE(inc.ok()) << inc.status().ToString();
-    ExpectMatchesOracle(*inc, "incremental " + qtext);
-    auto rec = AnswerQueryRecompute(db->get(), *q);
-    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
-    ExpectMatchesOracle(*rec, "recompute " + qtext);
+    std::string args = info.arity == 2 ? ", x" : "";
+    for (const char* term : {"s", "f(s)"}) {
+      std::string qtext =
+          "?(" + cols + ") " + info.name + "(" + term + args + ").";
+      auto q = ParseQuery(qtext, (*db)->mutable_program());
+      ASSERT_TRUE(q.ok()) << qtext;
+      auto ans = AnswerQuery(db->get(), *q);
+      ASSERT_TRUE(ans.ok()) << ans.status().ToString();
+      ExpectMatchesOracle(*ans, qtext);
+    }
   }
 }
 
@@ -442,7 +607,7 @@ TEST(Query, TruncatedGraphEnumerationMatchesOracle) {
   ASSERT_TRUE((*db)->truncated());
   auto q = ParseQuery("?(t, x) Meets(t, x).", (*db)->mutable_program());
   ASSERT_TRUE(q.ok());
-  auto ans = AnswerQueryIncremental(db->get(), *q);
+  auto ans = AnswerQuery(db->get(), *q);
   ASSERT_TRUE(ans.ok()) << ans.status().ToString();
   ASSERT_NE(ans->graph().unknown_cluster(), kInvalidId);
   EXPECT_FALSE(ans->IsEmpty());

@@ -23,7 +23,7 @@ import sys
 SUITES = {
     "bench_query": (
         "bench_query",
-        r"BM_Query_(Incremental|CachedWarm)/8$"
+        r"BM_Query_(Incremental|NonUniform|CachedWarm)/8$"
         r"|BM_Query_(ColdStartPipeline|WarmStartSnapshot)/14$"
         r"|BM_Query_EnumerateDeadEnd/6$"),
     "bench_trace": (

@@ -18,8 +18,8 @@
 // Request types (weights set by --mix):
 //   membership  GraphSpecification::Holds on a precomputed probe fact
 //   cached      AnswerQueryCached through a per-client QueryCache
-//   uncached    AnswerQuery with no cache (incremental or recompute,
-//               depending on the key's query shape)
+//   uncached    AnswerQuery with no cache (uniform or successor-step
+//               shape, depending on the key)
 //   snapshot    warm-start: parse the binary snapshot, then one Holds
 //   update      FunctionalDatabase::ApplyDeltas toggling one base fact
 //               (delete if present, re-insert otherwise) on this lane's
@@ -326,7 +326,7 @@ struct Workload {
   /// (path, pred, args) triple.
   std::vector<std::string> probe_text;
   /// Query text for key k (parsed per client; ~1 in 5 keys get a
-  /// non-uniform shape that exercises the recompute path).
+  /// non-uniform shape whose atom sits one successor step above t).
   std::vector<std::string> queries;
   /// Serialized graph-spec snapshot (warm-start requests re-parse it).
   std::string snapshot_bytes;
@@ -410,7 +410,7 @@ StatusOr<Workload> BuildWorkload(const Options& opt, std::string source) {
     // Rendered form of the same probe. Path symbols are innermost-first, so
     // folding RenderTerm over them rebuilds the nested term left to right:
     // [f, g] -> g(f(0)). Requires a surface-renderable alphabet, the same
-    // constraint the recompute query shape below already imposes.
+    // constraint the successor-step query shape below already imposes.
     std::string term = "0";
     for (FuncId f : probe.path.symbols()) {
       term = RenderTerm(sym.function(f).name, term);
@@ -424,11 +424,11 @@ StatusOr<Workload> BuildWorkload(const Options& opt, std::string source) {
     // Query text. Shapes (per-key, fixed by the seed):
     //   A  ?(t, x1, ...) P(t, x1, ...).        full projection, uniform
     //   B  ?(t, ...) P(t, ..., c, ...).        one constant pin, uniform
-    //   C  ?(x1, ...) P(f(t), x1, ...).        non-uniform -> recompute
+    //   C  ?(x1, ...) P(f(t), x1, ...).        non-uniform, one successor step
     PredId qp = fpreds[SplitMix64(&rng) % fpreds.size()];
     int qarity = sym.predicate(qp).arity;
     uint64_t shape = SplitMix64(&rng) % 5;
-    bool recompute_shape = shape == 4 && !alphabet.empty();
+    bool step_shape = shape == 4 && !alphabet.empty();
     int pin = (shape >= 2 && shape < 4 && qarity > 1 && !consts.empty())
                   ? static_cast<int>(1 + SplitMix64(&rng) %
                                              static_cast<uint64_t>(qarity - 1))
@@ -436,7 +436,7 @@ StatusOr<Workload> BuildWorkload(const Options& opt, std::string source) {
     std::string head = "?(";
     std::string body = sym.predicate(qp).name + "(";
     std::string fterm = "t";
-    if (recompute_shape) {
+    if (step_shape) {
       fterm = RenderTerm(
           sym.function(alphabet[SplitMix64(&rng) % alphabet.size()]).name, "t");
     } else {
