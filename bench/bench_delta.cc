@@ -1,12 +1,7 @@
-// E21 — incremental maintenance (paper Section 5, docs/INCREMENTAL.md):
-// applying a base-fact delta through FunctionalDatabase::ApplyDeltas against
-// rebuilding the whole database from the edited program.
-//
-// Expected shape: a shallow repair (the retraction cascade stays inside the
-// trunk) skips the fixpoint re-derivation almost entirely and beats the
-// full recompute by a wide margin; a deep repair (the cascade reaches a
-// boundary seed, forcing a chi-table reset) converges toward recompute
-// cost, since re-derivation dominates both. Noop batches are near-free.
+// E21 — applying a base-fact delta (docs/INCREMENTAL.md): a batch through
+// FunctionalDatabase::ApplyDeltas edits the facts and rebuilds, so its cost
+// is the rebuild's plus the edit and the commit. BM_Delta_Apply against
+// BM_Delta_FullRecompute measures that overhead; noop batches are near-free.
 
 #include <benchmark/benchmark.h>
 
@@ -21,11 +16,7 @@ namespace {
 using namespace relspec;
 using namespace relspec_bench;
 
-// WidePredicateProgram(n) plus an inert two-fact predicate: deleting
-// Q(1, c0) retracts one trunk bit and cascades nowhere (Q has no rules),
-// while the surviving deeper Q(2, c0) keeps the grounded universe
-// unchanged — same atoms, same active domain, same MaxGroundDepth — so the
-// edit stays on the in-place repair path.
+// WidePredicateProgram(n) plus an inert two-fact predicate to toggle.
 std::string WideWithInert(int n) {
   return WidePredicateProgram(n) + "Q(1, c0).\nQ(2, c0).\n";
 }
@@ -41,8 +32,8 @@ std::unique_ptr<FunctionalDatabase> Build(benchmark::State& state,
 }
 
 // Toggle an inert fact: delete while present, re-insert after. Every
-// iteration is one effective single-fact batch through the repair path.
-void BM_Delta_ShallowRepair(benchmark::State& state) {
+// iteration is one effective single-fact batch.
+void BM_Delta_Apply(benchmark::State& state) {
   ScopedBenchMetrics bench_metrics(__func__);
   auto db = Build(state, WideWithInert(static_cast<int>(state.range(0))));
   if (!db) return;
@@ -54,49 +45,15 @@ void BM_Delta_ShallowRepair(benchmark::State& state) {
       state.SkipWithError(stats.status().ToString().c_str());
       return;
     }
-    if (stats->rebuilt) {
-      state.SkipWithError("expected the repair path, got a rebuild");
-      return;
-    }
     present = !present;
     benchmark::DoNotOptimize(stats);
   }
   state.counters["n"] = static_cast<double>(state.range(0));
 }
-BENCHMARK(BM_Delta_ShallowRepair)->DenseRange(2, 14, 4);
-
-// Toggle a load-bearing fact: P(0, k0) seeds the infinite +1 chain, so the
-// DRed cascade runs the whole trunk, hits the boundary, and resets the chi
-// table — the worst-case repair.
-void BM_Delta_DeepRepair(benchmark::State& state) {
-  ScopedBenchMetrics bench_metrics(__func__);
-  auto db = Build(state, WideWithInert(static_cast<int>(state.range(0))));
-  if (!db) return;
-  bool present = true;
-  double rebuilt = 0.0, chi_reset = 0.0;
-  for (auto _ : state) {
-    auto stats =
-        db->ApplyDeltaText(present ? "- P(0, k0).\n" : "+ P(0, k0).\n");
-    if (!stats.ok()) {
-      state.SkipWithError(stats.status().ToString().c_str());
-      return;
-    }
-    present = !present;
-    // Whether this toggle repairs (with a chi reset) or falls back to a
-    // rebuild depends on how EDB pruning reacts to losing k0's seed;
-    // report which path ran instead of asserting one.
-    rebuilt = stats->rebuilt ? 1.0 : 0.0;
-    chi_reset = stats->chi_reset ? 1.0 : 0.0;
-    benchmark::DoNotOptimize(stats);
-  }
-  state.counters["n"] = static_cast<double>(state.range(0));
-  state.counters["rebuilt"] = rebuilt;
-  state.counters["chi_reset"] = chi_reset;
-}
-BENCHMARK(BM_Delta_DeepRepair)->DenseRange(2, 14, 4);
+BENCHMARK(BM_Delta_Apply)->DenseRange(2, 14, 4);
 
 // The from-scratch baseline for the same toggle: rebuild via FromProgram on
-// the edited program (no parse cost, same as the repair path's input).
+// the edited program (no parse cost).
 void BM_Delta_FullRecompute(benchmark::State& state) {
   ScopedBenchMetrics bench_metrics(__func__);
   auto db = Build(state, WideWithInert(static_cast<int>(state.range(0))));

@@ -28,8 +28,8 @@ using namespace relspec_bench;
 constexpr char kWalPath[] = "bench_wal.tmp.rwal";
 
 // A small convergent program with an inert two-fact predicate to toggle:
-// the delta repair itself is shallow, so the WAL append/fsync cost is the
-// dominant term being measured.
+// its rebuild is cheap, so the WAL append/fsync cost is the dominant term
+// being measured.
 constexpr char kProgram[] =
     "Meets(0, tony).\n"
     "Next(tony, jan).\n"
@@ -107,9 +107,9 @@ void BM_Wal_ScanBytes(benchmark::State& state) {
 }
 BENCHMARK(BM_Wal_ScanBytes)->Arg(64)->Arg(512)->Arg(4096);
 
-// One durable update through LogAndApplyDeltas: in-memory repair + append +
-// policy fsync. Compare against bench_delta's BM_Delta_ShallowRepair for
-// the pure in-memory cost. Arg: 0=off, 1=batch(8), 2=always.
+// One durable update through LogAndApplyDeltas: in-memory apply + append +
+// policy fsync. Compare against bench_delta's BM_Delta_Apply for the pure
+// in-memory cost. Arg: 0=off, 1=batch(8), 2=always.
 void BM_Wal_DurableUpdate(benchmark::State& state) {
   ScopedBenchMetrics bench_metrics(__func__);
   RemoveWalFiles();

@@ -187,10 +187,6 @@ StatusOr<DeltaStats> FunctionalDatabase::ApplyDeltas(
     }
     EditFacts(&next.facts, d.fact, d.insert, &stats);
   }
-  if (stats.inserted == 0 && stats.deleted == 0) {
-    RELSPEC_COUNTER("delta.noop_batches");
-    return stats;  // nothing changed: state and fingerprint stay intact
-  }
   return ApplyEditedProgram(std::move(next), stats, options);
 }
 
@@ -261,107 +257,40 @@ StatusOr<DeltaStats> FunctionalDatabase::ApplyDeltaText(
   for (const ParsedEdit& e : edits) {
     EditFacts(&next.facts, e.fact, e.insert, &stats);
   }
-  if (stats.inserted == 0 && stats.deleted == 0) {
-    RELSPEC_COUNTER("delta.noop_batches");
-    return stats;
-  }
   return ApplyEditedProgram(std::move(next), stats, options);
 }
 
 StatusOr<DeltaStats> FunctionalDatabase::ApplyEditedProgram(
     Program next, DeltaStats stats, const EngineOptions& options) {
-  {
-    RELSPEC_PHASE("validate");
-    RELSPEC_RETURN_NOT_OK(ValidateProgram(next));
-    RELSPEC_RETURN_NOT_OK(CheckDomainIndependence(next));
+  if (stats.inserted == 0 && stats.deleted == 0) {
+    RELSPEC_COUNTER("delta.noop_batches");
+    return stats;  // nothing changed: state and fingerprint stay intact
   }
-  // Re-run the front of the pipeline on the edited program. Everything up to
-  // the commit below works on temporaries: an error leaves *this unchanged.
-  Program transformed = next;
-  NormalizeStats nstats;
-  MixedToPureStats pstats;
-  RELSPEC_ASSIGN_OR_RETURN(nstats, NormalizeProgram(&transformed));
-  RELSPEC_ASSIGN_OR_RETURN(pstats, MixedToPure(&transformed));
-  ProgramInfo info = Analyze(transformed);
-  GroundProgram next_ground;
-  {
-    RELSPEC_PHASE("ground");
-    RELSPEC_FAILPOINT("ground.build");
-    if (options.governor != nullptr) {
-      RELSPEC_RETURN_NOT_OK(options.governor->Check());
-    }
-    RELSPEC_ASSIGN_OR_RETURN(next_ground, Ground(transformed, options.ground));
-  }
-  FixpointOptions fixpoint = options.fixpoint;
-  LabelGraphOptions graph = options.graph;
-  if (options.governor != nullptr) {
-    fixpoint.governor = options.governor;
-    graph.governor = options.governor;
-  }
-  if (options.allow_partial) {
-    fixpoint.allow_partial = true;
-    graph.allow_partial = true;
-  }
-
-  if (truncated() || !next_ground.SameUniverse(*ground_)) {
-    // Rebuild path: the edit changed the grounded universe (or the current
-    // state is a truncated under-approximation there is nothing sound to
-    // repair from). Build into temporaries, then commit.
-    stats.rebuilt = true;
-    RELSPEC_COUNTER("delta.rebuilds");
-    auto ng = std::make_unique<GroundProgram>(std::move(next_ground));
-    Labeling labeling;
-    RELSPEC_ASSIGN_OR_RETURN(labeling, ComputeFixpoint(*ng, fixpoint));
-    LabelGraph lg;
-    RELSPEC_ASSIGN_OR_RETURN(lg, BuildLabelGraph(&labeling, graph));
-    labeling_ = std::move(labeling);  // frees the state bound to old ground_
-    graph_ = std::move(lg);
-    ground_ = std::move(ng);
-  } else {
-    // Repair path: identical universe, so AtomIdx/CtxIdx bitsets line up and
-    // the labeling can be patched in place. Base-fact diffs use multiset
-    // semantics (grounding may legitimately emit duplicates).
-    std::vector<std::pair<Path, AtomIdx>> removed_pinned =
-        ground_->pinned_facts();
-    for (const auto& f : next_ground.pinned_facts()) {
-      auto it = std::find(removed_pinned.begin(), removed_pinned.end(), f);
-      if (it != removed_pinned.end()) removed_pinned.erase(it);
-    }
-    std::vector<CtxIdx> removed_global = ground_->global_facts();
-    for (CtxIdx g : next_ground.global_facts()) {
-      auto it = std::find(removed_global.begin(), removed_global.end(), g);
-      if (it != removed_global.end()) removed_global.erase(it);
-    }
-    // *ground_ is address-stable: assigning through the pointer keeps the
-    // labeling's and chi engine's GroundProgram* valid across the swap.
-    *ground_ = std::move(next_ground);
-    DeltaRepairStats repair;
-    RELSPEC_ASSIGN_OR_RETURN(
-        repair, labeling_.ApplyFactDeltas(removed_pinned, removed_global,
-                                          fixpoint));
-    stats.deleted_bits = repair.deleted_bits;
-    stats.chi_reset = repair.chi_reset;
-    stats.rederive_rounds = repair.rounds;
-    RELSPEC_ASSIGN_OR_RETURN(graph_, BuildLabelGraph(&labeling_, graph));
-  }
+  // Rebuild through the same sequence FromProgram runs, into a fresh engine:
+  // any error (validation, a failpoint, a resource breach) returns before the
+  // commit below and leaves *this unchanged.
+  std::unique_ptr<FunctionalDatabase> fresh;
+  RELSPEC_ASSIGN_OR_RETURN(fresh, FromProgram(std::move(next), options));
 
   // Keep the old (extended) symbol table when the rebuilt one is an
   // id-for-id prefix of it, so Query objects parsed against
-  // mutable_program() before the delta keep resolving. On the repair path
-  // the transformed table always comes out identical to the pre-delta base
-  // table (same rules, same symbols, deterministic passes), making this a
-  // strict extension; if the edit introduced genuinely new symbols the
-  // prefix check fails and the fresh table wins (outstanding queries must
-  // then be re-parsed, as documented on ApplyDeltas).
-  if (IsSymbolPrefix(transformed.symbols, program_.symbols)) {
-    transformed.symbols = program_.symbols;
+  // mutable_program() before the delta keep resolving. If the edit
+  // introduced genuinely new symbols the prefix check fails and the fresh
+  // table wins (outstanding queries must then be re-parsed, as documented
+  // on ApplyDeltas).
+  if (IsSymbolPrefix(fresh->program_.symbols, program_.symbols)) {
+    fresh->program_.symbols = program_.symbols;
   }
-  original_ = std::move(next);
-  program_ = std::move(transformed);
-  info_ = std::move(info);
-  normalize_stats_ = nstats;
-  purify_stats_ = pstats;
+  original_ = std::move(fresh->original_);
+  program_ = std::move(fresh->program_);
+  info_ = std::move(fresh->info_);
+  normalize_stats_ = fresh->normalize_stats_;
+  purify_stats_ = fresh->purify_stats_;
+  labeling_ = std::move(fresh->labeling_);  // frees the state bound to ground_
+  graph_ = std::move(fresh->graph_);
+  ground_ = std::move(fresh->ground_);
   fingerprint_ = 0;  // effective delta: re-key the query cache
+  stats.rebuilt = true;
   RELSPEC_COUNTER("delta.batches_applied");
   RELSPEC_COUNTER_ADD("delta.facts_inserted", stats.inserted);
   RELSPEC_COUNTER_ADD("delta.facts_deleted", stats.deleted);

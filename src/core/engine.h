@@ -64,15 +64,11 @@ struct DeltaStats {
   size_t inserted = 0;
   size_t deleted = 0;
   size_t noops = 0;
-  /// True if the edit changed the grounded universe (new atoms, constants,
-  /// rule instances, or trunk depth) and the engine fell back to a full
-  /// rebuild instead of an in-place repair.
+  /// True for every effective batch: each one rebuilds the pipeline.
   bool rebuilt = false;
-  /// Repair-path details (zero/false on the rebuild path); see
-  /// DeltaRepairStats in src/core/fixpoint.h.
-  bool chi_reset = false;
+  /// Always 0. Kept, with `rebuilt`, because the serving protocol's update
+  /// result carries both fields.
   size_t deleted_bits = 0;
-  size_t rederive_rounds = 0;
 };
 
 /// Durability knobs for OpenDurable (docs/DURABILITY.md).
@@ -158,20 +154,19 @@ class FunctionalDatabase {
   /// Builds the (B, R) equational specification (Section 3.5).
   StatusOr<EquationalSpecification> BuildEquationalSpec();
 
-  /// Applies a batch of base-fact deltas in order, maintaining the least
-  /// fixpoint incrementally (paper Section 5; docs/INCREMENTAL.md).
-  /// Equivalent to rebuilding from the edited program — after the call,
-  /// `FromProgram(original_program())` yields a byte-identical database —
-  /// but repairs the existing labeling/chi-table/spec in place whenever the
-  /// grounded universe is unchanged (semi-naive re-derivation for inserts,
-  /// DRed for deletes), falling back to a full rebuild otherwise.
+  /// Applies a batch of base-fact deltas in order (docs/INCREMENTAL.md):
+  /// edits the original program's facts, returns early when every edit is a
+  /// noop, and otherwise rebuilds through the same sequence FromProgram
+  /// runs. After the call, `FromProgram(original_program())` yields a
+  /// byte-identical database.
   ///
   /// An all-noop batch leaves the database (and its Fingerprint) untouched;
   /// any effective batch invalidates the fingerprint, so stale QueryCache
-  /// entries miss. Validation errors leave the database unchanged (strong
-  /// guarantee). A resource breach mid-repair without allow_partial leaves
-  /// it in an unspecified state — discard it; with allow_partial it degrades
-  /// to a truncated-but-sound database like the build pipeline does.
+  /// entries miss. Every error — validation, an injected fault, a resource
+  /// breach without allow_partial — leaves the database unchanged (strong
+  /// guarantee), because the rebuild commits only once it has succeeded.
+  /// With allow_partial a breach commits a truncated-but-sound database,
+  /// like the build pipeline does.
   ///
   /// Delta atoms must be ground and use this database's original symbols
   /// (predicates, constants, functions); facts mentioning symbols unknown to
@@ -187,9 +182,8 @@ class FunctionalDatabase {
 
   /// Parses and applies a delta file: one edit per line, `+ Fact(args).` or
   /// `- Fact(args).`, with `#` comments and blank lines ignored. Facts may
-  /// mention new constants (the active domain grows → full rebuild) but not
-  /// new predicates. Line numbers are reported in errors; a parse or
-  /// validation error leaves the database unchanged.
+  /// mention new constants but not new predicates. Line numbers are reported
+  /// in errors; like ApplyDeltas, any error leaves the database unchanged.
   StatusOr<DeltaStats> ApplyDeltaText(std::string_view text,
                                       const EngineOptions& options = {});
 
@@ -254,9 +248,9 @@ class FunctionalDatabase {
 
   /// Shared tail of ApplyDeltas/ApplyDeltaText: `next` is the edited
   /// original-form program with `stats` counting the edits already applied
-  /// to it. Validates, re-grounds, and either repairs in place (same
-  /// universe) or rebuilds, then commits every member and resets the
-  /// fingerprint.
+  /// to it. Returns early on an all-noop batch; otherwise builds a fresh
+  /// engine from `next` and, only if that succeeds, moves its pipeline
+  /// members into *this and resets the fingerprint.
   StatusOr<DeltaStats> ApplyEditedProgram(Program next, DeltaStats stats,
                                           const EngineOptions& options);
 

@@ -1,7 +1,5 @@
 #include "src/core/fixpoint.h"
 
-#include <algorithm>
-
 #include "src/base/failpoint.h"
 #include "src/base/governor.h"
 #include "src/base/logging.h"
@@ -305,236 +303,6 @@ Status Labeling::RunToFixpoint(const FixpointOptions& options) {
                           << " rounds: " << breach_.ToString();
   }
   return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// Incremental repair (paper Section 5; see docs/INCREMENTAL.md)
-// ---------------------------------------------------------------------------
-
-StatusOr<DeltaRepairStats> Labeling::ApplyFactDeltas(
-    const std::vector<std::pair<Path, AtomIdx>>& removed_pinned,
-    const std::vector<CtxIdx>& removed_global, const FixpointOptions& options) {
-  if (truncated_) {
-    return Status::FailedPrecondition(
-        "cannot repair a truncated labeling; rebuild from scratch");
-  }
-  DeltaRepairStats stats;
-  const GroundProgram& ground = *ground_;
-  const int c = ground.trunk_depth();
-  const size_t num_atoms = ground.num_atoms();
-  DynamicBitset& ctx = shared_->ctx;
-  chi_->set_max_entries(options.max_chi_entries);
-  chi_->set_governor(options.governor);
-
-  // --- DRed over-deletion: mark everything whose old derivation may have
-  // used a removed base fact, then retract the marks. The closure evaluates
-  // *old-state* satisfaction (labels/ctx/chi are untouched until the commit
-  // below), so "an old derivation step used a marked fact" is decidable.
-  std::unordered_map<TermId, DynamicBitset> marked;  // trunk suspects
-  DynamicBitset marked_ctx(ground.num_ctx());
-  bool deep = false;  // cascade reached chi-dependent state
-  bool ch = false;
-
-  auto trunk_is_marked = [&](TermId t, uint32_t bit) {
-    auto it = marked.find(t);
-    return it != marked.end() && it->second.Test(bit);
-  };
-  // Marks a currently-set trunk bit; returns true if newly marked.
-  auto mark_trunk = [&](TermId t, uint32_t bit) {
-    if (!trunk_labels_.at(t).Test(bit)) return false;
-    DynamicBitset& m =
-        marked.try_emplace(t, DynamicBitset(num_atoms)).first->second;
-    if (m.Test(bit)) return false;
-    m.Set(bit);
-    return true;
-  };
-  auto mark_ctx = [&](CtxIdx i) {
-    if (!ctx.Test(i) || marked_ctx.Test(i)) return false;
-    marked_ctx.Set(i);
-    return true;
-  };
-  // Chi-table entries memoize closures that are only valid under monotone
-  // growth of their seeds and of the context bits local rules read. When the
-  // deletion cascade reaches either, the table (and the boundary seeds it
-  // was keyed by) must be discarded wholesale, and every context bit the
-  // table may have emitted (heads of local existential rules) becomes
-  // suspect too.
-  auto escalate = [&]() {
-    if (deep) return;
-    deep = true;
-    stats.chi_reset = true;
-    // Another sweep is needed even if nothing below marks: frontier reads
-    // must be re-evaluated with the boundary now counting as marked.
-    ch = true;
-    for (const GroundRule& rule : ground.local_rules()) {
-      if (rule.head_kind != GroundRule::HeadKind::kCtx) continue;
-      mark_ctx(rule.head_id);
-    }
-  };
-
-  // Context bits some local rule reads: a marked bit in here invalidates
-  // chi-node evaluations we cannot see from the trunk.
-  DynamicBitset local_ctx_reads(ground.num_ctx());
-  for (const GroundRule& rule : ground.local_rules()) {
-    for (CtxIdx b : rule.body_ctx) local_ctx_reads.Set(b);
-  }
-
-  // Seeds: the removed base facts themselves (only those actually set).
-  for (CtxIdx g : removed_global) {
-    if (mark_ctx(g)) ch = true;
-  }
-  for (const auto& [path, atom] : removed_pinned) {
-    if (mark_trunk(terms_.FromSymbols(path.symbols()), atom)) ch = true;
-  }
-
-  if (ch) {
-    RELSPEC_PHASE("delta.delete");
-    while (ch) {
-      ch = false;
-      {
-        DynamicBitset hot = marked_ctx;
-        hot.IntersectWith(local_ctx_reads);
-        if (hot.Any()) escalate();
-      }
-      // Global rules: a set head of an old-satisfied instance with a marked
-      // body element is suspect.
-      for (const GroundRule& rule : ground.global_rules()) {
-        if (!ctx.Test(rule.head_id) || marked_ctx.Test(rule.head_id)) continue;
-        bool sat = true, hit = false;
-        for (CtxIdx b : rule.body_ctx) {
-          if (!ctx.Test(b)) {
-            sat = false;
-            break;
-          }
-          hit |= marked_ctx.Test(b);
-        }
-        if (sat && hit && mark_ctx(rule.head_id)) ch = true;
-      }
-      // Pinned syncs transport suspicion in both directions.
-      for (CtxIdx i = 0; i < ground.num_ctx(); ++i) {
-        const CtxProp& prop = ground.ctx_prop(i);
-        if (prop.kind != CtxProp::Kind::kPinned) continue;
-        TermId t = terms_.FromSymbols(prop.path.symbols());
-        if (ctx.Test(i) && marked_ctx.Test(i)) {
-          if (mark_trunk(t, prop.atom)) ch = true;
-        }
-        if (trunk_is_marked(t, prop.atom)) {
-          if (mark_ctx(i)) ch = true;
-        }
-      }
-      // Trunk rules: old-satisfaction with any marked body element marks the
-      // (set) head. Frontier reads through the boundary use the old chi
-      // values; once deep, the whole boundary is being discarded, so any
-      // read through it counts as marked.
-      for (const Path& w : trunk_paths_) {
-        TermId wid = terms_.FromSymbols(w.symbols());
-        const DynamicBitset& label = trunk_labels_.at(wid);
-        bool is_frontier = w.depth() == c;
-        for (const GroundRule& rule : ground.local_rules()) {
-          bool sat = true, hit = false;
-          for (AtomIdx a : rule.body_eps) {
-            if (!label.Test(a)) {
-              sat = false;
-              break;
-            }
-            hit |= trunk_is_marked(wid, a);
-          }
-          if (sat) {
-            for (CtxIdx b : rule.body_ctx) {
-              if (!ctx.Test(b)) {
-                sat = false;
-                break;
-              }
-              hit |= marked_ctx.Test(b);
-            }
-          }
-          if (sat) {
-            for (const auto& [sym, a] : rule.body_child) {
-              TermId child = terms_.Apply(ground.alphabet()[sym], wid);
-              if (is_frontier) {
-                if (!chi_->Value(chi_->EntryFor(boundary_seeds_.at(child)))
-                         .Test(a)) {
-                  sat = false;
-                  break;
-                }
-                hit |= deep;
-              } else {
-                if (!trunk_labels_.at(child).Test(a)) {
-                  sat = false;
-                  break;
-                }
-                hit |= trunk_is_marked(child, a);
-              }
-            }
-          }
-          if (!sat || !hit) continue;
-          switch (rule.head_kind) {
-            case GroundRule::HeadKind::kEps:
-              if (mark_trunk(wid, rule.head_id)) ch = true;
-              break;
-            case GroundRule::HeadKind::kChild: {
-              TermId child = terms_.Apply(ground.alphabet()[rule.head_sym], wid);
-              if (is_frontier) {
-                // A suspect boundary-seed bit: discard the chi state.
-                if (boundary_seeds_.at(child).Test(rule.head_id)) escalate();
-              } else {
-                if (mark_trunk(child, rule.head_id)) ch = true;
-              }
-              break;
-            }
-            case GroundRule::HeadKind::kCtx:
-              if (mark_ctx(rule.head_id)) ch = true;
-              break;
-          }
-        }
-      }
-    }
-
-    // Retract the marks (the over-deletion commit).
-    for (const auto& [t, m] : marked) {
-      stats.deleted_bits += m.Count();
-      trunk_labels_.at(t).SubtractWith(m);
-    }
-    stats.deleted_bits += marked_ctx.Count();
-    ctx.SubtractWith(marked_ctx);
-    if (deep) {
-      for (auto& [t, seed] : boundary_seeds_) seed.Clear();
-      chi_->Reset();
-      RELSPEC_COUNTER("delta.chi_resets");
-    }
-    RELSPEC_COUNTER_ADD("delta.deleted_bits", stats.deleted_bits);
-  }
-
-  // --- Insertions (and re-derivation fuel for DRed): every base fact of the
-  // *new* grounding is asserted; already-set bits are no-ops.
-  {
-    RELSPEC_PHASE("delta.insert");
-    for (CtxIdx g : ground.global_facts()) ctx.Set(g);
-    for (const auto& [path, atom] : ground.pinned_facts()) {
-      auto it = trunk_labels_.find(terms_.FromSymbols(path.symbols()));
-      if (it == trunk_labels_.end()) {
-        return Status::Internal("pinned fact at a non-trunk path");
-      }
-      it->second.Set(atom);
-    }
-  }
-
-  // Derived caches are stale either way: deep labels derive from trunk and
-  // chi state, and Expand memoizes against labels that may be about to grow.
-  deep_cache_.clear();
-  chi_->ClearExpandCache();
-
-  // --- Re-derivation: the shared chaotic iteration, starting from the
-  // retained under-approximation, converges to exactly LFP of the edited
-  // program (monotone iteration over a finite lattice; soundness of the
-  // starting point is the DRed argument in docs/INCREMENTAL.md).
-  size_t rounds_before = rounds_;
-  {
-    RELSPEC_PHASE("delta.rederive");
-    RELSPEC_RETURN_NOT_OK(RunToFixpoint(options));
-  }
-  stats.rounds = rounds_ - rounds_before;
-  return stats;
 }
 
 // ---------------------------------------------------------------------------

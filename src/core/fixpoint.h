@@ -54,18 +54,6 @@ struct FixpointOptions {
   bool allow_partial = false;
 };
 
-/// Statistics from one incremental repair (Labeling::ApplyFactDeltas).
-struct DeltaRepairStats {
-  /// Bits retracted by the DRed over-deletion (trunk labels + context).
-  size_t deleted_bits = 0;
-  /// True if the deletion cascade reached chi-dependent state (a boundary
-  /// seed, or a context bit some local rule reads), forcing a chi-table
-  /// reset and re-derivation of the boundary from empty seeds.
-  bool chi_reset = false;
-  /// Chaotic-iteration rounds the re-derivation took.
-  size_t rounds = 0;
-};
-
 /// The converged least fixpoint, queryable by path.
 class Labeling {
  public:
@@ -103,28 +91,6 @@ class Labeling {
   /// The breach that interrupted the iteration; OK unless truncated().
   const Status& breach() const { return breach_; }
 
-  /// Incrementally repairs this converged labeling after base-fact deltas
-  /// (paper Section 5; soundness argument in docs/INCREMENTAL.md).
-  ///
-  /// Preconditions: this labeling is converged and not truncated(), and the
-  /// GroundProgram it is bound to has already been replaced *in place* by a
-  /// re-grounding of the edited program over the same universe
-  /// (GroundProgram::SameUniverse — the engine enforces both).
-  ///
-  /// `removed_pinned` / `removed_global` list the base facts of the old
-  /// grounding that are absent from the new one. Insertions need no listing:
-  /// every base fact of the new grounding is re-asserted before
-  /// re-derivation. Deletions use DRed (delete-and-rederive): an
-  /// over-deletion closure retracts every fact whose old derivation may have
-  /// used a removed fact, escalating to a full chi-table reset when the
-  /// cascade reaches a boundary seed or a context bit some local rule reads;
-  /// the standard chaotic iteration then re-derives from the retained
-  /// under-approximation and converges to exactly LFP of the edited program.
-  StatusOr<DeltaRepairStats> ApplyFactDeltas(
-      const std::vector<std::pair<Path, AtomIdx>>& removed_pinned,
-      const std::vector<CtxIdx>& removed_global,
-      const FixpointOptions& options);
-
  private:
   friend StatusOr<Labeling> ComputeFixpoint(const GroundProgram&,
                                             const FixpointOptions&);
@@ -135,10 +101,8 @@ class Labeling {
     bool ctx_changed = false;
   };
   /// The chaotic iteration (global rules, pinned syncs, trunk rules, chi
-  /// passes) run to convergence from the current state. Shared verbatim by
-  /// ComputeFixpoint (from the base facts) and ApplyFactDeltas (from the
-  /// retained under-approximation), so both converge through identical code
-  /// to the identical least fixpoint.
+  /// passes) run to convergence from the base facts ComputeFixpoint has
+  /// asserted.
   Status RunToFixpoint(const FixpointOptions& options);
 
   const GroundProgram* ground_ = nullptr;  // owned by the caller

@@ -62,14 +62,6 @@ SymIdx GroundProgram::SymIndexOf(FuncId f) const {
   return it == sym_index_.end() ? kInvalidId : it->second;
 }
 
-bool GroundProgram::SameUniverse(const GroundProgram& o) const {
-  // Vector equality compares interning *order*, not just set membership:
-  // a labeling carries AtomIdx/CtxIdx bitsets, so indices must line up.
-  return atoms_ == o.atoms_ && ctx_props_ == o.ctx_props_ &&
-         alphabet_ == o.alphabet_ && trunk_depth_ == o.trunk_depth_ &&
-         local_rules_ == o.local_rules_ && global_rules_ == o.global_rules_;
-}
-
 std::string GroundProgram::AtomToString(AtomIdx i,
                                         const SymbolTable& symbols) const {
   const SliceAtom& a = atoms_[i];

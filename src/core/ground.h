@@ -131,14 +131,6 @@ class GroundProgram {
   /// Initial global facts from D.
   const std::vector<CtxIdx>& global_facts() const { return global_facts_; }
 
-  /// True if `o` grounds the same universe: identical atom and context
-  /// interning (same indices for the same atoms), alphabet, trunk depth and
-  /// rule set. Base facts (pinned_facts/global_facts) are deliberately NOT
-  /// compared — two groundings of fact-edited variants of one program share
-  /// a universe exactly when everything else matches, and the fact diff is
-  /// what incremental maintenance repairs (docs/INCREMENTAL.md).
-  bool SameUniverse(const GroundProgram& o) const;
-
   /// Human-readable rendering (for tests and debugging).
   std::string AtomToString(AtomIdx i, const SymbolTable& symbols) const;
   std::string CtxToString(CtxIdx i, const SymbolTable& symbols) const;

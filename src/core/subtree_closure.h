@@ -91,20 +91,6 @@ class ChiEngine {
   /// outlive the engine.
   void set_governor(ResourceGovernor* g) { governor_ = g; }
 
-  /// Drops every entry and cached expansion. Entry values are only valid
-  /// under monotone seed/context growth, so the incremental repair path
-  /// (docs/INCREMENTAL.md) must discard the table when a deletion cascade
-  /// reaches the context or a boundary seed; re-demand rebuilds it.
-  void Reset() {
-    index_.clear();
-    entries_.clear();
-    expand_cache_.clear();
-  }
-
-  /// Drops only the Expand cache. Used after repairs that keep the table
-  /// valid but may have changed trunk labels the cache was keyed against.
-  void ClearExpandCache() { expand_cache_.clear(); }
-
   /// Freezes the engine after an interrupted (truncated) fixpoint: Expand no
   /// longer insists that labels are closed — it closes them on the fly —
   /// because a breached iteration legitimately leaves non-converged labels.

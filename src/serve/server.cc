@@ -430,9 +430,10 @@ std::string Server::HandleRequest(const RequestHeader& req,
         return "";
       }
       std::unique_lock<std::shared_mutex> lock(state_mu_);
-      // Updates run ungoverned: a breach mid-repair would leave the engine
-      // in an unspecified state (docs/INCREMENTAL.md). Through the WAL when
-      // durable, so an OK ack means applied *and* logged.
+      // Updates run ungoverned, so a read-sized request budget never refuses
+      // a write; a failed batch leaves the engine unchanged either way
+      // (docs/INCREMENTAL.md). Through the WAL when durable, so an OK ack
+      // means applied *and* logged.
       const auto eval_start = std::chrono::steady_clock::now();
       StatusOr<DeltaStats> stats =
           db_->durable() ? db_->LogAndApplyDeltas(payload)
@@ -441,7 +442,7 @@ std::string Server::HandleRequest(const RequestHeader& req,
         *out = stats.status();
         return "";
       }
-      if (stats->inserted > 0 || stats->deleted > 0 || stats->rebuilt) {
+      if (stats->inserted > 0 || stats->deleted > 0) {
         auto spec = db_->BuildGraphSpec();
         if (!spec.ok()) {
           *out = Status::Internal(

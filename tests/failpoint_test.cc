@@ -7,9 +7,11 @@
 
 #include <string>
 
+#include "src/ast/printer.h"
 #include "src/base/failpoint.h"
 #include "src/core/engine.h"
 #include "src/core/query.h"
+#include "src/core/snapshot.h"
 #include "src/core/spec_io.h"
 #include "src/datalog/database.h"
 #include "src/datalog/evaluator.h"
@@ -131,6 +133,63 @@ TEST_F(FailpointTest, EnginePhasesUnwindCleanly) {
   ExpectEngineUnwindAndCleanRetry("fixpoint.round", baseline);
   ExpectEngineUnwindAndCleanRetry("chi.pass", baseline);
   ExpectEngineUnwindAndCleanRetry("algorithm_q.visit", baseline);
+}
+
+// A delta batch whose rebuild fails mid-pipeline must leave the engine
+// exactly as it was (strong guarantee), and a retry after Clear() must land
+// on the bytes a from-scratch build of the edited program produces.
+TEST_F(FailpointTest, FailedDeltaBatchLeavesEngineUnchanged) {
+  // A wide +1 chain plus an inert twin-fact predicate; deleting Q(1, c0)
+  // keeps the deeper Q(2, c0), so the batch is effective but small.
+  constexpr char kWide[] = R"(
+    P(0, k0).  P(0, k1).  P(0, k2).  P(0, k3).  P(0, k4).  P(0, k5).
+    P(t, x) -> P(t+1, x).
+    Q(1, c0).
+    Q(2, c0).
+  )";
+  for (const char* site : {"chi.pass", "algorithm_q.visit"}) {
+    SCOPED_TRACE(site);
+    failpoint::Clear();
+    auto db = FunctionalDatabase::FromSource(kWide);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    const uint64_t fingerprint = (*db)->Fingerprint();
+    const std::string program = ToString((*db)->original_program());
+    auto spec = (*db)->BuildGraphSpec();
+    ASSERT_TRUE(spec.ok());
+    const std::string snapshot = Snapshot::Serialize(*spec);
+
+    ASSERT_TRUE(failpoint::Configure(std::string(site) + "=error").ok());
+    auto failed = (*db)->ApplyDeltaText("- Q(1, c0).\n");
+    ASSERT_FALSE(failed.ok());
+    EXPECT_TRUE(failed.status().IsInternal()) << failed.status().ToString();
+    EXPECT_GE(failpoint::HitCount(site), 1u);
+    failpoint::Clear();
+
+    auto holds = (*db)->HoldsFactText("Q(1, c0)");
+    ASSERT_TRUE(holds.ok()) << holds.status().ToString();
+    EXPECT_TRUE(*holds);
+    EXPECT_EQ((*db)->Fingerprint(), fingerprint);
+    EXPECT_EQ(ToString((*db)->original_program()), program);
+    auto after = (*db)->BuildGraphSpec();
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(Snapshot::Serialize(*after), snapshot);
+
+    auto retried = (*db)->ApplyDeltaText("- Q(1, c0).\n");
+    ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+    EXPECT_EQ(retried->deleted, 1u);
+    auto holds_after = (*db)->HoldsFactText("Q(1, c0)");
+    ASSERT_TRUE(holds_after.ok());
+    EXPECT_FALSE(*holds_after);
+    auto rebuilt = FunctionalDatabase::FromProgram((*db)->original_program());
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+    EXPECT_EQ((*db)->Fingerprint(), (*rebuilt)->Fingerprint());
+    auto retried_spec = (*db)->BuildGraphSpec();
+    auto rebuilt_spec = (*rebuilt)->BuildGraphSpec();
+    ASSERT_TRUE(retried_spec.ok());
+    ASSERT_TRUE(rebuilt_spec.ok());
+    EXPECT_EQ(Snapshot::Serialize(*retried_spec),
+              Snapshot::Serialize(*rebuilt_spec));
+  }
 }
 
 TEST_F(FailpointTest, DatalogIterationUnwinds) {

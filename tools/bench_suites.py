@@ -32,7 +32,7 @@ SUITES = {
         r"|BM_Trace_Export$"),
     "bench_delta": (
         "bench_delta",
-        r"BM_Delta_(ShallowRepair|FullRecompute)/14$|BM_Delta_NoopBatch$"),
+        r"BM_Delta_(Apply|FullRecompute)/14$|BM_Delta_NoopBatch$"),
     "bench_wal": (
         "bench_wal",
         r"BM_Wal_Append/0$|BM_Wal_ScanBytes/512$|BM_Wal_DurableUpdate/0$"

@@ -81,7 +81,7 @@ case "$mode" in
     work=$(mktemp -d)
     trap 'rm -rf "$work"' EXIT
     # Without its seed fact the subset family converges instantly; the
-    # delta re-inserts the seed, so the *repair* is what diverges.
+    # delta re-inserts the seed, so the rebuild it triggers is what diverges.
     sed '/^B(0, b0)\./d' "$prog" > "$work/seedless.rsp"
     "$cli" "$work/seedless.rsp" --save-snapshot "$work/seed.snap" >/dev/null \
       || fail "building the seedless program failed"

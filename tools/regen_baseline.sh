@@ -9,8 +9,8 @@
 #                start) from bench/bench_query.cc
 #   bench_trace  representative E19 tracer-ablation numbers from
 #                bench/bench_trace.cc
-#   bench_delta  representative E21 incremental-maintenance numbers
-#                (shallow repair vs full recompute, noop batch) from
+#   bench_delta  representative E21 fact-delta numbers (delta apply vs
+#                full recompute, noop batch) from
 #                bench/bench_delta.cc
 #   bench_wal    representative E26 durability numbers from
 #                bench/bench_wal.cc — only the fsync-free paths (append,

@@ -23,7 +23,7 @@
 //   snapshot    warm-start: parse the binary snapshot, then one Holds
 //   update      FunctionalDatabase::ApplyDeltas toggling one base fact
 //               (delete if present, re-insert otherwise) on this lane's
-//               engine — incremental maintenance under live load
+//               engine — edit, then rebuild, under live load
 //               (docs/INCREMENTAL.md); weight 0 by default
 //
 // Durable updates (--wal PREFIX): each lane opens its engine through a
@@ -577,10 +577,9 @@ Status ExecuteRequest(const Workload& w, const Request& r,
     }
     case kUpdate: {
       // Toggle this key's base fact: delete while present, re-insert after.
-      // Updates run *ungoverned* (the per-request governor is ignored): a
-      // breach mid-repair leaves the engine in an unspecified state, which
-      // would corrupt this lane for every later request. The update latency
-      // histogram is the SLO signal instead.
+      // Updates run *ungoverned* (the per-request governor is ignored), as
+      // the daemon runs them; a failed batch would leave the engine
+      // unchanged. The update latency histogram is the SLO signal instead.
       const bool insert = c->fact_present[r.key] == 0;
       StatusOr<DeltaStats> stats = Status::Internal("unreachable");
       if (c->db->durable()) {
@@ -597,8 +596,7 @@ Status ExecuteRequest(const Workload& w, const Request& r,
       }
       if (!stats.ok()) return stats.status();
       c->fact_present[r.key] = insert ? 1 : 0;
-      MixAnswer(c, c->db->Fingerprint() ^ (stats->rebuilt ? 1 : 0) ^
-                       (stats->deleted_bits << 1));
+      MixAnswer(c, c->db->Fingerprint());
       return Status::OK();
     }
   }
@@ -645,8 +643,7 @@ Status ExecuteRemote(const Options& opt, const Workload& w, const Request& r,
                     w.delta_fact_text[r.key].c_str()));
       if (!result.ok()) return result.status();
       c->fact_present[r.key] = insert ? 1 : 0;
-      MixAnswer(c, result->fingerprint ^ (result->rebuilt ? 1 : 0) ^
-                       (result->deleted_bits << 1));
+      MixAnswer(c, result->fingerprint);
       return Status::OK();
     }
   }

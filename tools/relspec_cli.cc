@@ -22,9 +22,9 @@
 //                               the engine then serves everything — the
 //                               warm-start handshake for --apply-deltas
 //     --apply-deltas FILE       apply "+ Fact." / "- Fact." base-fact
-//                               deltas to the built engine (incremental
-//                               maintenance, paper section 5; file format
-//                               and semantics in docs/INCREMENTAL.md);
+//                               deltas to the built engine (edit, then
+//                               rebuild; file format and semantics in
+//                               docs/INCREMENTAL.md);
 //                               queries/specs/snapshots then reflect the
 //                               updated database
 //     --wal FILE                durable mode: open the engine through a
@@ -163,8 +163,8 @@ void PrintHelp(const char* argv0) {
       "                                (the --apply-deltas warm-start\n"
       "                                handshake, docs/INCREMENTAL.md)\n"
       "  --apply-deltas FILE           apply \"+ Fact.\" / \"- Fact.\" deltas\n"
-      "                                to the built engine (incremental\n"
-      "                                maintenance; docs/INCREMENTAL.md)\n"
+      "                                to the built engine (edit, then\n"
+      "                                rebuild; docs/INCREMENTAL.md)\n"
       "  --wal FILE                    durable mode: open through a\n"
       "                                write-ahead log at FILE, replaying\n"
       "                                surviving batches first; deltas are\n"
@@ -495,9 +495,9 @@ int RunCli(int argc, char** argv) {
            bytes->size());
   }
 
-  // Incremental maintenance (paper section 5): apply base-fact deltas to
-  // the built engine. Everything after this point — facts, queries, specs,
-  // --save-snapshot — reflects the updated database.
+  // Apply base-fact deltas to the built engine (edit, then rebuild).
+  // Everything after this point — facts, queries, specs, --save-snapshot —
+  // reflects the updated database.
   if (!apply_deltas.empty()) {
     auto text = ReadFile(apply_deltas);
     if (!text.ok()) return Fail(kExitIo, text.status());
@@ -509,17 +509,9 @@ int RunCli(int argc, char** argv) {
     if (!stats.ok()) {
       return Fail(EngineExitCode(stats.status()), stats.status());
     }
-    printf(
-        "deltas applied: +%zu -%zu (%zu noops), %s%s\n", stats->inserted,
-        stats->deleted, stats->noops,
-        stats->rebuilt
-            ? "universe changed -> full rebuild"
-            : StrFormat("incremental repair (%zu bits retracted, %zu "
-                        "re-derivation rounds%s)",
-                        stats->deleted_bits, stats->rederive_rounds,
-                        stats->chi_reset ? ", chi table reset" : "")
-                  .c_str(),
-        (*db)->truncated() ? " [truncated]" : "");
+    printf("deltas applied: +%zu -%zu (%zu noops)%s\n", stats->inserted,
+           stats->deleted, stats->noops,
+           (*db)->truncated() ? " [truncated]" : "");
     if ((*db)->truncated()) {
       RELSPEC_LOG(kWarning) << "partial result (sound under-approximation): "
                             << (*db)->breach().ToString();
