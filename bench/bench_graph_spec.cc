@@ -1,5 +1,6 @@
 // E7 — Theorem 4.2: the graph specification is computable in DEXPTIME and
-// its size has exponential upper and lower bounds.
+// its size has exponential upper and lower bounds. E24 — Algorithm Q's cost
+// in chain depth (BM_AlgorithmQ_Chain, below).
 //
 // Expected shape: construction time and specification size grow linearly in
 // k on the benign rotation family and exponentially in n on the subset
@@ -80,5 +81,45 @@ BENCHMARK(BM_GraphSpec_MergedFrontier)
     ->Args({16, 1})
     ->Args({64, 0})
     ->Args({64, 1});
+
+// E24 — Algorithm Q against chain depth: a log2(n)-bit counter is a chain
+// of n states below the root (n + 1 clusters). The BFS carries each term's
+// label and expands every Active cluster once: n Expand calls, each a little
+// dearer as the counter widens.
+void BM_AlgorithmQ_Chain(benchmark::State& state) {
+  int bits = 0;
+  while ((int64_t{1} << bits) < state.range(0)) ++bits;
+  auto db = FunctionalDatabase::FromSource(BinaryCounterProgram(bits));
+  if (!db.ok()) {
+    state.SkipWithError(db.status().ToString().c_str());
+    return;
+  }
+  size_t clusters = 0;
+  for (auto _ : state) {
+    // A fresh labeling per iteration: a reused one would serve Algorithm Q
+    // from the Expand cache the previous iteration filled.
+    state.PauseTiming();
+    auto labeling = ComputeFixpoint((*db)->ground());
+    state.ResumeTiming();
+    if (!labeling.ok()) {
+      state.SkipWithError(labeling.status().ToString().c_str());
+      return;
+    }
+    auto graph = BuildLabelGraph(&*labeling);
+    if (!graph.ok()) {
+      state.SkipWithError(graph.status().ToString().c_str());
+      return;
+    }
+    clusters = graph->num_clusters();
+    benchmark::DoNotOptimize(graph);
+  }
+  state.counters["clusters"] = static_cast<double>(clusters);
+}
+BENCHMARK(BM_AlgorithmQ_Chain)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
+    ->Arg(512)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include "src/core/fixpoint.h"
 
+#include <algorithm>
+#include <span>
+
 #include "src/base/failpoint.h"
 #include "src/base/governor.h"
 #include "src/base/logging.h"
@@ -45,24 +48,24 @@ const DynamicBitset& Labeling::LabelOf(const Path& path) {
   for (FuncId f : path.symbols()) {
     if (ground_->SymIndexOf(f) == kInvalidId) return empty_label_;
   }
-  TermId t = terms_.FromSymbols(path.symbols());
+  // Trunk and boundary paths are interned by ComputeFixpoint; a deeper path
+  // is found by its depth-(c+1) prefix, so a lookup interns nothing.
+  std::span<const FuncId> symbols = path.symbols();
+  TermId t = terms_.FindSymbols(
+      symbols.first(std::min<size_t>(symbols.size(), c + 1)));
   if (path.depth() <= c) return trunk_labels_.at(t);
-  if (path.depth() == c + 1) {
-    return chi_->Value(chi_->EntryFor(boundary_seeds_.at(t)));
+  const DynamicBitset& boundary =
+      chi_->Value(chi_->EntryFor(boundary_seeds_.at(t)));
+  if (path.depth() == c + 1) return boundary;
+  // Walk down from the boundary, one Expand per symbol. The first Expand
+  // gets a copy: it may grow the chi table that `boundary` points into.
+  // Later steps point into the Expand cache, whose nodes never move.
+  const DynamicBitset* label = &chi_->Expand(DynamicBitset(boundary))[
+      ground_->SymIndexOf(path.at(c + 1))];
+  for (int i = c + 2; i < path.depth(); ++i) {
+    label = &chi_->Expand(*label)[ground_->SymIndexOf(path.at(i))];
   }
-  auto it = deep_cache_.find(t);
-  if (it != deep_cache_.end()) {
-    RELSPEC_COUNTER("fixpoint.deep_cache_hits");
-    return it->second;
-  }
-  RELSPEC_COUNTER("fixpoint.deep_expansions");
-  // Walk down from the boundary, one Expand per symbol.
-  DynamicBitset label = LabelOf(path.Prefix(c + 1));
-  for (int i = c + 1; i < path.depth(); ++i) {
-    SymIdx sym = ground_->SymIndexOf(path.at(i));
-    label = chi_->Expand(label)[sym];
-  }
-  return deep_cache_.emplace(t, std::move(label)).first->second;
+  return *label;
 }
 
 bool Labeling::Holds(const Path& path, const SliceAtom& atom) {

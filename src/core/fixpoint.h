@@ -59,7 +59,11 @@ class Labeling {
  public:
   /// The label (set of slice atoms true) of an arbitrary path. Paths using
   /// function symbols outside the program's alphabet have empty labels.
-  /// Non-const: deep labels are expanded (and cached) on demand.
+  /// A path deeper than c+1 is walked from its boundary prefix, one
+  /// chi().Expand per symbol: O(depth), and it interns no path. Non-const
+  /// because Expand fills its cache. A boundary label lives in the chi
+  /// table, which a later walk may grow: copy the result to keep it past
+  /// the next call.
   const DynamicBitset& LabelOf(const Path& path);
 
   /// True iff the fact pred(path, args...) is in LFP(Z, D).
@@ -78,8 +82,8 @@ class Labeling {
     return trunk_labels_.at(terms_.FindSymbols(path.symbols()));
   }
 
-  /// The interner holding every path this labeling has touched (trunk,
-  /// boundary, deep lookups). Label maps are keyed by its TermIds.
+  /// The interner holding the trunk and boundary paths (depth <= c+1).
+  /// Label maps are keyed by its TermIds; lookups never grow it.
   const TermInterner& terms() const { return terms_; }
 
   size_t rounds() const { return rounds_; }
@@ -116,8 +120,6 @@ class Labeling {
   std::unordered_map<TermId, DynamicBitset> trunk_labels_;
   /// Boundary (depth c+1) seeds.
   std::unordered_map<TermId, DynamicBitset> boundary_seeds_;
-  /// Cache for LabelOf beyond the boundary.
-  std::unordered_map<TermId, DynamicBitset> deep_cache_;
   size_t rounds_ = 0;
   bool truncated_ = false;
   Status breach_;

@@ -59,17 +59,29 @@ StatusOr<LabelGraph> BuildLabelGraph(Labeling* labeling,
     out.trunk_cluster_.emplace(w, id);
   }
 
-  // Algorithm Q: breadth-first from the frontier layer.
+  // Algorithm Q: breadth-first over states from the frontier layer. An item
+  // carries its term's label. Beyond the boundary a child's label is
+  // Expand(parent label)[f] (Theorem 3.1), so each Active cluster is
+  // expanded once and no term is looked up. Frontier items (parent ==
+  // kInvalidId) carry their path; a deeper item is f_sym(representative of
+  // parent), and that path is only built when the item turns out Active.
+  struct Item {
+    Path path;
+    DynamicBitset label;
+    uint32_t parent = kInvalidId;
+    SymIdx sym = 0;
+  };
   std::unordered_map<DynamicBitset, uint32_t, DynamicBitsetHash> label_to_cluster;
-  std::deque<Path> queue;
-  if (frontier <= c) {
-    for (const Path& w : labeling->trunk_paths()) {
-      if (w.depth() == frontier) queue.push_back(w);
-    }
-  } else {
-    for (const Path& w : labeling->trunk_paths()) {
-      if (w.depth() != c) continue;
-      for (FuncId f : ground.alphabet()) queue.push_back(w.Extend(f));
+  std::deque<Item> queue;
+  for (const Path& w : labeling->trunk_paths()) {
+    if (frontier <= c) {
+      if (w.depth() == frontier) queue.push_back({w, labeling->TrunkLabel(w)});
+    } else if (w.depth() == c) {
+      for (FuncId f : ground.alphabet()) {
+        Path child = w.Extend(f);
+        DynamicBitset label = labeling->LabelOf(child);
+        queue.push_back({std::move(child), std::move(label)});
+      }
     }
   }
   // As in the fixpoint: a resource breach under allow_partial keeps the
@@ -99,17 +111,20 @@ StatusOr<LabelGraph> BuildLabelGraph(Labeling* labeling,
         break;
       }
     }
-    Path p = std::move(queue.front());
-    queue.pop_front();
+    Item& item = queue.front();
     ++out.num_potential_;
-    DynamicBitset label = labeling->LabelOf(p);
-    auto it = label_to_cluster.find(label);
+    auto it = label_to_cluster.find(item.label);
     if (it != label_to_cluster.end()) {
       // Inactive: subsumed by an earlier Active term; branch not extended.
-      if (p.depth() == frontier) out.boundary_cluster_.emplace(p, it->second);
+      if (item.parent == kInvalidId) {
+        out.boundary_cluster_.emplace(std::move(item.path), it->second);
+      } else {
+        out.clusters_[item.parent].successors[item.sym] = it->second;
+      }
+      queue.pop_front();
       continue;
     }
-    // Active: p is the representative of a new cluster.
+    // Active: the item's term is the representative of a new cluster.
     uint32_t id = static_cast<uint32_t>(out.clusters_.size());
     if (out.clusters_.size() >= options.max_clusters) {
       RELSPEC_RETURN_NOT_OK(
@@ -118,20 +133,43 @@ StatusOr<LabelGraph> BuildLabelGraph(Labeling* labeling,
       break;
     }
     Cluster cl;
-    cl.representative = p;
-    cl.label = label;
+    if (item.parent == kInvalidId) {
+      cl.representative = item.path;
+      out.boundary_cluster_.emplace(std::move(item.path), id);
+    } else {
+      cl.representative = out.clusters_[item.parent].representative.Extend(
+          ground.alphabet()[item.sym]);
+      out.clusters_[item.parent].successors[item.sym] = id;
+    }
+    cl.label = item.label;
+    cl.successors.assign(ground.num_symbols(), kInvalidId);
+    label_to_cluster.emplace(std::move(item.label), id);
+    queue.pop_front();
     out.clusters_.push_back(std::move(cl));
-    label_to_cluster.emplace(std::move(label), id);
-    if (p.depth() == frontier) out.boundary_cluster_.emplace(p, id);
     ++out.num_active_;
-    for (FuncId f : ground.alphabet()) queue.push_back(p.Extend(f));
+    const Cluster& active = out.clusters_[id];
+    if (active.representative.depth() > c) {
+      const std::vector<DynamicBitset>& kids =
+          labeling->chi().Expand(active.label);
+      for (SymIdx s = 0; s < ground.num_symbols(); ++s) {
+        queue.push_back({Path(), kids[s], id, s});
+      }
+    } else {
+      // A depth-c cluster (merge_trunk_frontier): its children are
+      // boundary terms, whose labels are the boundary chi entries.
+      for (SymIdx s = 0; s < ground.num_symbols(); ++s) {
+        DynamicBitset label = labeling->LabelOf(
+            active.representative.Extend(ground.alphabet()[s]));
+        queue.push_back({Path(), std::move(label), id, s});
+      }
+    }
   }
 
   // An interrupted BFS leaves dangling edges (frontier paths never visited,
   // successor labels never clustered). The synthetic unknown cluster — empty
   // label, every successor a self-loop — absorbs them so the graph stays
-  // structurally well-formed. Created before the successor pass: push_back
-  // during iteration would invalidate references.
+  // structurally well-formed. An unvisited child whose state did get a
+  // cluster still points at that cluster.
   if (out.truncated_) {
     out.unknown_cluster_ = static_cast<uint32_t>(out.clusters_.size());
     Cluster unknown;
@@ -139,40 +177,32 @@ StatusOr<LabelGraph> BuildLabelGraph(Labeling* labeling,
     unknown.label = DynamicBitset(ground.num_atoms());
     unknown.successors.assign(ground.num_symbols(), out.unknown_cluster_);
     out.clusters_.push_back(std::move(unknown));
+    for (const Item& item : queue) {
+      if (item.parent == kInvalidId) continue;
+      auto it = label_to_cluster.find(item.label);
+      out.clusters_[item.parent].successors[item.sym] =
+          it != label_to_cluster.end() ? it->second : out.unknown_cluster_;
+    }
   }
 
-  // Successor mappings.
-  for (size_t ci = 0; ci < out.clusters_.size(); ++ci) {
-    Cluster& cl = out.clusters_[ci];
-    if (static_cast<uint32_t>(ci) == out.unknown_cluster_) continue;
+  // Trunk successors: trunk children, then the frontier entry points.
+  for (Cluster& cl : out.clusters_) {
+    if (!cl.trunk) continue;
     cl.successors.assign(ground.num_symbols(), kInvalidId);
     for (SymIdx s = 0; s < ground.num_symbols(); ++s) {
       Path child = cl.representative.Extend(ground.alphabet()[s]);
-      if (cl.trunk) {
-        if (child.depth() < frontier) {
-          cl.successors[s] = out.trunk_cluster_.at(child);
-        } else {
-          auto bit = out.boundary_cluster_.find(child);
-          if (bit != out.boundary_cluster_.end()) {
-            cl.successors[s] = bit->second;
-          } else if (out.truncated_) {
-            cl.successors[s] = out.unknown_cluster_;
-          } else {
-            return Status::Internal(
-                "frontier path missing from the boundary index");
-          }
-        }
+      if (child.depth() < frontier) {
+        cl.successors[s] = out.trunk_cluster_.at(child);
+        continue;
+      }
+      auto bit = out.boundary_cluster_.find(child);
+      if (bit != out.boundary_cluster_.end()) {
+        cl.successors[s] = bit->second;
+      } else if (out.truncated_) {
+        cl.successors[s] = out.unknown_cluster_;
       } else {
-        auto it = label_to_cluster.find(labeling->LabelOf(child));
-        if (it != label_to_cluster.end()) {
-          cl.successors[s] = it->second;
-        } else if (out.truncated_) {
-          cl.successors[s] = out.unknown_cluster_;
-        } else {
-          return Status::Internal(
-              "successor label missing from the cluster index (BFS did not "
-              "close the graph)");
-        }
+        return Status::Internal(
+            "frontier path missing from the boundary index");
       }
     }
   }

@@ -10,6 +10,12 @@
 // becomes a cluster representative — iff no earlier Active term has the same
 // state. Only Active branches are extended; successor mappings point from
 // each cluster to the cluster of f(representative).
+//
+// The traversal runs over states: each queued term carries its label, read
+// from the trunk or the boundary chi entries at depth <= c+1 and otherwise
+// taken from one Expand(parent label) per Active cluster. So no term is
+// looked up by path, and a successor edge is set the moment the child term
+// resolves to a cluster.
 
 #ifndef RELSPEC_CORE_LABEL_GRAPH_H_
 #define RELSPEC_CORE_LABEL_GRAPH_H_

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "src/base/metrics.h"
 #include "src/core/engine.h"
 #include "src/core/query.h"
@@ -81,6 +85,26 @@ TEST(Engine, FactsWithUnknownSymbolsAreFalse) {
   // A ground term using a function symbol the program never mentions.
   EXPECT_FALSE(*(*db)->HoldsFactText("Meets(ghost(0), Tony)"));
   EXPECT_TRUE(*(*db)->HoldsFactText("Meets(1, Tony)"));
+}
+
+TEST(Engine, DeepMembershipProbesDoNotGrowTheLabeling) {
+  std::ifstream in(std::string(RELSPEC_SOURCE_DIR) +
+                   "/examples/programs/meets.rsp");
+  ASSERT_TRUE(in.good());
+  std::stringstream source;
+  source << in.rdbuf();
+  auto db = FunctionalDatabase::FromSource(source.str());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const size_t terms = (*db)->labeling().terms().size();
+  // 10,000 distinct terms, each deeper than the boundary (c = 0). Tony
+  // meets on even days and Jan on odd ones.
+  for (int d = 2; d < 10'002; ++d) {
+    auto holds = (*db)->HoldsFactText("Meets(0+" + std::to_string(d) +
+                                      ", Tony)");
+    ASSERT_TRUE(holds.ok()) << holds.status().ToString();
+    ASSERT_EQ(*holds, d % 2 == 0) << d;
+  }
+  EXPECT_EQ((*db)->labeling().terms().size(), terms);
 }
 
 TEST(Engine, InfoAndStatsPopulated) {

@@ -4,11 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+#include <unordered_set>
+
+#include "bench/bench_util.h"
+#include "src/base/governor.h"
+#include "src/base/metrics.h"
 #include "src/core/engine.h"
 #include "src/core/verify.h"
+#include "tests/random_program.h"
 
 namespace relspec {
 namespace {
+
+using relspec_bench::BinaryCounterProgram;
 
 constexpr const char* kMeets = R"(
   Meets(0, Tony).
@@ -100,6 +110,128 @@ TEST(GraphSpec, UnknownTermsAndAtomsAreFalse) {
   SymbolTable copy = spec->symbols();
   (void)copy;
   EXPECT_TRUE(spec->SliceOf(Path({kInvalidId - 1})).empty());
+}
+
+// Algorithm Q runs over states: each Active cluster beyond the boundary is
+// expanded once, and no term is looked up or interned by path.
+TEST(LabelGraph, ExpandsEachActiveClusterOnce) {
+  auto db = FunctionalDatabase::FromSource(BinaryCounterProgram(9));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  // A fresh labeling, so the Expand cache starts cold.
+  auto labeling = ComputeFixpoint((*db)->ground());
+  ASSERT_TRUE(labeling.ok()) << labeling.status().ToString();
+  const size_t terms = labeling->terms().size();
+  MetricsRegistry::Global().Reset();
+  EnableMetrics(true);
+  auto graph = BuildLabelGraph(&*labeling);
+  EnableMetrics(false);
+  MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  MetricsRegistry::Global().Reset();
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  EXPECT_EQ(graph->num_clusters(), 513u);
+  EXPECT_EQ(snap.counter("chi.expand_cache_hits"), 0u);
+  EXPECT_EQ(snap.counter("chi.expansions"), graph->num_active());
+  EXPECT_EQ(labeling->terms().size(), terms);
+}
+
+// Checks every successor edge against the labeling's own per-path walk: the
+// f-successor of cluster C has the label of f(representative of C). In a
+// truncated graph an edge may lead to the unknown sink instead, but a
+// non-trunk cluster's edge only does so when no explored cluster has the
+// child's label.
+void ExpectSuccessorsMatchLabeling(FunctionalDatabase* db) {
+  const LabelGraph& graph = db->label_graph();
+  Labeling& labeling = db->labeling();
+  const std::vector<FuncId>& alphabet = db->ground().alphabet();
+  std::unordered_set<DynamicBitset, DynamicBitsetHash> explored;
+  for (uint32_t ci = 0; ci < graph.num_clusters(); ++ci) {
+    const Cluster& cl = graph.cluster(ci);
+    if (!cl.trunk && ci != graph.unknown_cluster()) explored.insert(cl.label);
+  }
+  for (uint32_t ci = 0; ci < graph.num_clusters(); ++ci) {
+    if (ci == graph.unknown_cluster()) continue;
+    const Cluster& cl = graph.cluster(ci);
+    ASSERT_EQ(cl.successors.size(), alphabet.size());
+    for (SymIdx s = 0; s < alphabet.size(); ++s) {
+      uint32_t succ = cl.successors[s];
+      ASSERT_LT(succ, graph.num_clusters()) << "cluster " << ci;
+      // A copy: a boundary label points into the chi table, which a later
+      // LabelOf may grow.
+      DynamicBitset want =
+          labeling.LabelOf(cl.representative.Extend(alphabet[s]));
+      if (succ == graph.unknown_cluster()) {
+        EXPECT_TRUE(graph.truncated());
+        if (!cl.trunk) {
+          EXPECT_EQ(explored.count(want), 0u) << "cluster " << ci;
+        }
+        continue;
+      }
+      EXPECT_EQ(graph.cluster(succ).label, want)
+          << "cluster " << ci << " symbol " << s;
+    }
+  }
+}
+
+TEST(LabelGraph, SuccessorsMatchPerPathLabels) {
+  for (int seed = 0; seed < 25; ++seed) {
+    for (bool rich : {false, true}) {
+      std::mt19937 rng(static_cast<unsigned>(seed) * 2654435761u + 11u);
+      std::string source = rich ? testutil::RandomProgramRich(&rng)
+                                : testutil::RandomProgram(&rng);
+      for (bool merge : {false, true}) {
+        SCOPED_TRACE(source);
+        SCOPED_TRACE(merge ? "merge_trunk_frontier" : "c+1 frontier");
+        EngineOptions options;
+        options.graph.merge_trunk_frontier = merge;
+        auto db = FunctionalDatabase::FromSource(source, options);
+        ASSERT_TRUE(db.ok()) << db.status().ToString();
+        ExpectSuccessorsMatchLabeling(db->get());
+      }
+    }
+  }
+}
+
+TEST(LabelGraph, TruncatedSuccessorsMatchPerPathLabels) {
+  // A governor breach in the fixpoint freezes chi; Algorithm Q then runs on
+  // the partial labeling and stops at the same budget.
+  for (const std::string& source :
+       {std::string(kMeets), BinaryCounterProgram(5)}) {
+    for (uint64_t max_nodes : {2u, 3u}) {
+      SCOPED_TRACE(source);
+      GovernorLimits limits;
+      limits.max_nodes = max_nodes;
+      ResourceGovernor governor(limits);
+      EngineOptions options;
+      options.governor = &governor;
+      options.allow_partial = true;
+      auto db = FunctionalDatabase::FromSource(source, options);
+      ASSERT_TRUE(db.ok()) << db.status().ToString();
+      ASSERT_TRUE((*db)->label_graph().truncated());
+      ExpectSuccessorsMatchLabeling(db->get());
+    }
+  }
+  // A cluster cap over a converged labeling: the BFS stops with children
+  // still queued, and those whose state has a cluster keep their edge.
+  std::vector<std::string> sources = {BinaryCounterProgram(6)};
+  for (int seed = 0; seed < 25; ++seed) {
+    std::mt19937 rng(static_cast<unsigned>(seed) * 2654435761u + 11u);
+    sources.push_back(testutil::RandomProgramRich(&rng));
+  }
+  for (const std::string& source : sources) {
+    for (size_t max_clusters : {3u, 6u, 20u}) {
+      for (bool merge : {false, true}) {
+        SCOPED_TRACE(source);
+        EngineOptions options;
+        options.graph.max_clusters = max_clusters;
+        options.graph.merge_trunk_frontier = merge;
+        options.allow_partial = true;
+        auto db = FunctionalDatabase::FromSource(source, options);
+        ASSERT_TRUE(db.ok()) << db.status().ToString();
+        EXPECT_FALSE((*db)->labeling().truncated());
+        ExpectSuccessorsMatchLabeling(db->get());
+      }
+    }
+  }
 }
 
 // ---------- equational specification ----------

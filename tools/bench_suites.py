@@ -40,6 +40,9 @@ SUITES = {
     "bench_slowlog": (
         "bench_slowlog",
         r"BM_Slowlog_(Disabled|Sampled|AlwaysOn|Dump)$"),
+    "bench_graph_spec": (
+        "bench_graph_spec",
+        r"BM_AlgorithmQ_Chain/512$"),
 }
 
 # Generous on purpose: shared runners swing wildly, so the gate catches

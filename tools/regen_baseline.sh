@@ -4,7 +4,7 @@
 #
 # Usage: tools/regen_baseline.sh [BUILD_DIR]   (default: build)
 #
-# Eight suites:
+# Nine suites:
 #   bench_query  representative E18 microbenchmarks (cache, snapshot warm
 #                start) from bench/bench_query.cc
 #   bench_trace  representative E19 tracer-ablation numbers from
@@ -19,6 +19,8 @@
 #   bench_slowlog  E28 slow-query audit log ablation (recording disabled /
 #                sampled / always-on / full-ring JSONL dump) from
 #                bench/bench_slowlog.cc
+#   bench_graph_spec  E24 Algorithm Q on a 512-state counter chain from
+#                bench/bench_graph_spec.cc
 #   bench_serve  a fixed-seed serving session from relspec_bench_serve
 #                (the same flags the CI perf job uses)
 #   bench_serve_durable  the same schedule served through per-lane WALs
@@ -41,13 +43,14 @@ BUILD_DIR="${1:-build}"
 
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
     bench_query --target bench_trace --target bench_delta \
-    --target bench_wal --target bench_slowlog \
+    --target bench_wal --target bench_slowlog --target bench_graph_spec \
     --target relspec_bench_serve --target relspecd >/dev/null
 
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-for suite in bench_query bench_trace bench_delta bench_wal bench_slowlog; do
+for suite in bench_query bench_trace bench_delta bench_wal bench_slowlog \
+    bench_graph_spec; do
   echo "== $suite =="
   python3 tools/bench_suites.py run "$BUILD_DIR" "$suite" "$TMP/$suite.json"
 done
@@ -82,5 +85,6 @@ wait "$DAEMON_PID"
 
 python3 tools/bench_suites.py baseline BENCH_baseline.json \
     "$TMP/bench_query.json" "$TMP/bench_trace.json" "$TMP/bench_delta.json" \
-    "$TMP/bench_wal.json" "$TMP/bench_slowlog.json" "$TMP/serve.json" \
+    "$TMP/bench_wal.json" "$TMP/bench_slowlog.json" \
+    "$TMP/bench_graph_spec.json" "$TMP/serve.json" \
     "$TMP/serve_durable.json" "$TMP/serve_daemon.json"

@@ -23,10 +23,12 @@
 #
 # --asan builds with -DRELSPEC_SANITIZE=address,undefined (default dir:
 # build-asan) and runs the fault-injection suites (failpoint, governor,
-# parser), the query suite and the WAL suite under ASan+UBSan: every
-# injected unwind path must be leak- and UB-free, a query walk that indexes
-# a successor map out of range must fail, and WAL replay moves a rebuilt
-# engine's members into the live one once per batch. See docs/ROBUSTNESS.md.
+# parser), the query, WAL, label-graph and fixpoint suites under ASan+UBSan:
+# every injected unwind path must be leak- and UB-free, a query walk that
+# indexes a successor map out of range must fail, WAL replay moves a rebuilt
+# engine's members into the live one once per batch, Algorithm Q's queue
+# moves labels, and Labeling::LabelOf returns references into the Expand
+# cache. See docs/ROBUSTNESS.md.
 #
 # --fuzz builds the parser/snapshot/WAL/protocol fuzz target
 # (-DRELSPEC_FUZZ=ON, default dir: build-fuzz) and runs a 30-second smoke
@@ -55,10 +57,10 @@ if [[ "${1:-}" == "--asan" ]]; then
       -DRELSPEC_WERROR=OFF
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
       failpoint_test governor_test parser_test snapshot_test \
-      differential_test query_test wal_test
+      differential_test query_test wal_test spec_test fixpoint_test
   echo "== asan+ubsan tests =="
   for t in failpoint_test governor_test parser_test snapshot_test \
-           differential_test query_test wal_test; do
+           differential_test query_test wal_test spec_test fixpoint_test; do
     echo "-- $t"
     "$BUILD_DIR"/tests/"$t"
   done
