@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
+#include "src/base/metrics.h"
 #include "src/core/engine.h"
 
 namespace {
@@ -94,5 +95,42 @@ BENCHMARK(BM_Fixpoint_TrunkGrowth)
     ->Args({6, 2})
     ->Args({10, 2})
     ->Unit(benchmark::kMillisecond);
+
+// E26 — the chi worklist on a chain: a log2(n)-bit counter is a chain of n
+// states below the root, n + 1 chi entries, each closed exactly once. Times
+// ComputeFixpoint only; parsing and grounding happen once, outside the loop.
+void BM_Fixpoint_Chain(benchmark::State& state) {
+  int bits = 0;
+  while ((int64_t{1} << bits) < state.range(0)) ++bits;
+  auto db = FunctionalDatabase::FromSource(BinaryCounterProgram(bits));
+  if (!db.ok()) {
+    state.SkipWithError(db.status().ToString().c_str());
+    return;
+  }
+  const GroundProgram& ground = (*db)->ground();
+  size_t entries = 0;
+  for (auto _ : state) {
+    auto labeling = ComputeFixpoint(ground);
+    if (!labeling.ok()) {
+      state.SkipWithError(labeling.status().ToString().c_str());
+      return;
+    }
+    entries = labeling->chi().num_entries();
+    benchmark::DoNotOptimize(labeling);
+  }
+  // Closures are counted on one extra, untimed run, so the timed loop keeps
+  // the metrics registry's disabled path.
+  MetricsRegistry::Global().Reset();
+  EnableMetrics(true);
+  auto counted = ComputeFixpoint(ground);
+  EnableMetrics(false);
+  uint64_t closures =
+      MetricsRegistry::Global().Snapshot().counter("chi.close_node_calls");
+  MetricsRegistry::Global().Reset();
+  benchmark::DoNotOptimize(counted);
+  state.counters["chi_entries"] = static_cast<double>(entries);
+  state.counters["closures"] = static_cast<double>(closures);
+}
+BENCHMARK(BM_Fixpoint_Chain)->Arg(512)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -84,8 +84,8 @@ BENCHMARK(BM_GraphSpec_MergedFrontier)
 
 // E24 — Algorithm Q against chain depth: a log2(n)-bit counter is a chain
 // of n states below the root (n + 1 clusters). The BFS carries each term's
-// label and expands every Active cluster once: n Expand calls, each a little
-// dearer as the counter widens.
+// chi entry and follows each Active cluster's recorded child entries, so it
+// closes nothing: the cost is one label hash per Potential term.
 void BM_AlgorithmQ_Chain(benchmark::State& state) {
   int bits = 0;
   while ((int64_t{1} << bits) < state.range(0)) ++bits;
@@ -96,8 +96,7 @@ void BM_AlgorithmQ_Chain(benchmark::State& state) {
   }
   size_t clusters = 0;
   for (auto _ : state) {
-    // A fresh labeling per iteration: a reused one would serve Algorithm Q
-    // from the Expand cache the previous iteration filled.
+    // A fresh labeling per iteration, as every build makes one.
     state.PauseTiming();
     auto labeling = ComputeFixpoint((*db)->ground());
     state.ResumeTiming();

@@ -1,6 +1,5 @@
 #include "src/core/fixpoint.h"
 
-#include <algorithm>
 #include <span>
 
 #include "src/base/failpoint.h"
@@ -48,24 +47,19 @@ const DynamicBitset& Labeling::LabelOf(const Path& path) {
   for (FuncId f : path.symbols()) {
     if (ground_->SymIndexOf(f) == kInvalidId) return empty_label_;
   }
-  // Trunk and boundary paths are interned by ComputeFixpoint; a deeper path
-  // is found by its depth-(c+1) prefix, so a lookup interns nothing.
+  if (path.depth() <= c) return TrunkLabel(path);
+  // A deeper path is found by its depth-(c+1) prefix, so a lookup interns
+  // nothing; below it, each symbol follows one recorded child entry.
   std::span<const FuncId> symbols = path.symbols();
-  TermId t = terms_.FindSymbols(
-      symbols.first(std::min<size_t>(symbols.size(), c + 1)));
-  if (path.depth() <= c) return trunk_labels_.at(t);
-  const DynamicBitset& boundary =
-      chi_->Value(chi_->EntryFor(boundary_seeds_.at(t)));
-  if (path.depth() == c + 1) return boundary;
-  // Walk down from the boundary, one Expand per symbol. The first Expand
-  // gets a copy: it may grow the chi table that `boundary` points into.
-  // Later steps point into the Expand cache, whose nodes never move.
-  const DynamicBitset* label = &chi_->Expand(DynamicBitset(boundary))[
-      ground_->SymIndexOf(path.at(c + 1))];
-  for (int i = c + 2; i < path.depth(); ++i) {
-    label = &chi_->Expand(*label)[ground_->SymIndexOf(path.at(i))];
+  uint32_t entry = BoundaryEntry(symbols.first(c + 1));
+  for (int i = c + 1; i < path.depth(); ++i) {
+    entry = chi_->Children(entry)[ground_->SymIndexOf(path.at(i))];
   }
-  return *label;
+  return chi_->Value(entry);
+}
+
+uint32_t Labeling::BoundaryEntry(std::span<const FuncId> symbols) {
+  return chi_->EntryFor(boundary_seeds_.at(terms_.FindSymbols(symbols)));
 }
 
 bool Labeling::Holds(const Path& path, const SliceAtom& atom) {
@@ -91,8 +85,7 @@ StatusOr<Labeling> ComputeFixpoint(const GroundProgram& ground,
   out.shared_ = std::make_unique<Labeling::ChiShared>();
   out.shared_->ctx = DynamicBitset(ground.num_ctx());
   out.empty_label_ = DynamicBitset(ground.num_atoms());
-  out.chi_ = std::make_unique<ChiEngine>(&ground, &out.shared_->ctx,
-                                         &out.shared_->ctx_changed);
+  out.chi_ = std::make_unique<ChiEngine>(&ground, &out.shared_->ctx);
   DynamicBitset& ctx = out.shared_->ctx;
 
   const int c = ground.trunk_depth();
@@ -275,14 +268,13 @@ Status Labeling::RunToFixpoint(const FixpointOptions& options) {
       }
     }
 
-    // 5. One pass over the chi table.
-    shared_->ctx_changed = false;
+    // 5. Drain the chi worklist.
     StatusOr<bool> chi_changed = chi.ProcessAllOnce();
     if (!chi_changed.ok()) {
       RELSPEC_RETURN_NOT_OK(degrade(chi_changed.status()));
       break;
     }
-    changed |= *chi_changed || shared_->ctx_changed;
+    changed |= *chi_changed;
     RELSPEC_TRACE_COUNTER("fixpoint.nodes",
                           trunk_paths_.size() + chi.num_entries());
     RELSPEC_TRACE_COUNTER("fixpoint.chi_entries", chi.num_entries());

@@ -9,8 +9,8 @@
 //     pinned facts, closed under the propositional global rules.
 //
 // ComputeFixpoint runs a chaotic iteration (global rules, pinned syncs,
-// trunk rules, chi passes) until a full round changes nothing; monotonicity
-// over finite lattices gives termination and leastness.
+// trunk rules, a chi worklist drain) until a full round changes nothing;
+// monotonicity over finite lattices gives termination and leastness.
 //
 // ComputeBoundedFixpoint is the brute-force reference: the least fixpoint of
 // the rule system restricted to nodes of depth <= bound. It
@@ -23,6 +23,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/base/bitset.h"
@@ -59,12 +60,16 @@ class Labeling {
  public:
   /// The label (set of slice atoms true) of an arbitrary path. Paths using
   /// function symbols outside the program's alphabet have empty labels.
-  /// A path deeper than c+1 is walked from its boundary prefix, one
-  /// chi().Expand per symbol: O(depth), and it interns no path. Non-const
-  /// because Expand fills its cache. A boundary label lives in the chi
-  /// table, which a later walk may grow: copy the result to keep it past
-  /// the next call.
+  /// A path deeper than c+1 is walked from its boundary entry along the
+  /// chi entries' recorded children: O(depth), and it interns no path and
+  /// closes nothing. Non-const because a frozen (truncated) chi engine
+  /// closes a still-queued entry on first read. A label beyond the trunk
+  /// lives in the chi table, which such a read may grow: copy the result to
+  /// keep it past the next call.
   const DynamicBitset& LabelOf(const Path& path);
+
+  /// The chi entry of a boundary (depth c+1) path over the alphabet.
+  uint32_t BoundaryEntry(std::span<const FuncId> symbols);
 
   /// True iff the fact pred(path, args...) is in LFP(Z, D).
   bool Holds(const Path& path, const SliceAtom& atom);
@@ -102,11 +107,11 @@ class Labeling {
   // enclosing Labeling.
   struct ChiShared {
     DynamicBitset ctx;
-    bool ctx_changed = false;
   };
-  /// The chaotic iteration (global rules, pinned syncs, trunk rules, chi
-  /// passes) run to convergence from the base facts ComputeFixpoint has
-  /// asserted.
+  /// The chaotic iteration (global rules, pinned syncs, trunk rules, a chi
+  /// worklist drain) run from the base facts ComputeFixpoint has asserted,
+  /// until a round changes nothing: no trunk label, seed or context bit
+  /// grows and the drain finds its worklist empty.
   Status RunToFixpoint(const FixpointOptions& options);
 
   const GroundProgram* ground_ = nullptr;  // owned by the caller

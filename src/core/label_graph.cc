@@ -60,27 +60,34 @@ StatusOr<LabelGraph> BuildLabelGraph(Labeling* labeling,
   }
 
   // Algorithm Q: breadth-first over states from the frontier layer. An item
-  // carries its term's label. Beyond the boundary a child's label is
-  // Expand(parent label)[f] (Theorem 3.1), so each Active cluster is
-  // expanded once and no term is looked up. Frontier items (parent ==
-  // kInvalidId) carry their path; a deeper item is f_sym(representative of
-  // parent), and that path is only built when the item turns out Active.
+  // carries its term's chi entry, whose value is the term's label. Beyond
+  // the boundary a child's entry is the recorded children[f] of its parent's
+  // entry (Theorem 3.1), so no term is looked up and nothing is closed.
+  // Frontier items (parent == kInvalidId) carry their path; a depth-c
+  // frontier term (merge_trunk_frontier) has no entry and reads its trunk
+  // label. A deeper item is f_sym(representative of parent), and that path
+  // is only built when the item turns out Active.
   struct Item {
     Path path;
-    DynamicBitset label;
+    uint32_t entry = kInvalidId;
     uint32_t parent = kInvalidId;
     SymIdx sym = 0;
+  };
+  ChiEngine& chi = labeling->chi();
+  auto label_of = [&](const Item& item) -> const DynamicBitset& {
+    return item.entry == kInvalidId ? labeling->TrunkLabel(item.path)
+                                    : chi.Value(item.entry);
   };
   std::unordered_map<DynamicBitset, uint32_t, DynamicBitsetHash> label_to_cluster;
   std::deque<Item> queue;
   for (const Path& w : labeling->trunk_paths()) {
     if (frontier <= c) {
-      if (w.depth() == frontier) queue.push_back({w, labeling->TrunkLabel(w)});
+      if (w.depth() == frontier) queue.push_back({w});
     } else if (w.depth() == c) {
       for (FuncId f : ground.alphabet()) {
         Path child = w.Extend(f);
-        DynamicBitset label = labeling->LabelOf(child);
-        queue.push_back({std::move(child), std::move(label)});
+        uint32_t entry = labeling->BoundaryEntry(child.symbols());
+        queue.push_back({std::move(child), entry});
       }
     }
   }
@@ -113,7 +120,7 @@ StatusOr<LabelGraph> BuildLabelGraph(Labeling* labeling,
     }
     Item& item = queue.front();
     ++out.num_potential_;
-    auto it = label_to_cluster.find(item.label);
+    auto it = label_to_cluster.find(label_of(item));
     if (it != label_to_cluster.end()) {
       // Inactive: subsumed by an earlier Active term; branch not extended.
       if (item.parent == kInvalidId) {
@@ -133,6 +140,7 @@ StatusOr<LabelGraph> BuildLabelGraph(Labeling* labeling,
       break;
     }
     Cluster cl;
+    cl.label = label_of(item);
     if (item.parent == kInvalidId) {
       cl.representative = item.path;
       out.boundary_cluster_.emplace(std::move(item.path), id);
@@ -141,26 +149,25 @@ StatusOr<LabelGraph> BuildLabelGraph(Labeling* labeling,
           ground.alphabet()[item.sym]);
       out.clusters_[item.parent].successors[item.sym] = id;
     }
-    cl.label = item.label;
     cl.successors.assign(ground.num_symbols(), kInvalidId);
-    label_to_cluster.emplace(std::move(item.label), id);
+    label_to_cluster.emplace(cl.label, id);
+    uint32_t entry = item.entry;
     queue.pop_front();
     out.clusters_.push_back(std::move(cl));
     ++out.num_active_;
-    const Cluster& active = out.clusters_[id];
-    if (active.representative.depth() > c) {
-      const std::vector<DynamicBitset>& kids =
-          labeling->chi().Expand(active.label);
+    if (entry != kInvalidId) {
+      const std::vector<uint32_t>& kids = chi.Children(entry);
       for (SymIdx s = 0; s < ground.num_symbols(); ++s) {
         queue.push_back({Path(), kids[s], id, s});
       }
     } else {
       // A depth-c cluster (merge_trunk_frontier): its children are
       // boundary terms, whose labels are the boundary chi entries.
+      const Path& rep = out.clusters_[id].representative;
       for (SymIdx s = 0; s < ground.num_symbols(); ++s) {
-        DynamicBitset label = labeling->LabelOf(
-            active.representative.Extend(ground.alphabet()[s]));
-        queue.push_back({Path(), std::move(label), id, s});
+        uint32_t kid =
+            labeling->BoundaryEntry(rep.Extend(ground.alphabet()[s]).symbols());
+        queue.push_back({Path(), kid, id, s});
       }
     }
   }
@@ -179,7 +186,7 @@ StatusOr<LabelGraph> BuildLabelGraph(Labeling* labeling,
     out.clusters_.push_back(std::move(unknown));
     for (const Item& item : queue) {
       if (item.parent == kInvalidId) continue;
-      auto it = label_to_cluster.find(item.label);
+      auto it = label_to_cluster.find(label_of(item));
       out.clusters_[item.parent].successors[item.sym] =
           it != label_to_cluster.end() ? it->second : out.unknown_cluster_;
     }

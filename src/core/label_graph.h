@@ -11,11 +11,12 @@
 // state. Only Active branches are extended; successor mappings point from
 // each cluster to the cluster of f(representative).
 //
-// The traversal runs over states: each queued term carries its label, read
-// from the trunk or the boundary chi entries at depth <= c+1 and otherwise
-// taken from one Expand(parent label) per Active cluster. So no term is
-// looked up by path, and a successor edge is set the moment the child term
-// resolves to a cluster.
+// The traversal runs over states: each queued term carries its chi entry,
+// the boundary entry at depth c+1 and otherwise children[f] of its parent
+// cluster's entry, as recorded when the fixpoint closed that entry (a
+// depth-c frontier term reads its trunk label instead). So no term is
+// looked up by path, a converged labeling closes nothing, and a successor
+// edge is set the moment the child term resolves to a cluster.
 
 #ifndef RELSPEC_CORE_LABEL_GRAPH_H_
 #define RELSPEC_CORE_LABEL_GRAPH_H_

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 
 #include "src/base/metrics.h"
 #include "src/base/str_util.h"
@@ -55,25 +56,28 @@ uint64_t Checksum(std::string_view bytes) {
 class Writer {
  public:
   void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(static_cast<char>(v >> (8 * i)));
-  }
+  void U32(uint32_t v) { Store32(Grow(4), v); }
   void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<char>(v >> (8 * i)));
+    char* p = Grow(8);
+    for (int i = 0; i < 8; ++i) p[i] = static_cast<char>(v >> (8 * i));
   }
   void I32(int32_t v) { U32(static_cast<uint32_t>(v)); }
   void Str(std::string_view s) {
     U32(static_cast<uint32_t>(s.size()));
     out_.append(s);
   }
-  void PathOf(const Path& p) {
-    U32(static_cast<uint32_t>(p.symbols().size()));
-    for (FuncId f : p.symbols()) U32(f);
+  /// A u32 count, then that many u32s.
+  void U32s(std::span<const uint32_t> vs) {
+    char* p = Store32(Grow(4 * (1 + vs.size())),
+                      static_cast<uint32_t>(vs.size()));
+    for (uint32_t v : vs) p = Store32(p, v);
   }
+  void PathOf(const Path& p) { U32s(p.symbols()); }
   void Bits(const DynamicBitset& b) {
-    U32(static_cast<uint32_t>(b.size()));
-    U32(static_cast<uint32_t>(b.Count()));
-    b.ForEach([&](size_t i) { U32(static_cast<uint32_t>(i)); });
+    const size_t count = b.Count();
+    char* p = Store32(Grow(4 * (2 + count)), static_cast<uint32_t>(b.size()));
+    p = Store32(p, static_cast<uint32_t>(count));
+    b.ForEach([&](size_t i) { p = Store32(p, static_cast<uint32_t>(i)); });
   }
 
   /// Closes the pending section (tag recorded by Begin) by patching its
@@ -108,6 +112,19 @@ class Writer {
   }
 
  private:
+  /// Appends `n` bytes, to be stored by the caller, and returns the first:
+  /// a run of values costs one resize instead of a push_back per byte.
+  char* Grow(size_t n) {
+    const size_t at = out_.size();
+    out_.resize(at + n);
+    return out_.data() + at;
+  }
+  /// Stores `v` little-endian at `p`; returns the byte after it.
+  static char* Store32(char* p, uint32_t v) {
+    for (int i = 0; i < 4; ++i) p[i] = static_cast<char>(v >> (8 * i));
+    return p + 4;
+  }
+
   std::string out_;
   size_t section_start_ = 0;
 };
@@ -271,8 +288,7 @@ void WriteAtoms(const std::vector<SliceAtom>& atoms, Writer* w) {
   w->U32(static_cast<uint32_t>(atoms.size()));
   for (const SliceAtom& a : atoms) {
     w->U32(a.pred);
-    w->U32(static_cast<uint32_t>(a.args.size()));
-    for (ConstId c : a.args) w->U32(c);
+    w->U32s(a.args);
   }
   w->End();
 }
@@ -310,8 +326,7 @@ void WriteClusters(const std::vector<Cluster>& clusters, Writer* w) {
     w->U8(c.trunk ? 1 : 0);
     w->PathOf(c.representative);
     w->Bits(c.label);
-    w->U32(static_cast<uint32_t>(c.successors.size()));
-    for (uint32_t s : c.successors) w->U32(s);
+    w->U32s(c.successors);
   }
   w->End();
 }
@@ -355,8 +370,7 @@ void WriteGlobals(
   w->U32(static_cast<uint32_t>(globals.size()));
   for (const auto& [pred, args] : globals) {
     w->U32(pred);
-    w->U32(static_cast<uint32_t>(args.size()));
-    for (ConstId c : args) w->U32(c);
+    w->U32s(args);
   }
   w->End();
 }
@@ -510,8 +524,7 @@ std::string Snapshot::Serialize(const GraphSpecification& spec) {
   WriteSymbols(spec.symbols(), &w);
 
   w.Begin(kSecAlphabet);
-  w.U32(static_cast<uint32_t>(spec.alphabet().size()));
-  for (FuncId f : spec.alphabet()) w.U32(f);
+  w.U32s(spec.alphabet());
   w.End();
 
   WriteAtoms(spec.atom_dictionary(), &w);

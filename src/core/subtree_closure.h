@@ -8,12 +8,17 @@
 // including up-propagation (body at children, head at the node),
 // down-propagation (head at a child) and sibling interaction.
 //
-// ChiEngine tabulates chi by Kleene iteration over the finite function
-// lattice: entries are keyed by seed, values grow monotonically, and a full
-// processing pass that changes nothing certifies the least fixpoint. This
-// table is the computational heart of the paper's finite representability
-// results (and of the DEXPTIME bound of Theorem 4.1: the table has at most
-// 2^|U| entries).
+// ChiEngine tabulates chi by chaotic iteration over the finite function
+// lattice, run as a worklist: entries are keyed by seed, values grow
+// monotonically, and each entry records the child entries its latest closure
+// demanded (one per symbol) plus the entries whose closure read it. An entry
+// is closed again only when an entry it read has grown or the shared context
+// has grown, so a drained worklist certifies the least fixpoint. This table
+// is the computational heart of the paper's finite representability results
+// (and of the DEXPTIME bound of Theorem 4.1: the table has at most 2^|U|
+// entries). Once converged, each entry's recorded children are the labels of
+// its node's children, so Algorithm Q and deep label walks follow entry ids
+// and close nothing.
 //
 // Existential rules (heads that are context propositions) fire during entry
 // processing into the shared context bitset; this is sound because every
@@ -23,6 +28,7 @@
 #define RELSPEC_CORE_SUBTREE_CLOSURE_H_
 
 #include <cstdint>
+#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -55,31 +61,34 @@ bool BodySatisfied(const GroundRule& rule, const DynamicBitset& label,
 class ChiEngine {
  public:
   /// `ctx` is shared with the trunk fixpoint; context emissions set bits in
-  /// it and raise `*ctx_changed`. Both must outlive the engine.
-  ChiEngine(const GroundProgram* ground, DynamicBitset* ctx, bool* ctx_changed)
-      : ground_(ground), ctx_(ctx), ctx_changed_(ctx_changed) {}
+  /// it. It must outlive the engine.
+  ChiEngine(const GroundProgram* ground, DynamicBitset* ctx)
+      : ground_(ground), ctx_(ctx), ctx_seen_(*ctx) {}
 
-  /// Looks up (or creates, with value = seed) the entry for `seed`.
+  /// Looks up (or creates, with value = seed, and queues) the entry for
+  /// `seed`.
   uint32_t EntryFor(const DynamicBitset& seed);
 
-  /// Current value of an entry. Monotonically grows across passes.
+  /// Current value of an entry. Monotonically grows while the worklist
+  /// drains. The reference is invalidated by the next table growth.
   const DynamicBitset& Value(uint32_t entry) const {
     return entries_[entry].value;
   }
 
-  /// Processes every entry once. Returns true if any value, context bit or
-  /// table membership changed.
-  ///
-  /// This is Gauss-Seidel: entries demanded during the pass are appended and
-  /// processed within the same pass, and each closure sees every update made
-  /// before it. Newly demanded entries count as a change so the surrounding
-  /// loop always runs another pass to close them.
-  StatusOr<bool> ProcessAllOnce();
+  /// children[s]: the entry whose value is the label of child s of a node
+  /// labelled Value(entry). Reading the children of a still-queued entry is
+  /// a RELSPEC_CHECK failure unless the engine is frozen; a frozen engine
+  /// closes the entry here, once. The reference is invalidated by the next
+  /// table growth.
+  const std::vector<uint32_t>& Children(uint32_t entry);
 
-  /// Child labels of a node with (converged) label `label` at depth >= c.
-  /// Only meaningful once the surrounding fixpoint has converged. Cached;
-  /// the cache is dropped whenever anything changes.
-  const std::vector<DynamicBitset>& Expand(const DynamicBitset& label);
+  /// Drains the worklist: closes every queued entry, re-queueing the readers
+  /// of each entry that grows and every entry when the context grows (here or
+  /// since the last drain). Returns true if any value or context bit changed.
+  ///
+  /// Entries demanded during the drain are queued and closed within it, and
+  /// each closure sees every update made before it.
+  StatusOr<bool> ProcessAllOnce();
 
   size_t num_entries() const { return entries_.size(); }
 
@@ -91,9 +100,10 @@ class ChiEngine {
   /// outlive the engine.
   void set_governor(ResourceGovernor* g) { governor_ = g; }
 
-  /// Freezes the engine after an interrupted (truncated) fixpoint: Expand no
-  /// longer insists that labels are closed — it closes them on the fly —
-  /// because a breached iteration legitimately leaves non-converged labels.
+  /// Freezes the engine after an interrupted (truncated) fixpoint: Children
+  /// no longer insists that an entry is closed — it closes queued entries on
+  /// first read — because a breached iteration legitimately leaves
+  /// non-converged values.
   void set_frozen(bool frozen) { frozen_ = frozen; }
   bool frozen() const { return frozen_; }
 
@@ -101,25 +111,40 @@ class ChiEngine {
   struct Entry {
     DynamicBitset seed;
     DynamicBitset value;
+    /// Child entry per symbol from the latest closure; empty until closed.
+    std::vector<uint32_t> children;
+    /// Entries whose closure read this one, ascending: re-queued when this
+    /// value grows.
+    std::vector<uint32_t> readers;
+    /// In queue_. A frozen engine's lazy close clears it and leaves the id.
+    bool queued = true;
   };
 
   /// Runs the node-local closure for label T: iterates child seeds and
   /// labels to their mutual fixpoint (demanding child seeds from the live
   /// table), fires eps-head additions into T and context emissions into the
-  /// shared context. Returns true if T or ctx changed. On return,
-  /// `child_labels` holds the children's labels for the final T.
-  bool CloseNode(DynamicBitset* T, std::vector<DynamicBitset>* child_labels);
+  /// shared context. Returns true if it emitted a context bit. On return,
+  /// `children` holds the child entries for the final T and `reads` every
+  /// entry whose value the closure read.
+  bool CloseNode(DynamicBitset* T, std::vector<uint32_t>* children,
+                 std::vector<uint32_t>* reads);
+
+  /// Closes a dequeued entry, records its children and reverse edges, and
+  /// re-queues what its growth invalidates. Returns true on a change.
+  bool Close(uint32_t entry);
+  void Enqueue(uint32_t entry);
+  void EnqueueAll();
 
   const GroundProgram* ground_;
   DynamicBitset* ctx_;
-  bool* ctx_changed_;
+  /// The context every closed entry has seen; a drain that finds the
+  /// context grown since re-queues every entry.
+  DynamicBitset ctx_seen_;
   ResourceGovernor* governor_ = nullptr;
   bool frozen_ = false;
   std::unordered_map<DynamicBitset, uint32_t, DynamicBitsetHash> index_;
   std::vector<Entry> entries_;
-  std::unordered_map<DynamicBitset, std::vector<DynamicBitset>,
-                     DynamicBitsetHash>
-      expand_cache_;
+  std::deque<uint32_t> queue_;
   size_t max_entries_ = 5'000'000;
 };
 

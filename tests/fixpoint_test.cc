@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_util.h"
 #include "src/base/metrics.h"
 #include "src/core/fixpoint.h"
 #include "src/core/ground.h"
@@ -318,6 +319,33 @@ TEST(FixpointMetrics, RoundCounterCappedByMaxRounds) {
   // The counter tracks rounds entered, and the cap aborts in round
   // max_rounds + 1.
   EXPECT_EQ(snap.counter("fixpoint.rounds"), options.max_rounds + 1);
+}
+
+// The chi worklist closes an entry again only when an entry it read grew or
+// the context grew. On a counter neither happens after the first closure, so
+// every entry is closed exactly once.
+TEST(Fixpoint, ClosesEachChiEntryOnceOnACounter) {
+  auto b = Build(relspec_bench::BinaryCounterProgram(9));
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  ScopedMetrics metrics;
+  auto l = ComputeFixpoint(b->ground);
+  ASSERT_TRUE(l.ok()) << l.status().ToString();
+  MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(l->chi().num_entries(), 513u);
+  EXPECT_EQ(snap.counter("chi.close_node_calls"), l->chi().num_entries());
+}
+
+// Children of a queued entry are unclosed: reading them before the fixpoint
+// converged is a bug, except on a frozen engine, which closes the entry.
+TEST(ChiEngineDeathTest, QueuedChildrenReadOnlyWhenFrozen) {
+  auto b = Build("P(0).\nP(t) -> P(t+1).");
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  DynamicBitset ctx(b->ground.num_ctx());
+  ChiEngine chi(&b->ground, &ctx);
+  uint32_t entry = chi.EntryFor(DynamicBitset(b->ground.num_atoms()));
+  EXPECT_DEATH(chi.Children(entry), "read before the fixpoint converged");
+  chi.set_frozen(true);
+  EXPECT_EQ(chi.Children(entry).size(), b->ground.num_symbols());
 }
 
 }  // namespace

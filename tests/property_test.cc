@@ -7,12 +7,14 @@
 //   (d) serialization round trips,
 //   (e) query answers from (B, F) vs the rebuild oracle (Theorem 5.1),
 //   (f) bounded CONGR evaluation (Section 3.6).
+// Fixed programs that close chi entries more than once run (a)-(d) too.
 
 #include <gtest/gtest.h>
 
 #include <random>
 #include <string>
 
+#include "src/base/metrics.h"
 #include "src/core/congr.h"
 #include "src/core/engine.h"
 #include "src/core/query.h"
@@ -105,6 +107,25 @@ TEST_P(RandomProgramTest, RichPipelineInvariants) {
   std::string source = RandomProgramRich(&rng);
   SCOPED_TRACE(source);
   RunPipelineInvariants(source);
+}
+
+// The random generators rarely make the chi worklist close an entry twice;
+// these programs do (see ReclosurePrograms), and must still match the
+// bounded brute force.
+TEST(ReclosureProgramTest, PipelineInvariants) {
+  for (const std::string& source : testutil::ReclosurePrograms()) {
+    SCOPED_TRACE(source);
+    MetricsRegistry::Global().Reset();
+    EnableMetrics(true);
+    auto db = FunctionalDatabase::FromSource(source);
+    EnableMetrics(false);
+    uint64_t closures =
+        MetricsRegistry::Global().Snapshot().counter("chi.close_node_calls");
+    MetricsRegistry::Global().Reset();
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_GT(closures, (*db)->labeling().chi().num_entries());
+    RunPipelineInvariants(source);
+  }
 }
 
 TEST_P(RandomProgramTest, UniformQueriesIncrementalEqualsRecompute) {

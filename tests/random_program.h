@@ -120,6 +120,26 @@ inline std::string RandomProgramRich(std::mt19937* rng) {
   return out;
 }
 
+// Programs whose chi entries must be closed more than once: the worklist
+// closes an entry again only when an entry it read grew or the context
+// grew, and the random generators rarely do either after a first closure.
+//   (a) the deep entry {D} fires a context-head rule, and the already-closed
+//       entry {B} reads that context bit in an eps rule;
+//   (b) the child entry {C} grows by up-propagation after its reader {B}
+//       has closed, and {B} then fires an eps rule on the grown child;
+//   (c) as (a), but the bit {B} reads comes from a global rule in the
+//       next round, so the context grows between two worklist drains.
+inline std::vector<std::string> ReclosurePrograms() {
+  return {
+      "A(0).\nA(t) -> B(t+1).\nB(t) -> C(t+1).\nC(t) -> D(t+1).\n"
+      "D(t) -> Seen(k).\nSeen(k), B(t) -> S(t).\nS(t+1) -> U(t).\n",
+      "A(0).\nA(t) -> B(t+1).\nB(t) -> C(t+1).\nC(t) -> D(t+1).\n"
+      "D(t+1) -> E(t).\nE(t+1) -> F(t).\nF(t+1) -> G(t).\n",
+      "A(0).\nA(t) -> B(t+1).\nB(t) -> C(t+1).\nC(t) -> Seen(k).\n"
+      "Seen(x) -> Glob(x).\nGlob(k), B(t) -> S(t).\nS(t+1) -> U(t).\n",
+  };
+}
+
 // All paths over the program's alphabet up to `depth`, shortlex.
 inline std::vector<Path> UniverseUpTo(const GroundProgram& ground, int depth) {
   std::vector<Path> out = {Path::Zero()};

@@ -43,6 +43,9 @@ SUITES = {
     "bench_graph_spec": (
         "bench_graph_spec",
         r"BM_AlgorithmQ_Chain/512$"),
+    "bench_fixpoint": (
+        "bench_fixpoint",
+        r"BM_Fixpoint_Chain/512$"),
 }
 
 # Generous on purpose: shared runners swing wildly, so the gate catches

@@ -4,7 +4,7 @@
 #
 # Usage: tools/regen_baseline.sh [BUILD_DIR]   (default: build)
 #
-# Nine suites:
+# Ten suites:
 #   bench_query  representative E18 microbenchmarks (cache, snapshot warm
 #                start) from bench/bench_query.cc
 #   bench_trace  representative E19 tracer-ablation numbers from
@@ -12,7 +12,7 @@
 #   bench_delta  representative E21 fact-delta numbers (delta apply vs
 #                full recompute, noop batch) from
 #                bench/bench_delta.cc
-#   bench_wal    representative E26 durability numbers from
+#   bench_wal    representative E22 durability numbers from
 #                bench/bench_wal.cc — only the fsync-free paths (append,
 #                scan, durable update with fsync=off, recovery): device
 #                sync latency on shared runners is too noisy to gate
@@ -21,6 +21,8 @@
 #                bench/bench_slowlog.cc
 #   bench_graph_spec  E24 Algorithm Q on a 512-state counter chain from
 #                bench/bench_graph_spec.cc
+#   bench_fixpoint  E26 the chi worklist (ComputeFixpoint alone) on the same
+#                chain from bench/bench_fixpoint.cc
 #   bench_serve  a fixed-seed serving session from relspec_bench_serve
 #                (the same flags the CI perf job uses)
 #   bench_serve_durable  the same schedule served through per-lane WALs
@@ -44,13 +46,14 @@ BUILD_DIR="${1:-build}"
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
     bench_query --target bench_trace --target bench_delta \
     --target bench_wal --target bench_slowlog --target bench_graph_spec \
-    --target relspec_bench_serve --target relspecd >/dev/null
+    --target bench_fixpoint --target relspec_bench_serve --target relspecd \
+    >/dev/null
 
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
 for suite in bench_query bench_trace bench_delta bench_wal bench_slowlog \
-    bench_graph_spec; do
+    bench_graph_spec bench_fixpoint; do
   echo "== $suite =="
   python3 tools/bench_suites.py run "$BUILD_DIR" "$suite" "$TMP/$suite.json"
 done
@@ -86,5 +89,5 @@ wait "$DAEMON_PID"
 python3 tools/bench_suites.py baseline BENCH_baseline.json \
     "$TMP/bench_query.json" "$TMP/bench_trace.json" "$TMP/bench_delta.json" \
     "$TMP/bench_wal.json" "$TMP/bench_slowlog.json" \
-    "$TMP/bench_graph_spec.json" "$TMP/serve.json" \
+    "$TMP/bench_graph_spec.json" "$TMP/bench_fixpoint.json" "$TMP/serve.json" \
     "$TMP/serve_durable.json" "$TMP/serve_daemon.json"

@@ -23,12 +23,13 @@
 #
 # --asan builds with -DRELSPEC_SANITIZE=address,undefined (default dir:
 # build-asan) and runs the fault-injection suites (failpoint, governor,
-# parser), the query, WAL, label-graph and fixpoint suites under ASan+UBSan:
-# every injected unwind path must be leak- and UB-free, a query walk that
-# indexes a successor map out of range must fail, WAL replay moves a rebuilt
-# engine's members into the live one once per batch, Algorithm Q's queue
-# moves labels, and Labeling::LabelOf returns references into the Expand
-# cache. See docs/ROBUSTNESS.md.
+# parser), the query, WAL, label-graph, fixpoint and property suites under
+# ASan+UBSan: every injected unwind path must be leak- and UB-free, a query
+# walk that indexes a successor map out of range must fail, WAL replay moves
+# a rebuilt engine's members into the live one once per batch, and the chi
+# worklist reads child values by reference into its entry table, which
+# EntryFor appends to, while Labeling::LabelOf returns a reference into it.
+# See docs/ROBUSTNESS.md.
 #
 # --fuzz builds the parser/snapshot/WAL/protocol fuzz target
 # (-DRELSPEC_FUZZ=ON, default dir: build-fuzz) and runs a 30-second smoke
@@ -57,10 +58,12 @@ if [[ "${1:-}" == "--asan" ]]; then
       -DRELSPEC_WERROR=OFF
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
       failpoint_test governor_test parser_test snapshot_test \
-      differential_test query_test wal_test spec_test fixpoint_test
+      differential_test query_test wal_test spec_test fixpoint_test \
+      property_test
   echo "== asan+ubsan tests =="
   for t in failpoint_test governor_test parser_test snapshot_test \
-           differential_test query_test wal_test spec_test fixpoint_test; do
+           differential_test query_test wal_test spec_test fixpoint_test \
+           property_test; do
     echo "-- $t"
     "$BUILD_DIR"/tests/"$t"
   done
