@@ -32,7 +32,7 @@ bool Prepare(benchmark::State& state, int k, Setup* out,
     return false;
   }
   out->db = std::move(*db);
-  auto q = ParseQuery(query, out->db->mutable_program());
+  auto q = ParseQuery(query, out->db->program().symbols);
   if (!q.ok()) {
     state.SkipWithError(q.status().ToString().c_str());
     return false;
@@ -82,7 +82,7 @@ void BM_Query_JoinIncremental(benchmark::State& state) {
     return;
   }
   auto q = ParseQuery("?(t, x, y) OnCall(t, x), Rotate(x, y).",
-                      (*db)->mutable_program());
+                      (*db)->program().symbols);
   if (!q.ok()) {
     state.SkipWithError(q.status().ToString().c_str());
     return;
@@ -184,7 +184,7 @@ void BM_Query_Enumerate(benchmark::State& state) {
     state.SkipWithError(db.status().ToString().c_str());
     return;
   }
-  auto q = ParseQuery("?(t, x) OnCall(t, x).", (*db)->mutable_program());
+  auto q = ParseQuery("?(t, x) OnCall(t, x).", (*db)->program().symbols);
   if (!q.ok()) return;
   auto ans = AnswerQuery(db->get(), *q);
   if (!ans.ok()) return;
@@ -216,7 +216,7 @@ void BM_Query_EnumerateDeadEnd(benchmark::State& state) {
     state.SkipWithError(db.status().ToString().c_str());
     return;
   }
-  auto q = ParseQuery("?(y) At(y, p2).", (*db)->mutable_program());
+  auto q = ParseQuery("?(y) At(y, p2).", (*db)->program().symbols);
   if (!q.ok()) {
     state.SkipWithError(q.status().ToString().c_str());
     return;

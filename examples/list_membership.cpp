@@ -49,7 +49,7 @@ int main() {
   }
 
   printf("\n== Section 5: the query Member(s, a) ==\n");
-  auto query = ParseQuery("?(s) Member(s, a).", (*db)->mutable_program());
+  auto query = ParseQuery("?(s) Member(s, a).", (*db)->program().symbols);
   if (!query.ok()) return 1;
   auto answer = AnswerQuery(db->get(), *query);
   if (!answer.ok()) return 1;

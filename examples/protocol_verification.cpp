@@ -42,7 +42,7 @@ int main() {
 
   printf("\n== safety check: can both nodes hold the token? ==\n");
   auto violation = ParseQuery("?(t) Holds(t, n1), Holds(t, n2).",
-                              (*db)->mutable_program());
+                              (*db)->program().symbols);
   if (!violation.ok()) return 1;
   auto answer = AnswerQuery(db->get(), *violation);
   if (!answer.ok()) return 1;
@@ -78,7 +78,7 @@ int main() {
   )");
   if (!fixed.ok()) return 1;
   auto q2 = ParseQuery("?(t) Holds(t, n1), Holds(t, n2).",
-                       (*fixed)->mutable_program());
+                       (*fixed)->program().symbols);
   if (!q2.ok()) return 1;
   auto a2 = AnswerQuery(fixed->get(), *q2);
   if (!a2.ok()) return 1;

@@ -44,7 +44,7 @@ int main() {
   printf("  quotient model check: %s\n", verified.ToString().c_str());
 
   printf("\n== the infinite answer to ?(t,x) Meets(t,x), finitely ==\n");
-  auto query = ParseQuery("?(t,x) Meets(t, x).", (*db)->mutable_program());
+  auto query = ParseQuery("?(t,x) Meets(t, x).", (*db)->program().symbols);
   if (!query.ok()) return 1;
   auto answer = AnswerQuery(db->get(), *query);
   if (!answer.ok()) return 1;

@@ -60,7 +60,7 @@ int main() {
   printf("  certificate: %s\n", cert.ToString().c_str());
 
   printf("\n== all plans that reach p2, as a specification ==\n");
-  auto query = ParseQuery("?(y) At(y, p2).", (*db)->mutable_program());
+  auto query = ParseQuery("?(y) At(y, p2).", (*db)->program().symbols);
   if (!query.ok()) {
     fprintf(stderr, "%s\n", query.status().ToString().c_str());
     return 1;

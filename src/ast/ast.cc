@@ -152,6 +152,23 @@ int Program::MaxGroundDepth() const {
   return c;
 }
 
+bool Query::MentionsLocalSymbol(const Atom& atom) const {
+  auto own_constant = [this](const NfArg& a) {
+    return a.IsConstant() && a.id >= local.constant_base;
+  };
+  if (std::any_of(atom.args.begin(), atom.args.end(), own_constant)) {
+    return true;
+  }
+  if (!atom.fterm.has_value()) return false;
+  for (const FuncApply& app : atom.fterm->apps) {
+    if (app.fn >= local.function_base ||
+        std::any_of(app.args.begin(), app.args.end(), own_constant)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void CollectVariables(const Atom& atom, std::vector<VarId>* nf_vars,
                       std::optional<VarId>* func_var) {
   auto add_nf = [nf_vars](VarId v) {

@@ -104,11 +104,46 @@ struct Rule {
 /// A positive conjunctive query. Variables not listed in `answer_vars` are
 /// existentially quantified. At most one functional variable may occur
 /// (Section 5).
+///
+/// A query read against a symbol table it may not write (ParseQuery) keeps
+/// its own names in `local`: every variable, and each constant or function
+/// symbol the table lacks. Their ids start at the table's counts when the
+/// query was parsed, and `local` records those bases, so an id at or past a
+/// base names the query's own symbol even after the table grows. A query's
+/// own constant or function symbol occurs in no fact.
 struct Query {
+  struct LocalNames {
+    ConstId constant_base = kInvalidId;
+    FuncId function_base = kInvalidId;
+    VarId variable_base = kInvalidId;
+    std::vector<std::string> constants;
+    std::vector<FunctionInfo> functions;
+    std::vector<std::string> variables;
+  };
+
   std::vector<Atom> atoms;
   /// Free variables, in output-column order. May include the functional
   /// variable.
   std::vector<VarId> answer_vars;
+  /// Empty, with every base kInvalidId, for a query lowered into a table.
+  LocalNames local;
+
+  /// Names and metadata by id: the query's own when local, else the table's.
+  const std::string& ConstantName(ConstId c, const SymbolTable& symbols) const {
+    return c >= local.constant_base ? local.constants[c - local.constant_base]
+                                    : symbols.constant_name(c);
+  }
+  const FunctionInfo& Function(FuncId f, const SymbolTable& symbols) const {
+    return f >= local.function_base ? local.functions[f - local.function_base]
+                                    : symbols.function(f);
+  }
+  const std::string& VariableName(VarId v, const SymbolTable& symbols) const {
+    return v >= local.variable_base ? local.variables[v - local.variable_base]
+                                    : symbols.variable_name(v);
+  }
+  /// True if `atom` mentions one of the query's own constants or function
+  /// symbols: no fact has it, so the atom holds nowhere.
+  bool MentionsLocalSymbol(const Atom& atom) const;
 };
 
 /// A functional deductive database: rules Z plus ground facts D, sharing a

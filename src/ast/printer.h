@@ -14,6 +14,9 @@ std::string ToString(const NfArg& arg, const SymbolTable& symbols);
 std::string ToString(const FuncTerm& term, const SymbolTable& symbols);
 std::string ToString(const Atom& atom, const SymbolTable& symbols);
 std::string ToString(const Rule& rule, const SymbolTable& symbols);
+/// "?(x,y) P(x), Q(y)." — the answer columns, then the atoms, with the
+/// query's own names (Query::local) where it has them. Re-parses to the
+/// same query.
 std::string ToString(const Query& query, const SymbolTable& symbols);
 
 /// The whole program: facts first, then rules, one per line.

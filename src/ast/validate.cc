@@ -11,7 +11,13 @@ namespace relspec {
 
 namespace {
 
-Status CheckAtomShape(const Atom& atom, const SymbolTable& symbols) {
+// A query with no names of its own: every id resolves in the table.
+const Query kTableNames;
+
+// `names` resolves function symbols, so a query's own symbols check against
+// the arity the query gave them.
+Status CheckAtomShape(const Atom& atom, const SymbolTable& symbols,
+                      const Query& names = kTableNames) {
   if (atom.pred >= symbols.num_predicates()) {
     return Status::InvalidArgument("atom references unknown predicate id");
   }
@@ -30,14 +36,15 @@ Status CheckAtomShape(const Atom& atom, const SymbolTable& symbols) {
   }
   if (atom.fterm.has_value()) {
     for (const FuncApply& a : atom.fterm->apps) {
-      if (a.fn >= symbols.num_functions()) {
+      if (a.fn < names.local.function_base && a.fn >= symbols.num_functions()) {
         return Status::InvalidArgument("unknown function symbol id in term");
       }
-      int want = symbols.function(a.fn).arity - 1;
+      const FunctionInfo& fn = names.Function(a.fn, symbols);
+      int want = fn.arity - 1;
       if (static_cast<int>(a.args.size()) != want) {
         return Status::InvalidArgument(StrFormat(
             "function symbol '%s' expects %d non-functional arguments, got %zu",
-            symbols.function(a.fn).name.c_str(), want, a.args.size()));
+            fn.name.c_str(), want, a.args.size()));
       }
     }
   }
@@ -133,7 +140,7 @@ Status ValidateQuery(const Query& query, const SymbolTable& symbols) {
   std::set<VarId> nf_vars, func_vars;
   for (const Atom& a : query.atoms) {
     RELSPEC_RETURN_NOT_OK(
-        CheckAtomShape(a, symbols).WithContext("query atom"));
+        CheckAtomShape(a, symbols, query).WithContext("query atom"));
   }
   CollectAll(query.atoms, &nf_vars, &func_vars);
   if (func_vars.size() > 1) {
@@ -145,7 +152,7 @@ Status ValidateQuery(const Query& query, const SymbolTable& symbols) {
     if (nf_vars.count(v) == 0 && func_vars.count(v) == 0) {
       return Status::InvalidArgument(
           StrFormat("answer variable '%s' does not occur in the query",
-                    symbols.variable_name(v).c_str()));
+                    query.VariableName(v, symbols).c_str()));
     }
   }
   return Status::OK();

@@ -68,7 +68,8 @@ StatusOr<std::unique_ptr<FunctionalDatabase>> FunctionalDatabase::FromProgram(
   return db;
 }
 
-StatusOr<Path> FunctionalDatabase::PathOfGroundTerm(const FuncTerm& term) {
+StatusOr<Path> FunctionalDatabase::PathOfGroundTerm(
+    const FuncTerm& term) const {
   if (!term.IsGround()) {
     return Status::InvalidArgument("term is not ground");
   }
@@ -90,17 +91,20 @@ StatusOr<bool> FunctionalDatabase::HoldsFact(const Atom& fact) {
   if (!fact.fterm.has_value()) {
     return labeling_.HoldsGlobal(fact.pred, args);
   }
-  RELSPEC_ASSIGN_OR_RETURN(Path path, PathOfGroundTerm(*fact.fterm));
-  return labeling_.Holds(path, SliceAtom{fact.pred, args});
+  StatusOr<Path> path = PathOfGroundTerm(*fact.fterm);
+  if (path.status().code() == StatusCode::kNotFound) return false;
+  RELSPEC_RETURN_NOT_OK(path.status());
+  return labeling_.Holds(*path, SliceAtom{fact.pred, args});
 }
 
 StatusOr<bool> FunctionalDatabase::HoldsFactText(std::string_view text) {
   std::string wrapped = "? " + std::string(text) + ".";
-  RELSPEC_ASSIGN_OR_RETURN(Query q, ParseQuery(wrapped, &program_));
+  RELSPEC_ASSIGN_OR_RETURN(Query q, ParseQuery(wrapped, program_.symbols));
   if (q.atoms.size() != 1 || !q.atoms[0].IsGround()) {
     return Status::InvalidArgument(
         "HoldsFactText expects a single ground atom");
   }
+  if (q.MentionsLocalSymbol(q.atoms[0])) return false;
   return HoldsFact(q.atoms[0]);
 }
 
@@ -113,41 +117,6 @@ StatusOr<EquationalSpecification> FunctionalDatabase::BuildEquationalSpec() {
 }
 
 namespace {
-
-// True when `base` is an id-for-id prefix of `ext`: every symbol of `base`
-// exists in `ext` under the same id, name and metadata. ParseQuery interns
-// helper variables (and sometimes constants) into the engine's program, and
-// outstanding Query objects hold those ids — when this holds, the engine can
-// keep the extended table across a delta commit and those queries stay valid.
-bool IsSymbolPrefix(const SymbolTable& base, const SymbolTable& ext) {
-  if (base.num_predicates() > ext.num_predicates() ||
-      base.num_functions() > ext.num_functions() ||
-      base.num_constants() > ext.num_constants() ||
-      base.num_variables() > ext.num_variables()) {
-    return false;
-  }
-  for (PredId p = 0; p < base.num_predicates(); ++p) {
-    const PredicateInfo& a = base.predicate(p);
-    const PredicateInfo& b = ext.predicate(p);
-    if (a.name != b.name || a.arity != b.arity ||
-        a.functional != b.functional) {
-      return false;
-    }
-  }
-  for (FuncId f = 0; f < base.num_functions(); ++f) {
-    if (base.function(f).name != ext.function(f).name ||
-        base.function(f).arity != ext.function(f).arity) {
-      return false;
-    }
-  }
-  for (ConstId c = 0; c < base.num_constants(); ++c) {
-    if (base.constant_name(c) != ext.constant_name(c)) return false;
-  }
-  for (VarId v = 0; v < base.num_variables(); ++v) {
-    if (base.variable_name(v) != ext.variable_name(v)) return false;
-  }
-  return true;
-}
 
 // Applies one edit to `facts`, in batch order: insert appends (unless the
 // fact is already present), delete erases the first equal fact. Returns
@@ -198,9 +167,10 @@ StatusOr<DeltaStats> FunctionalDatabase::ApplyDeltaText(
   // Phase 1: parse and validate the whole batch before editing any facts. A
   // bad line k must leave the database untouched — the strong guarantee —
   // and must not even partially edit the scratch program a later error path
-  // would abandon. (Parsing may intern new symbols into `next.symbols`;
-  // interning is additive and `next` is a private copy, so an abandoned
-  // batch leaves no trace in *this.)
+  // would abandon. (Parsing interns new symbols into `next.symbols`, the one
+  // table a batch writes; `next` is a private copy, so an abandoned batch
+  // leaves no trace in *this.)
+  const size_t num_predicates = next.symbols.num_predicates();
   struct ParsedEdit {
     bool insert;
     Atom fact;
@@ -238,20 +208,26 @@ StatusOr<DeltaStats> FunctionalDatabase::ApplyDeltaText(
       line.remove_prefix(1);
     }
     if (!line.empty() && line.back() == '.') line.remove_suffix(1);
-    // Parse against the edited program copy: new constants/functions intern
-    // into `next.symbols` exactly as they would when rebuilding from the
-    // edited source; unknown predicates are rejected by ParseQuery.
-    std::string wrapped = "? " + std::string(line) + ".";
-    StatusOr<Query> q = ParseQuery(wrapped, &next);
-    if (!q.ok()) {
+    // Parse as a one-fact program seeded with the edited copy's table: new
+    // constants/functions intern into `next.symbols` exactly as they would
+    // when rebuilding from the edited source.
+    StatusOr<Program> parsed =
+        ParseProgram(std::string(line) + ".", std::move(next.symbols));
+    if (!parsed.ok()) {
       return Status::InvalidArgument(StrFormat(
-          "delta line %zu: %s", line_no, q.status().ToString().c_str()));
+          "delta line %zu: %s", line_no, parsed.status().ToString().c_str()));
     }
-    if (q->atoms.size() != 1 || !q->atoms[0].IsGround()) {
+    if (parsed->facts.size() != 1 || !parsed->rules.empty()) {
       return Status::InvalidArgument(StrFormat(
           "delta line %zu: expected a single ground fact", line_no));
     }
-    edits.push_back(ParsedEdit{insert, std::move(q->atoms[0])});
+    if (parsed->symbols.num_predicates() != num_predicates) {
+      return Status::InvalidArgument(StrFormat(
+          "delta line %zu: the fact's predicate does not occur in the program",
+          line_no));
+    }
+    next.symbols = std::move(parsed->symbols);
+    edits.push_back(ParsedEdit{insert, std::move(parsed->facts[0])});
   }
   // Phase 2: the batch parsed end to end; apply the edits in order.
   for (const ParsedEdit& e : edits) {
@@ -272,15 +248,6 @@ StatusOr<DeltaStats> FunctionalDatabase::ApplyEditedProgram(
   std::unique_ptr<FunctionalDatabase> fresh;
   RELSPEC_ASSIGN_OR_RETURN(fresh, FromProgram(std::move(next), options));
 
-  // Keep the old (extended) symbol table when the rebuilt one is an
-  // id-for-id prefix of it, so Query objects parsed against
-  // mutable_program() before the delta keep resolving. If the edit
-  // introduced genuinely new symbols the prefix check fails and the fresh
-  // table wins (outstanding queries must then be re-parsed, as documented
-  // on ApplyDeltas).
-  if (IsSymbolPrefix(fresh->program_.symbols, program_.symbols)) {
-    fresh->program_.symbols = program_.symbols;
-  }
   original_ = std::move(fresh->original_);
   program_ = std::move(fresh->program_);
   info_ = std::move(fresh->info_);
@@ -496,8 +463,8 @@ StatusOr<DeltaStats> FunctionalDatabase::LogAndApplyDeltas(
                            ApplyDeltaText(delta_text, options));
   // Applied in memory; now make it durable. Append returning OK under
   // fsync=always is the acknowledgment the crash tests hold us to. Even an
-  // all-noop batch is logged: its parse may have interned new symbols, and
-  // interning order is engine state a replay must reproduce.
+  // all-noop batch is logged, so that OK means "logged" for every batch; it
+  // changed nothing, and its replay is a noop again.
   RELSPEC_RETURN_NOT_OK(wal_->Append(Fingerprint(), delta_text));
   ++batches_since_checkpoint_;
   if (durable_options_.checkpoint_every > 0 &&

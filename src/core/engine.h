@@ -129,24 +129,26 @@ class FunctionalDatabase {
   /// The program as given (before normalization and purification).
   const Program& original_program() const { return original_; }
   /// The transformed (normal, pure) program the engine actually runs.
+  /// Queries parse against its symbols (ParseQuery), which no read writes.
   const Program& program() const { return program_; }
-  /// Writable symbol table (parsing helper terms may intern new symbols).
-  SymbolTable* mutable_symbols() { return &program_.symbols; }
-  /// Writable transformed program, for ParseQuery and friends. Only the
-  /// symbol table may be extended; rules and facts must not be touched.
-  Program* mutable_program() { return &program_; }
+  /// &program(), under the name the perfbench harness calls.
+  const Program* mutable_program() const { return &program_; }
 
   const ProgramInfo& info() const { return info_; }
   const NormalizeStats& normalize_stats() const { return normalize_stats_; }
   const MixedToPureStats& purify_stats() const { return purify_stats_; }
   const GroundProgram& ground() const { return *ground_; }
   Labeling& labeling() { return labeling_; }
+  const Labeling& labeling() const { return labeling_; }
   const LabelGraph& label_graph() const { return graph_; }
 
   /// Membership of a ground fact given as an Atom over the original
-  /// predicates (mixed terms are purified internally).
+  /// predicates (mixed terms are purified internally). False when the term
+  /// names a mixed encoding the engine lacks.
   StatusOr<bool> HoldsFact(const Atom& fact);
-  /// Convenience: "Meets(4, Tony)" — parsed against this database.
+  /// Convenience: "Meets(4, Tony)" — parsed read-only against this
+  /// database. False when the fact names a constant or function symbol the
+  /// engine lacks.
   StatusOr<bool> HoldsFactText(std::string_view text);
 
   /// Builds the (B, F) graph specification (Section 3.4).
@@ -172,11 +174,11 @@ class FunctionalDatabase {
   /// (predicates, constants, functions); facts mentioning symbols unknown to
   /// the program can only come in through ApplyDeltaText, which interns them.
   ///
-  /// Query objects previously parsed via mutable_program() stay valid across
-  /// a batch as long as the edit introduces no new symbols (the engine keeps
-  /// the extended symbol table whenever the rebuilt one is an id-for-id
-  /// prefix of it). A batch that interns new symbols commits a fresh table:
-  /// re-parse outstanding queries after it.
+  /// Only a batch writes the symbol table; reads never do. A Query parsed
+  /// before a batch stays valid after it: the ids it took from the table
+  /// keep their meaning, and its own names (Query::local) still match
+  /// nothing, even if the batch adds a symbol of that name. Re-parse it to
+  /// see such a symbol.
   StatusOr<DeltaStats> ApplyDeltas(const std::vector<FactDelta>& deltas,
                                    const EngineOptions& options = {});
 
@@ -191,8 +193,9 @@ class FunctionalDatabase {
   /// it to the WAL under the configured fsync policy. OK means *applied and
   /// logged* — under FsyncMode::kAlways it is an acknowledgment that the
   /// batch survives any crash from here on. Even an all-noop batch is
-  /// logged: parsing it may have interned new symbols, and interning order
-  /// is engine state a replay must reproduce byte for byte. If the append
+  /// logged, so that OK means the same for every batch; it changes no
+  /// engine state (its parse interns only into a copy that is dropped), and
+  /// replaying it is a noop again. If the append
   /// or fsync fails the batch stays applied in memory but the log is
   /// poisoned: every later call fails, and the honest move is to discard
   /// this engine and OpenDurable again. FailedPrecondition when the engine
@@ -233,8 +236,9 @@ class FunctionalDatabase {
   }
 
   /// Converts a ground functional term over the original symbols into the
-  /// engine's pure path form.
-  StatusOr<Path> PathOfGroundTerm(const FuncTerm& term);
+  /// engine's pure path form. NotFound when the term names a symbol or mixed
+  /// encoding the engine lacks.
+  StatusOr<Path> PathOfGroundTerm(const FuncTerm& term) const;
 
   /// A stable fingerprint of this database's answer-relevant state: the
   /// original program rendered in normal form plus the result-affecting
@@ -250,7 +254,8 @@ class FunctionalDatabase {
   /// original-form program with `stats` counting the edits already applied
   /// to it. Returns early on an all-noop batch; otherwise builds a fresh
   /// engine from `next` and, only if that succeeds, moves its pipeline
-  /// members into *this and resets the fingerprint.
+  /// members (symbol table included) into *this and resets the
+  /// fingerprint.
   StatusOr<DeltaStats> ApplyEditedProgram(Program next, DeltaStats stats,
                                           const EngineOptions& options);
 

@@ -2,6 +2,7 @@
 
 #include "src/base/metrics.h"
 #include "src/base/str_util.h"
+#include "src/core/mixed_to_pure.h"
 
 namespace relspec {
 
@@ -20,6 +21,27 @@ bool GraphSpecification::HoldsGlobal(PredId pred,
     if (p == pred && a == args) return true;
   }
   return false;
+}
+
+StatusOr<bool> GraphSpecification::HoldsFact(const Query& fact) const {
+  if (fact.atoms.size() != 1 || !fact.atoms[0].IsGround() ||
+      !fact.atoms[0].fterm.has_value()) {
+    return Status::InvalidArgument(
+        "membership wants one ground functional fact, e.g. "
+        "\"OnCall(m0+1, m1)\"");
+  }
+  const Atom& atom = fact.atoms[0];
+  if (fact.MentionsLocalSymbol(atom)) return false;
+  StatusOr<FuncTerm> pure = PurifyGroundTerm(*atom.fterm, &symbols_);
+  if (pure.status().code() == StatusCode::kNotFound) return false;
+  RELSPEC_RETURN_NOT_OK(pure.status());
+  std::vector<FuncId> syms;
+  syms.reserve(pure->apps.size());
+  for (const FuncApply& a : pure->apps) syms.push_back(a.fn);
+  std::vector<ConstId> args;
+  args.reserve(atom.args.size());
+  for (const NfArg& a : atom.args) args.push_back(a.id);
+  return Holds(Path(std::move(syms)), atom.pred, args);
 }
 
 std::vector<SliceAtom> GraphSpecification::SliceOf(const Path& path) const {

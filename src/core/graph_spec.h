@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/ast/ast.h"
 #include "src/core/label_graph.h"
 #include "src/term/symbol_table.h"
 
@@ -26,6 +27,12 @@ class GraphSpecification {
              const std::vector<ConstId>& args) const;
   /// Membership of a ground non-functional fact.
   bool HoldsGlobal(PredId pred, const std::vector<ConstId>& args) const;
+  /// Membership of one ground functional fact, given as a query parsed
+  /// read-only against symbols(), e.g. ParseQuery("? P(f(0), a).",
+  /// spec.symbols()). InvalidArgument unless the query is one ground
+  /// functional atom. A fact naming a constant, function symbol or mixed
+  /// encoding the table lacks holds nowhere.
+  StatusOr<bool> HoldsFact(const Query& fact) const;
 
   /// The slice L[t] of the cluster containing `path`, as explicit tuples.
   std::vector<SliceAtom> SliceOf(const Path& path) const;

@@ -93,15 +93,33 @@ bool AtomHasMixed(const Atom& atom, const SymbolTable& symbols) {
 
 }  // namespace
 
-StatusOr<FuncTerm> PurifyGroundTerm(const FuncTerm& term, SymbolTable* symbols) {
+StatusOr<FuncTerm> PurifyGroundTerm(const FuncTerm& term,
+                                    const SymbolTable* symbols) {
   if (!term.IsGround()) {
     return Status::InvalidArgument("PurifyGroundTerm needs a ground term");
   }
-  Atom wrapper;
-  wrapper.fterm = term;
-  StatusOr<Atom> rewritten = RewriteAtom(wrapper, {}, symbols, nullptr);
-  if (!rewritten.ok()) return rewritten.status();
-  return std::move(*rewritten->fterm);
+  FuncTerm out;
+  std::vector<ConstId> consts;
+  for (const FuncApply& app : term.apps) {
+    if (app.fn >= symbols->num_functions()) {
+      return Status::NotFound("unknown function symbol in term");
+    }
+    if (symbols->function(app.fn).arity < 2) {
+      out.apps.push_back(FuncApply{app.fn, {}});
+      continue;
+    }
+    consts.clear();
+    for (const NfArg& a : app.args) {
+      if (a.id >= symbols->num_constants()) {
+        return Status::NotFound("unknown constant in term");
+      }
+      consts.push_back(a.id);
+    }
+    RELSPEC_ASSIGN_OR_RETURN(
+        FuncId pure, symbols->FindFunction(PureName(*symbols, app.fn, consts)));
+    out.apps.push_back(FuncApply{pure, {}});
+  }
+  return out;
 }
 
 bool DecodePureSymbol(const SymbolTable& symbols, FuncId f, FuncId* mixed,

@@ -28,8 +28,11 @@ struct MixedToPureStats {
 StatusOr<MixedToPureStats> MixedToPure(Program* program);
 
 /// Rewrites a ground functional term, replacing mixed applications by their
-/// pure encodings; interns any needed symbols into `symbols`.
-StatusOr<FuncTerm> PurifyGroundTerm(const FuncTerm& term, SymbolTable* symbols);
+/// pure encodings, found by read-only lookup in `symbols`. NotFound when the
+/// term names a symbol or constant outside the table, or an encoding the
+/// table lacks: no fact holds at such a term.
+StatusOr<FuncTerm> PurifyGroundTerm(const FuncTerm& term,
+                                    const SymbolTable* symbols);
 
 /// The inverse of the pure encoding, by read-only lookup: if `f` is the pure
 /// symbol g{a,...} of a mixed application g(s, a, ...), sets `*mixed` to g

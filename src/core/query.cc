@@ -30,7 +30,9 @@ std::vector<std::string> ColumnNames(const Query& query,
                                      const SymbolTable& symbols) {
   std::vector<std::string> out;
   out.reserve(query.answer_vars.size());
-  for (VarId v : query.answer_vars) out.push_back(symbols.variable_name(v));
+  for (VarId v : query.answer_vars) {
+    out.push_back(query.VariableName(v, symbols));
+  }
   return out;
 }
 
@@ -240,7 +242,8 @@ std::vector<TermWalk> WalksOf(const FuncTerm& term, const SymbolTable& symbols,
 
 }  // namespace
 
-StatusOr<QueryAnswer> AnswerQuery(FunctionalDatabase* db, const Query& query,
+StatusOr<QueryAnswer> AnswerQuery(const FunctionalDatabase* db,
+                                  const Query& query,
                                   ResourceGovernor* governor) {
   RELSPEC_PHASE("query.incremental");
   RELSPEC_COUNTER("query.incremental_answers");
@@ -273,7 +276,8 @@ StatusOr<QueryAnswer> AnswerQuery(FunctionalDatabase* db, const Query& query,
   // walks reach: from each answer cluster when the term is built on the
   // functional variable, once from the cluster of 0 otherwise. Its join
   // columns are its arguments plus its mixed-argument variables. Global
-  // atoms and 0-based terms have fixed tuples.
+  // atoms and 0-based terms have fixed tuples. An atom naming one of the
+  // query's own symbols has no tuples at all.
   struct AtomPlan {
     bool per_cluster = false;
     std::vector<TermWalk> walks;
@@ -299,6 +303,7 @@ StatusOr<QueryAnswer> AnswerQuery(FunctionalDatabase* db, const Query& query,
   for (size_t i = 0; i < query.atoms.size(); ++i) {
     const Atom& a = query.atoms[i];
     AtomPlan& plan = plans[i];
+    const bool holds_nowhere = query.MentionsLocalSymbol(a);
     plan.datom.pred = static_cast<PredId>(i);
     for (const NfArg& arg : a.args) {
       plan.datom.args.push_back(arg.IsConstant()
@@ -306,7 +311,7 @@ StatusOr<QueryAnswer> AnswerQuery(FunctionalDatabase* db, const Query& query,
                                     : datalog::DTerm::Var(var_of(arg.id)));
     }
     if (!a.fterm.has_value()) {
-      for (CtxIdx ci = 0; ci < ground.num_ctx(); ++ci) {
+      for (CtxIdx ci = 0; ci < ground.num_ctx() && !holds_nowhere; ++ci) {
         const CtxProp& prop = ground.ctx_prop(ci);
         if (prop.kind == CtxProp::Kind::kGlobal && prop.pred == a.pred &&
             db->labeling().ctx().Test(ci)) {
@@ -322,7 +327,7 @@ StatusOr<QueryAnswer> AnswerQuery(FunctionalDatabase* db, const Query& query,
         }
       }
     }
-    plan.walks = WalksOf(*a.fterm, symbols, ground);
+    if (!holds_nowhere) plan.walks = WalksOf(*a.fterm, symbols, ground);
     plan.per_cluster = a.fterm->has_var;
     if (!plan.per_cluster) {
       read_walks(a.pred, plan.walks, graph.ClusterOf(Path::Zero()),
@@ -418,7 +423,7 @@ size_t QueryAnswer::ApproxBytes() const {
   return n;
 }
 
-StatusOr<bool> YesNo(FunctionalDatabase* db, const Query& query,
+StatusOr<bool> YesNo(const FunctionalDatabase* db, const Query& query,
                      ResourceGovernor* governor) {
   RELSPEC_PHASE("query.yesno");
   RELSPEC_COUNTER("query.yesno_checks");
@@ -507,7 +512,7 @@ void QueryCache::Clear() {
 }
 
 StatusOr<std::shared_ptr<const QueryAnswer>> AnswerQueryCached(
-    FunctionalDatabase* db, const Query& query, QueryCache* cache,
+    const FunctionalDatabase* db, const Query& query, QueryCache* cache,
     ResourceGovernor* governor, bool* cache_hit) {
   if (cache_hit != nullptr) *cache_hit = false;
   if (cache == nullptr) {

@@ -15,10 +15,12 @@
 // application with variable arguments, ext(s, y), ranges over the
 // alphabet's pure encodings ext{a} and binds y = a as a join column. A
 // symbol or constant outside the alphabet leaves no walk, and the atom holds
-// nowhere: rules are range-restricted, so no fact lies at such a term.
+// nowhere: rules are range-restricted, so no fact lies at such a term. The
+// same holds for the query's own names (Query::local), which no fact has.
 //
-// AnswerQuery only reads the engine: symbols are found by lookup, never
-// interned, and labels come from the graph, not the on-demand labeling.
+// AnswerQuery only reads the engine, which it takes const: symbols are found
+// by lookup, never interned, and labels come from the graph, not the
+// on-demand labeling.
 
 #ifndef RELSPEC_CORE_QUERY_H_
 #define RELSPEC_CORE_QUERY_H_
@@ -103,8 +105,8 @@ class QueryAnswer {
   std::string ToString() const;
 
  private:
-  friend StatusOr<QueryAnswer> AnswerQuery(FunctionalDatabase*, const Query&,
-                                           ResourceGovernor*);
+  friend StatusOr<QueryAnswer> AnswerQuery(const FunctionalDatabase*,
+                                           const Query&, ResourceGovernor*);
 
   /// Fills answer_distance_ from graph_ and per_cluster_ by one reverse BFS
   /// over the successor map. Called once, when a functional answer is built.
@@ -134,11 +136,12 @@ class QueryAnswer {
 /// distinct from EngineOptions::governor, which governs the engine *build*.
 /// On a truncated engine, terms routed through the unknown sink read an
 /// empty label: the answer is a sound under-approximation.
-StatusOr<QueryAnswer> AnswerQuery(FunctionalDatabase* db, const Query& query,
+StatusOr<QueryAnswer> AnswerQuery(const FunctionalDatabase* db,
+                                  const Query& query,
                                   ResourceGovernor* governor = nullptr);
 
 /// "Does Z and D imply the (existentially closed) query?"
-StatusOr<bool> YesNo(FunctionalDatabase* db, const Query& query,
+StatusOr<bool> YesNo(const FunctionalDatabase* db, const Query& query,
                      ResourceGovernor* governor = nullptr);
 
 // ---------------------------------------------------------------------------
@@ -218,14 +221,14 @@ class QueryCache {
 };
 
 /// AnswerQuery through `cache`: the key is (db->Fingerprint(), the query
-/// printed in normal form), so textually different spellings of the same
-/// normalized query share an entry. With a null cache this is exactly
+/// printed in normal form, answer columns included), so textually different
+/// spellings of the same normalized query share an entry. With a null cache this is exactly
 /// AnswerQuery. The per-request `governor` is consulted only on the miss
 /// path (a hit is a map lookup — pointless to breach). When `cache_hit` is
 /// non-null it is set to whether the answer came from the cache (the
 /// serving slow log attributes latency to the cache or eval phase by it).
 StatusOr<std::shared_ptr<const QueryAnswer>> AnswerQueryCached(
-    FunctionalDatabase* db, const Query& query, QueryCache* cache,
+    const FunctionalDatabase* db, const Query& query, QueryCache* cache,
     ResourceGovernor* governor = nullptr, bool* cache_hit = nullptr);
 
 }  // namespace relspec

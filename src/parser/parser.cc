@@ -291,16 +291,26 @@ class TokenParser {
 // ---------- Pass 2: functional inference + lowering ----------
 
 // Decides which predicates are functional and lowers surface statements into
-// the AST. Functionality is inferred to a fixpoint (see parser.h).
+// the AST. Functionality is inferred to a fixpoint (see parser.h). Names
+// resolve in one of two ways: interned into a writable table (programs, and
+// the queries of a parsed source), or looked up in a read-only one, with the
+// names it lacks kept as the query's own (ParseQuery; see Query).
 class Lowerer {
  public:
-  explicit Lowerer(Program* program) : program_(program) {}
+  explicit Lowerer(SymbolTable* symbols) : table_(*symbols), intern_(symbols) {}
+  explicit Lowerer(const SymbolTable& symbols) : table_(symbols) {
+    local_.constant_base = static_cast<ConstId>(symbols.num_constants());
+    local_.function_base = static_cast<FuncId>(symbols.num_functions());
+    local_.variable_base = static_cast<VarId>(symbols.num_variables());
+  }
+
+  const SymbolTable& table() const { return table_; }
 
   Status InferFunctionalPredicates(const std::vector<Statement>& statements) {
     // Seed with predicates already known functional (ParseQuery case).
-    for (PredId p = 0; p < program_->symbols.num_predicates(); ++p) {
-      if (program_->symbols.predicate(p).functional) {
-        functional_preds_.insert(program_->symbols.predicate(p).name);
+    for (PredId p = 0; p < table_.num_predicates(); ++p) {
+      if (table_.predicate(p).functional) {
+        functional_preds_.insert(table_.predicate(p).name);
       }
     }
     bool changed = true;
@@ -342,9 +352,8 @@ class Lowerer {
   StatusOr<Atom> LowerAtom(const SAtom& atom) {
     bool functional = functional_preds_.count(atom.pred) > 0;
     int arity = static_cast<int>(atom.args.size());
-    RELSPEC_ASSIGN_OR_RETURN(
-        PredId pred,
-        program_->symbols.InternPredicate(atom.pred, arity, functional));
+    RELSPEC_ASSIGN_OR_RETURN(PredId pred,
+                             Predicate(atom.pred, arity, functional));
     Atom out;
     out.pred = pred;
     size_t first_nf = 0;
@@ -390,7 +399,7 @@ class Lowerer {
               "a variable or a numeral (variables are s..z[0-9']*)",
               term.line, term.column, term.name.c_str()));
         }
-        base = FuncTerm::Var(program_->symbols.InternVariable(term.name));
+        base = FuncTerm::Var(Variable(term.name));
         func_vars_.insert(term.name);
         if (nf_vars_.count(term.name) > 0) {
           return Status::InvalidArgument(StrFormat(
@@ -402,8 +411,7 @@ class Lowerer {
       case STerm::Kind::kApply: {
         RELSPEC_ASSIGN_OR_RETURN(base, LowerFuncTerm(term.args[0]));
         int arity = static_cast<int>(term.args.size());
-        RELSPEC_ASSIGN_OR_RETURN(
-            FuncId fn, program_->symbols.InternFunction(term.name, arity));
+        RELSPEC_ASSIGN_OR_RETURN(FuncId fn, Function(term.name, arity));
         std::vector<NfArg> args;
         for (size_t i = 1; i < term.args.size(); ++i) {
           RELSPEC_ASSIGN_OR_RETURN(NfArg arg, LowerNfArg(term.args[i]));
@@ -430,7 +438,7 @@ class Lowerer {
           term.line, term.column));
     }
     if (term.kind == STerm::Kind::kNumeral) {
-      return NfArg::Constant(program_->symbols.InternConstant(term.name));
+      return NfArg::Constant(Constant(term.name));
     }
     if (IsVariableName(term.name)) {
       if (func_vars_.count(term.name) > 0) {
@@ -439,9 +447,9 @@ class Lowerer {
             "non-functionally", term.line, term.column, term.name.c_str()));
       }
       nf_vars_.insert(term.name);
-      return NfArg::Variable(program_->symbols.InternVariable(term.name));
+      return NfArg::Variable(Variable(term.name));
     }
-    return NfArg::Constant(program_->symbols.InternConstant(term.name));
+    return NfArg::Constant(Constant(term.name));
   }
 
   /// Resets the per-statement variable-kind tracking.
@@ -450,9 +458,83 @@ class Lowerer {
     nf_vars_.clear();
   }
 
+  VarId Variable(const std::string& name) {
+    if (intern_ != nullptr) return intern_->InternVariable(name);
+    return LocalId(&local_.variables, local_.variable_base, name);
+  }
+  const std::string& VariableName(VarId v) const {
+    return v >= local_.variable_base
+               ? local_.variables[v - local_.variable_base]
+               : table_.variable_name(v);
+  }
+
+  /// The names a read-only lowering kept for itself (none when interning).
+  Query::LocalNames TakeLocalNames() { return std::move(local_); }
+
  private:
+  StatusOr<PredId> Predicate(const std::string& name, int arity,
+                             bool functional) {
+    if (intern_ != nullptr) {
+      return intern_->InternPredicate(name, arity, functional);
+    }
+    StatusOr<PredId> pred = table_.FindPredicate(name);
+    if (!pred.ok()) {
+      return Status::InvalidArgument(
+          "query mentions a predicate that does not occur in the program");
+    }
+    // Functionality is checked by ValidateQuery: the table is not ours to
+    // mark.
+    const PredicateInfo& info = table_.predicate(*pred);
+    if (info.arity != arity) {
+      return Status::InvalidArgument(StrFormat(
+          "predicate '%s' used with arity %d but declared with arity %d",
+          info.name.c_str(), arity, info.arity));
+    }
+    return *pred;
+  }
+
+  StatusOr<FuncId> Function(const std::string& name, int arity) {
+    if (intern_ != nullptr) return intern_->InternFunction(name, arity);
+    FuncId id;
+    const FunctionInfo* info;
+    if (StatusOr<FuncId> found = table_.FindFunction(name); found.ok()) {
+      id = *found;
+      info = &table_.function(id);
+    } else {
+      auto& own = local_.functions;
+      auto it = std::find_if(own.begin(), own.end(), [&](const FunctionInfo& f) {
+        return f.name == name;
+      });
+      if (it == own.end()) {
+        it = own.insert(own.end(), FunctionInfo{name, arity});
+      }
+      id = local_.function_base + static_cast<FuncId>(it - own.begin());
+      info = &*it;
+    }
+    if (info->arity != arity) {
+      return Status::InvalidArgument(StrFormat(
+          "function symbol '%s' used with arity %d but declared with arity %d",
+          name.c_str(), arity, info->arity));
+    }
+    return id;
+  }
+
+  ConstId Constant(const std::string& name) {
+    if (intern_ != nullptr) return intern_->InternConstant(name);
+    StatusOr<ConstId> found = table_.FindConstant(name);
+    if (found.ok()) return *found;
+    return LocalId(&local_.constants, local_.constant_base, name);
+  }
+
+  static uint32_t LocalId(std::vector<std::string>* names, uint32_t base,
+                          const std::string& name) {
+    auto it = std::find(names->begin(), names->end(), name);
+    if (it == names->end()) it = names->insert(names->end(), name);
+    return base + static_cast<uint32_t>(it - names->begin());
+  }
+
   StatusOr<FuncId> SuccessorSymbol() {
-    return program_->symbols.InternFunction(kSuccessorName, 1);
+    return Function(std::string(kSuccessorName), 1);
   }
 
   static void MarkApplyBases(const STerm& term, std::set<std::string>* func_vars,
@@ -471,15 +553,16 @@ class Lowerer {
     }
   }
 
-  Program* program_;
+  const SymbolTable& table_;
+  SymbolTable* intern_ = nullptr;  // null: read-only, names kept in local_
+  Query::LocalNames local_;
   std::set<std::string> functional_preds_;
   // Per-statement variable kind tracking (reset by BeginStatement).
   std::set<std::string> func_vars_;
   std::set<std::string> nf_vars_;
 };
 
-StatusOr<Query> LowerQuery(Lowerer* lowerer, const Statement& stmt,
-                           Program* program) {
+StatusOr<Query> LowerQuery(Lowerer* lowerer, const Statement& stmt) {
   lowerer->BeginStatement();
   Query query;
   std::vector<std::string> seen_vars;  // first-occurrence order
@@ -489,7 +572,7 @@ StatusOr<Query> LowerQuery(Lowerer* lowerer, const Statement& stmt,
     std::optional<VarId> fv;
     CollectVariables(atom, &nf, &fv);
     auto remember = [&](VarId v) {
-      const std::string& name = program->symbols.variable_name(v);
+      const std::string& name = lowerer->VariableName(v);
       if (std::find(seen_vars.begin(), seen_vars.end(), name) ==
           seen_vars.end()) {
         seen_vars.push_back(name);
@@ -499,16 +582,13 @@ StatusOr<Query> LowerQuery(Lowerer* lowerer, const Statement& stmt,
     for (VarId v : nf) remember(v);
     query.atoms.push_back(std::move(atom));
   }
-  if (stmt.explicit_answer_vars) {
-    for (const std::string& name : stmt.answer_vars) {
-      query.answer_vars.push_back(program->symbols.InternVariable(name));
-    }
-  } else {
-    for (const std::string& name : seen_vars) {
-      query.answer_vars.push_back(program->symbols.InternVariable(name));
-    }
+  const std::vector<std::string>& answer_names =
+      stmt.explicit_answer_vars ? stmt.answer_vars : seen_vars;
+  for (const std::string& name : answer_names) {
+    query.answer_vars.push_back(lowerer->Variable(name));
   }
-  RELSPEC_RETURN_NOT_OK(ValidateQuery(query, program->symbols));
+  query.local = lowerer->TakeLocalNames();
+  RELSPEC_RETURN_NOT_OK(ValidateQuery(query, lowerer->table()));
   return query;
 }
 
@@ -525,7 +605,7 @@ StatusOr<ParseResult> ParseSeeded(std::string_view input, SymbolTable seed) {
 
   ParseResult result;
   result.program.symbols = std::move(seed);
-  Lowerer lowerer(&result.program);
+  Lowerer lowerer(&result.program.symbols);
   RELSPEC_RETURN_NOT_OK(lowerer.InferFunctionalPredicates(statements));
   for (const Statement& stmt : statements) {
     switch (stmt.kind) {
@@ -552,8 +632,7 @@ StatusOr<ParseResult> ParseSeeded(std::string_view input, SymbolTable seed) {
         break;
       }
       case StatementKind::kQuery: {
-        RELSPEC_ASSIGN_OR_RETURN(
-            Query q, LowerQuery(&lowerer, stmt, &result.program));
+        RELSPEC_ASSIGN_OR_RETURN(Query q, LowerQuery(&lowerer, stmt));
         result.queries.push_back(std::move(q));
         break;
       }
@@ -581,7 +660,8 @@ StatusOr<Program> ParseProgram(std::string_view input,
   return std::move(result.program);
 }
 
-StatusOr<Query> ParseQuery(std::string_view input, Program* program) {
+StatusOr<Query> ParseQuery(std::string_view input,
+                           const SymbolTable& symbols) {
   RELSPEC_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(input));
   TokenParser tp(std::move(tokens));
   RELSPEC_ASSIGN_OR_RETURN(std::vector<Statement> statements,
@@ -589,17 +669,13 @@ StatusOr<Query> ParseQuery(std::string_view input, Program* program) {
   if (statements.size() != 1 || statements[0].kind != StatementKind::kQuery) {
     return Status::InvalidArgument("expected exactly one query statement");
   }
-  // Only predicates already present may be mentioned; record the current
-  // count so we can detect accidental introductions.
-  size_t num_preds_before = program->symbols.num_predicates();
-  Lowerer lowerer(program);
+  Lowerer lowerer(symbols);
   RELSPEC_RETURN_NOT_OK(lowerer.InferFunctionalPredicates(statements));
-  RELSPEC_ASSIGN_OR_RETURN(Query q, LowerQuery(&lowerer, statements[0], program));
-  if (program->symbols.num_predicates() != num_preds_before) {
-    return Status::InvalidArgument(
-        "query mentions a predicate that does not occur in the program");
-  }
-  return q;
+  return LowerQuery(&lowerer, statements[0]);
+}
+
+StatusOr<Query> ParseQuery(std::string_view input, const Program* program) {
+  return ParseQuery(input, program->symbols);
 }
 
 }  // namespace relspec

@@ -63,9 +63,19 @@ StatusOr<Program> ParseProgram(std::string_view input);
 StatusOr<Program> ParseProgram(std::string_view input,
                                SymbolTable seed_symbols);
 
-/// Parses a single query against an existing program's symbol table. The
-/// query may mention only predicates already present in the program.
-StatusOr<Query> ParseQuery(std::string_view input, Program* program);
+/// Parses a single query against an existing symbol table, without writing
+/// it. The query may mention only predicates the table has, with their
+/// arity and functionality. Every variable, and each constant or function
+/// symbol the table lacks, becomes the query's own name (Query::local),
+/// numbered past the table's counts: it prints and names answer columns but
+/// occurs in no fact, so an atom that mentions one holds nowhere. Those ids
+/// stay the query's own if the table later grows, so a query parsed before
+/// an update never aliases a symbol the update adds (re-parse to match it).
+/// Reading an engine with many distinct names therefore leaves the engine
+/// as it was.
+StatusOr<Query> ParseQuery(std::string_view input, const SymbolTable& symbols);
+/// The same, against a program's table.
+StatusOr<Query> ParseQuery(std::string_view input, const Program* program);
 
 /// Name of the builtin successor function symbol used by numeral sugar.
 inline constexpr std::string_view kSuccessorName = "+1";

@@ -17,7 +17,6 @@
 #include "src/base/metrics.h"
 #include "src/base/str_util.h"
 #include "src/base/trace.h"
-#include "src/core/mixed_to_pure.h"
 #include "src/parser/parser.h"
 
 namespace relspec {
@@ -348,37 +347,22 @@ std::string Server::HandleRequest(const RequestHeader& req,
     }
     case RequestType::kMembership: {
       std::shared_lock<std::shared_mutex> lock(state_mu_);
-      // The CLI's spec-only pattern: parse against a scratch program holding
-      // a copy of the spec's symbols, so shared state is never mutated.
+      // Parsed read-only against the spec's own table: no copy, no writes.
       const auto parse_start = std::chrono::steady_clock::now();
-      Program scratch;
-      scratch.symbols = spec_.symbols();
-      auto q = ParseQuery("? " + std::string(payload) + ".", &scratch);
+      auto q = ParseQuery("? " + std::string(payload) + ".", spec_.symbols());
       if (!q.ok()) {
         *out = q.status();
         return "";
       }
-      if (q->atoms.size() != 1 || !q->atoms[0].IsGround() ||
-          !q->atoms[0].fterm.has_value()) {
-        *out = Status::InvalidArgument(
-            "membership wants one ground functional fact, e.g. "
-            "\"OnCall(m0+1, m1)\"");
-        return "";
-      }
-      auto purified = PurifyGroundTerm(*q->atoms[0].fterm, &scratch.symbols);
-      if (!purified.ok()) {
-        *out = purified.status();
-        return "";
-      }
       entry->parse_ns = ElapsedNs(parse_start);
       const auto eval_start = std::chrono::steady_clock::now();
-      std::vector<FuncId> syms;
-      for (const FuncApply& a : purified->apps) syms.push_back(a.fn);
-      std::vector<ConstId> args;
-      for (const NfArg& a : q->atoms[0].args) args.push_back(a.id);
-      bool holds = spec_.Holds(Path(std::move(syms)), q->atoms[0].pred, args);
+      StatusOr<bool> holds = spec_.HoldsFact(*q);
+      if (!holds.ok()) {
+        *out = holds.status();
+        return "";
+      }
       entry->eval_ns = ElapsedNs(eval_start);
-      return std::string(1, holds ? '\1' : '\0');
+      return std::string(1, *holds ? '\1' : '\0');
     }
     case RequestType::kQuery: {
       if (db_ == nullptr) {
@@ -387,11 +371,12 @@ std::string Server::HandleRequest(const RequestHeader& req,
             "snapshot");
         return "";
       }
-      // Exclusive: ParseQuery interns into the engine's shared symbol table
-      // and the engine API is single-coordinator by design.
-      std::unique_lock<std::shared_mutex> lock(state_mu_);
+      // Shared: the query parses read-only against the engine's table and
+      // answering reads the engine, so queries run alongside each other and
+      // alongside membership; only updates take the lock exclusively.
+      std::shared_lock<std::shared_mutex> lock(state_mu_);
       const auto parse_start = std::chrono::steady_clock::now();
-      auto query = ParseQuery(std::string(payload), db_->mutable_program());
+      auto query = ParseQuery(std::string(payload), db_->program().symbols);
       if (!query.ok()) {
         *out = query.status();
         return "";
@@ -438,6 +423,9 @@ std::string Server::HandleRequest(const RequestHeader& req,
       StatusOr<DeltaStats> stats =
           db_->durable() ? db_->LogAndApplyDeltas(payload)
                          : db_->ApplyDeltaText(payload);
+      // Re-materialize for shared readers, also when a durable batch was
+      // applied but its log write failed.
+      fingerprint_ = db_->Fingerprint();
       if (!stats.ok()) {
         *out = stats.status();
         return "";
@@ -452,7 +440,6 @@ std::string Server::HandleRequest(const RequestHeader& req,
         }
         spec_ = *std::move(spec);
       }
-      fingerprint_ = db_->Fingerprint();  // re-materialize for shared readers
       entry->eval_ns = ElapsedNs(eval_start);
       UpdateResult result;
       result.fingerprint = fingerprint_;

@@ -9,19 +9,16 @@
 // polling a connection while its task runs — so responses never reorder
 // within a connection, while distinct connections proceed concurrently.
 //
-// Concurrency model over the engine (the honest one, given the engine's
-// documented single-coordinator design):
-//   * membership / ping / stats / trace-dump run under a shared lock —
-//     membership parses into a scratch Program holding a *copy* of the
-//     spec's symbol table (the CLI's spec-only pattern), so it never
-//     mutates shared state; the fingerprint is pre-materialized whenever
-//     the exclusive lock is held, so shared readers never race its lazy
-//     computation.
-//   * query / update run under the exclusive lock: ParseQuery interns into
-//     the engine's shared symbol table, and updates rewrite the engine.
-// The shared QueryCache has its own internal mutex and still pays off:
-// repeated queries skip the whole answer pipeline even though they
-// serialize on the engine lock.
+// Concurrency model over the engine:
+//   * membership / query / ping / stats / trace-dump run under a shared
+//     lock. No read writes the engine: membership and queries parse
+//     read-only against the spec's or the engine's symbol table (ParseQuery
+//     keeps unknown names inside the Query), answering takes the engine
+//     const, and the fingerprint is pre-materialized whenever the exclusive
+//     lock is held, so shared readers never race its lazy computation.
+//   * update runs under the exclusive lock: it rewrites the engine.
+// The shared QueryCache has its own internal mutex, so concurrent queries
+// share its entries safely.
 //
 // Shutdown (SIGTERM/SIGINT -> RequestShutdown, async-signal-safe) drains:
 // the listener closes, one final read pass harvests request frames already

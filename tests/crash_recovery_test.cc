@@ -18,6 +18,10 @@
 //   4. The parent then applies the remaining batches to the recovered engine
 //      and must converge on ref[N] exactly; a final reopen replays the log
 //      once more and must land on ref[N] again.
+//
+// A seeded model-based test interleaves the same harness with reads naming
+// fresh symbols, updates, checkpoints and reopens; after every reopen the
+// engine must equal a rebuild of the program plus the acknowledged batches.
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -33,9 +37,11 @@
 #include "src/base/failpoint.h"
 #include "src/base/trace.h"
 #include "src/core/engine.h"
+#include "src/core/query.h"
 #include "src/core/snapshot.h"
 #include "src/core/spec_io.h"
 #include "src/core/wal.h"
+#include "src/parser/parser.h"
 #include "src/serve/client.h"
 #include "src/serve/server.h"
 #include "tests/random_program.h"
@@ -386,6 +392,155 @@ TEST_P(CrashRecoverySpotCheckTest, BatchFsyncCrashRecoversToExactPrefix) {
   EXPECT_TRUE(is_prefix) << "recovered state is not an exact prefix";
   CleanWalFiles(wal_path);
 }
+
+// ---------------------------------------------------------------------------
+// Model-based interleavings. Each seed draws a run of steps against one
+// durable engine: queries and membership probes naming fresh symbols,
+// updates over existing or new constants, checkpoints, drop-and-reopen, and
+// a child killed at a WAL site mid-update. The model is the list of
+// acknowledged batches; after every reopen the engine must equal
+// FromSource(program) plus those batches, snapshot bytes and fingerprint.
+
+constexpr char kInterleavingSource[] = R"(
+  Meets(0, Tony).
+  Next(Tony, Jan).  Next(Jan, Tony).
+  Meets(t, x), Next(x, y) -> Meets(t+1, y).
+)";
+
+RefState ModelState(const std::vector<std::string>& acked) {
+  auto db = FunctionalDatabase::FromSource(kInterleavingSource);
+  EXPECT_TRUE(db.ok()) << db.status().ToString();
+  if (!db.ok()) return RefState();
+  for (const std::string& batch : acked) {
+    auto stats = (*db)->ApplyDeltaText(batch);
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+  }
+  return Render(db->get());
+}
+
+class InterleavingTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(InterleavingTest, FreshNameReadsUpdatesCheckpointsAndKillsKeepAcks) {
+  const unsigned seed = static_cast<unsigned>(GetParam());
+  std::mt19937 rng(seed * 40503u + 7u);
+  auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  const std::string wal_path = ::testing::TempDir() + "interleave_seed" +
+                               std::to_string(seed) + ".wal";
+  CleanWalFiles(wal_path);
+  const char* kExisting[] = {"Meets(0, Tony)", "Meets(0, Jan)",
+                             "Meets(1, Jan)",  "Next(Tony, Jan)",
+                             "Next(Jan, Tony)", "Next(Tony, Tony)",
+                             "Next(Jan, Jan)"};
+  const char* kSites[] = {
+      "wal.append.write",          "wal.append.acked",
+      "wal.fsync",                 "wal.checkpoint.write_ckpt",
+      "wal.checkpoint.rename_ckpt_prev", "wal.checkpoint.rename_wal",
+      "wal.checkpoint.done",
+  };
+  int fresh = 0;
+  auto make_batch = [&] {
+    std::string text;
+    for (size_t e = 0, n = 1 + pick(2); e < n; ++e) {
+      const std::string fact =
+          pick(5) == 0 ? "Next(Jan, New" + std::to_string(fresh++) + ")"
+                       : kExisting[pick(std::size(kExisting))];
+      text += (pick(3) == 0 ? "- " : "+ ") + fact + ".\n";
+    }
+    return text;
+  };
+
+  std::vector<std::string> acked;
+  std::unique_ptr<FunctionalDatabase> db;
+  auto open = [&](const char* why) {
+    RecoveryStats rec;
+    auto opened = FunctionalDatabase::OpenDurable(
+        kInterleavingSource, wal_path, DurableEveryTwo(), EngineOptions(),
+        &rec);
+    ASSERT_TRUE(opened.ok()) << why << ": " << opened.status().ToString();
+    db = std::move(opened).value();
+    const RefState got = Render(db.get());
+    const RefState want = ModelState(acked);
+    EXPECT_EQ(got.fingerprint, want.fingerprint)
+        << why << " lost or invented a batch: " << acked.size()
+        << " acked, replayed " << rec.replayed_batches
+        << (rec.used_fallback ? " after falling back" : "");
+    EXPECT_TRUE(got.snapshot_bytes == want.snapshot_bytes) << why;
+  };
+  open("first open");
+
+  for (int step = 0; step < 40 && !HasFailure(); ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const std::string n = std::to_string(fresh++);
+    switch (pick(10)) {
+      case 0:
+      case 1:
+      case 2: {  // a query naming a fresh variable and constant
+        auto q = ParseQuery("?(v" + n + ") Meets(v" + n + ", Q" + n + ").",
+                            db->program().symbols);
+        ASSERT_TRUE(q.ok()) << q.status().ToString();
+        auto answer = AnswerQuery(db.get(), *q);
+        ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+        EXPECT_TRUE(answer->IsEmpty());
+        break;
+      }
+      case 3:
+      case 4: {  // membership naming a fresh constant
+        auto holds = db->HoldsFactText("Meets(" + std::to_string(pick(6)) +
+                                       ", H" + n + ")");
+        ASSERT_TRUE(holds.ok()) << holds.status().ToString();
+        EXPECT_FALSE(*holds);
+        break;
+      }
+      case 5:
+      case 6: {
+        const std::string batch = make_batch();
+        auto stats = db->LogAndApplyDeltas(batch);
+        ASSERT_TRUE(stats.ok()) << batch << stats.status().ToString();
+        acked.push_back(batch);
+        break;
+      }
+      case 7:
+        ASSERT_TRUE(db->Checkpoint().ok());
+        break;
+      case 8:
+        db.reset();
+        open("reopen");
+        break;
+      case 9: {  // a child killed at a WAL site during two updates
+        db.reset();
+        const std::vector<std::string> batches = {make_batch(), make_batch()};
+        const std::string spec =
+            std::string(kSites[pick(std::size(kSites))]) + "=abort1";
+        SCOPED_TRACE(spec);
+        const int child_acks =
+            RunCrashingChild(spec, kInterleavingSource, batches, wal_path);
+        // Recovery lands at or past the child's acks; find where.
+        RecoveryStats rec;
+        auto opened = FunctionalDatabase::OpenDurable(
+            kInterleavingSource, wal_path, DurableEveryTwo(), EngineOptions(),
+            &rec);
+        ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+        const RefState got = Render(opened->get());
+        int landed = -1;
+        std::vector<std::string> model = acked;
+        for (int k = 0; k <= 2 && landed < 0; ++k) {
+          if (k > 0) model.push_back(batches[static_cast<size_t>(k - 1)]);
+          if (k >= child_acks && ModelState(model) == got) landed = k;
+        }
+        ASSERT_GE(landed, 0) << "recovery after the kill lost an acked batch";
+        acked.insert(acked.end(), batches.begin(), batches.begin() + landed);
+        db = std::move(opened).value();
+        break;
+      }
+    }
+  }
+  db.reset();
+  if (!HasFailure()) open("final reopen");
+  db.reset();
+  CleanWalFiles(wal_path);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, InterleavingTest, ::testing::Range(0, 12));
 
 // ---------------------------------------------------------------------------
 // Daemon chaos: the same kill matrix, but the updates arrive over the RSRV

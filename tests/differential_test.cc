@@ -132,7 +132,7 @@ TEST_P(DifferentialTest, CachedAnswersMatchUncached) {
     std::string qtext = "?(s" + std::string(info.arity == 2 ? ", x" : "") +
                         ") " + info.name + "(s" +
                         (info.arity == 2 ? ", x" : "") + ").";
-    auto q = ParseQuery(qtext, db->mutable_program());
+    auto q = ParseQuery(qtext, db->program().symbols);
     ASSERT_TRUE(q.ok()) << qtext;
 
     auto direct = AnswerQuery(db.get(), *q);

@@ -10,6 +10,7 @@
 #include "src/base/metrics.h"
 #include "src/core/engine.h"
 #include "src/core/query.h"
+#include "src/core/snapshot.h"
 #include "src/parser/parser.h"
 
 namespace relspec {
@@ -56,7 +57,7 @@ TEST(Engine, PureDatalogProgram) {
   EXPECT_FALSE(*(*db)->HoldsFactText("Reach(c, a)"));
   EXPECT_TRUE((*db)->Verify().ok());
   // Queries over a function-free program are finite.
-  auto q = ParseQuery("?(x) Reach(a, x).", (*db)->mutable_program());
+  auto q = ParseQuery("?(x) Reach(a, x).", (*db)->program().symbols);
   ASSERT_TRUE(q.ok());
   auto ans = AnswerQuery(db->get(), *q);
   ASSERT_TRUE(ans.ok()) << ans.status().ToString();
@@ -105,6 +106,86 @@ TEST(Engine, DeepMembershipProbesDoNotGrowTheLabeling) {
     ASSERT_EQ(*holds, d % 2 == 0) << d;
   }
   EXPECT_EQ((*db)->labeling().terms().size(), terms);
+}
+
+// Everything a read could grow: the symbol table, the snapshot built from
+// it, and the fingerprint.
+struct GrowthState {
+  size_t predicates = 0, functions = 0, constants = 0, variables = 0;
+  std::string snapshot;
+  uint64_t fingerprint = 0;
+};
+
+GrowthState GrowthOf(FunctionalDatabase* db) {
+  GrowthState s;
+  const SymbolTable& symbols = db->program().symbols;
+  s.predicates = symbols.num_predicates();
+  s.functions = symbols.num_functions();
+  s.constants = symbols.num_constants();
+  s.variables = symbols.num_variables();
+  auto spec = db->BuildGraphSpec();
+  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+  if (spec.ok()) s.snapshot = Snapshot::Serialize(*spec);
+  s.fingerprint = db->Fingerprint();
+  return s;
+}
+
+void ExpectUnchanged(FunctionalDatabase* db, const GrowthState& before) {
+  const GrowthState after = GrowthOf(db);
+  EXPECT_EQ(after.predicates, before.predicates);
+  EXPECT_EQ(after.functions, before.functions);
+  EXPECT_EQ(after.constants, before.constants);
+  EXPECT_EQ(after.variables, before.variables);
+  EXPECT_EQ(after.snapshot.size(), before.snapshot.size());
+  EXPECT_TRUE(after.snapshot == before.snapshot);
+  EXPECT_EQ(after.fingerprint, before.fingerprint);
+}
+
+// Reads resolve names read-only. 10,000 distinct reads naming fresh
+// variables, constants, function symbols and mixed encodings answer empty or
+// false and leave the engine exactly as it was.
+TEST(Engine, ReadsDoNotGrowTheEngine) {
+  std::ifstream in(std::string(RELSPEC_SOURCE_DIR) +
+                   "/examples/programs/meets.rsp");
+  ASSERT_TRUE(in.good());
+  std::stringstream source;
+  source << in.rdbuf();
+  auto meets = FunctionalDatabase::FromSource(source.str());
+  ASSERT_TRUE(meets.ok()) << meets.status().ToString();
+  auto robot = FunctionalDatabase::FromSource(R"(
+    At(0, p0).
+    Connected(p0, p1).  Connected(p1, p2).  Connected(p2, p0).
+    At(s, x), Connected(x, y) -> At(move(s, x, y), y).
+  )");
+  ASSERT_TRUE(robot.ok()) << robot.status().ToString();
+  const GrowthState meets_before = GrowthOf(meets->get());
+  const GrowthState robot_before = GrowthOf(robot->get());
+
+  for (int i = 0; i < 2'500; ++i) {
+    const std::string n = std::to_string(i);
+    auto q = ParseQuery("?(v" + n + ") Meets(v" + n + ", G" + n + ").",
+                        (*meets)->program().symbols);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    auto answer = AnswerQuery(meets->get(), *q);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    ASSERT_TRUE(answer->IsEmpty()) << n;
+    ASSERT_EQ(answer->columns(), std::vector<std::string>{"v" + n});
+    for (const std::string& fact :
+         {"Meets(4, F" + n + ")", "Meets(zz" + n + "(0), Tony)"}) {
+      auto holds = (*meets)->HoldsFactText(fact);
+      ASSERT_TRUE(holds.ok()) << fact << ": " << holds.status().ToString();
+      ASSERT_FALSE(*holds) << fact;
+    }
+    const std::string fact = "At(move(0, p0, nowhere" + n + "), p1)";
+    auto holds = (*robot)->HoldsFactText(fact);
+    ASSERT_TRUE(holds.ok()) << fact << ": " << holds.status().ToString();
+    ASSERT_FALSE(*holds) << fact;
+  }
+  ExpectUnchanged(meets->get(), meets_before);
+  ExpectUnchanged(robot->get(), robot_before);
+  // The known names still answer as before.
+  EXPECT_TRUE(*(*meets)->HoldsFactText("Meets(4, Tony)"));
+  EXPECT_TRUE(*(*robot)->HoldsFactText("At(move(0, p0, p1), p1)"));
 }
 
 TEST(Engine, InfoAndStatsPopulated) {
@@ -159,8 +240,9 @@ TEST(Engine, PathOfGroundTermPurifies) {
   auto path = (*db)->PathOfGroundTerm(t);
   ASSERT_TRUE(path.ok());
   EXPECT_EQ(path->depth(), 1);
-  VarId x = (*db)->mutable_symbols()->InternVariable("x");
-  FuncTerm open = FuncTerm::Var(x);
+  auto q = ParseQuery("?(s) At(s, p1).", (*db)->program().symbols);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  FuncTerm open = FuncTerm::Var(q->answer_vars[0]);
   EXPECT_TRUE((*db)->PathOfGroundTerm(open).status().IsInvalidArgument());
 }
 

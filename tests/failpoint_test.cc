@@ -274,7 +274,7 @@ TEST_F(FailpointTest, TemporalStepUnwinds) {
 TEST_F(FailpointTest, QueryEnumerationUnwinds) {
   auto db = FunctionalDatabase::FromSource(kMeets);
   ASSERT_TRUE(db.ok());
-  auto query = ParseQuery("?(t) Meets(t, Tony).", (*db)->mutable_program());
+  auto query = ParseQuery("?(t) Meets(t, Tony).", (*db)->program().symbols);
   ASSERT_TRUE(query.ok());
   auto answer = AnswerQuery(db->get(), *query);
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();

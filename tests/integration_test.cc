@@ -66,7 +66,7 @@ TEST(MeetsExample, QuotientModelCertified) {
 TEST(MeetsExample, InfiniteQueryAnswerSpecification) {
   auto db = FunctionalDatabase::FromSource(kMeetsSource);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-  auto q = ParseQuery("? Meets(t, x).", (*db)->mutable_program());
+  auto q = ParseQuery("? Meets(t, x).", (*db)->program().symbols);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   auto answer = AnswerQuery(db->get(), *q);
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
@@ -159,7 +159,7 @@ TEST(ListExample, IncrementalQueryMatchesPaper) {
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   // Section 5: Member(s, a) -> QUERY(s). The incremental primary database
   // holds QUERY(a) and QUERY(ab).
-  auto q = ParseQuery("?(s) Member(s, a).", (*db)->mutable_program());
+  auto q = ParseQuery("?(s) Member(s, a).", (*db)->program().symbols);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   auto answer = AnswerQuery(db->get(), *q);
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
@@ -180,7 +180,7 @@ TEST(ListExample, IncrementalEqualsRecompute) {
   // argument y ranges over the alphabet's ext{a}, ext{b}.
   for (const char* qtext :
        {"?(s,x) Member(s, x).", "?(s, y, x) Member(ext(s, y), x)."}) {
-    auto q = ParseQuery(qtext, (*db)->mutable_program());
+    auto q = ParseQuery(qtext, (*db)->program().symbols);
     ASSERT_TRUE(q.ok()) << q.status().ToString();
     testutil::ExpectAnswerMatchesOracle(db->get(), *q, qtext);
   }

@@ -196,7 +196,7 @@ TEST_F(CacheStressTest, SharedCacheHoldsBudgetsAndCountersUnderContention) {
   for (const char* text :
        {"?(t, x1) OnCall(t, x1).", "?(t) OnCall(t, alice).",
         "?(t) OnCall(t, bob).", "?(x1) Rotate(alice, x1)."}) {
-    auto q = ParseQuery(text, (*db)->mutable_program());
+    auto q = ParseQuery(text, (*db)->program().symbols);
     ASSERT_TRUE(q.ok()) << q.status().ToString();
     auto a = AnswerQueryCached(db->get(), *q, &warmup);
     ASSERT_TRUE(a.ok()) << a.status().ToString();

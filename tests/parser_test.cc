@@ -177,6 +177,45 @@ TEST(Parser, ParseQueryAgainstExistingProgram) {
   EXPECT_FALSE(ParseQuery("? Unknown(s).", &*p).ok());
 }
 
+// ParseQuery writes nothing: names the table lacks, and every variable,
+// become the query's own, numbered past the table's counts.
+TEST(Parser, ParseQueryKeepsUnknownNamesInTheQuery) {
+  auto p = ParseProgram(R"(
+    Meets(0, Tony).
+    Next(Tony, Jan).
+    Meets(t, x), Next(x, y) -> Meets(t+1, y).
+  )");
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  const SymbolTable& symbols = p->symbols;
+  const size_t constants = symbols.num_constants();
+  const size_t functions = symbols.num_functions();
+  const size_t variables = symbols.num_variables();
+  auto q = ParseQuery(
+      "?(v, y) Meets(zz(v), Bob), Next(Tony, y), Next(y, Bob).", symbols);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(symbols.num_constants(), constants);
+  EXPECT_EQ(symbols.num_functions(), functions);
+  EXPECT_EQ(symbols.num_variables(), variables);
+  EXPECT_EQ(q->local.constants, std::vector<std::string>{"Bob"});
+  ASSERT_EQ(q->local.functions.size(), 1u);
+  EXPECT_EQ(q->local.functions[0].name, "zz");
+  EXPECT_EQ(q->local.variables, (std::vector<std::string>{"v", "y"}));
+  // Bob is one local constant wherever it occurs; Tony is the table's.
+  EXPECT_EQ(q->atoms[0].args[0].id, constants);
+  EXPECT_EQ(q->atoms[2].args[1].id, constants);
+  EXPECT_EQ(q->atoms[1].args[0].id, *symbols.FindConstant("Tony"));
+  EXPECT_TRUE(q->MentionsLocalSymbol(q->atoms[0]));
+  EXPECT_FALSE(q->MentionsLocalSymbol(q->atoms[1]));
+  EXPECT_EQ(ToString(*q, symbols),
+            "?(v,y) Meets(zz(v),Bob), Next(Tony,y), Next(y,Bob).");
+
+  // Known names keep their declarations, and the table is not marked.
+  EXPECT_FALSE(ParseQuery("? Meets(t, Tony, Jan).", symbols).ok());
+  EXPECT_FALSE(ParseQuery("? Meets(zz(zz(0, Tony)), Tony).", symbols).ok());
+  EXPECT_FALSE(ParseQuery("? Next(3, Tony).", symbols).ok());
+  EXPECT_FALSE(symbols.predicate(*symbols.FindPredicate("Next")).functional);
+}
+
 // ---------- error paths ----------
 
 TEST(ParserErrors, NonGroundFact) {

@@ -142,7 +142,7 @@ TEST_P(RandomProgramTest, UniformQueriesIncrementalEqualsRecompute) {
     std::string qtext = "?(s" + std::string(info.arity == 2 ? ", x" : "") +
                         ") " + info.name + "(s" +
                         (info.arity == 2 ? ", x" : "") + ").";
-    auto q = ParseQuery(qtext, (*db)->mutable_program());
+    auto q = ParseQuery(qtext, (*db)->program().symbols);
     ASSERT_TRUE(q.ok()) << qtext;
     testutil::ExpectAnswerMatchesOracle(db->get(), *q, qtext);
   }

@@ -58,31 +58,69 @@ struct OracleAnswer {
   }
 };
 
+/// `atom` of `query` over `symbols` alone: the query's own names (every
+/// variable, and the constants and function symbols the table lacked) are
+/// interned into it.
+inline Atom InternQueryNames(const Query& query, Atom atom,
+                             SymbolTable* symbols) {
+  auto lower = [&](NfArg* a) {
+    if (a->IsVariable()) {
+      a->id = symbols->InternVariable(query.VariableName(a->id, *symbols));
+    } else if (a->id >= query.local.constant_base) {
+      a->id = symbols->InternConstant(query.ConstantName(a->id, *symbols));
+    }
+  };
+  for (NfArg& a : atom.args) lower(&a);
+  if (atom.fterm.has_value()) {
+    if (atom.fterm->has_var) {
+      atom.fterm->var = symbols->InternVariable(
+          query.VariableName(atom.fterm->var, *symbols));
+    }
+    for (FuncApply& app : atom.fterm->apps) {
+      for (NfArg& a : app.args) lower(&a);
+      if (app.fn >= query.local.function_base) {
+        const FunctionInfo& fn = query.Function(app.fn, *symbols);
+        app.fn = *symbols->InternFunction(fn.name, fn.arity);
+      }
+    }
+  }
+  return atom;
+}
+
 /// Answers `query` by adding a QUERY rule to db's original program and
 /// rebuilding. The query must have been parsed against db's program.
 inline StatusOr<OracleAnswer> RecomputeOracle(const FunctionalDatabase& db,
                                               const Query& query) {
   Program extended = db.original_program();
   // The query was parsed against the transformed symbol table; share it so
-  // variable, predicate and constant ids line up.
+  // predicate and constant ids line up, and intern the query's own names.
   extended.symbols = db.program().symbols;
-  std::optional<VarId> func_var;
+  Query lowered;
   for (const Atom& a : query.atoms) {
+    lowered.atoms.push_back(InternQueryNames(query, a, &extended.symbols));
+  }
+  for (VarId v : query.answer_vars) {
+    const std::string& name = query.VariableName(v, extended.symbols);
+    lowered.answer_vars.push_back(extended.symbols.InternVariable(name));
+  }
+  std::optional<VarId> func_var;
+  for (const Atom& a : lowered.atoms) {
     if (a.fterm.has_value() && a.fterm->has_var) func_var = a.fterm->var;
   }
   OracleAnswer out;
   out.functional = func_var.has_value() &&
-                   std::find(query.answer_vars.begin(), query.answer_vars.end(),
-                             *func_var) != query.answer_vars.end();
+                   std::find(lowered.answer_vars.begin(),
+                             lowered.answer_vars.end(),
+                             *func_var) != lowered.answer_vars.end();
   Rule rule;
-  rule.body = query.atoms;
+  rule.body = lowered.atoms;
   RELSPEC_ASSIGN_OR_RETURN(
       rule.head.pred,
       extended.symbols.InternPredicate(
-          "$oracle", static_cast<int>(query.answer_vars.size()),
+          "$oracle", static_cast<int>(lowered.answer_vars.size()),
           out.functional));
   if (out.functional) rule.head.fterm = FuncTerm::Var(*func_var);
-  for (VarId v : query.answer_vars) {
+  for (VarId v : lowered.answer_vars) {
     if (out.functional && v == *func_var) continue;
     rule.head.args.push_back(NfArg::Variable(v));
   }

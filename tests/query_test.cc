@@ -8,6 +8,7 @@
 #include <deque>
 #include <random>
 
+#include "src/ast/printer.h"
 #include "src/base/governor.h"
 #include "src/base/metrics.h"
 #include "src/core/engine.h"
@@ -40,7 +41,7 @@ Path NatPath(const FunctionalDatabase& db, int n) {
 
 TEST(Query, FunctionalAnswerEnumeration) {
   auto db = BuildMeets();
-  auto q = ParseQuery("?(t, x) Meets(t, x).", db->mutable_program());
+  auto q = ParseQuery("?(t, x) Meets(t, x).", db->program().symbols);
   ASSERT_TRUE(q.ok());
   auto ans = AnswerQuery(db.get(), *q);
   ASSERT_TRUE(ans.ok()) << ans.status().ToString();
@@ -53,7 +54,7 @@ TEST(Query, FunctionalAnswerEnumeration) {
 
 TEST(Query, EnumerationHonorsCountLimit) {
   auto db = BuildMeets();
-  auto q = ParseQuery("?(t, x) Meets(t, x).", db->mutable_program());
+  auto q = ParseQuery("?(t, x) Meets(t, x).", db->program().symbols);
   ASSERT_TRUE(q.ok());
   auto ans = AnswerQuery(db.get(), *q);
   ASSERT_TRUE(ans.ok());
@@ -64,7 +65,7 @@ TEST(Query, EnumerationHonorsCountLimit) {
 
 TEST(Query, MembershipViaContains) {
   auto db = BuildMeets();
-  auto q = ParseQuery("?(t, x) Meets(t, x).", db->mutable_program());
+  auto q = ParseQuery("?(t, x) Meets(t, x).", db->program().symbols);
   ASSERT_TRUE(q.ok());
   auto ans = AnswerQuery(db.get(), *q);
   ASSERT_TRUE(ans.ok());
@@ -80,7 +81,7 @@ TEST(Query, MembershipViaContains) {
 TEST(Query, ExistentialFunctionalVariableGivesFiniteAnswer) {
   auto db = BuildMeets();
   // Who ever meets? (t projected away)
-  auto q = ParseQuery("?(x) Meets(t, x).", db->mutable_program());
+  auto q = ParseQuery("?(x) Meets(t, x).", db->program().symbols);
   ASSERT_TRUE(q.ok());
   auto ans = AnswerQuery(db.get(), *q);
   ASSERT_TRUE(ans.ok()) << ans.status().ToString();
@@ -92,7 +93,7 @@ TEST(Query, ExistentialFunctionalVariableGivesFiniteAnswer) {
 
 TEST(Query, PureNonFunctionalQuery) {
   auto db = BuildMeets();
-  auto q = ParseQuery("?(x, y) Next(x, y).", db->mutable_program());
+  auto q = ParseQuery("?(x, y) Next(x, y).", db->program().symbols);
   ASSERT_TRUE(q.ok());
   auto ans = AnswerQuery(db.get(), *q);
   ASSERT_TRUE(ans.ok()) << ans.status().ToString();
@@ -105,7 +106,8 @@ TEST(Query, PureNonFunctionalQuery) {
 TEST(Query, GroundTermAtomConstrainsJoin) {
   auto db = BuildMeets();
   // Who meets on day 4 and is followed by whom? Meets(4, x), Next(x, y).
-  auto q = ParseQuery("?(x, y) Meets(4, x), Next(x, y).", db->mutable_program());
+  auto q =
+      ParseQuery("?(x, y) Meets(4, x), Next(x, y).", db->program().symbols);
   ASSERT_TRUE(q.ok());
   auto ans = AnswerQuery(db.get(), *q);
   ASSERT_TRUE(ans.ok()) << ans.status().ToString();
@@ -119,7 +121,7 @@ TEST(Query, GroundTermAtomConstrainsJoin) {
 TEST(Query, IncrementalMatchesRecomputeOnJoinQuery) {
   auto db = BuildMeets();
   auto q = ParseQuery("?(t, x, y) Meets(t, x), Next(x, y).",
-                      db->mutable_program());
+                      db->program().symbols);
   ASSERT_TRUE(q.ok());
   testutil::ExpectAnswerMatchesOracle(db.get(), *q, "join");
   auto ans = AnswerQuery(db.get(), *q);
@@ -133,7 +135,7 @@ TEST(Query, NonUniformQueryMatchesRecomputeOracle) {
   auto db = BuildMeets();
   // Meets(t+1, x): non-uniform (non-ground, non-variable functional term),
   // answered by walking one successor step from each cluster.
-  auto q = ParseQuery("?(t, x) Meets(t+1, x).", db->mutable_program());
+  auto q = ParseQuery("?(t, x) Meets(t+1, x).", db->program().symbols);
   ASSERT_TRUE(q.ok());
   testutil::ExpectAnswerMatchesOracle(db.get(), *q, "t+1");
   auto ans = AnswerQuery(db.get(), *q);
@@ -148,7 +150,7 @@ TEST(Query, NonUniformQueryMatchesRecomputeOracle) {
 
 TEST(Query, YesNoQueries) {
   auto db = BuildMeets();
-  auto yes = ParseQuery("? Meets(t, Tony).", db->mutable_program());
+  auto yes = ParseQuery("? Meets(t, Tony).", db->program().symbols);
   ASSERT_TRUE(yes.ok());
   auto r1 = YesNo(db.get(), *yes);
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
@@ -157,7 +159,7 @@ TEST(Query, YesNoQueries) {
   // with the same x; use a constant instead: is there a day Jan and Tony
   // both meet? (Never.)
   auto no = ParseQuery("? Meets(t, Tony), Meets(t, Jan).",
-                       db->mutable_program());
+                       db->program().symbols);
   ASSERT_TRUE(no.ok());
   auto r2 = YesNo(db.get(), *no);
   ASSERT_TRUE(r2.ok());
@@ -167,7 +169,7 @@ TEST(Query, YesNoQueries) {
 TEST(Query, EmptyAnswerIsEmpty) {
   auto db = BuildMeets();
   auto q = ParseQuery("?(t) Meets(t, Tony), Meets(t, Jan).",
-                      db->mutable_program());
+                      db->program().symbols);
   ASSERT_TRUE(q.ok());
   auto ans = AnswerQuery(db.get(), *q);
   ASSERT_TRUE(ans.ok());
@@ -180,7 +182,7 @@ TEST(Query, EmptyAnswerIsEmpty) {
 
 TEST(Query, ColumnsFollowAnswerVarOrder) {
   auto db = BuildMeets();
-  auto q = ParseQuery("?(x, t) Meets(t, x).", db->mutable_program());
+  auto q = ParseQuery("?(x, t) Meets(t, x).", db->program().symbols);
   ASSERT_TRUE(q.ok());
   auto ans = AnswerQuery(db.get(), *q);
   ASSERT_TRUE(ans.ok());
@@ -199,7 +201,7 @@ TEST(Query, ListMembershipUniformAnswers) {
     P(y), Member(s, x) -> Member(ext(s, y), x).
   )");
   ASSERT_TRUE(db.ok());
-  auto q = ParseQuery("?(s) Member(s, b).", (*db)->mutable_program());
+  auto q = ParseQuery("?(s) Member(s, b).", (*db)->program().symbols);
   ASSERT_TRUE(q.ok());
   auto ans = AnswerQuery(db->get(), *q);
   ASSERT_TRUE(ans.ok()) << ans.status().ToString();
@@ -212,7 +214,7 @@ TEST(Query, ListMembershipUniformAnswers) {
 TEST(Query, RepeatedQueriesDoNotInterfere) {
   auto db = BuildMeets();
   for (int i = 0; i < 3; ++i) {
-    auto q = ParseQuery("?(t) Meets(t+1, Tony).", db->mutable_program());
+    auto q = ParseQuery("?(t) Meets(t+1, Tony).", db->program().symbols);
     ASSERT_TRUE(q.ok());
     auto ans = AnswerQuery(db.get(), *q);
     ASSERT_TRUE(ans.ok()) << ans.status().ToString();
@@ -226,7 +228,7 @@ TEST(Query, RepeatedQueriesDoNotInterfere) {
 
 TEST(Query, NullGovernorLeavesAnswersUnchanged) {
   auto db = BuildMeets();
-  auto q = ParseQuery("?(t, x) Meets(t, x).", db->mutable_program());
+  auto q = ParseQuery("?(t, x) Meets(t, x).", db->program().symbols);
   ASSERT_TRUE(q.ok());
   auto without = AnswerQuery(db.get(), *q);
   auto with = AnswerQuery(db.get(), *q, nullptr);
@@ -237,7 +239,7 @@ TEST(Query, NullGovernorLeavesAnswersUnchanged) {
 
 TEST(Query, GenerousGovernorDoesNotBreach) {
   auto db = BuildMeets();
-  auto q = ParseQuery("?(t, x) Meets(t, x).", db->mutable_program());
+  auto q = ParseQuery("?(t, x) Meets(t, x).", db->program().symbols);
   ASSERT_TRUE(q.ok());
   GovernorLimits limits;
   limits.max_tuples = 1000000;
@@ -250,7 +252,7 @@ TEST(Query, GenerousGovernorDoesNotBreach) {
 TEST(Query, TinyTupleBudgetBreachesIncremental) {
   auto db = BuildMeets();
   // AnswerQuery polls CheckTuples per cluster.
-  auto q = ParseQuery("?(t, x) Meets(t, x).", db->mutable_program());
+  auto q = ParseQuery("?(t, x) Meets(t, x).", db->program().symbols);
   ASSERT_TRUE(q.ok());
   GovernorLimits limits;
   limits.max_tuples = 1;
@@ -265,7 +267,7 @@ TEST(Query, TinyTupleBudgetBreachesIncremental) {
 
 TEST(Query, PreBreachedGovernorRejectsNonUniformQuery) {
   auto db = BuildMeets();
-  auto q = ParseQuery("?(x) Meets(t+1, x).", db->mutable_program());
+  auto q = ParseQuery("?(x) Meets(t+1, x).", db->program().symbols);
   ASSERT_TRUE(q.ok());
   GovernorLimits limits;
   ResourceGovernor governor(limits);
@@ -277,7 +279,7 @@ TEST(Query, PreBreachedGovernorRejectsNonUniformQuery) {
 
 TEST(Query, TinyTupleBudgetBreachesNonUniformQuery) {
   auto db = BuildMeets();
-  auto q = ParseQuery("?(t, x) Meets(t+1, x).", db->mutable_program());
+  auto q = ParseQuery("?(t, x) Meets(t+1, x).", db->program().symbols);
   ASSERT_TRUE(q.ok());
   GovernorLimits limits;
   limits.max_tuples = 1;  // every cluster holds one answer tuple
@@ -293,7 +295,7 @@ TEST(Query, TinyTupleBudgetBreachesNonUniformQuery) {
 
 TEST(Query, CachedHitSkipsGovernorMissConsultsIt) {
   auto db = BuildMeets();
-  auto q = ParseQuery("?(t, x) Meets(t, x).", db->mutable_program());
+  auto q = ParseQuery("?(t, x) Meets(t, x).", db->program().symbols);
   ASSERT_TRUE(q.ok());
   QueryCache cache;
   // Populate the cache ungoverned.
@@ -310,6 +312,24 @@ TEST(Query, CachedHitSkipsGovernorMissConsultsIt) {
   auto miss = AnswerQueryCached(db.get(), *q, &cache, &breached);
   ASSERT_FALSE(miss.ok());
   EXPECT_TRUE(miss.status().IsResourceBreach()) << miss.status().ToString();
+}
+
+// The cache key is the printed query, answer columns included: the same
+// atoms with different columns are different queries.
+TEST(Query, CacheKeyIncludesAnswerColumns) {
+  auto db = BuildMeets();
+  QueryCache cache;
+  auto tuples = ParseQuery("?(x) Meets(t, x).", db->program().symbols);
+  auto terms = ParseQuery("?(t, x) Meets(t, x).", db->program().symbols);
+  ASSERT_TRUE(tuples.ok() && terms.ok());
+  EXPECT_EQ(ToString(*tuples, db->program().symbols), "?(x) Meets(t,x).");
+  ASSERT_TRUE(AnswerQueryCached(db.get(), *tuples, &cache).ok());
+  bool hit = true;
+  auto answer = AnswerQueryCached(db.get(), *terms, &cache, nullptr, &hit);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_FALSE(hit);
+  EXPECT_TRUE((*answer)->has_functional_answer());
+  EXPECT_EQ((*answer)->columns(), (std::vector<std::string>{"t", "x"}));
 }
 
 // --- answers against the rebuild oracle ------------------------------------
@@ -341,7 +361,7 @@ void ExpectShapesMatchOracle(const std::string& source) {
     const PredicateInfo info = symbols.predicate(p);
     if (!info.functional || info.name[0] == '$') continue;
     for (const std::string& qtext : ShapesFor(symbols, info)) {
-      auto q = ParseQuery(qtext, (*db)->mutable_program());
+      auto q = ParseQuery(qtext, (*db)->program().symbols);
       ASSERT_TRUE(q.ok()) << qtext << ": " << q.status().ToString();
       testutil::ExpectAnswerMatchesOracle(db->get(), *q, qtext);
     }
@@ -396,7 +416,7 @@ TEST(Query, MixedTermShapesMatchOracle) {
            // A mixed-variable atom joined with a global atom.
            "?(s, y) Member(ext(s, y), a), P(y).",
        }) {
-    auto q = ParseQuery(qtext, (*db)->mutable_program());
+    auto q = ParseQuery(qtext, (*db)->program().symbols);
     ASSERT_TRUE(q.ok()) << qtext << ": " << q.status().ToString();
     testutil::ExpectAnswerMatchesOracle(db->get(), *q, qtext,
                                         /*contains_depth=*/4,
@@ -421,7 +441,7 @@ TEST(Query, AnswersLeaveEngineStateUnchanged) {
     }
     if (i % 5 == 0) term = "ext(" + term + ", c9)";
     std::string qtext = "?(x) Member(" + term + ", x).";
-    auto q = ParseQuery(qtext, (*db)->mutable_program());
+    auto q = ParseQuery(qtext, (*db)->program().symbols);
     ASSERT_TRUE(q.ok()) << q.status().ToString();
     queries.push_back(*q);
   }
@@ -433,7 +453,7 @@ TEST(Query, AnswersLeaveEngineStateUnchanged) {
       "?(s, x, y) Member(ext(ext(s, y), x), y).",
   };
   for (int i = 0; i < 50; ++i) {
-    auto q = ParseQuery(kShapes[i % 5], (*db)->mutable_program());
+    auto q = ParseQuery(kShapes[i % 5], (*db)->program().symbols);
     ASSERT_TRUE(q.ok()) << q.status().ToString();
     queries.push_back(*q);
   }
@@ -476,7 +496,7 @@ TEST(Query, TruncatedGroundTermThroughSinkReadsEmpty) {
   int through_sink = 0;
   for (int n = 0; n <= 8; ++n) {
     auto q = ParseQuery("?(x) Meets(" + std::to_string(n) + ", x).",
-                        (*db)->mutable_program());
+                        (*db)->program().symbols);
     ASSERT_TRUE(q.ok());
     auto ans = AnswerQuery(db->get(), *q);
     ASSERT_TRUE(ans.ok()) << ans.status().ToString();
@@ -566,7 +586,7 @@ void ExpectProgramMatchesOracle(const std::string& source) {
     for (const char* term : {"s", "f(s)"}) {
       std::string qtext =
           "?(" + cols + ") " + info.name + "(" + term + args + ").";
-      auto q = ParseQuery(qtext, (*db)->mutable_program());
+      auto q = ParseQuery(qtext, (*db)->program().symbols);
       ASSERT_TRUE(q.ok()) << qtext;
       auto ans = AnswerQuery(db->get(), *q);
       ASSERT_TRUE(ans.ok()) << ans.status().ToString();
@@ -605,7 +625,7 @@ TEST(Query, TruncatedGraphEnumerationMatchesOracle) {
   auto db = FunctionalDatabase::FromSource(kMeets, options);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ASSERT_TRUE((*db)->truncated());
-  auto q = ParseQuery("?(t, x) Meets(t, x).", (*db)->mutable_program());
+  auto q = ParseQuery("?(t, x) Meets(t, x).", (*db)->program().symbols);
   ASSERT_TRUE(q.ok());
   auto ans = AnswerQuery(db->get(), *q);
   ASSERT_TRUE(ans.ok()) << ans.status().ToString();
@@ -626,7 +646,7 @@ constexpr const char* kRobot = R"(
 TEST(Query, DeadEndEnumerationIsOutputSensitive) {
   auto db = FunctionalDatabase::FromSource(kRobot);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-  auto q = ParseQuery("?(y) At(y, p2).", (*db)->mutable_program());
+  auto q = ParseQuery("?(y) At(y, p2).", (*db)->program().symbols);
   ASSERT_TRUE(q.ok());
   auto ans = AnswerQuery(db->get(), *q);
   ASSERT_TRUE(ans.ok()) << ans.status().ToString();
@@ -655,7 +675,7 @@ TEST(Query, NodeBudgetBoundsEnumerationFrontier) {
     P(y), Member(s, x) -> Member(ext(s, y), x).
   )");
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-  auto q = ParseQuery("?(s, x) Member(s, x).", (*db)->mutable_program());
+  auto q = ParseQuery("?(s, x) Member(s, x).", (*db)->program().symbols);
   ASSERT_TRUE(q.ok());
   auto ans = AnswerQuery(db->get(), *q);
   ASSERT_TRUE(ans.ok()) << ans.status().ToString();
@@ -691,7 +711,7 @@ class DeltaCacheTest : public ::testing::Test {
 TEST_F(DeltaCacheTest, EffectiveDeltaInvalidatesFingerprintAndCache) {
   auto db = BuildMeets();
   uint64_t fp_before = db->Fingerprint();
-  auto q = ParseQuery("?(t, x) Meets(t, x).", db->mutable_program());
+  auto q = ParseQuery("?(t, x) Meets(t, x).", db->program().symbols);
   ASSERT_TRUE(q.ok());
 
   QueryCache cache;
@@ -733,7 +753,7 @@ TEST_F(DeltaCacheTest, EffectiveDeltaInvalidatesFingerprintAndCache) {
 TEST_F(DeltaCacheTest, NoopDeltaKeepsFingerprintAndHits) {
   auto db = BuildMeets();
   uint64_t fp_before = db->Fingerprint();
-  auto q = ParseQuery("?(t, x) Meets(t, x).", db->mutable_program());
+  auto q = ParseQuery("?(t, x) Meets(t, x).", db->program().symbols);
   ASSERT_TRUE(q.ok());
   QueryCache cache;
   auto cold = AnswerQueryCached(db.get(), *q, &cache);
@@ -761,7 +781,7 @@ TEST_F(DeltaCacheTest, StaleEntriesAgeOutThroughLru) {
   QueryCache::Options copts;
   copts.max_entries = 1;  // the stale entry must be evicted, not retained
   QueryCache cache(copts);
-  auto q = ParseQuery("?(t, x) Meets(t, x).", db->mutable_program());
+  auto q = ParseQuery("?(t, x) Meets(t, x).", db->program().symbols);
   ASSERT_TRUE(q.ok());
   ASSERT_TRUE(AnswerQueryCached(db.get(), *q, &cache).ok());
 

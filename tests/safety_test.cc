@@ -119,7 +119,7 @@ TEST(Safety, RelspecAnswersWhatRbs87Rejects) {
 
   auto db = FunctionalDatabase::FromSource(kMeets);
   ASSERT_TRUE(db.ok());
-  auto q2 = ParseQuery("?(t, x) Meets(t, x).", (*db)->mutable_program());
+  auto q2 = ParseQuery("?(t, x) Meets(t, x).", (*db)->program().symbols);
   ASSERT_TRUE(q2.ok());
   auto ans = AnswerQuery(db->get(), *q2);  // the 1989 answer: a finite spec
   ASSERT_TRUE(ans.ok());

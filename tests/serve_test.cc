@@ -29,7 +29,6 @@
 #include "src/base/str_util.h"
 #include "src/base/trace.h"
 #include "src/core/engine.h"
-#include "src/core/mixed_to_pure.h"
 #include "src/core/query.h"
 #include "src/core/wal.h"
 #include "src/parser/parser.h"
@@ -413,25 +412,14 @@ class LiveServer {
   std::thread thread_;
 };
 
-/// The daemon's membership semantics, computed locally: parse the fact as a
-/// spec-only query, purify, Holds. Mirrors Server::Handle(kMembership).
+/// The daemon's membership semantics, computed locally: parse the fact
+/// read-only against the spec's symbols, then GraphSpecification::HoldsFact.
+/// Mirrors Server::Handle(kMembership).
 StatusOr<bool> LocalHolds(const GraphSpecification& spec,
                           const std::string& fact) {
-  Program scratch;
-  scratch.symbols = spec.symbols();
-  RELSPEC_ASSIGN_OR_RETURN(Query q, ParseQuery("? " + fact + ".", &scratch));
-  if (q.atoms.size() != 1 || !q.atoms[0].IsGround() ||
-      !q.atoms[0].fterm.has_value()) {
-    return Status::InvalidArgument("bad probe: " + fact);
-  }
-  RELSPEC_ASSIGN_OR_RETURN(FuncTerm purified,
-                           PurifyGroundTerm(*q.atoms[0].fterm,
-                                            &scratch.symbols));
-  std::vector<FuncId> syms;
-  for (const FuncApply& a : purified.apps) syms.push_back(a.fn);
-  std::vector<ConstId> args;
-  for (const NfArg& a : q.atoms[0].args) args.push_back(a.id);
-  return spec.Holds(Path(std::move(syms)), q.atoms[0].pred, args);
+  RELSPEC_ASSIGN_OR_RETURN(Query q,
+                           ParseQuery("? " + fact + ".", spec.symbols()));
+  return spec.HoldsFact(q);
 }
 
 TEST(ServeLive, EveryRequestTypeRoundTrips) {
@@ -464,7 +452,7 @@ TEST(ServeLive, EveryRequestTypeRoundTrips) {
 
   // Query: byte-identical to the in-process cached answer.
   const std::string query_text = "?(t, x) OnCall(t, x).";
-  auto ref_query = ParseQuery(query_text, (*ref_db)->mutable_program());
+  auto ref_query = ParseQuery(query_text, (*ref_db)->program().symbols);
   ASSERT_TRUE(ref_query.ok());
   QueryCache ref_cache;
   auto ref_answer =
@@ -639,7 +627,7 @@ TEST(ServeLive, ReplyTimingAppendsElapsedLineWhenOptedIn) {
   ASSERT_NE(client, nullptr);
 
   const std::string query_text = "?(t, x) OnCall(t, x).";
-  auto ref_query = ParseQuery(query_text, (*ref_db)->mutable_program());
+  auto ref_query = ParseQuery(query_text, (*ref_db)->program().symbols);
   ASSERT_TRUE(ref_query.ok());
   QueryCache ref_cache;
   auto ref_answer =
@@ -924,7 +912,7 @@ TEST_P(ServeConcurrencyTest, ConcurrentClientsMatchInProcessAnswersByteForByte) 
   };
   std::vector<Expected> expected;
   for (const std::string& text : query_texts) {
-    auto query = ParseQuery(text, (*ref_db)->mutable_program());
+    auto query = ParseQuery(text, (*ref_db)->program().symbols);
     ASSERT_TRUE(query.ok()) << text << ": " << query.status().ToString();
     auto answer = AnswerQueryCached(ref_db->get(), *query, &ref_cache, nullptr);
     ASSERT_TRUE(answer.ok()) << text << ": " << answer.status().ToString();

@@ -222,13 +222,24 @@ TEST(MixedToPure, PurifyGroundTermHelper) {
   FuncId mv = *p->symbols.FindFunction("move");
   ConstId p0 = *p->symbols.FindConstant("p0");
   ConstId p1 = *p->symbols.FindConstant("p1");
+  // Purification interns the encodings; PurifyGroundTerm only looks them up.
+  ASSERT_TRUE(MixedToPure(&*p).ok());
+  const size_t functions = p->symbols.num_functions();
   FuncTerm t = FuncTerm::Zero().Apply(
       mv, {NfArg::Constant(p0), NfArg::Constant(p1)});
   auto pure = PurifyGroundTerm(t, &p->symbols);
   ASSERT_TRUE(pure.ok()) << pure.status().ToString();
   EXPECT_TRUE(pure->IsPure());
   EXPECT_EQ(pure->depth(), 1);
-  EXPECT_TRUE(p->symbols.FindFunction("move{p0,p1}").ok());
+  EXPECT_EQ(pure->apps[0].fn, *p->symbols.FindFunction("move{p0,p1}"));
+  // An encoding the table lacks is NotFound, and nothing is interned.
+  ConstId p2 = p->symbols.InternConstant("p2");
+  FuncTerm absent = FuncTerm::Zero().Apply(
+      mv, {NfArg::Constant(p0), NfArg::Constant(p2)});
+  EXPECT_EQ(PurifyGroundTerm(absent, &p->symbols).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(p->symbols.num_functions(), functions);
+  EXPECT_FALSE(p->symbols.FindFunction("move{p0,p2}").ok());
   // Non-ground input is rejected.
   VarId x = p->symbols.InternVariable("x");
   FuncTerm open = FuncTerm::Zero().Apply(mv, {NfArg::Variable(x),

@@ -14,7 +14,9 @@
 #include "gtest/gtest.h"
 #include "src/base/failpoint.h"
 #include "src/core/engine.h"
+#include "src/core/query.h"
 #include "src/core/snapshot.h"
+#include "src/parser/parser.h"
 
 namespace relspec {
 namespace {
@@ -423,16 +425,20 @@ TEST(OpenDurableTest, NoopBatchIsLoggedForSymbolStability) {
   CleanWalFiles(path);
   auto db = FunctionalDatabase::OpenDurable(kSource, path);
   ASSERT_TRUE(db.ok());
-  // Deleting an absent fact is a fact-level noop, but parsing it interned
-  // the new constant `Ghost` into the symbol table — engine state a replay
-  // must reproduce. So even noop batches are logged.
+  // Deleting an absent fact is a noop: its parse interns `Ghost` only into
+  // the batch's own copy of the table, which is dropped. It is logged anyway,
+  // because OK means "logged" for every batch, and its replay is a noop.
+  const size_t constants = (*db)->program().symbols.num_constants();
+  const uint64_t fingerprint = (*db)->Fingerprint();
   auto stats = (*db)->LogAndApplyDeltas("- Meets(0, Ghost).\n");
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->noops, 1u);
   EXPECT_EQ((*db)->wal()->next_seq(), 2u);
+  EXPECT_EQ((*db)->program().symbols.num_constants(), constants);
+  EXPECT_EQ((*db)->Fingerprint(), fingerprint);
 
-  // An effective batch after the phantom gives `Ghost` a smaller id than
-  // `Jan`... both engines must agree after recovery, byte for byte.
+  // An effective batch after the noop interns `Ghost` for real; both
+  // engines must agree after recovery, byte for byte.
   ASSERT_TRUE((*db)->LogAndApplyDeltas("+ Meets(0, Ghost).\n").ok());
   EngineState before = StateOf(db->get());
   db->reset();
@@ -480,6 +486,49 @@ TEST(OpenDurableTest, CheckpointAfterDeleteReinsertIsByteIdentical) {
   EngineState got = StateOf(db->get());
   EXPECT_EQ(got.spec_bytes, want.spec_bytes);
   EXPECT_EQ(got.fingerprint, want.fingerprint);
+  CleanWalFiles(path);
+}
+
+// Queries and membership probes naming constants the engine lacks must not
+// change what a checkpoint stores. When reads interned such names, the
+// checkpoint paired the original program's table with a snapshot built from
+// the grown one; recovery rejected it, fell back to `.prev` and dropped the
+// batch acknowledged after the checkpoint. Both deltas use existing
+// constants: a new constant would rebuild the table and hide the bug.
+TEST(OpenDurableTest, FreshNameReadsKeepEveryAckedBatch) {
+  std::string path = TestPath("wal");
+  CleanWalFiles(path);
+  auto db = FunctionalDatabase::OpenDurable(kSource, path);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  for (const char* text : {"?(t) Meets(t, Bob).", "?(x) Next(Carol, x).",
+                           "? Meets(3, Dave)."}) {
+    auto q = ParseQuery(text, (*db)->program().symbols);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    auto answer = AnswerQuery(db->get(), *q);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_TRUE(answer->IsEmpty()) << text;
+  }
+  auto holds = (*db)->HoldsFactText("Meets(2, Erin)");
+  ASSERT_TRUE(holds.ok()) << holds.status().ToString();
+  EXPECT_FALSE(*holds);
+  ASSERT_TRUE((*db)->LogAndApplyDeltas("+ Next(Tony, Tony).\n").ok());
+  ASSERT_TRUE((*db)->Checkpoint().ok());
+  ASSERT_TRUE((*db)->LogAndApplyDeltas("+ Next(Jan, Jan).\n").ok());
+  const EngineState before = StateOf(db->get());
+  db->reset();
+
+  RecoveryStats rec;
+  auto reopened = FunctionalDatabase::OpenDurable(kSource, path, {}, {}, &rec);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_TRUE(rec.checkpoint_loaded);
+  EXPECT_FALSE(rec.used_fallback);
+  EXPECT_EQ(rec.replayed_batches, 1u);
+  const EngineState after = StateOf(reopened->get());
+  EXPECT_EQ(after.fingerprint, before.fingerprint);
+  EXPECT_TRUE(after.spec_bytes == before.spec_bytes);
+  auto jan = (*reopened)->HoldsFactText("Next(Jan, Jan)");
+  ASSERT_TRUE(jan.ok()) << jan.status().ToString();
+  EXPECT_TRUE(*jan) << "the batch acknowledged after the checkpoint is lost";
   CleanWalFiles(path);
 }
 

@@ -533,7 +533,7 @@ Status SetupClient(const Options& opt, const Workload& w, size_t lane,
   c->queries.reserve(w.queries.size());
   for (const std::string& text : w.queries) {
     RELSPEC_ASSIGN_OR_RETURN(Query q,
-                             ParseQuery(text, c->db->mutable_program()));
+                             ParseQuery(text, c->db->program().symbols));
     c->queries.push_back(std::move(q));
   }
   c->fact_present.assign(w.delta_facts.size(), 1);

@@ -404,24 +404,16 @@ int RunCli(int argc, char** argv) {
     if (!spec.ok()) return Fail(kExitParse, spec.status());
     printf("loaded specification: %zu clusters, %zu tuples (no rules)\n",
            spec->num_clusters(), spec->num_slice_tuples());
-    // Membership via a throwaway program sharing the spec's symbols.
+    // Membership read-only against the spec's own symbols.
     for (const std::string& fact : facts) {
-      Program scratch;
-      scratch.symbols = spec->symbols();
-      auto q = ParseQuery("? " + fact + ".", &scratch);
-      if (!q.ok() || q->atoms.size() != 1 || !q->atoms[0].IsGround() ||
-          !q->atoms[0].fterm.has_value()) {
-        RELSPEC_LOG(kError) << "bad --fact " << fact;
+      auto q = ParseQuery("? " + fact + ".", spec->symbols());
+      StatusOr<bool> holds = q.ok() ? spec->HoldsFact(*q) : q.status();
+      if (!holds.ok()) {
+        RELSPEC_LOG(kError) << "bad --fact " << fact << ": "
+                            << holds.status().ToString();
         continue;
       }
-      auto purified = PurifyGroundTerm(*q->atoms[0].fterm, &scratch.symbols);
-      if (!purified.ok()) return Fail(kExitEngine, purified.status());
-      std::vector<FuncId> syms;
-      for (const FuncApply& a : purified->apps) syms.push_back(a.fn);
-      std::vector<ConstId> args;
-      for (const NfArg& a : q->atoms[0].args) args.push_back(a.id);
-      bool holds = spec->Holds(Path(std::move(syms)), q->atoms[0].pred, args);
-      printf("%s -> %s\n", fact.c_str(), holds ? "true" : "false");
+      printf("%s -> %s\n", fact.c_str(), *holds ? "true" : "false");
     }
     return kExitOk;
   }
@@ -542,7 +534,7 @@ int RunCli(int argc, char** argv) {
     PrintAnswer(*answer, horizon);
   }
   for (const std::string& qtext : queries) {
-    auto q = ParseQuery(qtext, (*db)->mutable_program());
+    auto q = ParseQuery(qtext, (*db)->program().symbols);
     if (!q.ok()) return Fail(kExitParse, q.status());
     auto answer = AnswerQuery(db->get(), *q);
     if (!answer.ok()) return Fail(EngineExitCode(answer.status()), answer.status());
@@ -550,7 +542,7 @@ int RunCli(int argc, char** argv) {
   }
 
   for (const std::string& fact : explains) {
-    auto q = ParseQuery("? " + fact + ".", (*db)->mutable_program());
+    auto q = ParseQuery("? " + fact + ".", (*db)->program().symbols);
     if (!q.ok()) return Fail(kExitParse, q.status());
     if (q->atoms.size() != 1 || !q->atoms[0].IsGround()) {
       return UsageError("--explain expects a single ground fact");
@@ -560,9 +552,13 @@ int RunCli(int argc, char** argv) {
     for (const NfArg& a : atom.args) args.push_back(a.id);
     StatusOr<Derivation> d = Status::NotFound("no functional term");
     if (atom.fterm.has_value()) {
+      // NotFound when the term names a symbol the engine lacks.
       auto path = (*db)->PathOfGroundTerm(*atom.fterm);
-      if (!path.ok()) return Fail(kExitEngine, path.status());
-      d = ExplainFact((*db)->ground(), *path, SliceAtom{atom.pred, args});
+      if (!path.ok()) {
+        d = path.status();
+      } else {
+        d = ExplainFact((*db)->ground(), *path, SliceAtom{atom.pred, args});
+      }
     } else {
       d = ExplainGlobal((*db)->ground(), atom.pred, args);
     }
@@ -615,7 +611,7 @@ int RunCli(int argc, char** argv) {
   }
 
   for (const std::string& ptext : periodics) {
-    auto q = ParseQuery("? " + ptext + ".", (*db)->mutable_program());
+    auto q = ParseQuery("? " + ptext + ".", (*db)->program().symbols);
     if (!q.ok()) return Fail(kExitParse, q.status());
     if (q->atoms.size() != 1 || !q->atoms[0].fterm.has_value()) {
       return UsageError("--periodic expects one functional atom");

@@ -23,13 +23,15 @@
 #
 # --asan builds with -DRELSPEC_SANITIZE=address,undefined (default dir:
 # build-asan) and runs the fault-injection suites (failpoint, governor,
-# parser), the query, WAL, label-graph, fixpoint and property suites under
-# ASan+UBSan: every injected unwind path must be leak- and UB-free, a query
-# walk that indexes a successor map out of range must fail, WAL replay moves
-# a rebuilt engine's members into the live one once per batch, and the chi
+# parser), the query, WAL, label-graph, fixpoint, property and engine suites
+# under ASan+UBSan: every injected unwind path must be leak- and UB-free, a
+# query walk that indexes a successor map out of range must fail, WAL replay
+# moves a rebuilt engine's members into the live one once per batch, the chi
 # worklist reads child values by reference into its entry table, which
-# EntryFor appends to, while Labeling::LabelOf returns a reference into it.
-# See docs/ROBUSTNESS.md.
+# EntryFor appends to, while Labeling::LabelOf returns a reference into it,
+# and a query's own names carry ids past the symbol table's counts, which a
+# read that indexes the table with them would overrun. See
+# docs/ROBUSTNESS.md.
 #
 # --fuzz builds the parser/snapshot/WAL/protocol fuzz target
 # (-DRELSPEC_FUZZ=ON, default dir: build-fuzz) and runs a 30-second smoke
@@ -59,11 +61,11 @@ if [[ "${1:-}" == "--asan" ]]; then
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
       failpoint_test governor_test parser_test snapshot_test \
       differential_test query_test wal_test spec_test fixpoint_test \
-      property_test
+      property_test engine_test
   echo "== asan+ubsan tests =="
   for t in failpoint_test governor_test parser_test snapshot_test \
            differential_test query_test wal_test spec_test fixpoint_test \
-           property_test; do
+           property_test engine_test; do
     echo "-- $t"
     "$BUILD_DIR"/tests/"$t"
   done
