@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Regenerates tests/golden/*.snap from the current engine output.
+# Regenerates tests/golden/*.snap and tests/golden/chi_builds.txt from the
+# current engine output.
 #
-# Run this only after convincing yourself the spec-serialization change is
-# intended; the golden test exists to catch accidental byte drift.
+# Run this only after convincing yourself the spec-serialization (or chi
+# build) change is intended; the golden test exists to catch accidental
+# byte drift.
 #
 #   tools/regen_goldens.sh [BUILD_DIR]
 set -euo pipefail
@@ -19,4 +21,4 @@ cmake --build "$build" --target golden_test -j >/dev/null
 mkdir -p "$repo/tests/golden"
 UPDATE_GOLDENS=1 "$build/tests/golden_test" >/dev/null
 echo "regenerated:"
-ls -l "$repo"/tests/golden/*.snap
+ls -l "$repo"/tests/golden/*.snap "$repo"/tests/golden/chi_builds.txt

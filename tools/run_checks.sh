@@ -30,8 +30,9 @@
 # worklist reads child values by reference into its entry table, which
 # EntryFor appends to, while Labeling::LabelOf returns a reference into it,
 # and a query's own names carry ids past the symbol table's counts, which a
-# read that indexes the table with them would overrun. See
-# docs/ROBUSTNESS.md.
+# read that indexes the table with them would overrun, and the golden
+# chi-build corpus (400 random programs, truncated modes included) drives
+# the chi engine's rule index and counts. See docs/ROBUSTNESS.md.
 #
 # --fuzz builds the parser/snapshot/WAL/protocol fuzz target
 # (-DRELSPEC_FUZZ=ON, default dir: build-fuzz) and runs a 30-second smoke
@@ -61,11 +62,11 @@ if [[ "${1:-}" == "--asan" ]]; then
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
       failpoint_test governor_test parser_test snapshot_test \
       differential_test query_test wal_test spec_test fixpoint_test \
-      property_test engine_test
+      property_test engine_test golden_test
   echo "== asan+ubsan tests =="
   for t in failpoint_test governor_test parser_test snapshot_test \
            differential_test query_test wal_test spec_test fixpoint_test \
-           property_test engine_test; do
+           property_test engine_test golden_test; do
     echo "-- $t"
     "$BUILD_DIR"/tests/"$t"
   done
