@@ -96,13 +96,10 @@ BENCHMARK(BM_Fixpoint_TrunkGrowth)
     ->Args({10, 2})
     ->Unit(benchmark::kMillisecond);
 
-// E26 — the chi worklist on a chain: a log2(n)-bit counter is a chain of n
-// states below the root, n + 1 chi entries, each closed exactly once. Times
-// ComputeFixpoint only; parsing and grounding happen once, outside the loop.
-void BM_Fixpoint_Chain(benchmark::State& state) {
-  int bits = 0;
-  while ((int64_t{1} << bits) < state.range(0)) ++bits;
-  auto db = FunctionalDatabase::FromSource(BinaryCounterProgram(bits));
+// Times ComputeFixpoint alone on `source`: parsing and grounding happen
+// once, outside the loop.
+void TimeFixpoint(benchmark::State& state, const std::string& source) {
+  auto db = FunctionalDatabase::FromSource(source);
   if (!db.ok()) {
     state.SkipWithError(db.status().ToString().c_str());
     return;
@@ -118,19 +115,40 @@ void BM_Fixpoint_Chain(benchmark::State& state) {
     entries = labeling->chi().num_entries();
     benchmark::DoNotOptimize(labeling);
   }
-  // Closures are counted on one extra, untimed run, so the timed loop keeps
-  // the metrics registry's disabled path.
+  // Work is counted on one extra, untimed run, so the timed loop keeps the
+  // metrics registry's disabled path.
   MetricsRegistry::Global().Reset();
   EnableMetrics(true);
   auto counted = ComputeFixpoint(ground);
   EnableMetrics(false);
-  uint64_t closures =
-      MetricsRegistry::Global().Snapshot().counter("chi.close_node_calls");
+  MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
   MetricsRegistry::Global().Reset();
   benchmark::DoNotOptimize(counted);
   state.counters["chi_entries"] = static_cast<double>(entries);
-  state.counters["closures"] = static_cast<double>(closures);
+  state.counters["closures"] =
+      static_cast<double>(snap.counter("chi.close_node_calls"));
+  state.counters["rule_visits"] =
+      static_cast<double>(snap.counter("chi.rule_visits"));
+  state.counters["rule_firings"] =
+      static_cast<double>(snap.counter("chi.rule_firings"));
+}
+
+// E26 — the chi worklist on a chain: a log2(n)-bit counter is a chain of n
+// states below the root, n + 1 chi entries, each closed exactly once.
+void BM_Fixpoint_Chain(benchmark::State& state) {
+  int bits = 0;
+  while ((int64_t{1} << bits) < state.range(0)) ++bits;
+  TimeFixpoint(state, BinaryCounterProgram(bits));
 }
 BENCHMARK(BM_Fixpoint_Chain)->Arg(512)->Unit(benchmark::kMicrosecond);
+
+// E28 — the counter-indexed closure on a k-team rotation: k local rules and
+// k + 1 chi entries, each of whose closures fires one rule. Closing an
+// entry touches only the rules that read the bits it sets, so the time is
+// linear in k; evaluating every rule per closure made it quadratic.
+void BM_Fixpoint_Rotation(benchmark::State& state) {
+  TimeFixpoint(state, RotationProgram(static_cast<int>(state.range(0))));
+}
+BENCHMARK(BM_Fixpoint_Rotation)->Arg(420)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -335,6 +335,28 @@ TEST(Fixpoint, ClosesEachChiEntryOnceOnACounter) {
   EXPECT_EQ(snap.counter("chi.close_node_calls"), l->chi().num_entries());
 }
 
+// A closure touches only the rules that read the bits it sets
+// (Dowling–Gallier). Each rotation entry's closure fires one of the k
+// rules, so the count work grows linearly in k; evaluating every rule in
+// every sweep grew 4x per doubling.
+TEST(Fixpoint, ChiClosureWorkIsLinearOnRotation) {
+  std::vector<uint64_t> visits;
+  for (int k : {105, 210, 420}) {
+    auto b = Build(relspec_bench::RotationProgram(k));
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    ScopedMetrics metrics;
+    auto l = ComputeFixpoint(b->ground);
+    ASSERT_TRUE(l.ok()) << l.status().ToString();
+    MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+    EXPECT_EQ(l->chi().num_entries(), static_cast<size_t>(k) + 1);
+    EXPECT_GE(snap.counter("chi.rule_firings"), static_cast<uint64_t>(k));
+    visits.push_back(snap.counter("chi.rule_visits"));
+  }
+  EXPECT_GT(visits[0], 0u);
+  EXPECT_LE(static_cast<double>(visits[2]), 2.2 * static_cast<double>(visits[1]))
+      << visits[0] << " " << visits[1] << " " << visits[2];
+}
+
 // Children of a queued entry are unclosed: reading them before the fixpoint
 // converged is a bug, except on a frozen engine, which closes the entry.
 TEST(ChiEngineDeathTest, QueuedChildrenReadOnlyWhenFrozen) {
