@@ -207,6 +207,10 @@ EOF
     wait_for_socket || fail "recovered daemon did not come up (see daemon3.log)"
     grep -q "recovered" "$tmpdir/daemon3.log" \
       || fail "restarted daemon did not report a WAL recovery"
+    # A kill -9 between fsynced appends leaves the current pair intact:
+    # recovery must not fall back to the previous generation.
+    grep -q "used_fallback=0" "$tmpdir/daemon3.log" \
+      || fail "restarted daemon fell back a generation (see daemon3.log)"
     fp_after=$(ping_fp)
     kill -TERM "$dpid"
     wait "$dpid" || fail "recovered daemon failed its drain"

@@ -307,9 +307,13 @@ int RunDaemon(int argc, char** argv) {
                                            wal_path, durable, {}, &recovery);
       if (db.ok()) {
         fprintf(stderr,
-                "relspecd: durable open: %s, %llu batch(es) replayed\n",
+                "relspecd: durable open: %s, %llu batch(es) replayed, "
+                "checkpoint_loaded=%d used_fallback=%d truncated_bytes=%llu\n",
                 recovery.created ? "fresh log" : "recovered",
-                static_cast<unsigned long long>(recovery.replayed_batches));
+                static_cast<unsigned long long>(recovery.replayed_batches),
+                recovery.checkpoint_loaded ? 1 : 0,
+                recovery.used_fallback ? 1 : 0,
+                static_cast<unsigned long long>(recovery.truncated_bytes));
       }
     }
     if (!db.ok()) return Fail(kExitEngine, db.status());
