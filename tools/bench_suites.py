@@ -45,7 +45,7 @@ SUITES = {
         r"BM_AlgorithmQ_Chain/512$"),
     "bench_fixpoint": (
         "bench_fixpoint",
-        r"BM_Fixpoint_Chain/512$"),
+        r"BM_Fixpoint_Chain/512$|BM_Fixpoint_Rotation/420$"),
 }
 
 # Generous on purpose: shared runners swing wildly, so the gate catches

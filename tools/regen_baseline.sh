@@ -22,7 +22,8 @@
 #   bench_graph_spec  E24 Algorithm Q on a 512-state counter chain from
 #                bench/bench_graph_spec.cc
 #   bench_fixpoint  E26 the chi worklist (ComputeFixpoint alone) on the same
-#                chain from bench/bench_fixpoint.cc
+#                chain, and E28 the counter-indexed closure on a 420-team
+#                rotation, from bench/bench_fixpoint.cc
 #   bench_serve  a fixed-seed serving session from relspec_bench_serve
 #                (the same flags the CI perf job uses)
 #   bench_serve_durable  the same schedule served through per-lane WALs
