@@ -37,7 +37,8 @@ void BuildAndReport(benchmark::State& state, const std::string& source) {
     reps = espec->clusters().size();
     tuples = espec->num_slice_tuples();
     eq_path_symbols = 0;
-    for (const auto& [t1, t2] : espec->equations()) {
+    for (const Equation& eq : espec->equations()) {
+      const auto [t1, t2] = espec->EquationPaths(eq);
       eq_path_symbols += static_cast<size_t>(t1.depth() + t2.depth());
     }
     graph_edges = (*db)->label_graph().num_clusters() *

@@ -34,13 +34,10 @@ std::string CongrRulesText(const EquationalSpecification& spec) {
   out += "eq(x,y) :- eq(x,z), eq(z,y).\n";
   // One congruence rule per function symbol of the alphabet. Function
   // symbols are recovered from the equations' representatives.
-  std::vector<std::string> fns;
-  for (FuncId f = 0; f < symbols.num_functions(); ++f) {
-    if (symbols.function(f).arity == 1) fns.push_back(symbols.function(f).name);
-  }
-  for (const std::string& f : fns) {
+  for (FuncId fn : spec.alphabet()) {
+    const char* f = symbols.function(fn).name.c_str();
     out += StrFormat("eq(x1,y1) :- eq(x,y), apply_%s(x,x1), apply_%s(y,y1).\n",
-                     f.c_str(), f.c_str());
+                     f, f);
   }
   for (PredId p = 0; p < symbols.num_predicates(); ++p) {
     const PredicateInfo& info = symbols.predicate(p);
@@ -60,10 +57,7 @@ StatusOr<BoundedCongrResult> EvaluateCongrBounded(
   const SymbolTable& symbols = spec.symbols();
 
   // Alphabet: the pure function symbols of the specification's table.
-  std::vector<FuncId> alphabet;
-  for (FuncId f = 0; f < symbols.num_functions(); ++f) {
-    if (symbols.function(f).arity == 1) alphabet.push_back(f);
-  }
+  const std::vector<FuncId> alphabet = spec.alphabet();
 
   // Enumerate the bounded universe.
   std::unordered_map<Path, uint32_t, PathHash> term_index;
@@ -116,8 +110,9 @@ StatusOr<BoundedCongrResult> EvaluateCongrBounded(
   }
 
   // C = B ∪ R.
-  for (const Cluster& c : spec.clusters()) {
-    auto it = term_index.find(c.representative);
+  for (uint32_t ci = 0; ci < spec.clusters().size(); ++ci) {
+    const Cluster& c = spec.clusters()[ci];
+    auto it = term_index.find(spec.Representative(ci));
     if (it == term_index.end()) {
       return Status::InvalidArgument(
           "CONGR bound does not cover a representative term of B");
@@ -135,7 +130,8 @@ StatusOr<BoundedCongrResult> EvaluateCongrBounded(
   for (const auto& [pred, args] : spec.globals()) {
     db.Insert(pred, args);
   }
-  for (const auto& [t1, t2] : spec.equations()) {
+  for (const Equation& eq : spec.equations()) {
+    const auto [t1, t2] = spec.EquationPaths(eq);
     auto i1 = term_index.find(t1);
     auto i2 = term_index.find(t2);
     if (i1 == term_index.end() || i2 == term_index.end()) {

@@ -281,7 +281,8 @@ StatusOr<std::unique_ptr<FunctionalDatabase>> FunctionalDatabase::OpenDurable(
   // generation's checkpoint, and the program source itself (generation-0
   // logs anchor there). A base is valid only if it rebuilds to exactly the
   // fingerprint it claims — for checkpoints, the embedded RSNP snapshot must
-  // additionally match the rebuilt spec byte for byte.
+  // additionally match the rebuilt spec byte for byte, at the current
+  // snapshot version.
   struct Candidate {
     std::string path;  // empty: build from program_source
     bool tried = false;
@@ -316,8 +317,11 @@ StatusOr<std::unique_ptr<FunctionalDatabase>> FunctionalDatabase::OpenDurable(
     auto db = FromProgram(std::move(*program), options);
     if (!db.ok()) return nullptr;
     if ((*db)->Fingerprint() != data->fingerprint) return nullptr;
+    // A checkpoint written at an older snapshot version is compared at the
+    // current one: its stored snapshot is loaded and re-serialized first.
+    auto stored = Snapshot::Upgrade(data->snapshot_bytes);
     auto spec = (*db)->BuildGraphSpec();
-    if (!spec.ok() || Snapshot::Serialize(*spec) != data->snapshot_bytes) {
+    if (!stored.ok() || !spec.ok() || Snapshot::Serialize(*spec) != *stored) {
       return nullptr;
     }
     c->db = std::move(*db);

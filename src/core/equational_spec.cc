@@ -1,5 +1,8 @@
 #include "src/core/equational_spec.h"
 
+#include <algorithm>
+#include <unordered_map>
+
 #include "src/base/metrics.h"
 #include "src/base/str_util.h"
 
@@ -11,8 +14,18 @@ void EquationalSpecification::EnsureClosure() {
   arena_ = std::make_unique<TermArena>();
   closure_ = std::make_unique<CongruenceClosure>(arena_.get());
   closure_->set_governor(governor_);
-  for (const auto& [t1, t2] : equations_) {
-    closure_->Merge(t1.ToTerm(arena_.get()), t2.ToTerm(arena_.get()));
+  // Parents precede their children, so each term extends an interned one.
+  cluster_terms_.resize(clusters_.size());
+  for (size_t i = 0; i < clusters_.size(); ++i) {
+    const Cluster& c = clusters_[i];
+    cluster_terms_[i] =
+        c.parent == kInvalidId
+            ? arena_->Zero()
+            : arena_->Apply(c.symbol, cluster_terms_[c.parent]);
+  }
+  for (const Equation& eq : equations_) {
+    closure_->Merge(arena_->Apply(eq.symbol, cluster_terms_[eq.cluster]),
+                    cluster_terms_[eq.target]);
   }
 }
 
@@ -49,11 +62,9 @@ bool EquationalSpecification::Holds(const Path& path, PredId pred,
   EnsureClosure();
   TermId t0 = path.ToTerm(arena_.get());
   // T = {t : P(t, a...) in B}; accept iff (t0, t) in Cl(R) for some t.
-  for (const Cluster& c : clusters_) {
-    if (!c.label.Test(atom)) continue;
-    if (closure_->AreCongruent(t0, c.representative.ToTerm(arena_.get()))) {
-      return true;
-    }
+  for (size_t i = 0; i < clusters_.size(); ++i) {
+    if (!clusters_[i].label.Test(atom)) continue;
+    if (closure_->AreCongruent(t0, cluster_terms_[i])) return true;
   }
   return false;
 }
@@ -64,6 +75,14 @@ bool EquationalSpecification::HoldsGlobal(
     if (p == pred && a == args) return true;
   }
   return false;
+}
+
+std::vector<FuncId> EquationalSpecification::alphabet() const {
+  std::vector<FuncId> out;
+  for (FuncId f = 0; f < symbols_.num_functions(); ++f) {
+    if (symbols_.function(f).arity == 1) out.push_back(f);
+  }
+  return out;
 }
 
 size_t EquationalSpecification::num_slice_tuples() const {
@@ -82,8 +101,36 @@ std::string EquationalSpecification::ToString() const {
     out += StrFormat("  (partial result, sound under-approximation: %s)\n",
                      breach_.message().c_str());
   }
-  for (const auto& [t1, t2] : equations_) {
+  for (const Equation& eq : equations_) {
+    const auto [t1, t2] = EquationPaths(eq);
     out += "  " + t1.ToString(symbols_) + " == " + t2.ToString(symbols_) + "\n";
+  }
+  return out;
+}
+
+StatusOr<std::vector<Equation>> EquationsFromPaths(
+    const std::vector<Cluster>& clusters,
+    const std::vector<std::pair<Path, Path>>& pairs,
+    const std::vector<FuncId>& alphabet) {
+  // First occurrence wins, as in LinkRepresentatives.
+  std::unordered_map<Path, uint32_t, PathHash> index;
+  for (uint32_t i = 0; i < clusters.size(); ++i) {
+    index.emplace(RepresentativePath(clusters, i), i);
+  }
+  std::vector<Equation> out;
+  out.reserve(pairs.size());
+  for (const auto& [t1, t2] : pairs) {
+    auto parent = t1.empty() ? index.end() : index.find(t1.Parent());
+    auto target = index.find(t2);
+    if (parent == index.end() || target == index.end()) {
+      return Status::InvalidArgument(
+          "equation term is not over a representative");
+    }
+    if (std::find(alphabet.begin(), alphabet.end(), t1.Outermost()) ==
+        alphabet.end()) {
+      return Status::InvalidArgument("equation symbol outside the alphabet");
+    }
+    out.push_back({parent->second, t1.Outermost(), target->second});
   }
   return out;
 }
@@ -94,7 +141,14 @@ StatusOr<EquationalSpecification> BuildEquationalSpecification(
   EquationalSpecification out;
   out.symbols_ = symbols;
   out.trunk_depth_ = graph.trunk_depth();
-  out.clusters_ = graph.clusters();
+  out.clusters_.reserve(graph.num_clusters());
+  for (const Cluster& c : graph.clusters()) {
+    Cluster& copy = out.clusters_.emplace_back();
+    copy.parent = c.parent;
+    copy.symbol = c.symbol;
+    copy.label = c.label;
+    copy.trunk = c.trunk;
+  }
 
   const GroundProgram& ground = labeling->ground();
   out.atoms_.reserve(ground.num_atoms());
@@ -114,15 +168,25 @@ StatusOr<EquationalSpecification> BuildEquationalSpecification(
 
   // R(t1, t2) iff Active(t1), Potential(t2), t1 ~ t2 (Section 3.6): i.e. one
   // equation per Potential term that did not become Active, pairing it with
-  // its cluster's representative. A truncated graph's unknown cluster is a
-  // synthetic sink, not a congruence class: equations into or out of it
-  // would merge unrelated terms, so they are omitted (dropping equations
+  // its cluster's representative. A Potential term f(representative of C)
+  // is Active exactly when it is its own cluster's representative, i.e.
+  // that cluster's tree edge is (C, f). A truncated graph's unknown cluster
+  // is a synthetic sink, not a congruence class: equations into or out of
+  // it would merge unrelated terms, so they are omitted (dropping equations
   // only shrinks Cl(R) — still a sound under-approximation).
-  //  (a) the initial depth-(c+1) layer;
+  const std::vector<FuncId>& alphabet = labeling->ground().alphabet();
+  auto is_tree_edge = [&](uint32_t parent, FuncId f, uint32_t cluster) {
+    const Cluster& c = graph.cluster(cluster);
+    return c.parent == parent && c.symbol == f;
+  };
+  //  (a) the initial frontier layer, whose terms extend trunk paths;
   for (const auto& [path, cluster] : graph.boundary_clusters()) {
     if (cluster == graph.unknown_cluster()) continue;
-    const Path& rep = graph.cluster(cluster).representative;
-    if (!(rep == path)) out.equations_.emplace_back(path, rep);
+    if (path.empty()) continue;  // 0 itself: the first, Active, term
+    const uint32_t parent = graph.ClusterOf(path.Parent());
+    if (!is_tree_edge(parent, path.Outermost(), cluster)) {
+      out.equations_.push_back({parent, path.Outermost(), cluster});
+    }
   }
   //  (b) children of Active representatives beyond the trunk.
   for (uint32_t ci = 0; ci < graph.num_clusters(); ++ci) {
@@ -130,11 +194,11 @@ StatusOr<EquationalSpecification> BuildEquationalSpecification(
     const Cluster& c = graph.cluster(ci);
     if (c.trunk) continue;
     for (size_t s = 0; s < c.successors.size(); ++s) {
-      if (c.successors[s] == graph.unknown_cluster()) continue;
-      Path child = c.representative.Extend(
-          labeling->ground().alphabet()[s]);
-      const Path& rep = graph.cluster(c.successors[s]).representative;
-      if (!(rep == child)) out.equations_.emplace_back(child, rep);
+      const uint32_t succ = c.successors[s];
+      if (succ == graph.unknown_cluster()) continue;
+      if (!is_tree_edge(ci, alphabet[s], succ)) {
+        out.equations_.push_back({ci, alphabet[s], succ});
+      }
     }
   }
   RELSPEC_GAUGE_SET("eqspec.equations", out.equations_.size());

@@ -76,12 +76,13 @@ std::string GraphSpecification::ToString() const {
   }
   for (size_t i = 0; i < graph_.num_clusters(); ++i) {
     const Cluster& c = graph_.cluster(static_cast<uint32_t>(i));
+    const std::string repr =
+        graph_.Representative(static_cast<uint32_t>(i)).ToString(symbols_);
     out += StrFormat("cluster %zu%s: repr=%s\n", i, c.trunk ? " (trunk)" : "",
-                     c.representative.ToString(symbols_).c_str());
+                     repr.c_str());
     c.label.ForEach([&](size_t a) {
       const SliceAtom& atom = atoms_[a];
-      std::string tuple = symbols_.predicate(atom.pred).name + "(" +
-                          c.representative.ToString(symbols_);
+      std::string tuple = symbols_.predicate(atom.pred).name + "(" + repr;
       for (ConstId cc : atom.args) {
         tuple += "," + symbols_.constant_name(cc);
       }

@@ -1,5 +1,6 @@
 #include "src/core/label_graph.h"
 
+#include <algorithm>
 #include <deque>
 #include <unordered_set>
 
@@ -27,6 +28,48 @@ uint32_t LabelGraph::ClusterOf(const Path& path) const {
   return cur;
 }
 
+Path RepresentativePath(const std::vector<Cluster>& clusters, uint32_t idx) {
+  std::vector<FuncId> syms;
+  for (uint32_t c = idx; clusters[c].parent != kInvalidId;
+       c = clusters[c].parent) {
+    syms.push_back(clusters[c].symbol);
+  }
+  std::reverse(syms.begin(), syms.end());
+  return Path(std::move(syms));
+}
+
+Status LinkRepresentatives(const std::vector<Path>& reps,
+                           const std::vector<FuncId>& alphabet,
+                           std::vector<Cluster>* clusters) {
+  // First occurrence wins: a truncated graph's sink repeats the root's 0.
+  std::unordered_map<Path, uint32_t, PathHash> index;
+  for (uint32_t i = 0; i < reps.size(); ++i) {
+    Cluster& c = (*clusters)[i];
+    const Path& rep = reps[i];
+    c.parent = kInvalidId;
+    c.symbol = 0;
+    if (!rep.empty()) {
+      auto it = index.find(rep.Parent());
+      if (it == index.end()) {
+        return Status::InvalidArgument(StrFormat(
+            "representative of cluster %u extends no earlier representative",
+            i));
+      }
+      if (std::find(alphabet.begin(), alphabet.end(), rep.Outermost()) ==
+          alphabet.end()) {
+        return Status::InvalidArgument(StrFormat(
+            "representative of cluster %u ends in a symbol outside the "
+            "alphabet",
+            i));
+      }
+      c.parent = it->second;
+      c.symbol = rep.Outermost();
+    }
+    index.emplace(rep, i);
+  }
+  return Status::OK();
+}
+
 size_t LabelGraph::EquivalenceScope() const {
   std::unordered_set<DynamicBitset, DynamicBitsetHash> labels;
   for (const Cluster& c : clusters_) labels.insert(c.label);
@@ -52,7 +95,10 @@ StatusOr<LabelGraph> BuildLabelGraph(Labeling* labeling,
     if (w.depth() >= frontier) continue;
     uint32_t id = static_cast<uint32_t>(out.clusters_.size());
     Cluster cl;
-    cl.representative = w;
+    if (!w.empty()) {
+      cl.parent = out.trunk_cluster_.at(w.Parent());
+      cl.symbol = w.Outermost();
+    }
     cl.label = labeling->TrunkLabel(w);
     cl.trunk = true;
     out.clusters_.push_back(std::move(cl));
@@ -63,15 +109,16 @@ StatusOr<LabelGraph> BuildLabelGraph(Labeling* labeling,
   // carries its term's chi entry, whose value is the term's label. Beyond
   // the boundary a child's entry is the recorded children[f] of its parent's
   // entry (Theorem 3.1), so no term is looked up and nothing is closed.
-  // Frontier items (parent == kInvalidId) carry their path; a depth-c
-  // frontier term (merge_trunk_frontier) has no entry and reads its trunk
-  // label. A deeper item is f_sym(representative of parent), and that path
-  // is only built when the item turns out Active.
+  // Every item is f_sym(representative of parent): frontier items hang
+  // off the trunk and also carry their path, the key of the boundary index;
+  // a depth-c frontier term (merge_trunk_frontier) has no entry and reads
+  // its trunk label, and the depth-0 one has no parent at all.
   struct Item {
-    Path path;
+    Path path;  // frontier items only
     uint32_t entry = kInvalidId;
     uint32_t parent = kInvalidId;
     SymIdx sym = 0;
+    bool frontier = false;
   };
   ChiEngine& chi = labeling->chi();
   auto label_of = [&](const Item& item) -> const DynamicBitset& {
@@ -82,12 +129,20 @@ StatusOr<LabelGraph> BuildLabelGraph(Labeling* labeling,
   std::deque<Item> queue;
   for (const Path& w : labeling->trunk_paths()) {
     if (frontier <= c) {
-      if (w.depth() == frontier) queue.push_back({w});
+      if (w.depth() != frontier) continue;
+      Item item{w};
+      item.frontier = true;
+      if (!w.empty()) {
+        item.parent = out.trunk_cluster_.at(w.Parent());
+        item.sym = out.sym_index_.at(w.Outermost());
+      }
+      queue.push_back(std::move(item));
     } else if (w.depth() == c) {
-      for (FuncId f : ground.alphabet()) {
-        Path child = w.Extend(f);
+      const uint32_t parent = out.trunk_cluster_.at(w);
+      for (SymIdx s = 0; s < ground.num_symbols(); ++s) {
+        Path child = w.Extend(ground.alphabet()[s]);
         uint32_t entry = labeling->BoundaryEntry(child.symbols());
-        queue.push_back({std::move(child), entry});
+        queue.push_back({std::move(child), entry, parent, s, true});
       }
     }
   }
@@ -123,7 +178,7 @@ StatusOr<LabelGraph> BuildLabelGraph(Labeling* labeling,
     auto it = label_to_cluster.find(label_of(item));
     if (it != label_to_cluster.end()) {
       // Inactive: subsumed by an earlier Active term; branch not extended.
-      if (item.parent == kInvalidId) {
+      if (item.frontier) {
         out.boundary_cluster_.emplace(std::move(item.path), it->second);
       } else {
         out.clusters_[item.parent].successors[item.sym] = it->second;
@@ -141,12 +196,13 @@ StatusOr<LabelGraph> BuildLabelGraph(Labeling* labeling,
     }
     Cluster cl;
     cl.label = label_of(item);
-    if (item.parent == kInvalidId) {
-      cl.representative = item.path;
+    if (item.parent != kInvalidId) {
+      cl.parent = item.parent;
+      cl.symbol = ground.alphabet()[item.sym];
+    }
+    if (item.frontier) {
       out.boundary_cluster_.emplace(std::move(item.path), id);
     } else {
-      cl.representative = out.clusters_[item.parent].representative.Extend(
-          ground.alphabet()[item.sym]);
       out.clusters_[item.parent].successors[item.sym] = id;
     }
     cl.successors.assign(ground.num_symbols(), kInvalidId);
@@ -163,7 +219,7 @@ StatusOr<LabelGraph> BuildLabelGraph(Labeling* labeling,
     } else {
       // A depth-c cluster (merge_trunk_frontier): its children are
       // boundary terms, whose labels are the boundary chi entries.
-      const Path& rep = out.clusters_[id].representative;
+      const Path rep = out.Representative(id);
       for (SymIdx s = 0; s < ground.num_symbols(); ++s) {
         uint32_t kid =
             labeling->BoundaryEntry(rep.Extend(ground.alphabet()[s]).symbols());
@@ -180,12 +236,11 @@ StatusOr<LabelGraph> BuildLabelGraph(Labeling* labeling,
   if (out.truncated_) {
     out.unknown_cluster_ = static_cast<uint32_t>(out.clusters_.size());
     Cluster unknown;
-    unknown.representative = Path::Zero();
     unknown.label = DynamicBitset(ground.num_atoms());
     unknown.successors.assign(ground.num_symbols(), out.unknown_cluster_);
     out.clusters_.push_back(std::move(unknown));
     for (const Item& item : queue) {
-      if (item.parent == kInvalidId) continue;
+      if (item.frontier) continue;
       auto it = label_to_cluster.find(label_of(item));
       out.clusters_[item.parent].successors[item.sym] =
           it != label_to_cluster.end() ? it->second : out.unknown_cluster_;
@@ -193,11 +248,13 @@ StatusOr<LabelGraph> BuildLabelGraph(Labeling* labeling,
   }
 
   // Trunk successors: trunk children, then the frontier entry points.
-  for (Cluster& cl : out.clusters_) {
+  for (uint32_t id = 0; id < out.clusters_.size(); ++id) {
+    Cluster& cl = out.clusters_[id];
     if (!cl.trunk) continue;
     cl.successors.assign(ground.num_symbols(), kInvalidId);
+    const Path rep = out.Representative(id);
     for (SymIdx s = 0; s < ground.num_symbols(); ++s) {
-      Path child = cl.representative.Extend(ground.alphabet()[s]);
+      Path child = rep.Extend(ground.alphabet()[s]);
       if (child.depth() < frontier) {
         cl.successors[s] = out.trunk_cluster_.at(child);
         continue;

@@ -17,6 +17,13 @@
 // depth-c frontier term reads its trunk label instead). So no term is
 // looked up by path, a converged labeling closes nothing, and a successor
 // edge is set the moment the child term resolves to a cluster.
+//
+// Every representative is f(representative of an earlier cluster): a trunk
+// path extends its trunk parent, a frontier term a depth-c (or depth c-1)
+// trunk path, and an Active term the cluster it was queued from. So a
+// cluster stores its representative as (parent cluster, symbol), and the
+// representatives form a BFS tree rooted at 0; a Path is built from it only
+// where one is printed or asked for (LabelGraph::Representative).
 
 #ifndef RELSPEC_CORE_LABEL_GRAPH_H_
 #define RELSPEC_CORE_LABEL_GRAPH_H_
@@ -34,7 +41,11 @@ namespace relspec {
 
 /// One congruence class of the finite state congruence.
 struct Cluster {
-  Path representative;
+  /// The representative is symbol(representative of parent). kInvalidId:
+  /// the representative is 0 (the trunk root, a depth-0 merged frontier, or
+  /// the unknown sink of a truncated graph).
+  uint32_t parent = kInvalidId;
+  FuncId symbol = 0;
   /// The state: slice atoms true at every term of the cluster.
   DynamicBitset label;
   /// successors[sym]: cluster of f(representative), one per alphabet symbol.
@@ -42,6 +53,19 @@ struct Cluster {
   /// True for trunk clusters (depth <= c, singleton classes).
   bool trunk = false;
 };
+
+/// The representative of clusters[idx]: its (parent, symbol) chain read
+/// back to 0. Parents precede their children, so the walk ends.
+Path RepresentativePath(const std::vector<Cluster>& clusters, uint32_t idx);
+
+/// Rebuilds each cluster's (parent, symbol) from representative paths
+/// listed in cluster order, as the text format and version 1 snapshots
+/// store them. A non-empty path must extend an earlier cluster's
+/// representative by a symbol of `alphabet`; otherwise InvalidArgument. An
+/// empty path has no parent.
+Status LinkRepresentatives(const std::vector<Path>& reps,
+                           const std::vector<FuncId>& alphabet,
+                           std::vector<Cluster>* clusters);
 
 struct LabelGraphOptions {
   /// Cap on |Sigma|^(c+1) initial Potential terms + discovered clusters.
@@ -68,6 +92,12 @@ class LabelGraph {
   size_t num_clusters() const { return clusters_.size(); }
   const Cluster& cluster(uint32_t idx) const { return clusters_[idx]; }
   const std::vector<Cluster>& clusters() const { return clusters_; }
+
+  /// The representative of `cluster` as a path, built from the BFS tree.
+  /// O(depth).
+  Path Representative(uint32_t cluster) const {
+    return RepresentativePath(clusters_, cluster);
+  }
 
   /// The cluster containing `path`, or kInvalidId for paths that use symbols
   /// outside the alphabet (their labels are empty). O(depth) walk.

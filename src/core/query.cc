@@ -405,8 +405,8 @@ size_t QueryAnswer::ApproxBytes() const {
   size_t n = sizeof(QueryAnswer);
   for (const std::string& c : columns_) n += c.capacity();
   for (const Cluster& c : graph_.clusters()) {
-    n += sizeof(Cluster) + c.representative.depth() * sizeof(FuncId) +
-         c.label.size() / 8 + c.successors.size() * sizeof(uint32_t);
+    n += sizeof(Cluster) + c.label.size() / 8 +
+         c.successors.size() * sizeof(uint32_t);
   }
   n += alphabet_.size() * sizeof(FuncId);
   n += answer_distance_.size() * sizeof(uint32_t);

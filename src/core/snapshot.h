@@ -36,7 +36,9 @@ class Snapshot {
   enum class Kind : uint32_t { kGraph = 1, kEquational = 2 };
 
   static constexpr char kMagic[4] = {'R', 'S', 'N', 'P'};
-  static constexpr uint32_t kVersion = 1;
+  /// The version every snapshot is written at. The loaders also read
+  /// version 1, which stored representatives and equations as paths.
+  static constexpr uint32_t kVersion = 2;
 
   /// Serializes a graph specification (B, F) to snapshot bytes.
   static std::string Serialize(const GraphSpecification& spec);
@@ -46,6 +48,10 @@ class Snapshot {
   /// The kind recorded in a snapshot header (validates magic + version +
   /// checksum reachability only as far as the header).
   static StatusOr<Kind> PeekKind(std::string_view bytes);
+
+  /// The same snapshot at kVersion: `bytes` itself when already current,
+  /// otherwise loaded and re-serialized.
+  static StatusOr<std::string> Upgrade(std::string_view bytes);
 
   /// Parses a graph-spec snapshot; the result is fully queryable.
   static StatusOr<GraphSpecification> ParseGraphSpec(std::string_view bytes);

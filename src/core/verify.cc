@@ -69,7 +69,7 @@ Status VerifyQuotientModel(const LabelGraph& graph, Labeling* labeling) {
       if (!ok) {
         return Status::Internal(StrFormat(
             "local rule not closed on cluster %u (repr depth %d)", c,
-            cl.representative.depth()));
+            graph.Representative(c).depth()));
       }
     }
   }

@@ -16,7 +16,7 @@ StatusOr<PeriodicSet> PeriodicAnswers(const GraphSpecification& spec,
 
   // Is the atom in a given cluster's slice?
   auto holds_in = [&](uint32_t cluster) {
-    for (const SliceAtom& a : spec.SliceOf(graph.cluster(cluster).representative)) {
+    for (const SliceAtom& a : spec.SliceOf(graph.Representative(cluster))) {
       if (a.pred == pred && a.args == args) return true;
     }
     return false;

@@ -243,7 +243,8 @@ TEST_F(FailpointTest, CongruenceClosureDrainInterruptsStickily) {
   auto fresh = (*db)->BuildEquationalSpec();
   ASSERT_TRUE(fresh.ok());
   ASSERT_FALSE(fresh->equations().empty());
-  for (const auto& [t1, t2] : fresh->equations()) {
+  for (const Equation& eq : fresh->equations()) {
+    const auto [t1, t2] = fresh->EquationPaths(eq);
     EXPECT_TRUE(fresh->Congruent(t1, t2));
   }
 }

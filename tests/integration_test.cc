@@ -204,9 +204,8 @@ TEST(EvenExample, EquationalSpecificationMatchesPaper) {
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   // R = {(2, 0)}: exactly one equation, relating 2 and 0.
   ASSERT_EQ(spec->num_equations(), 1u);
-  EXPECT_EQ(spec->equations()[0].first.depth() +
-                spec->equations()[0].second.depth(),
-            2);
+  const auto [t1, t2] = spec->EquationPaths(spec->equations()[0]);
+  EXPECT_EQ(t1.depth() + t2.depth(), 2);
 
   auto succ = (*db)->program().symbols.FindFunction("+1");
   ASSERT_TRUE(succ.ok());

@@ -157,7 +157,7 @@ void ExpectSuccessorsMatchLabeling(FunctionalDatabase* db) {
       // A copy: a boundary label points into the chi table, which a later
       // LabelOf may grow.
       DynamicBitset want =
-          labeling.LabelOf(cl.representative.Extend(alphabet[s]));
+          labeling.LabelOf(graph.Representative(ci).Extend(alphabet[s]));
       if (succ == graph.unknown_cluster()) {
         EXPECT_TRUE(graph.truncated());
         if (!cl.trunk) {
@@ -260,7 +260,8 @@ TEST(EquationalSpec, EquationsRelateEqualStateTerms) {
   ASSERT_TRUE(espec.ok());
   EXPECT_GT(espec->num_equations(), 0u);
   // Every equation's two sides must be state-equivalent in the labeling.
-  for (const auto& [t1, t2] : espec->equations()) {
+  for (const Equation& eq : espec->equations()) {
+    const auto [t1, t2] = espec->EquationPaths(eq);
     EXPECT_EQ((*db)->labeling().LabelOf(t1), (*db)->labeling().LabelOf(t2));
   }
   EXPECT_FALSE(espec->ToString().empty());
