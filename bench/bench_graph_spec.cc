@@ -1,6 +1,7 @@
 // E7 — Theorem 4.2: the graph specification is computable in DEXPTIME and
 // its size has exponential upper and lower bounds. E24 — Algorithm Q's cost
-// in chain depth (BM_AlgorithmQ_Chain, below).
+// in chain depth (BM_AlgorithmQ_Chain, below). E29 — snapshot save on the
+// same chain (BM_SnapshotSave_Chain).
 //
 // Expected shape: construction time and specification size grow linearly in
 // k on the benign rotation family and exponentially in n on the subset
@@ -11,6 +12,7 @@
 
 #include "bench/bench_util.h"
 #include "src/core/engine.h"
+#include "src/core/snapshot.h"
 
 namespace {
 
@@ -118,6 +120,41 @@ BENCHMARK(BM_AlgorithmQ_Chain)
     ->Arg(64)
     ->Arg(128)
     ->Arg(256)
+    ->Arg(512)
+    ->Unit(benchmark::kMicrosecond);
+
+// E29 — snapshot save against chain depth: the graph and equational
+// snapshots of BM_AlgorithmQ_Chain's counter program, serialized back to
+// back as a build writes them. A representative is one (parent, symbol)
+// tree edge and an equation one (cluster, symbol, cluster) triple, so the
+// bytes, and the time, grow linearly in the clusters.
+void BM_SnapshotSave_Chain(benchmark::State& state) {
+  int bits = 0;
+  while ((int64_t{1} << bits) < state.range(0)) ++bits;
+  auto db = FunctionalDatabase::FromSource(BinaryCounterProgram(bits));
+  if (!db.ok()) {
+    state.SkipWithError(db.status().ToString().c_str());
+    return;
+  }
+  auto graph = (*db)->BuildGraphSpec();
+  auto eq = (*db)->BuildEquationalSpec();
+  if (!graph.ok() || !eq.ok()) {
+    state.SkipWithError("spec build failed");
+    return;
+  }
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string graph_bytes = Snapshot::Serialize(*graph);
+    std::string eq_bytes = Snapshot::Serialize(*eq);
+    bytes = graph_bytes.size() + eq_bytes.size();
+    benchmark::DoNotOptimize(graph_bytes);
+    benchmark::DoNotOptimize(eq_bytes);
+  }
+  state.counters["bytes"] = static_cast<double>(bytes);
+  state.counters["clusters"] = static_cast<double>(graph->num_clusters());
+}
+BENCHMARK(BM_SnapshotSave_Chain)
+    ->Arg(64)
     ->Arg(512)
     ->Unit(benchmark::kMicrosecond);
 

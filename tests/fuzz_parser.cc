@@ -26,6 +26,10 @@
 //    accept a record whose checksum does not hold;
 //  * "RCKP" → the checkpoint parser (tests/fuzz_corpus/wal/*.rckp), whose
 //    symbol-table sections carry attacker-controlled counts and lengths;
+//  * "relspec-graph-spec v1" / "relspec-eq-spec v1" → the text spec
+//    loaders (tests/fuzz_corpus/specs/*.spec): out-of-range label, cluster
+//    and successor ids and non-numeric fields come back as InvalidArgument,
+//    and a spec that loads re-serializes;
 //  * "RSRV" → the serving protocol (tests/fuzz_corpus/serve/*.rsrv).
 //    Requests and responses share the magic, so the input is fed to both
 //    framers and both decoders: attacker-controlled payload lengths,
@@ -37,6 +41,7 @@
 #include <string_view>
 
 #include "src/core/snapshot.h"
+#include "src/core/spec_io.h"
 #include "src/core/wal.h"
 #include "src/parser/parser.h"
 #include "src/serve/protocol.h"
@@ -47,10 +52,20 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     // Both loaders must survive any byte stream; the kind check rejects the
     // mismatched one cheaply, so running both costs little and covers both
     // section decoders.
+    // A snapshot that loads re-serializes, which walks every
+    // representative's tree edges.
     auto graph = relspec::Snapshot::ParseGraphSpec(input);
-    (void)graph;
+    if (graph.ok()) (void)relspec::Snapshot::Serialize(*graph);
     auto eq = relspec::Snapshot::ParseEquationalSpec(input);
-    (void)eq;
+    if (eq.ok()) (void)relspec::Snapshot::Serialize(*eq);
+    return 0;
+  }
+  if (input.starts_with("relspec-graph-spec v1") ||
+      input.starts_with("relspec-eq-spec v1")) {
+    auto graph = relspec::SpecIo::ParseGraphSpec(input);
+    if (graph.ok()) (void)relspec::SpecIo::Serialize(*graph);
+    auto eq = relspec::SpecIo::ParseEquationalSpec(input);
+    if (eq.ok()) (void)relspec::SpecIo::Serialize(*eq);
     return 0;
   }
   if (input.size() >= 4 && input.substr(0, 4) == "RWAL") {

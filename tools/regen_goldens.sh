@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Regenerates tests/golden/*.snap and tests/golden/chi_builds.txt from the
-# current engine output.
+# Regenerates tests/golden/*.snap, tests/golden/v2/*.rsnp and
+# tests/golden/chi_builds.txt from the current engine output. The version 1
+# fixtures under tests/golden/v1/ are never regenerated.
 #
 # Run this only after convincing yourself the spec-serialization (or chi
 # build) change is intended; the golden test exists to catch accidental
@@ -18,7 +19,8 @@ if [[ ! -d "$build" ]]; then
 fi
 
 cmake --build "$build" --target golden_test -j >/dev/null
-mkdir -p "$repo/tests/golden"
+mkdir -p "$repo/tests/golden/v2"
 UPDATE_GOLDENS=1 "$build/tests/golden_test" >/dev/null
 echo "regenerated:"
-ls -l "$repo"/tests/golden/*.snap "$repo"/tests/golden/chi_builds.txt
+ls -l "$repo"/tests/golden/*.snap "$repo"/tests/golden/v2/*.rsnp \
+    "$repo"/tests/golden/chi_builds.txt
