@@ -64,7 +64,13 @@ StatusOr<std::unique_ptr<FunctionalDatabase>> FunctionalDatabase::FromProgram(
   }
   RELSPEC_ASSIGN_OR_RETURN(db->labeling_,
                            ComputeFixpoint(*db->ground_, fixpoint));
-  RELSPEC_ASSIGN_OR_RETURN(db->graph_, BuildLabelGraph(&db->labeling_, graph));
+  RELSPEC_ASSIGN_OR_RETURN(LabelGraph label_graph,
+                           BuildLabelGraph(&db->labeling_, graph));
+  RELSPEC_ASSIGN_OR_RETURN(
+      GraphSpecification spec,
+      BuildGraphSpecification(std::move(label_graph), &db->labeling_,
+                              db->program_.symbols));
+  db->spec_ = std::make_shared<const GraphSpecification>(std::move(spec));
   return db;
 }
 
@@ -81,7 +87,7 @@ StatusOr<Path> FunctionalDatabase::PathOfGroundTerm(
   return Path(std::move(syms));
 }
 
-StatusOr<bool> FunctionalDatabase::HoldsFact(const Atom& fact) {
+StatusOr<bool> FunctionalDatabase::HoldsFact(const Atom& fact) const {
   if (!fact.IsGround()) {
     return Status::InvalidArgument("HoldsFact expects a ground atom");
   }
@@ -89,15 +95,15 @@ StatusOr<bool> FunctionalDatabase::HoldsFact(const Atom& fact) {
   args.reserve(fact.args.size());
   for (const NfArg& a : fact.args) args.push_back(a.id);
   if (!fact.fterm.has_value()) {
-    return labeling_.HoldsGlobal(fact.pred, args);
+    return spec_->HoldsGlobal(fact.pred, args);
   }
   StatusOr<Path> path = PathOfGroundTerm(*fact.fterm);
   if (path.status().code() == StatusCode::kNotFound) return false;
   RELSPEC_RETURN_NOT_OK(path.status());
-  return labeling_.Holds(*path, SliceAtom{fact.pred, args});
+  return spec_->Holds(*path, fact.pred, args);
 }
 
-StatusOr<bool> FunctionalDatabase::HoldsFactText(std::string_view text) {
+StatusOr<bool> FunctionalDatabase::HoldsFactText(std::string_view text) const {
   std::string wrapped = "? " + std::string(text) + ".";
   RELSPEC_ASSIGN_OR_RETURN(Query q, ParseQuery(wrapped, program_.symbols));
   if (q.atoms.size() != 1 || !q.atoms[0].IsGround()) {
@@ -108,12 +114,13 @@ StatusOr<bool> FunctionalDatabase::HoldsFactText(std::string_view text) {
   return HoldsFact(q.atoms[0]);
 }
 
-StatusOr<GraphSpecification> FunctionalDatabase::BuildGraphSpec() {
-  return BuildGraphSpecification(graph_, &labeling_, program_.symbols);
+StatusOr<GraphSpecification> FunctionalDatabase::BuildGraphSpec() const {
+  return *spec_;
 }
 
 StatusOr<EquationalSpecification> FunctionalDatabase::BuildEquationalSpec() {
-  return BuildEquationalSpecification(graph_, &labeling_, program_.symbols);
+  return BuildEquationalSpecification(spec_->graph(), &labeling_,
+                                      program_.symbols);
 }
 
 namespace {
@@ -254,7 +261,7 @@ StatusOr<DeltaStats> FunctionalDatabase::ApplyEditedProgram(
   normalize_stats_ = fresh->normalize_stats_;
   purify_stats_ = fresh->purify_stats_;
   labeling_ = std::move(fresh->labeling_);  // frees the state bound to ground_
-  graph_ = std::move(fresh->graph_);
+  spec_ = std::move(fresh->spec_);  // holders of the old spec keep it alive
   ground_ = std::move(fresh->ground_);
   fingerprint_ = 0;  // effective delta: re-key the query cache
   stats.rebuilt = true;
@@ -320,8 +327,7 @@ StatusOr<std::unique_ptr<FunctionalDatabase>> FunctionalDatabase::OpenDurable(
     // A checkpoint written at an older snapshot version is compared at the
     // current one: its stored snapshot is loaded and re-serialized first.
     auto stored = Snapshot::Upgrade(data->snapshot_bytes);
-    auto spec = (*db)->BuildGraphSpec();
-    if (!stored.ok() || !spec.ok() || Snapshot::Serialize(*spec) != *stored) {
+    if (!stored.ok() || Snapshot::Serialize(*(*db)->spec()) != *stored) {
       return nullptr;
     }
     c->db = std::move(*db);
@@ -493,10 +499,9 @@ Status FunctionalDatabase::CheckpointImpl(bool rotate_prev) {
   const bool durable_sync = durable_options_.wal.fsync != FsyncMode::kOff;
 
   // Anchor: the current state as (program text, spec snapshot, fingerprint).
-  RELSPEC_ASSIGN_OR_RETURN(GraphSpecification spec, BuildGraphSpec());
   std::string ckpt_bytes =
       SerializeCheckpoint(Fingerprint(), original_.symbols, ToString(original_),
-                          Snapshot::Serialize(spec));
+                          Snapshot::Serialize(*spec_));
 
   // Stage the new generation as .tmp files, durably, before any rename.
   RELSPEC_FAILPOINT("wal.checkpoint.write_ckpt");
@@ -561,9 +566,10 @@ uint64_t FunctionalDatabase::Fingerprint() const {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ull;
   }
-  eat(static_cast<uint64_t>(graph_.trunk_depth()));
-  eat(static_cast<uint64_t>(graph_.frontier_depth()));
-  eat(graph_.num_clusters());
+  const LabelGraph& graph = spec_->graph();
+  eat(static_cast<uint64_t>(graph.trunk_depth()));
+  eat(static_cast<uint64_t>(graph.frontier_depth()));
+  eat(graph.num_clusters());
   eat(truncated() ? 1 : 0);
   if (h == 0) h = 1;  // 0 is the "not computed" sentinel
   fingerprint_ = h;
@@ -577,7 +583,7 @@ Status FunctionalDatabase::Verify() {
         "certificate only applies to a converged fixpoint; breach: " +
         breach().ToString());
   }
-  return VerifyQuotientModel(graph_, &labeling_);
+  return VerifyQuotientModel(spec_->graph(), &labeling_);
 }
 
 }  // namespace relspec

@@ -2,7 +2,12 @@
 //
 //   source text --parse--> Program --validate/normalize/purify--> Program'
 //     --ground--> GroundProgram --fixpoint--> Labeling --Algorithm Q-->
-//     LabelGraph --> GraphSpecification / EquationalSpecification
+//     LabelGraph --> GraphSpecification (held, shared) / EquationalSpec
+//
+// The engine builds its (B, F) once per build and holds it as an immutable
+// shared GraphSpecification. Every membership and query reads that one
+// spec — the same reads a spec loaded from a snapshot answers — and an
+// answer keeps the spec it was computed from alive across later updates.
 //
 // Typical use:
 //
@@ -12,7 +17,7 @@
 //     Meets(t, x), Next(x, y) -> Meets(t+1, y).
 //   )");
 //   db->HoldsFactText("Meets(4, Tony)");   // -> true
-//   auto spec = db->BuildGraphSpec();      // finite (B, F)
+//   auto spec = db->spec();                // finite (B, F), shared
 
 #ifndef RELSPEC_CORE_ENGINE_H_
 #define RELSPEC_CORE_ENGINE_H_
@@ -140,19 +145,26 @@ class FunctionalDatabase {
   const GroundProgram& ground() const { return *ground_; }
   Labeling& labeling() { return labeling_; }
   const Labeling& labeling() const { return labeling_; }
-  const LabelGraph& label_graph() const { return graph_; }
+  /// The (B, F) graph specification (Section 3.4) built with the engine.
+  /// Every membership and query reads it; an effective delta batch replaces
+  /// it with a new one and leaves this one unchanged, so a holder of the
+  /// pointer keeps reading the state it took.
+  const std::shared_ptr<const GraphSpecification>& spec() const {
+    return spec_;
+  }
+  const LabelGraph& label_graph() const { return spec_->graph(); }
 
   /// Membership of a ground fact given as an Atom over the original
-  /// predicates (mixed terms are purified internally). False when the term
-  /// names a mixed encoding the engine lacks.
-  StatusOr<bool> HoldsFact(const Atom& fact);
+  /// predicates (mixed terms are purified internally), read from spec().
+  /// False when the term names a mixed encoding the engine lacks.
+  StatusOr<bool> HoldsFact(const Atom& fact) const;
   /// Convenience: "Meets(4, Tony)" — parsed read-only against this
   /// database. False when the fact names a constant or function symbol the
   /// engine lacks.
-  StatusOr<bool> HoldsFactText(std::string_view text);
+  StatusOr<bool> HoldsFactText(std::string_view text) const;
 
-  /// Builds the (B, F) graph specification (Section 3.4).
-  StatusOr<GraphSpecification> BuildGraphSpec();
+  /// A copy of spec().
+  StatusOr<GraphSpecification> BuildGraphSpec() const;
   /// Builds the (B, R) equational specification (Section 3.5).
   StatusOr<EquationalSpecification> BuildEquationalSpec();
 
@@ -228,11 +240,11 @@ class FunctionalDatabase {
   /// EngineOptions::allow_partial): answers are a sound
   /// under-approximation of LFP(Z, D).
   bool truncated() const {
-    return labeling_.truncated() || graph_.truncated();
+    return labeling_.truncated() || spec_->truncated();
   }
   /// The breach that truncated the build; OK unless truncated().
   const Status& breach() const {
-    return labeling_.truncated() ? labeling_.breach() : graph_.breach();
+    return labeling_.truncated() ? labeling_.breach() : spec_->breach();
   }
 
   /// Converts a ground functional term over the original symbols into the
@@ -272,7 +284,7 @@ class FunctionalDatabase {
   MixedToPureStats purify_stats_;
   std::unique_ptr<GroundProgram> ground_;  // address-stable for labeling_
   Labeling labeling_;
-  LabelGraph graph_;
+  std::shared_ptr<const GraphSpecification> spec_;
   mutable uint64_t fingerprint_ = 0;  // 0 = not yet computed
 
   // Durability state (empty/null unless opened via OpenDurable).

@@ -98,7 +98,6 @@ class EquationalSpecification {
  private:
   friend StatusOr<EquationalSpecification> BuildEquationalSpecification(
       const LabelGraph&, Labeling*, const SymbolTable&);
-  friend class SpecIo;
   friend class Snapshot;
 
   /// Lazily constructs the congruence closure over the equations.
@@ -122,10 +121,10 @@ class EquationalSpecification {
   std::vector<TermId> cluster_terms_;
 };
 
-/// Resolves equations given as (term, representative) path pairs, as the
-/// text format and version 1 snapshots store them, into triples over the
-/// representatives of `clusters`: each term must be symbol(representative)
-/// with a symbol of `alphabet`. InvalidArgument otherwise.
+/// Resolves equations given as (term, representative) path pairs, as
+/// version 1 snapshots store them, into triples over the representatives
+/// of `clusters`: each term must be symbol(representative) with a symbol of
+/// `alphabet`. InvalidArgument otherwise.
 StatusOr<std::vector<Equation>> EquationsFromPaths(
     const std::vector<Cluster>& clusters,
     const std::vector<std::pair<Path, Path>>& pairs,

@@ -62,17 +62,6 @@ uint32_t Labeling::BoundaryEntry(std::span<const FuncId> symbols) {
   return chi_->EntryFor(boundary_seeds_.at(terms_.FindSymbols(symbols)));
 }
 
-bool Labeling::Holds(const Path& path, const SliceAtom& atom) {
-  AtomIdx idx = ground_->FindAtom(atom);
-  if (idx == kInvalidId) return false;
-  return LabelOf(path).Test(idx);
-}
-
-bool Labeling::HoldsGlobal(PredId pred, const std::vector<ConstId>& args) const {
-  CtxIdx idx = ground_->FindGlobal(pred, args);
-  return idx != kInvalidId && shared_->ctx.Test(idx);
-}
-
 // ---------------------------------------------------------------------------
 // ComputeFixpoint
 // ---------------------------------------------------------------------------

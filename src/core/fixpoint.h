@@ -71,11 +71,6 @@ class Labeling {
   /// The chi entry of a boundary (depth c+1) path over the alphabet.
   uint32_t BoundaryEntry(std::span<const FuncId> symbols);
 
-  /// True iff the fact pred(path, args...) is in LFP(Z, D).
-  bool Holds(const Path& path, const SliceAtom& atom);
-  /// True iff the ground non-functional atom holds.
-  bool HoldsGlobal(PredId pred, const std::vector<ConstId>& args) const;
-
   const DynamicBitset& ctx() const { return shared_->ctx; }
   const GroundProgram& ground() const { return *ground_; }
   ChiEngine& chi() { return *chi_; }

@@ -108,10 +108,10 @@ std::string GraphSpecification::ToString() const {
 }
 
 StatusOr<GraphSpecification> BuildGraphSpecification(
-    const LabelGraph& graph, Labeling* labeling, const SymbolTable& symbols) {
+    LabelGraph graph, const Labeling* labeling, const SymbolTable& symbols) {
   RELSPEC_PHASE("graph_spec.build");
   GraphSpecification out;
-  out.graph_ = graph;
+  out.graph_ = std::move(graph);
   out.symbols_ = symbols;
   const GroundProgram& ground = labeling->ground();
   out.alphabet_ = ground.alphabet();

@@ -65,8 +65,7 @@ class GraphSpecification {
 
  private:
   friend StatusOr<GraphSpecification> BuildGraphSpecification(
-      const LabelGraph&, Labeling*, const SymbolTable&);
-  friend class SpecIo;
+      LabelGraph, const Labeling*, const SymbolTable&);
   friend class Snapshot;
 
   LabelGraph graph_;
@@ -77,11 +76,12 @@ class GraphSpecification {
   std::vector<FuncId> alphabet_;
 };
 
-/// Extracts the self-contained (B, F) from a computed label graph. The
-/// symbol table is copied into the specification.
-StatusOr<GraphSpecification> BuildGraphSpecification(const LabelGraph& graph,
-                                                     Labeling* labeling,
-                                                     const SymbolTable& symbols);
+/// Extracts the self-contained (B, F) from a computed label graph, which it
+/// takes by value: pass an rvalue to move the graph in without a copy. The
+/// atom dictionary and the globals are read from `labeling`; the symbol
+/// table is copied into the specification.
+StatusOr<GraphSpecification> BuildGraphSpecification(
+    LabelGraph graph, const Labeling* labeling, const SymbolTable& symbols);
 
 }  // namespace relspec
 

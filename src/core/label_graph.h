@@ -59,10 +59,9 @@ struct Cluster {
 Path RepresentativePath(const std::vector<Cluster>& clusters, uint32_t idx);
 
 /// Rebuilds each cluster's (parent, symbol) from representative paths
-/// listed in cluster order, as the text format and version 1 snapshots
-/// store them. A non-empty path must extend an earlier cluster's
-/// representative by a symbol of `alphabet`; otherwise InvalidArgument. An
-/// empty path has no parent.
+/// listed in cluster order, as version 1 snapshots store them. A non-empty
+/// path must extend an earlier cluster's representative by a symbol of
+/// `alphabet`; otherwise InvalidArgument. An empty path has no parent.
 Status LinkRepresentatives(const std::vector<Path>& reps,
                            const std::vector<FuncId>& alphabet,
                            std::vector<Cluster>* clusters);
@@ -103,6 +102,13 @@ class LabelGraph {
   /// outside the alphabet (their labels are empty). O(depth) walk.
   uint32_t ClusterOf(const Path& path) const;
 
+  /// The successor index of alphabet symbol `f`; kInvalidId for a symbol
+  /// outside the alphabet.
+  SymIdx SymIndexOf(FuncId f) const {
+    auto it = sym_index_.find(f);
+    return it == sym_index_.end() ? kInvalidId : it->second;
+  }
+
   /// The cluster of f(representative of `cluster`).
   uint32_t SuccessorOf(uint32_t cluster, SymIdx sym) const {
     return clusters_[cluster].successors[sym];
@@ -139,7 +145,6 @@ class LabelGraph {
 
  private:
   friend StatusOr<LabelGraph> BuildLabelGraph(Labeling*, const LabelGraphOptions&);
-  friend class SpecIo;
   friend class Snapshot;
 
   std::vector<Cluster> clusters_;

@@ -54,7 +54,7 @@ StatusOr<bool> QueryAnswer::Contains(const std::optional<Path>& term,
   if (!functional_) {
     return std::find(flat_.begin(), flat_.end(), tuple) != flat_.end();
   }
-  uint32_t cluster = graph_.ClusterOf(*term);
+  uint32_t cluster = graph().ClusterOf(*term);
   if (cluster == kInvalidId) return false;
   const auto& tuples = per_cluster_[cluster];
   return std::find(tuples.begin(), tuples.end(), tuple) != tuples.end();
@@ -64,7 +64,7 @@ void QueryAnswer::ComputeAnswerDistance() {
   const size_t n = per_cluster_.size();
   std::vector<std::vector<uint32_t>> predecessors(n);
   for (uint32_t c = 0; c < n; ++c) {
-    for (uint32_t succ : graph_.cluster(c).successors) {
+    for (uint32_t succ : graph().cluster(c).successors) {
       predecessors[succ].push_back(c);
     }
   }
@@ -108,8 +108,10 @@ StatusOr<std::vector<ConcreteAnswer>> QueryAnswer::Enumerate(
     uint32_t cluster;
     int depth;
   };
+  const LabelGraph& graph = spec_->graph();
+  const std::vector<FuncId>& alphabet = spec_->alphabet();
   std::vector<Node> nodes;
-  nodes.push_back(Node{0, 0, graph_.ClusterOf(Path::Zero()), 0});
+  nodes.push_back(Node{0, 0, graph.ClusterOf(Path::Zero()), 0});
   std::vector<FuncId> symbols;
   size_t head = 0;
   for (; head < nodes.size() && out.size() < max_count; ++head) {
@@ -126,7 +128,7 @@ StatusOr<std::vector<ConcreteAnswer>> QueryAnswer::Enumerate(
       for (uint32_t i = static_cast<uint32_t>(head); i != 0;
            i = nodes[i].parent) {
         symbols[static_cast<size_t>(nodes[i].depth - 1)] =
-            alphabet_[nodes[i].sym];
+            alphabet[nodes[i].sym];
       }
       const Path path(symbols);
       for (const auto& tuple : tuples) {
@@ -137,9 +139,9 @@ StatusOr<std::vector<ConcreteAnswer>> QueryAnswer::Enumerate(
     const int64_t remaining =
         static_cast<int64_t>(max_depth) - node.depth - 1;
     if (remaining < 0) continue;
-    for (size_t s = 0; s < alphabet_.size(); ++s) {
+    for (size_t s = 0; s < alphabet.size(); ++s) {
       const uint32_t child =
-          graph_.SuccessorOf(node.cluster, static_cast<SymIdx>(s));
+          graph.SuccessorOf(node.cluster, static_cast<SymIdx>(s));
       if (answer_distance_[child] > remaining) continue;
       nodes.push_back(Node{static_cast<uint32_t>(head),
                            static_cast<uint32_t>(s), child, node.depth + 1});
@@ -196,21 +198,22 @@ struct TermWalk {
 // g{a...} in the alphabet whose constants agree with its constant arguments.
 // A symbol or constant outside the alphabet leaves no walk: no fact holds at
 // such a term, since rules are range-restricted.
-std::vector<TermWalk> WalksOf(const FuncTerm& term, const SymbolTable& symbols,
-                              const GroundProgram& ground) {
+std::vector<TermWalk> WalksOf(const FuncTerm& term,
+                              const GraphSpecification& spec) {
+  const SymbolTable& symbols = spec.symbols();
+  const std::vector<FuncId>& alphabet = spec.alphabet();
   std::vector<TermWalk> walks(1);
   std::vector<ConstId> decoded;
   for (const FuncApply& app : term.apps) {
     // The alphabet symbols this application stands for, with their binds.
     std::vector<TermWalk> steps;
     if (symbols.function(app.fn).arity < 2) {
-      const SymIdx s = ground.SymIndexOf(app.fn);
+      const SymIdx s = spec.graph().SymIndexOf(app.fn);
       if (s != kInvalidId) steps.push_back(TermWalk{{s}, {}});
     } else {
-      for (SymIdx s = 0; s < ground.num_symbols(); ++s) {
+      for (SymIdx s = 0; s < alphabet.size(); ++s) {
         FuncId mixed = kInvalidId;
-        if (!DecodePureSymbol(symbols, ground.alphabet()[s], &mixed,
-                              &decoded) ||
+        if (!DecodePureSymbol(symbols, alphabet[s], &mixed, &decoded) ||
             mixed != app.fn) {
           continue;
         }
@@ -242,20 +245,19 @@ std::vector<TermWalk> WalksOf(const FuncTerm& term, const SymbolTable& symbols,
 
 }  // namespace
 
-StatusOr<QueryAnswer> AnswerQuery(const FunctionalDatabase* db,
+StatusOr<QueryAnswer> AnswerQuery(std::shared_ptr<const GraphSpecification> spec,
                                   const Query& query,
                                   ResourceGovernor* governor) {
   RELSPEC_PHASE("query.incremental");
   RELSPEC_COUNTER("query.incremental_answers");
   if (governor != nullptr) RELSPEC_RETURN_NOT_OK(governor->Check());
-  const SymbolTable& symbols = db->program().symbols;
+  const SymbolTable& symbols = spec->symbols();
   RELSPEC_RETURN_NOT_OK(ValidateQuery(query, symbols));
-  const GroundProgram& ground = db->ground();
-  const LabelGraph& graph = db->label_graph();
+  const LabelGraph& graph = spec->graph();
+  const std::vector<SliceAtom>& atoms = spec->atom_dictionary();
   std::optional<VarId> func_var = FunctionalVarOf(query);
 
   QueryAnswer out;
-  out.symbols_ = symbols;
   out.columns_ = ColumnNames(query, symbols);
   out.functional_ =
       func_var.has_value() &&
@@ -292,7 +294,7 @@ StatusOr<QueryAnswer> AnswerQuery(const FunctionalDatabase* db,
       uint32_t c = start;
       for (SymIdx s : w.syms) c = graph.SuccessorOf(c, s);
       graph.cluster(c).label.ForEach([&](size_t b) {
-        const SliceAtom& sa = ground.atom(static_cast<AtomIdx>(b));
+        const SliceAtom& sa = atoms[b];
         if (sa.pred != pred) return;
         tuple = sa.args;
         tuple.insert(tuple.end(), w.binds.begin(), w.binds.end());
@@ -311,12 +313,8 @@ StatusOr<QueryAnswer> AnswerQuery(const FunctionalDatabase* db,
                                     : datalog::DTerm::Var(var_of(arg.id)));
     }
     if (!a.fterm.has_value()) {
-      for (CtxIdx ci = 0; ci < ground.num_ctx() && !holds_nowhere; ++ci) {
-        const CtxProp& prop = ground.ctx_prop(ci);
-        if (prop.kind == CtxProp::Kind::kGlobal && prop.pred == a.pred &&
-            db->labeling().ctx().Test(ci)) {
-          plan.fixed_tuples.push_back(prop.args);
-        }
+      for (const auto& [pred, args] : spec->globals()) {
+        if (pred == a.pred && !holds_nowhere) plan.fixed_tuples.push_back(args);
       }
       continue;
     }
@@ -327,7 +325,7 @@ StatusOr<QueryAnswer> AnswerQuery(const FunctionalDatabase* db,
         }
       }
     }
-    if (!holds_nowhere) plan.walks = WalksOf(*a.fterm, symbols, ground);
+    if (!holds_nowhere) plan.walks = WalksOf(*a.fterm, *spec);
     plan.per_cluster = a.fterm->has_var;
     if (!plan.per_cluster) {
       read_walks(a.pred, plan.walks, graph.ClusterOf(Path::Zero()),
@@ -368,6 +366,7 @@ StatusOr<QueryAnswer> AnswerQuery(const FunctionalDatabase* db,
 
   if (!func_var.has_value()) {
     RELSPEC_ASSIGN_OR_RETURN(out.flat_, join_at(kInvalidId));
+    out.spec_ = std::move(spec);
     return out;
   }
   std::vector<std::vector<std::vector<ConstId>>> per_cluster(
@@ -385,9 +384,8 @@ StatusOr<QueryAnswer> AnswerQuery(const FunctionalDatabase* db,
     std::sort(per_cluster[c].begin(), per_cluster[c].end());
     answer_tuples += per_cluster[c].size();
   }
+  out.spec_ = std::move(spec);
   if (out.functional_) {
-    out.graph_ = graph;
-    out.alphabet_ = ground.alphabet();
     out.per_cluster_ = std::move(per_cluster);
     out.ComputeAnswerDistance();
   } else {
@@ -401,14 +399,23 @@ StatusOr<QueryAnswer> AnswerQuery(const FunctionalDatabase* db,
   return out;
 }
 
+StatusOr<QueryAnswer> AnswerQuery(const FunctionalDatabase* db,
+                                  const Query& query,
+                                  ResourceGovernor* governor) {
+  return AnswerQuery(db->spec(), query, governor);
+}
+
 size_t QueryAnswer::ApproxBytes() const {
   size_t n = sizeof(QueryAnswer);
   for (const std::string& c : columns_) n += c.capacity();
-  for (const Cluster& c : graph_.clusters()) {
+  // The graph and the symbol table belong to the shared spec, but they are
+  // charged here anyway: a cached answer can pin a spec that the engine has
+  // since replaced, and then nothing else accounts for those bytes.
+  for (const Cluster& c : graph().clusters()) {
     n += sizeof(Cluster) + c.label.size() / 8 +
          c.successors.size() * sizeof(uint32_t);
   }
-  n += alphabet_.size() * sizeof(FuncId);
+  n += alphabet().size() * sizeof(FuncId);
   n += answer_distance_.size() * sizeof(uint32_t);
   for (const auto& tuples : per_cluster_) {
     n += sizeof(tuples) + tuples.size() * sizeof(std::vector<ConstId>);
@@ -418,18 +425,24 @@ size_t QueryAnswer::ApproxBytes() const {
   for (const auto& t : flat_) n += t.size() * sizeof(ConstId);
   // Symbol tables are dominated by names; 24 bytes is a fair per-entry guess
   // without walking every string.
-  n += 24 * (symbols_.num_predicates() + symbols_.num_functions() +
-             symbols_.num_constants() + symbols_.num_variables());
+  const SymbolTable& table = symbols();
+  n += 24 * (table.num_predicates() + table.num_functions() +
+             table.num_constants() + table.num_variables());
   return n;
+}
+
+StatusOr<bool> YesNo(std::shared_ptr<const GraphSpecification> spec,
+                     const Query& query, ResourceGovernor* governor) {
+  RELSPEC_PHASE("query.yesno");
+  RELSPEC_COUNTER("query.yesno_checks");
+  RELSPEC_ASSIGN_OR_RETURN(QueryAnswer answer,
+                           AnswerQuery(std::move(spec), query, governor));
+  return !answer.IsEmpty();
 }
 
 StatusOr<bool> YesNo(const FunctionalDatabase* db, const Query& query,
                      ResourceGovernor* governor) {
-  RELSPEC_PHASE("query.yesno");
-  RELSPEC_COUNTER("query.yesno_checks");
-  RELSPEC_ASSIGN_OR_RETURN(QueryAnswer answer,
-                           AnswerQuery(db, query, governor));
-  return !answer.IsEmpty();
+  return YesNo(db->spec(), query, governor);
 }
 
 // ---------------------------------------------------------------------------
@@ -512,25 +525,30 @@ void QueryCache::Clear() {
 }
 
 StatusOr<std::shared_ptr<const QueryAnswer>> AnswerQueryCached(
-    const FunctionalDatabase* db, const Query& query, QueryCache* cache,
-    ResourceGovernor* governor, bool* cache_hit) {
+    std::shared_ptr<const GraphSpecification> spec, uint64_t fingerprint,
+    const Query& query, QueryCache* cache, ResourceGovernor* governor,
+    bool* cache_hit) {
   if (cache_hit != nullptr) *cache_hit = false;
-  if (cache == nullptr) {
-    RELSPEC_ASSIGN_OR_RETURN(QueryAnswer answer,
-                             AnswerQuery(db, query, governor));
-    return std::make_shared<const QueryAnswer>(std::move(answer));
-  }
-  uint64_t fp = db->Fingerprint();
-  std::string key = ToString(query, db->program().symbols);
-  if (auto hit = cache->Lookup(fp, key)) {
-    if (cache_hit != nullptr) *cache_hit = true;
-    return hit;
+  std::string key;
+  if (cache != nullptr) {
+    key = ToString(query, spec->symbols());
+    if (auto hit = cache->Lookup(fingerprint, key)) {
+      if (cache_hit != nullptr) *cache_hit = true;
+      return hit;
+    }
   }
   RELSPEC_ASSIGN_OR_RETURN(QueryAnswer answer,
-                           AnswerQuery(db, query, governor));
+                           AnswerQuery(std::move(spec), query, governor));
   auto shared = std::make_shared<const QueryAnswer>(std::move(answer));
-  cache->Insert(fp, key, shared);
+  if (cache != nullptr) cache->Insert(fingerprint, key, shared);
   return shared;
+}
+
+StatusOr<std::shared_ptr<const QueryAnswer>> AnswerQueryCached(
+    const FunctionalDatabase* db, const Query& query, QueryCache* cache,
+    ResourceGovernor* governor, bool* cache_hit) {
+  return AnswerQueryCached(db->spec(), db->Fingerprint(), query, cache,
+                           governor, cache_hit);
 }
 
 }  // namespace relspec

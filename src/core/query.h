@@ -18,9 +18,11 @@
 // nowhere: rules are range-restricted, so no fact lies at such a term. The
 // same holds for the query's own names (Query::local), which no fact has.
 //
-// AnswerQuery only reads the engine, which it takes const: symbols are found
-// by lookup, never interned, and labels come from the graph, not the
-// on-demand labeling.
+// AnswerQuery reads one GraphSpecification and nothing else: the symbols,
+// the atom dictionary, the globals, the alphabet and the graph. Symbols are
+// found by lookup, never interned. So an engine's own spec and a spec loaded
+// from a snapshot answer alike, and the answer shares the spec it read
+// instead of copying its graph and symbol table.
 
 #ifndef RELSPEC_CORE_QUERY_H_
 #define RELSPEC_CORE_QUERY_H_
@@ -37,6 +39,7 @@
 #include "src/ast/ast.h"
 #include "src/base/status.h"
 #include "src/core/engine.h"
+#include "src/core/graph_spec.h"
 #include "src/core/label_graph.h"
 
 namespace relspec {
@@ -90,13 +93,19 @@ class QueryAnswer {
   /// Tuples stored in the specification (size of Q(B)).
   size_t NumSpecTuples() const;
 
-  /// Approximate heap footprint of this answer, for cache budgeting.
+  /// Approximate heap footprint of this answer, for cache budgeting. It
+  /// includes the shared spec's graph and symbol table: a cached answer can
+  /// pin a spec that the engine has since replaced, so those bytes are the
+  /// answer's to account for.
   size_t ApproxBytes() const;
 
-  const SymbolTable& symbols() const { return symbols_; }
-  const LabelGraph& graph() const { return graph_; }
+  /// The specification the answer was computed from, shared with its
+  /// producer: symbols, graph and alphabet are read from it.
+  const GraphSpecification& spec() const { return *spec_; }
+  const SymbolTable& symbols() const { return spec_->symbols(); }
+  const LabelGraph& graph() const { return spec_->graph(); }
   /// Function symbols of the term alphabet, in successor-index order.
-  const std::vector<FuncId>& alphabet() const { return alphabet_; }
+  const std::vector<FuncId>& alphabet() const { return spec_->alphabet(); }
   const std::vector<std::vector<std::vector<ConstId>>>& tuples_per_cluster()
       const {
     return per_cluster_;
@@ -105,18 +114,18 @@ class QueryAnswer {
   std::string ToString() const;
 
  private:
-  friend StatusOr<QueryAnswer> AnswerQuery(const FunctionalDatabase*,
-                                           const Query&, ResourceGovernor*);
+  friend StatusOr<QueryAnswer> AnswerQuery(
+      std::shared_ptr<const GraphSpecification>, const Query&,
+      ResourceGovernor*);
 
-  /// Fills answer_distance_ from graph_ and per_cluster_ by one reverse BFS
+  /// Fills answer_distance_ from graph() and per_cluster_ by one reverse BFS
   /// over the successor map. Called once, when a functional answer is built.
   void ComputeAnswerDistance();
 
+  std::shared_ptr<const GraphSpecification> spec_;
   bool functional_ = false;
   std::vector<std::string> columns_;
-  // Functional answers: aligned with graph_ clusters.
-  LabelGraph graph_;
-  std::vector<FuncId> alphabet_;
+  // Functional answers: aligned with graph() clusters.
   std::vector<std::vector<std::vector<ConstId>>> per_cluster_;
   // Successor steps from each cluster to the nearest cluster with tuples;
   // kNoAnswer when none is reachable (e.g. the sink of a truncated graph).
@@ -124,23 +133,30 @@ class QueryAnswer {
   std::vector<uint32_t> answer_distance_;
   // Finite answers:
   std::vector<std::vector<ConstId>> flat_;
-  SymbolTable symbols_;
 };
 
-/// Answers `query` from the engine's (B, F) without changing the engine. The
-/// optional `governor` bounds THIS answer only (per-request deadline/budgets
-/// for a serving loop) and is polled per cluster. A breach surfaces as the
-/// governor's sticky Status (kDeadlineExceeded / kResourceExhausted /
-/// kCancelled), never as process state — callers decide whether that is an
-/// error reply or fatal. Pass nullptr (the default) for ungoverned answers;
-/// distinct from EngineOptions::governor, which governs the engine *build*.
-/// On a truncated engine, terms routed through the unknown sink read an
-/// empty label: the answer is a sound under-approximation.
+/// Answers `query`, parsed against spec->symbols(), from (B, F). The answer
+/// shares `spec`. The optional `governor` bounds THIS answer only
+/// (per-request deadline/budgets for a serving loop) and is polled per
+/// cluster. A breach surfaces as the governor's sticky Status
+/// (kDeadlineExceeded / kResourceExhausted / kCancelled), never as process
+/// state — callers decide whether that is an error reply or fatal. Pass
+/// nullptr (the default) for ungoverned answers; distinct from
+/// EngineOptions::governor, which governs the engine *build*. On a truncated
+/// spec, terms routed through the unknown sink read an empty label: the
+/// answer is a sound under-approximation.
+StatusOr<QueryAnswer> AnswerQuery(std::shared_ptr<const GraphSpecification> spec,
+                                  const Query& query,
+                                  ResourceGovernor* governor = nullptr);
+/// AnswerQuery(db->spec(), ...).
 StatusOr<QueryAnswer> AnswerQuery(const FunctionalDatabase* db,
                                   const Query& query,
                                   ResourceGovernor* governor = nullptr);
 
 /// "Does Z and D imply the (existentially closed) query?"
+StatusOr<bool> YesNo(std::shared_ptr<const GraphSpecification> spec,
+                     const Query& query, ResourceGovernor* governor = nullptr);
+/// YesNo(db->spec(), ...).
 StatusOr<bool> YesNo(const FunctionalDatabase* db, const Query& query,
                      ResourceGovernor* governor = nullptr);
 
@@ -220,13 +236,20 @@ class QueryCache {
   size_t bytes_ = 0;
 };
 
-/// AnswerQuery through `cache`: the key is (db->Fingerprint(), the query
-/// printed in normal form, answer columns included), so textually different
-/// spellings of the same normalized query share an entry. With a null cache this is exactly
-/// AnswerQuery. The per-request `governor` is consulted only on the miss
-/// path (a hit is a map lookup — pointless to breach). When `cache_hit` is
-/// non-null it is set to whether the answer came from the cache (the
-/// serving slow log attributes latency to the cache or eval phase by it).
+/// AnswerQuery through `cache`: the key is (`fingerprint`, the query printed
+/// in normal form, answer columns included), so textually different
+/// spellings of the same normalized query share an entry. `fingerprint`
+/// names the state `spec` belongs to (FunctionalDatabase::Fingerprint). With
+/// a null cache this is exactly AnswerQuery. The per-request `governor` is
+/// consulted only on the miss path (a hit is a map lookup — pointless to
+/// breach). When `cache_hit` is non-null it is set to whether the answer came
+/// from the cache (the serving slow log attributes latency to the cache or
+/// eval phase by it).
+StatusOr<std::shared_ptr<const QueryAnswer>> AnswerQueryCached(
+    std::shared_ptr<const GraphSpecification> spec, uint64_t fingerprint,
+    const Query& query, QueryCache* cache, ResourceGovernor* governor = nullptr,
+    bool* cache_hit = nullptr);
+/// AnswerQueryCached(db->spec(), db->Fingerprint(), ...).
 StatusOr<std::shared_ptr<const QueryAnswer>> AnswerQueryCached(
     const FunctionalDatabase* db, const Query& query, QueryCache* cache,
     ResourceGovernor* governor = nullptr, bool* cache_hit = nullptr);

@@ -314,6 +314,13 @@ Status ReadAtoms(Reader* r, const SymbolTable& symbols,
       }
       a.args.push_back(c);
     }
+    // A slice atom is P(t, args...) of a functional predicate: a query
+    // joins its args as one column each.
+    const PredicateInfo& info = symbols.predicate(a.pred);
+    if (!info.functional || static_cast<int64_t>(argc) + 1 != info.arity) {
+      return Status::InvalidArgument(
+          "snapshot: atom does not fit its predicate");
+    }
     atoms->push_back(std::move(a));
   }
   return Status::OK();
@@ -338,6 +345,23 @@ void WriteClusters(const std::vector<Cluster>& clusters, bool successors,
 
 bool InAlphabet(const std::vector<FuncId>& alphabet, FuncId f) {
   return std::find(alphabet.begin(), alphabet.end(), f) != alphabet.end();
+}
+
+// The number of paths over `k` symbols with depth in [lo, hi), or cap + 1
+// once it exceeds `cap`. At most 64 multiplications, whatever the depths.
+uint64_t CountPaths(uint64_t k, int lo, int hi, uint64_t cap) {
+  if (k <= 1) {  // one path per depth, or only the depth-0 path
+    const uint64_t n = k == 1 ? static_cast<uint64_t>(hi - lo)
+                              : (lo == 0 && hi > 0 ? 1 : 0);
+    return std::min(n, cap + 1);
+  }
+  uint64_t layer = 1, total = 0;
+  for (int d = 0; d < hi; ++d) {
+    if (d >= lo) total += layer;
+    if (total > cap || layer > cap) return cap + 1;
+    layer *= k;
+  }
+  return total;
 }
 
 // Reads the cluster section of either version. `alphabet` bounds the tree
@@ -437,6 +461,11 @@ Status ReadGlobals(
       }
       g.second.push_back(c);
     }
+    const PredicateInfo& info = symbols.predicate(g.first);
+    if (info.functional || static_cast<int64_t>(argc) != info.arity) {
+      return Status::InvalidArgument(
+          "snapshot: global does not fit its predicate");
+    }
     globals->push_back(std::move(g));
   }
   return Status::OK();
@@ -458,10 +487,21 @@ void WriteMeta(int trunk_depth, int frontier_depth, uint32_t unknown_cluster,
   w->End();
 }
 
-Status ReadMeta(Reader* r, int* trunk_depth, int* frontier_depth,
-                uint32_t* unknown_cluster, bool* truncated, Status* breach) {
+// A graph's frontier is c+1, or c under merge_trunk_frontier; an equational
+// spec writes 0 there.
+Status ReadMeta(Reader* r, Snapshot::Kind kind, int* trunk_depth,
+                int* frontier_depth, uint32_t* unknown_cluster,
+                bool* truncated, Status* breach) {
   RELSPEC_RETURN_NOT_OK(r->I32(trunk_depth));
   RELSPEC_RETURN_NOT_OK(r->I32(frontier_depth));
+  if (*trunk_depth < 0) {
+    return Status::InvalidArgument("snapshot: negative trunk depth");
+  }
+  if (kind == Snapshot::Kind::kGraph && *frontier_depth != *trunk_depth &&
+      *frontier_depth != *trunk_depth + 1) {
+    return Status::InvalidArgument(
+        "snapshot: frontier depth is neither the trunk depth nor one more");
+  }
   RELSPEC_RETURN_NOT_OK(r->U32(unknown_cluster));
   uint8_t flag = 0;
   RELSPEC_RETURN_NOT_OK(r->U8(&flag));
@@ -626,9 +666,9 @@ StatusOr<GraphSpecification> Snapshot::ParseGraphSpec(std::string_view bytes) {
   {
     RELSPEC_ASSIGN_OR_RETURN(Section s, FindSection(sections, kSecMeta));
     Reader r(s.data, s.size);
-    RELSPEC_RETURN_NOT_OK(ReadMeta(&r, &g.trunk_depth_, &g.frontier_depth_,
-                                   &g.unknown_cluster_, &g.truncated_,
-                                   &g.breach_));
+    RELSPEC_RETURN_NOT_OK(ReadMeta(&r, kind, &g.trunk_depth_,
+                                   &g.frontier_depth_, &g.unknown_cluster_,
+                                   &g.truncated_, &g.breach_));
   }
   {
     RELSPEC_ASSIGN_OR_RETURN(Section s, FindSection(sections, kSecSymbols));
@@ -666,9 +706,27 @@ StatusOr<GraphSpecification> Snapshot::ParseGraphSpec(std::string_view bytes) {
     RELSPEC_RETURN_NOT_OK(ReadClusters(&r, version, spec.alphabet_,
                                        spec.atoms_.size(),
                                        /*successors=*/true, &g.clusters_));
+    // The Link walk reads a path shallower than the frontier off its trunk
+    // cluster, so the trunk clusters must be exactly those paths. Their
+    // number is checked first, so a forged depth enumerates nothing.
+    std::vector<int> depth(g.clusters_.size());
+    size_t num_trunk = 0;
     for (uint32_t i = 0; i < g.clusters_.size(); ++i) {
-      if (g.clusters_[i].trunk) {
-        g.trunk_cluster_.emplace(g.Representative(i), i);
+      const Cluster& c = g.clusters_[i];
+      depth[i] = c.parent == kInvalidId ? 0 : depth[c.parent] + 1;
+      if (c.trunk) ++num_trunk;
+    }
+    if (CountPaths(spec.alphabet_.size(), 0, g.frontier_depth_, num_trunk) !=
+        num_trunk) {
+      return Status::InvalidArgument(
+          "snapshot: trunk cluster count does not match the frontier depth");
+    }
+    for (uint32_t i = 0; i < g.clusters_.size(); ++i) {
+      if (!g.clusters_[i].trunk) continue;
+      if (depth[i] >= g.frontier_depth_ ||
+          !g.trunk_cluster_.emplace(g.Representative(i), i).second) {
+        return Status::InvalidArgument(
+            "snapshot: trunk clusters are not the paths above the frontier");
       }
     }
   }
@@ -686,7 +744,27 @@ StatusOr<GraphSpecification> Snapshot::ParseGraphSpec(std::string_view bytes) {
         return Status::InvalidArgument(
             "snapshot: boundary cluster out of range");
       }
+      auto off_alphabet = [&](FuncId f) {
+        return g.SymIndexOf(f) == kInvalidId;
+      };
+      if (p.depth() != g.frontier_depth_ ||
+          std::any_of(p.symbols().begin(), p.symbols().end(), off_alphabet)) {
+        return Status::InvalidArgument(
+            "snapshot: boundary path off the frontier");
+      }
       g.boundary_cluster_.emplace(std::move(p), cluster);
+    }
+    // A complete graph enters the Link walk at every frontier path; a
+    // truncated one sends the missing ones to its unknown sink.
+    const size_t entries = g.boundary_cluster_.size();
+    const bool complete =
+        !g.truncated_ && g.unknown_cluster_ == kInvalidId &&
+        CountPaths(spec.alphabet_.size(), g.frontier_depth_,
+                   g.frontier_depth_ + 1, entries) == entries;
+    const bool sink = g.truncated_ && g.unknown_cluster_ < g.clusters_.size();
+    if (!complete && !sink) {
+      return Status::InvalidArgument(
+          "snapshot: frontier paths do not all reach a cluster");
     }
   }
   {
@@ -744,9 +822,9 @@ StatusOr<EquationalSpecification> Snapshot::ParseEquationalSpec(
     Reader r(s.data, s.size);
     int frontier_depth = 0;
     uint32_t unknown_cluster = kInvalidId;
-    RELSPEC_RETURN_NOT_OK(ReadMeta(&r, &spec.trunk_depth_, &frontier_depth,
-                                   &unknown_cluster, &spec.truncated_,
-                                   &spec.breach_));
+    RELSPEC_RETURN_NOT_OK(ReadMeta(&r, kind, &spec.trunk_depth_,
+                                   &frontier_depth, &unknown_cluster,
+                                   &spec.truncated_, &spec.breach_));
   }
   {
     RELSPEC_ASSIGN_OR_RETURN(Section s, FindSection(sections, kSecSymbols));

@@ -1,12 +1,12 @@
 // Binary snapshots of relational specifications.
 //
-// A snapshot is the warm-start companion of the text format in spec_io.h:
-// the same self-contained specification — primary database (slices +
-// globals), symbol table, and graph/equational structure — in a versioned,
-// checksummed binary layout that loads without parsing. Loading a snapshot
-// and re-serializing through SpecIo is byte-identical to serializing the
-// original specification, so snapshots are interchangeable with text specs
-// everywhere (and the differential/golden tests hold them to that).
+// A snapshot is the one load path for a saved specification: the
+// self-contained specification — primary database (slices + globals),
+// symbol table, and graph/equational structure — in a versioned,
+// checksummed binary layout that loads without parsing. A loaded graph spec
+// answers membership and queries exactly as the engine it was saved from,
+// and prints the same SpecIo text (the differential/golden tests hold it to
+// that).
 //
 // Wire layout (see docs/SNAPSHOT_FORMAT.md for the field-level reference):
 //
@@ -17,7 +17,9 @@
 // loader verifies it before looking at any section, and every read is
 // bounds-checked, so truncated files, flipped bits, and wrong versions all
 // come back as InvalidArgument — never a crash (the fuzz corpus in
-// tests/fuzz_parser.cc drives this).
+// tests/fuzz_parser.cc drives this). A graph spec is also checked to be one
+// the Link walk can read (depths, trunk, boundary; docs/SNAPSHOT_FORMAT.md),
+// so no read of a loaded spec throws.
 
 #ifndef RELSPEC_CORE_SNAPSHOT_H_
 #define RELSPEC_CORE_SNAPSHOT_H_

@@ -1,17 +1,15 @@
-// Serialization of relational specifications.
+// Text rendering of relational specifications.
 //
-// A specification is explicit: once written out, queries can be answered
-// from the file alone, without the original rules. The format is a simple
-// line-oriented text format (stable across versions within the same major
-// format id).
+// A line-oriented, human-readable form of (B, F) and (B, R), printed by
+// `relspec_cli --save-spec` for reading and diffing (docs/FORMAT.md). It is
+// printed, not loaded: the one load path for a saved specification is the
+// binary snapshot (snapshot.h), which answers every read without the rules.
 
 #ifndef RELSPEC_CORE_SPEC_IO_H_
 #define RELSPEC_CORE_SPEC_IO_H_
 
 #include <string>
-#include <string_view>
 
-#include "src/base/status.h"
 #include "src/core/equational_spec.h"
 #include "src/core/graph_spec.h"
 
@@ -19,15 +17,10 @@ namespace relspec {
 
 class SpecIo {
  public:
-  /// Serializes a graph specification (B, F).
+  /// Prints a graph specification (B, F).
   static std::string Serialize(const GraphSpecification& spec);
-  /// Parses a graph specification back; the result is fully queryable.
-  static StatusOr<GraphSpecification> ParseGraphSpec(std::string_view text);
-
-  /// Serializes an equational specification (B, R).
+  /// Prints an equational specification (B, R).
   static std::string Serialize(const EquationalSpecification& spec);
-  static StatusOr<EquationalSpecification> ParseEquationalSpec(
-      std::string_view text);
 };
 
 }  // namespace relspec

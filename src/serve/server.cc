@@ -68,7 +68,8 @@ struct Server::Conn {
   }
 };
 
-Server::Server(std::unique_ptr<FunctionalDatabase> db, GraphSpecification spec,
+Server::Server(std::unique_ptr<FunctionalDatabase> db,
+               std::shared_ptr<const GraphSpecification> spec,
                const ServerOptions& options)
     : options_(options),
       db_(std::move(db)),
@@ -80,8 +81,8 @@ Server::Server(std::unique_ptr<FunctionalDatabase> db, GraphSpecification spec,
 StatusOr<std::unique_ptr<Server>> Server::Create(
     std::unique_ptr<FunctionalDatabase> db, const ServerOptions& options) {
   if (db == nullptr) return Status::InvalidArgument("null database");
-  RELSPEC_ASSIGN_OR_RETURN(GraphSpecification spec, db->BuildGraphSpec());
   uint64_t fp = db->Fingerprint();  // materialize before concurrent readers
+  auto spec = db->spec();
   std::unique_ptr<Server> server(
       new Server(std::move(db), std::move(spec), options));
   server->fingerprint_ = fp;
@@ -91,8 +92,9 @@ StatusOr<std::unique_ptr<Server>> Server::Create(
 
 StatusOr<std::unique_ptr<Server>> Server::CreateSpecOnly(
     GraphSpecification spec, const ServerOptions& options) {
-  std::unique_ptr<Server> server(
-      new Server(nullptr, std::move(spec), options));
+  std::unique_ptr<Server> server(new Server(
+      nullptr, std::make_shared<const GraphSpecification>(std::move(spec)),
+      options));
   RELSPEC_RETURN_NOT_OK(server->Listen());
   return server;
 }
@@ -349,14 +351,14 @@ std::string Server::HandleRequest(const RequestHeader& req,
       std::shared_lock<std::shared_mutex> lock(state_mu_);
       // Parsed read-only against the spec's own table: no copy, no writes.
       const auto parse_start = std::chrono::steady_clock::now();
-      auto q = ParseQuery("? " + std::string(payload) + ".", spec_.symbols());
+      auto q = ParseQuery("? " + std::string(payload) + ".", spec_->symbols());
       if (!q.ok()) {
         *out = q.status();
         return "";
       }
       entry->parse_ns = ElapsedNs(parse_start);
       const auto eval_start = std::chrono::steady_clock::now();
-      StatusOr<bool> holds = spec_.HoldsFact(*q);
+      StatusOr<bool> holds = spec_->HoldsFact(*q);
       if (!holds.ok()) {
         *out = holds.status();
         return "";
@@ -365,18 +367,12 @@ std::string Server::HandleRequest(const RequestHeader& req,
       return std::string(1, *holds ? '\1' : '\0');
     }
     case RequestType::kQuery: {
-      if (db_ == nullptr) {
-        *out = Status::FailedPrecondition(
-            "spec-only server (no rules): query needs a program, not just a "
-            "snapshot");
-        return "";
-      }
-      // Shared: the query parses read-only against the engine's table and
-      // answering reads the engine, so queries run alongside each other and
+      // Shared: the query parses read-only against the spec's table and
+      // answering reads the spec, so queries run alongside each other and
       // alongside membership; only updates take the lock exclusively.
       std::shared_lock<std::shared_mutex> lock(state_mu_);
       const auto parse_start = std::chrono::steady_clock::now();
-      auto query = ParseQuery(std::string(payload), db_->program().symbols);
+      auto query = ParseQuery(std::string(payload), spec_->symbols());
       if (!query.ok()) {
         *out = query.status();
         return "";
@@ -384,8 +380,8 @@ std::string Server::HandleRequest(const RequestHeader& req,
       entry->parse_ns = ElapsedNs(parse_start);
       const auto answer_start = std::chrono::steady_clock::now();
       bool cache_hit = false;
-      auto answer =
-          AnswerQueryCached(db_.get(), *query, &cache_, governor, &cache_hit);
+      auto answer = AnswerQueryCached(spec_, fingerprint_, *query, &cache_,
+                                      governor, &cache_hit);
       // The answer time is the cache phase on a hit (a map lookup) and the
       // eval phase on a miss (the full answer pipeline).
       const uint64_t answer_ns = ElapsedNs(answer_start);
@@ -423,22 +419,13 @@ std::string Server::HandleRequest(const RequestHeader& req,
       StatusOr<DeltaStats> stats =
           db_->durable() ? db_->LogAndApplyDeltas(payload)
                          : db_->ApplyDeltaText(payload);
-      // Re-materialize for shared readers, also when a durable batch was
-      // applied but its log write failed.
+      // Re-read for shared readers, also when a durable batch was applied
+      // but its log write failed.
       fingerprint_ = db_->Fingerprint();
+      spec_ = db_->spec();
       if (!stats.ok()) {
         *out = stats.status();
         return "";
-      }
-      if (stats->inserted > 0 || stats->deleted > 0) {
-        auto spec = db_->BuildGraphSpec();
-        if (!spec.ok()) {
-          *out = Status::Internal(
-              "update applied but spec rebuild failed: " +
-              spec.status().message());
-          return "";
-        }
-        spec_ = *std::move(spec);
       }
       entry->eval_ns = ElapsedNs(eval_start);
       UpdateResult result;

@@ -11,12 +11,15 @@
 //
 // Concurrency model over the engine:
 //   * membership / query / ping / stats / trace-dump run under a shared
-//     lock. No read writes the engine: membership and queries parse
-//     read-only against the spec's or the engine's symbol table (ParseQuery
-//     keeps unknown names inside the Query), answering takes the engine
-//     const, and the fingerprint is pre-materialized whenever the exclusive
-//     lock is held, so shared readers never race its lazy computation.
-//   * update runs under the exclusive lock: it rewrites the engine.
+//     lock. Every read goes to one shared GraphSpecification — the engine's
+//     own spec, or the one loaded from a snapshot in spec-only mode — and
+//     no read writes it: membership and queries parse read-only against
+//     its symbol table (ParseQuery keeps unknown names inside the Query).
+//     The fingerprint is pre-materialized whenever the exclusive lock is
+//     held, so shared readers never race its lazy computation.
+//   * update runs under the exclusive lock: it rewrites the engine, then
+//     re-reads the engine's spec pointer. Answers and cache entries taken
+//     earlier keep the spec they were computed from.
 // The shared QueryCache has its own internal mutex, so concurrent queries
 // share its entries safely.
 //
@@ -83,8 +86,9 @@ class Server {
   static StatusOr<std::unique_ptr<Server>> Create(
       std::unique_ptr<FunctionalDatabase> db, const ServerOptions& options);
 
-  /// Spec-only serving (--load-snapshot warm start without a program):
-  /// membership/ping/stats/trace-dump only; query and update requests get a
+  /// Spec-only serving (--load-snapshot warm start without a program): every
+  /// read — membership and queries included — answers from `spec` exactly
+  /// as a full server answers from its engine's spec. Update requests get a
   /// kFailedPrecondition reply (a saved spec has no rules).
   static StatusOr<std::unique_ptr<Server>> CreateSpecOnly(
       GraphSpecification spec, const ServerOptions& options);
@@ -129,7 +133,8 @@ class Server {
     void Sum60(uint64_t now_sec, uint64_t* reqs, uint64_t* errs) const;
   };
 
-  Server(std::unique_ptr<FunctionalDatabase> db, GraphSpecification spec,
+  Server(std::unique_ptr<FunctionalDatabase> db,
+         std::shared_ptr<const GraphSpecification> spec,
          const ServerOptions& options);
 
   Status Listen();
@@ -157,14 +162,18 @@ class Server {
 
   ServerOptions options_;
   std::unique_ptr<FunctionalDatabase> db_;  // null in spec-only mode
-  GraphSpecification spec_;
+  /// What every read answers from: db_->spec(), re-read after each update,
+  /// or the loaded spec in spec-only mode.
+  std::shared_ptr<const GraphSpecification> spec_;
   QueryCache cache_;
   std::unique_ptr<TaskPool> pool_;
 
-  /// Engine lock: shared = membership/ping/stats/trace, exclusive =
-  /// query/update (see the header comment).
+  /// Engine lock: shared = membership/query/ping/stats/trace, exclusive =
+  /// update (see the header comment).
   std::shared_mutex state_mu_;
-  uint64_t fingerprint_ = 0;  // materialized under the exclusive lock
+  /// Materialized under the exclusive lock; 0 in spec-only mode, where the
+  /// state never changes.
+  uint64_t fingerprint_ = 0;
 
   int listen_fd_ = -1;
   int bound_port_ = -1;

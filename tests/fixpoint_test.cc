@@ -38,6 +38,19 @@ SliceAtom AtomOf(const Built& b, const std::string& pred,
   return a;
 }
 
+// Membership read straight off the labeling: the atom's bit in the label of
+// `path`.
+bool Holds(Labeling& l, const Path& path, const SliceAtom& atom) {
+  const AtomIdx idx = l.ground().FindAtom(atom);
+  return idx != kInvalidId && l.LabelOf(path).Test(idx);
+}
+
+bool HoldsGlobal(const Labeling& l, PredId pred,
+                 const std::vector<ConstId>& args) {
+  const CtxIdx idx = l.ground().FindGlobal(pred, args);
+  return idx != kInvalidId && l.ctx().Test(idx);
+}
+
 Path NatPath(const Built& b, int n) {
   FuncId succ = *b.program.symbols.FindFunction("+1");
   std::vector<FuncId> syms(static_cast<size_t>(n), succ);
@@ -51,7 +64,7 @@ TEST(Fixpoint, ForwardChainLabels) {
   ASSERT_TRUE(l.ok()) << l.status().ToString();
   SliceAtom p = AtomOf(*b, "P", {});
   for (int n = 0; n <= 10; ++n) {
-    EXPECT_TRUE(l->Holds(NatPath(*b, n), p)) << n;
+    EXPECT_TRUE(Holds(*l, NatPath(*b, n), p)) << n;
   }
 }
 
@@ -69,7 +82,7 @@ TEST(Fixpoint, DownPropagation) {
   SliceAtom q = AtomOf(*b, "Q", {});
   // Q holds at t+4 for every t, and propagates down to everything.
   for (int n = 0; n <= 10; ++n) {
-    EXPECT_TRUE(l->Holds(NatPath(*b, n), q)) << n;
+    EXPECT_TRUE(Holds(*l, NatPath(*b, n), q)) << n;
   }
 }
 
@@ -84,7 +97,7 @@ TEST(Fixpoint, DownPropagationBounded) {
   ASSERT_TRUE(l.ok()) << l.status().ToString();
   SliceAtom q = AtomOf(*b, "Q", {});
   for (int n = 0; n <= 8; ++n) {
-    EXPECT_EQ(l->Holds(NatPath(*b, n), q), n <= 3) << n;
+    EXPECT_EQ(Holds(*l, NatPath(*b, n), q), n <= 3) << n;
   }
 }
 
@@ -101,7 +114,7 @@ TEST(Fixpoint, ExistentialGlobalFromDeepNode) {
   ASSERT_TRUE(l.ok()) << l.status().ToString();
   ConstId a = *b->program.symbols.FindConstant("a");
   PredId witness = *b->program.symbols.FindPredicate("Witness");
-  EXPECT_TRUE(l->HoldsGlobal(witness, {a}));
+  EXPECT_TRUE(HoldsGlobal(*l, witness, {a}));
 }
 
 TEST(Fixpoint, GlobalFeedsBackIntoChain) {
@@ -117,8 +130,8 @@ TEST(Fixpoint, GlobalFeedsBackIntoChain) {
   auto l = ComputeFixpoint(b->ground);
   ASSERT_TRUE(l.ok()) << l.status().ToString();
   SliceAtom r = AtomOf(*b, "R", {});
-  EXPECT_TRUE(l->Holds(NatPath(*b, 0), r));
-  EXPECT_TRUE(l->Holds(NatPath(*b, 7), r));
+  EXPECT_TRUE(Holds(*l, NatPath(*b, 0), r));
+  EXPECT_TRUE(Holds(*l, NatPath(*b, 7), r));
 }
 
 TEST(Fixpoint, SiblingPropagationAcrossSymbols) {
@@ -135,10 +148,10 @@ TEST(Fixpoint, SiblingPropagationAcrossSymbols) {
   FuncId g = *b->program.symbols.FindFunction("g");
   SliceAtom q = AtomOf(*b, "Q", {});
   SliceAtom p = AtomOf(*b, "P", {});
-  EXPECT_TRUE(l->Holds(Path({g}), q));
-  EXPECT_TRUE(l->Holds(Path({f, g}), q));
-  EXPECT_FALSE(l->Holds(Path({g, g}), q));  // no P below g-branches
-  EXPECT_FALSE(l->Holds(Path({g}), p));
+  EXPECT_TRUE(Holds(*l, Path({g}), q));
+  EXPECT_TRUE(Holds(*l, Path({f, g}), q));
+  EXPECT_FALSE(Holds(*l, Path({g, g}), q));  // no P below g-branches
+  EXPECT_FALSE(Holds(*l, Path({g}), p));
 }
 
 TEST(Fixpoint, UnknownSymbolsHaveEmptyLabels) {
@@ -149,10 +162,10 @@ TEST(Fixpoint, UnknownSymbolsHaveEmptyLabels) {
   SliceAtom p = AtomOf(*b, "P", {});
   // A path through a symbol absent from the program: nothing holds there.
   FuncId ghost = *b->program.symbols.InternFunction("ghost", 1);
-  EXPECT_FALSE(l->Holds(Path({ghost}), p));
+  EXPECT_FALSE(Holds(*l, Path({ghost}), p));
   FuncId f = *b->program.symbols.FindFunction("f");
-  EXPECT_FALSE(l->Holds(Path({ghost, f}), p));
-  EXPECT_TRUE(l->Holds(Path({f}), p));
+  EXPECT_FALSE(Holds(*l, Path({ghost, f}), p));
+  EXPECT_TRUE(Holds(*l, Path({f}), p));
 }
 
 TEST(Fixpoint, StatesRepeatAndChiTableStaysSmall) {
@@ -162,7 +175,7 @@ TEST(Fixpoint, StatesRepeatAndChiTableStaysSmall) {
   ASSERT_TRUE(l.ok());
   // Deep labels resolve through the finite chi table.
   SliceAtom p = AtomOf(*b, "P", {});
-  EXPECT_TRUE(l->Holds(NatPath(*b, 200), p));
+  EXPECT_TRUE(Holds(*l, NatPath(*b, 200), p));
   EXPECT_LT(l->chi().num_entries(), 10u);
 }
 
@@ -197,10 +210,10 @@ TEST(BoundedFixpoint, MatchesExactEngineOnRegion) {
   SliceAtom jan = AtomOf(*b, "Meets", {"Jan"});
   for (int n = 0; n <= 12; ++n) {
     EXPECT_EQ(bounded->Holds(NatPath(*b, n), tony),
-              exact->Holds(NatPath(*b, n), tony))
+              Holds(*exact, NatPath(*b, n), tony))
         << n;
     EXPECT_EQ(bounded->Holds(NatPath(*b, n), jan),
-              exact->Holds(NatPath(*b, n), jan))
+              Holds(*exact, NatPath(*b, n), jan))
         << n;
   }
   EXPECT_GT(bounded->TotalFacts(), 0u);
@@ -225,7 +238,7 @@ TEST(BoundedFixpoint, UnderApproximatesWithDownPropagation) {
   // Soundness: everything the bounded engine derives is in the fixpoint.
   for (int n = 0; n <= 6; ++n) {
     if (bounded->Holds(NatPath(*b, n), q)) {
-      EXPECT_TRUE(exact->Holds(NatPath(*b, n), q)) << n;
+      EXPECT_TRUE(Holds(*exact, NatPath(*b, n), q)) << n;
     }
   }
 }
@@ -247,11 +260,11 @@ TEST(Fixpoint, TrunkDeeperThanZero) {
   EXPECT_EQ(b->ground.trunk_depth(), 3);
   auto l = ComputeFixpoint(b->ground);
   ASSERT_TRUE(l.ok());
-  EXPECT_TRUE(l->Holds(NatPath(*b, 3), AtomOf(*b, "P", {"a"})));
-  EXPECT_FALSE(l->Holds(NatPath(*b, 2), AtomOf(*b, "P", {"a"})));
-  EXPECT_TRUE(l->Holds(NatPath(*b, 2), AtomOf(*b, "P", {"b"})));
-  EXPECT_TRUE(l->Holds(NatPath(*b, 9), AtomOf(*b, "P", {"a"})));
-  EXPECT_TRUE(l->Holds(NatPath(*b, 9), AtomOf(*b, "P", {"b"})));
+  EXPECT_TRUE(Holds(*l, NatPath(*b, 3), AtomOf(*b, "P", {"a"})));
+  EXPECT_FALSE(Holds(*l, NatPath(*b, 2), AtomOf(*b, "P", {"a"})));
+  EXPECT_TRUE(Holds(*l, NatPath(*b, 2), AtomOf(*b, "P", {"b"})));
+  EXPECT_TRUE(Holds(*l, NatPath(*b, 9), AtomOf(*b, "P", {"a"})));
+  EXPECT_TRUE(Holds(*l, NatPath(*b, 9), AtomOf(*b, "P", {"b"})));
 }
 
 // RAII guard for tests that assert on the process-global metrics registry.

@@ -19,17 +19,18 @@
 // sections, bad checksums, wrong versions, and out-of-range ids must all
 // come back as InvalidArgument:
 //
-//  * "RSNP" → the snapshot loader (tests/fuzz_corpus/snapshots/*.rsnp);
+//  * "RSNP" → the snapshot loader (tests/fuzz_corpus/snapshots/*.rsnp),
+//    once as given and once with the checksum resealed, so that mutations
+//    reach the section decoders. Every graph spec that loads must then
+//    answer reads without throwing: membership on each path to depth
+//    frontier+1 for the first dictionary atom, and one query per
+//    functional predicate, answered and enumerated;
 //  * "RWAL" → the delta-log scanner (tests/fuzz_corpus/wal/*.rwal). Torn
 //    tails are by-design not errors, so the scanner additionally must
 //    report them consistently, never read past the buffer, and never
 //    accept a record whose checksum does not hold;
 //  * "RCKP" → the checkpoint parser (tests/fuzz_corpus/wal/*.rckp), whose
 //    symbol-table sections carry attacker-controlled counts and lengths;
-//  * "relspec-graph-spec v1" / "relspec-eq-spec v1" → the text spec
-//    loaders (tests/fuzz_corpus/specs/*.spec): out-of-range label, cluster
-//    and successor ids and non-numeric fields come back as InvalidArgument,
-//    and a spec that loads re-serializes;
 //  * "RSRV" → the serving protocol (tests/fuzz_corpus/serve/*.rsrv).
 //    Requests and responses share the magic, so the input is fed to both
 //    framers and both decoders: attacker-controlled payload lengths,
@@ -38,34 +39,118 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <memory>
+#include <string>
 #include <string_view>
+#include <vector>
 
+#include "src/core/query.h"
 #include "src/core/snapshot.h"
-#include "src/core/spec_io.h"
 #include "src/core/wal.h"
 #include "src/parser/parser.h"
 #include "src/serve/protocol.h"
 
+namespace {
+
+constexpr size_t kSnapshotHeaderSize = 20;  // magic | version | kind | sum
+
+uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+// The snapshot with its header checksum recomputed over the body
+// (docs/SNAPSHOT_FORMAT.md: chained splitmix over 8-byte words).
+std::string Resealed(std::string_view input) {
+  std::string out(input);
+  if (out.size() < kSnapshotHeaderSize) return out;
+  std::string_view body = std::string_view(out).substr(kSnapshotHeaderSize);
+  uint64_t h = Mix64(0x243f6a8885a308d3ull ^ body.size());
+  size_t i = 0;
+  for (; i + 8 <= body.size(); i += 8) {
+    uint64_t word;
+    std::memcpy(&word, body.data() + i, 8);
+    h = Mix64(h ^ word);
+  }
+  if (i < body.size()) {
+    uint64_t word = 0;
+    std::memcpy(&word, body.data() + i, body.size() - i);
+    h = Mix64(h ^ word);
+  }
+  for (int b = 0; b < 8; ++b) out[12 + b] = static_cast<char>(h >> (8 * b));
+  return out;
+}
+
+// The reads a daemon serves from a loaded spec. None may throw or crash.
+void ReadLoadedSpec(relspec::GraphSpecification loaded) {
+  auto spec =
+      std::make_shared<const relspec::GraphSpecification>(std::move(loaded));
+  const std::vector<relspec::FuncId>& alphabet = spec->alphabet();
+  if (!spec->atom_dictionary().empty()) {
+    const relspec::SliceAtom& atom = spec->atom_dictionary()[0];
+    std::vector<relspec::Path> layer{relspec::Path::Zero()};
+    for (int depth = 0; depth <= spec->graph().frontier_depth() + 1; ++depth) {
+      std::vector<relspec::Path> next;
+      for (const relspec::Path& p : layer) {
+        (void)spec->Holds(p, atom.pred, atom.args);
+        for (relspec::FuncId f : alphabet) {
+          if (next.size() < 4096) next.push_back(p.Extend(f));
+        }
+      }
+      layer = std::move(next);
+    }
+  }
+  const relspec::SymbolTable& symbols = spec->symbols();
+  for (relspec::PredId p = 0; p < symbols.num_predicates(); ++p) {
+    const relspec::PredicateInfo& info = symbols.predicate(p);
+    if (!info.functional || info.arity < 1 || info.arity > 8) continue;
+    // ?(s, x1, ...) P(s, x1, ...), over the query's own variable names.
+    relspec::Query q;
+    q.local.constant_base = static_cast<relspec::ConstId>(symbols.num_constants());
+    q.local.function_base = static_cast<relspec::FuncId>(symbols.num_functions());
+    q.local.variable_base = static_cast<relspec::VarId>(symbols.num_variables());
+    relspec::Atom atom;
+    atom.pred = p;
+    atom.fterm = relspec::FuncTerm::Var(q.local.variable_base);
+    q.local.variables.push_back("s");
+    q.answer_vars.push_back(q.local.variable_base);
+    for (int k = 1; k < info.arity; ++k) {
+      const relspec::VarId v = q.local.variable_base + static_cast<uint32_t>(k);
+      q.local.variables.push_back("x" + std::to_string(k));
+      atom.args.push_back(relspec::NfArg::Variable(v));
+      q.answer_vars.push_back(v);
+    }
+    q.atoms.push_back(std::move(atom));
+    auto answer = relspec::AnswerQuery(spec, q);
+    if (answer.ok()) (void)answer->Enumerate(3, 16);
+  }
+}
+
+void LoadSnapshot(std::string_view input) {
+  // Both loaders must survive any byte stream; the kind check rejects the
+  // mismatched one cheaply, so running both costs little and covers both
+  // section decoders. A snapshot that loads re-serializes, which walks
+  // every representative's tree edges.
+  auto graph = relspec::Snapshot::ParseGraphSpec(input);
+  if (graph.ok()) {
+    (void)relspec::Snapshot::Serialize(*graph);
+    ReadLoadedSpec(*std::move(graph));
+  }
+  auto eq = relspec::Snapshot::ParseEquationalSpec(input);
+  if (eq.ok()) (void)relspec::Snapshot::Serialize(*eq);
+}
+
+}  // namespace
+
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   std::string_view input(reinterpret_cast<const char*>(data), size);
   if (input.size() >= 4 && input.substr(0, 4) == "RSNP") {
-    // Both loaders must survive any byte stream; the kind check rejects the
-    // mismatched one cheaply, so running both costs little and covers both
-    // section decoders.
-    // A snapshot that loads re-serializes, which walks every
-    // representative's tree edges.
-    auto graph = relspec::Snapshot::ParseGraphSpec(input);
-    if (graph.ok()) (void)relspec::Snapshot::Serialize(*graph);
-    auto eq = relspec::Snapshot::ParseEquationalSpec(input);
-    if (eq.ok()) (void)relspec::Snapshot::Serialize(*eq);
-    return 0;
-  }
-  if (input.starts_with("relspec-graph-spec v1") ||
-      input.starts_with("relspec-eq-spec v1")) {
-    auto graph = relspec::SpecIo::ParseGraphSpec(input);
-    if (graph.ok()) (void)relspec::SpecIo::Serialize(*graph);
-    auto eq = relspec::SpecIo::ParseEquationalSpec(input);
-    if (eq.ok()) (void)relspec::SpecIo::Serialize(*eq);
+    LoadSnapshot(input);
+    const std::string resealed = Resealed(input);
+    if (resealed != input) LoadSnapshot(resealed);
     return 0;
   }
   if (input.size() >= 4 && input.substr(0, 4) == "RWAL") {

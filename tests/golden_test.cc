@@ -332,6 +332,27 @@ std::string LabelHash(FunctionalDatabase* db, size_t limit) {
   return h.Hex();
 }
 
+constexpr const char* kChiBuildModes[] = {"complete", "clusters3", "nodes3"};
+
+// Builds `program` in one of the corpus modes: complete, cut at 3 clusters,
+// or cut by a 3-node governor budget (both with allow_partial).
+StatusOr<std::unique_ptr<FunctionalDatabase>> BuildInMode(
+    const ChiBuildProgram& program, bool merge, std::string_view mode) {
+  GovernorLimits limits;
+  limits.max_nodes = 3;
+  ResourceGovernor governor(limits);
+  EngineOptions options;
+  options.graph.merge_trunk_frontier = merge;
+  if (mode == "clusters3") {
+    options.graph.max_clusters = 3;
+    options.allow_partial = true;
+  } else if (mode == "nodes3") {
+    options.governor = &governor;
+    options.allow_partial = true;
+  }
+  return FunctionalDatabase::FromSource(program.source, options);
+}
+
 // One line per build: the hash of its graph and equational snapshot bytes,
 // the chi entry count, a hash of every entry's value in id order, the
 // truncated flag and the LabelOf hash.
@@ -339,19 +360,7 @@ std::string ChiBuildLine(const ChiBuildProgram& program, bool merge,
                          const char* mode) {
   std::string line = program.name + " merge=" + (merge ? "1" : "0") + " " +
                      mode + " ";
-  GovernorLimits limits;
-  limits.max_nodes = 3;
-  ResourceGovernor governor(limits);
-  EngineOptions options;
-  options.graph.merge_trunk_frontier = merge;
-  if (std::string_view(mode) == "clusters3") {
-    options.graph.max_clusters = 3;
-    options.allow_partial = true;
-  } else if (std::string_view(mode) == "nodes3") {
-    options.governor = &governor;
-    options.allow_partial = true;
-  }
-  auto db = FunctionalDatabase::FromSource(program.source, options);
+  auto db = BuildInMode(program, merge, mode);
   if (!db.ok()) return line + "error=" + db.status().ToString();
   Fnv1a snap;
   auto graph = (*db)->BuildGraphSpec();
@@ -379,7 +388,7 @@ TEST(ChiBuildsGolden, EveryBuildMatchesGolden) {
   std::string actual;
   for (const ChiBuildProgram& program : ChiBuildPrograms()) {
     for (bool merge : {false, true}) {
-      for (const char* mode : {"complete", "clusters3", "nodes3"}) {
+      for (const char* mode : kChiBuildModes) {
         actual += ChiBuildLine(program, merge, mode) + "\n";
       }
     }
@@ -396,6 +405,67 @@ TEST(ChiBuildsGolden, EveryBuildMatchesGolden) {
   EXPECT_EQ(want, actual) << "chi build lines differ "
                           << "(regenerate with tools/regen_goldens.sh):\n"
                           << LineDiff(want, actual);
+}
+
+// Membership reads the engine's (B, F); the fixpoint's labeling is the
+// reference. Over every fact of the corpus builds — each path over the
+// alphabet to depth c+3 with each dictionary atom — the two agree on
+// complete builds. Both are sound on truncated builds, so there the spec may
+// only miss facts the labeling holds: the graph routes an unexplored path to
+// the unknown sink, where a read of the frozen labeling may still close its
+// entry (EXPERIMENTS.md E30).
+TEST(ChiBuildsGolden, SpecMembershipAgreesWithLabeling) {
+  size_t builds[2] = {0, 0};  // complete, truncated
+  size_t facts[2] = {0, 0};
+  size_t missed = 0, missed_builds = 0, unsound = 0;
+  for (const ChiBuildProgram& program : ChiBuildPrograms()) {
+    for (bool merge : {false, true}) {
+      for (const char* mode : kChiBuildModes) {
+        auto db = BuildInMode(program, merge, mode);
+        if (!db.ok()) continue;
+        const bool truncated = (*db)->truncated();
+        const GraphSpecification& spec = *(*db)->spec();
+        Labeling& labeling = (*db)->labeling();
+        const std::vector<SliceAtom>& atoms = spec.atom_dictionary();
+        const int max_depth = labeling.trunk_depth() + 3;
+        ++builds[truncated];
+        size_t missed_here = 0;
+        std::vector<Path> layer = {Path::Zero()};
+        for (int depth = 0; depth <= max_depth; ++depth) {
+          std::vector<Path> next;
+          for (const Path& path : layer) {
+            const DynamicBitset label = labeling.LabelOf(path);
+            for (AtomIdx i = 0; i < atoms.size(); ++i) {
+              const bool by_labeling = label.Test(i);
+              const bool by_spec =
+                  spec.Holds(path, atoms[i].pred, atoms[i].args);
+              ++facts[truncated];
+              if (by_labeling == by_spec) continue;
+              if (truncated && by_labeling) {
+                ++missed_here;
+              } else {
+                ++unsound;
+                ADD_FAILURE() << program.name << " merge=" << merge << " "
+                              << mode << " " << path.ToWord(spec.symbols())
+                              << " atom " << i << ": labeling "
+                              << by_labeling << ", spec " << by_spec;
+              }
+            }
+            if (depth < max_depth) {
+              for (FuncId f : spec.alphabet()) next.push_back(path.Extend(f));
+            }
+          }
+          layer = std::move(next);
+        }
+        missed += missed_here;
+        if (missed_here > 0) ++missed_builds;
+      }
+    }
+  }
+  EXPECT_EQ(unsound, 0u);
+  printf("complete builds %zu (%zu facts), truncated builds %zu (%zu facts): "
+         "%zu facts in %zu truncated builds held by the labeling only\n",
+         builds[0], facts[0], builds[1], facts[1], missed, missed_builds);
 }
 
 }  // namespace

@@ -18,7 +18,7 @@
 #include "src/core/congr.h"
 #include "src/core/engine.h"
 #include "src/core/query.h"
-#include "src/core/spec_io.h"
+#include "src/core/snapshot.h"
 #include "src/parser/parser.h"
 #include "tests/query_oracle.h"
 #include "tests/random_program.h"
@@ -79,10 +79,10 @@ void RunPipelineInvariants(const std::string& source) {
     }
   }
 
-  // (d) Serialization round trips preserve membership.
-  auto greload = SpecIo::ParseGraphSpec(SpecIo::Serialize(*gspec));
+  // (d) Snapshot round trips preserve membership.
+  auto greload = Snapshot::ParseGraphSpec(Snapshot::Serialize(*gspec));
   ASSERT_TRUE(greload.ok()) << greload.status().ToString();
-  auto ereload = SpecIo::ParseEquationalSpec(SpecIo::Serialize(*espec));
+  auto ereload = Snapshot::ParseEquationalSpec(Snapshot::Serialize(*espec));
   ASSERT_TRUE(ereload.ok()) << ereload.status().ToString();
   for (const Path& p : inner) {
     for (AtomIdx i = 0; i < ground.num_atoms(); ++i) {

@@ -3,7 +3,8 @@
 // the original program; the extended program is rebuilt from scratch and its
 // $oracle facts are the answer. ExpectAnswerMatchesOracle compares an
 // AnswerQuery result against it on membership over every term up to a depth
-// and on the rendered Enumerate output.
+// and on the rendered Enumerate output, and holds a spec loaded from a
+// snapshot to the same answer (ExpectLoadedSpecAnswersAlike).
 
 #ifndef RELSPEC_TESTS_QUERY_ORACLE_H_
 #define RELSPEC_TESTS_QUERY_ORACLE_H_
@@ -17,8 +18,12 @@
 #include <string>
 #include <vector>
 
+#include "src/ast/printer.h"
 #include "src/core/engine.h"
 #include "src/core/query.h"
+#include "src/core/snapshot.h"
+#include "src/parser/parser.h"
+#include "src/serve/protocol.h"
 #include "tests/random_program.h"
 
 namespace relspec {
@@ -142,15 +147,46 @@ inline std::string RenderAnswer(const SymbolTable& symbols,
   return s;
 }
 
+/// `query`, parsed against db's program, asked of db's spec and of that spec
+/// saved as a snapshot and loaded back. The query is printed and parsed
+/// again against the loaded symbols, since a snapshot keeps no variable
+/// names. Both must give the same Enumerate rows, ToString and reply text.
+inline void ExpectLoadedSpecAnswersAlike(const FunctionalDatabase& db,
+                                         const Query& query,
+                                         int enumerate_depth = 5) {
+  StatusOr<QueryAnswer> ans = AnswerQuery(&db, query);
+  ASSERT_TRUE(ans.ok()) << ans.status().ToString();
+  StatusOr<GraphSpecification> loaded =
+      Snapshot::ParseGraphSpec(Snapshot::Serialize(*db.spec()));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto spec = std::make_shared<const GraphSpecification>(*std::move(loaded));
+  const std::string text = ToString(query, db.program().symbols);
+  StatusOr<Query> reparsed = ParseQuery(text, spec->symbols());
+  ASSERT_TRUE(reparsed.ok()) << text << ": " << reparsed.status().ToString();
+  StatusOr<QueryAnswer> from_loaded = AnswerQuery(spec, *reparsed);
+  ASSERT_TRUE(from_loaded.ok()) << from_loaded.status().ToString();
+
+  auto rows = ans->Enumerate(enumerate_depth, 100000);
+  auto loaded_rows = from_loaded->Enumerate(enumerate_depth, 100000);
+  ASSERT_TRUE(rows.ok() && loaded_rows.ok());
+  EXPECT_EQ(*rows, *loaded_rows) << text;
+  EXPECT_EQ(ans->ToString(), from_loaded->ToString()) << text;
+  EXPECT_EQ(serve::RenderAnswerText(*ans, -1),
+            serve::RenderAnswerText(*from_loaded, -1))
+      << text;
+}
+
 /// AnswerQuery(db, query) against the rebuild oracle: the same tuples at
 /// every term of the oracle's alphabet up to `contains_depth` (Contains),
 /// and the same rendered Enumerate(enumerate_depth, all) output, in order.
+/// A snapshot-loaded spec must answer alike (ExpectLoadedSpecAnswersAlike).
 inline void ExpectAnswerMatchesOracle(FunctionalDatabase* db,
                                       const Query& query,
                                       const std::string& label,
                                       int contains_depth = 5,
                                       int enumerate_depth = 6) {
   SCOPED_TRACE(label);
+  ExpectLoadedSpecAnswersAlike(*db, query, enumerate_depth);
   StatusOr<QueryAnswer> ans = AnswerQuery(db, query);
   ASSERT_TRUE(ans.ok()) << ans.status().ToString();
   StatusOr<OracleAnswer> oracle = RecomputeOracle(*db, query);

@@ -424,6 +424,42 @@ TEST(Query, MixedTermShapesMatchOracle) {
   }
 }
 
+// An answer shares the spec it was computed from. An update gives the engine
+// a new spec and leaves the old one to its holders: the answer taken before
+// the batch enumerates its old rows, and a fresh answer reflects the batch.
+TEST(Query, AnswerOutlivesUpdate) {
+  auto db = BuildMeets();
+  auto q = ParseQuery("?(t, x) Meets(t, x).", db->program().symbols);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  auto before = AnswerQuery(db.get(), *q);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  auto old_rows = before->Enumerate(4, 100);
+  ASSERT_TRUE(old_rows.ok());
+  const std::string old_text = before->ToString();
+  const std::shared_ptr<const GraphSpecification> old_spec = db->spec();
+
+  auto stats = db->ApplyDeltaText("+ Meets(0, Jan).\n- Meets(0, Tony).\n");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_NE(db->spec(), old_spec);
+  EXPECT_EQ(&before->spec(), old_spec.get());
+
+  auto rows = before->Enumerate(4, 100);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(*rows, *old_rows);
+  EXPECT_EQ(before->ToString(), old_text);
+
+  auto after = AnswerQuery(db.get(), *q);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  auto new_rows = after->Enumerate(4, 100);
+  ASSERT_TRUE(new_rows.ok());
+  EXPECT_NE(*new_rows, *old_rows);
+  // Tony and Jan swapped places: Jan now meets at every even time.
+  const ConstId jan = *db->program().symbols.FindConstant("Jan");
+  ASSERT_FALSE(new_rows->empty());
+  EXPECT_EQ((*new_rows)[0].term, std::optional<Path>(Path::Zero()));
+  EXPECT_EQ((*new_rows)[0].tuple, std::vector<ConstId>{jan});
+}
+
 // AnswerQuery reads the engine and changes none of it: no labels cached, no
 // symbols interned, the same fingerprint, however many distinct deep terms
 // and non-uniform shapes are asked.

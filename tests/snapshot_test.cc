@@ -14,6 +14,7 @@
 #include "src/core/engine.h"
 #include "src/core/snapshot.h"
 #include "src/core/spec_io.h"
+#include "src/parser/parser.h"
 
 namespace relspec {
 namespace {
@@ -348,6 +349,40 @@ TEST(SnapshotTest, TreeEdgesOutOfRangeAreRejected) {
   ExpectRejectedAfterPatch(bin, c1 + 1, 2, true);      // a later parent
   ExpectRejectedAfterPatch(bin, c1 + 5, 999, true);    // not a symbol
   ExpectRejectedAfterPatch(bin, succ + 4, 999, true);  // successor range
+}
+
+// The Link walk reads a path above the frontier off its trunk cluster and
+// enters the rest at a frontier path, so forged depths that disagree with
+// the trunk clusters would make reads throw. The loader rejects them.
+TEST(SnapshotTest, ForgedDepthsAreRejected) {
+  auto g = BuildGraph(kMeets);
+  ASSERT_TRUE(g.ok());
+  ASSERT_EQ(g->trunk_depth(), 0);
+  ASSERT_EQ(g->graph().frontier_depth(), 1);
+  const std::string bin = Snapshot::Serialize(*g);
+  // Meta: i32 trunk_depth | i32 frontier_depth | ...
+  const size_t meta = SectionPayload(bin, 1);
+  ASSERT_EQ(ReadU32(bin, meta), 0u);
+  ASSERT_EQ(ReadU32(bin, meta + 4), 1u);
+  ExpectRejectedAfterPatch(bin, meta + 4, 2, true);
+  ExpectRejectedAfterPatch(bin, meta + 4, 3, true);
+  ExpectRejectedAfterPatch(bin, meta + 4, static_cast<uint32_t>(-1), true);
+  ExpectRejectedAfterPatch(bin, meta, static_cast<uint32_t>(-5), true);
+  ExpectRejectedAfterPatch(bin, meta, 3, true);
+  // Trunk and frontier both one deeper: the depths agree with each other
+  // but not with the one trunk cluster.
+  std::string deeper = bin;
+  PatchU32(&deeper, meta, 1);
+  ExpectRejectedAfterPatch(deeper, meta + 4, 2, true);
+
+  // The unpatched snapshot still loads and answers.
+  auto loaded = Snapshot::ParseGraphSpec(bin);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto q = ParseQuery("? Meets(0+1, Tony).", loaded->symbols());
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  auto holds = loaded->HoldsFact(*q);
+  ASSERT_TRUE(holds.ok()) << holds.status().ToString();
+  EXPECT_FALSE(*holds);
 }
 
 TEST(SnapshotTest, EquationTriplesOutOfRangeAreRejected) {

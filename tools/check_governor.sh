@@ -11,7 +11,9 @@
 #   TRACE_CHECK_BINARY when one is given.
 # MODE partial: with --allow-partial the same program must exit 0, emit a
 #   well-formed truncated specification, and report breach metrics in the
-#   --stats snapshot.
+#   --stats snapshot. Saved as a snapshot and loaded back without the
+#   program, the truncated spec must answer the seed fact and print the
+#   same answer to a query as the engine run.
 # MODE delta: warm-start from a snapshot, then apply a base-fact delta that
 #   makes the fixpoint diverge (docs/INCREMENTAL.md). The snapshot handshake
 #   must pass, the breached delta application must exit 7, and --stats /
@@ -67,15 +69,26 @@ case "$mode" in
       || fail "missing [truncated] marker in spec output"
     echo "$out" | grep -q "governor.breach" \
       || fail "missing governor.breach counter in --stats snapshot"
-    # The truncated spec must still round-trip through the serializer.
-    tmp=$(mktemp)
-    trap 'rm -f "$tmp"' EXIT
-    "$cli" "$prog" --max-nodes 2000 --allow-partial --save-spec "$tmp" >/dev/null 2>&1 \
+    # The truncated spec prints its truncation, and reloads from a snapshot
+    # to answer membership and queries exactly like the engine run.
+    work=$(mktemp -d)
+    trap 'rm -rf "$work"' EXIT
+    "$cli" "$prog" --max-nodes 2000 --allow-partial --save-spec "$work/t.spec" >/dev/null 2>&1 \
       || fail "--save-spec of a truncated spec failed"
-    grep -q "^truncated " "$tmp" || fail "saved spec lacks the truncated line"
-    "$cli" "$prog" --load-spec "$tmp" --fact "B(0, b0)" 2>/dev/null | grep -q "true" \
+    grep -q "^truncated " "$work/t.spec" || fail "saved spec lacks the truncated line"
+    query='?(x) B(0, x).'
+    "$cli" "$prog" --max-nodes 2000 --allow-partial --query "$query" \
+        --save-snapshot "$work/t.snap" 2>/dev/null | grep -v "^snapshot saved" \
+        > "$work/engine.txt" || fail "--save-snapshot of a truncated spec failed"
+    "$cli" --load-snapshot "$work/t.snap" --fact "B(0, b0)" 2>/dev/null | grep -q "true" \
       || fail "truncated spec did not answer the seed fact after reload"
-    echo "PASS: truncated spec well-formed, breach metrics present"
+    "$cli" --load-snapshot "$work/t.snap" --query "$query" 2>/dev/null \
+        | grep -v "^loaded specification" > "$work/loaded.txt" \
+      || fail "--load-snapshot --query failed"
+    grep -q "^answer(x)" "$work/loaded.txt" || fail "reloaded spec printed no answer"
+    cmp -s "$work/engine.txt" "$work/loaded.txt" \
+      || fail "reloaded spec answered the query unlike the engine run"
+    echo "PASS: truncated spec well-formed, breach metrics present, reload answers alike"
     ;;
   delta)
     work=$(mktemp -d)

@@ -1,7 +1,7 @@
 // relspec_cli: run functional deductive databases from the command line.
 //
 //   relspec_cli [PROGRAM.rsp] [flags]   (the program is optional with
-//                                       --load-spec / --load-snapshot)
+//                                       --load-snapshot)
 //
 //   Queries contained in the program file ("? atoms." statements) are
 //   answered automatically. Additional flags:
@@ -10,12 +10,12 @@
 //     --query "?(t,x) Meets(t, x)."  answer an ad-hoc query
 //     --explain "Meets(4, Tony)"     print a derivation tree
 //     --spec graph|eq           print the relational specification
-//     --save-spec FILE          serialize the graph specification
-//     --load-spec FILE          answer --fact from a saved spec (no rules!)
+//     --save-spec FILE          print the graph specification as text
 //     --save-snapshot FILE      binary snapshot of the graph specification
 //                               (versioned, checksummed; docs/SNAPSHOT_FORMAT.md)
-//     --load-snapshot FILE      warm start: answer --fact from a binary
-//                               snapshot, skipping ground/fixpoint/Q.
+//     --load-snapshot FILE      warm start: answer --fact and --query from
+//                               a binary snapshot (no rules!), skipping
+//                               ground/fixpoint/Q.
 //                               With a PROGRAM positional, the snapshot is
 //                               instead verified byte-identical against the
 //                               built engine (a stale snapshot fails), and
@@ -150,13 +150,12 @@ void PrintHelp(const char* argv0) {
       "  --query \"?(t,x) Meets(t, x).\" answer an ad-hoc query\n"
       "  --explain \"Meets(4, Tony)\"    print a derivation tree\n"
       "  --spec graph|eq               print the relational specification\n"
-      "  --save-spec FILE              serialize the graph specification\n"
-      "  --load-spec FILE              answer --fact from a saved spec\n"
+      "  --save-spec FILE              print the graph specification as text\n"
       "  --save-snapshot FILE          binary snapshot of the graph\n"
       "                                specification (versioned, checksummed;\n"
       "                                see docs/SNAPSHOT_FORMAT.md)\n"
-      "  --load-snapshot FILE          warm start: answer --fact from a\n"
-      "                                binary snapshot, skipping\n"
+      "  --load-snapshot FILE          warm start: answer --fact and --query\n"
+      "                                from a binary snapshot, skipping\n"
       "                                ground/fixpoint/Q; with a PROGRAM\n"
       "                                positional, verify the snapshot\n"
       "                                against the built engine instead\n"
@@ -264,7 +263,7 @@ int RunCli(int argc, char** argv) {
   }
 
   // The PROGRAM.rsp positional is optional when the run starts from a saved
-  // specification (--load-spec / --load-snapshot need no program).
+  // specification (--load-snapshot needs no program).
   std::string program_path;
   int first_flag = 1;
   if (argv[1][0] != '-') {
@@ -273,7 +272,7 @@ int RunCli(int argc, char** argv) {
   }
   std::vector<std::string> facts, queries, explains, periodics;
   std::vector<std::pair<std::string, std::string>> proofs;
-  std::string spec_kind, save_spec, load_spec, save_snapshot, load_snapshot;
+  std::string spec_kind, save_spec, save_snapshot, load_snapshot;
   std::string apply_deltas;
   std::string wal_path;
   DurableOptions durable;
@@ -302,8 +301,6 @@ int RunCli(int argc, char** argv) {
       spec_kind = next();
     } else if (flag == "--save-spec") {
       save_spec = next();
-    } else if (flag == "--load-spec") {
-      load_spec = next();
     } else if (flag == "--save-snapshot") {
       save_snapshot = next();
     } else if (flag == "--load-snapshot") {
@@ -360,9 +357,6 @@ int RunCli(int argc, char** argv) {
   options.governor = g_governor;
   options.allow_partial = g_allow_partial;
 
-  if (!load_spec.empty() && !load_snapshot.empty()) {
-    return UsageError("--load-spec and --load-snapshot are exclusive");
-  }
   if (wal_path.empty() && (fsync_given || checkpoint_given ||
                            want_recover_report)) {
     return UsageError(
@@ -374,34 +368,30 @@ int RunCli(int argc, char** argv) {
       return UsageError("--wal needs the PROGRAM.rsp positional (recovery "
                         "anchors generation-0 logs to the program)");
     }
-    if (!load_spec.empty() || !load_snapshot.empty()) {
+    if (!load_snapshot.empty()) {
       return UsageError(
-          "--wal is exclusive with --load-spec / --load-snapshot: the WAL's "
-          "own checkpoint is the durable warm start (docs/DURABILITY.md)");
+          "--wal is exclusive with --load-snapshot: the WAL's own checkpoint "
+          "is the durable warm start (docs/DURABILITY.md)");
     }
   }
-  // Spec-only mode: answer membership from a serialized specification
-  // (text --load-spec or binary --load-snapshot without a PROGRAM), skipping
-  // parse/ground/fixpoint/Q entirely. A saved spec has no rules, so deltas
-  // cannot be applied here; --load-snapshot *with* a PROGRAM takes the
-  // engine path below, where the snapshot is verified instead of served.
-  if (!load_spec.empty() || (!load_snapshot.empty() && program_path.empty())) {
+  // Spec-only mode: answer membership and queries from a binary snapshot
+  // without a PROGRAM, skipping parse/ground/fixpoint/Q entirely. The reads
+  // are the ones an engine answers from its own spec. A saved spec has no
+  // rules, so deltas cannot be applied here; --load-snapshot *with* a
+  // PROGRAM takes the engine path below, where the snapshot is verified
+  // instead of served.
+  if (!load_snapshot.empty() && program_path.empty()) {
     if (!apply_deltas.empty()) {
       return UsageError(
           "--apply-deltas needs rules: give the PROGRAM positional "
           "alongside --load-snapshot (see docs/INCREMENTAL.md)");
     }
-    StatusOr<GraphSpecification> spec = Status::Internal("unreachable");
-    if (!load_spec.empty()) {
-      auto text = ReadFile(load_spec);
-      if (!text.ok()) return Fail(kExitIo, text.status());
-      spec = SpecIo::ParseGraphSpec(*text);
-    } else {
-      auto bytes = ReadFile(load_snapshot, /*binary=*/true);
-      if (!bytes.ok()) return Fail(kExitIo, bytes.status());
-      spec = Snapshot::ParseGraphSpec(*bytes);
-    }
-    if (!spec.ok()) return Fail(kExitParse, spec.status());
+    auto bytes = ReadFile(load_snapshot, /*binary=*/true);
+    if (!bytes.ok()) return Fail(kExitIo, bytes.status());
+    auto loaded = Snapshot::ParseGraphSpec(*bytes);
+    if (!loaded.ok()) return Fail(kExitParse, loaded.status());
+    auto spec =
+        std::make_shared<const GraphSpecification>(*std::move(loaded));
     printf("loaded specification: %zu clusters, %zu tuples (no rules)\n",
            spec->num_clusters(), spec->num_slice_tuples());
     // Membership read-only against the spec's own symbols.
@@ -415,13 +405,21 @@ int RunCli(int argc, char** argv) {
       }
       printf("%s -> %s\n", fact.c_str(), *holds ? "true" : "false");
     }
+    for (const std::string& qtext : queries) {
+      auto q = ParseQuery(qtext, spec->symbols());
+      if (!q.ok()) return Fail(kExitParse, q.status());
+      auto answer = AnswerQuery(spec, *q);
+      if (!answer.ok()) {
+        return Fail(EngineExitCode(answer.status()), answer.status());
+      }
+      PrintAnswer(*answer, horizon);
+    }
     return kExitOk;
   }
 
   if (program_path.empty()) {
     return UsageError(
-        "missing PROGRAM.rsp (only --load-spec / --load-snapshot run "
-        "without one)");
+        "missing PROGRAM.rsp (only --load-snapshot runs without one)");
   }
   auto source = ReadFile(program_path);
   if (!source.ok()) return Fail(kExitIo, source.status());
@@ -475,9 +473,7 @@ int RunCli(int argc, char** argv) {
   if (!load_snapshot.empty()) {
     auto bytes = ReadFile(load_snapshot, /*binary=*/true);
     if (!bytes.ok()) return Fail(kExitIo, bytes.status());
-    auto spec = (*db)->BuildGraphSpec();
-    if (!spec.ok()) return Fail(EngineExitCode(spec.status()), spec.status());
-    if (Snapshot::Serialize(*spec) != *bytes) {
+    if (Snapshot::Serialize(*(*db)->spec()) != *bytes) {
       RELSPEC_LOG(kError) << "snapshot " << load_snapshot
                           << " does not match the engine built from "
                           << program_path << " (stale or foreign snapshot)";
@@ -616,8 +612,6 @@ int RunCli(int argc, char** argv) {
     if (q->atoms.size() != 1 || !q->atoms[0].fterm.has_value()) {
       return UsageError("--periodic expects one functional atom");
     }
-    auto spec = (*db)->BuildGraphSpec();
-    if (!spec.ok()) return Fail(EngineExitCode(spec.status()), spec.status());
     std::vector<ConstId> args;
     for (const NfArg& a : q->atoms[0].args) {
       if (!a.IsConstant()) {
@@ -625,16 +619,14 @@ int RunCli(int argc, char** argv) {
       }
       args.push_back(a.id);
     }
-    auto days = PeriodicAnswers(*spec, q->atoms[0].pred, args);
+    auto days = PeriodicAnswers(*(*db)->spec(), q->atoms[0].pred, args);
     if (!days.ok()) return Fail(kExitEngine, days.status());
     printf("%s holds at times %s\n", ptext.c_str(),
            days->ToString().c_str());
   }
 
   if (spec_kind == "graph") {
-    auto spec = (*db)->BuildGraphSpec();
-    if (!spec.ok()) return Fail(EngineExitCode(spec.status()), spec.status());
-    printf("%s", spec->ToString().c_str());
+    printf("%s", (*db)->spec()->ToString().c_str());
   } else if (spec_kind == "eq") {
     auto spec = (*db)->BuildEquationalSpec();
     if (!spec.ok()) return Fail(EngineExitCode(spec.status()), spec.status());
@@ -642,24 +634,20 @@ int RunCli(int argc, char** argv) {
   }
 
   if (!save_spec.empty()) {
-    auto spec = (*db)->BuildGraphSpec();
-    if (!spec.ok()) return Fail(EngineExitCode(spec.status()), spec.status());
     std::ofstream out(save_spec);
     if (!out) {
       return Fail(kExitIo, Status::NotFound("cannot write " + save_spec));
     }
-    out << SpecIo::Serialize(*spec);
+    out << SpecIo::Serialize(*(*db)->spec());
     printf("specification saved to %s\n", save_spec.c_str());
   }
 
   if (!save_snapshot.empty()) {
-    auto spec = (*db)->BuildGraphSpec();
-    if (!spec.ok()) return Fail(EngineExitCode(spec.status()), spec.status());
     std::ofstream out(save_snapshot, std::ios::binary);
     if (!out) {
       return Fail(kExitIo, Status::NotFound("cannot write " + save_snapshot));
     }
-    out << Snapshot::Serialize(*spec);
+    out << Snapshot::Serialize(*(*db)->spec());
     printf("snapshot saved to %s\n", save_snapshot.c_str());
   }
   return kExitOk;

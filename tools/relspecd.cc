@@ -4,10 +4,11 @@
 //
 //   Exactly one source of truth must be given: a PROGRAM.rsp positional,
 //   --rotation K (the builtin k-team rotation program — the serving
-//   benchmark family), or --load-snapshot FILE (spec-only warm start:
-//   membership/ping/stats/trace-dump only, since a saved spec has no
-//   rules). The engine is built ONCE; clients then speak the RSRV
-//   length-prefixed binary protocol over a Unix-domain or TCP socket.
+//   benchmark family), or --load-snapshot FILE (spec-only warm start: every
+//   read, queries included, answers from the loaded spec; updates are
+//   refused, since a saved spec has no rules). The engine is built ONCE;
+//   clients then speak the RSRV length-prefixed binary protocol over a
+//   Unix-domain or TCP socket.
 //
 //     --socket PATH             listen on a Unix-domain socket at PATH
 //     --tcp-port N              listen on 127.0.0.1:N instead (0 picks an
@@ -124,7 +125,7 @@ void PrintHelp(const char* argv0) {
       "  --tcp-port N              listen on 127.0.0.1:N (0 = ephemeral)\n"
       "  --threads N               request-execution lanes (default 2)\n"
       "  --rotation K              builtin k-team rotation program\n"
-      "  --load-snapshot FILE      spec-only warm start (membership only)\n"
+      "  --load-snapshot FILE      spec-only warm start (reads only)\n"
       "  --wal FILE                durable serving through a write-ahead log\n"
       "  --fsync always|batch|off  WAL durability policy (default always)\n"
       "  --checkpoint-every N      checkpoint + rotate after N batches\n"

@@ -23,25 +23,26 @@
 #
 # --asan builds with -DRELSPEC_SANITIZE=address,undefined (default dir:
 # build-asan) and runs the fault-injection suites (failpoint, governor,
-# parser), the query, WAL, label-graph, fixpoint, property and engine suites
-# under ASan+UBSan: every injected unwind path must be leak- and UB-free, a
+# parser), the query, WAL, label-graph, fixpoint, property, engine and serve
+# suites under ASan+UBSan: every injected unwind path must be leak- and
+# UB-free, a
 # query walk that indexes a successor map out of range must fail, WAL replay
 # moves a rebuilt engine's members into the live one once per batch, the chi
 # worklist reads child values by reference into its entry table, which
 # EntryFor appends to, while Labeling::LabelOf returns a reference into it,
 # and a query's own names carry ids past the symbol table's counts, which a
-# read that indexes the table with them would overrun, the text spec loader
-# must reject malformed label, cluster and successor ids (spec_io_test)
-# instead of writing past a label, and the golden
+# read that indexes the table with them would overrun, answers and cache
+# entries share the engine's spec across updates (query_test, serve_test),
+# so a spec freed under a holder is a use-after-free, and the golden
 # chi-build corpus (400 random programs, truncated modes included) drives
 # the chi engine's rule index and counts. See docs/ROBUSTNESS.md.
 #
 # --fuzz builds the parser/snapshot/WAL/protocol fuzz target
 # (-DRELSPEC_FUZZ=ON, default dir: build-fuzz) and runs a 30-second smoke
 # over the example-program seeds plus the binary corpora: snapshots
-# (tests/fuzz_corpus/snapshots/*.rsnp, RSNP magic → snapshot loader), text
-# specs (tests/fuzz_corpus/specs/*.spec, spec header → SpecIo loaders),
-# durability (tests/fuzz_corpus/wal/*, RWAL magic → delta-log scanner,
+# (tests/fuzz_corpus/snapshots/*.rsnp, RSNP magic → snapshot loader, as given
+# and resealed, then membership and query reads on every graph spec that
+# loads), durability (tests/fuzz_corpus/wal/*, RWAL magic → delta-log scanner,
 # RCKP magic → checkpoint parser), and the serving protocol
 # (tests/fuzz_corpus/serve/*.rsrv, RSRV magic → request/response framers
 # and the typed result decoders). Under gcc this is the standalone
@@ -65,11 +66,11 @@ if [[ "${1:-}" == "--asan" ]]; then
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
       failpoint_test governor_test parser_test snapshot_test \
       differential_test query_test wal_test spec_test fixpoint_test \
-      property_test engine_test golden_test spec_io_test
+      property_test engine_test golden_test spec_io_test serve_test
   echo "== asan+ubsan tests =="
   for t in failpoint_test governor_test parser_test snapshot_test \
            differential_test query_test wal_test spec_test fixpoint_test \
-           property_test engine_test golden_test spec_io_test; do
+           property_test engine_test golden_test spec_io_test serve_test; do
     echo "-- $t"
     "$BUILD_DIR"/tests/"$t"
   done
@@ -83,10 +84,9 @@ if [[ "${1:-}" == "--fuzz" ]]; then
   cmake -B "$BUILD_DIR" -S . -DRELSPEC_FUZZ=ON \
       -DRELSPEC_BUILD_BENCHMARKS=OFF -DRELSPEC_BUILD_EXAMPLES=OFF
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target fuzz_parser
-  echo "== fuzz smoke (seeds: examples/programs/*.rsp + snapshot + text spec + WAL + RSRV corpora) =="
+  echo "== fuzz smoke (seeds: examples/programs/*.rsp + snapshot + WAL + RSRV corpora) =="
   "$BUILD_DIR"/tests/fuzz_parser examples/programs/*.rsp \
       tests/fuzz_corpus/snapshots/*.rsnp \
-      tests/fuzz_corpus/specs/*.spec \
       tests/fuzz_corpus/wal/* \
       tests/fuzz_corpus/serve/*.rsrv
   echo "== fuzz smoke passed =="
