@@ -48,9 +48,8 @@ StatusOr<std::unique_ptr<FunctionalDatabase>> FunctionalDatabase::FromProgram(
     if (options.governor != nullptr) {
       RELSPEC_RETURN_NOT_OK(options.governor->Check());
     }
-    RELSPEC_ASSIGN_OR_RETURN(GroundProgram ground,
+    RELSPEC_ASSIGN_OR_RETURN(db->ground_,
                              Ground(db->program_, options.ground));
-    db->ground_ = std::make_unique<GroundProgram>(std::move(ground));
   }
   FixpointOptions fixpoint = options.fixpoint;
   LabelGraphOptions graph = options.graph;
@@ -62,65 +61,36 @@ StatusOr<std::unique_ptr<FunctionalDatabase>> FunctionalDatabase::FromProgram(
     fixpoint.allow_partial = true;
     graph.allow_partial = true;
   }
-  RELSPEC_ASSIGN_OR_RETURN(db->labeling_,
-                           ComputeFixpoint(*db->ground_, fixpoint));
+  // The labeling is dropped here: the spec is all a read needs.
+  RELSPEC_ASSIGN_OR_RETURN(Labeling labeling,
+                           ComputeFixpoint(db->ground_, fixpoint));
   RELSPEC_ASSIGN_OR_RETURN(LabelGraph label_graph,
-                           BuildLabelGraph(&db->labeling_, graph));
+                           BuildLabelGraph(&labeling, graph));
   RELSPEC_ASSIGN_OR_RETURN(
       GraphSpecification spec,
-      BuildGraphSpecification(std::move(label_graph), &db->labeling_,
+      BuildGraphSpecification(std::move(label_graph), &labeling,
                               db->program_.symbols));
   db->spec_ = std::make_shared<const GraphSpecification>(std::move(spec));
   return db;
 }
 
-StatusOr<Path> FunctionalDatabase::PathOfGroundTerm(
-    const FuncTerm& term) const {
-  if (!term.IsGround()) {
-    return Status::InvalidArgument("term is not ground");
-  }
-  RELSPEC_ASSIGN_OR_RETURN(FuncTerm pure,
-                           PurifyGroundTerm(term, &program_.symbols));
-  std::vector<FuncId> syms;
-  syms.reserve(pure.apps.size());
-  for (const FuncApply& a : pure.apps) syms.push_back(a.fn);
-  return Path(std::move(syms));
-}
-
 StatusOr<bool> FunctionalDatabase::HoldsFact(const Atom& fact) const {
-  if (!fact.IsGround()) {
-    return Status::InvalidArgument("HoldsFact expects a ground atom");
-  }
-  std::vector<ConstId> args;
-  args.reserve(fact.args.size());
-  for (const NfArg& a : fact.args) args.push_back(a.id);
-  if (!fact.fterm.has_value()) {
-    return spec_->HoldsGlobal(fact.pred, args);
-  }
-  StatusOr<Path> path = PathOfGroundTerm(*fact.fterm);
-  if (path.status().code() == StatusCode::kNotFound) return false;
-  RELSPEC_RETURN_NOT_OK(path.status());
-  return spec_->Holds(*path, fact.pred, args);
+  return spec_->HoldsFact(fact);
 }
 
 StatusOr<bool> FunctionalDatabase::HoldsFactText(std::string_view text) const {
-  std::string wrapped = "? " + std::string(text) + ".";
-  RELSPEC_ASSIGN_OR_RETURN(Query q, ParseQuery(wrapped, program_.symbols));
-  if (q.atoms.size() != 1 || !q.atoms[0].IsGround()) {
-    return Status::InvalidArgument(
-        "HoldsFactText expects a single ground atom");
-  }
-  if (q.MentionsLocalSymbol(q.atoms[0])) return false;
-  return HoldsFact(q.atoms[0]);
+  RELSPEC_ASSIGN_OR_RETURN(
+      Query q, ParseQuery("? " + std::string(text) + ".", program_.symbols));
+  return spec_->HoldsFact(q);
 }
 
 StatusOr<GraphSpecification> FunctionalDatabase::BuildGraphSpec() const {
   return *spec_;
 }
 
-StatusOr<EquationalSpecification> FunctionalDatabase::BuildEquationalSpec() {
-  return BuildEquationalSpecification(spec_->graph(), &labeling_,
-                                      program_.symbols);
+StatusOr<EquationalSpecification> FunctionalDatabase::BuildEquationalSpec()
+    const {
+  return BuildEquationalSpecification(*spec_);
 }
 
 namespace {
@@ -260,9 +230,8 @@ StatusOr<DeltaStats> FunctionalDatabase::ApplyEditedProgram(
   info_ = std::move(fresh->info_);
   normalize_stats_ = fresh->normalize_stats_;
   purify_stats_ = fresh->purify_stats_;
-  labeling_ = std::move(fresh->labeling_);  // frees the state bound to ground_
-  spec_ = std::move(fresh->spec_);  // holders of the old spec keep it alive
   ground_ = std::move(fresh->ground_);
+  spec_ = std::move(fresh->spec_);  // holders of the old spec keep it alive
   fingerprint_ = 0;  // effective delta: re-key the query cache
   stats.rebuilt = true;
   RELSPEC_COUNTER("delta.batches_applied");
@@ -576,14 +545,14 @@ uint64_t FunctionalDatabase::Fingerprint() const {
   return h;
 }
 
-Status FunctionalDatabase::Verify() {
+Status FunctionalDatabase::Verify() const {
   if (truncated()) {
     return Status::FailedPrecondition(
         "database is truncated (partial fixpoint): the quotient-model "
         "certificate only applies to a converged fixpoint; breach: " +
         breach().ToString());
   }
-  return VerifyQuotientModel(spec_->graph(), &labeling_);
+  return VerifyQuotientModel(*spec_, ground_);
 }
 
 }  // namespace relspec

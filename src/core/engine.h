@@ -2,12 +2,15 @@
 //
 //   source text --parse--> Program --validate/normalize/purify--> Program'
 //     --ground--> GroundProgram --fixpoint--> Labeling --Algorithm Q-->
-//     LabelGraph --> GraphSpecification (held, shared) / EquationalSpec
+//     LabelGraph --> GraphSpecification (held, shared) --> EquationalSpec
 //
-// The engine builds its (B, F) once per build and holds it as an immutable
-// shared GraphSpecification. Every membership and query reads that one
-// spec — the same reads a spec loaded from a snapshot answers — and an
-// answer keeps the spec it was computed from alive across later updates.
+// After a build the engine holds the program, the ground program and its
+// (B, F) as an immutable shared GraphSpecification, and nothing else the
+// fixpoint derived: the Labeling lives only inside the build. Every
+// membership and query reads the one spec — the same reads a spec loaded
+// from a snapshot answers — and an answer keeps the spec it was computed
+// from alive across later updates. The (B, R) form and the quotient-model
+// certificate are built from the spec too.
 //
 // Typical use:
 //
@@ -142,9 +145,9 @@ class FunctionalDatabase {
   const ProgramInfo& info() const { return info_; }
   const NormalizeStats& normalize_stats() const { return normalize_stats_; }
   const MixedToPureStats& purify_stats() const { return purify_stats_; }
-  const GroundProgram& ground() const { return *ground_; }
-  Labeling& labeling() { return labeling_; }
-  const Labeling& labeling() const { return labeling_; }
+  /// The ground program the spec was built from; Verify and --explain
+  /// read it.
+  const GroundProgram& ground() const { return ground_; }
   /// The (B, F) graph specification (Section 3.4) built with the engine.
   /// Every membership and query reads it; an effective delta batch replaces
   /// it with a new one and leaves this one unchanged, so a holder of the
@@ -155,18 +158,16 @@ class FunctionalDatabase {
   const LabelGraph& label_graph() const { return spec_->graph(); }
 
   /// Membership of a ground fact given as an Atom over the original
-  /// predicates (mixed terms are purified internally), read from spec().
-  /// False when the term names a mixed encoding the engine lacks.
+  /// predicates: spec()->HoldsFact(fact).
   StatusOr<bool> HoldsFact(const Atom& fact) const;
   /// Convenience: "Meets(4, Tony)" — parsed read-only against this
-  /// database. False when the fact names a constant or function symbol the
-  /// engine lacks.
+  /// database and answered by spec()->HoldsFact.
   StatusOr<bool> HoldsFactText(std::string_view text) const;
 
   /// A copy of spec().
   StatusOr<GraphSpecification> BuildGraphSpec() const;
-  /// Builds the (B, R) equational specification (Section 3.5).
-  StatusOr<EquationalSpecification> BuildEquationalSpec();
+  /// Builds the (B, R) equational specification (Section 3.5) from spec().
+  StatusOr<EquationalSpecification> BuildEquationalSpec() const;
 
   /// Applies a batch of base-fact deltas in order (docs/INCREMENTAL.md):
   /// edits the original program's facts, returns early when every edit is a
@@ -230,27 +231,19 @@ class FunctionalDatabase {
   /// mid-rotation).
   const DeltaWal* wal() const { return wal_.get(); }
 
-  /// Checks the quotient-model certificate (Proposition 3.2): the computed
-  /// finite structure is a model of Z and D, hence equals LFP(Z, D).
-  /// FailedPrecondition on a truncated database — a partial fixpoint is a
-  /// sound under-approximation, not a model.
-  Status Verify();
+  /// Checks the quotient-model certificate (Proposition 3.2) on spec()
+  /// against ground(): the served finite structure is a model of Z and D,
+  /// hence equals LFP(Z, D). FailedPrecondition on a truncated database — a
+  /// partial fixpoint is a sound under-approximation, not a model.
+  Status Verify() const;
 
   /// True when a resource breach truncated the build (only possible with
   /// EngineOptions::allow_partial): answers are a sound
-  /// under-approximation of LFP(Z, D).
-  bool truncated() const {
-    return labeling_.truncated() || spec_->truncated();
-  }
+  /// under-approximation of LFP(Z, D). A truncated fixpoint truncates the
+  /// graph with its breach, so the spec records every truncation.
+  bool truncated() const { return spec_->truncated(); }
   /// The breach that truncated the build; OK unless truncated().
-  const Status& breach() const {
-    return labeling_.truncated() ? labeling_.breach() : spec_->breach();
-  }
-
-  /// Converts a ground functional term over the original symbols into the
-  /// engine's pure path form. NotFound when the term names a symbol or mixed
-  /// encoding the engine lacks.
-  StatusOr<Path> PathOfGroundTerm(const FuncTerm& term) const;
+  const Status& breach() const { return spec_->breach(); }
 
   /// A stable fingerprint of this database's answer-relevant state: the
   /// original program rendered in normal form plus the result-affecting
@@ -282,8 +275,7 @@ class FunctionalDatabase {
   ProgramInfo info_;
   NormalizeStats normalize_stats_;
   MixedToPureStats purify_stats_;
-  std::unique_ptr<GroundProgram> ground_;  // address-stable for labeling_
-  Labeling labeling_;
+  GroundProgram ground_;
   std::shared_ptr<const GraphSpecification> spec_;
   mutable uint64_t fingerprint_ = 0;  // 0 = not yet computed
 

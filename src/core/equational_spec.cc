@@ -136,10 +136,11 @@ StatusOr<std::vector<Equation>> EquationsFromPaths(
 }
 
 StatusOr<EquationalSpecification> BuildEquationalSpecification(
-    const LabelGraph& graph, Labeling* labeling, const SymbolTable& symbols) {
+    const GraphSpecification& spec) {
   RELSPEC_PHASE("eqspec.build");
+  const LabelGraph& graph = spec.graph();
   EquationalSpecification out;
-  out.symbols_ = symbols;
+  out.symbols_ = spec.symbols();
   out.trunk_depth_ = graph.trunk_depth();
   out.clusters_.reserve(graph.num_clusters());
   for (const Cluster& c : graph.clusters()) {
@@ -149,22 +150,13 @@ StatusOr<EquationalSpecification> BuildEquationalSpecification(
     copy.label = c.label;
     copy.trunk = c.trunk;
   }
-
-  const GroundProgram& ground = labeling->ground();
-  out.atoms_.reserve(ground.num_atoms());
-  for (AtomIdx i = 0; i < ground.num_atoms(); ++i) {
-    out.atoms_.push_back(ground.atom(i));
-    out.atom_index_.emplace(ground.atom(i), i);
+  out.atoms_ = spec.atom_dictionary();
+  for (AtomIdx i = 0; i < out.atoms_.size(); ++i) {
+    out.atom_index_.emplace(out.atoms_[i], i);
   }
-  for (CtxIdx i = 0; i < ground.num_ctx(); ++i) {
-    const CtxProp& prop = ground.ctx_prop(i);
-    if (prop.kind == CtxProp::Kind::kGlobal && labeling->ctx().Test(i)) {
-      out.globals_.emplace_back(prop.pred, prop.args);
-    }
-  }
-
-  out.truncated_ = graph.truncated();
-  out.breach_ = graph.breach();
+  out.globals_ = spec.globals();
+  out.truncated_ = spec.truncated();
+  out.breach_ = spec.breach();
 
   // R(t1, t2) iff Active(t1), Potential(t2), t1 ~ t2 (Section 3.6): i.e. one
   // equation per Potential term that did not become Active, pairing it with
@@ -174,7 +166,7 @@ StatusOr<EquationalSpecification> BuildEquationalSpecification(
   // is a synthetic sink, not a congruence class: equations into or out of
   // it would merge unrelated terms, so they are omitted (dropping equations
   // only shrinks Cl(R) — still a sound under-approximation).
-  const std::vector<FuncId>& alphabet = labeling->ground().alphabet();
+  const std::vector<FuncId>& alphabet = spec.alphabet();
   auto is_tree_edge = [&](uint32_t parent, FuncId f, uint32_t cluster) {
     const Cluster& c = graph.cluster(cluster);
     return c.parent == parent && c.symbol == f;
@@ -203,6 +195,13 @@ StatusOr<EquationalSpecification> BuildEquationalSpecification(
   }
   RELSPEC_GAUGE_SET("eqspec.equations", out.equations_.size());
   return out;
+}
+
+StatusOr<EquationalSpecification> BuildEquationalSpecification(
+    const LabelGraph& graph, Labeling* labeling, const SymbolTable& symbols) {
+  RELSPEC_ASSIGN_OR_RETURN(GraphSpecification spec,
+                           BuildGraphSpecification(graph, labeling, symbols));
+  return BuildEquationalSpecification(spec);
 }
 
 }  // namespace relspec

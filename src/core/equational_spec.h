@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/cc/congruence_closure.h"
+#include "src/core/graph_spec.h"
 #include "src/core/label_graph.h"
 #include "src/term/symbol_table.h"
 #include "src/term/term.h"
@@ -97,7 +98,7 @@ class EquationalSpecification {
 
  private:
   friend StatusOr<EquationalSpecification> BuildEquationalSpecification(
-      const LabelGraph&, Labeling*, const SymbolTable&);
+      const GraphSpecification&);
   friend class Snapshot;
 
   /// Lazily constructs the congruence closure over the equations.
@@ -130,7 +131,15 @@ StatusOr<std::vector<Equation>> EquationsFromPaths(
     const std::vector<std::pair<Path, Path>>& pairs,
     const std::vector<FuncId>& alphabet);
 
-/// Extracts the self-contained (B, R) from a computed label graph.
+/// The self-contained (B, R) of a (B, F): the same clusters, slices, atom
+/// dictionary, globals and symbols, with R read off the successor graph.
+/// Works on an engine's spec and on one loaded from a snapshot alike.
+StatusOr<EquationalSpecification> BuildEquationalSpecification(
+    const GraphSpecification& spec);
+
+/// BuildEquationalSpecification of BuildGraphSpecification(graph, labeling,
+/// symbols), for perfbench's staged pass; it goes with that pass's next
+/// change (ROADMAP item 7).
 StatusOr<EquationalSpecification> BuildEquationalSpecification(
     const LabelGraph& graph, Labeling* labeling, const SymbolTable& symbols);
 

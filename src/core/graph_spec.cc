@@ -23,25 +23,37 @@ bool GraphSpecification::HoldsGlobal(PredId pred,
   return false;
 }
 
-StatusOr<bool> GraphSpecification::HoldsFact(const Query& fact) const {
-  if (fact.atoms.size() != 1 || !fact.atoms[0].IsGround() ||
-      !fact.atoms[0].fterm.has_value()) {
-    return Status::InvalidArgument(
-        "membership wants one ground functional fact, e.g. "
-        "\"OnCall(m0+1, m1)\"");
+StatusOr<bool> GraphSpecification::HoldsFact(const Atom& fact) const {
+  if (!fact.IsGround()) {
+    return Status::InvalidArgument("membership wants a ground fact");
   }
-  const Atom& atom = fact.atoms[0];
-  if (fact.MentionsLocalSymbol(atom)) return false;
-  StatusOr<FuncTerm> pure = PurifyGroundTerm(*atom.fterm, &symbols_);
-  if (pure.status().code() == StatusCode::kNotFound) return false;
-  RELSPEC_RETURN_NOT_OK(pure.status());
-  std::vector<FuncId> syms;
-  syms.reserve(pure->apps.size());
-  for (const FuncApply& a : pure->apps) syms.push_back(a.fn);
   std::vector<ConstId> args;
-  args.reserve(atom.args.size());
-  for (const NfArg& a : atom.args) args.push_back(a.id);
-  return Holds(Path(std::move(syms)), atom.pred, args);
+  args.reserve(fact.args.size());
+  for (const NfArg& a : fact.args) args.push_back(a.id);
+  if (!fact.fterm.has_value()) return HoldsGlobal(fact.pred, args);
+  StatusOr<Path> path = PathOfGroundTerm(*fact.fterm);
+  if (path.status().code() == StatusCode::kNotFound) return false;
+  RELSPEC_RETURN_NOT_OK(path.status());
+  return Holds(*path, fact.pred, args);
+}
+
+StatusOr<Path> GraphSpecification::PathOfGroundTerm(
+    const FuncTerm& term) const {
+  if (!term.IsGround()) return Status::InvalidArgument("term is not ground");
+  RELSPEC_ASSIGN_OR_RETURN(FuncTerm pure, PurifyGroundTerm(term, &symbols_));
+  std::vector<FuncId> syms;
+  syms.reserve(pure.apps.size());
+  for (const FuncApply& a : pure.apps) syms.push_back(a.fn);
+  return Path(std::move(syms));
+}
+
+StatusOr<bool> GraphSpecification::HoldsFact(const Query& fact) const {
+  if (fact.atoms.size() != 1 || !fact.atoms[0].IsGround()) {
+    return Status::InvalidArgument(
+        "membership wants one ground fact, e.g. \"OnCall(m0+1, m1)\"");
+  }
+  if (fact.MentionsLocalSymbol(fact.atoms[0])) return false;
+  return HoldsFact(fact.atoms[0]);
 }
 
 std::vector<SliceAtom> GraphSpecification::SliceOf(const Path& path) const {
@@ -115,9 +127,8 @@ StatusOr<GraphSpecification> BuildGraphSpecification(
   out.symbols_ = symbols;
   const GroundProgram& ground = labeling->ground();
   out.alphabet_ = ground.alphabet();
-  out.atoms_.reserve(ground.num_atoms());
+  out.atoms_ = ground.atoms();
   for (AtomIdx i = 0; i < ground.num_atoms(); ++i) {
-    out.atoms_.push_back(ground.atom(i));
     out.atom_index_.emplace(ground.atom(i), i);
   }
   for (CtxIdx i = 0; i < ground.num_ctx(); ++i) {

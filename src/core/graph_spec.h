@@ -27,12 +27,20 @@ class GraphSpecification {
              const std::vector<ConstId>& args) const;
   /// Membership of a ground non-functional fact.
   bool HoldsGlobal(PredId pred, const std::vector<ConstId>& args) const;
-  /// Membership of one ground functional fact, given as a query parsed
-  /// read-only against symbols(), e.g. ParseQuery("? P(f(0), a).",
-  /// spec.symbols()). InvalidArgument unless the query is one ground
-  /// functional atom. A fact naming a constant, function symbol or mixed
-  /// encoding the table lacks holds nowhere.
+  /// Membership of one ground fact over symbols(), functional or global.
+  /// A term naming a mixed encoding the table lacks holds nowhere.
+  /// InvalidArgument unless the atom is ground.
+  StatusOr<bool> HoldsFact(const Atom& fact) const;
+  /// The same for a fact given as a query parsed read-only against
+  /// symbols(), e.g. ParseQuery("? P(f(0), a).", spec.symbols()).
+  /// InvalidArgument unless the query is one ground atom. A fact naming a
+  /// constant or function symbol the table lacks holds nowhere.
   StatusOr<bool> HoldsFact(const Query& fact) const;
+
+  /// A ground functional term over symbols() in pure path form (mixed
+  /// terms are purified). NotFound when the term names a symbol or mixed
+  /// encoding the table lacks; InvalidArgument unless it is ground.
+  StatusOr<Path> PathOfGroundTerm(const FuncTerm& term) const;
 
   /// The slice L[t] of the cluster containing `path`, as explicit tuples.
   std::vector<SliceAtom> SliceOf(const Path& path) const;

@@ -103,6 +103,7 @@ class GroundProgram {
   size_t num_atoms() const { return atoms_.size(); }
   size_t num_ctx() const { return ctx_props_.size(); }
   const SliceAtom& atom(AtomIdx i) const { return atoms_[i]; }
+  const std::vector<SliceAtom>& atoms() const { return atoms_; }
   const CtxProp& ctx_prop(CtxIdx i) const { return ctx_props_[i]; }
 
   /// Finds an interned slice atom; kInvalidId if the atom never occurs (it

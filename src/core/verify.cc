@@ -5,9 +5,32 @@
 
 namespace relspec {
 
-Status VerifyQuotientModel(const LabelGraph& graph, Labeling* labeling) {
-  const GroundProgram& ground = labeling->ground();
-  const DynamicBitset& ctx = labeling->ctx();
+Status VerifyQuotientModel(const GraphSpecification& spec,
+                           const GroundProgram& ground) {
+  const LabelGraph& graph = spec.graph();
+  if (spec.atom_dictionary() != ground.atoms() ||
+      spec.alphabet() != ground.alphabet()) {
+    return Status::InvalidArgument(
+        "specification and ground program disagree on atoms or alphabet");
+  }
+
+  // The context as the model states it. An earlier check compared the
+  // fixpoint's own context bits with the trunk labels; with the spec as the
+  // one source of both, that agreement holds by construction, so the rules
+  // below are evaluated on exactly the structure that is served.
+  DynamicBitset ctx(ground.num_ctx());
+  for (const auto& [pred, args] : spec.globals()) {
+    const CtxIdx i = ground.FindGlobal(pred, args);
+    if (i != kInvalidId) ctx.Set(i);
+  }
+  for (CtxIdx i = 0; i < ground.num_ctx(); ++i) {
+    const CtxProp& prop = ground.ctx_prop(i);
+    if (prop.kind != CtxProp::Kind::kPinned) continue;
+    const uint32_t cl = graph.ClusterOf(prop.path);
+    if (cl != kInvalidId && graph.cluster(cl).label.Test(prop.atom)) {
+      ctx.Set(i);
+    }
+  }
 
   // 1. Database facts are present.
   for (const auto& [path, atom] : ground.pinned_facts()) {
@@ -22,19 +45,7 @@ Status VerifyQuotientModel(const LabelGraph& graph, Labeling* labeling) {
     }
   }
 
-  // 2. Pinned context propositions agree with the labels at their paths.
-  for (CtxIdx i = 0; i < ground.num_ctx(); ++i) {
-    const CtxProp& prop = ground.ctx_prop(i);
-    if (prop.kind != CtxProp::Kind::kPinned) continue;
-    uint32_t cl = graph.ClusterOf(prop.path);
-    bool holds = cl != kInvalidId && graph.cluster(cl).label.Test(prop.atom);
-    if (holds != ctx.Test(i)) {
-      return Status::Internal(
-          "pinned context proposition inconsistent with its trunk label");
-    }
-  }
-
-  // 3. Global rules are closed.
+  // 2. Global rules are closed.
   for (const GroundRule& rule : ground.global_rules()) {
     bool sat = true;
     for (CtxIdx b : rule.body_ctx) sat = sat && ctx.Test(b);
@@ -43,7 +54,7 @@ Status VerifyQuotientModel(const LabelGraph& graph, Labeling* labeling) {
     }
   }
 
-  // 4. Local rules are closed on every cluster. Because every tree node
+  // 3. Local rules are closed on every cluster. Because every tree node
   // folds onto a cluster with ClusterOf(w.f) == successor_f(ClusterOf(w)),
   // per-cluster closure is exactly per-node closure on the infinite tree.
   for (uint32_t c = 0; c < graph.num_clusters(); ++c) {

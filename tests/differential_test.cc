@@ -251,6 +251,35 @@ TEST_P(DifferentialTest, LoadedSpecAnswersLikeEngine) {
   }
 }
 
+// (f) Every global the ground program names, held or not, gets the same
+// membership answer from the engine and from a spec loaded from its
+// snapshot, each given the fact as text.
+TEST_P(DifferentialTest, LoadedSpecAnswersGlobalsLikeEngine) {
+  std::mt19937 rng(static_cast<unsigned>(GetParam()) * 40692u + 17u);
+  std::string source = RandomProgramRich(&rng);
+  SCOPED_TRACE(source);
+
+  auto db = Build(source);
+  ASSERT_TRUE(db);
+  auto loaded = Snapshot::ParseGraphSpec(Snapshot::Serialize(*db->spec()));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const GroundProgram& ground = db->ground();
+  size_t held = 0;
+  for (CtxIdx i = 0; i < ground.num_ctx(); ++i) {
+    if (ground.ctx_prop(i).kind != CtxProp::Kind::kGlobal) continue;
+    const std::string fact = ground.CtxToString(i, db->program().symbols);
+    auto by_engine = db->HoldsFactText(fact);
+    ASSERT_TRUE(by_engine.ok()) << fact << ": " << by_engine.status().ToString();
+    auto q = ParseQuery("? " + fact + ".", loaded->symbols());
+    ASSERT_TRUE(q.ok()) << fact << ": " << q.status().ToString();
+    auto by_spec = loaded->HoldsFact(*q);
+    ASSERT_TRUE(by_spec.ok()) << fact << ": " << by_spec.status().ToString();
+    EXPECT_EQ(*by_engine, *by_spec) << fact;
+    held += *by_spec ? 1 : 0;
+  }
+  EXPECT_EQ(held, loaded->globals().size());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest, ::testing::Range(0, 15));
 
 }  // namespace

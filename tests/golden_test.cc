@@ -34,6 +34,7 @@
 #include "src/core/spec_io.h"
 #include "src/parser/parser.h"
 #include "tests/random_program.h"
+#include "tests/replay_fixpoint.h"
 
 #ifndef RELSPEC_SOURCE_DIR
 #error "RELSPEC_SOURCE_DIR must point at the repository root"
@@ -310,9 +311,8 @@ std::vector<ChiBuildProgram> ChiBuildPrograms() {
 // Hashes LabelOf over the first `limit` paths in shortlex order, up to
 // depth c+3. On a truncated build these reads close queued chi entries, so
 // the walk order is part of what the line pins.
-std::string LabelHash(FunctionalDatabase* db, size_t limit) {
-  Labeling& labeling = db->labeling();
-  const std::vector<FuncId>& alphabet = db->ground().alphabet();
+std::string LabelHash(Labeling& labeling, size_t limit) {
+  const std::vector<FuncId>& alphabet = labeling.ground().alphabet();
   const int max_depth = labeling.trunk_depth() + 3;
   Fnv1a h;
   std::vector<Path> layer = {Path::Zero()};
@@ -334,10 +334,18 @@ std::string LabelHash(FunctionalDatabase* db, size_t limit) {
 
 constexpr const char* kChiBuildModes[] = {"complete", "clusters3", "nodes3"};
 
+// One corpus build and its fixpoint, replayed with the same options: the
+// engine keeps only the spec, and the labeling is the reference it is held
+// to.
+struct ModeBuild {
+  std::unique_ptr<FunctionalDatabase> db;
+  testutil::ReplayedFixpoint fixpoint;
+};
+
 // Builds `program` in one of the corpus modes: complete, cut at 3 clusters,
 // or cut by a 3-node governor budget (both with allow_partial).
-StatusOr<std::unique_ptr<FunctionalDatabase>> BuildInMode(
-    const ChiBuildProgram& program, bool merge, std::string_view mode) {
+StatusOr<ModeBuild> BuildInMode(const ChiBuildProgram& program, bool merge,
+                                std::string_view mode) {
   GovernorLimits limits;
   limits.max_nodes = 3;
   ResourceGovernor governor(limits);
@@ -350,7 +358,13 @@ StatusOr<std::unique_ptr<FunctionalDatabase>> BuildInMode(
     options.governor = &governor;
     options.allow_partial = true;
   }
-  return FunctionalDatabase::FromSource(program.source, options);
+  ModeBuild out;
+  RELSPEC_ASSIGN_OR_RETURN(out.db,
+                           FunctionalDatabase::FromSource(program.source,
+                                                          options));
+  RELSPEC_ASSIGN_OR_RETURN(out.fixpoint,
+                           testutil::ReplayFixpoint(*out.db, options));
+  return out;
 }
 
 // One line per build: the hash of its graph and equational snapshot bytes,
@@ -360,16 +374,18 @@ std::string ChiBuildLine(const ChiBuildProgram& program, bool merge,
                          const char* mode) {
   std::string line = program.name + " merge=" + (merge ? "1" : "0") + " " +
                      mode + " ";
-  auto db = BuildInMode(program, merge, mode);
-  if (!db.ok()) return line + "error=" + db.status().ToString();
+  auto build = BuildInMode(program, merge, mode);
+  if (!build.ok()) return line + "error=" + build.status().ToString();
+  const FunctionalDatabase& db = *build->db;
+  Labeling& labeling = build->fixpoint.labeling;
   Fnv1a snap;
-  auto graph = (*db)->BuildGraphSpec();
+  auto graph = db.BuildGraphSpec();
   snap.Add(graph.ok() ? Snapshot::Serialize(*graph)
                       : "!" + graph.status().ToString());
-  auto eq = (*db)->BuildEquationalSpec();
+  auto eq = db.BuildEquationalSpec();
   snap.Add(eq.ok() ? Snapshot::Serialize(*eq) : "!" + eq.status().ToString());
-  std::string labels = LabelHash(db->get(), 2000);
-  const ChiEngine& chi = (*db)->labeling().chi();
+  std::string labels = LabelHash(labeling, 2000);
+  const ChiEngine& chi = labeling.chi();
   Fnv1a table;
   for (uint32_t e = 0; e < chi.num_entries(); ++e) {
     for (size_t a : chi.Value(e).ToVector()) table.Add(uint64_t{a});
@@ -378,7 +394,7 @@ std::string ChiBuildLine(const ChiBuildProgram& program, bool merge,
   return line + "snap=" + snap.Hex() +
          " entries=" + std::to_string(chi.num_entries()) +
          " table=" + table.Hex() +
-         " truncated=" + ((*db)->truncated() ? "1" : "0") +
+         " truncated=" + (db.truncated() ? "1" : "0") +
          " labels=" + labels;
 }
 
@@ -421,11 +437,17 @@ TEST(ChiBuildsGolden, SpecMembershipAgreesWithLabeling) {
   for (const ChiBuildProgram& program : ChiBuildPrograms()) {
     for (bool merge : {false, true}) {
       for (const char* mode : kChiBuildModes) {
-        auto db = BuildInMode(program, merge, mode);
-        if (!db.ok()) continue;
-        const bool truncated = (*db)->truncated();
-        const GraphSpecification& spec = *(*db)->spec();
-        Labeling& labeling = (*db)->labeling();
+        auto build = BuildInMode(program, merge, mode);
+        if (!build.ok()) continue;
+        const FunctionalDatabase& db = *build->db;
+        const bool truncated = db.truncated();
+        const GraphSpecification& spec = *db.spec();
+        Labeling& labeling = build->fixpoint.labeling;
+        // The spec records the fixpoint's own truncation and breach.
+        if (labeling.truncated()) {
+          EXPECT_TRUE(truncated);
+          EXPECT_EQ(db.breach().ToString(), labeling.breach().ToString());
+        }
         const std::vector<SliceAtom>& atoms = spec.atom_dictionary();
         const int max_depth = labeling.trunk_depth() + 3;
         ++builds[truncated];

@@ -164,7 +164,7 @@ TEST(ListExample, IncrementalQueryMatchesPaper) {
   auto answer = AnswerQuery(db->get(), *q);
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
   // Lists containing a: exactly those whose term includes an ext(.,a).
-  auto path_a = (*db)->PathOfGroundTerm(
+  auto path_a = (*db)->spec()->PathOfGroundTerm(
       FuncTerm::Zero().Apply(*(*db)->program().symbols.FindFunction("ext{a}")));
   ASSERT_TRUE(path_a.ok());
   EXPECT_TRUE(*answer->Contains(*path_a, {}));

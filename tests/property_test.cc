@@ -22,6 +22,7 @@
 #include "src/parser/parser.h"
 #include "tests/query_oracle.h"
 #include "tests/random_program.h"
+#include "tests/replay_fixpoint.h"
 
 namespace relspec {
 namespace {
@@ -49,6 +50,9 @@ void RunPipelineInvariants(const std::string& source) {
   // on the inner region, they match the engine exactly there.
   constexpr int kBound = 10;
   constexpr int kInner = 6;
+  auto replay = testutil::ReplayFixpoint(**db);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  Labeling& labeling = replay->labeling;
   auto b1 = ComputeBoundedFixpoint((*db)->ground(), kBound);
   auto b2 = ComputeBoundedFixpoint((*db)->ground(), kBound + 2);
   ASSERT_TRUE(b1.ok());
@@ -56,7 +60,7 @@ void RunPipelineInvariants(const std::string& source) {
   const GroundProgram& ground = (*db)->ground();
   std::vector<Path> inner = UniverseUpTo(ground, kInner);
   for (const Path& p : inner) {
-    const DynamicBitset& exact = (*db)->labeling().LabelOf(p);
+    const DynamicBitset& exact = labeling.LabelOf(p);
     const DynamicBitset& approx1 = b1->LabelOf(p);
     const DynamicBitset& approx2 = b2->LabelOf(p);
     ASSERT_TRUE(approx1.IsSubsetOf(exact)) << p.depth();  // soundness
@@ -73,7 +77,7 @@ void RunPipelineInvariants(const std::string& source) {
       const SliceAtom& atom = ground.atom(i);
       bool g = gspec->Holds(p, atom.pred, atom.args);
       bool e = espec->Holds(p, atom.pred, atom.args);
-      bool l = (*db)->labeling().LabelOf(p).Test(i);
+      bool l = labeling.LabelOf(p).Test(i);
       EXPECT_EQ(g, l) << "graph spec vs labeling";
       EXPECT_EQ(e, l) << "equational spec vs labeling";
     }
@@ -123,7 +127,9 @@ TEST(ReclosureProgramTest, PipelineInvariants) {
         MetricsRegistry::Global().Snapshot().counter("chi.close_node_calls");
     MetricsRegistry::Global().Reset();
     ASSERT_TRUE(db.ok()) << db.status().ToString();
-    EXPECT_GT(closures, (*db)->labeling().chi().num_entries());
+    auto replay = testutil::ReplayFixpoint(**db);
+    ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+    EXPECT_GT(closures, replay->labeling.chi().num_entries());
     RunPipelineInvariants(source);
   }
 }

@@ -25,6 +25,7 @@
 #include "src/parser/parser.h"
 #include "src/serve/protocol.h"
 #include "tests/random_program.h"
+#include "tests/replay_fixpoint.h"
 
 namespace relspec {
 namespace testutil {
@@ -33,13 +34,14 @@ using Tuples = std::vector<std::vector<ConstId>>;
 
 struct OracleAnswer {
   std::unique_ptr<FunctionalDatabase> db;  // the rebuilt, extended program
+  ReplayedFixpoint fixpoint;               // db's fixpoint, read per path
   PredId pred = kInvalidId;
   bool functional = false;
 
   /// The answer tuples at `path` (functional answers), sorted.
   Tuples At(const Path& path) {
     Tuples out;
-    db->labeling().LabelOf(path).ForEach([&](size_t b) {
+    fixpoint.labeling.LabelOf(path).ForEach([&](size_t b) {
       const SliceAtom& sa = db->ground().atom(static_cast<AtomIdx>(b));
       if (sa.pred == pred) out.push_back(sa.args);
     });
@@ -54,7 +56,7 @@ struct OracleAnswer {
     for (CtxIdx ci = 0; ci < ground.num_ctx(); ++ci) {
       const CtxProp& prop = ground.ctx_prop(ci);
       if (prop.kind == CtxProp::Kind::kGlobal && prop.pred == pred &&
-          db->labeling().ctx().Test(ci)) {
+          fixpoint.labeling.ctx().Test(ci)) {
         out.push_back(prop.args);
       }
     }
@@ -132,6 +134,7 @@ inline StatusOr<OracleAnswer> RecomputeOracle(const FunctionalDatabase& db,
   extended.rules.push_back(std::move(rule));
   RELSPEC_ASSIGN_OR_RETURN(out.db,
                            FunctionalDatabase::FromProgram(std::move(extended)));
+  RELSPEC_ASSIGN_OR_RETURN(out.fixpoint, ReplayFixpoint(*out.db));
   RELSPEC_ASSIGN_OR_RETURN(out.pred,
                            out.db->program().symbols.FindPredicate("$oracle"));
   return out;

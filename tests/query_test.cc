@@ -460,9 +460,9 @@ TEST(Query, AnswerOutlivesUpdate) {
   EXPECT_EQ((*new_rows)[0].tuple, std::vector<ConstId>{jan});
 }
 
-// AnswerQuery reads the engine and changes none of it: no labels cached, no
-// symbols interned, the same fingerprint, however many distinct deep terms
-// and non-uniform shapes are asked.
+// AnswerQuery reads the engine and changes none of it: no symbols interned,
+// the same fingerprint, however many distinct deep terms and non-uniform
+// shapes are asked.
 TEST(Query, AnswersLeaveEngineStateUnchanged) {
   auto db = FunctionalDatabase::FromSource(kLists);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
@@ -494,7 +494,6 @@ TEST(Query, AnswersLeaveEngineStateUnchanged) {
     queries.push_back(*q);
   }
   const SymbolTable& symbols = (*db)->program().symbols;
-  const size_t terms = (*db)->labeling().terms().size();
   const size_t functions = symbols.num_functions();
   const size_t constants = symbols.num_constants();
   const size_t predicates = symbols.num_predicates();
@@ -506,7 +505,6 @@ TEST(Query, AnswersLeaveEngineStateUnchanged) {
       ASSERT_TRUE(ans.ok()) << ans.status().ToString();
     }
   }
-  EXPECT_EQ((*db)->labeling().terms().size(), terms);
   EXPECT_EQ(symbols.num_functions(), functions);
   EXPECT_EQ(symbols.num_constants(), constants);
   EXPECT_EQ(symbols.num_predicates(), predicates);

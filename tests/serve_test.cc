@@ -860,6 +860,29 @@ TEST(ServeLive, SpecOnlyServingAnswersQueriesAndRefusesUpdates) {
   EXPECT_EQ(update.status().code(), StatusCode::kFailedPrecondition);
 }
 
+// Membership of a global fact answers over the socket, true and false, from
+// a full daemon and from one started from a snapshot alike.
+TEST(ServeLive, GlobalMembershipOverTheSocket) {
+  auto db = FunctionalDatabase::FromSource(RotationSource());
+  ASSERT_TRUE(db.ok());
+  auto spec = Snapshot::ParseGraphSpec(Snapshot::Serialize(*(*db)->spec()));
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  auto full = LiveServer::Start(std::move(db).value(), "global_full");
+  auto spec_only = LiveServer::StartSpecOnly(*std::move(spec), "global_spec");
+  ASSERT_NE(full, nullptr);
+  ASSERT_NE(spec_only, nullptr);
+  for (LiveServer* live : {full.get(), spec_only.get()}) {
+    auto client = live->Connect();
+    ASSERT_NE(client, nullptr);
+    auto held = client->Membership("Rotate(m0, m1)");
+    ASSERT_TRUE(held.ok()) << held.status().ToString();
+    EXPECT_TRUE(*held);
+    auto absent = client->Membership("Rotate(m1, m0)");
+    ASSERT_TRUE(absent.ok()) << absent.status().ToString();
+    EXPECT_FALSE(*absent);
+  }
+}
+
 TEST(ServeLive, DurableUpdateAckSurvivesReopen) {
   const std::string wal_path = ::testing::TempDir() + "serve_test_durable.wal";
   for (const char* suffix :

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
 #include <unordered_set>
 
@@ -13,7 +16,10 @@
 #include "src/base/metrics.h"
 #include "src/core/engine.h"
 #include "src/core/verify.h"
+#include "src/parser/parser.h"
+#include "src/core/snapshot.h"
 #include "tests/random_program.h"
+#include "tests/replay_fixpoint.h"
 
 namespace relspec {
 namespace {
@@ -37,11 +43,13 @@ TEST(LabelGraph, ClusterWalkAgreesWithLabeling) {
   auto db = FunctionalDatabase::FromSource(kMeets);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   const LabelGraph& graph = (*db)->label_graph();
+  auto replay = testutil::ReplayFixpoint(**db);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   for (int n = 0; n <= 30; ++n) {
     Path p = NatPath(**db, n);
     uint32_t cl = graph.ClusterOf(p);
     ASSERT_NE(cl, kInvalidId);
-    EXPECT_EQ(graph.cluster(cl).label, (*db)->labeling().LabelOf(p)) << n;
+    EXPECT_EQ(graph.cluster(cl).label, replay->labeling.LabelOf(p)) << n;
   }
 }
 
@@ -137,10 +145,13 @@ TEST(LabelGraph, ConvergedGraphMakesNoClosure) {
 // f-successor of cluster C has the label of f(representative of C). In a
 // truncated graph an edge may lead to the unknown sink instead, but a
 // non-trunk cluster's edge only does so when no explored cluster has the
-// child's label.
-void ExpectSuccessorsMatchLabeling(FunctionalDatabase* db) {
+// child's label. `options` are the ones db was built with.
+void ExpectSuccessorsMatchLabeling(FunctionalDatabase* db,
+                                   const EngineOptions& options) {
   const LabelGraph& graph = db->label_graph();
-  Labeling& labeling = db->labeling();
+  auto replay = testutil::ReplayFixpoint(*db, options);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  Labeling& labeling = replay->labeling;
   const std::vector<FuncId>& alphabet = db->ground().alphabet();
   std::unordered_set<DynamicBitset, DynamicBitsetHash> explored;
   for (uint32_t ci = 0; ci < graph.num_clusters(); ++ci) {
@@ -184,7 +195,7 @@ TEST(LabelGraph, SuccessorsMatchPerPathLabels) {
         options.graph.merge_trunk_frontier = merge;
         auto db = FunctionalDatabase::FromSource(source, options);
         ASSERT_TRUE(db.ok()) << db.status().ToString();
-        ExpectSuccessorsMatchLabeling(db->get());
+        ExpectSuccessorsMatchLabeling(db->get(), options);
       }
     }
   }
@@ -208,7 +219,7 @@ TEST(LabelGraph, TruncatedSuccessorsMatchPerPathLabels) {
       auto db = FunctionalDatabase::FromSource(source, options);
       ASSERT_TRUE(db.ok()) << db.status().ToString();
       ASSERT_TRUE((*db)->label_graph().truncated());
-      ExpectSuccessorsMatchLabeling(db->get());
+      ExpectSuccessorsMatchLabeling(db->get(), options);
     }
   }
   // A cluster cap over a converged labeling: the BFS stops with children
@@ -228,8 +239,10 @@ TEST(LabelGraph, TruncatedSuccessorsMatchPerPathLabels) {
         options.allow_partial = true;
         auto db = FunctionalDatabase::FromSource(source, options);
         ASSERT_TRUE(db.ok()) << db.status().ToString();
-        EXPECT_FALSE((*db)->labeling().truncated());
-        ExpectSuccessorsMatchLabeling(db->get());
+        auto replay = testutil::ReplayFixpoint(**db, options);
+        ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+        EXPECT_FALSE(replay->labeling.truncated());
+        ExpectSuccessorsMatchLabeling(db->get(), options);
       }
     }
   }
@@ -260,9 +273,12 @@ TEST(EquationalSpec, EquationsRelateEqualStateTerms) {
   ASSERT_TRUE(espec.ok());
   EXPECT_GT(espec->num_equations(), 0u);
   // Every equation's two sides must be state-equivalent in the labeling.
+  auto replay = testutil::ReplayFixpoint(**db);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  Labeling& labeling = replay->labeling;
   for (const Equation& eq : espec->equations()) {
     const auto [t1, t2] = espec->EquationPaths(eq);
-    EXPECT_EQ((*db)->labeling().LabelOf(t1), (*db)->labeling().LabelOf(t2));
+    EXPECT_EQ(labeling.LabelOf(t1), labeling.LabelOf(t2));
   }
   EXPECT_FALSE(espec->ToString().empty());
 }
@@ -328,11 +344,16 @@ TEST(Verify, AcceptsAllWorkedExamples) {
   }
 }
 
+// Each tampered copy of a built spec breaks the model somewhere; Verify must
+// notice, reading the context from the model alone. The copies are not
+// const, so writing through the const accessors is well defined.
 TEST(Verify, DetectsTamperedGraph) {
   auto db = FunctionalDatabase::FromSource(kMeets);
   ASSERT_TRUE(db.ok());
-  // Corrupt a copy of the label graph: clear a label bit.
-  LabelGraph graph = (*db)->label_graph();
+  // Corrupt a copy of the spec: clear a label.
+  GraphSpecification spec = *(*db)->spec();
+  ASSERT_TRUE(VerifyQuotientModel(spec, (*db)->ground()).ok());
+  const LabelGraph& graph = spec.graph();
   bool corrupted = false;
   for (uint32_t c = 0; c < graph.num_clusters() && !corrupted; ++c) {
     Cluster& cl = const_cast<Cluster&>(graph.cluster(c));
@@ -342,7 +363,99 @@ TEST(Verify, DetectsTamperedGraph) {
     }
   }
   ASSERT_TRUE(corrupted);
-  EXPECT_FALSE(VerifyQuotientModel(graph, &(*db)->labeling()).ok());
+  EXPECT_FALSE(VerifyQuotientModel(spec, (*db)->ground()).ok());
+}
+
+TEST(Verify, DetectsDroppedGlobal) {
+  auto db = FunctionalDatabase::FromSource(kMeets);
+  ASSERT_TRUE(db.ok());
+  GraphSpecification spec = *(*db)->spec();
+  auto& globals =
+      const_cast<std::vector<std::pair<PredId, std::vector<ConstId>>>&>(
+          spec.globals());
+  ASSERT_FALSE(globals.empty());
+  globals.erase(globals.begin());
+  EXPECT_FALSE(VerifyQuotientModel(spec, (*db)->ground()).ok());
+}
+
+TEST(Verify, DetectsClearedPinnedTrunkBit) {
+  // Even(4) is a pinned proposition: Done(a) reads it from the trunk.
+  auto db = FunctionalDatabase::FromSource(
+      "Even(0).\nEven(t) -> Even(t+2).\nEven(4) -> Done(a).");
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  GraphSpecification spec = *(*db)->spec();
+  ASSERT_TRUE(VerifyQuotientModel(spec, (*db)->ground()).ok());
+  const GroundProgram& ground = (*db)->ground();
+  bool cleared = false;
+  for (CtxIdx i = 0; i < ground.num_ctx() && !cleared; ++i) {
+    const CtxProp& prop = ground.ctx_prop(i);
+    if (prop.kind != CtxProp::Kind::kPinned) continue;
+    const uint32_t c = spec.graph().ClusterOf(prop.path);
+    ASSERT_NE(c, kInvalidId);
+    Cluster& cl = const_cast<Cluster&>(spec.graph().cluster(c));
+    ASSERT_TRUE(cl.trunk);
+    if (!cl.label.Test(prop.atom)) continue;
+    cl.label.Reset(prop.atom);
+    cleared = true;
+  }
+  ASSERT_TRUE(cleared);
+  EXPECT_FALSE(VerifyQuotientModel(spec, (*db)->ground()).ok());
+}
+
+TEST(Verify, DetectsClearedLocalRuleHead) {
+  // Beyond the trunk every label bit is the head of a local rule: clear
+  // one on one cluster and that rule is no longer closed there.
+  auto db = FunctionalDatabase::FromSource(kMeets);
+  ASSERT_TRUE(db.ok());
+  GraphSpecification spec = *(*db)->spec();
+  const LabelGraph& graph = spec.graph();
+  bool cleared = false;
+  for (uint32_t c = 0; c < graph.num_clusters() && !cleared; ++c) {
+    Cluster& cl = const_cast<Cluster&>(graph.cluster(c));
+    if (cl.trunk || !cl.label.Any()) continue;
+    cl.label.Reset(cl.label.ToVector().front());
+    cleared = true;
+  }
+  ASSERT_TRUE(cleared);
+  Status verified = VerifyQuotientModel(spec, (*db)->ground());
+  EXPECT_FALSE(verified.ok());
+  EXPECT_NE(verified.message().find("local rule not closed"),
+            std::string::npos)
+      << verified.ToString();
+}
+
+// The certificate needs no engine state but the ground program: a spec
+// loaded from a snapshot passes it for every example program that
+// converges; a budget-truncated one is refused by the engine.
+TEST(Verify, AcceptsSnapshotLoadedSpecsOfExamples) {
+  size_t verified = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(RELSPEC_SOURCE_DIR) + "/examples/programs")) {
+    if (entry.path().extension() != ".rsp") continue;
+    SCOPED_TRACE(entry.path().string());
+    std::ifstream in(entry.path());
+    std::stringstream text;
+    text << in.rdbuf();
+    auto parsed = Parse(text.str());
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    GovernorLimits limits;
+    limits.max_nodes = 20000;
+    ResourceGovernor governor(limits);
+    EngineOptions options;
+    options.governor = &governor;
+    options.allow_partial = true;
+    auto db = FunctionalDatabase::FromProgram(parsed->program, options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    if ((*db)->truncated()) {
+      EXPECT_TRUE((*db)->Verify().IsFailedPrecondition());
+      continue;
+    }
+    auto loaded = Snapshot::ParseGraphSpec(Snapshot::Serialize(*(*db)->spec()));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_TRUE(VerifyQuotientModel(*loaded, (*db)->ground()).ok());
+    ++verified;
+  }
+  EXPECT_GE(verified, 4u);
 }
 
 }  // namespace

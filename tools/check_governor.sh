@@ -13,7 +13,9 @@
 #   well-formed truncated specification, and report breach metrics in the
 #   --stats snapshot. Saved as a snapshot and loaded back without the
 #   program, the truncated spec must answer the seed fact and print the
-#   same answer to a query as the engine run.
+#   same answers to a finite and a functional query and the same --spec eq
+#   as the engine run (whose enumeration must not stop on the build's
+#   recorded breach). A spec-only --explain is a usage error (exit 2).
 # MODE delta: warm-start from a snapshot, then apply a base-fact delta that
 #   makes the fixpoint diverge (docs/INCREMENTAL.md). The snapshot handshake
 #   must pass, the breached delta application must exit 7, and --stats /
@@ -77,17 +79,25 @@ case "$mode" in
       || fail "--save-spec of a truncated spec failed"
     grep -q "^truncated " "$work/t.spec" || fail "saved spec lacks the truncated line"
     query='?(x) B(0, x).'
-    "$cli" "$prog" --max-nodes 2000 --allow-partial --query "$query" \
-        --save-snapshot "$work/t.snap" 2>/dev/null | grep -v "^snapshot saved" \
-        > "$work/engine.txt" || fail "--save-snapshot of a truncated spec failed"
+    fquery='?(t) B(t, b0).'
+    reads=(--query "$query" --query "$fquery" --spec eq)
+    "$cli" "$prog" --max-nodes 2000 --allow-partial "${reads[@]}" \
+        --save-snapshot "$work/t.snap" 2>/dev/null \
+        | grep -v "^snapshot saved" > "$work/engine.txt" \
+      || fail "--save-snapshot of a truncated spec failed"
     "$cli" --load-snapshot "$work/t.snap" --fact "B(0, b0)" 2>/dev/null | grep -q "true" \
       || fail "truncated spec did not answer the seed fact after reload"
-    "$cli" --load-snapshot "$work/t.snap" --query "$query" 2>/dev/null \
+    "$cli" --load-snapshot "$work/t.snap" "${reads[@]}" 2>/dev/null \
         | grep -v "^loaded specification" > "$work/loaded.txt" \
-      || fail "--load-snapshot --query failed"
-    grep -q "^answer(x)" "$work/loaded.txt" || fail "reloaded spec printed no answer"
+      || fail "--load-snapshot --query --spec eq failed"
+    for head in "answer(x)" "answer(t)" "equational specification"; do
+      grep -q "^$head" "$work/loaded.txt" || fail "reloaded spec printed no $head"
+    done
     cmp -s "$work/engine.txt" "$work/loaded.txt" \
-      || fail "reloaded spec answered the query unlike the engine run"
+      || fail "reloaded spec answered the queries or printed --spec eq unlike the engine run"
+    "$cli" --load-snapshot "$work/t.snap" --explain "B(0, b0)" >/dev/null 2>&1
+    code=$?
+    [ "$code" -eq 2 ] || fail "spec-only --explain should exit 2, got $code"
     echo "PASS: truncated spec well-formed, breach metrics present, reload answers alike"
     ;;
   delta)

@@ -4,62 +4,8 @@
 //                                       --load-snapshot)
 //
 //   Queries contained in the program file ("? atoms." statements) are
-//   answered automatically. Additional flags:
-//
-//     --fact "Meets(4, Tony)"   membership test against LFP(Z, D)
-//     --query "?(t,x) Meets(t, x)."  answer an ad-hoc query
-//     --explain "Meets(4, Tony)"     print a derivation tree
-//     --spec graph|eq           print the relational specification
-//     --save-spec FILE          print the graph specification as text
-//     --save-snapshot FILE      binary snapshot of the graph specification
-//                               (versioned, checksummed; docs/SNAPSHOT_FORMAT.md)
-//     --load-snapshot FILE      warm start: answer --fact and --query from
-//                               a binary snapshot (no rules!), skipping
-//                               ground/fixpoint/Q.
-//                               With a PROGRAM positional, the snapshot is
-//                               instead verified byte-identical against the
-//                               built engine (a stale snapshot fails), and
-//                               the engine then serves everything — the
-//                               warm-start handshake for --apply-deltas
-//     --apply-deltas FILE       apply "+ Fact." / "- Fact." base-fact
-//                               deltas to the built engine (edit, then
-//                               rebuild; file format and semantics in
-//                               docs/INCREMENTAL.md);
-//                               queries/specs/snapshots then reflect the
-//                               updated database
-//     --wal FILE                durable mode: open the engine through a
-//                               write-ahead log at FILE (docs/DURABILITY.md).
-//                               Recovery replays surviving batches first;
-//                               --apply-deltas batches are logged before
-//                               they are acknowledged
-//     --fsync always|batch|off  WAL durability policy (default always:
-//                               an applied batch survives kill -9)
-//     --checkpoint-every N      checkpoint + rotate the log after every N
-//                               logged batches (default 0: never)
-//     --recover                 print what recovery did (base, replayed
-//                               batches, truncated tail) after --wal opens
-//     --enumerate DEPTH         horizon for printing query answers (default 6)
-//     --prove "T1" "T2"         prove two ground terms congruent (Cl(R))
-//     --periodic "OnCall(t, a)" the [CI88] periodic-set answer (one symbol)
-//     --merged-frontier         footnote-3 traversal start (depth c)
-//     --info                    program parameters (Section 2.5)
-//     --verify                  quotient-model certificate
-//     --stats[=FILE]            dump a JSON metrics snapshot on exit
-//                               (stdout when no FILE is given)
-//     --trace                   log per-phase begin/end lines to stderr
-//     --trace-out FILE          write a Chrome trace-event JSON timeline
-//                               (open in Perfetto / chrome://tracing);
-//                               flushed on every exit path, including
-//                               governor breaches (exit 7)
-//     --deadline-ms N           wall-clock budget for the whole run
-//     --max-tuples N            budget on derived DATALOG tuples
-//     --max-nodes N             budget on chi-table entries / clusters
-//                               and the enumeration frontier
-//     --max-depth N             budget on term depth during enumeration
-//     --allow-partial           degrade gracefully on a resource breach:
-//                               emit a sound partial result marked truncated
-//                               instead of failing
-//     --help                    print the flag summary and exit
+//   answered automatically. The flags are listed once, in PrintHelp below
+//   (relspec_cli --help).
 //
 //   SIGINT and SIGTERM request cooperative cancellation: the engine unwinds
 //   cleanly — stats, trace, and WAL are flushed on the way out (exit code 7,
@@ -71,11 +17,13 @@
 //   error, 6 verification failure, 7 resource exhaustion / cancellation /
 //   deadline.
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -131,6 +79,29 @@ extern "C" void HandleShutdownSignal(int) {
   if (g_governor != nullptr) g_governor->RequestCancel();
 }
 
+// A build that degraded under --allow-partial recorded its (sticky) breach
+// in the spec. The reads after it get a fresh governor with the same
+// budgets, so that breach does not stop them, while SIGINT/SIGTERM,
+// --max-depth, --max-nodes and what is left of --deadline-ms still apply.
+// Static: the signal handler reaches it through g_governor until exit.
+std::optional<ResourceGovernor> g_read_governor;
+
+void GovernReadsAfterRecordedBreach() {
+  if (!g_governor->breached()) return;
+  ResourceGovernor* build = g_governor;
+  GovernorLimits limits = build->limits();
+  if (limits.deadline_ms > 0) {
+    limits.deadline_ms =
+        build->status().IsDeadlineExceeded()
+            ? 0
+            : std::max<int64_t>(1, limits.deadline_ms - build->elapsed_ms());
+  }
+  g_read_governor.emplace(limits);
+  g_governor = &*g_read_governor;
+  // A signal that reached the build's governor still cancels the reads.
+  if (build->cancel_requested()) g_governor->RequestCancel();
+}
+
 int UsageError(const std::string& message) {
   RELSPEC_LOG(kError) << message;
   return kExitUsage;
@@ -154,11 +125,13 @@ void PrintHelp(const char* argv0) {
       "  --save-snapshot FILE          binary snapshot of the graph\n"
       "                                specification (versioned, checksummed;\n"
       "                                see docs/SNAPSHOT_FORMAT.md)\n"
-      "  --load-snapshot FILE          warm start: answer --fact and --query\n"
-      "                                from a binary snapshot, skipping\n"
-      "                                ground/fixpoint/Q; with a PROGRAM\n"
-      "                                positional, verify the snapshot\n"
-      "                                against the built engine instead\n"
+      "  --load-snapshot FILE          warm start: serve --fact, --query,\n"
+      "                                --periodic, --prove, --spec and\n"
+      "                                --save-* from a binary snapshot,\n"
+      "                                skipping ground/fixpoint/Q; with a\n"
+      "                                PROGRAM positional, verify the\n"
+      "                                snapshot against the built engine\n"
+      "                                instead\n"
       "                                (the --apply-deltas warm-start\n"
       "                                handshake, docs/INCREMENTAL.md)\n"
       "  --apply-deltas FILE           apply \"+ Fact.\" / \"- Fact.\" deltas\n"
@@ -258,7 +231,7 @@ int RunCli(int argc, char** argv) {
     }
   }
   if (argc < 2) {
-    return UsageError(StrFormat("usage: %s [PROGRAM.rsp] [flags]  (see file header)",
+    return UsageError(StrFormat("usage: %s [PROGRAM.rsp] [flags]  (see --help)",
                                 argv[0]));
   }
 
@@ -374,207 +347,179 @@ int RunCli(int argc, char** argv) {
           "is the durable warm start (docs/DURABILITY.md)");
     }
   }
-  // Spec-only mode: answer membership and queries from a binary snapshot
-  // without a PROGRAM, skipping parse/ground/fixpoint/Q entirely. The reads
-  // are the ones an engine answers from its own spec. A saved spec has no
-  // rules, so deltas cannot be applied here; --load-snapshot *with* a
-  // PROGRAM takes the engine path below, where the snapshot is verified
-  // instead of served.
-  if (!load_snapshot.empty() && program_path.empty()) {
-    if (!apply_deltas.empty()) {
+  // Spec-only mode: serve the reads from a binary snapshot without a
+  // PROGRAM, skipping parse/ground/fixpoint/Q entirely. A saved spec has no
+  // rules and no ground program, so the flags that need them are usage
+  // errors; --load-snapshot *with* a PROGRAM takes the engine path below,
+  // where the snapshot is verified instead of served.
+  std::unique_ptr<FunctionalDatabase> db;
+  std::shared_ptr<const GraphSpecification> spec;
+  if (program_path.empty()) {
+    if (load_snapshot.empty()) {
       return UsageError(
-          "--apply-deltas needs rules: give the PROGRAM positional "
-          "alongside --load-snapshot (see docs/INCREMENTAL.md)");
+          "missing PROGRAM.rsp (only --load-snapshot runs without one)");
+    }
+    if (!explains.empty() || want_verify || want_info ||
+        options.graph.merge_trunk_frontier || !apply_deltas.empty()) {
+      return UsageError(
+          "--explain, --verify, --info, --merged-frontier and --apply-deltas "
+          "need rules: give the PROGRAM positional alongside --load-snapshot");
     }
     auto bytes = ReadFile(load_snapshot, /*binary=*/true);
     if (!bytes.ok()) return Fail(kExitIo, bytes.status());
     auto loaded = Snapshot::ParseGraphSpec(*bytes);
     if (!loaded.ok()) return Fail(kExitParse, loaded.status());
-    auto spec =
-        std::make_shared<const GraphSpecification>(*std::move(loaded));
+    spec = std::make_shared<const GraphSpecification>(*std::move(loaded));
     printf("loaded specification: %zu clusters, %zu tuples (no rules)\n",
            spec->num_clusters(), spec->num_slice_tuples());
-    // Membership read-only against the spec's own symbols.
-    for (const std::string& fact : facts) {
-      auto q = ParseQuery("? " + fact + ".", spec->symbols());
-      StatusOr<bool> holds = q.ok() ? spec->HoldsFact(*q) : q.status();
-      if (!holds.ok()) {
-        RELSPEC_LOG(kError) << "bad --fact " << fact << ": "
-                            << holds.status().ToString();
-        continue;
-      }
-      printf("%s -> %s\n", fact.c_str(), *holds ? "true" : "false");
-    }
-    for (const std::string& qtext : queries) {
-      auto q = ParseQuery(qtext, spec->symbols());
-      if (!q.ok()) return Fail(kExitParse, q.status());
-      auto answer = AnswerQuery(spec, *q);
-      if (!answer.ok()) {
-        return Fail(EngineExitCode(answer.status()), answer.status());
-      }
-      PrintAnswer(*answer, horizon);
-    }
-    return kExitOk;
-  }
-
-  if (program_path.empty()) {
-    return UsageError(
-        "missing PROGRAM.rsp (only --load-snapshot runs without one)");
-  }
-  auto source = ReadFile(program_path);
-  if (!source.ok()) return Fail(kExitIo, source.status());
-  auto parsed = Parse(*source);
-  if (!parsed.ok()) return Fail(kExitParse, parsed.status());
-  std::vector<Query> file_queries = parsed->queries;
-
-  StatusOr<std::unique_ptr<FunctionalDatabase>> db =
-      Status::Internal("unreachable");
-  RecoveryStats recovery;
-  if (wal_path.empty()) {
-    db = FunctionalDatabase::FromProgram(std::move(parsed->program), options);
   } else {
+    auto source = ReadFile(program_path);
+    if (!source.ok()) return Fail(kExitIo, source.status());
+    auto parsed = Parse(*source);
+    if (!parsed.ok()) return Fail(kExitParse, parsed.status());
+    // Queries in the file join the --query texts, ahead of them: every
+    // query parses against the spec's symbols, which in durable mode may
+    // hold symbols the file never mentions (from replayed batches).
+    std::vector<std::string> rendered;
+    for (const Query& q : parsed->queries) {
+      rendered.push_back(ToString(q, parsed->program.symbols));
+    }
+    queries.insert(queries.begin(), rendered.begin(), rendered.end());
+
     // Durable mode anchors on the rendered program, not the raw file:
     // comments and "? ..." query statements then never shift the recovery
     // fingerprint, and the same bytes re-anchor the log on every run.
-    db = FunctionalDatabase::OpenDurable(ToString(parsed->program), wal_path,
-                                         durable, options, &recovery);
-    if (db.ok() && !file_queries.empty()) {
-      // The recovered engine's symbol table is its own (replayed batches may
-      // have interned symbols the program file never mentions), so file
-      // queries re-parse against it below instead of using the parsed ids.
-      std::vector<std::string> rendered;
-      for (const Query& q : file_queries) {
-        rendered.push_back(ToString(q, parsed->program.symbols));
+    RecoveryStats recovery;
+    auto built =
+        wal_path.empty()
+            ? FunctionalDatabase::FromProgram(std::move(parsed->program),
+                                              options)
+            : FunctionalDatabase::OpenDurable(ToString(parsed->program),
+                                              wal_path, durable, options,
+                                              &recovery);
+    if (!built.ok()) return Fail(EngineExitCode(built.status()), built.status());
+    db = std::move(built).value();
+    if (!wal_path.empty() && want_recover_report) {
+      printf("recovery: %s base=%s replayed=%llu batches (%llu bytes) "
+             "truncated_tail=%llu bytes%s\n",
+             recovery.created ? "fresh log" : "recovered",
+             recovery.checkpoint_loaded ? "checkpoint" : "program",
+             static_cast<unsigned long long>(recovery.replayed_batches),
+             static_cast<unsigned long long>(recovery.replayed_bytes),
+             static_cast<unsigned long long>(recovery.truncated_bytes),
+             recovery.used_fallback ? " [fell back one generation]" : "");
+    }
+
+    // Warm-start handshake: a PROGRAM + --load-snapshot run verifies the
+    // snapshot is byte-identical to the engine just built from the program —
+    // i.e. the snapshot really is this database's pre-delta state — before
+    // any deltas are applied. A stale or foreign snapshot fails (exit 6).
+    if (!load_snapshot.empty()) {
+      auto bytes = ReadFile(load_snapshot, /*binary=*/true);
+      if (!bytes.ok()) return Fail(kExitIo, bytes.status());
+      if (Snapshot::Serialize(*db->spec()) != *bytes) {
+        RELSPEC_LOG(kError) << "snapshot " << load_snapshot
+                            << " does not match the engine built from "
+                            << program_path << " (stale or foreign snapshot)";
+        return kExitVerify;
       }
-      queries.insert(queries.begin(), rendered.begin(), rendered.end());
-      file_queries.clear();
+      printf("snapshot verified against %s (%zu bytes)\n",
+             program_path.c_str(), bytes->size());
+    }
+
+    // Apply base-fact deltas to the built engine (edit, then rebuild).
+    // Everything after this point — facts, queries, specs, --save-snapshot —
+    // reflects the updated database.
+    if (!apply_deltas.empty()) {
+      auto text = ReadFile(apply_deltas);
+      if (!text.ok()) return Fail(kExitIo, text.status());
+      // Durable mode logs the batch before acknowledging it: under
+      // --fsync always, this printf implies the batch survives kill -9.
+      auto stats = wal_path.empty() ? db->ApplyDeltaText(*text, options)
+                                    : db->LogAndApplyDeltas(*text, options);
+      if (!stats.ok()) {
+        return Fail(EngineExitCode(stats.status()), stats.status());
+      }
+      printf("deltas applied: +%zu -%zu (%zu noops)%s\n", stats->inserted,
+             stats->deleted, stats->noops,
+             db->truncated() ? " [truncated]" : "");
+    }
+    spec = db->spec();
+
+    // What needs the rules or the ground program.
+    if (want_info) {
+      printf("info: %s\n", db->info().ToString().c_str());
+      printf("clusters: %zu  (equivalence scope %zu)\n",
+             db->label_graph().num_clusters(),
+             db->label_graph().EquivalenceScope());
+    }
+    if (want_verify) {
+      Status cert = db->Verify();
+      printf("certificate: %s\n", cert.ToString().c_str());
+      if (!cert.ok()) return kExitVerify;
+    }
+    for (const std::string& fact : explains) {
+      auto q = ParseQuery("? " + fact + ".", db->program().symbols);
+      if (!q.ok()) return Fail(kExitParse, q.status());
+      if (q->atoms.size() != 1 || !q->atoms[0].IsGround()) {
+        return UsageError("--explain expects a single ground fact");
+      }
+      const Atom& atom = q->atoms[0];
+      std::vector<ConstId> args;
+      for (const NfArg& a : atom.args) args.push_back(a.id);
+      StatusOr<Derivation> d = Status::NotFound("no functional term");
+      if (atom.fterm.has_value()) {
+        // NotFound when the term names a symbol the engine lacks.
+        auto path = spec->PathOfGroundTerm(*atom.fterm);
+        if (!path.ok()) {
+          d = path.status();
+        } else {
+          d = ExplainFact(db->ground(), *path, SliceAtom{atom.pred, args});
+        }
+      } else {
+        d = ExplainGlobal(db->ground(), atom.pred, args);
+      }
+      if (!d.ok()) {
+        printf("%s: %s\n", fact.c_str(), d.status().ToString().c_str());
+        continue;
+      }
+      printf("derivation of %s (%zu steps):\n%s", fact.c_str(), d->NumSteps(),
+             d->ToString(db->ground(), db->program().symbols).c_str());
     }
   }
-  if (!db.ok()) return Fail(EngineExitCode(db.status()), db.status());
-  if (!wal_path.empty() && want_recover_report) {
-    printf("recovery: %s base=%s replayed=%llu batches (%llu bytes) "
-           "truncated_tail=%llu bytes%s\n",
-           recovery.created ? "fresh log" : "recovered",
-           recovery.checkpoint_loaded ? "checkpoint" : "program",
-           static_cast<unsigned long long>(recovery.replayed_batches),
-           static_cast<unsigned long long>(recovery.replayed_bytes),
-           static_cast<unsigned long long>(recovery.truncated_bytes),
-           recovery.used_fallback ? " [fell back one generation]" : "");
-  }
-  if ((*db)->truncated()) {
+
+  // The reads, from the one spec either start-up left: the engine's own, or
+  // the loaded one. Facts, queries and terms parse against its symbols.
+  if (spec->truncated()) {
     RELSPEC_LOG(kWarning) << "partial result (sound under-approximation): "
-                          << (*db)->breach().ToString();
+                          << spec->breach().ToString();
+    GovernReadsAfterRecordedBreach();
   }
-
-  // Warm-start handshake: a PROGRAM + --load-snapshot run verifies the
-  // snapshot is byte-identical to the engine just built from the program —
-  // i.e. the snapshot really is this database's pre-delta state — before
-  // any deltas are applied. A stale or foreign snapshot fails (exit 6).
-  if (!load_snapshot.empty()) {
-    auto bytes = ReadFile(load_snapshot, /*binary=*/true);
-    if (!bytes.ok()) return Fail(kExitIo, bytes.status());
-    if (Snapshot::Serialize(*(*db)->spec()) != *bytes) {
-      RELSPEC_LOG(kError) << "snapshot " << load_snapshot
-                          << " does not match the engine built from "
-                          << program_path << " (stale or foreign snapshot)";
-      return kExitVerify;
-    }
-    printf("snapshot verified against %s (%zu bytes)\n", program_path.c_str(),
-           bytes->size());
-  }
-
-  // Apply base-fact deltas to the built engine (edit, then rebuild).
-  // Everything after this point — facts, queries, specs, --save-snapshot —
-  // reflects the updated database.
-  if (!apply_deltas.empty()) {
-    auto text = ReadFile(apply_deltas);
-    if (!text.ok()) return Fail(kExitIo, text.status());
-    // Durable mode logs the batch before acknowledging it: under
-    // --fsync always, this printf implies the batch survives kill -9.
-    auto stats = wal_path.empty()
-                     ? (*db)->ApplyDeltaText(*text, options)
-                     : (*db)->LogAndApplyDeltas(*text, options);
-    if (!stats.ok()) {
-      return Fail(EngineExitCode(stats.status()), stats.status());
-    }
-    printf("deltas applied: +%zu -%zu (%zu noops)%s\n", stats->inserted,
-           stats->deleted, stats->noops,
-           (*db)->truncated() ? " [truncated]" : "");
-    if ((*db)->truncated()) {
-      RELSPEC_LOG(kWarning) << "partial result (sound under-approximation): "
-                            << (*db)->breach().ToString();
-    }
-  }
-
-  if (want_info) {
-    printf("info: %s\n", (*db)->info().ToString().c_str());
-    printf("clusters: %zu  (equivalence scope %zu)\n",
-           (*db)->label_graph().num_clusters(),
-           (*db)->label_graph().EquivalenceScope());
-  }
-  if (want_verify) {
-    Status cert = (*db)->Verify();
-    printf("certificate: %s\n", cert.ToString().c_str());
-    if (!cert.ok()) return kExitVerify;
-  }
-
+  const SymbolTable& symbols = spec->symbols();
   for (const std::string& fact : facts) {
-    auto holds = (*db)->HoldsFactText(fact);
+    auto q = ParseQuery("? " + fact + ".", symbols);
+    StatusOr<bool> holds = q.ok() ? spec->HoldsFact(*q) : q.status();
     if (!holds.ok()) return Fail(kExitParse, holds.status());
     printf("%s -> %s\n", fact.c_str(), *holds ? "true" : "false");
   }
 
-  for (const Query& q : file_queries) {
-    auto answer = AnswerQuery(db->get(), q);
-    if (!answer.ok()) return Fail(EngineExitCode(answer.status()), answer.status());
-    PrintAnswer(*answer, horizon);
-  }
   for (const std::string& qtext : queries) {
-    auto q = ParseQuery(qtext, (*db)->program().symbols);
+    auto q = ParseQuery(qtext, symbols);
     if (!q.ok()) return Fail(kExitParse, q.status());
-    auto answer = AnswerQuery(db->get(), *q);
+    auto answer = AnswerQuery(spec, *q);
     if (!answer.ok()) return Fail(EngineExitCode(answer.status()), answer.status());
     PrintAnswer(*answer, horizon);
-  }
-
-  for (const std::string& fact : explains) {
-    auto q = ParseQuery("? " + fact + ".", (*db)->program().symbols);
-    if (!q.ok()) return Fail(kExitParse, q.status());
-    if (q->atoms.size() != 1 || !q->atoms[0].IsGround()) {
-      return UsageError("--explain expects a single ground fact");
-    }
-    const Atom& atom = q->atoms[0];
-    std::vector<ConstId> args;
-    for (const NfArg& a : atom.args) args.push_back(a.id);
-    StatusOr<Derivation> d = Status::NotFound("no functional term");
-    if (atom.fterm.has_value()) {
-      // NotFound when the term names a symbol the engine lacks.
-      auto path = (*db)->PathOfGroundTerm(*atom.fterm);
-      if (!path.ok()) {
-        d = path.status();
-      } else {
-        d = ExplainFact((*db)->ground(), *path, SliceAtom{atom.pred, args});
-      }
-    } else {
-      d = ExplainGlobal((*db)->ground(), atom.pred, args);
-    }
-    if (!d.ok()) {
-      printf("%s: %s\n", fact.c_str(), d.status().ToString().c_str());
-      continue;
-    }
-    printf("derivation of %s (%zu steps):\n%s", fact.c_str(), d->NumSteps(),
-           d->ToString((*db)->ground(), (*db)->program().symbols).c_str());
   }
 
   if (!proofs.empty()) {
-    auto espec = (*db)->BuildEquationalSpec();
+    auto espec = BuildEquationalSpecification(*spec);
     if (!espec.ok()) return Fail(EngineExitCode(espec.status()), espec.status());
     espec->set_governor(g_governor);
     for (const auto& [t1, t2] : proofs) {
       // Terms are given as dot-words or numerals, e.g. "4" or "f.g".
       auto to_path = [&](const std::string& text) -> StatusOr<Path> {
         if (!text.empty() && isdigit(static_cast<unsigned char>(text[0]))) {
-          auto succ = (*db)->program().symbols.FindFunction("+1");
+          auto succ = symbols.FindFunction("+1");
           if (!succ.ok()) return succ.status();
           std::vector<FuncId> syms(static_cast<size_t>(atoi(text.c_str())),
                                    *succ);
@@ -583,7 +528,7 @@ int RunCli(int argc, char** argv) {
         if (text == "0") return Path::Zero();
         std::vector<FuncId> syms;
         for (const std::string& name : Split(text, '.')) {
-          auto f = (*db)->program().symbols.FindFunction(name);
+          auto f = symbols.FindFunction(name);
           if (!f.ok()) return f.status();
           syms.push_back(*f);
         }
@@ -607,7 +552,7 @@ int RunCli(int argc, char** argv) {
   }
 
   for (const std::string& ptext : periodics) {
-    auto q = ParseQuery("? " + ptext + ".", (*db)->program().symbols);
+    auto q = ParseQuery("? " + ptext + ".", symbols);
     if (!q.ok()) return Fail(kExitParse, q.status());
     if (q->atoms.size() != 1 || !q->atoms[0].fterm.has_value()) {
       return UsageError("--periodic expects one functional atom");
@@ -619,18 +564,18 @@ int RunCli(int argc, char** argv) {
       }
       args.push_back(a.id);
     }
-    auto days = PeriodicAnswers(*(*db)->spec(), q->atoms[0].pred, args);
+    auto days = PeriodicAnswers(*spec, q->atoms[0].pred, args);
     if (!days.ok()) return Fail(kExitEngine, days.status());
     printf("%s holds at times %s\n", ptext.c_str(),
            days->ToString().c_str());
   }
 
   if (spec_kind == "graph") {
-    printf("%s", (*db)->spec()->ToString().c_str());
-  } else if (spec_kind == "eq") {
-    auto spec = (*db)->BuildEquationalSpec();
-    if (!spec.ok()) return Fail(EngineExitCode(spec.status()), spec.status());
     printf("%s", spec->ToString().c_str());
+  } else if (spec_kind == "eq") {
+    auto eq = BuildEquationalSpecification(*spec);
+    if (!eq.ok()) return Fail(EngineExitCode(eq.status()), eq.status());
+    printf("%s", eq->ToString().c_str());
   }
 
   if (!save_spec.empty()) {
@@ -638,7 +583,7 @@ int RunCli(int argc, char** argv) {
     if (!out) {
       return Fail(kExitIo, Status::NotFound("cannot write " + save_spec));
     }
-    out << SpecIo::Serialize(*(*db)->spec());
+    out << SpecIo::Serialize(*spec);
     printf("specification saved to %s\n", save_spec.c_str());
   }
 
@@ -647,7 +592,7 @@ int RunCli(int argc, char** argv) {
     if (!out) {
       return Fail(kExitIo, Status::NotFound("cannot write " + save_snapshot));
     }
-    out << Snapshot::Serialize(*(*db)->spec());
+    out << Snapshot::Serialize(*spec);
     printf("snapshot saved to %s\n", save_snapshot.c_str());
   }
   return kExitOk;
