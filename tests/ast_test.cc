@@ -191,6 +191,108 @@ TEST(Validate, ProgramChecksFactsAndArity) {
   EXPECT_TRUE(ValidateProgram(f.program).IsInvalidArgument());
 }
 
+// The exact message of every failure kind ValidateProgram reports. The
+// context (the offending fact or rule) is rendered only when a check fails,
+// and these pin that its bytes never change.
+TEST(ValidateMessage, FactWithBadArity) {
+  Fixture f;
+  Atom fact;
+  fact.pred = f.next;
+  fact.args = {NfArg::Constant(f.tony)};
+  f.program.facts.push_back(fact);
+  Status s = ValidateProgram(f.program);
+  EXPECT_TRUE(s.IsInvalidArgument());
+  EXPECT_EQ(s.message(),
+            "fact Next(Tony): predicate 'Next' has arity 2 but atom has 1 arguments");
+}
+
+TEST(ValidateMessage, FactNotGround) {
+  Fixture f;
+  f.program.facts.push_back(
+      f.MeetsAtom(FuncTerm::Var(f.t), NfArg::Constant(f.tony)));
+  Status s = ValidateProgram(f.program);
+  EXPECT_TRUE(s.IsInvalidArgument());
+  EXPECT_EQ(s.message(),
+            "database fact is not ground: Meets(t,Tony)");
+}
+
+TEST(ValidateMessage, RuleHeadShape) {
+  Fixture f;
+  Rule r;
+  r.body.push_back(f.MeetsAtom(FuncTerm::Var(f.t), NfArg::Variable(f.x)));
+  r.head = f.NextAtom(NfArg::Variable(f.x), NfArg::Variable(f.x));
+  r.head.args.pop_back();  // Next/2 with one argument
+  f.program.rules.push_back(r);
+  Status s = ValidateProgram(f.program);
+  EXPECT_TRUE(s.IsInvalidArgument());
+  EXPECT_EQ(s.message(),
+            "rule Meets(t,x) -> Next(x).: predicate 'Next' has arity 2 but atom has 1 arguments");
+}
+
+TEST(ValidateMessage, RuleBodyShape) {
+  Fixture f;
+  Rule r;
+  r.body.push_back(f.MeetsAtom(FuncTerm::Var(f.t), NfArg::Variable(f.x)));
+  // +1 is unary: it takes no non-functional argument.
+  FuncTerm bad = FuncTerm::Var(f.t);
+  bad.apps.push_back(FuncApply{f.succ, {NfArg::Constant(f.jan)}});
+  r.body.push_back(f.MeetsAtom(bad, NfArg::Variable(f.x)));
+  r.head = f.MeetsAtom(FuncTerm::Var(f.t).Apply(f.succ), NfArg::Variable(f.x));
+  f.program.rules.push_back(r);
+  Status s = ValidateProgram(f.program);
+  EXPECT_TRUE(s.IsInvalidArgument());
+  EXPECT_EQ(s.message(),
+            "rule Meets(t,x), Meets(+1(t,Jan),x) -> Meets(t+1,x).: function symbol '+1' expects 0 non-functional arguments, got 1");
+}
+
+TEST(ValidateMessage, FunctionalMismatch) {
+  Fixture f;
+  // A fact of the non-functional Next carrying a functional term...
+  Atom carries = f.NextAtom(NfArg::Constant(f.tony), NfArg::Constant(f.jan));
+  carries.fterm = FuncTerm::Zero();
+  f.program.facts.push_back(carries);
+  Status s = ValidateProgram(f.program);
+  EXPECT_TRUE(s.IsInvalidArgument());
+  EXPECT_EQ(s.message(),
+            "fact Next(0,Tony,Jan): predicate 'Next' is non-functional but the atom carries a functional term");
+
+  // ...and a rule body atom of the functional Meets lacking one.
+  f.program.facts.clear();
+  Rule r;
+  Atom lacks = f.MeetsAtom(FuncTerm::Var(f.t), NfArg::Variable(f.x));
+  lacks.fterm.reset();
+  lacks.args.push_back(NfArg::Variable(f.y));
+  r.body.push_back(f.MeetsAtom(FuncTerm::Var(f.t), NfArg::Variable(f.x)));
+  r.body.push_back(lacks);
+  r.head = f.MeetsAtom(FuncTerm::Var(f.t).Apply(f.succ), NfArg::Variable(f.y));
+  f.program.rules.push_back(r);
+  s = ValidateProgram(f.program);
+  EXPECT_TRUE(s.IsInvalidArgument());
+  EXPECT_EQ(s.message(),
+            "rule Meets(t,x), Meets(x,y) -> Meets(t+1,y).: predicate 'Meets' is functional but the atom lacks a functional term");
+}
+
+TEST(ValidateMessage, RangeRestriction) {
+  Fixture f;
+  Rule r;
+  r.body.push_back(f.MeetsAtom(FuncTerm::Var(f.t), NfArg::Variable(f.x)));
+  r.head = f.MeetsAtom(FuncTerm::Var(f.t).Apply(f.succ), NfArg::Variable(f.y));
+  f.program.rules.push_back(r);
+  Status s = ValidateProgram(f.program);
+  EXPECT_TRUE(s.IsInvalidArgument());
+  EXPECT_EQ(s.message(),
+            "rule is not range-restricted (domain-dependent): head variable 'y' does not occur in the body: Meets(t,x) -> Meets(t+1,y).");
+
+  Rule func;  // head functional variable t not in the body
+  func.body.push_back(f.NextAtom(NfArg::Variable(f.x), NfArg::Variable(f.y)));
+  func.head = f.MeetsAtom(FuncTerm::Var(f.t), NfArg::Variable(f.x));
+  f.program.rules = {func};
+  s = ValidateProgram(f.program);
+  EXPECT_TRUE(s.IsInvalidArgument());
+  EXPECT_EQ(s.message(),
+            "rule is not range-restricted (domain-dependent): head functional variable 't' does not occur in the body: Next(x,y) -> Meets(t,x).");
+}
+
 TEST(Validate, QueryShape) {
   Fixture f;
   Query q;

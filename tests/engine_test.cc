@@ -27,6 +27,42 @@ TEST(Engine, RejectsDomainDependentPrograms) {
   EXPECT_TRUE(db.status().IsInvalidArgument());
 }
 
+// Validation errors keep their exact text on both ways in: source text
+// (validated by the parser) and a program built through the API (validated
+// by FromProgram).
+TEST(Engine, ValidationMessageFromSource) {
+  auto db = FunctionalDatabase::FromSource("P(0).\nP(s) -> Q(s, y).\nQ(0, a).");
+  EXPECT_TRUE(db.status().IsInvalidArgument());
+  EXPECT_EQ(db.status().message(),
+            "rule is not range-restricted (domain-dependent): head variable 'y' does not occur in the body: P(s) -> Q(s,y).");
+}
+
+TEST(Engine, ValidationMessageFromProgram) {
+  auto parsed = ParseProgram("Next(Tony, Jan).\nMeets(0, Tony).\n"
+                             "Meets(t, x), Next(x, y) -> Meets(t+1, y).");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  Program open = *parsed;
+  open.facts[1].fterm = FuncTerm::Var(open.symbols.InternVariable("t"));
+  auto db = FunctionalDatabase::FromProgram(open);
+  EXPECT_TRUE(db.status().IsInvalidArgument());
+  EXPECT_EQ(db.status().message(),
+            "database fact is not ground: Meets(t,Tony)");
+
+  Program unbound = *parsed;
+  unbound.rules[0].body.pop_back();  // y no longer occurs in the body
+  db = FunctionalDatabase::FromProgram(unbound);
+  EXPECT_TRUE(db.status().IsInvalidArgument());
+  EXPECT_EQ(db.status().message(),
+            "rule is not range-restricted (domain-dependent): head variable 'y' does not occur in the body: Meets(t,x) -> Meets(t+1,y).");
+
+  Program head = *parsed;
+  head.rules[0].head.args.push_back(head.rules[0].head.args[0]);
+  db = FunctionalDatabase::FromProgram(head);
+  EXPECT_TRUE(db.status().IsInvalidArgument());
+  EXPECT_EQ(db.status().message(),
+            "rule Meets(t,x), Next(x,y) -> Meets(t+1,y,y).: predicate 'Meets' has arity 2 but atom has 3 arguments");
+}
+
 TEST(Engine, EmptyProgramWorks) {
   auto db = FunctionalDatabase::FromSource("");
   ASSERT_TRUE(db.ok()) << db.status().ToString();
@@ -324,6 +360,9 @@ TEST(Engine, MetricsCoverWholePipeline) {
     ASSERT_NE(p, nullptr) << name;
     EXPECT_GE(p->count, 1u) << name;
   }
+  // The program is validated once, where it enters (the parser), and not
+  // again on the hand-off to FromProgram.
+  EXPECT_EQ(snap.phase("validate")->count, 1u);
   auto replay = testutil::ReplayFixpoint(**db);
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   EXPECT_EQ(snap.gauge("fixpoint.trunk_nodes"),
