@@ -1,7 +1,6 @@
 #include "src/ast/ast.h"
 
 #include <algorithm>
-#include <set>
 
 #include "src/base/logging.h"
 
@@ -100,28 +99,34 @@ std::vector<FuncId> Program::MixedFunctions() const {
 }
 
 namespace {
-void CollectAtomConstants(const Atom& atom, std::set<ConstId>* out) {
+void MarkConstant(const NfArg& arg, std::vector<bool>* out) {
+  if (!arg.IsConstant()) return;
+  if (arg.id >= out->size()) out->resize(arg.id + size_t{1}, false);
+  (*out)[arg.id] = true;
+}
+
+void CollectAtomConstants(const Atom& atom, std::vector<bool>* out) {
   if (atom.fterm.has_value()) {
     for (const FuncApply& a : atom.fterm->apps) {
-      for (const NfArg& arg : a.args) {
-        if (arg.IsConstant()) out->insert(arg.id);
-      }
+      for (const NfArg& arg : a.args) MarkConstant(arg, out);
     }
   }
-  for (const NfArg& a : atom.args) {
-    if (a.IsConstant()) out->insert(a.id);
-  }
+  for (const NfArg& a : atom.args) MarkConstant(a, out);
 }
 }  // namespace
 
 std::vector<ConstId> Program::ActiveDomain() const {
-  std::set<ConstId> seen;
+  std::vector<bool> seen(symbols.num_constants(), false);
   for (const Atom& f : facts) CollectAtomConstants(f, &seen);
   for (const Rule& r : rules) {
     CollectAtomConstants(r.head, &seen);
     for (const Atom& a : r.body) CollectAtomConstants(a, &seen);
   }
-  return std::vector<ConstId>(seen.begin(), seen.end());
+  std::vector<ConstId> out;
+  for (ConstId c = 0; c < seen.size(); ++c) {
+    if (seen[c]) out.push_back(c);
+  }
+  return out;
 }
 
 namespace {

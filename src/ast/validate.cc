@@ -66,68 +66,80 @@ void CollectAll(const std::vector<Atom>& atoms, std::set<VarId>* nf_vars,
 }  // namespace
 
 Status CheckRangeRestricted(const Rule& rule, const SymbolTable& symbols) {
-  std::set<VarId> body_nf, body_fv;
-  CollectAll(rule.body, &body_nf, &body_fv);
-  std::set<VarId> head_nf, head_fv;
-  CollectAll({rule.head}, &head_nf, &head_fv);
-  for (VarId v : head_nf) {
-    if (body_nf.count(v) == 0) {
-      return Status::InvalidArgument(
-          StrFormat("rule is not range-restricted (domain-dependent): head "
-                    "variable '%s' does not occur in the body: %s",
-                    symbols.variable_name(v).c_str(),
-                    ToString(rule, symbols).c_str()));
-    }
+  std::vector<VarId> body_nf;
+  std::vector<VarId> body_fv;
+  for (const Atom& a : rule.body) {
+    std::optional<VarId> fv;
+    CollectVariables(a, &body_nf, &fv);
+    if (fv.has_value()) body_fv.push_back(*fv);
   }
-  for (VarId v : head_fv) {
-    if (body_fv.count(v) == 0) {
-      return Status::InvalidArgument(
-          StrFormat("rule is not range-restricted (domain-dependent): head "
-                    "functional variable '%s' does not occur in the body: %s",
-                    symbols.variable_name(v).c_str(),
-                    ToString(rule, symbols).c_str()));
-    }
+  std::vector<VarId> head_nf;
+  std::optional<VarId> head_fv;
+  CollectVariables(rule.head, &head_nf, &head_fv);
+  auto in = [](const std::vector<VarId>& vars, VarId v) {
+    return std::find(vars.begin(), vars.end(), v) != vars.end();
+  };
+  // The smallest unbound id is the one reported, so the message names the
+  // same variable whatever order the atoms list them in.
+  std::optional<VarId> unbound;
+  for (VarId v : head_nf) {
+    if (!in(body_nf, v) && (!unbound.has_value() || v < *unbound)) unbound = v;
+  }
+  if (unbound.has_value()) {
+    return Status::InvalidArgument(
+        StrFormat("rule is not range-restricted (domain-dependent): head "
+                  "variable '%s' does not occur in the body: %s",
+                  symbols.variable_name(*unbound).c_str(),
+                  ToString(rule, symbols).c_str()));
+  }
+  if (head_fv.has_value() && !in(body_fv, *head_fv)) {
+    return Status::InvalidArgument(
+        StrFormat("rule is not range-restricted (domain-dependent): head "
+                  "functional variable '%s' does not occur in the body: %s",
+                  symbols.variable_name(*head_fv).c_str(),
+                  ToString(rule, symbols).c_str()));
   }
   return Status::OK();
 }
 
 bool IsNormalRule(const Rule& rule) {
-  std::set<VarId> func_vars;
-  auto scan = [&func_vars](const Atom& a) -> bool {
-    if (!a.fterm.has_value()) return true;
-    if (a.fterm->has_var) {
-      func_vars.insert(a.fterm->var);
-      if (a.fterm->depth() > 1) return false;  // non-ground term too deep
-    }
+  std::optional<VarId> func_var;
+  auto scan = [&func_var](const Atom& a) -> bool {
+    if (!a.fterm.has_value() || !a.fterm->has_var) return true;
+    if (a.fterm->depth() > 1) return false;  // non-ground term too deep
+    if (func_var.has_value() && *func_var != a.fterm->var) return false;
+    func_var = a.fterm->var;
     return true;
   };
-  if (!scan(rule.head)) return false;
-  for (const Atom& a : rule.body) {
-    if (!scan(a)) return false;
-  }
-  return func_vars.size() <= 1;
+  return scan(rule.head) && std::all_of(rule.body.begin(), rule.body.end(), scan);
 }
 
 bool IsNormalProgram(const Program& program) {
   return std::all_of(program.rules.begin(), program.rules.end(), IsNormalRule);
 }
 
+// The offending fact or rule is rendered only once a check has failed.
+Status ValidateFact(const Atom& fact, const SymbolTable& symbols) {
+  if (Status s = CheckAtomShape(fact, symbols); !s.ok()) {
+    return s.WithContext("fact " + ToString(fact, symbols));
+  }
+  if (!fact.IsGround()) {
+    return Status::InvalidArgument("database fact is not ground: " +
+                                   ToString(fact, symbols));
+  }
+  return Status::OK();
+}
+
 Status ValidateProgram(const Program& program) {
   for (const Atom& f : program.facts) {
-    RELSPEC_RETURN_NOT_OK(CheckAtomShape(f, program.symbols)
-                              .WithContext("fact " + ToString(f, program.symbols)));
-    if (!f.IsGround()) {
-      return Status::InvalidArgument("database fact is not ground: " +
-                                     ToString(f, program.symbols));
-    }
+    RELSPEC_RETURN_NOT_OK(ValidateFact(f, program.symbols));
   }
   for (const Rule& r : program.rules) {
-    RELSPEC_RETURN_NOT_OK(CheckAtomShape(r.head, program.symbols)
-                              .WithContext("rule " + ToString(r, program.symbols)));
-    for (const Atom& a : r.body) {
-      RELSPEC_RETURN_NOT_OK(CheckAtomShape(a, program.symbols)
-                                .WithContext("rule " + ToString(r, program.symbols)));
+    Status s = CheckAtomShape(r.head, program.symbols);
+    for (size_t i = 0; s.ok() && i < r.body.size(); ++i) {
+      s = CheckAtomShape(r.body[i], program.symbols);
     }
+    if (!s.ok()) return s.WithContext("rule " + ToString(r, program.symbols));
     RELSPEC_RETURN_NOT_OK(CheckRangeRestricted(r, program.symbols));
   }
   return Status::OK();

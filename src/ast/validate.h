@@ -19,8 +19,14 @@
 
 namespace relspec {
 
-/// Full structural validation of a program (facts + rules).
+/// Full structural validation of a program (facts + rules). A program is
+/// validated once, where it enters: ParseProgram for source text,
+/// FunctionalDatabase::FromProgram for programs built in code. Error
+/// context is rendered only when a check fails.
 Status ValidateProgram(const Program& program);
+
+/// One database fact: its shape matches the symbol table and it is ground.
+Status ValidateFact(const Atom& fact, const SymbolTable& symbols);
 
 /// Range restriction for one rule (== domain independence, Section 2.3).
 Status CheckRangeRestricted(const Rule& rule, const SymbolTable& symbols);

@@ -107,10 +107,11 @@ struct RecoveryStats {
 /// represented least fixpoint. Movable, not copyable.
 class FunctionalDatabase {
  public:
-  /// Parses and builds. The source may not contain queries.
+  /// Parses and builds. The source may not contain queries. The parser
+  /// validates the program; the build does not check it again.
   static StatusOr<std::unique_ptr<FunctionalDatabase>> FromSource(
       std::string_view source, const EngineOptions& options = {});
-  /// Builds from an already-constructed program (takes a copy).
+  /// Validates and builds an already-constructed program.
   static StatusOr<std::unique_ptr<FunctionalDatabase>> FromProgram(
       Program program, const EngineOptions& options = {});
 
@@ -142,7 +143,8 @@ class FunctionalDatabase {
   /// &program(), under the name the perfbench harness calls.
   const Program* mutable_program() const { return &program_; }
 
-  const ProgramInfo& info() const { return info_; }
+  /// The Section 2.5 parameters of program(), computed on each call.
+  ProgramInfo info() const { return Analyze(program_); }
   const NormalizeStats& normalize_stats() const { return normalize_stats_; }
   const MixedToPureStats& purify_stats() const { return purify_stats_; }
   /// The ground program the spec was built from; Verify and --explain
@@ -255,12 +257,19 @@ class FunctionalDatabase {
  private:
   FunctionalDatabase() = default;
 
+  /// The build behind FromSource and FromProgram. `program` must already be
+  /// valid (ValidateProgram): each way in validates it once, where it
+  /// enters.
+  static StatusOr<std::unique_ptr<FunctionalDatabase>> Build(
+      Program program, const EngineOptions& options);
+
   /// Shared tail of ApplyDeltas/ApplyDeltaText: `next` is the edited
   /// original-form program with `stats` counting the edits already applied
   /// to it. Returns early on an all-noop batch; otherwise builds a fresh
   /// engine from `next` and, only if that succeeds, moves its pipeline
   /// members (symbol table included) into *this and resets the
-  /// fingerprint.
+  /// fingerprint. `next` must be valid: its base was, and every fact a
+  /// batch inserts is checked where it enters.
   StatusOr<DeltaStats> ApplyEditedProgram(Program next, DeltaStats stats,
                                           const EngineOptions& options);
 
@@ -272,7 +281,6 @@ class FunctionalDatabase {
 
   Program original_;
   Program program_;
-  ProgramInfo info_;
   NormalizeStats normalize_stats_;
   MixedToPureStats purify_stats_;
   GroundProgram ground_;

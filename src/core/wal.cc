@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "src/base/failpoint.h"
+#include "src/base/logging.h"
 #include "src/base/metrics.h"
 #include "src/base/str_util.h"
 #include "src/base/trace.h"
@@ -111,15 +112,29 @@ Status FsyncBounded(int fd, const std::string& path,
 }
 
 // Makes a just-written or just-renamed directory entry durable. Best-effort
-// on filesystems that refuse to fsync directories.
+// on filesystems that refuse to fsync directories: a failure does not fail
+// the caller, but it is counted (wal.dir_fsync_failures) and logged.
 void SyncDirContaining(const std::string& path) {
   std::string dir = ".";
   size_t slash = path.find_last_of('/');
   if (slash != std::string::npos) dir = path.substr(0, slash + 1);
-  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
+  Status st = failpoint::Active() ? failpoint::Evaluate("wal.dir_fsync")
+                                  : Status::OK();
+  if (st.ok()) {
+    int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (fd < 0) {
+      st = ErrnoStatus("open directory", dir);
+    } else {
+      if (::fsync(fd) != 0) st = ErrnoStatus("fsync directory", dir);
+      ::close(fd);
+    }
+  }
+  if (!st.ok()) {
+    RELSPEC_COUNTER("wal.dir_fsync_failures");
+    RELSPEC_LOG(kWarning) << "directory sync failed (entry may not be "
+                             "durable): "
+                          << st.ToString();
+  }
 }
 
 }  // namespace

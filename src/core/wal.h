@@ -136,7 +136,8 @@ class DeltaWal {
                            bool ignore_missing = false);
 
   /// Fsyncs the directory containing `path` (best effort), making a
-  /// just-created or just-renamed entry durable.
+  /// just-created or just-renamed entry durable. A failure is counted in
+  /// wal.dir_fsync_failures and logged, not returned.
   static void SyncDir(const std::string& path);
 
   ~DeltaWal();

@@ -1,6 +1,7 @@
 #include "src/parser/lexer.h"
 
 #include <cctype>
+#include <charconv>
 
 #include "src/base/str_util.h"
 
@@ -61,7 +62,7 @@ StatusOr<std::vector<Token>> Tokenize(std::string_view input) {
         ++j;
       }
       tok.kind = TokenKind::kIdent;
-      tok.text = std::string(input.substr(i, j - i));
+      tok.text = input.substr(i, j - i);
       advance(j - i);
       out.push_back(std::move(tok));
       continue;
@@ -72,8 +73,14 @@ StatusOr<std::vector<Token>> Tokenize(std::string_view input) {
         ++j;
       }
       tok.kind = TokenKind::kInteger;
-      tok.text = std::string(input.substr(i, j - i));
-      tok.value = std::stol(tok.text);
+      tok.text = input.substr(i, j - i);
+      const std::from_chars_result parsed = std::from_chars(
+          tok.text.data(), tok.text.data() + tok.text.size(), tok.value);
+      if (parsed.ec != std::errc()) {
+        return Status::InvalidArgument(
+            StrFormat("line %d:%d: integer %s out of range", line, col,
+                      std::string(tok.text).c_str()));
+      }
       advance(j - i);
       out.push_back(std::move(tok));
       continue;

@@ -26,9 +26,10 @@ enum class TokenKind {
   kEof,
 };
 
+/// A token. `text` points into the tokenized input, which must outlive it.
 struct Token {
   TokenKind kind = TokenKind::kEof;
-  std::string text;
+  std::string_view text;
   long value = 0;  // for kInteger
   int line = 1;
   int column = 1;

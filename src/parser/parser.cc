@@ -1,8 +1,9 @@
 #include "src/parser/parser.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "src/ast/printer.h"
 #include "src/ast/validate.h"
@@ -32,7 +33,7 @@ constexpr int kMaxTermDepth = 1000;
 struct STerm {
   enum class Kind { kIdent, kApply, kNumeral };
   Kind kind = Kind::kIdent;
-  std::string name;         // kIdent / kApply
+  std::string_view name;    // kIdent / kApply; points into the source
   std::vector<STerm> args;  // kApply
   long numeral = 0;         // kNumeral
   int plus = 0;             // number of '+n' successor wraps
@@ -40,7 +41,7 @@ struct STerm {
 };
 
 struct SAtom {
-  std::string pred;
+  std::string_view pred;
   std::vector<STerm> args;
   int line = 0, column = 0;
 };
@@ -51,7 +52,7 @@ struct Statement {
   StatementKind kind = StatementKind::kFact;
   std::vector<SAtom> body;                // rule body / query atoms
   SAtom head;                             // fact or rule head
-  std::vector<std::string> answer_vars;   // query only
+  std::vector<std::string_view> answer_vars;  // query only
   bool explicit_answer_vars = false;
   int line = 0;
 };
@@ -83,6 +84,13 @@ class TokenParser {
       out.push_back(std::move(stmt));
     }
     return out;
+  }
+
+  /// One term spanning the whole input.
+  StatusOr<STerm> ParseWholeTerm() {
+    RELSPEC_ASSIGN_OR_RETURN(STerm term, ParseTerm());
+    RELSPEC_RETURN_NOT_OK(Expect(TokenKind::kEof));
+    return term;
   }
 
  private:
@@ -306,45 +314,83 @@ class Lowerer {
 
   const SymbolTable& table() const { return table_; }
 
+  /// Decides which predicates are functional. The nodes are the
+  /// predicates and, per statement, the variables in argument 0 of an atom;
+  /// such an atom links its predicate and variable both ways (a functional
+  /// predicate makes the variable functional and vice versa). Functionality
+  /// starts at the seeds — an argument 0 that is a numeral, an application
+  /// or a successor, the base variable of such a term, and predicates the
+  /// table already marks functional — and one worklist spreads it along the
+  /// links.
   Status InferFunctionalPredicates(const std::vector<Statement>& statements) {
-    // Seed with predicates already known functional (ParseQuery case).
-    for (PredId p = 0; p < table_.num_predicates(); ++p) {
-      if (table_.predicate(p).functional) {
-        functional_preds_.insert(table_.predicate(p).name);
-      }
-    }
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (const Statement& stmt : statements) {
-        // Statement-local set of functional variables.
-        std::set<std::string> func_vars;
-        bool local_changed = true;
-        while (local_changed) {
-          local_changed = false;
-          auto scan_atom = [&](const SAtom& atom) {
-            if (atom.args.empty()) return;
-            const STerm& a0 = atom.args[0];
-            bool explicitly_functional =
-                a0.kind == STerm::Kind::kNumeral ||
-                a0.kind == STerm::Kind::kApply || a0.plus > 0;
-            bool var_functional = a0.kind == STerm::Kind::kIdent &&
-                                  IsVariableName(a0.name) &&
-                                  func_vars.count(a0.name) > 0;
-            if (explicitly_functional || var_functional) {
-              if (functional_preds_.insert(atom.pred).second) changed = true;
-            }
-            if (functional_preds_.count(atom.pred) > 0 &&
-                a0.kind == STerm::Kind::kIdent && IsVariableName(a0.name)) {
-              if (func_vars.insert(a0.name).second) local_changed = true;
-            }
-            // The base of every function application chain is functional.
-            MarkApplyBases(a0, &func_vars, &local_changed);
-          };
-          for (const SAtom& a : stmt.body) scan_atom(a);
-          if (stmt.kind != StatementKind::kQuery) scan_atom(stmt.head);
+    std::unordered_map<std::string_view, uint32_t> pred_node;
+    std::vector<std::vector<uint32_t>> links;
+    std::vector<bool> functional;
+    std::vector<uint32_t> work;
+    auto new_node = [&]() {
+      links.emplace_back();
+      functional.push_back(false);
+      return static_cast<uint32_t>(links.size() - 1);
+    };
+    auto seed = [&](uint32_t n) {
+      if (functional[n]) return;
+      functional[n] = true;
+      work.push_back(n);
+    };
+    auto pred = [&](std::string_view name) {
+      auto [it, added] = pred_node.emplace(name, 0);
+      if (added) {
+        it->second = new_node();
+        // Seed with predicates already known functional (ParseQuery case).
+        StatusOr<PredId> known = table_.FindPredicate(name);
+        if (known.ok() && table_.predicate(*known).functional) {
+          seed(it->second);
         }
       }
+      return it->second;
+    };
+    std::vector<std::pair<std::string_view, uint32_t>> var_node;
+    auto var = [&](std::string_view name) {
+      for (const auto& [n, id] : var_node) {
+        if (n == name) return id;
+      }
+      var_node.emplace_back(name, new_node());
+      return var_node.back().second;
+    };
+    for (const Statement& stmt : statements) {
+      var_node.clear();  // variables are statement-local
+      auto scan_atom = [&](const SAtom& atom) {
+        const uint32_t p = pred(atom.pred);
+        if (atom.args.empty()) return;
+        const STerm& a0 = atom.args[0];
+        if (a0.kind == STerm::Kind::kNumeral ||
+            a0.kind == STerm::Kind::kApply || a0.plus > 0) {
+          seed(p);
+        }
+        if (a0.kind == STerm::Kind::kIdent && IsVariableName(a0.name)) {
+          const uint32_t v = var(a0.name);
+          links[p].push_back(v);
+          links[v].push_back(p);
+          if (a0.plus > 0) seed(v);
+        } else if (a0.kind == STerm::Kind::kApply) {
+          // The base of every function application chain is functional.
+          const STerm* base = &a0;
+          while (base->kind == STerm::Kind::kApply) base = &base->args[0];
+          if (base->kind == STerm::Kind::kIdent && IsVariableName(base->name)) {
+            seed(var(base->name));
+          }
+        }
+      };
+      for (const SAtom& a : stmt.body) scan_atom(a);
+      if (stmt.kind != StatementKind::kQuery) scan_atom(stmt.head);
+    }
+    while (!work.empty()) {
+      const uint32_t n = work.back();
+      work.pop_back();
+      for (uint32_t m : links[n]) seed(m);
+    }
+    for (const auto& [name, id] : pred_node) {
+      if (functional[id]) functional_preds_.insert(name);
     }
     return Status::OK();
   }
@@ -361,7 +407,7 @@ class Lowerer {
       if (atom.args.empty()) {
         return Status::InvalidArgument(StrFormat(
             "line %d: functional predicate '%s' needs a functional argument",
-            atom.line, atom.pred.c_str()));
+            atom.line, std::string(atom.pred).c_str()));
       }
       RELSPEC_ASSIGN_OR_RETURN(FuncTerm ft, LowerFuncTerm(atom.args[0]));
       out.fterm = std::move(ft);
@@ -397,14 +443,14 @@ class Lowerer {
           return Status::InvalidArgument(StrFormat(
               "line %d:%d: '%s' appears in a functional position but is not "
               "a variable or a numeral (variables are s..z[0-9']*)",
-              term.line, term.column, term.name.c_str()));
+              term.line, term.column, std::string(term.name).c_str()));
         }
         base = FuncTerm::Var(Variable(term.name));
-        func_vars_.insert(term.name);
-        if (nf_vars_.count(term.name) > 0) {
+        AddName(&func_vars_, term.name);
+        if (HasName(nf_vars_, term.name)) {
           return Status::InvalidArgument(StrFormat(
               "line %d:%d: variable '%s' is used both functionally and "
-              "non-functionally", term.line, term.column, term.name.c_str()));
+              "non-functionally", term.line, term.column, std::string(term.name).c_str()));
         }
         break;
       }
@@ -441,12 +487,12 @@ class Lowerer {
       return NfArg::Constant(Constant(term.name));
     }
     if (IsVariableName(term.name)) {
-      if (func_vars_.count(term.name) > 0) {
+      if (HasName(func_vars_, term.name)) {
         return Status::InvalidArgument(StrFormat(
             "line %d:%d: variable '%s' is used both functionally and "
-            "non-functionally", term.line, term.column, term.name.c_str()));
+            "non-functionally", term.line, term.column, std::string(term.name).c_str()));
       }
-      nf_vars_.insert(term.name);
+      AddName(&nf_vars_, term.name);
       return NfArg::Variable(Variable(term.name));
     }
     return NfArg::Constant(Constant(term.name));
@@ -458,7 +504,7 @@ class Lowerer {
     nf_vars_.clear();
   }
 
-  VarId Variable(const std::string& name) {
+  VarId Variable(std::string_view name) {
     if (intern_ != nullptr) return intern_->InternVariable(name);
     return LocalId(&local_.variables, local_.variable_base, name);
   }
@@ -472,7 +518,7 @@ class Lowerer {
   Query::LocalNames TakeLocalNames() { return std::move(local_); }
 
  private:
-  StatusOr<PredId> Predicate(const std::string& name, int arity,
+  StatusOr<PredId> Predicate(std::string_view name, int arity,
                              bool functional) {
     if (intern_ != nullptr) {
       return intern_->InternPredicate(name, arity, functional);
@@ -493,7 +539,7 @@ class Lowerer {
     return *pred;
   }
 
-  StatusOr<FuncId> Function(const std::string& name, int arity) {
+  StatusOr<FuncId> Function(std::string_view name, int arity) {
     if (intern_ != nullptr) return intern_->InternFunction(name, arity);
     FuncId id;
     const FunctionInfo* info;
@@ -506,7 +552,7 @@ class Lowerer {
         return f.name == name;
       });
       if (it == own.end()) {
-        it = own.insert(own.end(), FunctionInfo{name, arity});
+        it = own.insert(own.end(), FunctionInfo{std::string(name), arity});
       }
       id = local_.function_base + static_cast<FuncId>(it - own.begin());
       info = &*it;
@@ -514,12 +560,12 @@ class Lowerer {
     if (info->arity != arity) {
       return Status::InvalidArgument(StrFormat(
           "function symbol '%s' used with arity %d but declared with arity %d",
-          name.c_str(), arity, info->arity));
+          std::string(name).c_str(), arity, info->arity));
     }
     return id;
   }
 
-  ConstId Constant(const std::string& name) {
+  ConstId Constant(std::string_view name) {
     if (intern_ != nullptr) return intern_->InternConstant(name);
     StatusOr<ConstId> found = table_.FindConstant(name);
     if (found.ok()) return *found;
@@ -527,39 +573,33 @@ class Lowerer {
   }
 
   static uint32_t LocalId(std::vector<std::string>* names, uint32_t base,
-                          const std::string& name) {
+                          std::string_view name) {
     auto it = std::find(names->begin(), names->end(), name);
-    if (it == names->end()) it = names->insert(names->end(), name);
+    if (it == names->end()) it = names->insert(names->end(), std::string(name));
     return base + static_cast<uint32_t>(it - names->begin());
   }
 
   StatusOr<FuncId> SuccessorSymbol() {
-    return Function(std::string(kSuccessorName), 1);
+    return Function(kSuccessorName, 1);
   }
 
-  static void MarkApplyBases(const STerm& term, std::set<std::string>* func_vars,
-                             bool* changed) {
-    if (term.kind != STerm::Kind::kApply) {
-      if (term.plus > 0 && term.kind == STerm::Kind::kIdent &&
-          IsVariableName(term.name)) {
-        if (func_vars->insert(term.name).second) *changed = true;
-      }
-      return;
-    }
-    const STerm* base = &term;
-    while (base->kind == STerm::Kind::kApply) base = &base->args[0];
-    if (base->kind == STerm::Kind::kIdent && IsVariableName(base->name)) {
-      if (func_vars->insert(base->name).second) *changed = true;
-    }
+  static bool HasName(const std::vector<std::string_view>& names,
+                      std::string_view name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  }
+  static void AddName(std::vector<std::string_view>* names,
+                      std::string_view name) {
+    if (!HasName(*names, name)) names->push_back(name);
   }
 
   const SymbolTable& table_;
   SymbolTable* intern_ = nullptr;  // null: read-only, names kept in local_
   Query::LocalNames local_;
-  std::set<std::string> functional_preds_;
+  // Names point into the source being lowered.
+  std::unordered_set<std::string_view> functional_preds_;
   // Per-statement variable kind tracking (reset by BeginStatement).
-  std::set<std::string> func_vars_;
-  std::set<std::string> nf_vars_;
+  std::vector<std::string_view> func_vars_;
+  std::vector<std::string_view> nf_vars_;
 };
 
 StatusOr<Query> LowerQuery(Lowerer* lowerer, const Statement& stmt) {
@@ -582,10 +622,14 @@ StatusOr<Query> LowerQuery(Lowerer* lowerer, const Statement& stmt) {
     for (VarId v : nf) remember(v);
     query.atoms.push_back(std::move(atom));
   }
-  const std::vector<std::string>& answer_names =
-      stmt.explicit_answer_vars ? stmt.answer_vars : seen_vars;
-  for (const std::string& name : answer_names) {
-    query.answer_vars.push_back(lowerer->Variable(name));
+  if (stmt.explicit_answer_vars) {
+    for (std::string_view name : stmt.answer_vars) {
+      query.answer_vars.push_back(lowerer->Variable(name));
+    }
+  } else {
+    for (const std::string& name : seen_vars) {
+      query.answer_vars.push_back(lowerer->Variable(name));
+    }
   }
   query.local = lowerer->TakeLocalNames();
   RELSPEC_RETURN_NOT_OK(ValidateQuery(query, lowerer->table()));
@@ -638,7 +682,11 @@ StatusOr<ParseResult> ParseSeeded(std::string_view input, SymbolTable seed) {
       }
     }
   }
-  RELSPEC_RETURN_NOT_OK(ValidateProgram(result.program));
+  {
+    // Source text enters here: the one validation a parsed program gets.
+    RELSPEC_PHASE("validate");
+    RELSPEC_RETURN_NOT_OK(ValidateProgram(result.program));
+  }
   return result;
 }
 
@@ -672,6 +720,16 @@ StatusOr<Query> ParseQuery(std::string_view input,
   Lowerer lowerer(symbols);
   RELSPEC_RETURN_NOT_OK(lowerer.InferFunctionalPredicates(statements));
   return LowerQuery(&lowerer, statements[0]);
+}
+
+StatusOr<FuncTerm> ParseFunctionalTerm(std::string_view input,
+                                       const SymbolTable& symbols) {
+  RELSPEC_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(input));
+  TokenParser tp(std::move(tokens));
+  RELSPEC_ASSIGN_OR_RETURN(STerm term, tp.ParseWholeTerm());
+  Lowerer lowerer(symbols);
+  lowerer.BeginStatement();
+  return lowerer.LowerFuncTerm(term);
 }
 
 StatusOr<Query> ParseQuery(std::string_view input, const Program* program) {

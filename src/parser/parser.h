@@ -77,6 +77,13 @@ StatusOr<Query> ParseQuery(std::string_view input, const SymbolTable& symbols);
 /// The same, against a program's table.
 StatusOr<Query> ParseQuery(std::string_view input, const Program* program);
 
+/// Parses one functional term ("0", "4", "t+1", "move(0, a, b)") against
+/// an existing symbol table, without writing it. Names the table lacks
+/// become the term's own ids, numbered past the table's counts, as in
+/// ParseQuery; GraphSpecification::PathOfGroundTerm rejects them.
+StatusOr<FuncTerm> ParseFunctionalTerm(std::string_view input,
+                                       const SymbolTable& symbols);
+
 /// Name of the builtin successor function symbol used by numeral sugar.
 inline constexpr std::string_view kSuccessorName = "+1";
 

@@ -50,6 +50,18 @@ TEST(Lexer, IntegersAndPrimedIdents) {
   EXPECT_EQ((*toks)[1].value, 123);
 }
 
+// An integer too large for a long is an error, not an exception: a query
+// naming one reaches the lexer from a client.
+TEST(Lexer, RejectsIntegersOutOfRange) {
+  auto toks = Tokenize("P(99999999999999999999999).");
+  EXPECT_TRUE(toks.status().IsInvalidArgument());
+  EXPECT_EQ(toks.status().message(),
+            "line 1:3: integer 99999999999999999999999 out of range");
+  EXPECT_TRUE(ParseQuery("? P(99999999999999999999999).", SymbolTable())
+                  .status()
+                  .IsInvalidArgument());
+}
+
 // ---------- parsing & inference ----------
 
 TEST(Parser, MeetsProgramShapes) {

@@ -13,6 +13,7 @@
 
 #include "gtest/gtest.h"
 #include "src/base/failpoint.h"
+#include "src/base/metrics.h"
 #include "src/core/engine.h"
 #include "src/core/query.h"
 #include "src/core/snapshot.h"
@@ -250,6 +251,31 @@ TEST(WalAppendTest, FailedFsyncPoisonsTheLog) {
   EXPECT_TRUE((*wal)->broken());
   Status again = (*wal)->Append(200, "+ P(b).\n");
   EXPECT_EQ(again.code(), StatusCode::kFailedPrecondition);
+  CleanWalFiles(path);
+}
+
+// A directory sync stays best effort, but every failure is counted.
+TEST(WalAppendTest, FailedDirectorySyncIsCounted) {
+  std::string path = TestPath("log");
+  CleanWalFiles(path);
+  MetricsRegistry::Global().Reset();
+  EnableMetrics(true);
+  auto failures = [] {
+    return MetricsRegistry::Global().Snapshot().counter(
+        "wal.dir_fsync_failures");
+  };
+  ASSERT_TRUE(failpoint::Configure("wal.dir_fsync=error").ok());
+  auto wal = DeltaWal::Create(path, 42);  // fsync=always syncs the directory
+  failpoint::Clear();
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  EXPECT_EQ(failures(), 1u);
+  DeltaWal::SyncDir(path);  // a real, working sync
+  EXPECT_EQ(failures(), 1u);
+  DeltaWal::SyncDir(TestPath("no-such-dir") + "/log");  // open fails
+  EXPECT_EQ(failures(), 2u);
+  EnableMetrics(false);
+  MetricsRegistry::Global().Reset();
+  ASSERT_TRUE((*wal)->Close().ok());
   CleanWalFiles(path);
 }
 

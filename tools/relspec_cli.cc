@@ -153,6 +153,7 @@ void PrintHelp(const char* argv0) {
       "  --enumerate DEPTH             horizon for printing query answers\n"
       "                                (default 6)\n"
       "  --prove \"T1\" \"T2\"             prove two ground terms congruent\n"
+      "                                (program syntax: 0, 4, f(0), ...)\n"
       "  --periodic \"OnCall(t, a)\"     the [CI88] periodic-set answer\n"
       "  --merged-frontier             footnote-3 traversal start (depth c)\n"
       "  --info                        program parameters (Section 2.5)\n"
@@ -516,29 +517,18 @@ int RunCli(int argc, char** argv) {
     if (!espec.ok()) return Fail(EngineExitCode(espec.status()), espec.status());
     espec->set_governor(g_governor);
     for (const auto& [t1, t2] : proofs) {
-      // Terms are given as dot-words or numerals, e.g. "4" or "f.g".
-      auto to_path = [&](const std::string& text) -> StatusOr<Path> {
-        if (!text.empty() && isdigit(static_cast<unsigned char>(text[0]))) {
-          auto succ = symbols.FindFunction("+1");
-          if (!succ.ok()) return succ.status();
-          std::vector<FuncId> syms(static_cast<size_t>(atoi(text.c_str())),
-                                   *succ);
-          return Path(std::move(syms));
-        }
-        if (text == "0") return Path::Zero();
-        std::vector<FuncId> syms;
-        for (const std::string& name : Split(text, '.')) {
-          auto f = symbols.FindFunction(name);
-          if (!f.ok()) return f.status();
-          syms.push_back(*f);
-        }
-        return Path(std::move(syms));
+      // Terms use the program's syntax, e.g. "4", "0" or "move(0, a, b)".
+      auto path_of = [&](const std::string& text) -> StatusOr<Path> {
+        RELSPEC_ASSIGN_OR_RETURN(FuncTerm term,
+                                 ParseFunctionalTerm(text, symbols));
+        return spec->PathOfGroundTerm(term);
       };
-      auto p1 = to_path(t1);
-      auto p2 = to_path(t2);
+      auto p1 = path_of(t1);
+      auto p2 = path_of(t2);
       if (!p1.ok() || !p2.ok()) {
-        return UsageError(
-            StrFormat("bad --prove terms %s %s", t1.c_str(), t2.c_str()));
+        const Status& bad = p1.ok() ? p2.status() : p1.status();
+        return UsageError(StrFormat("bad --prove terms %s %s: %s", t1.c_str(),
+                                    t2.c_str(), bad.ToString().c_str()));
       }
       auto proof = espec->ExplainCongruenceText(*p1, *p2);
       if (!proof.ok()) {
