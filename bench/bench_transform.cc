@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
+#include "src/core/ground.h"
 #include "src/core/mixed_to_pure.h"
 #include "src/core/normalize.h"
 #include "src/parser/parser.h"
@@ -95,5 +96,46 @@ void BM_FullTransformPipeline(benchmark::State& state) {
   state.counters["n_constants"] = n;
 }
 BENCHMARK(BM_FullTransformPipeline)->RangeMultiplier(2)->Range(2, 16);
+
+// ROADMAP item 14 — the whole front end of a build: parse (which validates),
+// normalize, purify and ground, on the two families whose front end costs
+// most: counter(9) parses the most text, and mixed(18) grounds 324 purified
+// rules of which only 18 match a Connected fact. Expected shape: cost
+// follows the text parsed and the rule instances emitted.
+void RunFrontEnd(benchmark::State& state, const std::string& source) {
+  size_t rules = 0;
+  for (auto _ : state) {
+    auto p = ParseProgram(source);
+    if (!p.ok()) {
+      state.SkipWithError(p.status().ToString().c_str());
+      return;
+    }
+    auto ns = NormalizeProgram(&*p);
+    auto ms = MixedToPure(&*p);
+    if (!ns.ok() || !ms.ok()) {
+      state.SkipWithError("transform failed");
+      return;
+    }
+    auto g = Ground(*p);
+    if (!g.ok()) {
+      state.SkipWithError(g.status().ToString().c_str());
+      return;
+    }
+    rules = g->local_rules().size() + g->global_rules().size();
+    benchmark::DoNotOptimize(g);
+  }
+  state.counters["source_bytes"] = static_cast<double>(source.size());
+  state.counters["ground_rules"] = static_cast<double>(rules);
+}
+
+void BM_FrontEnd_Counter(benchmark::State& state) {
+  RunFrontEnd(state, BinaryCounterProgram(static_cast<int>(state.range(0))));
+}
+BENCHMARK(BM_FrontEnd_Counter)->Arg(9);
+
+void BM_FrontEnd_Mixed(benchmark::State& state) {
+  RunFrontEnd(state, MixedProgram(static_cast<int>(state.range(0))));
+}
+BENCHMARK(BM_FrontEnd_Mixed)->Arg(18);
 
 }  // namespace

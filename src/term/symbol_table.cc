@@ -6,7 +6,7 @@ namespace relspec {
 
 StatusOr<PredId> SymbolTable::InternPredicate(std::string_view name, int arity,
                                               bool functional) {
-  auto it = predicate_index_.find(std::string(name));
+  auto it = predicate_index_.find(name);
   if (it != predicate_index_.end()) {
     PredicateInfo& info = predicates_[it->second];
     if (info.arity != arity) {
@@ -24,7 +24,7 @@ StatusOr<PredId> SymbolTable::InternPredicate(std::string_view name, int arity,
 }
 
 StatusOr<PredId> SymbolTable::FindPredicate(std::string_view name) const {
-  auto it = predicate_index_.find(std::string(name));
+  auto it = predicate_index_.find(name);
   if (it == predicate_index_.end()) {
     return Status::NotFound("unknown predicate '" + std::string(name) + "'");
   }
@@ -40,7 +40,7 @@ Status SymbolTable::SetFunctional(PredId id) {
 }
 
 StatusOr<FuncId> SymbolTable::InternFunction(std::string_view name, int arity) {
-  auto it = function_index_.find(std::string(name));
+  auto it = function_index_.find(name);
   if (it != function_index_.end()) {
     const FunctionInfo& info = functions_[it->second];
     if (info.arity != arity) {
@@ -61,7 +61,7 @@ StatusOr<FuncId> SymbolTable::InternFunction(std::string_view name, int arity) {
 }
 
 StatusOr<FuncId> SymbolTable::FindFunction(std::string_view name) const {
-  auto it = function_index_.find(std::string(name));
+  auto it = function_index_.find(name);
   if (it == function_index_.end()) {
     return Status::NotFound("unknown function symbol '" + std::string(name) + "'");
   }
@@ -69,7 +69,7 @@ StatusOr<FuncId> SymbolTable::FindFunction(std::string_view name) const {
 }
 
 ConstId SymbolTable::InternConstant(std::string_view name) {
-  auto it = constant_index_.find(std::string(name));
+  auto it = constant_index_.find(name);
   if (it != constant_index_.end()) return it->second;
   ConstId id = static_cast<ConstId>(constants_.size());
   constants_.emplace_back(name);
@@ -78,7 +78,7 @@ ConstId SymbolTable::InternConstant(std::string_view name) {
 }
 
 StatusOr<ConstId> SymbolTable::FindConstant(std::string_view name) const {
-  auto it = constant_index_.find(std::string(name));
+  auto it = constant_index_.find(name);
   if (it == constant_index_.end()) {
     return Status::NotFound("unknown constant '" + std::string(name) + "'");
   }
@@ -86,7 +86,7 @@ StatusOr<ConstId> SymbolTable::FindConstant(std::string_view name) const {
 }
 
 VarId SymbolTable::InternVariable(std::string_view name) {
-  auto it = variable_index_.find(std::string(name));
+  auto it = variable_index_.find(name);
   if (it != variable_index_.end()) return it->second;
   VarId id = static_cast<VarId>(variables_.size());
   variables_.emplace_back(name);

@@ -15,6 +15,7 @@
 #define RELSPEC_TERM_SYMBOL_TABLE_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -87,10 +88,21 @@ class SymbolTable {
   std::vector<FunctionInfo> functions_;
   std::vector<std::string> constants_;
   std::vector<std::string> variables_;
-  std::unordered_map<std::string, PredId> predicate_index_;
-  std::unordered_map<std::string, FuncId> function_index_;
-  std::unordered_map<std::string, ConstId> constant_index_;
-  std::unordered_map<std::string, VarId> variable_index_;
+  // Hashes a name as a string_view, so a lookup by view allocates nothing.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  template <typename Id>
+  using NameIndex =
+      std::unordered_map<std::string, Id, NameHash, std::equal_to<>>;
+
+  NameIndex<PredId> predicate_index_;
+  NameIndex<FuncId> function_index_;
+  NameIndex<ConstId> constant_index_;
+  NameIndex<VarId> variable_index_;
 };
 
 }  // namespace relspec

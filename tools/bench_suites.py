@@ -46,6 +46,9 @@ SUITES = {
     "bench_fixpoint": (
         "bench_fixpoint",
         r"BM_Fixpoint_Chain/512$|BM_Fixpoint_Rotation/420$"),
+    "bench_transform": (
+        "bench_transform",
+        r"BM_FrontEnd_(Counter/9|Mixed/18)$"),
 }
 
 # Generous on purpose: shared runners swing wildly, so the gate catches

@@ -4,7 +4,7 @@
 #
 # Usage: tools/regen_baseline.sh [BUILD_DIR]   (default: build)
 #
-# Ten suites:
+# Eleven suites:
 #   bench_query  representative E18 microbenchmarks (cache, snapshot warm
 #                start) from bench/bench_query.cc
 #   bench_trace  representative E19 tracer-ablation numbers from
@@ -24,6 +24,8 @@
 #   bench_fixpoint  E26 the chi worklist (ComputeFixpoint alone) on the same
 #                chain, and E28 the counter-indexed closure on a 420-team
 #                rotation, from bench/bench_fixpoint.cc
+#   bench_transform  E32 the front end (parse, normalize, purify, ground)
+#                on counter(9) and mixed(18), from bench/bench_transform.cc
 #   bench_serve  a fixed-seed serving session from relspec_bench_serve
 #                (the same flags the CI perf job uses)
 #   bench_serve_durable  the same schedule served through per-lane WALs
@@ -47,14 +49,15 @@ BUILD_DIR="${1:-build}"
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
     bench_query --target bench_trace --target bench_delta \
     --target bench_wal --target bench_slowlog --target bench_graph_spec \
-    --target bench_fixpoint --target relspec_bench_serve --target relspecd \
+    --target bench_fixpoint --target bench_transform \
+    --target relspec_bench_serve --target relspecd \
     >/dev/null
 
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
 for suite in bench_query bench_trace bench_delta bench_wal bench_slowlog \
-    bench_graph_spec bench_fixpoint; do
+    bench_graph_spec bench_fixpoint bench_transform; do
   echo "== $suite =="
   python3 tools/bench_suites.py run "$BUILD_DIR" "$suite" "$TMP/$suite.json"
 done
@@ -90,5 +93,6 @@ wait "$DAEMON_PID"
 python3 tools/bench_suites.py baseline BENCH_baseline.json \
     "$TMP/bench_query.json" "$TMP/bench_trace.json" "$TMP/bench_delta.json" \
     "$TMP/bench_wal.json" "$TMP/bench_slowlog.json" \
-    "$TMP/bench_graph_spec.json" "$TMP/bench_fixpoint.json" "$TMP/serve.json" \
+    "$TMP/bench_graph_spec.json" "$TMP/bench_fixpoint.json" \
+    "$TMP/bench_transform.json" "$TMP/serve.json" \
     "$TMP/serve_durable.json" "$TMP/serve_daemon.json"
