@@ -1,6 +1,5 @@
 #include "src/core/equational_spec.h"
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "src/base/metrics.h"
@@ -126,8 +125,7 @@ StatusOr<std::vector<Equation>> EquationsFromPaths(
       return Status::InvalidArgument(
           "equation term is not over a representative");
     }
-    if (std::find(alphabet.begin(), alphabet.end(), t1.Outermost()) ==
-        alphabet.end()) {
+    if (AlphabetIndex(alphabet, t1.Outermost()) == kInvalidId) {
       return Status::InvalidArgument("equation symbol outside the alphabet");
     }
     out.push_back({parent->second, t1.Outermost(), target->second});
@@ -171,9 +169,9 @@ StatusOr<EquationalSpecification> BuildEquationalSpecification(
     const Cluster& c = graph.cluster(cluster);
     return c.parent == parent && c.symbol == f;
   };
-  //  (a) the initial frontier layer, whose terms extend trunk paths;
-  for (const auto& [path, cluster] : graph.boundary_clusters()) {
-    if (cluster == graph.unknown_cluster()) continue;
+  //  (a) the initial frontier layer, whose terms extend trunk paths, in
+  //      shortlex order;
+  for (const auto& [path, cluster] : graph.BoundaryEntries()) {
     if (path.empty()) continue;  // 0 itself: the first, Active, term
     const uint32_t parent = graph.ClusterOf(path.Parent());
     if (!is_tree_edge(parent, path.Outermost(), cluster)) {

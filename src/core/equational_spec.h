@@ -125,7 +125,7 @@ class EquationalSpecification {
 /// Resolves equations given as (term, representative) path pairs, as
 /// version 1 snapshots store them, into triples over the representatives
 /// of `clusters`: each term must be symbol(representative) with a symbol of
-/// `alphabet`. InvalidArgument otherwise.
+/// `alphabet` (ascending). InvalidArgument otherwise.
 StatusOr<std::vector<Equation>> EquationsFromPaths(
     const std::vector<Cluster>& clusters,
     const std::vector<std::pair<Path, Path>>& pairs,

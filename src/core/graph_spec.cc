@@ -103,7 +103,7 @@ std::string GraphSpecification::ToString() const {
     });
     for (size_t s = 0; s < c.successors.size(); ++s) {
       out += StrFormat("  successor_%s -> cluster %u\n",
-                       symbols_.function(alphabet_[s]).name.c_str(),
+                       symbols_.function(alphabet()[s]).name.c_str(),
                        c.successors[s]);
     }
   }
@@ -126,7 +126,6 @@ StatusOr<GraphSpecification> BuildGraphSpecification(
   out.graph_ = std::move(graph);
   out.symbols_ = symbols;
   const GroundProgram& ground = labeling->ground();
-  out.alphabet_ = ground.alphabet();
   out.atoms_ = ground.atoms();
   for (AtomIdx i = 0; i < ground.num_atoms(); ++i) {
     out.atom_index_.emplace(ground.atom(i), i);

@@ -51,7 +51,7 @@ class GraphSpecification {
   const std::vector<std::pair<PredId, std::vector<ConstId>>>& globals() const {
     return globals_;
   }
-  const std::vector<FuncId>& alphabet() const { return alphabet_; }
+  const std::vector<FuncId>& alphabet() const { return graph_.alphabet(); }
   int trunk_depth() const { return graph_.trunk_depth(); }
 
   // --- size measures (Theorem 4.2 experiments) ---
@@ -81,7 +81,6 @@ class GraphSpecification {
   std::vector<SliceAtom> atoms_;
   std::unordered_map<SliceAtom, AtomIdx, SliceAtomHasher> atom_index_;
   std::vector<std::pair<PredId, std::vector<ConstId>>> globals_;
-  std::vector<FuncId> alphabet_;
 };
 
 /// Extracts the self-contained (B, F) from a computed label graph, which it

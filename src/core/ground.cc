@@ -58,11 +58,6 @@ CtxIdx GroundProgram::FindGlobal(PredId pred,
   return it == ctx_index_.end() ? kInvalidId : it->second;
 }
 
-SymIdx GroundProgram::SymIndexOf(FuncId f) const {
-  auto it = sym_index_.find(f);
-  return it == sym_index_.end() ? kInvalidId : it->second;
-}
-
 std::string GroundProgram::AtomToString(AtomIdx i,
                                         const SymbolTable& symbols) const {
   const SliceAtom& a = atoms_[i];
@@ -163,9 +158,6 @@ class Grounder {
     assert(ValidateProgram(program_).ok());
 
     out_.alphabet_ = program_.PureFunctions();
-    for (SymIdx i = 0; i < out_.alphabet_.size(); ++i) {
-      out_.sym_index_.emplace(out_.alphabet_[i], i);
-    }
     out_.trunk_depth_ = program_.MaxGroundDepth();
     domain_ = program_.ActiveDomain();
 

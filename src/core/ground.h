@@ -21,6 +21,7 @@
 #ifndef RELSPEC_CORE_GROUND_H_
 #define RELSPEC_CORE_GROUND_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -38,6 +39,15 @@ using AtomIdx = uint32_t;
 using CtxIdx = uint32_t;
 /// Index into the grounded alphabet (dense renumbering of the pure symbols).
 using SymIdx = uint32_t;
+
+/// The index of `f` in `alphabet`, which is strictly ascending; kInvalidId
+/// when `f` is not in it. A binary search.
+inline SymIdx AlphabetIndex(const std::vector<FuncId>& alphabet, FuncId f) {
+  auto it = std::lower_bound(alphabet.begin(), alphabet.end(), f);
+  return it == alphabet.end() || *it != f
+             ? kInvalidId
+             : static_cast<SymIdx>(it - alphabet.begin());
+}
 
 /// A slice atom: functional predicate + non-functional constant arguments.
 /// The functional component is implicit (the tree position).
@@ -113,11 +123,12 @@ class GroundProgram {
   CtxIdx FindGlobal(PredId pred, const std::vector<ConstId>& args) const;
 
   // --- alphabet ---
-  /// Pure function symbols occurring in the program, dense-renumbered.
+  /// Pure function symbols occurring in the program, dense-renumbered in
+  /// ascending FuncId order.
   const std::vector<FuncId>& alphabet() const { return alphabet_; }
   size_t num_symbols() const { return alphabet_.size(); }
   /// Maps a FuncId to its SymIdx; kInvalidId if not in the alphabet.
-  SymIdx SymIndexOf(FuncId f) const;
+  SymIdx SymIndexOf(FuncId f) const { return AlphabetIndex(alphabet_, f); }
 
   /// The trunk depth c (max depth of a ground functional term in Z and D).
   int trunk_depth() const { return trunk_depth_; }
@@ -152,7 +163,6 @@ class GroundProgram {
   std::vector<CtxProp> ctx_props_;
   std::unordered_map<CtxProp, CtxIdx, CtxPropHash> ctx_index_;
   std::vector<FuncId> alphabet_;
-  std::unordered_map<FuncId, SymIdx> sym_index_;
   int trunk_depth_ = 0;
   std::vector<GroundRule> local_rules_;
   std::vector<GroundRule> global_rules_;

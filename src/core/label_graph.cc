@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "src/base/failpoint.h"
@@ -11,21 +12,48 @@
 #include "src/base/str_util.h"
 
 namespace relspec {
+namespace {
+
+// The first cluster of the trunk's last layer, the frontier terms' parents:
+// in heap order, the first trunk cluster i whose first child k*i+1 lies past
+// the `num_trunk` trunk clusters.
+size_t LastTrunkLayer(size_t num_trunk, size_t k) {
+  return num_trunk == 0 || k == 0 ? 0 : (num_trunk - 1 + k - 1) / k;
+}
+
+}  // namespace
 
 uint32_t LabelGraph::ClusterOf(const Path& path) const {
+  uint32_t cur = 0;
   for (FuncId f : path.symbols()) {
-    if (sym_index_.count(f) == 0) return kInvalidId;
-  }
-  if (path.depth() < frontier_depth_) return trunk_cluster_.at(path);
-  // A truncated graph may be missing frontier entry points the BFS never
-  // reached; they resolve to the unknown sink (kInvalidId when complete).
-  auto it = boundary_cluster_.find(path.Prefix(frontier_depth_));
-  if (it == boundary_cluster_.end()) return unknown_cluster_;
-  uint32_t cur = it->second;
-  for (int i = frontier_depth_; i < path.depth(); ++i) {
-    cur = clusters_[cur].successors[sym_index_.at(path.at(i))];
+    const SymIdx s = SymIndexOf(f);
+    if (s == kInvalidId) return kInvalidId;
+    cur = clusters_[cur].successors[s];
   }
   return cur;
+}
+
+std::vector<std::pair<Path, uint32_t>> LabelGraph::BoundaryEntries() const {
+  std::vector<std::pair<Path, uint32_t>> out;
+  auto keep = [&](Path path, uint32_t cluster) {
+    if (cluster != unknown_cluster_) out.emplace_back(std::move(path), cluster);
+  };
+  if (frontier_depth_ == 0) {
+    if (!clusters_.empty()) keep(Path::Zero(), 0);
+    return out;
+  }
+  const size_t k = alphabet_.size();
+  size_t num_trunk = 0;
+  while (num_trunk < clusters_.size() && clusters_[num_trunk].trunk) {
+    ++num_trunk;
+  }
+  for (size_t i = LastTrunkLayer(num_trunk, k); i < num_trunk; ++i) {
+    const Path rep = Representative(static_cast<uint32_t>(i));
+    for (SymIdx s = 0; s < k; ++s) {
+      keep(rep.Extend(alphabet_[s]), clusters_[i].successors[s]);
+    }
+  }
+  return out;
 }
 
 Path RepresentativePath(const std::vector<Cluster>& clusters, uint32_t idx) {
@@ -55,8 +83,7 @@ Status LinkRepresentatives(const std::vector<Path>& reps,
             "representative of cluster %u extends no earlier representative",
             i));
       }
-      if (std::find(alphabet.begin(), alphabet.end(), rep.Outermost()) ==
-          alphabet.end()) {
+      if (AlphabetIndex(alphabet, rep.Outermost()) == kInvalidId) {
         return Status::InvalidArgument(StrFormat(
             "representative of cluster %u ends in a symbol outside the "
             "alphabet",
@@ -85,64 +112,68 @@ StatusOr<LabelGraph> BuildLabelGraph(Labeling* labeling,
   const int frontier = options.merge_trunk_frontier ? c : c + 1;
   out.trunk_depth_ = c;
   out.frontier_depth_ = frontier;
-  out.num_symbols_ = ground.num_symbols();
-  for (SymIdx i = 0; i < ground.num_symbols(); ++i) {
-    out.sym_index_.emplace(ground.alphabet()[i], i);
-  }
+  out.alphabet_ = ground.alphabet();
+  const size_t k = ground.num_symbols();
 
-  // Trunk clusters: one singleton per path of depth < frontier, shortlex.
-  for (const Path& w : labeling->trunk_paths()) {
-    if (w.depth() >= frontier) continue;
-    uint32_t id = static_cast<uint32_t>(out.clusters_.size());
+  // Trunk clusters: one singleton per path of depth < frontier. The trunk
+  // paths come in shortlex order, a heap: path i's parent is (i-1)/k and its
+  // f_s child k*i+1+s, which is a trunk cluster while it is above the
+  // frontier and a frontier item's parent edge otherwise.
+  const std::vector<Path>& trunk = labeling->trunk_paths();
+  size_t num_trunk = 0;
+  while (num_trunk < trunk.size() && trunk[num_trunk].depth() < frontier) {
+    ++num_trunk;
+  }
+  for (size_t i = 0; i < num_trunk; ++i) {
     Cluster cl;
-    if (!w.empty()) {
-      cl.parent = out.trunk_cluster_.at(w.Parent());
-      cl.symbol = w.Outermost();
+    if (i > 0) {
+      cl.parent = static_cast<uint32_t>((i - 1) / k);
+      cl.symbol = trunk[i].Outermost();
     }
-    cl.label = labeling->TrunkLabel(w);
+    cl.label = labeling->TrunkLabel(trunk[i]);
     cl.trunk = true;
+    cl.successors.assign(k, kInvalidId);
+    for (SymIdx s = 0; s < k && k * i + 1 + s < num_trunk; ++s) {
+      cl.successors[s] = static_cast<uint32_t>(k * i + 1 + s);
+    }
     out.clusters_.push_back(std::move(cl));
-    out.trunk_cluster_.emplace(w, id);
   }
 
   // Algorithm Q: breadth-first over states from the frontier layer. An item
   // carries its term's chi entry, whose value is the term's label. Beyond
   // the boundary a child's entry is the recorded children[f] of its parent's
   // entry (Theorem 3.1), so no term is looked up and nothing is closed.
-  // Every item is f_sym(representative of parent): frontier items hang
-  // off the trunk and also carry their path, the key of the boundary index;
-  // a depth-c frontier term (merge_trunk_frontier) has no entry and reads
-  // its trunk label, and the depth-0 one has no parent at all.
+  // Every item is f_sym(representative of parent) and sets that edge when it
+  // resolves. A depth-c frontier term (merge_trunk_frontier) has no entry
+  // and reads its trunk label by its trunk-path index; the depth-0 one has
+  // no parent at all.
   struct Item {
-    Path path;  // frontier items only
     uint32_t entry = kInvalidId;
     uint32_t parent = kInvalidId;
     SymIdx sym = 0;
-    bool frontier = false;
+    uint32_t trunk_path = kInvalidId;  // merged-frontier items only
   };
   ChiEngine& chi = labeling->chi();
   auto label_of = [&](const Item& item) -> const DynamicBitset& {
-    return item.entry == kInvalidId ? labeling->TrunkLabel(item.path)
-                                    : chi.Value(item.entry);
+    return item.entry == kInvalidId
+               ? labeling->TrunkLabel(trunk[item.trunk_path])
+               : chi.Value(item.entry);
   };
   std::unordered_map<DynamicBitset, uint32_t, DynamicBitsetHash> label_to_cluster;
   std::deque<Item> queue;
-  for (const Path& w : labeling->trunk_paths()) {
-    if (frontier <= c) {
-      if (w.depth() != frontier) continue;
-      Item item{w};
-      item.frontier = true;
-      if (!w.empty()) {
-        item.parent = out.trunk_cluster_.at(w.Parent());
-        item.sym = out.sym_index_.at(w.Outermost());
-      }
-      queue.push_back(std::move(item));
-    } else if (w.depth() == c) {
-      const uint32_t parent = out.trunk_cluster_.at(w);
-      for (SymIdx s = 0; s < ground.num_symbols(); ++s) {
-        Path child = w.Extend(ground.alphabet()[s]);
+  if (frontier <= c) {
+    for (size_t i = num_trunk; i < trunk.size(); ++i) {
+      const uint32_t parent =
+          i == 0 ? kInvalidId : static_cast<uint32_t>((i - 1) / k);
+      const SymIdx sym = i == 0 ? 0 : static_cast<SymIdx>((i - 1) % k);
+      queue.push_back({kInvalidId, parent, sym, static_cast<uint32_t>(i)});
+    }
+  } else {
+    for (size_t i = LastTrunkLayer(num_trunk, k); i < num_trunk; ++i) {
+      for (SymIdx s = 0; s < k; ++s) {
+        Path child = trunk[i].Extend(ground.alphabet()[s]);
         uint32_t entry = labeling->BoundaryEntry(child.symbols());
-        queue.push_back({std::move(child), entry, parent, s, true});
+        queue.push_back({entry, static_cast<uint32_t>(i), s});
       }
     }
   }
@@ -178,9 +209,7 @@ StatusOr<LabelGraph> BuildLabelGraph(Labeling* labeling,
     auto it = label_to_cluster.find(label_of(item));
     if (it != label_to_cluster.end()) {
       // Inactive: subsumed by an earlier Active term; branch not extended.
-      if (item.frontier) {
-        out.boundary_cluster_.emplace(std::move(item.path), it->second);
-      } else {
+      if (item.parent != kInvalidId) {
         out.clusters_[item.parent].successors[item.sym] = it->second;
       }
       queue.pop_front();
@@ -199,77 +228,51 @@ StatusOr<LabelGraph> BuildLabelGraph(Labeling* labeling,
     if (item.parent != kInvalidId) {
       cl.parent = item.parent;
       cl.symbol = ground.alphabet()[item.sym];
-    }
-    if (item.frontier) {
-      out.boundary_cluster_.emplace(std::move(item.path), id);
-    } else {
       out.clusters_[item.parent].successors[item.sym] = id;
     }
-    cl.successors.assign(ground.num_symbols(), kInvalidId);
+    cl.successors.assign(k, kInvalidId);
     label_to_cluster.emplace(cl.label, id);
-    uint32_t entry = item.entry;
+    const Item active = item;
     queue.pop_front();
     out.clusters_.push_back(std::move(cl));
     ++out.num_active_;
-    if (entry != kInvalidId) {
-      const std::vector<uint32_t>& kids = chi.Children(entry);
-      for (SymIdx s = 0; s < ground.num_symbols(); ++s) {
-        queue.push_back({Path(), kids[s], id, s});
-      }
+    if (active.entry != kInvalidId) {
+      const std::vector<uint32_t>& kids = chi.Children(active.entry);
+      for (SymIdx s = 0; s < k; ++s) queue.push_back({kids[s], id, s});
     } else {
       // A depth-c cluster (merge_trunk_frontier): its children are
       // boundary terms, whose labels are the boundary chi entries.
-      const Path rep = out.Representative(id);
-      for (SymIdx s = 0; s < ground.num_symbols(); ++s) {
+      const Path& rep = trunk[active.trunk_path];
+      for (SymIdx s = 0; s < k; ++s) {
         uint32_t kid =
             labeling->BoundaryEntry(rep.Extend(ground.alphabet()[s]).symbols());
-        queue.push_back({Path(), kid, id, s});
+        queue.push_back({kid, id, s});
       }
     }
   }
 
-  // An interrupted BFS leaves dangling edges (frontier paths never visited,
+  // An interrupted BFS leaves dangling edges (frontier terms never visited,
   // successor labels never clustered). The synthetic unknown cluster — empty
   // label, every successor a self-loop — absorbs them so the graph stays
-  // structurally well-formed. An unvisited child whose state did get a
-  // cluster still points at that cluster.
+  // structurally well-formed. An unvisited frontier term goes to the sink;
+  // an unvisited deeper child whose state did get a cluster still points at
+  // that cluster.
   if (out.truncated_) {
     out.unknown_cluster_ = static_cast<uint32_t>(out.clusters_.size());
     Cluster unknown;
     unknown.label = DynamicBitset(ground.num_atoms());
-    unknown.successors.assign(ground.num_symbols(), out.unknown_cluster_);
+    unknown.successors.assign(k, out.unknown_cluster_);
     out.clusters_.push_back(std::move(unknown));
     for (const Item& item : queue) {
-      if (item.frontier) continue;
-      auto it = label_to_cluster.find(label_of(item));
+      if (item.parent == kInvalidId) continue;
+      auto it = item.parent < num_trunk
+                    ? label_to_cluster.end()
+                    : label_to_cluster.find(label_of(item));
       out.clusters_[item.parent].successors[item.sym] =
           it != label_to_cluster.end() ? it->second : out.unknown_cluster_;
     }
   }
 
-  // Trunk successors: trunk children, then the frontier entry points.
-  for (uint32_t id = 0; id < out.clusters_.size(); ++id) {
-    Cluster& cl = out.clusters_[id];
-    if (!cl.trunk) continue;
-    cl.successors.assign(ground.num_symbols(), kInvalidId);
-    const Path rep = out.Representative(id);
-    for (SymIdx s = 0; s < ground.num_symbols(); ++s) {
-      Path child = rep.Extend(ground.alphabet()[s]);
-      if (child.depth() < frontier) {
-        cl.successors[s] = out.trunk_cluster_.at(child);
-        continue;
-      }
-      auto bit = out.boundary_cluster_.find(child);
-      if (bit != out.boundary_cluster_.end()) {
-        cl.successors[s] = bit->second;
-      } else if (out.truncated_) {
-        cl.successors[s] = out.unknown_cluster_;
-      } else {
-        return Status::Internal(
-            "frontier path missing from the boundary index");
-      }
-    }
-  }
   if (out.truncated_) {
     RELSPEC_COUNTER("labelgraph.truncated");
     RELSPEC_LOG(kWarning) << "label graph truncated at "

@@ -24,12 +24,19 @@
 // cluster stores its representative as (parent cluster, symbol), and the
 // representatives form a BFS tree rooted at 0; a Path is built from it only
 // where one is printed or asked for (LabelGraph::Representative).
+//
+// The trunk is the complete |Sigma|-ary tree above the frontier, listed in
+// shortlex order, so it is laid out as a heap: trunk path i is cluster i and
+// its f_s child is cluster |Sigma|*i+1+s. A frontier term sets its trunk
+// parent's edge when it resolves, like every deeper term, so every cluster
+// carries its successors and the Link walk (LabelGraph::ClusterOf) follows
+// them from cluster 0. No term is ever found by its path.
 
 #ifndef RELSPEC_CORE_LABEL_GRAPH_H_
 #define RELSPEC_CORE_LABEL_GRAPH_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/base/bitset.h"
@@ -60,8 +67,9 @@ Path RepresentativePath(const std::vector<Cluster>& clusters, uint32_t idx);
 
 /// Rebuilds each cluster's (parent, symbol) from representative paths
 /// listed in cluster order, as version 1 snapshots store them. A non-empty
-/// path must extend an earlier cluster's representative by a symbol of
-/// `alphabet`; otherwise InvalidArgument. An empty path has no parent.
+/// path must extend an earlier cluster's representative by a symbol of the
+/// ascending `alphabet`; otherwise InvalidArgument. An empty path has no
+/// parent.
 Status LinkRepresentatives(const std::vector<Path>& reps,
                            const std::vector<FuncId>& alphabet,
                            std::vector<Cluster>* clusters);
@@ -99,15 +107,15 @@ class LabelGraph {
   }
 
   /// The cluster containing `path`, or kInvalidId for paths that use symbols
-  /// outside the alphabet (their labels are empty). O(depth) walk.
+  /// outside the alphabet (their labels are empty): the Link walk along
+  /// successor edges from cluster 0. O(depth · log |Sigma|).
   uint32_t ClusterOf(const Path& path) const;
 
+  /// The ascending alphabet; successor lists are indexed in its order.
+  const std::vector<FuncId>& alphabet() const { return alphabet_; }
   /// The successor index of alphabet symbol `f`; kInvalidId for a symbol
   /// outside the alphabet.
-  SymIdx SymIndexOf(FuncId f) const {
-    auto it = sym_index_.find(f);
-    return it == sym_index_.end() ? kInvalidId : it->second;
-  }
+  SymIdx SymIndexOf(FuncId f) const { return AlphabetIndex(alphabet_, f); }
 
   /// The cluster of f(representative of `cluster`).
   uint32_t SuccessorOf(uint32_t cluster, SymIdx sym) const {
@@ -118,7 +126,6 @@ class LabelGraph {
   /// Depth at which label-based clustering starts (c+1, or c when
   /// merge_trunk_frontier is set).
   int frontier_depth() const { return frontier_depth_; }
-  size_t num_symbols() const { return num_symbols_; }
 
   /// scope_~ (Lemma 3.1): number of distinct states among all clusters.
   size_t EquivalenceScope() const;
@@ -129,10 +136,10 @@ class LabelGraph {
   /// Number of Potential terms examined by the traversal.
   size_t num_potential() const { return num_potential_; }
 
-  /// Cluster of each frontier-depth path (the Link walk's entry points).
-  const std::unordered_map<Path, uint32_t, PathHash>& boundary_clusters() const {
-    return boundary_cluster_;
-  }
+  /// The Link walk's entry points: each frontier-depth path, in shortlex
+  /// order, with the cluster its trunk parent's edge leads to. Paths whose
+  /// edge reaches the unknown sink of a truncated graph are left out.
+  std::vector<std::pair<Path, uint32_t>> BoundaryEntries() const;
 
   /// True when the BFS was interrupted by a resource breach under
   /// allow_partial; unresolved edges lead to unknown_cluster().
@@ -148,13 +155,9 @@ class LabelGraph {
   friend class Snapshot;
 
   std::vector<Cluster> clusters_;
-  std::unordered_map<FuncId, uint32_t> sym_index_;
-  std::unordered_map<Path, uint32_t, PathHash> trunk_cluster_;
-  /// Cluster of each depth-(c+1) path (entry point of the Link walk).
-  std::unordered_map<Path, uint32_t, PathHash> boundary_cluster_;
+  std::vector<FuncId> alphabet_;
   int trunk_depth_ = 0;
   int frontier_depth_ = 1;
-  size_t num_symbols_ = 0;
   size_t num_active_ = 0;
   size_t num_potential_ = 0;
   bool truncated_ = false;

@@ -343,10 +343,6 @@ void WriteClusters(const std::vector<Cluster>& clusters, bool successors,
   w->End();
 }
 
-bool InAlphabet(const std::vector<FuncId>& alphabet, FuncId f) {
-  return std::find(alphabet.begin(), alphabet.end(), f) != alphabet.end();
-}
-
 // The number of paths over `k` symbols with depth in [lo, hi), or cap + 1
 // once it exceeds `cap`. At most 64 multiplications, whatever the depths.
 uint64_t CountPaths(uint64_t k, int lo, int hi, uint64_t cap) {
@@ -362,6 +358,27 @@ uint64_t CountPaths(uint64_t k, int lo, int hi, uint64_t cap) {
     layer *= k;
   }
   return total;
+}
+
+// True when the first `num_trunk` clusters, and only they, are trunk
+// clusters laid out as a heap over the k-symbol alphabet: cluster i > 0 is
+// f_s(cluster p) for i = k*p+1+s, and its edges lead to its trunk children.
+bool TrunkIsHeap(const std::vector<Cluster>& clusters,
+                 const std::vector<FuncId>& alphabet, uint64_t num_trunk) {
+  const size_t k = alphabet.size();
+  for (size_t i = 0; i < clusters.size(); ++i) {
+    const Cluster& c = clusters[i];
+    if (c.trunk != (i < num_trunk)) return false;
+    if (!c.trunk) continue;
+    if (i > 0 &&
+        (c.parent != (i - 1) / k || c.symbol != alphabet[(i - 1) % k])) {
+      return false;
+    }
+    for (size_t s = 0; s < k && k * i + 1 + s < num_trunk; ++s) {
+      if (c.successors[s] != k * i + 1 + s) return false;
+    }
+  }
+  return true;
 }
 
 // Reads the cluster section of either version. `alphabet` bounds the tree
@@ -385,9 +402,10 @@ Status ReadClusters(Reader* r, uint32_t version,
     } else {
       RELSPEC_RETURN_NOT_OK(r->U32(&c.parent));
       RELSPEC_RETURN_NOT_OK(r->U32(&c.symbol));
-      if (c.parent == kInvalidId ? c.symbol != 0
-                                 : c.parent >= i ||
-                                       !InAlphabet(alphabet, c.symbol)) {
+      if (c.parent == kInvalidId
+              ? c.symbol != 0
+              : c.parent >= i ||
+                    AlphabetIndex(alphabet, c.symbol) == kInvalidId) {
         return Status::InvalidArgument(
             "snapshot: cluster tree edge out of range");
       }
@@ -609,12 +627,8 @@ std::string Snapshot::Serialize(const GraphSpecification& spec) {
   WriteAtoms(spec.atom_dictionary(), &w);
   WriteClusters(g.clusters(), /*successors=*/true, &w);
 
-  // Boundary entries in shortlex order, so the byte stream is independent of
-  // the unordered_map's iteration order.
-  std::vector<std::pair<Path, uint32_t>> boundary(g.boundary_clusters().begin(),
-                                                  g.boundary_clusters().end());
-  std::sort(boundary.begin(), boundary.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // A stored copy of the trunk's frontier edges, which the loader checks.
+  const std::vector<std::pair<Path, uint32_t>> boundary = g.BoundaryEntries();
   w.Begin(kSecBoundary);
   w.U32(static_cast<uint32_t>(boundary.size()));
   for (const auto& [path, cluster] : boundary) {
@@ -687,10 +701,13 @@ StatusOr<GraphSpecification> Snapshot::ParseGraphSpec(std::string_view bytes) {
         return Status::InvalidArgument(
             "snapshot: alphabet symbol out of range");
       }
-      spec.alphabet_.push_back(f);
-      g.sym_index_.emplace(f, i);
+      // Successor indexes are found by binary search over the alphabet.
+      if (!g.alphabet_.empty() && f <= g.alphabet_.back()) {
+        return Status::InvalidArgument(
+            "snapshot: alphabet is not strictly ascending");
+      }
+      g.alphabet_.push_back(f);
     }
-    g.num_symbols_ = spec.alphabet_.size();
   }
   {
     RELSPEC_ASSIGN_OR_RETURN(Section s, FindSection(sections, kSecAtoms));
@@ -703,68 +720,54 @@ StatusOr<GraphSpecification> Snapshot::ParseGraphSpec(std::string_view bytes) {
   {
     RELSPEC_ASSIGN_OR_RETURN(Section s, FindSection(sections, kSecClusters));
     Reader r(s.data, s.size);
-    RELSPEC_RETURN_NOT_OK(ReadClusters(&r, version, spec.alphabet_,
+    RELSPEC_RETURN_NOT_OK(ReadClusters(&r, version, g.alphabet_,
                                        spec.atoms_.size(),
                                        /*successors=*/true, &g.clusters_));
-    // The Link walk reads a path shallower than the frontier off its trunk
-    // cluster, so the trunk clusters must be exactly those paths. Their
-    // number is checked first, so a forged depth enumerates nothing.
-    std::vector<int> depth(g.clusters_.size());
-    size_t num_trunk = 0;
-    for (uint32_t i = 0; i < g.clusters_.size(); ++i) {
-      const Cluster& c = g.clusters_[i];
-      depth[i] = c.parent == kInvalidId ? 0 : depth[c.parent] + 1;
-      if (c.trunk) ++num_trunk;
-    }
-    if (CountPaths(spec.alphabet_.size(), 0, g.frontier_depth_, num_trunk) !=
-        num_trunk) {
+    // The Link walk enters the trunk at cluster 0 and follows its edges, so
+    // the trunk must be the paths above the frontier laid out as a heap:
+    // cluster i is trunk path i in shortlex order, and its edges lead to its
+    // trunk children. Their number is checked first, so a forged depth
+    // enumerates nothing.
+    const size_t n = g.clusters_.size();
+    if (n == 0) return Status::InvalidArgument("snapshot: no cluster");
+    const uint64_t num_trunk =
+        CountPaths(g.alphabet_.size(), 0, g.frontier_depth_, n);
+    if (num_trunk > n) {
       return Status::InvalidArgument(
           "snapshot: trunk cluster count does not match the frontier depth");
     }
-    for (uint32_t i = 0; i < g.clusters_.size(); ++i) {
-      if (!g.clusters_[i].trunk) continue;
-      if (depth[i] >= g.frontier_depth_ ||
-          !g.trunk_cluster_.emplace(g.Representative(i), i).second) {
-        return Status::InvalidArgument(
-            "snapshot: trunk clusters are not the paths above the frontier");
-      }
+    if (!TrunkIsHeap(g.clusters_, g.alphabet_, num_trunk)) {
+      return Status::InvalidArgument(
+          "snapshot: trunk clusters are not the paths above the frontier");
+    }
+    // A graph has an unknown sink exactly when it is truncated.
+    if (g.truncated_ ? g.unknown_cluster_ >= n
+                     : g.unknown_cluster_ != kInvalidId) {
+      return Status::InvalidArgument(
+          "snapshot: unknown sink does not match the truncation marker");
     }
   }
   {
+    // The boundary section is a copy of the trunk's frontier edges, which
+    // the Link walk reads; it must agree with them entry for entry.
     RELSPEC_ASSIGN_OR_RETURN(Section s, FindSection(sections, kSecBoundary));
     Reader r(s.data, s.size);
+    const std::vector<std::pair<Path, uint32_t>> expected = g.BoundaryEntries();
     uint32_t n = 0;
     RELSPEC_RETURN_NOT_OK(r.U32(&n));
+    if (n != expected.size()) {
+      return Status::InvalidArgument(
+          "snapshot: boundary does not match the trunk's frontier edges");
+    }
     for (uint32_t i = 0; i < n; ++i) {
       Path p;
       uint32_t cluster = 0;
       RELSPEC_RETURN_NOT_OK(r.PathOf(&p));
       RELSPEC_RETURN_NOT_OK(r.U32(&cluster));
-      if (cluster >= g.clusters_.size()) {
+      if (p != expected[i].first || cluster != expected[i].second) {
         return Status::InvalidArgument(
-            "snapshot: boundary cluster out of range");
+            "snapshot: boundary does not match the trunk's frontier edges");
       }
-      auto off_alphabet = [&](FuncId f) {
-        return g.SymIndexOf(f) == kInvalidId;
-      };
-      if (p.depth() != g.frontier_depth_ ||
-          std::any_of(p.symbols().begin(), p.symbols().end(), off_alphabet)) {
-        return Status::InvalidArgument(
-            "snapshot: boundary path off the frontier");
-      }
-      g.boundary_cluster_.emplace(std::move(p), cluster);
-    }
-    // A complete graph enters the Link walk at every frontier path; a
-    // truncated one sends the missing ones to its unknown sink.
-    const size_t entries = g.boundary_cluster_.size();
-    const bool complete =
-        !g.truncated_ && g.unknown_cluster_ == kInvalidId &&
-        CountPaths(spec.alphabet_.size(), g.frontier_depth_,
-                   g.frontier_depth_ + 1, entries) == entries;
-    const bool sink = g.truncated_ && g.unknown_cluster_ < g.clusters_.size();
-    if (!complete && !sink) {
-      return Status::InvalidArgument(
-          "snapshot: frontier paths do not all reach a cluster");
     }
   }
   {
@@ -879,7 +882,7 @@ StatusOr<EquationalSpecification> Snapshot::ParseEquationalSpec(
         RELSPEC_RETURN_NOT_OK(r.U32(&eq.symbol));
         RELSPEC_RETURN_NOT_OK(r.U32(&eq.target));
         if (eq.cluster >= num_clusters || eq.target >= num_clusters ||
-            !InAlphabet(alphabet, eq.symbol)) {
+            AlphabetIndex(alphabet, eq.symbol) == kInvalidId) {
           return Status::InvalidArgument(
               "snapshot: equation out of range");
         }

@@ -1,6 +1,5 @@
 #include "src/core/spec_io.h"
 
-#include <algorithm>
 #include <sstream>
 
 namespace relspec {
@@ -94,15 +93,7 @@ std::string SpecIo::Serialize(const GraphSpecification& spec) {
   SerializeAtoms(spec.atom_dictionary(), spec.symbols(), &out);
   SerializeClusters(spec.graph().clusters(), /*successors=*/true,
                     spec.symbols(), &out);
-  // Shortlex order, so the serialization is independent of the
-  // unordered_map's iteration order (snapshot round-trips re-serialize
-  // byte-identically).
-  std::vector<std::pair<Path, uint32_t>> boundary(
-      spec.graph().boundary_clusters().begin(),
-      spec.graph().boundary_clusters().end());
-  std::sort(boundary.begin(), boundary.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [path, cluster] : boundary) {
+  for (const auto& [path, cluster] : spec.graph().BoundaryEntries()) {
     out << "boundary " << PathWord(path, spec.symbols()) << " " << cluster
         << "\n";
   }

@@ -21,12 +21,6 @@ Path Path::Parent() const {
   return Path(std::move(syms));
 }
 
-Path Path::Prefix(int n) const {
-  RELSPEC_CHECK_LE(n, depth());
-  std::vector<FuncId> syms(symbols_.begin(), symbols_.begin() + n);
-  return Path(std::move(syms));
-}
-
 bool Path::operator<(const Path& other) const {
   if (symbols_.size() != other.symbols_.size()) {
     return symbols_.size() < other.symbols_.size();

@@ -56,9 +56,6 @@ class Path {
   /// The outermost symbol. Precondition: !empty().
   FuncId Outermost() const { return symbols_.back(); }
 
-  /// The first `n` innermost symbols.
-  Path Prefix(int n) const;
-
   /// Shortlex ("precedence") comparison: by depth, then lexicographic.
   bool operator<(const Path& other) const;
   bool operator==(const Path& other) const { return symbols_ == other.symbols_; }

@@ -119,7 +119,11 @@ void ReadLoadedSpec(relspec::GraphSpecification loaded) {
     q.answer_vars.push_back(q.local.variable_base);
     for (int k = 1; k < info.arity; ++k) {
       const relspec::VarId v = q.local.variable_base + static_cast<uint32_t>(k);
-      q.local.variables.push_back("x" + std::to_string(k));
+      // Appended, not "x" + to_string(k): GCC's -O3 -Werror=restrict
+      // rejects that concatenation.
+      std::string name = "x";
+      name += std::to_string(k);
+      q.local.variables.push_back(std::move(name));
       atom.args.push_back(relspec::NfArg::Variable(v));
       q.answer_vars.push_back(v);
     }

@@ -385,6 +385,72 @@ TEST(SnapshotTest, ForgedDepthsAreRejected) {
   EXPECT_FALSE(*holds);
 }
 
+// Successor indexes are found by binary search over the alphabet, so the
+// loader takes only a strictly ascending one.
+TEST(SnapshotTest, AlphabetMustBeStrictlyAscending) {
+  auto g = BuildGraph(kLists);
+  ASSERT_TRUE(g.ok());
+  const std::string bin = Snapshot::Serialize(*g);
+  // Alphabet: u32 count, then the function ids.
+  const size_t alphabet = SectionPayload(bin, 3);
+  ASSERT_EQ(ReadU32(bin, alphabet), 2u);
+  const uint32_t first = ReadU32(bin, alphabet + 4);
+  const uint32_t second = ReadU32(bin, alphabet + 8);
+  ASSERT_LT(first, second);
+  std::string swapped = bin;
+  PatchU32(&swapped, alphabet + 4, second);
+  ExpectRejectedAfterPatch(swapped, alphabet + 8, first, true);
+  ExpectRejectedAfterPatch(bin, alphabet + 8, first, true);  // duplicated
+}
+
+// The Link walk follows the trunk's edges from cluster 0, and the boundary
+// section is a stored copy of the frontier ones. A file whose copy says f(0)
+// is cluster 1 while cluster 0's f edge leads to cluster 2 would answer
+// membership and enumeration from two different graphs, so it is rejected.
+TEST(SnapshotTest, TrunkEdgesMustMatchTheBoundary) {
+  auto g = BuildGraph(kMeets);
+  ASSERT_TRUE(g.ok());
+  ASSERT_EQ(g->num_clusters(), 3u);
+  const std::string bin = Snapshot::Serialize(*g);
+  // Cluster 0: u8 trunk | u32 parent | u32 symbol | label | successors.
+  const size_t c0 = SectionPayload(bin, 5) + 4;
+  const size_t label = c0 + 9;
+  const size_t succ = label + 8 + 4 * ReadU32(bin, label + 4);
+  ASSERT_EQ(ReadU32(bin, succ), 1u);      // one symbol, f
+  ASSERT_EQ(ReadU32(bin, succ + 4), 1u);  // f(0) is cluster 1
+  ExpectRejectedAfterPatch(bin, succ + 4, 2, true);
+  ExpectRejectedAfterPatch(bin, succ + 4, 0, true);
+}
+
+// With trunk depth 1 over {a, b}, the trunk is 0, a(0), b(0) as clusters
+// 0, 1, 2: a heap. A trunk edge that skips its trunk child, or a trunk
+// cluster that is not its heap position's path, is rejected.
+TEST(SnapshotTest, TrunkMustBeAHeapOfThePathsAboveTheFrontier) {
+  auto g = BuildGraph(R"(
+    P(a(0)).  Q(b(0)).
+    P(t) -> Q(a(t)).
+  )");
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  ASSERT_EQ(g->trunk_depth(), 1);
+  const std::string bin = Snapshot::Serialize(*g);
+  ASSERT_TRUE(Snapshot::ParseGraphSpec(bin).ok());
+  const size_t c0 = SectionPayload(bin, 5) + 4;
+  const size_t label0 = c0 + 9;
+  const size_t succ0 = label0 + 8 + 4 * ReadU32(bin, label0 + 4);
+  ASSERT_EQ(ReadU32(bin, succ0), 2u);
+  ASSERT_EQ(ReadU32(bin, succ0 + 4), 1u);
+  ASSERT_EQ(ReadU32(bin, succ0 + 8), 2u);
+  const size_t c1 = succ0 + 12;
+  ASSERT_EQ(ReadU32(bin, c1 + 1), 0u);
+  ExpectRejectedAfterPatch(bin, succ0 + 4, 2, true);  // a(0) -> b(0)
+  ExpectRejectedAfterPatch(bin, succ0 + 8, 1, true);  // b(0) -> a(0)
+  // Cluster 1 claims to be b(0): two trunk clusters name the same path.
+  ExpectRejectedAfterPatch(bin, c1 + 5, g->alphabet()[1], true);
+  // Cluster 1 unmarked as trunk (the word also covers three bytes of its
+  // parent, 0, which stay 0).
+  ExpectRejectedAfterPatch(bin, c1, 0, true);
+}
+
 TEST(SnapshotTest, EquationTriplesOutOfRangeAreRejected) {
   auto e = BuildEq(kMeets);
   ASSERT_TRUE(e.ok());

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -69,6 +70,49 @@ TEST(LabelGraph, ClusterCapEnforced) {
   options.graph.max_clusters = 1;
   auto db = FunctionalDatabase::FromSource(kMeets, options);
   EXPECT_TRUE(db.status().IsResourceExhausted());
+}
+
+// Trunk path i (shortlex) is cluster i and its f_s child cluster k*i+1+s;
+// the boundary entries are the last trunk layer's edges, and the Link walk
+// from cluster 0 reaches every trunk and frontier path's cluster.
+TEST(LabelGraph, TrunkIsAHeapAndBoundaryEntriesAreItsFrontierEdges) {
+  constexpr const char* kDeepTrunk = R"(
+    P(a(b(0))).  Q(b(a(0))).
+    P(t) -> Q(a(t)).
+    Q(t) -> P(b(t)).
+  )";
+  for (bool merge : {false, true}) {
+    EngineOptions options;
+    options.graph.merge_trunk_frontier = merge;
+    auto db = FunctionalDatabase::FromSource(kDeepTrunk, options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    const LabelGraph& graph = (*db)->label_graph();
+    ASSERT_EQ(graph.trunk_depth(), 2);
+    const std::vector<FuncId>& alphabet = graph.alphabet();
+    ASSERT_EQ(alphabet.size(), 2u);
+    std::vector<Path> layer = {Path::Zero()};
+    std::vector<Path> trunk;
+    for (int depth = 0; depth < graph.frontier_depth(); ++depth) {
+      std::vector<Path> next;
+      for (const Path& p : layer) {
+        trunk.push_back(p);
+        for (FuncId f : alphabet) next.push_back(p.Extend(f));
+      }
+      layer = std::move(next);
+    }
+    for (uint32_t i = 0; i < trunk.size(); ++i) {
+      EXPECT_TRUE(graph.cluster(i).trunk) << i;
+      EXPECT_EQ(graph.Representative(i), trunk[i]) << i;
+      EXPECT_EQ(graph.ClusterOf(trunk[i]), i) << i;
+    }
+    EXPECT_FALSE(graph.cluster(static_cast<uint32_t>(trunk.size())).trunk);
+    const auto entries = graph.BoundaryEntries();
+    ASSERT_EQ(entries.size(), layer.size()) << "merge=" << merge;
+    for (size_t j = 0; j < layer.size(); ++j) {
+      EXPECT_EQ(entries[j].first, layer[j]) << j;
+      EXPECT_EQ(entries[j].second, graph.ClusterOf(layer[j])) << j;
+    }
+  }
 }
 
 TEST(GraphSpec, SelfContainedMembership) {
@@ -281,6 +325,24 @@ TEST(EquationalSpec, EquationsRelateEqualStateTerms) {
     EXPECT_EQ(labeling.LabelOf(t1), labeling.LabelOf(t2));
   }
   EXPECT_FALSE(espec->ToString().empty());
+}
+
+// (B, R) lists the frontier layer's equations in shortlex order of their
+// terms, so its bytes depend on no hash map's iteration order. On the
+// 3-place mixed program an unordered_map<Path> order differs from shortlex.
+TEST(EquationalSpec, FrontierEquationsComeInShortlexOrder) {
+  auto db = FunctionalDatabase::FromSource(relspec_bench::MixedProgram(3));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  auto espec = (*db)->BuildEquationalSpec();
+  ASSERT_TRUE(espec.ok()) << espec.status().ToString();
+  std::vector<Path> frontier;
+  for (const Equation& eq : espec->equations()) {
+    if (espec->clusters()[eq.cluster].trunk) {
+      frontier.push_back(espec->EquationPaths(eq).first);
+    }
+  }
+  ASSERT_GT(frontier.size(), 2u);
+  EXPECT_TRUE(std::is_sorted(frontier.begin(), frontier.end()));
 }
 
 TEST(EquationalSpec, CongruentRespectsParity) {

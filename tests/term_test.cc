@@ -131,7 +131,7 @@ TEST(Path, ZeroProperties) {
   EXPECT_EQ(z.depth(), 0);
 }
 
-TEST(Path, ExtendParentPrefix) {
+TEST(Path, ExtendAndParent) {
   SymbolTable t;
   FuncId f = *t.InternFunction("f", 1);
   FuncId g = *t.InternFunction("g", 1);
@@ -139,8 +139,6 @@ TEST(Path, ExtendParentPrefix) {
   EXPECT_EQ(p.depth(), 2);
   EXPECT_EQ(p.Outermost(), g);
   EXPECT_EQ(p.Parent(), Path::Zero().Extend(f));
-  EXPECT_EQ(p.Prefix(1), Path::Zero().Extend(f));
-  EXPECT_EQ(p.Prefix(0), Path::Zero());
   EXPECT_EQ(p.ToString(t), "g(f(0))");
   EXPECT_EQ(p.ToWord(t), "f.g");
 }
