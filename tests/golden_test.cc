@@ -367,9 +367,9 @@ StatusOr<ModeBuild> BuildInMode(const ChiBuildProgram& program, bool merge,
   return out;
 }
 
-// One line per build: the hash of its graph and equational snapshot bytes,
-// the chi entry count, a hash of every entry's value in id order, the
-// truncated flag and the LabelOf hash.
+// One line per build: the hashes of its graph snapshot bytes and of its
+// equational snapshot bytes, the chi entry count, a hash of every entry's
+// value in id order, the truncated flag and the LabelOf hash.
 std::string ChiBuildLine(const ChiBuildProgram& program, bool merge,
                          const char* mode) {
   std::string line = program.name + " merge=" + (merge ? "1" : "0") + " " +
@@ -378,12 +378,14 @@ std::string ChiBuildLine(const ChiBuildProgram& program, bool merge,
   if (!build.ok()) return line + "error=" + build.status().ToString();
   const FunctionalDatabase& db = *build->db;
   Labeling& labeling = build->fixpoint.labeling;
-  Fnv1a snap;
+  Fnv1a gsnap;
   auto graph = db.BuildGraphSpec();
-  snap.Add(graph.ok() ? Snapshot::Serialize(*graph)
-                      : "!" + graph.status().ToString());
+  gsnap.Add(graph.ok() ? Snapshot::Serialize(*graph)
+                       : "!" + graph.status().ToString());
+  Fnv1a eqsnap;
   auto eq = db.BuildEquationalSpec();
-  snap.Add(eq.ok() ? Snapshot::Serialize(*eq) : "!" + eq.status().ToString());
+  eqsnap.Add(eq.ok() ? Snapshot::Serialize(*eq)
+                     : "!" + eq.status().ToString());
   std::string labels = LabelHash(labeling, 2000);
   const ChiEngine& chi = labeling.chi();
   Fnv1a table;
@@ -391,7 +393,7 @@ std::string ChiBuildLine(const ChiBuildProgram& program, bool merge,
     for (size_t a : chi.Value(e).ToVector()) table.Add(uint64_t{a});
     table.Add(~uint64_t{0});
   }
-  return line + "snap=" + snap.Hex() +
+  return line + "gsnap=" + gsnap.Hex() + " eqsnap=" + eqsnap.Hex() +
          " entries=" + std::to_string(chi.num_entries()) +
          " table=" + table.Hex() +
          " truncated=" + (db.truncated() ? "1" : "0") +
