@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,9 +25,17 @@ class DynamicBitset {
   DynamicBitset() = default;
   /// Creates an empty set over the universe [0, size).
   explicit DynamicBitset(size_t size)
-      : size_(size), words_((size + 63) / 64, 0) {}
+      : size_(size), words_(NumWords(size), 0) {}
+  /// The set over [0, size) whose words are `words` (NumWords(size) of them,
+  /// bit i of the set being bit i % 64 of word i / 64).
+  DynamicBitset(size_t size, std::span<const uint64_t> words)
+      : size_(size), words_(words.begin(), words.end()) {}
+
+  /// The words a set over [0, size) occupies.
+  static size_t NumWords(size_t size) { return (size + 63) / 64; }
 
   size_t size() const { return size_; }
+  std::span<const uint64_t> words() const { return words_; }
 
   bool Test(size_t i) const {
     return (words_[i >> 6] >> (i & 63)) & 1u;

@@ -1,6 +1,7 @@
 #include "src/core/subtree_closure.h"
 
 #include <algorithm>
+#include <cassert>
 #include <functional>
 #include <utility>
 
@@ -35,6 +36,7 @@ ChiEngine::ChiEngine(const GroundProgram* ground, DynamicBitset* ctx)
     : ground_(ground),
       ctx_(ctx),
       ctx_seen_(*ctx),
+      seed_stride_(DynamicBitset::NumWords(ground->num_atoms())),
       ctx_counted_(ground->num_ctx()),
       empty_seed_(ground->num_atoms()),
       seeds_(ground->num_symbols(), DynamicBitset(ground->num_atoms())),
@@ -70,15 +72,21 @@ ChiEngine::ChiEngine(const GroundProgram* ground, DynamicBitset* ctx)
 
 uint32_t ChiEngine::EntryFor(const DynamicBitset& seed) {
   RELSPEC_COUNTER("chi.lookups");
-  auto it = index_.find(seed);
-  if (it != index_.end()) {
+  assert(seed.size() == ground_->num_atoms());
+  const std::span<const uint64_t> words = seed.words();
+  const uint64_t hash = seed.Hash();
+  uint32_t id = index_.Find(hash, [&](uint32_t e) {
+    return std::equal(words.begin(), words.end(), Seed(e).begin());
+  });
+  if (id != IdIndex::kNone) {
     RELSPEC_COUNTER("chi.hits");
-    return it->second;
+    return id;
   }
   RELSPEC_COUNTER("chi.misses");
-  uint32_t id = static_cast<uint32_t>(entries_.size());
-  entries_.push_back(Entry{seed, seed, {}, {}, true});
-  index_.emplace(seed, id);
+  id = static_cast<uint32_t>(entries_.size());
+  seed_words_.insert(seed_words_.end(), words.begin(), words.end());
+  entries_.push_back(Entry{seed, {}, {}, true});
+  index_.Insert(hash, id);
   queue_.push_back(id);
   return id;
 }
@@ -270,23 +278,28 @@ bool ChiEngine::CloseNode(DynamicBitset* T, std::vector<uint32_t>* children,
   return emitted;
 }
 
+bool ChiEngine::CloseScratch(uint32_t entry) {
+  closed_ = entries_[entry].value;
+  reads_.clear();
+  return CloseNode(&closed_, &children_, &reads_);
+}
+
 bool ChiEngine::Close(uint32_t entry) {
-  DynamicBitset T = entries_[entry].value;
-  std::vector<uint32_t> children;
-  std::vector<uint32_t> reads;
-  bool emitted = CloseNode(&T, &children, &reads);
-  std::sort(reads.begin(), reads.end());
-  reads.erase(std::unique(reads.begin(), reads.end()), reads.end());
-  for (uint32_t r : reads) {
+  bool emitted = CloseScratch(entry);
+  std::sort(reads_.begin(), reads_.end());
+  reads_.erase(std::unique(reads_.begin(), reads_.end()), reads_.end());
+  for (uint32_t r : reads_) {
     std::vector<uint32_t>& readers = entries_[r].readers;
     auto it = std::lower_bound(readers.begin(), readers.end(), entry);
     if (it == readers.end() || *it != entry) readers.insert(it, entry);
   }
+  // Both assignments reuse the entry's storage once it has been closed: the
+  // children hold |Sigma| ids and the value keeps its universe.
   Entry& e = entries_[entry];
-  e.children = std::move(children);
+  e.children.assign(children_.begin(), children_.end());
   bool changed = emitted;
-  if (T != e.value) {
-    e.value = std::move(T);
+  if (closed_ != e.value) {
+    e.value = closed_;
     changed = true;
     for (uint32_t r : e.readers) Enqueue(r);
   }
@@ -334,12 +347,9 @@ const std::vector<uint32_t>& ChiEngine::Children(uint32_t entry) {
     RELSPEC_CHECK(frozen_)
         << "children of chi entry " << entry
         << " read before the fixpoint converged: seed="
-        << entries_[entry].seed.ToString();
-    DynamicBitset T = entries_[entry].value;
-    std::vector<uint32_t> children;
-    std::vector<uint32_t> reads;
-    CloseNode(&T, &children, &reads);
-    entries_[entry].children = std::move(children);
+        << DynamicBitset(ground_->num_atoms(), Seed(entry)).ToString();
+    CloseScratch(entry);
+    entries_[entry].children.assign(children_.begin(), children_.end());
     entries_[entry].queued = false;
   }
   return entries_[entry].children;
