@@ -99,7 +99,16 @@ class EquationalSpecification {
  private:
   friend StatusOr<EquationalSpecification> BuildEquationalSpecification(
       const GraphSpecification&);
+  friend StatusOr<EquationalSpecification> BuildEquationalSpecification(
+      const LabelGraph&, Labeling*, const SymbolTable&);
   friend class Snapshot;
+
+  /// The body of both builders: (B, R) over `graph`'s clusters with its
+  /// spec's atom dictionary, globals and symbols.
+  static EquationalSpecification FromGraph(
+      const LabelGraph& graph, const std::vector<SliceAtom>& atoms,
+      const std::vector<std::pair<PredId, std::vector<ConstId>>>& globals,
+      const SymbolTable& symbols);
 
   /// Lazily constructs the congruence closure over the equations.
   void EnsureClosure();
@@ -137,9 +146,11 @@ StatusOr<std::vector<Equation>> EquationsFromPaths(
 StatusOr<EquationalSpecification> BuildEquationalSpecification(
     const GraphSpecification& spec);
 
-/// BuildEquationalSpecification of BuildGraphSpecification(graph, labeling,
-/// symbols), for perfbench's staged pass; it goes with that pass's next
-/// change (ROADMAP item 7).
+/// The (B, R) that BuildEquationalSpecification of
+/// BuildGraphSpecification(graph, labeling, symbols) returns, built from
+/// the graph, the labeling's atoms and globals and `symbols` without an
+/// intermediate (B, F). For perfbench's staged pass; it goes with that
+/// pass's next change (ROADMAP item 7).
 StatusOr<EquationalSpecification> BuildEquationalSpecification(
     const LabelGraph& graph, Labeling* labeling, const SymbolTable& symbols);
 

@@ -119,6 +119,19 @@ std::string GraphSpecification::ToString() const {
   return out;
 }
 
+std::vector<std::pair<PredId, std::vector<ConstId>>> GlobalsOf(
+    const Labeling& labeling) {
+  std::vector<std::pair<PredId, std::vector<ConstId>>> out;
+  const GroundProgram& ground = labeling.ground();
+  for (CtxIdx i = 0; i < ground.num_ctx(); ++i) {
+    const CtxProp& prop = ground.ctx_prop(i);
+    if (prop.kind == CtxProp::Kind::kGlobal && labeling.ctx().Test(i)) {
+      out.emplace_back(prop.pred, prop.args);
+    }
+  }
+  return out;
+}
+
 StatusOr<GraphSpecification> BuildGraphSpecification(
     LabelGraph graph, const Labeling* labeling, const SymbolTable& symbols) {
   RELSPEC_PHASE("graph_spec.build");
@@ -130,12 +143,7 @@ StatusOr<GraphSpecification> BuildGraphSpecification(
   for (AtomIdx i = 0; i < ground.num_atoms(); ++i) {
     out.atom_index_.emplace(ground.atom(i), i);
   }
-  for (CtxIdx i = 0; i < ground.num_ctx(); ++i) {
-    const CtxProp& prop = ground.ctx_prop(i);
-    if (prop.kind == CtxProp::Kind::kGlobal && labeling->ctx().Test(i)) {
-      out.globals_.emplace_back(prop.pred, prop.args);
-    }
-  }
+  out.globals_ = GlobalsOf(*labeling);
   return out;
 }
 

@@ -83,6 +83,11 @@ class GraphSpecification {
   std::vector<std::pair<PredId, std::vector<ConstId>>> globals_;
 };
 
+/// The spec's globals: the ground non-functional atoms true in `labeling`'s
+/// context, in context order.
+std::vector<std::pair<PredId, std::vector<ConstId>>> GlobalsOf(
+    const Labeling& labeling);
+
 /// Extracts the self-contained (B, F) from a computed label graph, which it
 /// takes by value: pass an rvalue to move the graph in without a copy. The
 /// atom dictionary and the globals are read from `labeling`; the symbol
