@@ -5,6 +5,7 @@
 
 #include "bench/bench_util.h"
 #include "src/base/metrics.h"
+#include "src/base/str_util.h"
 #include "src/core/fixpoint.h"
 #include "src/core/ground.h"
 #include "src/core/mixed_to_pure.h"
@@ -370,6 +371,48 @@ TEST(Fixpoint, ChiClosureWorkIsLinearOnRotation) {
       << visits[0] << " " << visits[1] << " " << visits[2];
 }
 
+// The chi table keys entries by seed through an id index over a seed arena.
+// Thousands of distinct two-word seeds, through many index growths, must
+// each get one new id in order, and every repeated lookup must hit it.
+TEST(ChiEngine, EntryForGivesEachSeedOneIdThroughTableGrowth) {
+  std::string source = "Q(t, x) -> Q(t+1, x).\n";
+  for (int i = 0; i < 130; ++i) source += StrFormat("Q(0, c%d).\n", i);
+  auto b = Build(source);
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  const size_t num_atoms = b->ground.num_atoms();
+  ASSERT_GE(num_atoms, 130u);
+  DynamicBitset ctx(b->ground.num_ctx());
+  ChiEngine chi(&b->ground, &ctx);
+  // Seed i holds atom 10*j for each set bit j of i: distinct for distinct i,
+  // and every seed from 64 on has a bit in the second word.
+  constexpr uint32_t kSeeds = 5000;
+  auto seed_of = [&](uint32_t i) {
+    DynamicBitset seed(num_atoms);
+    for (size_t j = 0; j < 13; ++j) {
+      if ((i >> j) & 1) seed.Set(10 * j);
+    }
+    return seed;
+  };
+  ScopedMetrics metrics;
+  for (uint32_t i = 0; i < kSeeds; ++i) {
+    ASSERT_EQ(chi.EntryFor(seed_of(i)), i);
+  }
+  ASSERT_EQ(chi.num_entries(), kSeeds);
+  for (uint32_t round = 0; round < 2; ++round) {
+    for (uint32_t i = kSeeds; i-- > 0;) {
+      ASSERT_EQ(chi.EntryFor(seed_of(i)), i);
+    }
+  }
+  EXPECT_EQ(chi.num_entries(), kSeeds);
+  EXPECT_EQ(chi.Value(4999), seed_of(4999));
+  MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(snap.counter("chi.lookups"), 3u * kSeeds);
+  EXPECT_EQ(snap.counter("chi.misses"), kSeeds);
+  EXPECT_EQ(snap.counter("chi.hits"), 2u * kSeeds);
+  EXPECT_EQ(snap.counter("chi.hits") + snap.counter("chi.misses"),
+            snap.counter("chi.lookups"));
+}
+
 // Children of a queued entry are unclosed: reading them before the fixpoint
 // converged is a bug, except on a frozen engine, which closes the entry.
 TEST(ChiEngineDeathTest, QueuedChildrenReadOnlyWhenFrozen) {
@@ -378,7 +421,8 @@ TEST(ChiEngineDeathTest, QueuedChildrenReadOnlyWhenFrozen) {
   DynamicBitset ctx(b->ground.num_ctx());
   ChiEngine chi(&b->ground, &ctx);
   uint32_t entry = chi.EntryFor(DynamicBitset(b->ground.num_atoms()));
-  EXPECT_DEATH(chi.Children(entry), "read before the fixpoint converged");
+  EXPECT_DEATH(chi.Children(entry),
+               "read before the fixpoint converged: seed=\\{\\}");
   chi.set_frozen(true);
   EXPECT_EQ(chi.Children(entry).size(), b->ground.num_symbols());
 }

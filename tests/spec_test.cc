@@ -15,6 +15,7 @@
 #include "bench/bench_util.h"
 #include "src/base/governor.h"
 #include "src/base/metrics.h"
+#include "src/base/str_util.h"
 #include "src/core/engine.h"
 #include "src/core/verify.h"
 #include "src/parser/parser.h"
@@ -290,6 +291,106 @@ TEST(LabelGraph, TruncatedSuccessorsMatchPerPathLabels) {
       }
     }
   }
+}
+
+// The boundary terms f(0) and g(0) have different seeds, {A} and {B}, and
+// both close to {A, B}: two chi entries, one value.
+constexpr const char* kTwoSeedsOneValue = R"(
+  Start(0).
+  Start(t) -> A(f(t)).
+  Start(t) -> B(g(t)).
+  A(t) -> B(t).
+  B(t) -> A(t).
+)";
+
+// Algorithm Q finds a term's cluster by its chi entry once it has seen that
+// entry, and by the entry's value otherwise: two entries with different
+// seeds and equal values must share one cluster, in either frontier mode.
+TEST(LabelGraph, EntriesWithEqualValuesShareACluster) {
+  for (bool merge : {false, true}) {
+    SCOPED_TRACE(merge ? "merge_trunk_frontier" : "c+1 frontier");
+    EngineOptions options;
+    options.graph.merge_trunk_frontier = merge;
+    auto db = FunctionalDatabase::FromSource(kTwoSeedsOneValue, options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    auto replay = testutil::ReplayFixpoint(**db, options);
+    ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+    Labeling& labeling = replay->labeling;
+    const SymbolTable& symbols = (*db)->program().symbols;
+    const Path f(std::vector<FuncId>{*symbols.FindFunction("f")});
+    const Path g(std::vector<FuncId>{*symbols.FindFunction("g")});
+    const uint32_t entry_f = labeling.BoundaryEntry(f.symbols());
+    const uint32_t entry_g = labeling.BoundaryEntry(g.symbols());
+    ASSERT_NE(entry_f, entry_g);
+    EXPECT_EQ(labeling.chi().Value(entry_f), labeling.chi().Value(entry_g));
+    EXPECT_EQ(labeling.chi().Value(entry_f).Count(), 2u);
+
+    const LabelGraph& graph = (*db)->label_graph();
+    const uint32_t cluster = graph.ClusterOf(f);
+    EXPECT_FALSE(graph.cluster(cluster).trunk);
+    EXPECT_EQ(graph.ClusterOf(g), cluster);
+    // The root, the {A, B} state and the empty state below it.
+    EXPECT_EQ(graph.num_clusters(), 3u);
+    EXPECT_EQ(graph.EquivalenceScope(), 3u);
+    ExpectSuccessorsMatchLabeling(db->get(), options);
+  }
+}
+
+// The same program under a node budget that only the fixpoint sees: the
+// breach freezes the chi engine with entries still queued, so Algorithm Q's
+// traversal closes them on first read and creates entries as it goes. Every
+// edge must still lead to the cluster of the child's label, and no two
+// traversal clusters may share a label.
+TEST(LabelGraph, LazyClosesDuringTheTraversalKeepEdgesExact) {
+  auto db = FunctionalDatabase::FromSource(kTwoSeedsOneValue);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const GroundProgram& ground = (*db)->ground();
+  bool grew = false;
+  for (uint64_t max_nodes : {1u, 2u, 3u}) {
+    for (bool merge : {false, true}) {
+      SCOPED_TRACE(StrFormat("max_nodes=%llu merge=%d",
+                             static_cast<unsigned long long>(max_nodes),
+                             merge ? 1 : 0));
+      GovernorLimits limits;
+      limits.max_nodes = max_nodes;
+      ResourceGovernor governor(limits);
+      FixpointOptions fixpoint;
+      fixpoint.governor = &governor;
+      fixpoint.allow_partial = true;
+      auto labeling = ComputeFixpoint(ground, fixpoint);
+      ASSERT_TRUE(labeling.ok()) << labeling.status().ToString();
+      ASSERT_TRUE(labeling->truncated());
+      const size_t entries_before = labeling->chi().num_entries();
+      LabelGraphOptions options;
+      options.merge_trunk_frontier = merge;
+      options.allow_partial = true;
+      auto graph = BuildLabelGraph(&*labeling, options);
+      ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+      EXPECT_TRUE(graph->truncated());
+      grew |= labeling->chi().num_entries() > entries_before;
+      std::unordered_set<DynamicBitset, DynamicBitsetHash> labels;
+      for (uint32_t ci = 0; ci < graph->num_clusters(); ++ci) {
+        const Cluster& cl = graph->cluster(ci);
+        if (cl.trunk || ci == graph->unknown_cluster()) continue;
+        EXPECT_TRUE(labels.insert(cl.label).second) << "cluster " << ci;
+      }
+      const std::vector<FuncId>& alphabet = graph->alphabet();
+      for (uint32_t ci = 0; ci < graph->num_clusters(); ++ci) {
+        if (ci == graph->unknown_cluster()) continue;
+        for (SymIdx s = 0; s < alphabet.size(); ++s) {
+          const uint32_t succ = graph->SuccessorOf(ci, s);
+          ASSERT_LT(succ, graph->num_clusters());
+          if (succ == graph->unknown_cluster()) continue;
+          DynamicBitset want =
+              labeling->LabelOf(graph->Representative(ci).Extend(alphabet[s]));
+          EXPECT_EQ(graph->cluster(succ).label, want)
+              << "cluster " << ci << " symbol " << s;
+        }
+      }
+    }
+  }
+  // At least one budget leaves entries for the traversal to create.
+  EXPECT_TRUE(grew);
 }
 
 // ---------- equational specification ----------
