@@ -41,6 +41,7 @@
 #include "src/core/mixed_to_pure.h"
 #include "src/core/normalize.h"
 #include "src/core/wal.h"
+#include "src/parser/parser.h"
 
 namespace relspec {
 
@@ -103,6 +104,23 @@ struct RecoveryStats {
   uint64_t truncated_bytes = 0;
 };
 
+/// A source file parsed, and so validated, by
+/// FunctionalDatabase::ParseSource: its program and its queries. Only
+/// ParseSource makes one, so FromParsed builds its program without checking
+/// it again.
+class ParsedSource {
+ public:
+  const Program& program() const { return parsed_.program; }
+  /// The source's queries, in source order.
+  const std::vector<Query>& queries() const { return parsed_.queries; }
+
+ private:
+  friend class FunctionalDatabase;
+  ParsedSource() = default;
+
+  ParseResult parsed_;
+};
+
 /// A fully materialized functional deductive database with a finitely
 /// represented least fixpoint. Movable, not copyable.
 class FunctionalDatabase {
@@ -111,6 +129,13 @@ class FunctionalDatabase {
   /// validates the program; the build does not check it again.
   static StatusOr<std::unique_ptr<FunctionalDatabase>> FromSource(
       std::string_view source, const EngineOptions& options = {});
+  /// Parses a source file that may contain queries; the parser validates
+  /// its program. For a caller that wants the queries as well as the build.
+  static StatusOr<ParsedSource> ParseSource(std::string_view source);
+  /// Builds the program of a ParseSource result, which is not validated
+  /// again.
+  static StatusOr<std::unique_ptr<FunctionalDatabase>> FromParsed(
+      ParsedSource parsed, const EngineOptions& options = {});
   /// Validates and builds an already-constructed program.
   static StatusOr<std::unique_ptr<FunctionalDatabase>> FromProgram(
       Program program, const EngineOptions& options = {});
@@ -257,9 +282,9 @@ class FunctionalDatabase {
  private:
   FunctionalDatabase() = default;
 
-  /// The build behind FromSource and FromProgram. `program` must already be
-  /// valid (ValidateProgram): each way in validates it once, where it
-  /// enters.
+  /// The build behind FromSource, FromParsed and FromProgram. `program`
+  /// must already be valid (ValidateProgram): each way in validates it
+  /// once, where it enters.
   static StatusOr<std::unique_ptr<FunctionalDatabase>> Build(
       Program program, const EngineOptions& options);
 

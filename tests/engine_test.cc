@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 
+#include "src/ast/printer.h"
 #include "src/base/metrics.h"
 #include "src/core/engine.h"
 #include "src/core/query.h"
@@ -341,6 +342,40 @@ TEST(Engine, DeepGroundFactTrunk) {
   EXPECT_TRUE(*(*db)->HoldsFactText("Q(5)"));   // down from P(6)
   EXPECT_FALSE(*(*db)->HoldsFactText("Q(4)"));  // no P(5)
   EXPECT_TRUE((*db)->Verify().ok());
+}
+
+// A source file with queries, as relspec_cli and relspecd read one: the
+// parse keeps its queries, validates the program once, and the build from
+// it does not validate again. It answers as FromSource of the rules does.
+TEST(Engine, ParseSourceKeepsQueriesAndValidatesOnce) {
+  constexpr const char* kRules = R"(
+    Meets(0, Tony).
+    Next(Tony, Jan).
+    Next(Jan, Tony).
+    Meets(t, x), Next(x, y) -> Meets(t+1, y).
+  )";
+  MetricsRegistry::Global().Reset();
+  EnableMetrics(true);
+  auto parsed = FunctionalDatabase::ParseSource(
+      std::string(kRules) + "?(t) Meets(t, Jan).\n? Meets(2, Tony).\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->queries().size(), 2u);
+  EXPECT_EQ(ToString(parsed->queries()[0], parsed->program().symbols),
+            "?(t) Meets(t,Jan).");
+  auto db = FunctionalDatabase::FromParsed(std::move(parsed).value());
+  EnableMetrics(false);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  MetricsRegistry::Global().Reset();
+  ASSERT_NE(snap.phase("validate"), nullptr);
+  EXPECT_EQ(snap.phase("validate")->count, 1u);
+  auto reference = FunctionalDatabase::FromSource(kRules);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_EQ(Snapshot::Serialize(*(*db)->spec()),
+            Snapshot::Serialize(*(*reference)->spec()));
+
+  auto invalid = FunctionalDatabase::ParseSource("P(0).\nP(s) -> Q(s, y).");
+  EXPECT_TRUE(invalid.status().IsInvalidArgument());
 }
 
 TEST(Engine, MetricsCoverWholePipeline) {

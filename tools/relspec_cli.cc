@@ -376,14 +376,14 @@ int RunCli(int argc, char** argv) {
   } else {
     auto source = ReadFile(program_path);
     if (!source.ok()) return Fail(kExitIo, source.status());
-    auto parsed = Parse(*source);
+    auto parsed = FunctionalDatabase::ParseSource(*source);
     if (!parsed.ok()) return Fail(kExitParse, parsed.status());
     // Queries in the file join the --query texts, ahead of them: every
     // query parses against the spec's symbols, which in durable mode may
     // hold symbols the file never mentions (from replayed batches).
     std::vector<std::string> rendered;
-    for (const Query& q : parsed->queries) {
-      rendered.push_back(ToString(q, parsed->program.symbols));
+    for (const Query& q : parsed->queries()) {
+      rendered.push_back(ToString(q, parsed->program().symbols));
     }
     queries.insert(queries.begin(), rendered.begin(), rendered.end());
 
@@ -393,9 +393,9 @@ int RunCli(int argc, char** argv) {
     RecoveryStats recovery;
     auto built =
         wal_path.empty()
-            ? FunctionalDatabase::FromProgram(std::move(parsed->program),
-                                              options)
-            : FunctionalDatabase::OpenDurable(ToString(parsed->program),
+            ? FunctionalDatabase::FromParsed(std::move(parsed).value(),
+                                             options)
+            : FunctionalDatabase::OpenDurable(ToString(parsed->program()),
                                               wal_path, durable, options,
                                               &recovery);
     if (!built.ok()) return Fail(EngineExitCode(built.status()), built.status());

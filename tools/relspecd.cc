@@ -294,17 +294,17 @@ int RunDaemon(int argc, char** argv) {
       if (!text.ok()) return Fail(kExitIo, text.status());
       source = std::move(text).value();
     }
-    auto parsed = Parse(source);
+    auto parsed = FunctionalDatabase::ParseSource(source);
     if (!parsed.ok()) return Fail(kExitParse, parsed.status());
     StatusOr<std::unique_ptr<FunctionalDatabase>> db =
         Status::Internal("unreachable");
     if (wal_path.empty()) {
-      db = FunctionalDatabase::FromProgram(std::move(parsed->program));
+      db = FunctionalDatabase::FromParsed(std::move(parsed).value());
     } else {
       // Durable mode anchors on the rendered program (like the CLI), so
       // comments never shift the recovery fingerprint.
       RecoveryStats recovery;
-      db = FunctionalDatabase::OpenDurable(ToString(parsed->program),
+      db = FunctionalDatabase::OpenDurable(ToString(parsed->program()),
                                            wal_path, durable, {}, &recovery);
       if (db.ok()) {
         fprintf(stderr,
