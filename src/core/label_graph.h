@@ -16,7 +16,10 @@
 // cluster's entry, as recorded when the fixpoint closed that entry (a
 // depth-c frontier term reads its trunk label instead). So no term is
 // looked up by path, a converged labeling closes nothing, and a successor
-// edge is set the moment the child term resolves to a cluster.
+// edge is set the moment the child term resolves to a cluster. A term is
+// resolved by its entry: each entry's cluster is kept in an array the entry
+// id indexes, and only an entry's first visit (or a depth-c term, which has
+// no entry) looks its label up, in an IdIndex over the clusters' labels.
 //
 // Every representative is f(representative of an earlier cluster): a trunk
 // path extends its trunk parent, a frontier term a depth-c (or depth c-1)
