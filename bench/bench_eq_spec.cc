@@ -34,8 +34,8 @@ void BuildAndReport(benchmark::State& state, const std::string& source) {
       return;
     }
     equations = espec->num_equations();
-    reps = espec->clusters().size();
-    tuples = espec->num_slice_tuples();
+    reps = espec->spec().num_clusters();
+    tuples = espec->spec().num_slice_tuples();
     eq_path_symbols = 0;
     for (const Equation& eq : espec->equations()) {
       const auto [t1, t2] = espec->EquationPaths(eq);
@@ -72,9 +72,9 @@ void BM_EqSpec_MembershipWalk(benchmark::State& state) {
   }
   auto espec = (*db)->BuildEquationalSpec();
   if (!espec.ok()) return;
-  PredId oncall = *espec->symbols().FindPredicate("OnCall");
-  ConstId m0 = *espec->symbols().FindConstant("m0");
-  FuncId succ = *espec->symbols().FindFunction("+1");
+  PredId oncall = *espec->spec().symbols().FindPredicate("OnCall");
+  ConstId m0 = *espec->spec().symbols().FindConstant("m0");
+  FuncId succ = *espec->spec().symbols().FindFunction("+1");
   std::vector<FuncId> syms(static_cast<size_t>(state.range(0)), succ);
   Path deep{std::move(syms)};
   for (auto _ : state) {

@@ -31,7 +31,7 @@ int main() {
          spec->ToString().c_str());
 
   auto nat = [&](int n) {
-    FuncId succ = *spec->symbols().FindFunction("+1");
+    FuncId succ = *spec->spec().symbols().FindFunction("+1");
     std::vector<FuncId> syms(static_cast<size_t>(n), succ);
     return Path(std::move(syms));
   };
@@ -46,7 +46,7 @@ int main() {
   }
 
   printf("\n== membership via (B, R) ==\n");
-  PredId even = *spec->symbols().FindPredicate("Even");
+  PredId even = *spec->spec().symbols().FindPredicate("Even");
   for (int n = 0; n <= 9; ++n) {
     printf("  Even(%d) -> %s\n", n,
            spec->Holds(nat(n), even, {}) ? "true" : "false");

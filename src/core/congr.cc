@@ -25,15 +25,15 @@ bool BoundedCongrResult::Holds(const Path& path, PredId pred,
   return db.Contains(pred, tuple);
 }
 
-std::string CongrRulesText(const EquationalSpecification& spec) {
+std::string CongrRulesText(const EquationalSpecification& eq) {
+  const GraphSpecification& spec = eq.spec();
   const SymbolTable& symbols = spec.symbols();
   std::string out;
   out += "% CONGR: database-independent canonical form (Section 3.6)\n";
   out += "eq(x,x) :- term(x).\n";
   out += "eq(x,y) :- eq(y,x).\n";
   out += "eq(x,y) :- eq(x,z), eq(z,y).\n";
-  // One congruence rule per function symbol of the alphabet. Function
-  // symbols are recovered from the equations' representatives.
+  // One congruence rule per function symbol of the spec's alphabet.
   for (FuncId fn : spec.alphabet()) {
     const char* f = symbols.function(fn).name.c_str();
     out += StrFormat("eq(x1,y1) :- eq(x,y), apply_%s(x,x1), apply_%s(y,y1).\n",
@@ -51,13 +51,12 @@ std::string CongrRulesText(const EquationalSpecification& spec) {
 }
 
 StatusOr<BoundedCongrResult> EvaluateCongrBounded(
-    const EquationalSpecification& spec, int bound,
+    const EquationalSpecification& eq, int bound,
     datalog::Strategy strategy) {
   BoundedCongrResult out;
+  const GraphSpecification& spec = eq.spec();
   const SymbolTable& symbols = spec.symbols();
-
-  // Alphabet: the pure function symbols of the specification's table.
-  const std::vector<FuncId> alphabet = spec.alphabet();
+  const std::vector<FuncId>& alphabet = spec.alphabet();
 
   // Enumerate the bounded universe.
   std::unordered_map<Path, uint32_t, PathHash> term_index;
@@ -110,9 +109,9 @@ StatusOr<BoundedCongrResult> EvaluateCongrBounded(
   }
 
   // C = B ∪ R.
-  for (uint32_t ci = 0; ci < spec.clusters().size(); ++ci) {
-    const Cluster& c = spec.clusters()[ci];
-    auto it = term_index.find(spec.Representative(ci));
+  for (uint32_t ci = 0; ci < spec.num_clusters(); ++ci) {
+    const Cluster& c = spec.graph().cluster(ci);
+    auto it = term_index.find(spec.graph().Representative(ci));
     if (it == term_index.end()) {
       return Status::InvalidArgument(
           "CONGR bound does not cover a representative term of B");
@@ -130,8 +129,8 @@ StatusOr<BoundedCongrResult> EvaluateCongrBounded(
   for (const auto& [pred, args] : spec.globals()) {
     db.Insert(pred, args);
   }
-  for (const Equation& eq : spec.equations()) {
-    const auto [t1, t2] = spec.EquationPaths(eq);
+  for (const Equation& e : eq.equations()) {
+    const auto [t1, t2] = eq.EquationPaths(e);
     auto i1 = term_index.find(t1);
     auto i2 = term_index.find(t2);
     if (i1 == term_index.end() || i2 == term_index.end()) {

@@ -110,7 +110,7 @@ StatusOr<GraphSpecification> FunctionalDatabase::BuildGraphSpec() const {
 
 StatusOr<EquationalSpecification> FunctionalDatabase::BuildEquationalSpec()
     const {
-  return BuildEquationalSpecification(*spec_);
+  return BuildEquationalSpecification(spec_);
 }
 
 namespace {

@@ -193,7 +193,8 @@ class FunctionalDatabase {
 
   /// A copy of spec().
   StatusOr<GraphSpecification> BuildGraphSpec() const;
-  /// Builds the (B, R) equational specification (Section 3.5) from spec().
+  /// Builds the (B, R) equational specification (Section 3.5) over spec(),
+  /// which it shares: it outlives this database and its updates.
   StatusOr<EquationalSpecification> BuildEquationalSpec() const;
 
   /// Applies a batch of base-fact deltas in order (docs/INCREMENTAL.md):

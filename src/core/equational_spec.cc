@@ -1,7 +1,5 @@
 #include "src/core/equational_spec.h"
 
-#include <unordered_map>
-
 #include "src/base/metrics.h"
 #include "src/base/str_util.h"
 
@@ -14,9 +12,10 @@ void EquationalSpecification::EnsureClosure() {
   closure_ = std::make_unique<CongruenceClosure>(arena_.get());
   closure_->set_governor(governor_);
   // Parents precede their children, so each term extends an interned one.
-  cluster_terms_.resize(clusters_.size());
-  for (size_t i = 0; i < clusters_.size(); ++i) {
-    const Cluster& c = clusters_[i];
+  const std::vector<Cluster>& clusters = spec_->graph().clusters();
+  cluster_terms_.resize(clusters.size());
+  for (size_t i = 0; i < clusters.size(); ++i) {
+    const Cluster& c = clusters[i];
     cluster_terms_[i] =
         c.parent == kInvalidId
             ? arena_->Zero()
@@ -48,114 +47,53 @@ StatusOr<EqProof> EquationalSpecification::ExplainCongruence(const Path& a,
 StatusOr<std::string> EquationalSpecification::ExplainCongruenceText(
     const Path& a, const Path& b) {
   RELSPEC_ASSIGN_OR_RETURN(EqProof proof, ExplainCongruence(a, b));
-  return proof.ToString(*arena_, symbols_);
+  return proof.ToString(*arena_, spec_->symbols());
 }
 
 bool EquationalSpecification::Holds(const Path& path, PredId pred,
                                     const std::vector<ConstId>& args) {
   RELSPEC_COUNTER("eqspec.membership_checks");
   RELSPEC_SCOPED_TIMER("eqspec.holds_ns");
-  auto it = atom_index_.find(SliceAtom{pred, args});
-  if (it == atom_index_.end()) return false;
-  AtomIdx atom = it->second;
+  const AtomIdx atom = spec_->FindAtom(pred, args);
+  if (atom == kInvalidId) return false;
   EnsureClosure();
   TermId t0 = path.ToTerm(arena_.get());
   // T = {t : P(t, a...) in B}; accept iff (t0, t) in Cl(R) for some t.
-  for (size_t i = 0; i < clusters_.size(); ++i) {
-    if (!clusters_[i].label.Test(atom)) continue;
+  const std::vector<Cluster>& clusters = spec_->graph().clusters();
+  for (size_t i = 0; i < clusters.size(); ++i) {
+    if (!clusters[i].label.Test(atom)) continue;
     if (closure_->AreCongruent(t0, cluster_terms_[i])) return true;
   }
   return false;
 }
 
-bool EquationalSpecification::HoldsGlobal(
-    PredId pred, const std::vector<ConstId>& args) const {
-  for (const auto& [p, a] : globals_) {
-    if (p == pred && a == args) return true;
-  }
-  return false;
-}
-
-std::vector<FuncId> EquationalSpecification::alphabet() const {
-  std::vector<FuncId> out;
-  for (FuncId f = 0; f < symbols_.num_functions(); ++f) {
-    if (symbols_.function(f).arity == 1) out.push_back(f);
-  }
-  return out;
-}
-
-size_t EquationalSpecification::num_slice_tuples() const {
-  size_t n = 0;
-  for (const Cluster& c : clusters_) n += c.label.Count();
-  return n;
-}
-
 std::string EquationalSpecification::ToString() const {
+  const GraphSpecification& b = *spec_;
   std::string out = StrFormat(
       "equational specification: %zu representatives, %zu tuples, %zu "
       "equations%s\n",
-      clusters_.size(), num_slice_tuples(), equations_.size(),
-      truncated_ ? " [truncated]" : "");
-  if (truncated_) {
+      b.num_clusters(), b.num_slice_tuples(), equations_.size(),
+      b.truncated() ? " [truncated]" : "");
+  if (b.truncated()) {
     out += StrFormat("  (partial result, sound under-approximation: %s)\n",
-                     breach_.message().c_str());
+                     b.breach().message().c_str());
   }
   for (const Equation& eq : equations_) {
     const auto [t1, t2] = EquationPaths(eq);
-    out += "  " + t1.ToString(symbols_) + " == " + t2.ToString(symbols_) + "\n";
+    out += "  " + t1.ToString(b.symbols()) + " == " +
+           t2.ToString(b.symbols()) + "\n";
   }
   return out;
 }
 
-StatusOr<std::vector<Equation>> EquationsFromPaths(
-    const std::vector<Cluster>& clusters,
-    const std::vector<std::pair<Path, Path>>& pairs,
-    const std::vector<FuncId>& alphabet) {
-  // First occurrence wins, as in LinkRepresentatives.
-  std::unordered_map<Path, uint32_t, PathHash> index;
-  for (uint32_t i = 0; i < clusters.size(); ++i) {
-    index.emplace(RepresentativePath(clusters, i), i);
+StatusOr<EquationalSpecification> BuildEquationalSpecification(
+    std::shared_ptr<const GraphSpecification> spec) {
+  if (spec == nullptr) {
+    return Status::InvalidArgument("(B, R) needs a graph specification");
   }
-  std::vector<Equation> out;
-  out.reserve(pairs.size());
-  for (const auto& [t1, t2] : pairs) {
-    auto parent = t1.empty() ? index.end() : index.find(t1.Parent());
-    auto target = index.find(t2);
-    if (parent == index.end() || target == index.end()) {
-      return Status::InvalidArgument(
-          "equation term is not over a representative");
-    }
-    if (AlphabetIndex(alphabet, t1.Outermost()) == kInvalidId) {
-      return Status::InvalidArgument("equation symbol outside the alphabet");
-    }
-    out.push_back({parent->second, t1.Outermost(), target->second});
-  }
-  return out;
-}
-
-EquationalSpecification EquationalSpecification::FromGraph(
-    const LabelGraph& graph, const std::vector<SliceAtom>& atoms,
-    const std::vector<std::pair<PredId, std::vector<ConstId>>>& globals,
-    const SymbolTable& symbols) {
   RELSPEC_PHASE("eqspec.build");
-  EquationalSpecification out;
-  out.symbols_ = symbols;
-  out.trunk_depth_ = graph.trunk_depth();
-  out.clusters_.reserve(graph.num_clusters());
-  for (const Cluster& c : graph.clusters()) {
-    Cluster& copy = out.clusters_.emplace_back();
-    copy.parent = c.parent;
-    copy.symbol = c.symbol;
-    copy.label = c.label;
-    copy.trunk = c.trunk;
-  }
-  out.atoms_ = atoms;
-  for (AtomIdx i = 0; i < out.atoms_.size(); ++i) {
-    out.atom_index_.emplace(out.atoms_[i], i);
-  }
-  out.globals_ = globals;
-  out.truncated_ = graph.truncated();
-  out.breach_ = graph.breach();
+  const LabelGraph& graph = spec->graph();
+  EquationalSpecification out(std::move(spec));
 
   // R(t1, t2) iff Active(t1), Potential(t2), t1 ~ t2 (Section 3.6): i.e. one
   // equation per Potential term that did not become Active, pairing it with
@@ -199,16 +137,11 @@ EquationalSpecification EquationalSpecification::FromGraph(
 }
 
 StatusOr<EquationalSpecification> BuildEquationalSpecification(
-    const GraphSpecification& spec) {
-  return EquationalSpecification::FromGraph(spec.graph(),
-                                            spec.atom_dictionary(),
-                                            spec.globals(), spec.symbols());
-}
-
-StatusOr<EquationalSpecification> BuildEquationalSpecification(
     const LabelGraph& graph, Labeling* labeling, const SymbolTable& symbols) {
-  return EquationalSpecification::FromGraph(
-      graph, labeling->ground().atoms(), GlobalsOf(*labeling), symbols);
+  RELSPEC_ASSIGN_OR_RETURN(GraphSpecification spec,
+                           BuildGraphSpecification(graph, labeling, symbols));
+  return BuildEquationalSpecification(
+      std::make_shared<const GraphSpecification>(std::move(spec)));
 }
 
 }  // namespace relspec

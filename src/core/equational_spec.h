@@ -9,10 +9,12 @@
 // [DST80]; although Cl(R) is infinite, the test only examines the finitely
 // many subterms of R, t0 and t.
 //
-// Both halves of an equation are cluster terms: t1 is f(representative of a
-// cluster) and t2 a representative, so R is stored as (cluster, symbol,
-// cluster) triples over the representatives' BFS tree (label_graph.h), and
-// the closure interns one term per cluster.
+// B is not copied: the specification holds the (B, F) it was built from
+// through a shared pointer and keeps only R and the closure it builds
+// lazily. Both halves of an equation are cluster terms: t1 is
+// f(representative of a cluster) and t2 a representative, so R is stored as
+// (cluster, symbol, cluster) triples over the representatives' BFS tree
+// (label_graph.h), and the closure interns one term per cluster.
 
 #ifndef RELSPEC_CORE_EQUATIONAL_SPEC_H_
 #define RELSPEC_CORE_EQUATIONAL_SPEC_H_
@@ -40,10 +42,9 @@ struct Equation {
 class EquationalSpecification {
  public:
   /// Membership of the functional fact pred(path, args...), via congruence
-  /// closure against the representatives holding this tuple.
+  /// closure against the representatives holding this tuple. Global facts
+  /// are answered by spec().HoldsGlobal.
   bool Holds(const Path& path, PredId pred, const std::vector<ConstId>& args);
-
-  bool HoldsGlobal(PredId pred, const std::vector<ConstId>& args) const;
 
   /// Decides (a, b) in Cl(R).
   bool Congruent(const Path& a, const Path& b);
@@ -60,68 +61,37 @@ class EquationalSpecification {
   size_t num_equations() const { return equations_.size(); }
   /// An equation as its (term, representative) path pair.
   std::pair<Path, Path> EquationPaths(const Equation& eq) const {
-    return {Representative(eq.cluster).Extend(eq.symbol),
-            Representative(eq.target)};
+    return {spec_->graph().Representative(eq.cluster).Extend(eq.symbol),
+            spec_->graph().Representative(eq.target)};
   }
 
-  /// Representatives and their slices (the primary database B), aligned with
-  /// the graph specification's clusters. Successor maps are not kept.
-  const std::vector<Cluster>& clusters() const { return clusters_; }
-  /// The representative of `cluster` as a path. O(depth).
-  Path Representative(uint32_t cluster) const {
-    return RepresentativePath(clusters_, cluster);
-  }
-  const std::vector<SliceAtom>& atom_dictionary() const { return atoms_; }
-  const std::vector<std::pair<PredId, std::vector<ConstId>>>& globals() const {
-    return globals_;
-  }
-  const SymbolTable& symbols() const { return symbols_; }
-  /// The pure function symbols: the symbol table's unary ones.
-  std::vector<FuncId> alphabet() const;
-  int trunk_depth() const { return trunk_depth_; }
-
-  size_t num_slice_tuples() const;
+  /// The (B, F) that R was read off, shared, not copied: its clusters and
+  /// slices, atom dictionary, globals and symbols are the primary database
+  /// B, and its truncation marker says whether R is partial. A truncated
+  /// graph's R omits equations through the unknown cluster, so Cl(R) — and
+  /// hence Holds — under-approximates the state congruence soundly.
+  const GraphSpecification& spec() const { return *spec_; }
 
   /// Optional resource governor for the lazily-built congruence closure
   /// (polled per pending merge). Must be set before the first membership
   /// test and outlive this specification.
   void set_governor(ResourceGovernor* g) { governor_ = g; }
 
-  /// True when the source label graph was truncated by a resource breach:
-  /// R omits equations through the unknown cluster, so Cl(R) — and hence
-  /// Holds — under-approximates the state congruence soundly.
-  bool truncated() const { return truncated_; }
-  /// The breach that truncated the source graph; OK unless truncated().
-  const Status& breach() const { return breach_; }
-
   std::string ToString() const;
 
  private:
   friend StatusOr<EquationalSpecification> BuildEquationalSpecification(
-      const GraphSpecification&);
-  friend StatusOr<EquationalSpecification> BuildEquationalSpecification(
-      const LabelGraph&, Labeling*, const SymbolTable&);
-  friend class Snapshot;
+      std::shared_ptr<const GraphSpecification>);
 
-  /// The body of both builders: (B, R) over `graph`'s clusters with its
-  /// spec's atom dictionary, globals and symbols.
-  static EquationalSpecification FromGraph(
-      const LabelGraph& graph, const std::vector<SliceAtom>& atoms,
-      const std::vector<std::pair<PredId, std::vector<ConstId>>>& globals,
-      const SymbolTable& symbols);
+  explicit EquationalSpecification(
+      std::shared_ptr<const GraphSpecification> spec)
+      : spec_(std::move(spec)) {}
 
   /// Lazily constructs the congruence closure over the equations.
   void EnsureClosure();
 
-  std::vector<Cluster> clusters_;  // successors left empty
+  std::shared_ptr<const GraphSpecification> spec_;
   std::vector<Equation> equations_;
-  std::vector<SliceAtom> atoms_;
-  std::unordered_map<SliceAtom, AtomIdx, SliceAtomHasher> atom_index_;
-  std::vector<std::pair<PredId, std::vector<ConstId>>> globals_;
-  SymbolTable symbols_;
-  int trunk_depth_ = 0;
-  bool truncated_ = false;
-  Status breach_;
   ResourceGovernor* governor_ = nullptr;
 
   std::unique_ptr<TermArena> arena_;
@@ -131,25 +101,14 @@ class EquationalSpecification {
   std::vector<TermId> cluster_terms_;
 };
 
-/// Resolves equations given as (term, representative) path pairs, as
-/// version 1 snapshots store them, into triples over the representatives
-/// of `clusters`: each term must be symbol(representative) with a symbol of
-/// `alphabet` (ascending). InvalidArgument otherwise.
-StatusOr<std::vector<Equation>> EquationsFromPaths(
-    const std::vector<Cluster>& clusters,
-    const std::vector<std::pair<Path, Path>>& pairs,
-    const std::vector<FuncId>& alphabet);
-
-/// The self-contained (B, R) of a (B, F): the same clusters, slices, atom
-/// dictionary, globals and symbols, with R read off the successor graph.
-/// Works on an engine's spec and on one loaded from a snapshot alike.
+/// The (B, R) of a (B, F): R read off the successor graph, over `spec` as
+/// its primary database, which it shares. Works on an engine's spec and on
+/// one loaded from a snapshot alike. InvalidArgument for a null `spec`.
 StatusOr<EquationalSpecification> BuildEquationalSpecification(
-    const GraphSpecification& spec);
+    std::shared_ptr<const GraphSpecification> spec);
 
-/// The (B, R) that BuildEquationalSpecification of
-/// BuildGraphSpecification(graph, labeling, symbols) returns, built from
-/// the graph, the labeling's atoms and globals and `symbols` without an
-/// intermediate (B, F). For perfbench's staged pass; it goes with that
+/// The (B, R) of BuildGraphSpecification(graph, labeling, symbols), which
+/// it builds and shares. For perfbench's staged pass; it goes with that
 /// pass's next change (ROADMAP item 7).
 StatusOr<EquationalSpecification> BuildEquationalSpecification(
     const LabelGraph& graph, Labeling* labeling, const SymbolTable& symbols);

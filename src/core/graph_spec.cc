@@ -6,13 +6,19 @@
 
 namespace relspec {
 
+AtomIdx GraphSpecification::FindAtom(PredId pred,
+                                     const std::vector<ConstId>& args) const {
+  auto it = atom_index_.find(SliceAtom{pred, args});
+  return it == atom_index_.end() ? kInvalidId : it->second;
+}
+
 bool GraphSpecification::Holds(const Path& path, PredId pred,
                                const std::vector<ConstId>& args) const {
-  auto it = atom_index_.find(SliceAtom{pred, args});
-  if (it == atom_index_.end()) return false;
+  const AtomIdx atom = FindAtom(pred, args);
+  if (atom == kInvalidId) return false;
   uint32_t cluster = graph_.ClusterOf(path);
   if (cluster == kInvalidId) return false;
-  return graph_.cluster(cluster).label.Test(it->second);
+  return graph_.cluster(cluster).label.Test(atom);
 }
 
 bool GraphSpecification::HoldsGlobal(PredId pred,

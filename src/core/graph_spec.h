@@ -7,6 +7,10 @@
 // slices, and the successor maps. Membership of any ground fact is decided
 // by the Link walk (find the representative of the term's cluster, check the
 // slice) without consulting Z or D.
+//
+// It is also the one copy of the primary database B: the equational
+// specification (B, R) (equational_spec.h) shares a GraphSpecification
+// through a shared pointer and adds only the equations R.
 
 #ifndef RELSPEC_CORE_GRAPH_SPEC_H_
 #define RELSPEC_CORE_GRAPH_SPEC_H_
@@ -25,6 +29,9 @@ class GraphSpecification {
   /// Membership of the functional fact pred(path, args...).
   bool Holds(const Path& path, PredId pred,
              const std::vector<ConstId>& args) const;
+  /// The index of the slice atom pred(args...) in atom_dictionary(), or
+  /// kInvalidId when no slice can hold it. (B, R) finds its atoms here too.
+  AtomIdx FindAtom(PredId pred, const std::vector<ConstId>& args) const;
   /// Membership of a ground non-functional fact.
   bool HoldsGlobal(PredId pred, const std::vector<ConstId>& args) const;
   /// Membership of one ground fact over symbols(), functional or global.

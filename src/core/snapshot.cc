@@ -391,13 +391,13 @@ bool TrunkIsHeap(const std::vector<Cluster>& clusters,
   return true;
 }
 
-// Reads the cluster section of either version. `alphabet` bounds the tree
-// symbols (a version 1 path is linked into the tree, which checks the same).
-// With `successors`, each cluster keeps a successor list of one target per
-// alphabet symbol; without, version 1's lists are skipped.
+// Reads a graph's cluster section of either version. `alphabet` bounds the
+// tree symbols (a version 1 path is linked into the tree, which checks the
+// same), and each cluster keeps a successor list of one target per alphabet
+// symbol.
 Status ReadClusters(Reader* r, uint32_t version,
                     const std::vector<FuncId>& alphabet, size_t num_atoms,
-                    bool successors, std::vector<Cluster>* clusters) {
+                    std::vector<Cluster>* clusters) {
   uint32_t n = 0;
   RELSPEC_RETURN_NOT_OK(r->U32(&n));
   clusters->clear();
@@ -421,22 +421,20 @@ Status ReadClusters(Reader* r, uint32_t version,
       }
     }
     RELSPEC_RETURN_NOT_OK(r->Bits(&c.label, num_atoms));
-    if (successors || version == 1) {
-      uint32_t succ = 0;
-      RELSPEC_RETURN_NOT_OK(r->U32(&succ));
-      if (succ > r->remaining() / 4) {
-        return Status::InvalidArgument("snapshot: truncated section");
-      }
-      for (uint32_t s = 0; s < succ; ++s) {
-        uint32_t t = 0;
-        RELSPEC_RETURN_NOT_OK(r->U32(&t));
-        if (successors) c.successors.push_back(t);
-      }
+    uint32_t succ = 0;
+    RELSPEC_RETURN_NOT_OK(r->U32(&succ));
+    if (succ > r->remaining() / 4) {
+      return Status::InvalidArgument("snapshot: truncated section");
+    }
+    for (uint32_t s = 0; s < succ; ++s) {
+      uint32_t t = 0;
+      RELSPEC_RETURN_NOT_OK(r->U32(&t));
+      c.successors.push_back(t);
     }
     clusters->push_back(std::move(c));
   }
   for (const Cluster& c : *clusters) {
-    if (successors && c.successors.size() != alphabet.size()) {
+    if (c.successors.size() != alphabet.size()) {
       return Status::InvalidArgument("snapshot: successor count mismatch");
     }
     for (uint32_t t : c.successors) {
@@ -515,17 +513,15 @@ void WriteMeta(int trunk_depth, int frontier_depth, uint32_t unknown_cluster,
   w->End();
 }
 
-// A graph's frontier is c+1, or c under merge_trunk_frontier; an equational
-// spec writes 0 there.
-Status ReadMeta(Reader* r, Snapshot::Kind kind, int* trunk_depth,
-                int* frontier_depth, uint32_t* unknown_cluster,
-                bool* truncated, Status* breach) {
+// A graph's frontier is c+1, or c under merge_trunk_frontier.
+Status ReadMeta(Reader* r, int* trunk_depth, int* frontier_depth,
+                uint32_t* unknown_cluster, bool* truncated, Status* breach) {
   RELSPEC_RETURN_NOT_OK(r->I32(trunk_depth));
   RELSPEC_RETURN_NOT_OK(r->I32(frontier_depth));
   if (*trunk_depth < 0) {
     return Status::InvalidArgument("snapshot: negative trunk depth");
   }
-  if (kind == Snapshot::Kind::kGraph && *frontier_depth != *trunk_depth &&
+  if (*frontier_depth != *trunk_depth &&
       *frontier_depth != *trunk_depth + 1) {
     return Status::InvalidArgument(
         "snapshot: frontier depth is neither the trunk depth nor one more");
@@ -664,13 +660,11 @@ StatusOr<std::string> Snapshot::Upgrade(std::string_view bytes) {
   uint32_t version = 0;
   std::string_view body;
   RELSPEC_RETURN_NOT_OK(ReadHeader(bytes, &kind, &version, &body));
-  if (version == kVersion) return std::string(bytes);
-  if (kind == Kind::kGraph) {
-    RELSPEC_ASSIGN_OR_RETURN(GraphSpecification spec, ParseGraphSpec(bytes));
-    return Serialize(spec);
+  if (kind != Kind::kGraph) {
+    return Status::InvalidArgument("snapshot: not a graph specification");
   }
-  RELSPEC_ASSIGN_OR_RETURN(EquationalSpecification spec,
-                           ParseEquationalSpec(bytes));
+  if (version == kVersion) return std::string(bytes);
+  RELSPEC_ASSIGN_OR_RETURN(GraphSpecification spec, ParseGraphSpec(bytes));
   return Serialize(spec);
 }
 
@@ -690,9 +684,9 @@ StatusOr<GraphSpecification> Snapshot::ParseGraphSpec(std::string_view bytes) {
   {
     RELSPEC_ASSIGN_OR_RETURN(Section s, FindSection(sections, kSecMeta));
     Reader r(s.data, s.size);
-    RELSPEC_RETURN_NOT_OK(ReadMeta(&r, kind, &g.trunk_depth_,
-                                   &g.frontier_depth_, &g.unknown_cluster_,
-                                   &g.truncated_, &g.breach_));
+    RELSPEC_RETURN_NOT_OK(ReadMeta(&r, &g.trunk_depth_, &g.frontier_depth_,
+                                   &g.unknown_cluster_, &g.truncated_,
+                                   &g.breach_));
   }
   {
     RELSPEC_ASSIGN_OR_RETURN(Section s, FindSection(sections, kSecSymbols));
@@ -731,8 +725,7 @@ StatusOr<GraphSpecification> Snapshot::ParseGraphSpec(std::string_view bytes) {
     RELSPEC_ASSIGN_OR_RETURN(Section s, FindSection(sections, kSecClusters));
     Reader r(s.data, s.size);
     RELSPEC_RETURN_NOT_OK(ReadClusters(&r, version, g.alphabet_,
-                                       spec.atoms_.size(),
-                                       /*successors=*/true, &g.clusters_));
+                                       spec.atoms_.size(), &g.clusters_));
     // The Link walk enters the trunk at cluster 0 and follows its edges, so
     // the trunk must be the paths above the frontier laid out as a heap:
     // cluster i is trunk path i in shortlex order, and its edges lead to its
@@ -792,122 +785,33 @@ StatusOr<GraphSpecification> Snapshot::ParseGraphSpec(std::string_view bytes) {
 // Equational specification
 // ---------------------------------------------------------------------------
 
-std::string Snapshot::Serialize(const EquationalSpecification& spec) {
+// Written for readers of the format, not read back: B is the shared (B, F)'s,
+// without its alphabet, successors or boundary.
+std::string Snapshot::Serialize(const EquationalSpecification& eq) {
   RELSPEC_PHASE("snapshot.save");
+  const GraphSpecification& spec = eq.spec();
   Writer w;
   WriteMeta(spec.trunk_depth(), /*frontier_depth=*/0,
             /*unknown_cluster=*/kInvalidId, spec.truncated(), spec.breach(),
             &w);
   WriteSymbols(spec.symbols(), &w);
   WriteAtoms(spec.atom_dictionary(), &w);
-  WriteClusters(spec.clusters(), /*successors=*/false, &w);
+  WriteClusters(spec.graph().clusters(), /*successors=*/false, &w);
 
   // Version 2 equation: u32 cluster | u32 symbol | u32 target cluster.
-  // Version 1 wrote the two paths.
   w.Begin(kSecEquations);
-  const std::vector<Equation>& equations = spec.equations();
+  const std::vector<Equation>& equations = eq.equations();
   char* p = w.Grow(4 * (1 + 3 * equations.size()));
   p = Writer::Store32(p, static_cast<uint32_t>(equations.size()));
-  for (const Equation& eq : equations) {
-    p = Writer::Store32(p, eq.cluster);
-    p = Writer::Store32(p, eq.symbol);
-    p = Writer::Store32(p, eq.target);
+  for (const Equation& e : equations) {
+    p = Writer::Store32(p, e.cluster);
+    p = Writer::Store32(p, e.symbol);
+    p = Writer::Store32(p, e.target);
   }
   w.End();
 
   WriteGlobals(spec.globals(), &w);
   return w.Finish(Kind::kEquational);
-}
-
-StatusOr<EquationalSpecification> Snapshot::ParseEquationalSpec(
-    std::string_view bytes) {
-  RELSPEC_PHASE("snapshot.load");
-  Kind kind;
-  uint32_t version = 0;
-  std::string_view body;
-  RELSPEC_RETURN_NOT_OK(ReadHeader(bytes, &kind, &version, &body));
-  if (kind != Kind::kEquational) {
-    return Status::InvalidArgument("snapshot: not an equational specification");
-  }
-  RELSPEC_ASSIGN_OR_RETURN(std::vector<Section> sections, ReadSections(body));
-  EquationalSpecification spec;
-
-  {
-    RELSPEC_ASSIGN_OR_RETURN(Section s, FindSection(sections, kSecMeta));
-    Reader r(s.data, s.size);
-    int frontier_depth = 0;
-    uint32_t unknown_cluster = kInvalidId;
-    RELSPEC_RETURN_NOT_OK(ReadMeta(&r, kind, &spec.trunk_depth_,
-                                   &frontier_depth, &unknown_cluster,
-                                   &spec.truncated_, &spec.breach_));
-  }
-  {
-    RELSPEC_ASSIGN_OR_RETURN(Section s, FindSection(sections, kSecSymbols));
-    Reader r(s.data, s.size);
-    RELSPEC_RETURN_NOT_OK(ReadSymbols(&r, &spec.symbols_));
-  }
-  // An equational snapshot stores no alphabet: its tree and equation
-  // symbols are the table's unary (pure) function symbols.
-  const std::vector<FuncId> alphabet = spec.alphabet();
-  {
-    RELSPEC_ASSIGN_OR_RETURN(Section s, FindSection(sections, kSecAtoms));
-    Reader r(s.data, s.size);
-    RELSPEC_RETURN_NOT_OK(ReadAtoms(&r, spec.symbols_, &spec.atoms_));
-    for (AtomIdx i = 0; i < spec.atoms_.size(); ++i) {
-      spec.atom_index_.emplace(spec.atoms_[i], i);
-    }
-  }
-  {
-    RELSPEC_ASSIGN_OR_RETURN(Section s, FindSection(sections, kSecClusters));
-    Reader r(s.data, s.size);
-    RELSPEC_RETURN_NOT_OK(ReadClusters(&r, version, alphabet,
-                                       spec.atoms_.size(),
-                                       /*successors=*/false, &spec.clusters_));
-  }
-  {
-    RELSPEC_ASSIGN_OR_RETURN(Section s, FindSection(sections, kSecEquations));
-    Reader r(s.data, s.size);
-    const uint32_t num_clusters = static_cast<uint32_t>(spec.clusters_.size());
-    uint32_t n = 0;
-    RELSPEC_RETURN_NOT_OK(r.U32(&n));
-    if (version == 1) {
-      std::vector<std::pair<Path, Path>> pairs;
-      for (uint32_t i = 0; i < n; ++i) {
-        Path t1, t2;
-        RELSPEC_RETURN_NOT_OK(r.PathOf(&t1));
-        RELSPEC_RETURN_NOT_OK(r.PathOf(&t2));
-        pairs.emplace_back(std::move(t1), std::move(t2));
-      }
-      auto equations = EquationsFromPaths(spec.clusters_, pairs, alphabet);
-      if (!equations.ok()) {
-        return Status::InvalidArgument("snapshot: " +
-                                       equations.status().message());
-      }
-      spec.equations_ = std::move(*equations);
-    } else {
-      if (n > r.remaining() / 12) {
-        return Status::InvalidArgument("snapshot: truncated section");
-      }
-      for (uint32_t i = 0; i < n; ++i) {
-        Equation eq;
-        RELSPEC_RETURN_NOT_OK(r.U32(&eq.cluster));
-        RELSPEC_RETURN_NOT_OK(r.U32(&eq.symbol));
-        RELSPEC_RETURN_NOT_OK(r.U32(&eq.target));
-        if (eq.cluster >= num_clusters || eq.target >= num_clusters ||
-            AlphabetIndex(alphabet, eq.symbol) == kInvalidId) {
-          return Status::InvalidArgument(
-              "snapshot: equation out of range");
-        }
-        spec.equations_.push_back(eq);
-      }
-    }
-  }
-  {
-    RELSPEC_ASSIGN_OR_RETURN(Section s, FindSection(sections, kSecGlobals));
-    Reader r(s.data, s.size);
-    RELSPEC_RETURN_NOT_OK(ReadGlobals(&r, spec.symbols_, &spec.globals_));
-  }
-  return spec;
 }
 
 }  // namespace relspec

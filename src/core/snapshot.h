@@ -3,10 +3,13 @@
 // A snapshot is the one load path for a saved specification: the
 // self-contained specification — primary database (slices + globals),
 // symbol table, and graph/equational structure — in a versioned,
-// checksummed binary layout that loads without parsing. A loaded graph spec
-// answers membership and queries exactly as the engine it was saved from,
-// and prints the same SpecIo text (the differential/golden tests hold it to
-// that).
+// checksummed binary layout that loads without parsing. Only graph
+// snapshots (B, F) are read back: a loaded graph spec answers membership
+// and queries exactly as the engine it was saved from, and prints the same
+// SpecIo text (the differential/golden tests hold it to that). Equational
+// snapshots (B, R) are written but not read; B cannot be rebuilt without F,
+// and BuildEquationalSpecification over a loaded graph spec gives the same
+// (B, R) bytes.
 //
 // Wire layout (see docs/SNAPSHOT_FORMAT.md for the field-level reference):
 //
@@ -38,8 +41,8 @@ class Snapshot {
   enum class Kind : uint32_t { kGraph = 1, kEquational = 2 };
 
   static constexpr char kMagic[4] = {'R', 'S', 'N', 'P'};
-  /// The version every snapshot is written at. The loaders also read
-  /// version 1, which stored representatives and equations as paths.
+  /// The version every snapshot is written at. The graph loader also reads
+  /// version 1, which stored representatives as paths.
   static constexpr uint32_t kVersion = 2;
 
   /// Serializes a graph specification (B, F) to snapshot bytes.
@@ -51,14 +54,13 @@ class Snapshot {
   /// checksum reachability only as far as the header).
   static StatusOr<Kind> PeekKind(std::string_view bytes);
 
-  /// The same snapshot at kVersion: `bytes` itself when already current,
-  /// otherwise loaded and re-serialized.
+  /// The same graph snapshot at kVersion: `bytes` itself when already
+  /// current, otherwise loaded and re-serialized. InvalidArgument for an
+  /// equational snapshot, which is not read.
   static StatusOr<std::string> Upgrade(std::string_view bytes);
 
   /// Parses a graph-spec snapshot; the result is fully queryable.
   static StatusOr<GraphSpecification> ParseGraphSpec(std::string_view bytes);
-  static StatusOr<EquationalSpecification> ParseEquationalSpec(
-      std::string_view bytes);
 };
 
 }  // namespace relspec

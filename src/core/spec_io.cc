@@ -102,17 +102,18 @@ std::string SpecIo::Serialize(const GraphSpecification& spec) {
   return out.str();
 }
 
-std::string SpecIo::Serialize(const EquationalSpecification& spec) {
+std::string SpecIo::Serialize(const EquationalSpecification& eq) {
+  const GraphSpecification& spec = eq.spec();
   std::ostringstream out;
   out << "relspec-eq-spec v1\n";
   out << "trunk_depth " << spec.trunk_depth() << "\n";
   SerializeTruncated(spec.truncated(), spec.breach(), &out);
   SerializeSymbols(spec.symbols(), &out);
   SerializeAtoms(spec.atom_dictionary(), spec.symbols(), &out);
-  SerializeClusters(spec.clusters(), /*successors=*/false, spec.symbols(),
-                    &out);
-  for (const Equation& eq : spec.equations()) {
-    const auto [t1, t2] = spec.EquationPaths(eq);
+  SerializeClusters(spec.graph().clusters(), /*successors=*/false,
+                    spec.symbols(), &out);
+  for (const Equation& e : eq.equations()) {
+    const auto [t1, t2] = eq.EquationPaths(e);
     out << "eq " << PathWord(t1, spec.symbols()) << " "
         << PathWord(t2, spec.symbols()) << "\n";
   }

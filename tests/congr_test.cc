@@ -62,11 +62,11 @@ TEST(Congr, BoundedEvaluationMatchesSpecification) {
   constexpr int kBound = 10;
   auto result = EvaluateCongrBounded(*spec, kBound);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  PredId meets = *spec->symbols().FindPredicate("Meets");
-  ConstId tony = *spec->symbols().FindConstant("Tony");
-  ConstId jan = *spec->symbols().FindConstant("Jan");
+  PredId meets = *spec->spec().symbols().FindPredicate("Meets");
+  ConstId tony = *spec->spec().symbols().FindConstant("Tony");
+  ConstId jan = *spec->spec().symbols().FindConstant("Jan");
   for (int n = 0; n <= kBound; ++n) {
-    Path p = NatPath(spec->symbols(), n);
+    Path p = NatPath(spec->spec().symbols(), n);
     EXPECT_EQ(result->Holds(p, meets, {tony}), spec->Holds(p, meets, {tony}))
         << n;
     EXPECT_EQ(result->Holds(p, meets, {jan}), spec->Holds(p, meets, {jan}))
@@ -87,17 +87,17 @@ TEST(Congr, EvenExampleBothStrategies) {
        {datalog::Strategy::kNaive, datalog::Strategy::kSemiNaive}) {
     auto result = EvaluateCongrBounded(*spec, 9, strategy);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    PredId even = *spec->symbols().FindPredicate("Even");
+    PredId even = *spec->spec().symbols().FindPredicate("Even");
     for (int n = 0; n <= 9; ++n) {
-      EXPECT_EQ(result->Holds(NatPath(spec->symbols(), n), even, {}),
+      EXPECT_EQ(result->Holds(NatPath(spec->spec().symbols(), n), even, {}),
                 n % 2 == 0)
           << n;
     }
     // eq contains the lifted congruence pairs: (1,3) from (0,2).
-    uint32_t t1 = result->TermIndex(NatPath(spec->symbols(), 1));
-    uint32_t t3 = result->TermIndex(NatPath(spec->symbols(), 3));
+    uint32_t t1 = result->TermIndex(NatPath(spec->spec().symbols(), 1));
+    uint32_t t3 = result->TermIndex(NatPath(spec->spec().symbols(), 3));
     EXPECT_TRUE(result->db.Contains(result->eq_pred, {t1, t3}));
-    uint32_t t2 = result->TermIndex(NatPath(spec->symbols(), 2));
+    uint32_t t2 = result->TermIndex(NatPath(spec->spec().symbols(), 2));
     EXPECT_FALSE(result->db.Contains(result->eq_pred, {t1, t2}));
   }
 }
@@ -115,8 +115,8 @@ TEST(Congr, ListExampleAgreement) {
   ASSERT_TRUE(spec.ok());
   auto result = EvaluateCongrBounded(*spec, 5);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  PredId member = *spec->symbols().FindPredicate("Member");
-  ConstId a = *spec->symbols().FindConstant("a");
+  PredId member = *spec->spec().symbols().FindPredicate("Member");
+  ConstId a = *spec->spec().symbols().FindConstant("a");
   // Exhaustive agreement over the bounded universe.
   for (const Path& p : result->terms) {
     EXPECT_EQ(result->Holds(p, member, {a}), spec->Holds(p, member, {a}))
@@ -140,10 +140,10 @@ TEST(Congr, UnknownTermOutsideUniverse) {
   ASSERT_TRUE(spec.ok());
   auto result = EvaluateCongrBounded(*spec, 3);
   ASSERT_TRUE(result.ok());
-  PredId meets = *spec->symbols().FindPredicate("Meets");
-  ConstId tony = *spec->symbols().FindConstant("Tony");
+  PredId meets = *spec->spec().symbols().FindPredicate("Meets");
+  ConstId tony = *spec->spec().symbols().FindConstant("Tony");
   // Depth 4 exceeds the bound: reported absent (not an error).
-  EXPECT_FALSE(result->Holds(NatPath(spec->symbols(), 4), meets, {tony}));
+  EXPECT_FALSE(result->Holds(NatPath(spec->spec().symbols(), 4), meets, {tony}));
 }
 
 }  // namespace

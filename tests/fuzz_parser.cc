@@ -19,12 +19,14 @@
 // sections, bad checksums, wrong versions, and out-of-range ids must all
 // come back as InvalidArgument:
 //
-//  * "RSNP" → the snapshot loader (tests/fuzz_corpus/snapshots/*.rsnp),
-//    once as given and once with the checksum resealed, so that mutations
-//    reach the section decoders. Every graph spec that loads must then
-//    answer reads without throwing: membership on each path to depth
-//    frontier+1 for the first dictionary atom, and one query per
-//    functional predicate, answered and enumerated;
+//  * "RSNP" → the graph snapshot loader (tests/fuzz_corpus/snapshots/
+//    *.rsnp; the equational seeds exercise its kind check), once as given
+//    and once with the checksum resealed, so that mutations reach the
+//    section decoders. Every graph spec that loads must then answer reads
+//    without throwing: membership on each path to depth frontier+1 for the
+//    first dictionary atom, through (B, F) and through the (B, R) built
+//    over it, with Congruent(0, path), and one query per functional
+//    predicate, answered and enumerated;
 //  * "RWAL" → the delta-log scanner (tests/fuzz_corpus/wal/*.rwal). Torn
 //    tails are by-design not errors, so the scanner additionally must
 //    report them consistently, never read past the buffer, and never
@@ -45,6 +47,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/core/equational_spec.h"
 #include "src/core/query.h"
 #include "src/core/snapshot.h"
 #include "src/core/wal.h"
@@ -84,10 +87,13 @@ std::string Resealed(std::string_view input) {
   return out;
 }
 
-// The reads a daemon serves from a loaded spec. None may throw or crash.
+// The reads a daemon serves from a loaded spec, and the (B, R) over it.
+// None may throw or crash.
 void ReadLoadedSpec(relspec::GraphSpecification loaded) {
   auto spec =
       std::make_shared<const relspec::GraphSpecification>(std::move(loaded));
+  auto eq = relspec::BuildEquationalSpecification(spec);
+  if (eq.ok()) (void)relspec::Snapshot::Serialize(*eq);
   const std::vector<relspec::FuncId>& alphabet = spec->alphabet();
   if (!spec->atom_dictionary().empty()) {
     const relspec::SliceAtom& atom = spec->atom_dictionary()[0];
@@ -96,6 +102,10 @@ void ReadLoadedSpec(relspec::GraphSpecification loaded) {
       std::vector<relspec::Path> next;
       for (const relspec::Path& p : layer) {
         (void)spec->Holds(p, atom.pred, atom.args);
+        if (eq.ok()) {
+          (void)eq->Holds(p, atom.pred, atom.args);
+          (void)eq->Congruent(relspec::Path::Zero(), p);
+        }
         for (relspec::FuncId f : alphabet) {
           if (next.size() < 4096) next.push_back(p.Extend(f));
         }
@@ -134,17 +144,13 @@ void ReadLoadedSpec(relspec::GraphSpecification loaded) {
 }
 
 void LoadSnapshot(std::string_view input) {
-  // Both loaders must survive any byte stream; the kind check rejects the
-  // mismatched one cheaply, so running both costs little and covers both
-  // section decoders. A snapshot that loads re-serializes, which walks
-  // every representative's tree edges.
+  // The loader must survive any byte stream. A snapshot that loads
+  // re-serializes, which walks every representative's tree edges.
   auto graph = relspec::Snapshot::ParseGraphSpec(input);
   if (graph.ok()) {
     (void)relspec::Snapshot::Serialize(*graph);
     ReadLoadedSpec(*std::move(graph));
   }
-  auto eq = relspec::Snapshot::ParseEquationalSpec(input);
-  if (eq.ok()) (void)relspec::Snapshot::Serialize(*eq);
 }
 
 }  // namespace

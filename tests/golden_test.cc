@@ -19,6 +19,7 @@
 #include <fstream>
 #include <memory>
 #include <utility>
+#include <optional>
 #include <ostream>
 #include <random>
 #include <sstream>
@@ -94,7 +95,7 @@ std::string LineDiff(const std::string& want, const std::string& got) {
 struct ExampleSpecs {
   std::unique_ptr<FunctionalDatabase> db;
   GraphSpecification graph;
-  EquationalSpecification eq;
+  std::optional<EquationalSpecification> eq;
 };
 
 // Parses separately: example programs may carry "? ..." query statements,
@@ -141,9 +142,9 @@ TEST_P(GoldenTest, GraphSpecMatchesGolden) {
 }
 
 // tests/golden/v2/<case>.{graph,eq}.rsnp: the examples' binary snapshots at
-// the current version. tests/golden/v1/ holds the same specifications as
-// written by the version 1 writer, which stored representatives and
-// equations as paths; they are fixtures and are never regenerated.
+// the current version. tests/golden/v1/<case>.graph.rsnp holds the same
+// graph specifications as written by the version 1 writer, which stored
+// representatives as paths; they are fixtures and are never regenerated.
 std::string GoldenSnapshotPath(const GoldenCase& c, const char* version,
                                const char* kind) {
   return std::string(RELSPEC_SOURCE_DIR) + "/tests/golden/" + version + "/" +
@@ -156,7 +157,7 @@ TEST_P(GoldenTest, SnapshotsMatchGolden) {
   ASSERT_NE(specs.db, nullptr);
   const std::pair<const char*, std::string> snapshots[] = {
       {"graph", Snapshot::Serialize(specs.graph)},
-      {"eq", Snapshot::Serialize(specs.eq)}};
+      {"eq", Snapshot::Serialize(*specs.eq)}};
   for (const auto& [kind, bytes] : snapshots) {
     const std::string path = GoldenSnapshotPath(c, "v2", kind);
     if (std::getenv("UPDATE_GOLDENS") != nullptr) {
@@ -171,18 +172,20 @@ TEST_P(GoldenTest, SnapshotsMatchGolden) {
   }
 }
 
-// The load-equality oracle for version 1: each fixture loads, re-serializes
-// byte for byte to the current golden, prints the same text golden, and
-// answers every membership the fresh build answers, the same way.
+// The load-equality oracle for version 1: each graph fixture loads,
+// re-serializes byte for byte to the current golden, prints the same text
+// golden, and gives a (B, R) with the current (B, R) golden bytes; both
+// answer every membership the fresh build answers, the same way.
 TEST_P(GoldenTest, VersionOneSnapshotsLoadToGolden) {
   const GoldenCase& c = GetParam();
   ExampleSpecs specs = BuildExample(c);
   ASSERT_NE(specs.db, nullptr);
-  auto graph = Snapshot::ParseGraphSpec(
+  auto loaded = Snapshot::ParseGraphSpec(
       ReadFileOrDie(GoldenSnapshotPath(c, "v1", "graph")));
-  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-  auto eq = Snapshot::ParseEquationalSpec(
-      ReadFileOrDie(GoldenSnapshotPath(c, "v1", "eq")));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto graph =
+      std::make_shared<const GraphSpecification>(*std::move(loaded));
+  auto eq = BuildEquationalSpecification(graph);
   ASSERT_TRUE(eq.ok()) << eq.status().ToString();
   EXPECT_TRUE(Snapshot::Serialize(*graph) ==
               ReadFileOrDie(GoldenSnapshotPath(c, "v2", "graph")));
@@ -203,7 +206,7 @@ TEST_P(GoldenTest, VersionOneSnapshotsLoadToGolden) {
         EXPECT_EQ(graph->Holds(path, atom.pred, atom.args), want)
             << c.name << " graph " << path.ToString(specs.graph.symbols());
         EXPECT_EQ(eq->Holds(path, atom.pred, atom.args),
-                  specs.eq.Holds(path, atom.pred, atom.args))
+                  specs.eq->Holds(path, atom.pred, atom.args))
             << c.name << " eq " << path.ToString(specs.graph.symbols());
       }
       for (FuncId f : specs.graph.alphabet()) next.push_back(path.Extend(f));

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
 #include <thread>
 
 #include "src/base/governor.h"
@@ -196,12 +197,17 @@ TEST(GovernorEngine, TruncatedEquationalSpecRoundTripsThroughSpecIo) {
 
   auto espec = (*db)->BuildEquationalSpec();
   ASSERT_TRUE(espec.ok());
-  ASSERT_TRUE(espec->truncated());
+  ASSERT_TRUE(espec->spec().truncated());
   std::string text = SpecIo::Serialize(*espec);
-  auto parsed = Snapshot::ParseEquationalSpec(Snapshot::Serialize(*espec));
+  // (B, R) over the reloaded (B, F) keeps the truncation and the bytes.
+  auto graph = Snapshot::ParseGraphSpec(Snapshot::Serialize(espec->spec()));
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  auto parsed = BuildEquationalSpecification(
+      std::make_shared<const GraphSpecification>(*std::move(graph)));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_TRUE(parsed->truncated());
-  EXPECT_EQ(parsed->breach().code(), espec->breach().code());
+  EXPECT_TRUE(parsed->spec().truncated());
+  EXPECT_EQ(parsed->spec().breach().code(), espec->spec().breach().code());
+  EXPECT_EQ(Snapshot::Serialize(*parsed), Snapshot::Serialize(*espec));
   EXPECT_EQ(SpecIo::Serialize(*parsed), text);
 }
 

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
 #include <string>
 
@@ -83,11 +84,14 @@ void RunPipelineInvariants(const std::string& source) {
     }
   }
 
-  // (d) Snapshot round trips preserve membership.
+  // (d) Snapshot round trips preserve membership; (B, R) over the
+  // reloaded (B, F) has the engine's (B, R) bytes.
   auto greload = Snapshot::ParseGraphSpec(Snapshot::Serialize(*gspec));
   ASSERT_TRUE(greload.ok()) << greload.status().ToString();
-  auto ereload = Snapshot::ParseEquationalSpec(Snapshot::Serialize(*espec));
+  auto ereload = BuildEquationalSpecification(
+      std::make_shared<const GraphSpecification>(*greload));
   ASSERT_TRUE(ereload.ok()) << ereload.status().ToString();
+  EXPECT_EQ(Snapshot::Serialize(*ereload), Snapshot::Serialize(*espec));
   for (const Path& p : inner) {
     for (AtomIdx i = 0; i < ground.num_atoms(); ++i) {
       const SliceAtom& atom = ground.atom(i);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -76,11 +77,16 @@ TEST(SnapshotTest, GraphRoundTripPreservesMembership) {
   }
 }
 
+// (B, R) snapshots are written, not read: a graph snapshot carries all of
+// B, so (B, R) built over the reloaded (B, F) gives the engine's bytes.
 TEST(SnapshotTest, EquationalRoundTrip) {
   auto spec = BuildEq(kLists);
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   std::string bin = Snapshot::Serialize(*spec);
-  auto reloaded = Snapshot::ParseEquationalSpec(bin);
+  auto graph = Snapshot::ParseGraphSpec(Snapshot::Serialize(spec->spec()));
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  auto reloaded = BuildEquationalSpecification(
+      std::make_shared<const GraphSpecification>(*std::move(graph)));
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ(bin, Snapshot::Serialize(*reloaded));
   EXPECT_EQ(spec->num_equations(), reloaded->num_equations());
@@ -103,11 +109,14 @@ TEST(SnapshotTest, PeekKindDistinguishesSpecs) {
 }
 
 TEST(SnapshotTest, KindMismatchIsRejected) {
-  auto g = BuildGraph(kMeets);
-  ASSERT_TRUE(g.ok());
-  auto as_eq = Snapshot::ParseEquationalSpec(Snapshot::Serialize(*g));
-  EXPECT_FALSE(as_eq.ok());
-  EXPECT_EQ(as_eq.status().code(), StatusCode::kInvalidArgument);
+  auto e = BuildEq(kMeets);
+  ASSERT_TRUE(e.ok());
+  const std::string bin = Snapshot::Serialize(*e);
+  auto as_graph = Snapshot::ParseGraphSpec(bin);
+  EXPECT_FALSE(as_graph.ok());
+  EXPECT_EQ(as_graph.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Snapshot::Upgrade(bin).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SnapshotTest, EmptyAndTruncatedHeadersAreRejected) {
@@ -296,7 +305,7 @@ TEST(SnapshotTest, ForgedCountWordsNeverCrashOrOverAllocate) {
 }
 
 // ---------------------------------------------------------------------------
-// Version 2 tree edges and equation triples
+// Version 2 tree edges
 // ---------------------------------------------------------------------------
 
 uint32_t ReadU32(const std::string& bin, size_t off) {
@@ -318,13 +327,12 @@ size_t SectionPayload(const std::string& bin, uint32_t tag) {
   return 0;
 }
 
-void ExpectRejectedAfterPatch(const std::string& bin, size_t off, uint32_t v,
-                              bool graph) {
+void ExpectRejectedAfterPatch(const std::string& bin, size_t off,
+                              uint32_t v) {
   std::string forged = bin;
   PatchU32(&forged, off, v);
   SealChecksum(&forged);
-  Status st = graph ? Snapshot::ParseGraphSpec(forged).status()
-                    : Snapshot::ParseEquationalSpec(forged).status();
+  Status st = Snapshot::ParseGraphSpec(forged).status();
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
       << "offset " << off << " = " << v << ": " << st.ToString();
 }
@@ -343,12 +351,12 @@ TEST(SnapshotTest, TreeEdgesOutOfRangeAreRejected) {
   const size_t succ = label + 8 + 4 * ReadU32(bin, label + 4);
   const size_t c1 = succ + 4 + 4 * ReadU32(bin, succ);
   ASSERT_EQ(ReadU32(bin, c1 + 1), 0u);  // cluster 1 extends the root
-  ExpectRejectedAfterPatch(bin, c0 + 1, 0, true);      // its own parent
-  ExpectRejectedAfterPatch(bin, c0 + 5, 1, true);      // symbol, no parent
-  ExpectRejectedAfterPatch(bin, c1 + 1, 1, true);      // its own parent
-  ExpectRejectedAfterPatch(bin, c1 + 1, 2, true);      // a later parent
-  ExpectRejectedAfterPatch(bin, c1 + 5, 999, true);    // not a symbol
-  ExpectRejectedAfterPatch(bin, succ + 4, 999, true);  // successor range
+  ExpectRejectedAfterPatch(bin, c0 + 1, 0);      // its own parent
+  ExpectRejectedAfterPatch(bin, c0 + 5, 1);      // symbol, no parent
+  ExpectRejectedAfterPatch(bin, c1 + 1, 1);      // its own parent
+  ExpectRejectedAfterPatch(bin, c1 + 1, 2);      // a later parent
+  ExpectRejectedAfterPatch(bin, c1 + 5, 999);    // not a symbol
+  ExpectRejectedAfterPatch(bin, succ + 4, 999);  // successor range
 }
 
 // The Link walk reads a path above the frontier off its trunk cluster and
@@ -364,16 +372,16 @@ TEST(SnapshotTest, ForgedDepthsAreRejected) {
   const size_t meta = SectionPayload(bin, 1);
   ASSERT_EQ(ReadU32(bin, meta), 0u);
   ASSERT_EQ(ReadU32(bin, meta + 4), 1u);
-  ExpectRejectedAfterPatch(bin, meta + 4, 2, true);
-  ExpectRejectedAfterPatch(bin, meta + 4, 3, true);
-  ExpectRejectedAfterPatch(bin, meta + 4, static_cast<uint32_t>(-1), true);
-  ExpectRejectedAfterPatch(bin, meta, static_cast<uint32_t>(-5), true);
-  ExpectRejectedAfterPatch(bin, meta, 3, true);
+  ExpectRejectedAfterPatch(bin, meta + 4, 2);
+  ExpectRejectedAfterPatch(bin, meta + 4, 3);
+  ExpectRejectedAfterPatch(bin, meta + 4, static_cast<uint32_t>(-1));
+  ExpectRejectedAfterPatch(bin, meta, static_cast<uint32_t>(-5));
+  ExpectRejectedAfterPatch(bin, meta, 3);
   // Trunk and frontier both one deeper: the depths agree with each other
   // but not with the one trunk cluster.
   std::string deeper = bin;
   PatchU32(&deeper, meta, 1);
-  ExpectRejectedAfterPatch(deeper, meta + 4, 2, true);
+  ExpectRejectedAfterPatch(deeper, meta + 4, 2);
 
   // The unpatched snapshot still loads and answers.
   auto loaded = Snapshot::ParseGraphSpec(bin);
@@ -399,8 +407,8 @@ TEST(SnapshotTest, AlphabetMustBeStrictlyAscending) {
   ASSERT_LT(first, second);
   std::string swapped = bin;
   PatchU32(&swapped, alphabet + 4, second);
-  ExpectRejectedAfterPatch(swapped, alphabet + 8, first, true);
-  ExpectRejectedAfterPatch(bin, alphabet + 8, first, true);  // duplicated
+  ExpectRejectedAfterPatch(swapped, alphabet + 8, first);
+  ExpectRejectedAfterPatch(bin, alphabet + 8, first);  // duplicated
 }
 
 // The Link walk follows the trunk's edges from cluster 0, and the boundary
@@ -418,8 +426,8 @@ TEST(SnapshotTest, TrunkEdgesMustMatchTheBoundary) {
   const size_t succ = label + 8 + 4 * ReadU32(bin, label + 4);
   ASSERT_EQ(ReadU32(bin, succ), 1u);      // one symbol, f
   ASSERT_EQ(ReadU32(bin, succ + 4), 1u);  // f(0) is cluster 1
-  ExpectRejectedAfterPatch(bin, succ + 4, 2, true);
-  ExpectRejectedAfterPatch(bin, succ + 4, 0, true);
+  ExpectRejectedAfterPatch(bin, succ + 4, 2);
+  ExpectRejectedAfterPatch(bin, succ + 4, 0);
 }
 
 // With trunk depth 1 over {a, b}, the trunk is 0, a(0), b(0) as clusters
@@ -442,25 +450,13 @@ TEST(SnapshotTest, TrunkMustBeAHeapOfThePathsAboveTheFrontier) {
   ASSERT_EQ(ReadU32(bin, succ0 + 8), 2u);
   const size_t c1 = succ0 + 12;
   ASSERT_EQ(ReadU32(bin, c1 + 1), 0u);
-  ExpectRejectedAfterPatch(bin, succ0 + 4, 2, true);  // a(0) -> b(0)
-  ExpectRejectedAfterPatch(bin, succ0 + 8, 1, true);  // b(0) -> a(0)
+  ExpectRejectedAfterPatch(bin, succ0 + 4, 2);  // a(0) -> b(0)
+  ExpectRejectedAfterPatch(bin, succ0 + 8, 1);  // b(0) -> a(0)
   // Cluster 1 claims to be b(0): two trunk clusters name the same path.
-  ExpectRejectedAfterPatch(bin, c1 + 5, g->alphabet()[1], true);
+  ExpectRejectedAfterPatch(bin, c1 + 5, g->alphabet()[1]);
   // Cluster 1 unmarked as trunk (the word also covers three bytes of its
   // parent, 0, which stay 0).
-  ExpectRejectedAfterPatch(bin, c1, 0, true);
-}
-
-TEST(SnapshotTest, EquationTriplesOutOfRangeAreRejected) {
-  auto e = BuildEq(kMeets);
-  ASSERT_TRUE(e.ok());
-  ASSERT_GT(e->num_equations(), 0u);
-  const std::string bin = Snapshot::Serialize(*e);
-  // u32 count, then (u32 cluster | u32 symbol | u32 target) each.
-  const size_t eq0 = SectionPayload(bin, 7) + 4;
-  ExpectRejectedAfterPatch(bin, eq0, 999, false);
-  ExpectRejectedAfterPatch(bin, eq0 + 4, 999, false);
-  ExpectRejectedAfterPatch(bin, eq0 + 8, 999, false);
+  ExpectRejectedAfterPatch(bin, c1, 0);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "src/core/engine.h"
@@ -87,13 +88,19 @@ TEST(SpecIo, EquationalSpecRoundTrip) {
   auto spec = (*db)->BuildEquationalSpec();
   ASSERT_TRUE(spec.ok());
   std::string text = SpecIo::Serialize(*spec);
-  auto back = Snapshot::ParseEquationalSpec(Snapshot::Serialize(*spec));
+  // (B, R) is built over the reloaded (B, F), not loaded.
+  auto graph = Snapshot::ParseGraphSpec(Snapshot::Serialize(spec->spec()));
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  auto back = BuildEquationalSpecification(
+      std::make_shared<const GraphSpecification>(*std::move(graph)));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(Snapshot::Serialize(*back), Snapshot::Serialize(*spec));
   EXPECT_EQ(back->num_equations(), spec->num_equations());
-  PredId meets = *back->symbols().FindPredicate("Meets");
-  ConstId tony = *back->symbols().FindConstant("Tony");
+  const SymbolTable& symbols = back->spec().symbols();
+  PredId meets = *symbols.FindPredicate("Meets");
+  ConstId tony = *symbols.FindConstant("Tony");
   for (int n = 0; n <= 15; ++n) {
-    Path p = NatPath(back->symbols(), n);
+    Path p = NatPath(symbols, n);
     EXPECT_EQ(back->Holds(p, meets, {tony}), n % 2 == 0) << n;
   }
   EXPECT_EQ(SpecIo::Serialize(*back), text);

@@ -438,7 +438,7 @@ TEST(EquationalSpec, FrontierEquationsComeInShortlexOrder) {
   ASSERT_TRUE(espec.ok()) << espec.status().ToString();
   std::vector<Path> frontier;
   for (const Equation& eq : espec->equations()) {
-    if (espec->clusters()[eq.cluster].trunk) {
+    if (espec->spec().graph().cluster(eq.cluster).trunk) {
       frontier.push_back(espec->EquationPaths(eq).first);
     }
   }
@@ -489,6 +489,46 @@ TEST(EquationalSpec, ExplainCongruenceUsesR) {
   EXPECT_TRUE(espec->ExplainCongruence(NatPath(**db, 1), NatPath(**db, 2))
                   .status()
                   .IsNotFound());
+}
+
+// (B, R) is R over the engine's (B, F): it shares that spec, not a copy.
+TEST(EquationalSpec, SharesTheEnginesPrimaryDatabase) {
+  auto db = FunctionalDatabase::FromSource(kMeets);
+  ASSERT_TRUE(db.ok());
+  auto espec = (*db)->BuildEquationalSpec();
+  ASSERT_TRUE(espec.ok());
+  EXPECT_EQ(&espec->spec(), (*db)->spec().get());
+}
+
+// The shared (B, F) lives as long as the (B, R) does: an update replaces
+// the engine's spec and the engine goes away, and the (B, R) built before
+// both still answers, and serializes, as it did.
+TEST(EquationalSpec, OutlivesItsEngineAndUpdates) {
+  auto db = FunctionalDatabase::FromSource(kMeets);
+  ASSERT_TRUE(db.ok());
+  auto espec = (*db)->BuildEquationalSpec();
+  ASSERT_TRUE(espec.ok());
+  const std::string bytes = Snapshot::Serialize(*espec);
+  const PredId meets = *(*db)->program().symbols.FindPredicate("Meets");
+  const ConstId tony = *(*db)->program().symbols.FindConstant("Tony");
+  const ConstId jan = *(*db)->program().symbols.FindConstant("Jan");
+  std::vector<Path> days;
+  for (int n = 0; n <= 9; ++n) days.push_back(NatPath(**db, n));
+
+  auto stats = (*db)->ApplyDeltaText("+ Meets(0, Jan).\n- Meets(0, Tony).\n");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_NE((*db)->spec().get(), &espec->spec());
+  db->reset();
+
+  // The closure is first built here, after the engine is gone.
+  for (int n = 0; n <= 9; ++n) {
+    EXPECT_EQ(espec->Holds(days[n], meets, {tony}), n % 2 == 0) << n;
+    EXPECT_EQ(espec->Holds(days[n], meets, {jan}), n % 2 == 1) << n;
+  }
+  EXPECT_TRUE(espec->Congruent(days[1], days[3]));
+  EXPECT_TRUE(espec->Congruent(days[2], days[8]));
+  EXPECT_FALSE(espec->Congruent(days[1], days[2]));
+  EXPECT_EQ(Snapshot::Serialize(*espec), bytes);
 }
 
 // ---------- certificates ----------

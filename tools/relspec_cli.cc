@@ -513,7 +513,7 @@ int RunCli(int argc, char** argv) {
   }
 
   if (!proofs.empty()) {
-    auto espec = BuildEquationalSpecification(*spec);
+    auto espec = BuildEquationalSpecification(spec);
     if (!espec.ok()) return Fail(EngineExitCode(espec.status()), espec.status());
     espec->set_governor(g_governor);
     for (const auto& [t1, t2] : proofs) {
@@ -563,7 +563,7 @@ int RunCli(int argc, char** argv) {
   if (spec_kind == "graph") {
     printf("%s", spec->ToString().c_str());
   } else if (spec_kind == "eq") {
-    auto eq = BuildEquationalSpecification(*spec);
+    auto eq = BuildEquationalSpecification(spec);
     if (!eq.ok()) return Fail(EngineExitCode(eq.status()), eq.status());
     printf("%s", eq->ToString().c_str());
   }
