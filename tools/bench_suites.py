@@ -9,13 +9,16 @@ call it, so the baseline and the gated runs measure the same benchmarks.
 Usage:
   tools/bench_suites.py run BUILD_DIR SUITE OUT.json
       Runs SUITE's benchmark binary (BUILD_DIR/bench/...) with its filter
-      and writes a relspec-bench-v1 report holding that one suite.
+      and writes a relspec-bench-v1 report holding that one suite and the
+      configuration it ran under (build type, compiler, CPUs).
   tools/bench_suites.py baseline OUT.json REPORT.json...
       Merges the suites of the given relspec-bench-v1 reports, in order,
-      into a committed-baseline file.
+      into a committed-baseline file that keeps the first report's
+      configuration.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -72,6 +75,43 @@ def suite_from_gbench(benchmarks):
     return metrics
 
 
+def build_config(build_dir):
+    """The build type and compiler of BUILD_DIR, and the host's CPUs."""
+    cache = {}
+    try:
+        with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
+            for line in f:
+                key, sep, value = line.rstrip("\n").partition("=")
+                if sep and not key.startswith(("#", "//")):
+                    cache[key.split(":")[0]] = value
+    except OSError:
+        pass
+    compiler = cache.get("CMAKE_CXX_COMPILER", "")
+    version = ""
+    if compiler:
+        try:
+            out = subprocess.run(
+                [compiler, "--version"], stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL, text=True).stdout
+            version = (out.splitlines() or [""])[0].strip()
+        except OSError:
+            pass
+    cpu_model = ""
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    cpu_model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {"CMAKE_BUILD_TYPE": cache.get("CMAKE_BUILD_TYPE", ""),
+            "CMAKE_CXX_COMPILER": compiler,
+            "CMAKE_CXX_COMPILER_VERSION": version,
+            "cpu_count": os.cpu_count(),
+            "cpu_model": cpu_model}
+
+
 def run(build_dir, suite, out_path):
     binary, bench_filter = SUITES[suite]
     result = subprocess.run(
@@ -80,6 +120,7 @@ def run(build_dir, suite, out_path):
         check=True, stdout=subprocess.PIPE)
     metrics = suite_from_gbench(json.loads(result.stdout)["benchmarks"])
     report = {"schema": SCHEMA,
+              "config": build_config(build_dir),
               "suites": {suite: {"thresholds": dict(THRESHOLDS),
                                  "metrics": metrics}}}
     with open(out_path, "w") as f:
@@ -89,16 +130,22 @@ def run(build_dir, suite, out_path):
 
 def baseline(out_path, report_paths):
     suites = {}
+    config = None
     for path in report_paths:
         with open(path) as f:
-            suites.update(json.load(f)["suites"])
+            report = json.load(f)
+        suites.update(report["suites"])
+        if config is None:
+            config = report.get("config")
     merged = {
         "schema": SCHEMA,
         "note": "committed perf baseline; regenerate with "
                 "tools/regen_baseline.sh and commit whenever an intentional "
                 "perf change lands",
-        "suites": suites,
     }
+    if config is not None:
+        merged["config"] = config
+    merged["suites"] = suites
     with open(out_path, "w") as f:
         json.dump(merged, f, indent=2)
         f.write("\n")

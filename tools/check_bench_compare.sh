@@ -40,6 +40,14 @@ mkjson "$tmpdir/ok.json" 1050 450
 "$compare" "$tmpdir/base.json" "$tmpdir/ok.json" >/dev/null \
   || fail "within-threshold diff must exit 0"
 
+# Reports carry the configuration they ran under (tools/bench_suites.py);
+# bench_compare skips it, so it neither gates nor breaks the diff.
+config='"config": {"CMAKE_BUILD_TYPE": "Release", "cpu_count": 4},'
+sed "s/^{/{$config/" "$tmpdir/base.json" > "$tmpdir/base_config.json"
+sed "s/^{/{$config/" "$tmpdir/ok.json" > "$tmpdir/ok_config.json"
+"$compare" "$tmpdir/base_config.json" "$tmpdir/ok_config.json" >/dev/null \
+  || fail "reports with a config record must compare like those without"
+
 # Latency regression: +30% > 10%.
 mkjson "$tmpdir/lat.json" 1300 500
 "$compare" "$tmpdir/base.json" "$tmpdir/lat.json" >/dev/null

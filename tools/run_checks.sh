@@ -34,16 +34,18 @@
 # and a query's own names carry ids past the symbol table's counts, which a
 # read that indexes the table with them would overrun, answers and cache
 # entries share the engine's spec across updates (query_test, serve_test),
-# so a spec freed under a holder is a use-after-free, and the golden
-# chi-build corpus (400 random programs, truncated modes included) drives
-# the chi engine's rule index and counts. See docs/ROBUSTNESS.md.
+# and so does every (B, R), which reads B through it (spec_test, congr_test,
+# integration_test), so a spec freed under a holder is a use-after-free, and
+# the golden chi-build corpus (400 random programs, truncated modes
+# included) drives the chi engine's rule index and counts. See
+# docs/ROBUSTNESS.md.
 #
 # --fuzz builds the parser/snapshot/WAL/protocol fuzz target
 # (-DRELSPEC_FUZZ=ON, default dir: build-fuzz) and runs a 30-second smoke
 # over the example-program seeds plus the binary corpora: snapshots
-# (tests/fuzz_corpus/snapshots/*.rsnp, RSNP magic → snapshot loader, as given
-# and resealed, then membership and query reads on every graph spec that
-# loads), durability (tests/fuzz_corpus/wal/*, RWAL magic → delta-log scanner,
+# (tests/fuzz_corpus/snapshots/*.rsnp, RSNP magic → graph snapshot loader,
+# as given and resealed, then membership and query reads on every graph spec
+# that loads and on the (B, R) built over it), durability (tests/fuzz_corpus/wal/*, RWAL magic → delta-log scanner,
 # RCKP magic → checkpoint parser), and the serving protocol
 # (tests/fuzz_corpus/serve/*.rsrv, RSRV magic → request/response framers
 # and the typed result decoders). Under gcc this is the standalone
@@ -67,11 +69,13 @@ if [[ "${1:-}" == "--asan" ]]; then
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
       failpoint_test governor_test parser_test snapshot_test \
       differential_test query_test wal_test spec_test fixpoint_test \
-      property_test engine_test golden_test spec_io_test serve_test
+      property_test engine_test golden_test spec_io_test serve_test \
+      congr_test integration_test
   echo "== asan+ubsan tests =="
   for t in failpoint_test governor_test parser_test snapshot_test \
            differential_test query_test wal_test spec_test fixpoint_test \
-           property_test engine_test golden_test spec_io_test serve_test; do
+           property_test engine_test golden_test spec_io_test serve_test \
+           congr_test integration_test; do
     echo "-- $t"
     "$BUILD_DIR"/tests/"$t"
   done
