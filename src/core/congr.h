@@ -50,12 +50,12 @@ struct BoundedCongrResult {
 
 /// Pretty-prints the CONGR rule set for the given specification's
 /// predicates (the database-independent canonical form).
-std::string CongrRulesText(const EquationalSpecification& spec);
+std::string CongrRulesText(const EquationalSpecification& eq);
 
 /// Evaluates LFP(CONGR, B ∪ R) over all terms of depth <= bound using the
 /// DATALOG engine. `bound` must cover every term in B and R.
 StatusOr<BoundedCongrResult> EvaluateCongrBounded(
-    const EquationalSpecification& spec, int bound,
+    const EquationalSpecification& eq, int bound,
     datalog::Strategy strategy = datalog::Strategy::kSemiNaive);
 
 }  // namespace relspec
