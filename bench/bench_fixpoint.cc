@@ -111,7 +111,9 @@ BENCHMARK(BM_Fixpoint_TrunkGrowth)
     ->Unit(benchmark::kMillisecond);
 
 // Times ComputeFixpoint alone on `source`: parsing and grounding happen
-// once, outside the loop.
+// once, outside the loop. The counters are the chi entries, and on one
+// counted run the closures, the body tests (rule_visits) and the bits the
+// rules set (rule_firings).
 void TimeFixpoint(benchmark::State& state, const std::string& source) {
   auto db = FunctionalDatabase::FromSource(source);
   if (!db.ok()) {
@@ -156,13 +158,22 @@ void BM_Fixpoint_Chain(benchmark::State& state) {
 }
 BENCHMARK(BM_Fixpoint_Chain)->Arg(512)->Unit(benchmark::kMicrosecond);
 
-// E28 — the counter-indexed closure on a k-team rotation: k local rules and
-// k + 1 chi entries, each of whose closures fires one rule. Closing an
-// entry touches only the rules that read the bits it sets, so the time is
-// linear in k; evaluating every rule per closure made it quadratic.
+// E28, E36 — the chi closure on a k-team rotation: k local rules with k
+// bodies, so k groups, and k + 1 chi entries, each of whose closures fires
+// one group. A closure tests only the items its label bits and child moves
+// offer, so the time is linear in k; evaluating every rule per closure made
+// it quadratic.
 void BM_Fixpoint_Rotation(benchmark::State& state) {
   TimeFixpoint(state, RotationProgram(static_cast<int>(state.range(0))));
 }
 BENCHMARK(BM_Fixpoint_Rotation)->Arg(420)->Unit(benchmark::kMicrosecond);
+
+// E36 — the subset family: 2^(n-1) chi entries, and n(2n - 1) child-head
+// rules that share n bodies. A closure tests and fires one group per label
+// bit, where a per-rule count was kept and decremented for every rule.
+void BM_Fixpoint_Subset(benchmark::State& state) {
+  TimeFixpoint(state, SubsetProgram(static_cast<int>(state.range(0))));
+}
+BENCHMARK(BM_Fixpoint_Subset)->Arg(10)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

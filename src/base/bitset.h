@@ -42,6 +42,12 @@ class DynamicBitset {
   }
   void Set(size_t i) { words_[i >> 6] |= uint64_t{1} << (i & 63); }
   void Reset(size_t i) { words_[i >> 6] &= ~(uint64_t{1} << (i & 63)); }
+  /// Sets the bits `mask` of word w and returns those that were clear.
+  uint64_t SetWordBits(size_t w, uint64_t mask) {
+    const uint64_t added = mask & ~words_[w];
+    words_[w] |= mask;
+    return added;
+  }
 
   /// Number of elements in the set (popcount).
   size_t Count() const;

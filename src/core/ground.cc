@@ -4,11 +4,11 @@
 #include <cassert>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "src/ast/printer.h"
 #include "src/core/analysis.h"
 #include "src/ast/validate.h"
+#include "src/base/id_index.h"
 #include "src/base/logging.h"
 #include "src/base/str_util.h"
 
@@ -111,14 +111,19 @@ std::string GroundProgram::RuleToString(const GroundRule& r,
   return Join(parts, ", ") + " -> " + head;
 }
 
+uint64_t GroundBodyHash(const GroundRule& r) {
+  uint64_t h = 1469598103934665603ull;
+  for (AtomIdx a : r.body_eps) h = MixHash(h, a);
+  for (const auto& [s, a] : r.body_child) h = MixHash(h, (uint64_t{s} << 32) | a);
+  for (CtxIdx c : r.body_ctx) h = MixHash(h, c);
+  return h;
+}
+
 namespace {
 
 struct GroundRuleHash {
   size_t operator()(const GroundRule& r) const {
-    uint64_t h = 1469598103934665603ull;
-    for (AtomIdx a : r.body_eps) h = MixHash(h, a);
-    for (const auto& [s, a] : r.body_child) h = MixHash(h, (uint64_t{s} << 32) | a);
-    for (CtxIdx c : r.body_ctx) h = MixHash(h, c);
+    uint64_t h = GroundBodyHash(r);
     h = MixHash(h, static_cast<uint64_t>(r.head_kind));
     h = MixHash(h, r.head_sym);
     h = MixHash(h, r.head_id);
@@ -480,18 +485,33 @@ class Grounder {
     g.body_ctx.erase(std::unique(g.body_ctx.begin(), g.body_ctx.end()),
                      g.body_ctx.end());
 
-    if (!seen_rules_.insert(g).second) return Status::OK();
-    if (seen_rules_.size() > options_.max_rules) {
+    const uint64_t hash = GroundRuleHash{}(g);
+    if (seen_rules_.Find(hash, [&](uint32_t id) { return RuleOf(id) == g; }) !=
+        IdIndex::kNone) {
+      return Status::OK();
+    }
+    if (seen_rules_.size() + 1 > options_.max_rules) {
       return Status::ResourceExhausted(
           StrFormat("grounding exceeded max_rules=%zu", options_.max_rules));
     }
     if (g.IsLocal()) {
+      seen_rules_.Insert(hash, static_cast<uint32_t>(out_.local_rules_.size()));
       out_.local_rules_.push_back(std::move(g));
     } else {
+      seen_rules_.Insert(hash, kGlobalRule | static_cast<uint32_t>(
+                                                 out_.global_rules_.size()));
       out_.global_rules_.push_back(std::move(g));
     }
     return Status::OK();
   }
+
+  /// The emitted rule `id` names in `seen_rules_`: a local rule's index, or
+  /// a global rule's index with kGlobalRule set.
+  const GroundRule& RuleOf(uint32_t id) const {
+    return (id & kGlobalRule) != 0 ? out_.global_rules_[id & ~kGlobalRule]
+                                   : out_.local_rules_[id];
+  }
+  static constexpr uint32_t kGlobalRule = uint32_t{1} << 31;
 
   const Program& program_;
   GroundOptions options_;
@@ -499,7 +519,8 @@ class Grounder {
   std::vector<ConstId> domain_;
   std::vector<EdbFacts> edb_;  // by predicate id
   std::vector<ConstId> subst_;  // by slot of the rule being grounded
-  std::unordered_set<GroundRule, GroundRuleHash> seen_rules_;
+  /// The emitted rules by GroundRuleHash, compared in place.
+  IdIndex seen_rules_;
 };
 
 StatusOr<GroundProgram> Ground(const Program& program,

@@ -99,12 +99,21 @@ struct GroundRule {
     return head_kind != HeadKind::kCtx || !body_eps.empty() ||
            !body_child.empty();
   }
-  bool operator==(const GroundRule& o) const {
+  /// True if `o` has this rule's eps atoms, child atoms and context
+  /// propositions.
+  bool SameBody(const GroundRule& o) const {
     return body_eps == o.body_eps && body_child == o.body_child &&
-           body_ctx == o.body_ctx && head_kind == o.head_kind &&
-           head_sym == o.head_sym && head_id == o.head_id;
+           body_ctx == o.body_ctx;
+  }
+  bool operator==(const GroundRule& o) const {
+    return SameBody(o) && head_kind == o.head_kind && head_sym == o.head_sym &&
+           head_id == o.head_id;
   }
 };
+
+/// A hash of a rule's body (eps atoms, child atoms, context propositions):
+/// equal for rules with SameBody.
+uint64_t GroundBodyHash(const GroundRule& rule);
 
 /// The grounded program: universe, alphabet, rules and initial facts.
 class GroundProgram {

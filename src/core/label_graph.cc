@@ -276,7 +276,7 @@ StatusOr<LabelGraph> BuildLabelGraph(Labeling* labeling,
     out.clusters_.push_back(std::move(cl));
     ++out.num_active_;
     if (active.entry != kInvalidId) {
-      const std::vector<uint32_t>& kids = chi.Children(active.entry);
+      const std::span<const uint32_t> kids = chi.Children(active.entry);
       for (SymIdx s = 0; s < k; ++s) queue.push_back({kids[s], id, s});
     } else {
       // A depth-c cluster (merge_trunk_frontier): its children are

@@ -371,6 +371,143 @@ TEST(Fixpoint, ChiClosureWorkIsLinearOnRotation) {
       << visits[0] << " " << visits[1] << " " << visits[2];
 }
 
+// The closure's schedule fixes which seeds it looks up and which bits it
+// sets, so the lookup, firing and closure counts of the bench families are
+// pinned: a faster closure must keep them exactly.
+TEST(Fixpoint, ChiClosureCountsArePinned) {
+  struct Case {
+    const char* name;
+    std::string source;
+    uint64_t firings, lookups, closures;
+  };
+  const Case cases[] = {
+      {"subset(10)", relspec_bench::SubsetProgram(10), 30464, 5653, 513},
+      {"counter(9)", relspec_bench::BinaryCounterProgram(9), 4608, 1027, 513},
+      {"rotation(420)", relspec_bench::RotationProgram(420), 420, 843, 421},
+      {"mixed(18)", relspec_bench::MixedProgram(18), 18, 685, 19},
+  };
+  for (const Case& c : cases) {
+    auto b = Build(c.source);
+    ASSERT_TRUE(b.ok()) << c.name << ": " << b.status().ToString();
+    ScopedMetrics metrics;
+    auto l = ComputeFixpoint(b->ground);
+    ASSERT_TRUE(l.ok()) << c.name << ": " << l.status().ToString();
+    MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+    EXPECT_EQ(snap.counter("chi.rule_firings"), c.firings) << c.name;
+    EXPECT_EQ(snap.counter("chi.lookups"), c.lookups) << c.name;
+    EXPECT_EQ(snap.counter("chi.close_node_calls"), c.closures) << c.name;
+  }
+}
+
+// The chi engine closes child-head rules with one body as one group, whose
+// heads it ORs into the child seeds word by word. Each label to depth c+3,
+// and the context, must equal the brute-force bounded fixpoint's, computed
+// three levels deeper so that the up-propagation into that region is
+// complete.
+void ExpectLabelsMatchBounded(std::string_view source) {
+  auto b = Build(source);
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  const int depth = b->ground.trunk_depth() + 3;
+  auto exact = ComputeFixpoint(b->ground);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  auto bounded = ComputeBoundedFixpoint(b->ground, depth + 3);
+  ASSERT_TRUE(bounded.ok()) << bounded.status().ToString();
+  std::vector<Path> level = {Path()};
+  for (int d = 0; d <= depth; ++d) {
+    std::vector<Path> next;
+    for (const Path& path : level) {
+      EXPECT_EQ(exact->LabelOf(path), bounded->LabelOf(path))
+          << path.ToString(b->program.symbols);
+      for (FuncId f : b->ground.alphabet()) next.push_back(path.Extend(f));
+    }
+    level = std::move(next);
+  }
+  EXPECT_EQ(exact->ctx(), bounded->ctx());
+}
+
+// One body, heads on two symbols, and two heads in one word of one symbol.
+TEST(ChiGroups, OneBodyHeadsOnTwoSymbolsAndInOneWord) {
+  ExpectLabelsMatchBounded(R"(
+    P(0).
+    P(t) -> Q(f(t)).
+    P(t) -> R(f(t)).
+    P(t) -> Q(g(t)).
+    Q(t) -> P(f(t)).
+    R(t) -> S(g(t)).
+  )");
+}
+
+// An eps-head rule with the body of a child-head rule stays its own item:
+// it fires into the node's label, in rule order, not into a child seed.
+TEST(ChiGroups, EpsHeadWithAChildHeadBodyIsNotGrouped) {
+  ExpectLabelsMatchBounded(R"(
+    P(0).
+    P(t) -> Q(t).
+    P(t) -> Q(f(t)).
+    Q(t) -> P(g(t)).
+    Q(t) -> R(f(t)).
+  )");
+}
+
+// The group {P, B at f} reads an atom that child f's own closure derives
+// (A -> B), and B at f adds E to the node, which restarts the closure from
+// empty seeds: every group that held before the restart must fire again.
+TEST(ChiGroups, GroupReadingADerivedChildAtomRefiresAfterARestart) {
+  ExpectLabelsMatchBounded(R"(
+    P(0).
+    P(t) -> P(g(t)).
+    P(t) -> A(f(t)).
+    A(t) -> B(t).
+    P(t), B(f(t)) -> C(g(t)).
+    P(t), B(f(t)) -> D(f(t)).
+    B(f(t)) -> E(t).
+    E(t) -> F(g(t)).
+  )");
+}
+
+// An eps-head rule offered during the up pass past the scan position fires
+// in that pass, as an ascending scan over the live label would; one behind
+// it waits for the pass after the next restart. Closing the seed {P}: with
+// the ground rules of the chain P -> Q -> R -> S in chain order, the chain
+// closes in one up pass and one restart; in reverse order it needs a
+// restart per link. Each restart looks the empty seed and the child seed
+// {P} up again: 1 + 4 + 1 + 2 = 8 lookups (the seed, its two closures, the
+// empty entry's) against 1 + 8 + 1 + 2 = 12.
+TEST(ChiGroups, UpRulesOfferedPastTheScanFireInTheSamePass) {
+  std::vector<uint64_t> lookups_by_order(2, 0);
+  for (std::string_view chain : {"P(t) -> Q(t).\nQ(t) -> R(t).\nR(t) -> S(t).\n",
+                                 "R(t) -> S(t).\nQ(t) -> R(t).\nP(t) -> Q(t).\n"}) {
+    auto b = Build("P(t) -> P(f(t)).\n" + std::string(chain));
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    const GroundProgram& g = b->ground;
+    auto rule_with_head = [&](const std::string& pred) {
+      const AtomIdx head = g.FindAtom(AtomOf(*b, pred, {}));
+      for (size_t r = 0; r < g.local_rules().size(); ++r) {
+        const GroundRule& rule = g.local_rules()[r];
+        if (rule.head_kind == GroundRule::HeadKind::kEps &&
+            rule.head_id == head) {
+          return r;
+        }
+      }
+      return g.local_rules().size();
+    };
+    const bool in_chain_order = rule_with_head("Q") < rule_with_head("R") &&
+                                rule_with_head("R") < rule_with_head("S");
+    DynamicBitset ctx(g.num_ctx());
+    ChiEngine chi(&g, &ctx);
+    DynamicBitset seed(g.num_atoms());
+    seed.Set(g.FindAtom(AtomOf(*b, "P", {})));
+    ScopedMetrics metrics;
+    const uint32_t entry = chi.EntryFor(seed);
+    ASSERT_TRUE(chi.ProcessAllOnce().ok());
+    EXPECT_EQ(chi.Value(entry).Count(), 4u);
+    lookups_by_order[in_chain_order] =
+        MetricsRegistry::Global().Snapshot().counter("chi.lookups");
+  }
+  EXPECT_EQ(lookups_by_order[1], 8u);
+  EXPECT_EQ(lookups_by_order[0], 12u);
+}
+
 // The chi table keys entries by seed through an id index over a seed arena.
 // Thousands of distinct two-word seeds, through many index growths, must
 // each get one new id in order, and every repeated lookup must hit it.

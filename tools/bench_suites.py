@@ -48,7 +48,8 @@ SUITES = {
         r"BM_AlgorithmQ_Chain/512$|BM_SnapshotSave_Chain/512$"),
     "bench_fixpoint": (
         "bench_fixpoint",
-        r"BM_Fixpoint_Chain/512$|BM_Fixpoint_Rotation/420$"),
+        r"BM_Fixpoint_Chain/512$|BM_Fixpoint_Rotation/420$"
+        r"|BM_Fixpoint_Subset/10$"),
     "bench_transform": (
         "bench_transform",
         r"BM_FrontEnd_(Counter/9|Mixed/18)$"),

@@ -40,9 +40,10 @@ mkjson "$tmpdir/ok.json" 1050 450
 "$compare" "$tmpdir/base.json" "$tmpdir/ok.json" >/dev/null \
   || fail "within-threshold diff must exit 0"
 
-# Reports carry the configuration they ran under (tools/bench_suites.py);
-# bench_compare skips it, so it neither gates nor breaks the diff.
-config='"config": {"CMAKE_BUILD_TYPE": "Release", "cpu_count": 4},'
+# Reports carry the configuration they ran under (tools/bench_suites.py and
+# relspec_bench_serve record the same fields); bench_compare skips it, so it
+# neither gates nor breaks the diff.
+config='"config": {"CMAKE_BUILD_TYPE": "Release", "CMAKE_CXX_COMPILER": "\/usr\/bin\/c++", "CMAKE_CXX_COMPILER_VERSION": "12.2.0", "cpu_count": 4, "cpu_model": "Intel(R) Xeon(R) CPU @ 2.20GHz"},'
 sed "s/^{/{$config/" "$tmpdir/base.json" > "$tmpdir/base_config.json"
 sed "s/^{/{$config/" "$tmpdir/ok.json" > "$tmpdir/ok_config.json"
 "$compare" "$tmpdir/base_config.json" "$tmpdir/ok_config.json" >/dev/null \

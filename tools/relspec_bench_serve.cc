@@ -735,6 +735,46 @@ void AppendQuantiles(const HistogramSnapshot* h, std::string* out) {
       static_cast<unsigned long long>(h == nullptr ? 0 : h->count)));
 }
 
+#ifndef RELSPEC_BUILD_TYPE
+#define RELSPEC_BUILD_TYPE ""
+#endif
+#ifndef RELSPEC_CXX_COMPILER
+#define RELSPEC_CXX_COMPILER ""
+#endif
+#ifndef RELSPEC_CXX_COMPILER_VERSION
+#define RELSPEC_CXX_COMPILER_VERSION ""
+#endif
+
+/// `s` as the body of a JSON string.
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      out += StrFormat("\\u%04x", static_cast<unsigned char>(c));
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+/// The first "model name" of /proc/cpuinfo, or "" when there is none.
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const size_t start = line.find_first_not_of(" \t", colon + 1);
+    return start == std::string::npos ? "" : line.substr(start);
+  }
+  return "";
+}
+
 std::string BuildReport(const Options& opt, const std::string& program_label,
                         uint64_t total_requests, uint64_t seq_hash,
                         const std::vector<ClientState>& clients,
@@ -761,6 +801,16 @@ std::string BuildReport(const Options& opt, const std::string& program_label,
   std::string out = "{\n  \"schema\": \"relspec-bench-v1\",\n";
   out += "  \"tool\": \"relspec_bench_serve\",\n";
   out += "  \"config\": {\n";
+  // The build and host fields tools/bench_suites.py records for the
+  // microbenchmark suites.
+  out += StrFormat(
+      "    \"CMAKE_BUILD_TYPE\": \"%s\", \"CMAKE_CXX_COMPILER\": \"%s\",\n"
+      "    \"CMAKE_CXX_COMPILER_VERSION\": \"%s\", \"cpu_count\": %u, "
+      "\"cpu_model\": \"%s\",\n",
+      JsonEscape(RELSPEC_BUILD_TYPE).c_str(),
+      JsonEscape(RELSPEC_CXX_COMPILER).c_str(),
+      JsonEscape(RELSPEC_CXX_COMPILER_VERSION).c_str(),
+      std::thread::hardware_concurrency(), JsonEscape(CpuModel()).c_str());
   out += StrFormat("    \"program\": \"%s\",\n", program_label.c_str());
   out += StrFormat("    \"connect\": \"%s\",\n", opt.connect.c_str());
   out += StrFormat(
