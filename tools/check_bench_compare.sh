@@ -49,6 +49,17 @@ sed "s/^{/{$config/" "$tmpdir/ok.json" > "$tmpdir/ok_config.json"
 "$compare" "$tmpdir/base_config.json" "$tmpdir/ok_config.json" >/dev/null \
   || fail "reports with a config record must compare like those without"
 
+# The reports' build type is the effective one: under the documented
+# default configure (no -DCMAKE_BUILD_TYPE), tools/bench_suites.py must read
+# RelWithDebInfo from the build's CMakeCache.txt, not an empty string.
+build_dir="$(cd "$(dirname "$compare")/.." && pwd)"
+tools_dir="$(cd "$(dirname "$0")" && pwd)"
+build_type=$(python3 -c 'import sys; sys.path.insert(0, sys.argv[1]); import bench_suites; print(bench_suites.build_config(sys.argv[2])["CMAKE_BUILD_TYPE"])' \
+    "$tools_dir" "$build_dir") \
+  || fail "tools/bench_suites.py build_config failed on $build_dir"
+[ -n "$build_type" ] \
+  || fail "bench reports would record an empty CMAKE_BUILD_TYPE for $build_dir"
+
 # Latency regression: +30% > 10%.
 mkjson "$tmpdir/lat.json" 1300 500
 "$compare" "$tmpdir/base.json" "$tmpdir/lat.json" >/dev/null
