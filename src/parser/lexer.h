@@ -37,7 +37,10 @@ struct Token {
 
 const char* TokenKindName(TokenKind kind);
 
-/// Tokenizes `input`. Comments run from '%' or "//" to end of line.
+/// Tokenizes the whole of `input` into one array ending in kEof, or fails
+/// on the first character no token starts with. Comments run from '%' or
+/// "//" to end of line. Characters are classified as ASCII, independent of
+/// the process locale.
 StatusOr<std::vector<Token>> Tokenize(std::string_view input);
 
 }  // namespace relspec

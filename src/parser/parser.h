@@ -25,6 +25,27 @@
 //    builtin successor symbol "+1" to 0; 't+n' applies "+1" n times to t.
 //
 // Comments run from '%' or '//' to end of line.
+//
+// How a parse runs. Every entry point below (and FunctionalDatabase::
+// ApplyDeltaText, which parses each delta line as a one-fact program) goes
+// through the same three steps, and none builds a surface tree:
+//  1. Lex: Tokenize reads the whole input into one token array.
+//  2. Syntax: one walk over the tokens checks the grammar. It gives each
+//     distinct name a per-parse id, records each statement's token
+//     positions and each application's argument count, and collects the
+//     functional-inference seeds and links (a union-find over the
+//     predicates and each statement's argument-0 variables).
+//  3. Lower: functionality is decided, then the statements are lowered
+//     from their tokens into the AST in source order, so symbols are
+//     interned in order of first appearance. Each name is resolved in the
+//     symbol table once per parse.
+// A parsed program is then validated (ValidateProgram).
+//
+// Error precedence: lexing errors first, then syntax errors (term nesting
+// past 1000 levels included), then lowering errors (arity clashes, a
+// variable used both ways, a name in the wrong position, a non-ground fact,
+// a query ValidateQuery rejects), then ValidateProgram's. Within each
+// class the first error in source order wins.
 
 #ifndef RELSPEC_PARSER_PARSER_H_
 #define RELSPEC_PARSER_PARSER_H_
