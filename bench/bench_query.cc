@@ -94,6 +94,28 @@ void BM_Query_JoinIncremental(benchmark::State& state) {
 }
 BENCHMARK(BM_Query_JoinIncremental);
 
+// ROADMAP item 20 — a membership request's parse: one ground atom read
+// against the table of a rotation program with 420 members, as the daemon
+// reads it. Expected shape: a few microseconds, independent of the table's
+// size; the table is read in place, never copied.
+void BM_ParseQuery_Membership(benchmark::State& state) {
+  auto program = ParseProgram(RotationProgram(420));
+  if (!program.ok()) {
+    state.SkipWithError(program.status().ToString().c_str());
+    return;
+  }
+  const SymbolTable& symbols = program->symbols;
+  for (auto _ : state) {
+    auto q = ParseQuery("? OnCall(3, m217).", symbols);
+    if (!q.ok()) {
+      state.SkipWithError(q.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(q);
+  }
+}
+BENCHMARK(BM_ParseQuery_Membership);
+
 // E18 — repeated-query throughput with the LRU answer cache. The warm loop
 // must beat the uncached incremental path by >= 5x (ISSUE acceptance bar):
 // a hit is one fingerprint hash + one map lookup, no joins.

@@ -138,4 +138,32 @@ void BM_FrontEnd_Mixed(benchmark::State& state) {
 }
 BENCHMARK(BM_FrontEnd_Mixed)->Arg(18);
 
+// ROADMAP item 20 — the parser alone, at input speed: ParseProgram (lex,
+// syntax, lowering and validation) on the build workload's counter(9) and
+// rotation(420) texts. Expected shape: time follows the bytes read, so the
+// two report similar bytes per second.
+void RunParse(benchmark::State& state, const std::string& source) {
+  for (auto _ : state) {
+    auto p = ParseProgram(source);
+    if (!p.ok()) {
+      state.SkipWithError(p.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(p);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(source.size()));
+  state.counters["source_bytes"] = static_cast<double>(source.size());
+}
+
+void BM_Parse_Counter(benchmark::State& state) {
+  RunParse(state, BinaryCounterProgram(static_cast<int>(state.range(0))));
+}
+BENCHMARK(BM_Parse_Counter)->Arg(9);
+
+void BM_Parse_Rotation(benchmark::State& state) {
+  RunParse(state, RotationProgram(static_cast<int>(state.range(0))));
+}
+BENCHMARK(BM_Parse_Rotation)->Arg(420);
+
 }  // namespace

@@ -28,7 +28,7 @@ SUITES = {
         "bench_query",
         r"BM_Query_(Incremental|NonUniform|CachedWarm)/8$"
         r"|BM_Query_(ColdStartPipeline|WarmStartSnapshot)/14$"
-        r"|BM_Query_EnumerateDeadEnd/6$"),
+        r"|BM_Query_EnumerateDeadEnd/6$|BM_ParseQuery_Membership$"),
     "bench_trace": (
         "bench_trace",
         r"BM_Trace_Disabled_CallSite$|BM_Trace_Enabled_Idle$"
@@ -52,7 +52,8 @@ SUITES = {
         r"|BM_Fixpoint_Subset/10$"),
     "bench_transform": (
         "bench_transform",
-        r"BM_FrontEnd_(Counter/9|Mixed/18)$"),
+        r"BM_FrontEnd_(Counter/9|Mixed/18)$"
+        r"|BM_Parse_(Counter/9|Rotation/420)$"),
 }
 
 # Generous on purpose: shared runners swing wildly, so the gate catches
