@@ -6,7 +6,8 @@
 #
 # Eleven suites:
 #   bench_query  representative E18 microbenchmarks (cache, snapshot warm
-#                start) from bench/bench_query.cc
+#                start) and E37's one-atom membership query parse from
+#                bench/bench_query.cc
 #   bench_trace  representative E19 tracer-ablation numbers from
 #                bench/bench_trace.cc
 #   bench_delta  representative E21 fact-delta numbers (delta apply vs
@@ -25,7 +26,8 @@
 #                chain, and E28 the counter-indexed closure on a 420-team
 #                rotation, from bench/bench_fixpoint.cc
 #   bench_transform  E32 the front end (parse, normalize, purify, ground)
-#                on counter(9) and mixed(18), from bench/bench_transform.cc
+#                on counter(9) and mixed(18), and E37 the parse alone on
+#                counter(9) and rotation(420), from bench/bench_transform.cc
 #   bench_serve  a fixed-seed serving session from relspec_bench_serve
 #                (the same flags the CI perf job uses)
 #   bench_serve_durable  the same schedule served through per-lane WALs
