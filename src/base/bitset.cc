@@ -1,28 +1,67 @@
 #include "src/base/bitset.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace relspec {
 
-size_t DynamicBitset::Count() const {
+size_t BitView::Count() const {
   size_t n = 0;
-  for (uint64_t w : words_) n += static_cast<size_t>(__builtin_popcountll(w));
+  for (uint64_t w : words()) n += static_cast<size_t>(__builtin_popcountll(w));
   return n;
 }
 
-bool DynamicBitset::None() const {
-  for (uint64_t w : words_) {
+bool BitView::None() const {
+  for (uint64_t w : words()) {
     if (w != 0) return false;
   }
   return true;
 }
 
-bool DynamicBitset::IsSubsetOf(const DynamicBitset& other) const {
+bool BitView::IsSubsetOf(BitView other) const {
   assert(size_ == other.size_);
-  for (size_t i = 0; i < words_.size(); ++i) {
-    if ((words_[i] & ~other.words_[i]) != 0) return false;
+  const std::span<const uint64_t> mine = words();
+  for (size_t i = 0; i < mine.size(); ++i) {
+    if ((mine[i] & ~other.words_[i]) != 0) return false;
   }
   return true;
+}
+
+bool operator==(BitView a, BitView b) {
+  if (a.size_ != b.size_) return false;
+  const std::span<const uint64_t> aw = a.words();
+  return std::equal(aw.begin(), aw.end(), b.words_);
+}
+
+std::vector<size_t> BitView::ToVector() const {
+  std::vector<size_t> out;
+  out.reserve(Count());
+  ForEach([&](size_t i) { out.push_back(i); });
+  return out;
+}
+
+std::string BitView::ToString() const {
+  std::string out = "{";
+  bool first = true;
+  ForEach([&](size_t i) {
+    if (!first) out += ",";
+    first = false;
+    out += std::to_string(i);
+  });
+  out += "}";
+  return out;
+}
+
+size_t BitView::Hash() const {
+  // FNV-1a over the words; adequate for hashing state sets.
+  uint64_t h = 14695981039346656037ull;
+  for (uint64_t w : words()) {
+    h ^= w;
+    h *= 1099511628211ull;
+  }
+  h ^= size_;
+  h *= 1099511628211ull;
+  return static_cast<size_t>(h);
 }
 
 bool DynamicBitset::UnionWith(const DynamicBitset& other) {
@@ -55,37 +94,6 @@ void DynamicBitset::Clear() {
 bool DynamicBitset::operator<(const DynamicBitset& other) const {
   if (size_ != other.size_) return size_ < other.size_;
   return words_ < other.words_;
-}
-
-std::vector<size_t> DynamicBitset::ToVector() const {
-  std::vector<size_t> out;
-  out.reserve(Count());
-  ForEach([&](size_t i) { out.push_back(i); });
-  return out;
-}
-
-std::string DynamicBitset::ToString() const {
-  std::string out = "{";
-  bool first = true;
-  ForEach([&](size_t i) {
-    if (!first) out += ",";
-    first = false;
-    out += std::to_string(i);
-  });
-  out += "}";
-  return out;
-}
-
-size_t DynamicBitset::Hash() const {
-  // FNV-1a over the words; adequate for hashing state sets.
-  uint64_t h = 14695981039346656037ull;
-  for (uint64_t w : words_) {
-    h ^= w;
-    h *= 1099511628211ull;
-  }
-  h ^= size_;
-  h *= 1099511628211ull;
-  return static_cast<size_t>(h);
 }
 
 }  // namespace relspec

@@ -6,6 +6,12 @@
 // the state-equivalence relation of the paper, Section 3.1), unioned, and
 // compared for subset inclusion in inner loops, so those operations are
 // word-parallel.
+//
+// BitView is the non-owning form: a universe size and a pointer to its
+// words, which may be a DynamicBitset's or one stride of a word arena (the
+// chi table's values, the label graph's cluster labels). It reads like a
+// DynamicBitset and hashes and compares equal to one with the same bits,
+// so an index can key arena rows and look them up with either.
 
 #ifndef RELSPEC_BASE_BITSET_H_
 #define RELSPEC_BASE_BITSET_H_
@@ -15,9 +21,59 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace relspec {
+
+/// A read-only view of a set over [0, size): NumWords(size) words, bit i of
+/// the set being bit i % 64 of word i / 64. Valid while those words are.
+class BitView {
+ public:
+  BitView(const uint64_t* words, size_t size) : words_(words), size_(size) {}
+
+  size_t size() const { return size_; }
+  std::span<const uint64_t> words() const {
+    return {words_, (size_ + 63) / 64};
+  }
+
+  bool Test(size_t i) const { return (words_[i >> 6] >> (i & 63)) & 1u; }
+  size_t Count() const;
+  bool None() const;
+  bool Any() const { return !None(); }
+  /// True if every element of this set is also in `other`.
+  /// Precondition: same universe size.
+  bool IsSubsetOf(BitView other) const;
+
+  /// Calls f(i) for each element i in increasing order.
+  template <typename F>
+  void ForEach(F&& f) const {
+    const size_t n = words().size();
+    for (size_t w = 0; w < n; ++w) {
+      uint64_t bits = words_[w];
+      while (bits != 0) {
+        int b = __builtin_ctzll(bits);
+        f(w * 64 + static_cast<size_t>(b));
+        bits &= bits - 1;
+      }
+    }
+  }
+
+  /// Elements in increasing order.
+  std::vector<size_t> ToVector() const;
+  /// "{1,5,9}" — for debugging and golden tests.
+  std::string ToString() const;
+  /// FNV-1a over the words, then the universe size: equal to
+  /// DynamicBitset::Hash of the same set.
+  size_t Hash() const;
+
+  friend bool operator==(BitView a, BitView b);
+  friend bool operator!=(BitView a, BitView b) { return !(a == b); }
+
+ private:
+  const uint64_t* words_ = nullptr;
+  size_t size_ = 0;
+};
 
 /// A set of integers drawn from a universe [0, size) fixed at construction.
 class DynamicBitset {
@@ -30,6 +86,16 @@ class DynamicBitset {
   /// bit i of the set being bit i % 64 of word i / 64).
   DynamicBitset(size_t size, std::span<const uint64_t> words)
       : size_(size), words_(words.begin(), words.end()) {}
+  /// A copy of the viewed set.
+  explicit DynamicBitset(BitView v) : DynamicBitset(v.size(), v.words()) {}
+
+  operator BitView() const { return {words_.data(), size_}; }
+  /// Makes this a copy of the viewed set, reusing the storage when the
+  /// universe is the same.
+  void Assign(BitView v) {
+    size_ = v.size();
+    words_.assign(v.words().begin(), v.words().end());
+  }
 
   /// The words a set over [0, size) occupies.
   static size_t NumWords(size_t size) { return (size + 63) / 64; }
@@ -42,21 +108,17 @@ class DynamicBitset {
   }
   void Set(size_t i) { words_[i >> 6] |= uint64_t{1} << (i & 63); }
   void Reset(size_t i) { words_[i >> 6] &= ~(uint64_t{1} << (i & 63)); }
-  /// Sets the bits `mask` of word w and returns those that were clear.
-  uint64_t SetWordBits(size_t w, uint64_t mask) {
-    const uint64_t added = mask & ~words_[w];
-    words_[w] |= mask;
-    return added;
-  }
 
   /// Number of elements in the set (popcount).
-  size_t Count() const;
-  bool None() const;
+  size_t Count() const { return BitView(*this).Count(); }
+  bool None() const { return BitView(*this).None(); }
   bool Any() const { return !None(); }
 
   /// True if every element of this set is also in `other`.
   /// Precondition: same universe size.
-  bool IsSubsetOf(const DynamicBitset& other) const;
+  bool IsSubsetOf(BitView other) const {
+    return BitView(*this).IsSubsetOf(other);
+  }
 
   /// this |= other. Returns true if this changed.
   bool UnionWith(const DynamicBitset& other);
@@ -77,23 +139,16 @@ class DynamicBitset {
   /// Calls f(i) for each element i in increasing order.
   template <typename F>
   void ForEach(F&& f) const {
-    for (size_t w = 0; w < words_.size(); ++w) {
-      uint64_t bits = words_[w];
-      while (bits != 0) {
-        int b = __builtin_ctzll(bits);
-        f(w * 64 + static_cast<size_t>(b));
-        bits &= bits - 1;
-      }
-    }
+    BitView(*this).ForEach(std::forward<F>(f));
   }
 
   /// Elements in increasing order.
-  std::vector<size_t> ToVector() const;
+  std::vector<size_t> ToVector() const { return BitView(*this).ToVector(); }
 
   /// "{1,5,9}" — for debugging and golden tests.
-  std::string ToString() const;
+  std::string ToString() const { return BitView(*this).ToString(); }
 
-  size_t Hash() const;
+  size_t Hash() const { return BitView(*this).Hash(); }
 
  private:
   size_t size_ = 0;

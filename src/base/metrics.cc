@@ -14,16 +14,16 @@
 
 namespace relspec {
 
-namespace {
+namespace internal {
 std::atomic<bool> g_metrics_enabled{false};
+}  // namespace internal
+
+namespace {
 std::atomic<bool> g_tracing_enabled{false};
 }  // namespace
 
 void EnableMetrics(bool on) {
-  g_metrics_enabled.store(on, std::memory_order_relaxed);
-}
-bool MetricsEnabled() {
-  return g_metrics_enabled.load(std::memory_order_relaxed);
+  internal::g_metrics_enabled.store(on, std::memory_order_relaxed);
 }
 void EnableTracing(bool on) {
   g_tracing_enabled.store(on, std::memory_order_relaxed);

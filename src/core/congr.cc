@@ -110,7 +110,6 @@ StatusOr<BoundedCongrResult> EvaluateCongrBounded(
 
   // C = B ∪ R.
   for (uint32_t ci = 0; ci < spec.num_clusters(); ++ci) {
-    const Cluster& c = spec.graph().cluster(ci);
     auto it = term_index.find(spec.graph().Representative(ci));
     if (it == term_index.end()) {
       return Status::InvalidArgument(
@@ -118,7 +117,7 @@ StatusOr<BoundedCongrResult> EvaluateCongrBounded(
     }
     uint32_t rep = it->second;
     const auto& atoms = spec.atom_dictionary();
-    c.label.ForEach([&](size_t b) {
+    spec.graph().label(ci).ForEach([&](size_t b) {
       const SliceAtom& sa = atoms[b];
       datalog::Tuple tuple;
       tuple.push_back(rep);

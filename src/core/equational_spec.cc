@@ -12,14 +12,14 @@ void EquationalSpecification::EnsureClosure() {
   closure_ = std::make_unique<CongruenceClosure>(arena_.get());
   closure_->set_governor(governor_);
   // Parents precede their children, so each term extends an interned one.
-  const std::vector<Cluster>& clusters = spec_->graph().clusters();
-  cluster_terms_.resize(clusters.size());
-  for (size_t i = 0; i < clusters.size(); ++i) {
-    const Cluster& c = clusters[i];
+  const LabelGraph& graph = spec_->graph();
+  cluster_terms_.resize(graph.num_clusters());
+  for (uint32_t i = 0; i < graph.num_clusters(); ++i) {
+    const uint32_t parent = graph.parent(i);
     cluster_terms_[i] =
-        c.parent == kInvalidId
+        parent == kInvalidId
             ? arena_->Zero()
-            : arena_->Apply(c.symbol, cluster_terms_[c.parent]);
+            : arena_->Apply(graph.symbol(i), cluster_terms_[parent]);
   }
   for (const Equation& eq : equations_) {
     closure_->Merge(arena_->Apply(eq.symbol, cluster_terms_[eq.cluster]),
@@ -59,9 +59,9 @@ bool EquationalSpecification::Holds(const Path& path, PredId pred,
   EnsureClosure();
   TermId t0 = path.ToTerm(arena_.get());
   // T = {t : P(t, a...) in B}; accept iff (t0, t) in Cl(R) for some t.
-  const std::vector<Cluster>& clusters = spec_->graph().clusters();
-  for (size_t i = 0; i < clusters.size(); ++i) {
-    if (!clusters[i].label.Test(atom)) continue;
+  const LabelGraph& graph = spec_->graph();
+  for (uint32_t i = 0; i < graph.num_clusters(); ++i) {
+    if (!graph.label(i).Test(atom)) continue;
     if (closure_->AreCongruent(t0, cluster_terms_[i])) return true;
   }
   return false;
@@ -107,8 +107,7 @@ StatusOr<EquationalSpecification> BuildEquationalSpecification(
   // At most one equation per successor edge.
   out.equations_.reserve(graph.num_clusters() * alphabet.size());
   auto is_tree_edge = [&](uint32_t parent, FuncId f, uint32_t cluster) {
-    const Cluster& c = graph.cluster(cluster);
-    return c.parent == parent && c.symbol == f;
+    return graph.parent(cluster) == parent && graph.symbol(cluster) == f;
   };
   //  (a) the initial frontier layer, whose terms extend trunk paths, in
   //      shortlex order;
@@ -122,10 +121,10 @@ StatusOr<EquationalSpecification> BuildEquationalSpecification(
   //  (b) children of Active representatives beyond the trunk.
   for (uint32_t ci = 0; ci < graph.num_clusters(); ++ci) {
     if (ci == graph.unknown_cluster()) continue;
-    const Cluster& c = graph.cluster(ci);
-    if (c.trunk) continue;
-    for (size_t s = 0; s < c.successors.size(); ++s) {
-      const uint32_t succ = c.successors[s];
+    if (graph.is_trunk(ci)) continue;
+    const std::span<const uint32_t> successors = graph.successors(ci);
+    for (size_t s = 0; s < successors.size(); ++s) {
+      const uint32_t succ = successors[s];
       if (succ == graph.unknown_cluster()) continue;
       if (!is_tree_edge(ci, alphabet[s], succ)) {
         out.equations_.push_back({ci, alphabet[s], succ});

@@ -40,7 +40,7 @@ StatusOr<std::vector<Path>> PathsUpToDepth(const std::vector<FuncId>& alphabet,
 // Labeling
 // ---------------------------------------------------------------------------
 
-const DynamicBitset& Labeling::LabelOf(const Path& path) {
+BitView Labeling::LabelOf(const Path& path) {
   int c = trunk_depth();
   // Reject paths using symbols outside the alphabet: their labels are empty
   // (no rule or fact can place anything there; see ground.h).
@@ -59,7 +59,8 @@ const DynamicBitset& Labeling::LabelOf(const Path& path) {
 }
 
 uint32_t Labeling::BoundaryEntry(std::span<const FuncId> symbols) {
-  return chi_->EntryFor(boundary_seeds_.at(terms_.FindSymbols(symbols)));
+  return chi_->EntryFor(
+      boundary_seeds_.at(terms_.FindSymbols(symbols)).words());
 }
 
 // ---------------------------------------------------------------------------
@@ -133,8 +134,8 @@ Status Labeling::RunToFixpoint(const FixpointOptions& options) {
     return Status::OK();
   };
 
-  auto boundary_label = [&](TermId p) -> const DynamicBitset& {
-    return chi.Value(chi.EntryFor(boundary_seeds_.at(p)));
+  auto boundary_label = [&](TermId p) -> BitView {
+    return chi.Value(chi.EntryFor(boundary_seeds_.at(p).words()));
   };
 
   bool changed = true;
@@ -202,7 +203,7 @@ Status Labeling::RunToFixpoint(const FixpointOptions& options) {
       DynamicBitset& label = trunk_labels_.at(wid);
       bool is_frontier = w.depth() == c;  // children are boundary nodes
       for (const GroundRule& rule : ground.local_rules()) {
-        auto child_of = [&](SymIdx s) -> const DynamicBitset& {
+        auto child_of = [&](SymIdx s) -> BitView {
           TermId child = terms.Apply(ground.alphabet()[s], wid);
           if (is_frontier) return boundary_label(child);
           return trunk_labels_.at(child);
@@ -243,7 +244,7 @@ Status Labeling::RunToFixpoint(const FixpointOptions& options) {
     // child, the boundary node's own closure (eps rules at depth c+1) must
     // be computed before its label is served.
     for (const auto& [path, seed] : boundary_seeds_) {
-      chi.EntryFor(seed);
+      chi.EntryFor(seed.words());
     }
 
     // 4. Trunk -> context pinned sync.
@@ -378,7 +379,7 @@ StatusOr<BoundedLabeling> ComputeBoundedFixpoint(const GroundProgram& ground,
       DynamicBitset& label = out.labels_.at(wid);
       bool has_children = w.depth() < bound;
       for (const GroundRule& rule : ground.local_rules()) {
-        auto child_of = [&](SymIdx s) -> const DynamicBitset& {
+        auto child_of = [&](SymIdx s) -> BitView {
           if (!has_children) return empty;
           return out.labels_.at(terms.Apply(ground.alphabet()[s], wid));
         };

@@ -64,9 +64,9 @@ class Labeling {
   /// chi entries' recorded children: O(depth), and it interns no path and
   /// closes nothing. Non-const because a frozen (truncated) chi engine
   /// closes a still-queued entry on first read. A label beyond the trunk
-  /// lives in the chi table, which such a read may grow: copy the result to
-  /// keep it past the next call.
-  const DynamicBitset& LabelOf(const Path& path);
+  /// is a view into the chi table, which such a read may grow: copy the
+  /// result to keep it past the next call.
+  BitView LabelOf(const Path& path);
 
   /// The chi entry of a boundary (depth c+1) path over the alphabet.
   uint32_t BoundaryEntry(std::span<const FuncId> symbols);

@@ -18,7 +18,7 @@ bool GraphSpecification::Holds(const Path& path, PredId pred,
   if (atom == kInvalidId) return false;
   uint32_t cluster = graph_.ClusterOf(path);
   if (cluster == kInvalidId) return false;
-  return graph_.cluster(cluster).label.Test(atom);
+  return graph_.label(cluster).Test(atom);
 }
 
 bool GraphSpecification::HoldsGlobal(PredId pred,
@@ -66,21 +66,21 @@ std::vector<SliceAtom> GraphSpecification::SliceOf(const Path& path) const {
   std::vector<SliceAtom> out;
   uint32_t cluster = graph_.ClusterOf(path);
   if (cluster == kInvalidId) return out;
-  graph_.cluster(cluster).label.ForEach(
+  graph_.label(cluster).ForEach(
       [&](size_t i) { out.push_back(atoms_[i]); });
   return out;
 }
 
 size_t GraphSpecification::num_slice_tuples() const {
   size_t n = 0;
-  for (const Cluster& c : graph_.clusters()) n += c.label.Count();
+  for (uint32_t c = 0; c < graph_.num_clusters(); ++c) {
+    n += graph_.label(c).Count();
+  }
   return n;
 }
 
 size_t GraphSpecification::num_edges() const {
-  size_t n = 0;
-  for (const Cluster& c : graph_.clusters()) n += c.successors.size();
-  return n;
+  return graph_.num_clusters() * graph_.alphabet().size();
 }
 
 std::string GraphSpecification::ToString() const {
@@ -92,13 +92,11 @@ std::string GraphSpecification::ToString() const {
     out += StrFormat("  (partial result, sound under-approximation: %s)\n",
                      breach().message().c_str());
   }
-  for (size_t i = 0; i < graph_.num_clusters(); ++i) {
-    const Cluster& c = graph_.cluster(static_cast<uint32_t>(i));
-    const std::string repr =
-        graph_.Representative(static_cast<uint32_t>(i)).ToString(symbols_);
-    out += StrFormat("cluster %zu%s: repr=%s\n", i, c.trunk ? " (trunk)" : "",
-                     repr.c_str());
-    c.label.ForEach([&](size_t a) {
+  for (uint32_t i = 0; i < graph_.num_clusters(); ++i) {
+    const std::string repr = graph_.Representative(i).ToString(symbols_);
+    out += StrFormat("cluster %u%s: repr=%s\n", i,
+                     graph_.is_trunk(i) ? " (trunk)" : "", repr.c_str());
+    graph_.label(i).ForEach([&](size_t a) {
       const SliceAtom& atom = atoms_[a];
       std::string tuple = symbols_.predicate(atom.pred).name + "(" + repr;
       for (ConstId cc : atom.args) {
@@ -107,10 +105,11 @@ std::string GraphSpecification::ToString() const {
       tuple += ")";
       out += "  " + tuple + "\n";
     });
-    for (size_t s = 0; s < c.successors.size(); ++s) {
+    const std::span<const uint32_t> successors = graph_.successors(i);
+    for (size_t s = 0; s < successors.size(); ++s) {
       out += StrFormat("  successor_%s -> cluster %u\n",
                        symbols_.function(alphabet()[s]).name.c_str(),
-                       c.successors[s]);
+                       successors[s]);
     }
   }
   for (const auto& [pred, args] : globals_) {

@@ -50,17 +50,16 @@ void SerializeGlobals(
 
 // A graph cluster line ends in its successor list; an equational one, whose
 // clusters keep no successors, stops after the label.
-void SerializeClusters(const std::vector<Cluster>& clusters, bool successors,
+void SerializeClusters(const LabelGraph& graph, bool successors,
                        const SymbolTable& symbols, std::ostringstream* out) {
-  *out << "clusters " << clusters.size() << "\n";
-  for (uint32_t i = 0; i < clusters.size(); ++i) {
-    const Cluster& c = clusters[i];
-    *out << "cluster " << (c.trunk ? "trunk" : "bfs") << " "
-         << PathWord(RepresentativePath(clusters, i), symbols) << " label";
-    c.label.ForEach([&](size_t a) { *out << " " << a; });
+  *out << "clusters " << graph.num_clusters() << "\n";
+  for (uint32_t i = 0; i < graph.num_clusters(); ++i) {
+    *out << "cluster " << (graph.is_trunk(i) ? "trunk" : "bfs") << " "
+         << PathWord(graph.Representative(i), symbols) << " label";
+    graph.label(i).ForEach([&](size_t a) { *out << " " << a; });
     if (successors) {
       *out << " succ";
-      for (uint32_t s : c.successors) *out << " " << s;
+      for (uint32_t s : graph.successors(i)) *out << " " << s;
     }
     *out << "\n";
   }
@@ -91,7 +90,7 @@ std::string SpecIo::Serialize(const GraphSpecification& spec) {
   for (FuncId f : spec.alphabet()) out << " " << spec.symbols().function(f).name;
   out << "\n";
   SerializeAtoms(spec.atom_dictionary(), spec.symbols(), &out);
-  SerializeClusters(spec.graph().clusters(), /*successors=*/true,
+  SerializeClusters(spec.graph(), /*successors=*/true,
                     spec.symbols(), &out);
   for (const auto& [path, cluster] : spec.graph().BoundaryEntries()) {
     out << "boundary " << PathWord(path, spec.symbols()) << " " << cluster
@@ -110,7 +109,7 @@ std::string SpecIo::Serialize(const EquationalSpecification& eq) {
   SerializeTruncated(spec.truncated(), spec.breach(), &out);
   SerializeSymbols(spec.symbols(), &out);
   SerializeAtoms(spec.atom_dictionary(), spec.symbols(), &out);
-  SerializeClusters(spec.graph().clusters(), /*successors=*/false,
+  SerializeClusters(spec.graph(), /*successors=*/false,
                     spec.symbols(), &out);
   for (const Equation& e : eq.equations()) {
     const auto [t1, t2] = eq.EquationPaths(e);

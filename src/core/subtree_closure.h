@@ -20,10 +20,20 @@
 // its node's children, so Algorithm Q and deep label walks follow entry ids
 // and close nothing.
 //
-// Every state is known by its entry id. The seeds live once, in a word arena
-// the id indexes, behind an IdIndex that hashes and compares arena words in
-// place: a lookup builds no heap object, and only a new entry copies its
-// seed.
+// Every state is known by its entry id, and the table is flat: no entry
+// owns a heap block. Seeds and values live in two word arenas of one
+// stride, the words of a set over the atoms, indexed by entry id; an
+// IdIndex hashes and compares the seed words in place, so a lookup builds
+// no heap object and a new entry appends its seed to both arenas. Value()
+// is a BitView into the value arena. The reverse edges (the entries whose
+// closure read an entry) are singly linked lists in one edge arena: a
+// closure appends an edge per entry it read, skipping an entry whose stamp
+// already names the closing entry, and an entry that grows walks its list,
+// sorts it, drops repeats and re-queues the readers in ascending id order.
+// The children of entry e are row e of one id array of stride |Sigma|, and
+// a closure's child seeds are rows of one word arena, one per symbol. The
+// index is reserved up front from the bound of Theorem 4.1 (see the
+// constructor), so a small table never rehashes.
 //
 // Closing one entry is a propositional Horn closure over the local rules.
 // The engine compiles them once into items. Child-head rules with the same
@@ -73,12 +83,12 @@ namespace relspec {
 class ResourceGovernor;
 
 /// Evaluates a ground rule body against a node label, its children's labels
-/// and the context. `child_label` is any callable SymIdx -> const
-/// DynamicBitset&. The trunk pass, Verify and the bounded fixpoint use it;
-/// ChiEngine tests its compiled body words instead.
+/// and the context. `child_label` is any callable SymIdx -> BitView (or
+/// const DynamicBitset&). The trunk pass, Verify and the bounded fixpoint
+/// use it; ChiEngine tests its compiled body words instead.
 template <typename ChildLabelFn>
-bool BodySatisfied(const GroundRule& rule, const DynamicBitset& label,
-                   const DynamicBitset& ctx, ChildLabelFn&& child_label) {
+bool BodySatisfied(const GroundRule& rule, BitView label, BitView ctx,
+                   ChildLabelFn&& child_label) {
   for (AtomIdx a : rule.body_eps) {
     if (!label.Test(a)) return false;
   }
@@ -99,13 +109,13 @@ class ChiEngine {
   ChiEngine(const GroundProgram* ground, DynamicBitset* ctx);
 
   /// Looks up (or creates, with value = seed, and queues) the entry for
-  /// `seed`.
-  uint32_t EntryFor(const DynamicBitset& seed);
+  /// the seed whose words are `seed` (a set over the ground atoms).
+  uint32_t EntryFor(std::span<const uint64_t> seed);
 
   /// Current value of an entry. Monotonically grows while the worklist
-  /// drains. The reference is invalidated by the next table growth.
-  const DynamicBitset& Value(uint32_t entry) const {
-    return entries_[entry].value;
+  /// drains. The view is invalidated by the next table growth.
+  BitView Value(uint32_t entry) const {
+    return {value_words_.data() + entry * seed_stride_, num_atoms_};
   }
 
   /// children[s]: the entry whose value is the label of child s of a node
@@ -123,7 +133,7 @@ class ChiEngine {
   /// each closure sees every update made before it.
   StatusOr<bool> ProcessAllOnce();
 
-  size_t num_entries() const { return entries_.size(); }
+  size_t num_entries() const { return queued_.size(); }
 
   /// Caps the table size; exceeded -> ResourceExhausted from ProcessAllOnce.
   void set_max_entries(size_t n) { max_entries_ = n; }
@@ -141,14 +151,13 @@ class ChiEngine {
   bool frozen() const { return frozen_; }
 
  private:
-  struct Entry {
-    DynamicBitset value;
-    /// Entries whose closure read this one, ascending: re-queued when this
-    /// value grows.
-    std::vector<uint32_t> readers;
-    /// In queue_. A frozen engine's lazy close clears it and leaves the id.
-    bool queued = true;
+  /// One reverse edge: `reader`'s closure read the entry whose list holds
+  /// it. `next` is the list's next edge, kNoEdge at its end.
+  struct ReaderEdge {
+    uint32_t reader;
+    uint32_t next;
   };
+  static constexpr uint32_t kNoEdge = UINT32_MAX;
 
   /// Compressed rows: row k holds items[begin[k], begin[k+1]).
   template <typename T>
@@ -211,9 +220,16 @@ class ChiEngine {
   /// children and reads in `children_` and `reads_`, and stores the
   /// children in the entry's row of `child_ids_`.
   bool CloseScratch(uint32_t entry);
+  /// Re-queues the readers of `entry` in ascending id order, and rewrites
+  /// its edge list in that order without repeats.
+  void EnqueueReaders(uint32_t entry);
   /// The words of an entry's seed in `seed_words_`.
   std::span<const uint64_t> Seed(uint32_t entry) const {
     return {seed_words_.data() + entry * seed_stride_, seed_stride_};
+  }
+  /// Child `s`'s seed in the closure scratch `sweep_words_`.
+  uint64_t* SweepSeed(SymIdx s) {
+    return sweep_words_.data() + s * seed_stride_;
   }
   void Enqueue(uint32_t entry);
   void EnqueueAll();
@@ -226,11 +242,20 @@ class ChiEngine {
   ResourceGovernor* governor_ = nullptr;
   bool frozen_ = false;
   /// Entry e's seed is words [e * seed_stride_, (e + 1) * seed_stride_) of
-  /// `seed_words_`; `index_` finds an entry by its seed.
+  /// `seed_words_`, and its value the same words of `value_words_`;
+  /// `index_` finds an entry by its seed.
+  size_t num_atoms_;
   size_t seed_stride_;
   std::vector<uint64_t> seed_words_;
+  std::vector<uint64_t> value_words_;
   IdIndex index_;
-  std::vector<Entry> entries_;
+  /// Per entry: in queue_ (a frozen engine's lazy close clears it and
+  /// leaves the id), the first edge of its reader list, and the last entry
+  /// that recorded an edge on it (kNoEntry before any).
+  std::vector<char> queued_;
+  std::vector<uint32_t> first_reader_;
+  std::vector<uint32_t> read_stamp_;
+  std::vector<ReaderEdge> reader_edges_;
   /// Entry e's children are ids [e * |Sigma|, (e + 1) * |Sigma|) of
   /// `child_ids_`, UINT32_MAX until it is closed.
   std::vector<uint32_t> child_ids_;
@@ -258,8 +283,11 @@ class ChiEngine {
   DynamicBitset closed_;
   std::vector<uint32_t> children_;
   std::vector<uint32_t> reads_;
+  /// A grown entry's readers, sorted before they are re-queued.
+  std::vector<uint32_t> requeue_;
   DynamicBitset empty_seed_;
-  std::vector<DynamicBitset> seeds_;
+  /// Child s's seed is words [s * seed_stride_, (s + 1) * seed_stride_).
+  std::vector<uint64_t> sweep_words_;
   /// Symbols whose seed grew: in this sweep (marked in `stale_mark_`), and
   /// since the last restart.
   std::vector<SymIdx> stale_;

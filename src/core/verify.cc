@@ -27,7 +27,7 @@ Status VerifyQuotientModel(const GraphSpecification& spec,
     const CtxProp& prop = ground.ctx_prop(i);
     if (prop.kind != CtxProp::Kind::kPinned) continue;
     const uint32_t cl = graph.ClusterOf(prop.path);
-    if (cl != kInvalidId && graph.cluster(cl).label.Test(prop.atom)) {
+    if (cl != kInvalidId && graph.label(cl).Test(prop.atom)) {
       ctx.Set(i);
     }
   }
@@ -35,7 +35,7 @@ Status VerifyQuotientModel(const GraphSpecification& spec,
   // 1. Database facts are present.
   for (const auto& [path, atom] : ground.pinned_facts()) {
     uint32_t cl = graph.ClusterOf(path);
-    if (cl == kInvalidId || !graph.cluster(cl).label.Test(atom)) {
+    if (cl == kInvalidId || !graph.label(cl).Test(atom)) {
       return Status::Internal("quotient model is missing a pinned fact of D");
     }
   }
@@ -58,20 +58,19 @@ Status VerifyQuotientModel(const GraphSpecification& spec,
   // folds onto a cluster with ClusterOf(w.f) == successor_f(ClusterOf(w)),
   // per-cluster closure is exactly per-node closure on the infinite tree.
   for (uint32_t c = 0; c < graph.num_clusters(); ++c) {
-    const Cluster& cl = graph.cluster(c);
+    const BitView label = graph.label(c);
     for (const GroundRule& rule : ground.local_rules()) {
-      auto child_label = [&](SymIdx s) -> const DynamicBitset& {
-        return graph.cluster(cl.successors[s]).label;
+      auto child_label = [&](SymIdx s) {
+        return graph.label(graph.SuccessorOf(c, s));
       };
-      if (!BodySatisfied(rule, cl.label, ctx, child_label)) continue;
+      if (!BodySatisfied(rule, label, ctx, child_label)) continue;
       bool ok = true;
       switch (rule.head_kind) {
         case GroundRule::HeadKind::kEps:
-          ok = cl.label.Test(rule.head_id);
+          ok = label.Test(rule.head_id);
           break;
         case GroundRule::HeadKind::kChild:
-          ok = graph.cluster(cl.successors[rule.head_sym])
-                   .label.Test(rule.head_id);
+          ok = child_label(rule.head_sym).Test(rule.head_id);
           break;
         case GroundRule::HeadKind::kCtx:
           ok = ctx.Test(rule.head_id);

@@ -181,6 +181,38 @@ TEST(DynamicBitset, HashDistinguishesAndAgrees) {
   EXPECT_EQ(s.size(), 2u);
 }
 
+// A view of arena words reads, hashes and compares like the DynamicBitset
+// with the same bits: the chi and cluster indexes look arena rows up with
+// either.
+TEST(BitView, AgreesWithDynamicBitset) {
+  DynamicBitset a(130);
+  a.Set(0);
+  a.Set(64);
+  a.Set(129);
+  const std::vector<uint64_t> arena = {7, a.words()[0], a.words()[1],
+                                       a.words()[2], 9};
+  const BitView v(arena.data() + 1, 130);
+  EXPECT_EQ(v.Hash(), a.Hash());
+  EXPECT_EQ(v, a);
+  EXPECT_EQ(a, v);
+  EXPECT_EQ(v.Count(), 3u);
+  EXPECT_TRUE(v.Test(64));
+  EXPECT_FALSE(v.Test(63));
+  EXPECT_EQ(v.ToVector(), a.ToVector());
+  EXPECT_EQ(v.ToString(), "{0,64,129}");
+  EXPECT_TRUE(v.IsSubsetOf(a));
+  EXPECT_EQ(DynamicBitset(v), a);
+  // The universe is part of the set: the same words over a wider universe
+  // hash and compare differently.
+  const BitView wider(arena.data() + 1, 140);
+  EXPECT_NE(wider, v);
+  EXPECT_NE(wider.Hash(), v.Hash());
+  a.Reset(129);
+  EXPECT_NE(v, a);
+  EXPECT_TRUE(BitView(a).IsSubsetOf(v));
+  EXPECT_FALSE(v.IsSubsetOf(a));
+}
+
 TEST(DynamicBitset, OrderingIsTotal) {
   DynamicBitset a(64), b(64);
   a.Set(1);

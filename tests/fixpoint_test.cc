@@ -498,7 +498,7 @@ TEST(ChiGroups, UpRulesOfferedPastTheScanFireInTheSamePass) {
     DynamicBitset seed(g.num_atoms());
     seed.Set(g.FindAtom(AtomOf(*b, "P", {})));
     ScopedMetrics metrics;
-    const uint32_t entry = chi.EntryFor(seed);
+    const uint32_t entry = chi.EntryFor(seed.words());
     ASSERT_TRUE(chi.ProcessAllOnce().ok());
     EXPECT_EQ(chi.Value(entry).Count(), 4u);
     lookups_by_order[in_chain_order] =
@@ -532,12 +532,12 @@ TEST(ChiEngine, EntryForGivesEachSeedOneIdThroughTableGrowth) {
   };
   ScopedMetrics metrics;
   for (uint32_t i = 0; i < kSeeds; ++i) {
-    ASSERT_EQ(chi.EntryFor(seed_of(i)), i);
+    ASSERT_EQ(chi.EntryFor(seed_of(i).words()), i);
   }
   ASSERT_EQ(chi.num_entries(), kSeeds);
   for (uint32_t round = 0; round < 2; ++round) {
     for (uint32_t i = kSeeds; i-- > 0;) {
-      ASSERT_EQ(chi.EntryFor(seed_of(i)), i);
+      ASSERT_EQ(chi.EntryFor(seed_of(i).words()), i);
     }
   }
   EXPECT_EQ(chi.num_entries(), kSeeds);
@@ -557,7 +557,8 @@ TEST(ChiEngineDeathTest, QueuedChildrenReadOnlyWhenFrozen) {
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   DynamicBitset ctx(b->ground.num_ctx());
   ChiEngine chi(&b->ground, &ctx);
-  uint32_t entry = chi.EntryFor(DynamicBitset(b->ground.num_atoms()));
+  uint32_t entry =
+      chi.EntryFor(DynamicBitset(b->ground.num_atoms()).words());
   EXPECT_DEATH(chi.Children(entry),
                "read before the fixpoint converged: seed=\\{\\}");
   chi.set_frozen(true);

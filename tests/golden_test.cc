@@ -461,7 +461,7 @@ TEST(ChiBuildsGolden, SpecMembershipAgreesWithLabeling) {
         for (int depth = 0; depth <= max_depth; ++depth) {
           std::vector<Path> next;
           for (const Path& path : layer) {
-            const DynamicBitset label = labeling.LabelOf(path);
+            const DynamicBitset label(labeling.LabelOf(path));
             for (AtomIdx i = 0; i < atoms.size(); ++i) {
               const bool by_labeling = label.Test(i);
               const bool by_spec =

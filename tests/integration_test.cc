@@ -51,9 +51,9 @@ TEST(MeetsExample, TwoClustersWithFlipFlopSuccessors) {
   uint32_t c1 = graph.SuccessorOf(c0, 0);
   uint32_t c2 = graph.SuccessorOf(c1, 0);
   uint32_t c3 = graph.SuccessorOf(c2, 0);
-  EXPECT_NE(graph.cluster(c1).label, graph.cluster(c0).label);
-  EXPECT_EQ(graph.cluster(c2).label, graph.cluster(c0).label);
-  EXPECT_EQ(graph.cluster(c3).label, graph.cluster(c1).label);
+  EXPECT_NE(graph.label(c1), graph.label(c0));
+  EXPECT_EQ(graph.label(c2), graph.label(c0));
+  EXPECT_EQ(graph.label(c3), graph.label(c1));
   EXPECT_EQ(c3, c1);  // the walk has entered the 2-cycle
 }
 

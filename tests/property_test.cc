@@ -61,7 +61,7 @@ void RunPipelineInvariants(const std::string& source) {
   const GroundProgram& ground = (*db)->ground();
   std::vector<Path> inner = UniverseUpTo(ground, kInner);
   for (const Path& p : inner) {
-    const DynamicBitset& exact = labeling.LabelOf(p);
+    const BitView exact = labeling.LabelOf(p);
     const DynamicBitset& approx1 = b1->LabelOf(p);
     const DynamicBitset& approx2 = b2->LabelOf(p);
     ASSERT_TRUE(approx1.IsSubsetOf(exact)) << p.depth();  // soundness

@@ -51,7 +51,7 @@ TEST(LabelGraph, ClusterWalkAgreesWithLabeling) {
     Path p = NatPath(**db, n);
     uint32_t cl = graph.ClusterOf(p);
     ASSERT_NE(cl, kInvalidId);
-    EXPECT_EQ(graph.cluster(cl).label, replay->labeling.LabelOf(p)) << n;
+    EXPECT_EQ(graph.label(cl), replay->labeling.LabelOf(p)) << n;
   }
 }
 
@@ -102,11 +102,11 @@ TEST(LabelGraph, TrunkIsAHeapAndBoundaryEntriesAreItsFrontierEdges) {
       layer = std::move(next);
     }
     for (uint32_t i = 0; i < trunk.size(); ++i) {
-      EXPECT_TRUE(graph.cluster(i).trunk) << i;
+      EXPECT_TRUE(graph.is_trunk(i)) << i;
       EXPECT_EQ(graph.Representative(i), trunk[i]) << i;
       EXPECT_EQ(graph.ClusterOf(trunk[i]), i) << i;
     }
-    EXPECT_FALSE(graph.cluster(static_cast<uint32_t>(trunk.size())).trunk);
+    EXPECT_FALSE(graph.is_trunk(static_cast<uint32_t>(trunk.size())));
     const auto entries = graph.BoundaryEntries();
     ASSERT_EQ(entries.size(), layer.size()) << "merge=" << merge;
     for (size_t j = 0; j < layer.size(); ++j) {
@@ -200,28 +200,28 @@ void ExpectSuccessorsMatchLabeling(FunctionalDatabase* db,
   const std::vector<FuncId>& alphabet = db->ground().alphabet();
   std::unordered_set<DynamicBitset, DynamicBitsetHash> explored;
   for (uint32_t ci = 0; ci < graph.num_clusters(); ++ci) {
-    const Cluster& cl = graph.cluster(ci);
-    if (!cl.trunk && ci != graph.unknown_cluster()) explored.insert(cl.label);
+    if (!graph.is_trunk(ci) && ci != graph.unknown_cluster()) {
+      explored.insert(DynamicBitset(graph.label(ci)));
+    }
   }
   for (uint32_t ci = 0; ci < graph.num_clusters(); ++ci) {
     if (ci == graph.unknown_cluster()) continue;
-    const Cluster& cl = graph.cluster(ci);
-    ASSERT_EQ(cl.successors.size(), alphabet.size());
+    ASSERT_EQ(graph.successors(ci).size(), alphabet.size());
     for (SymIdx s = 0; s < alphabet.size(); ++s) {
-      uint32_t succ = cl.successors[s];
+      uint32_t succ = graph.successors(ci)[s];
       ASSERT_LT(succ, graph.num_clusters()) << "cluster " << ci;
       // A copy: a boundary label points into the chi table, which a later
       // LabelOf may grow.
-      DynamicBitset want =
-          labeling.LabelOf(graph.Representative(ci).Extend(alphabet[s]));
+      DynamicBitset want(
+          labeling.LabelOf(graph.Representative(ci).Extend(alphabet[s])));
       if (succ == graph.unknown_cluster()) {
         EXPECT_TRUE(graph.truncated());
-        if (!cl.trunk) {
+        if (!graph.is_trunk(ci)) {
           EXPECT_EQ(explored.count(want), 0u) << "cluster " << ci;
         }
         continue;
       }
-      EXPECT_EQ(graph.cluster(succ).label, want)
+      EXPECT_EQ(graph.label(succ), want)
           << "cluster " << ci << " symbol " << s;
     }
   }
@@ -327,7 +327,7 @@ TEST(LabelGraph, EntriesWithEqualValuesShareACluster) {
 
     const LabelGraph& graph = (*db)->label_graph();
     const uint32_t cluster = graph.ClusterOf(f);
-    EXPECT_FALSE(graph.cluster(cluster).trunk);
+    EXPECT_FALSE(graph.is_trunk(cluster));
     EXPECT_EQ(graph.ClusterOf(g), cluster);
     // The root, the {A, B} state and the empty state below it.
     EXPECT_EQ(graph.num_clusters(), 3u);
@@ -370,9 +370,9 @@ TEST(LabelGraph, LazyClosesDuringTheTraversalKeepEdgesExact) {
       grew |= labeling->chi().num_entries() > entries_before;
       std::unordered_set<DynamicBitset, DynamicBitsetHash> labels;
       for (uint32_t ci = 0; ci < graph->num_clusters(); ++ci) {
-        const Cluster& cl = graph->cluster(ci);
-        if (cl.trunk || ci == graph->unknown_cluster()) continue;
-        EXPECT_TRUE(labels.insert(cl.label).second) << "cluster " << ci;
+        if (graph->is_trunk(ci) || ci == graph->unknown_cluster()) continue;
+        EXPECT_TRUE(labels.insert(DynamicBitset(graph->label(ci))).second)
+            << "cluster " << ci;
       }
       const std::vector<FuncId>& alphabet = graph->alphabet();
       for (uint32_t ci = 0; ci < graph->num_clusters(); ++ci) {
@@ -381,9 +381,9 @@ TEST(LabelGraph, LazyClosesDuringTheTraversalKeepEdgesExact) {
           const uint32_t succ = graph->SuccessorOf(ci, s);
           ASSERT_LT(succ, graph->num_clusters());
           if (succ == graph->unknown_cluster()) continue;
-          DynamicBitset want =
-              labeling->LabelOf(graph->Representative(ci).Extend(alphabet[s]));
-          EXPECT_EQ(graph->cluster(succ).label, want)
+          DynamicBitset want(
+              labeling->LabelOf(graph->Representative(ci).Extend(alphabet[s])));
+          EXPECT_EQ(graph->label(succ), want)
               << "cluster " << ci << " symbol " << s;
         }
       }
@@ -438,7 +438,7 @@ TEST(EquationalSpec, FrontierEquationsComeInShortlexOrder) {
   ASSERT_TRUE(espec.ok()) << espec.status().ToString();
   std::vector<Path> frontier;
   for (const Equation& eq : espec->equations()) {
-    if (espec->spec().graph().cluster(eq.cluster).trunk) {
+    if (espec->spec().graph().is_trunk(eq.cluster)) {
       frontier.push_back(espec->EquationPaths(eq).first);
     }
   }
@@ -547,6 +547,12 @@ TEST(Verify, AcceptsAllWorkedExamples) {
   }
 }
 
+// Clears bit `atom` of cluster c's label, writing through the const view.
+void ResetLabelBit(const LabelGraph& graph, uint32_t c, size_t atom) {
+  uint64_t* words = const_cast<uint64_t*>(graph.label(c).words().data());
+  words[atom / 64] &= ~(uint64_t{1} << (atom % 64));
+}
+
 // Each tampered copy of a built spec breaks the model somewhere; Verify must
 // notice, reading the context from the model alone. The copies are not
 // const, so writing through the const accessors is well defined.
@@ -559,9 +565,10 @@ TEST(Verify, DetectsTamperedGraph) {
   const LabelGraph& graph = spec.graph();
   bool corrupted = false;
   for (uint32_t c = 0; c < graph.num_clusters() && !corrupted; ++c) {
-    Cluster& cl = const_cast<Cluster&>(graph.cluster(c));
-    if (cl.label.Any()) {
-      cl.label.Clear();
+    if (graph.label(c).Any()) {
+      for (size_t atom : graph.label(c).ToVector()) {
+        ResetLabelBit(graph, c, atom);
+      }
       corrupted = true;
     }
   }
@@ -595,10 +602,9 @@ TEST(Verify, DetectsClearedPinnedTrunkBit) {
     if (prop.kind != CtxProp::Kind::kPinned) continue;
     const uint32_t c = spec.graph().ClusterOf(prop.path);
     ASSERT_NE(c, kInvalidId);
-    Cluster& cl = const_cast<Cluster&>(spec.graph().cluster(c));
-    ASSERT_TRUE(cl.trunk);
-    if (!cl.label.Test(prop.atom)) continue;
-    cl.label.Reset(prop.atom);
+    ASSERT_TRUE(spec.graph().is_trunk(c));
+    if (!spec.graph().label(c).Test(prop.atom)) continue;
+    ResetLabelBit(spec.graph(), c, prop.atom);
     cleared = true;
   }
   ASSERT_TRUE(cleared);
@@ -614,9 +620,8 @@ TEST(Verify, DetectsClearedLocalRuleHead) {
   const LabelGraph& graph = spec.graph();
   bool cleared = false;
   for (uint32_t c = 0; c < graph.num_clusters() && !cleared; ++c) {
-    Cluster& cl = const_cast<Cluster&>(graph.cluster(c));
-    if (cl.trunk || !cl.label.Any()) continue;
-    cl.label.Reset(cl.label.ToVector().front());
+    if (graph.is_trunk(c) || !graph.label(c).Any()) continue;
+    ResetLabelBit(graph, c, graph.label(c).ToVector().front());
     cleared = true;
   }
   ASSERT_TRUE(cleared);

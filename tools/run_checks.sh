@@ -28,9 +28,9 @@
 # UB-free, a
 # query walk that indexes a successor map out of range must fail, WAL replay
 # moves a rebuilt engine's members into the live one once per batch, the chi
-# worklist reads child values by reference into its entry table, which
+# worklist reads child values through views into its value arena, which
 # EntryFor appends to, while Labeling::LabelOf (read by the tests on a
-# replayed fixpoint; the engine keeps none) returns a reference into it,
+# replayed fixpoint; the engine keeps none) returns a view into it,
 # and a query's own names carry ids past the symbol table's counts, which a
 # read that indexes the table with them would overrun, answers and cache
 # entries share the engine's spec across updates (query_test, serve_test),
