@@ -1,7 +1,8 @@
 // E7 — Theorem 4.2: the graph specification is computable in DEXPTIME and
 // its size has exponential upper and lower bounds. E24 — Algorithm Q's cost
 // in chain depth (BM_AlgorithmQ_Chain, below). E29 — snapshot save on the
-// same chain (BM_SnapshotSave_Chain).
+// same chain (BM_SnapshotSave_Chain). E38 — copying that chain's label
+// graph (BM_LabelGraphCopy_Chain).
 //
 // Expected shape: construction time and specification size grow linearly in
 // k on the benign rotation family and exponentially in n on the subset
@@ -122,6 +123,28 @@ BENCHMARK(BM_AlgorithmQ_Chain)
     ->Arg(256)
     ->Arg(512)
     ->Unit(benchmark::kMicrosecond);
+
+// E38 — copying and destroying BM_AlgorithmQ_Chain's label graph, the bulk
+// of the spec copy FunctionalDatabase::BuildGraphSpec() makes. The clusters
+// are arrays (parent, symbol, trunk flag, a label word arena and a
+// successor array), so the copy is a handful of vector copies whatever the
+// cluster count.
+void BM_LabelGraphCopy_Chain(benchmark::State& state) {
+  int bits = 0;
+  while ((int64_t{1} << bits) < state.range(0)) ++bits;
+  auto db = FunctionalDatabase::FromSource(BinaryCounterProgram(bits));
+  if (!db.ok()) {
+    state.SkipWithError(db.status().ToString().c_str());
+    return;
+  }
+  const LabelGraph& graph = (*db)->label_graph();
+  for (auto _ : state) {
+    LabelGraph copy = graph;
+    benchmark::DoNotOptimize(copy);
+  }
+  state.counters["clusters"] = static_cast<double>(graph.num_clusters());
+}
+BENCHMARK(BM_LabelGraphCopy_Chain)->Arg(512)->Unit(benchmark::kMicrosecond);
 
 // E29 — snapshot save against chain depth: the graph and equational
 // snapshots of BM_AlgorithmQ_Chain's counter program, serialized back to

@@ -45,7 +45,8 @@ SUITES = {
         r"BM_Slowlog_(Disabled|Sampled|AlwaysOn|Dump)$"),
     "bench_graph_spec": (
         "bench_graph_spec",
-        r"BM_AlgorithmQ_Chain/512$|BM_SnapshotSave_Chain/512$"),
+        r"BM_AlgorithmQ_Chain/512$|BM_SnapshotSave_Chain/512$"
+        r"|BM_LabelGraphCopy_Chain/512$"),
     "bench_fixpoint": (
         "bench_fixpoint",
         r"BM_Fixpoint_Chain/512$|BM_Fixpoint_Rotation/420$"

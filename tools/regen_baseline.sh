@@ -20,8 +20,9 @@
 #   bench_slowlog  E28 slow-query audit log ablation (recording disabled /
 #                sampled / always-on / full-ring JSONL dump) from
 #                bench/bench_slowlog.cc
-#   bench_graph_spec  E24 Algorithm Q and E29 snapshot save on a 512-state
-#                counter chain from bench/bench_graph_spec.cc
+#   bench_graph_spec  E24 Algorithm Q, E29 snapshot save and E38 the label
+#                graph copy on a 512-state counter chain from
+#                bench/bench_graph_spec.cc
 #   bench_fixpoint  E26 the chi worklist (ComputeFixpoint alone) on the same
 #                chain, and E28 the counter-indexed closure on a 420-team
 #                rotation, from bench/bench_fixpoint.cc
