@@ -359,6 +359,45 @@ TEST(SnapshotTest, TreeEdgesOutOfRangeAreRejected) {
   ExpectRejectedAfterPatch(bin, succ + 4, 999);  // successor range
 }
 
+// A record holds one successor per alphabet symbol, so a forged file with a
+// wide alphabet and records that hold none is rejected at its first record:
+// the loader never sizes successor rows by the alphabet for records whose
+// bytes it does not have.
+TEST(SnapshotTest, ShortRecordsUnderAWideAlphabetAreRejected) {
+  std::string source = "P(0).\n";
+  for (int i = 0; i < 200; ++i) {
+    source += "P(t) -> Q(f" + std::to_string(i) + "(t)).\n";
+  }
+  auto g = BuildGraph(source);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  ASSERT_EQ(g->alphabet().size(), 200u);
+  const std::string bin = Snapshot::Serialize(*g);
+  const size_t payload = SectionPayload(bin, 5);
+  const size_t c0 = payload + 4;
+  const uint32_t num_atoms = ReadU32(bin, c0 + 9);
+  // 5,000 roots, each: u8 trunk | u32 parent | u32 symbol | an empty label
+  // over the atoms | no successor.
+  constexpr uint32_t kRecords = 5000;
+  std::string records(4, '\0');
+  PatchU32(&records, 0, kRecords);
+  for (uint32_t i = 0; i < kRecords; ++i) {
+    std::string r(21, '\0');
+    PatchU32(&r, 1, kInvalidId);
+    PatchU32(&r, 9, num_atoms);
+    records += r;
+  }
+  const size_t header = payload - 12;
+  uint64_t len = 0;
+  std::memcpy(&len, bin.data() + header + 4, 8);
+  std::string forged = bin.substr(0, payload) + records +
+                       bin.substr(payload + len);
+  PatchU64(&forged, header + 4, records.size());
+  SealChecksum(&forged);
+  Status st = Snapshot::ParseGraphSpec(forged).status();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_EQ(st.message(), "snapshot: successor count mismatch");
+}
+
 // The Link walk reads a path above the frontier off its trunk cluster and
 // enters the rest at a frontier path, so forged depths that disagree with
 // the trunk clusters would make reads throw. The loader rejects them.
