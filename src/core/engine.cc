@@ -176,6 +176,9 @@ StatusOr<DeltaStats> FunctionalDatabase::ApplyDeltaText(
     Atom fact;
   };
   std::vector<ParsedEdit> edits;
+  // The batch's lines share one successor-expansion budget, so its edits
+  // together expand to no more than one parse may, however many lines.
+  int64_t expanded = 0;
   size_t line_no = 0;
   size_t pos = 0;
   while (pos <= text.size()) {
@@ -211,8 +214,8 @@ StatusOr<DeltaStats> FunctionalDatabase::ApplyDeltaText(
     // Parse as a one-fact program seeded with the edited copy's table: new
     // constants/functions intern into `next.symbols` exactly as they would
     // when rebuilding from the edited source.
-    StatusOr<Program> parsed =
-        ParseProgram(std::string(line) + ".", std::move(next.symbols));
+    StatusOr<Program> parsed = ParseProgram(
+        std::string(line) + ".", std::move(next.symbols), &expanded);
     if (!parsed.ok()) {
       return Status::InvalidArgument(StrFormat(
           "delta line %zu: %s", line_no, parsed.status().ToString().c_str()));

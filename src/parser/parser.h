@@ -50,6 +50,7 @@
 #ifndef RELSPEC_PARSER_PARSER_H_
 #define RELSPEC_PARSER_PARSER_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -83,6 +84,13 @@ StatusOr<Program> ParseProgram(std::string_view input);
 /// engine is byte-identical.
 StatusOr<Program> ParseProgram(std::string_view input,
                                SymbolTable seed_symbols);
+/// The same, charging the parse's successor applications (numerals and '+n'
+/// increments) to a budget shared with earlier parses: `*expanded` counts
+/// those already charged, and a successful parse adds its own. A parse fails
+/// once the total would pass the one-parse bound, so a batch of parses
+/// (FunctionalDatabase::ApplyDeltaText) expands no more than one parse.
+StatusOr<Program> ParseProgram(std::string_view input,
+                               SymbolTable seed_symbols, int64_t* expanded);
 
 /// Parses a single query against an existing symbol table, without writing
 /// it. The query may mention only predicates the table has, with their
