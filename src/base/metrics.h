@@ -23,7 +23,7 @@
 //   RELSPEC_GAUGE_SET("fixpoint.trunk_nodes", trunk.size());
 //   RELSPEC_GAUGE_MAX("cc.pending_peak", pending_.size());
 //   RELSPEC_HISTOGRAM("datalog.rule_batch", batch_size);
-//   RELSPEC_SCOPED_TIMER("eqspec.holds_ns");  // histogram of ns, RAII
+//   RELSPEC_SCOPED_TIMER("eqspec.congruent_ns");  // histogram of ns, RAII
 //   RELSPEC_PHASE("fixpoint");                // phase span, RAII; also
 //                                             // emits begin/end trace lines
 //                                             // when tracing is enabled

@@ -1,12 +1,6 @@
 #include "src/cc/congruence_closure.h"
 
-#include <unordered_set>
-
-#include "src/base/failpoint.h"
-#include "src/base/governor.h"
-#include "src/base/logging.h"
 #include "src/base/metrics.h"
-#include "src/base/str_util.h"
 
 namespace relspec {
 
@@ -36,7 +30,7 @@ void CongruenceClosure::AddTerm(TermId t) {
     parents_[sig.child_root].push_back(u);
     auto [sit, inserted] = signatures_.emplace(sig, u);
     if (!inserted && !uf_.Same(sit->second, u)) {
-      pending_.push_back(Pending{sit->second, u, /*congruence=*/true});
+      pending_.push_back(Pending{sit->second, u});
       DrainPending();
     }
   }
@@ -52,7 +46,7 @@ void CongruenceClosure::Merge(TermId a, TermId b) {
   RELSPEC_COUNTER("cc.merges");
   AddTerm(a);
   AddTerm(b);
-  pending_.push_back(Pending{a, b, /*congruence=*/false});
+  pending_.push_back(Pending{a, b});
   DrainPending();
 }
 
@@ -81,18 +75,6 @@ void CongruenceClosure::DrainPending() {
   RELSPEC_PHASE("cc.drain");
   RELSPEC_GAUGE_MAX("cc.pending_peak", pending_.size());
   while (!pending_.empty()) {
-    // Sticky interrupt: once a breach is recorded, queued consequences stay
-    // queued — the closure under-approximates Cl(R) from then on.
-    if (!interrupt_.ok()) return;
-    {
-      Status st;
-      if (failpoint::Active()) st = failpoint::Evaluate("cc.drain");
-      if (st.ok() && governor_ != nullptr) st = governor_->Check();
-      if (!st.ok()) {
-        interrupt_ = std::move(st);
-        return;
-      }
-    }
     RELSPEC_COUNTER("cc.pending_processed");
     Pending p = pending_.back();
     TermId a = p.a;
@@ -101,7 +83,6 @@ void CongruenceClosure::DrainPending() {
     uint32_t ra = uf_.Find(a);
     uint32_t rb = uf_.Find(b);
     if (ra == rb) continue;
-    AddProofEdge(a, b, p.congruence);
     uint32_t merged = uf_.Union(ra, rb);
     ++num_unions_;
     uint32_t absorbed = merged == ra ? rb : ra;
@@ -127,136 +108,9 @@ void CongruenceClosure::PropagateFrom(uint32_t root) {
     }
     auto [sit, inserted] = signatures_.emplace(sig, app);
     if (!inserted && !uf_.Same(sit->second, app)) {
-      pending_.push_back(Pending{sit->second, app, /*congruence=*/true});
+      pending_.push_back(Pending{sit->second, app});
     }
   }
-}
-
-void CongruenceClosure::AddProofEdge(TermId a, TermId b, bool congruence) {
-  // Reverse the path from a to its proof-forest root so a becomes the root
-  // of its tree, then hang a below b.
-  std::vector<std::pair<TermId, std::pair<TermId, bool>>> path;
-  TermId cur = a;
-  while (true) {
-    auto it = proof_parent_.find(cur);
-    if (it == proof_parent_.end()) break;
-    path.emplace_back(cur, it->second);
-    cur = it->second.first;
-  }
-  for (const auto& [node, edge] : path) proof_parent_.erase(node);
-  for (const auto& [node, edge] : path) {
-    proof_parent_[edge.first] = {node, edge.second};
-  }
-  proof_parent_[a] = {b, congruence};
-}
-
-StatusOr<EqProof> CongruenceClosure::Explain(TermId a, TermId b) {
-  AddTerm(a);
-  AddTerm(b);
-  if (!uf_.Same(a, b)) {
-    return Status::NotFound("terms are not congruent");
-  }
-  EqProof proof;
-  proof.lhs = a;
-  proof.rhs = b;
-  if (a == b) return proof;
-
-  // Nearest common ancestor in the (shared) proof tree.
-  std::unordered_map<TermId, size_t> a_order;
-  {
-    TermId cur = a;
-    size_t i = 0;
-    a_order.emplace(cur, i++);
-    auto it = proof_parent_.find(cur);
-    while (it != proof_parent_.end()) {
-      cur = it->second.first;
-      a_order.emplace(cur, i++);
-      it = proof_parent_.find(cur);
-    }
-  }
-  TermId lca = b;
-  while (a_order.count(lca) == 0) {
-    auto it = proof_parent_.find(lca);
-    if (it == proof_parent_.end()) {
-      return Status::Internal("proof forest lost the connection");
-    }
-    lca = it->second.first;
-  }
-
-  auto make_step = [this](TermId u, TermId v, bool congruence,
-                          bool flipped) -> StatusOr<EqStep> {
-    EqStep step;
-    step.asserted = !congruence;
-    step.lhs = flipped ? v : u;
-    step.rhs = flipped ? u : v;
-    if (congruence) {
-      // Signatures matched: same symbol, same arguments, congruent children.
-      RELSPEC_ASSIGN_OR_RETURN(
-          EqProof sub,
-          Explain(arena_->node(step.lhs).child, arena_->node(step.rhs).child));
-      step.premises.push_back(std::move(sub));
-    }
-    return step;
-  };
-
-  // Edges a -> lca, in order.
-  for (TermId cur = a; cur != lca;) {
-    const auto& edge = proof_parent_.at(cur);
-    RELSPEC_ASSIGN_OR_RETURN(EqStep step,
-                             make_step(cur, edge.first, edge.second, false));
-    proof.steps.push_back(std::move(step));
-    cur = edge.first;
-  }
-  // Edges b -> lca, flipped and reversed so the chain runs lca -> b.
-  std::vector<EqStep> tail;
-  for (TermId cur = b; cur != lca;) {
-    const auto& edge = proof_parent_.at(cur);
-    RELSPEC_ASSIGN_OR_RETURN(EqStep step,
-                             make_step(cur, edge.first, edge.second, true));
-    tail.push_back(std::move(step));
-    cur = edge.first;
-  }
-  for (auto it = tail.rbegin(); it != tail.rend(); ++it) {
-    proof.steps.push_back(std::move(*it));
-  }
-  return proof;
-}
-
-void EqProof::CollectAsserted(
-    std::vector<std::pair<TermId, TermId>>* out) const {
-  for (const EqStep& step : steps) {
-    if (step.asserted) {
-      out->emplace_back(step.lhs, step.rhs);
-    } else {
-      for (const EqProof& premise : step.premises) {
-        premise.CollectAsserted(out);
-      }
-    }
-  }
-}
-
-size_t EqProof::NumSteps() const {
-  size_t n = steps.size();
-  for (const EqStep& step : steps) {
-    for (const EqProof& premise : step.premises) n += premise.NumSteps();
-  }
-  return n;
-}
-
-std::string EqProof::ToString(const TermArena& arena,
-                              const SymbolTable& symbols, int indent) const {
-  std::string pad(static_cast<size_t>(indent) * 2, ' ');
-  std::string out = pad + arena.ToString(lhs, symbols) +
-                    " == " + arena.ToString(rhs, symbols) + "\n";
-  for (const EqStep& step : steps) {
-    out += pad + "  " + arena.ToString(step.lhs, symbols) +
-           " == " + arena.ToString(step.rhs, symbols) +
-           (step.asserted ? "   [asserted]" : "   [congruence]") + "\n";
-    for (const EqProof& premise : step.premises) {
-      out += premise.ToString(arena, symbols, indent + 2);
-    }
-  }
-  return out;
 }
 
 }  // namespace relspec

@@ -1,10 +1,15 @@
 // Congruence closure over ground functional terms, after Downey, Sethi and
 // Tarjan [DST80] (signature hashing + union-find).
 //
-// This is the decision procedure for the equational specifications of
-// Section 3.5: given the finite relation R, the test (t0, t) in Cl(R) is the
-// ground word problem "R |- t0 = t", which congruence closure over the
+// This is the paper's decision procedure for the equational specifications
+// of Section 3.5: given the finite relation R, the test (t0, t) in Cl(R) is
+// the ground word problem "R |- t0 = t", which congruence closure over the
 // subterm-closed set of R ∪ {t0, t} decides soundly and completely.
+//
+// The served core does not use it. (B, R)'s R is convergent when oriented
+// towards the representatives, so EquationalSpecification decides Cl(R) by
+// the Link walk (equational_spec.h). This closure is the oracle the tests
+// hold the walk to (tests/closure_oracle.h), and bench_cc measures it.
 
 #ifndef RELSPEC_CC_CONGRUENCE_CLOSURE_H_
 #define RELSPEC_CC_CONGRUENCE_CLOSURE_H_
@@ -13,41 +18,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/base/status.h"
 #include "src/cc/union_find.h"
 #include "src/term/term.h"
 
 namespace relspec {
-
-class ResourceGovernor;
-struct EqProof;
-
-/// One step of an equality chain: lhs == rhs either because it was asserted
-/// (an equation of R) or by congruence from the sub-proof that the terms'
-/// children are equal (their non-functional arguments are syntactically
-/// identical whenever signatures matched).
-struct EqStep {
-  bool asserted = true;
-  TermId lhs = kZeroTerm;
-  TermId rhs = kZeroTerm;
-  std::vector<EqProof> premises;  // congruence steps only
-};
-
-/// A proof that lhs == rhs: a chain of steps, each sharing an endpoint with
-/// the next (lhs = t0 == t1 == ... == tn = rhs).
-struct EqProof {
-  TermId lhs = kZeroTerm;
-  TermId rhs = kZeroTerm;
-  std::vector<EqStep> steps;
-
-  /// Appends every asserted equation used anywhere in the proof (with
-  /// repetition, in use order).
-  void CollectAsserted(std::vector<std::pair<TermId, TermId>>* out) const;
-  /// Total asserted + congruence steps.
-  size_t NumSteps() const;
-  std::string ToString(const TermArena& arena, const SymbolTable& symbols,
-                       int indent = 0) const;
-};
 
 /// Incremental congruence closure: assert ground equations with Merge and
 /// test with AreCongruent. Terms live in an external TermArena; new terms may
@@ -68,10 +42,6 @@ class CongruenceClosure {
   /// The representative of t's congruence class (stable between Merges).
   TermId Find(TermId t);
 
-  /// A proof of a == b from the asserted equations (Nelson–Oppen style
-  /// proof forest). NotFound if the terms are not congruent.
-  StatusOr<EqProof> Explain(TermId a, TermId b);
-
   /// Number of congruence classes among the terms added so far.
   size_t NumClasses();
 
@@ -80,17 +50,6 @@ class CongruenceClosure {
 
   /// Number of union operations performed (for benchmarking).
   size_t num_unions() const { return num_unions_; }
-
-  /// Optional resource governor, polled once per pending merge processed.
-  /// Must outlive the closure.
-  void set_governor(ResourceGovernor* g) { governor_ = g; }
-
-  /// OK until a resource breach (or failpoint) interrupts DrainPending.
-  /// Sticky: once set, further Merges stop propagating (queued consequences
-  /// are retained but not applied), so AreCongruent under-approximates
-  /// Cl(R) soundly — it may answer false for congruent terms, never the
-  /// reverse. Status-returning callers should surface this.
-  const Status& interrupt() const { return interrupt_; }
 
  private:
   struct Signature {
@@ -118,14 +77,11 @@ class CongruenceClosure {
   struct Pending {
     TermId a;
     TermId b;
-    bool congruence;  // false: asserted by Merge
   };
 
   /// Adds t and its whole subterm chain to the closure (idempotent).
   void AddTerm(TermId t);
   Signature SignatureOf(TermId t);
-  /// Records the proof-forest edge a -- b (reversing a's path to its root).
-  void AddProofEdge(TermId a, TermId b, bool congruence);
   /// Re-canonicalizes the parents of a just-merged class, merging any
   /// signature collisions (the congruence propagation step).
   void PropagateFrom(uint32_t root);
@@ -140,12 +96,7 @@ class CongruenceClosure {
   std::unordered_map<uint32_t, std::vector<TermId>> parents_;
   std::unordered_map<Signature, TermId, SignatureHash> signatures_;
   std::vector<Pending> pending_;
-  // Proof forest: each term has at most one labeled edge; trees span
-  // congruence classes.
-  std::unordered_map<TermId, std::pair<TermId, bool>> proof_parent_;
   size_t num_unions_ = 0;
-  ResourceGovernor* governor_ = nullptr;
-  Status interrupt_;
 };
 
 }  // namespace relspec

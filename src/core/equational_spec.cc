@@ -1,70 +1,117 @@
 #include "src/core/equational_spec.h"
 
+#include <algorithm>
+
 #include "src/base/metrics.h"
 #include "src/base/str_util.h"
 
 namespace relspec {
 
-void EquationalSpecification::EnsureClosure() {
-  if (closure_ != nullptr) return;
-  RELSPEC_PHASE("eqspec.close_r");
-  arena_ = std::make_unique<TermArena>();
-  closure_ = std::make_unique<CongruenceClosure>(arena_.get());
-  closure_->set_governor(governor_);
-  // Parents precede their children, so each term extends an interned one.
+EquationalSpecification::NormalForm EquationalSpecification::Walk(
+    const Path& path, std::vector<std::pair<int, Equation>>* crossed) const {
   const LabelGraph& graph = spec_->graph();
-  cluster_terms_.resize(graph.num_clusters());
-  for (uint32_t i = 0; i < graph.num_clusters(); ++i) {
-    const uint32_t parent = graph.parent(i);
-    cluster_terms_[i] =
-        parent == kInvalidId
-            ? arena_->Zero()
-            : arena_->Apply(graph.symbol(i), cluster_terms_[parent]);
+  const uint32_t unknown = graph.unknown_cluster();
+  NormalForm nf;
+  for (; nf.leave < path.depth(); ++nf.leave) {
+    const FuncId f = path.at(nf.leave);
+    const SymIdx s = graph.SymIndexOf(f);
+    if (s == kInvalidId) break;
+    const uint32_t next = graph.SuccessorOf(nf.cluster, s);
+    // R has no equation into or out of the unknown sink, which a forged
+    // snapshot may place at cluster 0.
+    if (next == unknown || nf.cluster == unknown) break;
+    const bool tree_edge =
+        graph.parent(next) == nf.cluster && graph.symbol(next) == f;
+    if (!tree_edge && crossed != nullptr) {
+      crossed->emplace_back(nf.leave, Equation{nf.cluster, f, next});
+    }
+    nf.cluster = next;
   }
-  for (const Equation& eq : equations_) {
-    closure_->Merge(arena_->Apply(eq.symbol, cluster_terms_[eq.cluster]),
-                    cluster_terms_[eq.target]);
-  }
+  return nf;
 }
 
-bool EquationalSpecification::Congruent(const Path& a, const Path& b) {
+bool EquationalSpecification::SameNormalForm(const Path& a,
+                                             const NormalForm& na,
+                                             const Path& b,
+                                             const NormalForm& nb) {
+  // Representatives are distinct, and no representative extended by a
+  // symbol the walk stopped at is another one, so the normal forms are
+  // equal iff the clusters are and so are the symbols left as written.
+  const std::vector<FuncId>& sa = a.symbols();
+  const std::vector<FuncId>& sb = b.symbols();
+  return na.cluster == nb.cluster &&
+         std::equal(sa.begin() + na.leave, sa.end(), sb.begin() + nb.leave,
+                    sb.end());
+}
+
+bool EquationalSpecification::Congruent(const Path& a, const Path& b) const {
   RELSPEC_COUNTER("eqspec.congruent_tests");
   RELSPEC_SCOPED_TIMER("eqspec.congruent_ns");
-  EnsureClosure();
-  return closure_->AreCongruent(a.ToTerm(arena_.get()), b.ToTerm(arena_.get()));
+  return SameNormalForm(a, Walk(a, nullptr), b, Walk(b, nullptr));
 }
 
-StatusOr<EqProof> EquationalSpecification::ExplainCongruence(const Path& a,
-                                                             const Path& b) {
+StatusOr<CongruenceProof> EquationalSpecification::ExplainCongruence(
+    const Path& a, const Path& b) const {
   RELSPEC_COUNTER("eqspec.cl_proofs");
-  EnsureClosure();
-  // An interrupted closure under-approximates Cl(R); a proof search against
-  // it could miss valid chains, so surface the breach instead.
-  RELSPEC_RETURN_NOT_OK(closure_->interrupt());
-  return closure_->Explain(a.ToTerm(arena_.get()), b.ToTerm(arena_.get()));
+  std::vector<std::pair<int, Equation>> crossed_a, crossed_b;
+  const NormalForm na = Walk(a, &crossed_a);
+  const NormalForm nb = Walk(b, &crossed_b);
+  if (!SameNormalForm(a, na, b, nb)) {
+    return Status::NotFound("terms are not congruent");
+  }
+  // The step of `path` at position i: its equation with the symbols after
+  // i applied outside both sides.
+  auto lifted = [this](const Path& path, int i, const Equation& eq) {
+    auto [lhs, rhs] = EquationPaths(eq);
+    std::vector<FuncId> l = lhs.symbols(), r = rhs.symbols();
+    const std::vector<FuncId>& outer = path.symbols();
+    l.insert(l.end(), outer.begin() + i + 1, outer.end());
+    r.insert(r.end(), outer.begin() + i + 1, outer.end());
+    return CongruenceStep{Path(std::move(l)), Path(std::move(r)), eq,
+                          path.depth() - i - 1};
+  };
+  CongruenceProof proof{a, b, {}};
+  for (const auto& [i, eq] : crossed_a) {
+    proof.steps.push_back(lifted(a, i, eq));
+  }
+  // b's rewrites run backwards from the shared normal form. A step that
+  // undoes the chain's last one cancels it, so a == a has no step.
+  for (auto it = crossed_b.rbegin(); it != crossed_b.rend(); ++it) {
+    CongruenceStep step = lifted(b, it->first, it->second);
+    std::swap(step.lhs, step.rhs);
+    if (!proof.steps.empty() && proof.steps.back().lhs == step.rhs) {
+      proof.steps.pop_back();
+    } else {
+      proof.steps.push_back(std::move(step));
+    }
+  }
+  return proof;
 }
 
 StatusOr<std::string> EquationalSpecification::ExplainCongruenceText(
-    const Path& a, const Path& b) {
-  RELSPEC_ASSIGN_OR_RETURN(EqProof proof, ExplainCongruence(a, b));
-  return proof.ToString(*arena_, spec_->symbols());
+    const Path& a, const Path& b) const {
+  RELSPEC_ASSIGN_OR_RETURN(CongruenceProof proof, ExplainCongruence(a, b));
+  return proof.ToString(spec_->symbols());
 }
 
-bool EquationalSpecification::Holds(const Path& path, PredId pred,
-                                    const std::vector<ConstId>& args) {
-  RELSPEC_COUNTER("eqspec.membership_checks");
-  RELSPEC_SCOPED_TIMER("eqspec.holds_ns");
-  const AtomIdx atom = spec_->FindAtom(pred, args);
-  if (atom == kInvalidId) return false;
-  EnsureClosure();
-  TermId t0 = path.ToTerm(arena_.get());
-  // T = {t : P(t, a...) in B}; accept iff (t0, t) in Cl(R) for some t.
-  const LabelGraph& graph = spec_->graph();
-  for (uint32_t i = 0; i < graph.num_clusters(); ++i) {
-    if (!graph.label(i).Test(atom)) continue;
-    if (closure_->AreCongruent(t0, cluster_terms_[i])) return true;
+std::string CongruenceProof::ToString(const SymbolTable& symbols) const {
+  std::string out = lhs.ToString(symbols) + " == " + rhs.ToString(symbols) +
+                    "\n";
+  for (const CongruenceStep& step : steps) {
+    out += "  " + step.lhs.ToString(symbols) + " == " +
+           step.rhs.ToString(symbols) +
+           (step.lifted == 0 ? "   [asserted]" : "   [congruence]") + "\n";
+    if (step.lifted == 0) continue;
+    // The equation it lifts: both sides without the outer symbols.
+    auto unlift = [&](const Path& p) {
+      const std::vector<FuncId>& syms = p.symbols();
+      return Path(std::vector<FuncId>(syms.begin(), syms.end() - step.lifted))
+          .ToString(symbols);
+    };
+    out += "    " + unlift(step.lhs) + " == " + unlift(step.rhs) +
+           "   [asserted]\n";
   }
-  return false;
+  return out;
 }
 
 std::string EquationalSpecification::ToString() const {

@@ -1,7 +1,9 @@
 // Heap blocks of the back end. The chi table and the label graph keep their
 // entries and clusters in flat arrays, so the blocks that ComputeFixpoint
 // and BuildLabelGraph allocate grow with the doublings of those arrays, not
-// with the number of chi entries or clusters. This binary replaces the
+// with the number of chi entries or clusters. A congruence test or proof
+// over (B, R) walks its terms, so its blocks do not grow with the clusters
+// or the equations of R either. This binary replaces the
 // global operator new with a counting one, which is why it is a binary of
 // its own. A sanitizer build interposes its own allocator and skips it.
 
@@ -13,6 +15,7 @@
 #include <new>
 
 #include "bench/bench_util.h"
+#include "src/core/engine.h"
 #include "src/core/fixpoint.h"
 #include "src/core/ground.h"
 #include "src/core/label_graph.h"
@@ -91,6 +94,47 @@ TEST(HeapBlocks, BackEndBlocksDoNotGrowPerEntryOrCluster) {
   constexpr size_t kSlack = 64;
   EXPECT_LE(large.fixpoint, small.fixpoint + kSlack);
   EXPECT_LE(large.graph, small.graph + kSlack);
+}
+
+// The heap blocks that Congruent and ExplainCongruence allocate on
+// SubsetProgram(n) for two depth-12 terms over set0..set7, which reach the
+// state {b0, ..., b7} in opposite orders and so are congruent.
+size_t CongruenceBlocks(int n) {
+  auto db = FunctionalDatabase::FromSource(relspec_bench::SubsetProgram(n));
+  EXPECT_TRUE(db.ok()) << db.status().ToString();
+  auto eq = (*db)->BuildEquationalSpec();
+  EXPECT_TRUE(eq.ok()) << eq.status().ToString();
+  const SymbolTable& symbols = eq->spec().symbols();
+  std::vector<FuncId> up, down;
+  for (int i = 0; i < 12; ++i) {
+    up.push_back(*symbols.FindFunction("set" + std::to_string(i % 8)));
+    down.push_back(*symbols.FindFunction("set" + std::to_string(7 - i % 8)));
+  }
+  const Path a(std::move(up)), b(std::move(down));
+  const size_t start = g_blocks.load();
+  const bool congruent = eq->Congruent(a, b);
+  auto proof = eq->ExplainCongruence(a, b);
+  const size_t blocks = g_blocks.load() - start;
+  EXPECT_TRUE(congruent);
+  EXPECT_TRUE(proof.ok()) << proof.status().ToString();
+  std::printf("subset(%d): %zu clusters, %zu equations; congruence blocks "
+              "%zu\n",
+              n, eq->spec().num_clusters(), eq->num_equations(), blocks);
+  return blocks;
+}
+
+// subset(10) has four times the clusters and equations of subset(8), but
+// the two terms and their walks are the same in both: a closure over R
+// would allocate per cluster and per equation.
+TEST(HeapBlocks, CongruenceDoesNotGrowWithClusters) {
+  if (RELSPEC_ALLOC_TEST_SANITIZED) {
+    GTEST_SKIP() << "the sanitizer's allocator replaces operator new";
+  }
+  const size_t small = CongruenceBlocks(8);
+  const size_t large = CongruenceBlocks(10);
+  constexpr size_t kSlack = 16;
+  EXPECT_LE(large, small + kSlack);
+  EXPECT_LE(small, large + kSlack);
 }
 
 }  // namespace

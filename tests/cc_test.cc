@@ -1,4 +1,5 @@
-// Unit tests for union-find and the DST80 congruence closure.
+// Unit tests for union-find and the DST80 congruence closure, and for the
+// (B, R) walk proof held to that closure.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +9,9 @@
 
 #include "src/cc/congruence_closure.h"
 #include "src/cc/union_find.h"
+#include "src/core/engine.h"
 #include "src/term/symbol_table.h"
+#include "tests/closure_oracle.h"
 
 namespace relspec {
 namespace {
@@ -234,87 +237,106 @@ TEST_F(CcFixture, RandomizedAgainstBruteForce) {
   }
 }
 
-// ---------- proof production (Explain) ----------
+// ---------- proof production: the (B, R) walk proof ----------
+//
+// The closure proves nothing itself; EquationalSpecification::
+// ExplainCongruence proves (a, b) in Cl(R) by the Link walk. These cases
+// merge R's equations into the fixture's closure and hold the walk's proofs
+// to it.
 
-TEST_F(CcFixture, ExplainAssertedEquation) {
-  cc_.Merge(Nat(0), Nat(2));
-  auto proof = cc_.Explain(Nat(0), Nat(2));
-  ASSERT_TRUE(proof.ok()) << proof.status().ToString();
-  EXPECT_EQ(proof->lhs, Nat(0));
-  EXPECT_EQ(proof->rhs, Nat(2));
-  ASSERT_EQ(proof->steps.size(), 1u);
-  EXPECT_TRUE(proof->steps[0].asserted);
-  EXPECT_EQ(proof->NumSteps(), 1u);
+// The (B, R) of `source`, with each of its equations merged into `cc`.
+StatusOr<EquationalSpecification> MergedSpec(const char* source,
+                                              TermArena* arena,
+                                              CongruenceClosure* cc) {
+  RELSPEC_ASSIGN_OR_RETURN(auto db, FunctionalDatabase::FromSource(source));
+  RELSPEC_ASSIGN_OR_RETURN(auto eq, db->BuildEquationalSpec());
+  for (const Equation& e : eq.equations()) {
+    const auto [t1, t2] = eq.EquationPaths(e);
+    cc->Merge(t1.ToTerm(arena), t2.ToTerm(arena));
+  }
+  return eq;
 }
 
-TEST_F(CcFixture, ExplainReflexivityIsEmpty) {
-  auto proof = cc_.Explain(Nat(3), Nat(3));
-  ASSERT_TRUE(proof.ok());
-  EXPECT_TRUE(proof->steps.empty());
-  EXPECT_EQ(proof->NumSteps(), 0u);
+// +1^n(0) over the spec's successor symbol.
+Path Succ(const EquationalSpecification& eq, int n) {
+  const FuncId succ = *eq.spec().symbols().FindFunction("+1");
+  return Path(std::vector<FuncId>(static_cast<size_t>(n), succ));
 }
 
 TEST_F(CcFixture, ExplainNonCongruentIsNotFound) {
-  cc_.Merge(Nat(0), Nat(2));
-  EXPECT_TRUE(cc_.Explain(Nat(0), Nat(1)).status().IsNotFound());
-}
-
-TEST_F(CcFixture, ExplainCongruenceLifting) {
-  // 4 == 0 follows from 0 == 2 used twice, via congruence.
-  cc_.Merge(Nat(0), Nat(2));
-  auto proof = cc_.Explain(Nat(4), Nat(0));
-  ASSERT_TRUE(proof.ok()) << proof.status().ToString();
-  std::vector<std::pair<TermId, TermId>> used;
-  proof->CollectAsserted(&used);
-  ASSERT_EQ(used.size(), 2u);
-  for (const auto& [l, r] : used) {
-    // Every asserted step is the single equation (0, 2), in either direction.
-    EXPECT_TRUE((l == Nat(0) && r == Nat(2)) || (l == Nat(2) && r == Nat(0)));
+  // The paper's Section 3.5 example. Past the trunk {0}, R is the one
+  // equation +1^3(0) == +1(0): day 0 stays alone, then odd and even days.
+  auto eq = MergedSpec("Even(0). Even(t) -> Even(t+2).", &arena_, &cc_);
+  ASSERT_TRUE(eq.ok()) << eq.status().ToString();
+  EXPECT_TRUE(eq->ExplainCongruence(Succ(*eq, 0), Succ(*eq, 1))
+                  .status()
+                  .IsNotFound());
+  size_t refused = 0;
+  for (int i = 0; i <= 8; ++i) {
+    for (int j = 0; j <= 8; ++j) {
+      const Path a = Succ(*eq, i), b = Succ(*eq, j);
+      if (cc_.AreCongruent(a.ToTerm(&arena_), b.ToTerm(&arena_))) continue;
+      EXPECT_TRUE(eq->ExplainCongruence(a, b).status().IsNotFound())
+          << i << "," << j;
+      ++refused;
+    }
   }
-  std::string text = proof->ToString(arena_, symbols_);
-  EXPECT_NE(text.find("[asserted]"), std::string::npos);
-  EXPECT_NE(text.find("[congruence]"), std::string::npos);
+  EXPECT_EQ(refused, 48u);  // 81 pairs less 1 + 4 * 4 + 4 * 4 congruent
 }
 
 TEST_F(CcFixture, ExplainTransitiveChain) {
-  cc_.Merge(Nat(1), Nat(4));
-  cc_.Merge(Nat(4), Nat(7));
-  auto proof = cc_.Explain(Nat(1), Nat(7));
-  ASSERT_TRUE(proof.ok());
-  std::vector<std::pair<TermId, TermId>> used;
-  proof->CollectAsserted(&used);
-  EXPECT_EQ(used.size(), 2u);  // both equations, no detours
-  // Chain endpoints line up.
-  ASSERT_FALSE(proof->steps.empty());
-  EXPECT_EQ(proof->steps.front().lhs, Nat(1));
-  EXPECT_EQ(proof->steps.back().rhs, Nat(7));
-  for (size_t i = 0; i + 1 < proof->steps.size(); ++i) {
-    EXPECT_EQ(proof->steps[i].rhs, proof->steps[i + 1].lhs);
+  // Past the trunk {0}, R is the one equation +1^4(0) == +1(0), and 1 == 7
+  // chains through 4: the equation itself, then lifted three times.
+  auto eq = MergedSpec("P(0). P(t) -> P(t+3).", &arena_, &cc_);
+  ASSERT_TRUE(eq.ok()) << eq.status().ToString();
+  ASSERT_EQ(eq->num_equations(), 1u);
+  EXPECT_EQ(eq->EquationPaths(eq->equations()[0]),
+            std::make_pair(Succ(*eq, 4), Succ(*eq, 1)));
+  auto proof = eq->ExplainCongruence(Succ(*eq, 1), Succ(*eq, 7));
+  ASSERT_TRUE(proof.ok()) << proof.status().ToString();
+  ASSERT_EQ(proof->steps.size(), 2u);  // no detours
+  EXPECT_EQ(proof->steps[0].lhs, Succ(*eq, 1));
+  EXPECT_EQ(proof->steps[0].rhs, Succ(*eq, 4));
+  EXPECT_EQ(proof->steps[0].lifted, 0);
+  EXPECT_EQ(proof->steps[1].lhs, Succ(*eq, 4));
+  EXPECT_EQ(proof->steps[1].rhs, Succ(*eq, 7));
+  EXPECT_EQ(proof->steps[1].lifted, 3);
+  for (const CongruenceStep& step : proof->steps) {
+    EXPECT_TRUE(
+        cc_.AreCongruent(step.lhs.ToTerm(&arena_), step.rhs.ToTerm(&arena_)));
   }
 }
 
 TEST_F(CcFixture, ExplainSurvivesManyMerges) {
-  // Random-ish merges; every congruent pair must be explainable with only
-  // asserted equations that were actually asserted.
-  std::vector<std::pair<TermId, TermId>> eqs = {
-      {Nat(0), Nat(3)}, {Nat(1), Nat(5)}, {Nat(2), Nat(2)}, {Nat(4), Nat(0)}};
-  for (auto [a, b] : eqs) cc_.Merge(a, b);
-  for (int i = 0; i <= 8; ++i) {
-    for (int j = 0; j <= 8; ++j) {
-      if (!cc_.AreCongruent(Nat(i), Nat(j))) continue;
-      auto proof = cc_.Explain(Nat(i), Nat(j));
-      ASSERT_TRUE(proof.ok()) << i << "," << j;
-      std::vector<std::pair<TermId, TermId>> used;
-      proof->CollectAsserted(&used);
-      for (const auto& [l, r] : used) {
-        bool found = false;
-        for (auto [a, b] : eqs) {
-          if ((l == a && r == b) || (l == b && r == a)) found = true;
-        }
-        EXPECT_TRUE(found) << "asserted step not in the equation set";
-      }
+  // Two symbols and several equations; every congruent pair must be proved
+  // from equations that R actually holds.
+  auto eq = MergedSpec(R"(
+    Start(0).
+    Start(t) -> A(f(t)).
+    Start(t) -> B(g(t)).
+    A(t) -> B(f(t)).
+    B(t) -> A(g(t)).
+    A(t) -> C(g(t)).
+  )", &arena_, &cc_);
+  ASSERT_TRUE(eq.ok()) << eq.status().ToString();
+  ASSERT_GE(eq->num_equations(), 3u);
+  std::set<std::tuple<uint32_t, FuncId, uint32_t>> in_r;
+  for (const Equation& e : eq->equations()) {
+    in_r.insert({e.cluster, e.symbol, e.target});
+  }
+  const std::vector<Path> paths =
+      testutil::ShortlexPaths(eq->spec().alphabet(), 5, 63);
+  size_t proved = 0;
+  for (const Path& a : paths) {
+    for (const Path& b : paths) {
+      if (!cc_.AreCongruent(a.ToTerm(&arena_), b.ToTerm(&arena_))) continue;
+      auto proof = eq->ExplainCongruence(a, b);
+      ASSERT_TRUE(proof.ok()) << proof.status().ToString();
+      EXPECT_EQ(testutil::ProofDefect(*eq, in_r, a, b, *proof), "");
+      if (a != b) ++proved;
     }
   }
+  EXPECT_GT(proved, 0u);
 }
 
 }  // namespace

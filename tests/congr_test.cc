@@ -67,9 +67,9 @@ TEST(Congr, BoundedEvaluationMatchesSpecification) {
   ConstId jan = *spec->spec().symbols().FindConstant("Jan");
   for (int n = 0; n <= kBound; ++n) {
     Path p = NatPath(spec->spec().symbols(), n);
-    EXPECT_EQ(result->Holds(p, meets, {tony}), spec->Holds(p, meets, {tony}))
+    EXPECT_EQ(result->Holds(p, meets, {tony}), spec->spec().Holds(p, meets, {tony}))
         << n;
-    EXPECT_EQ(result->Holds(p, meets, {jan}), spec->Holds(p, meets, {jan}))
+    EXPECT_EQ(result->Holds(p, meets, {jan}), spec->spec().Holds(p, meets, {jan}))
         << n;
   }
   EXPECT_GT(result->stats.tuples_derived, 0u);
@@ -119,7 +119,7 @@ TEST(Congr, ListExampleAgreement) {
   ConstId a = *spec->spec().symbols().FindConstant("a");
   // Exhaustive agreement over the bounded universe.
   for (const Path& p : result->terms) {
-    EXPECT_EQ(result->Holds(p, member, {a}), spec->Holds(p, member, {a}))
+    EXPECT_EQ(result->Holds(p, member, {a}), spec->spec().Holds(p, member, {a}))
         << p.depth();
   }
 }

@@ -217,38 +217,6 @@ TEST_F(FailpointTest, DatalogIterationUnwinds) {
   EXPECT_EQ(db.relation(1).size(), 5u);
 }
 
-TEST_F(FailpointTest, CongruenceClosureDrainInterruptsStickily) {
-  auto db = FunctionalDatabase::FromSource(kMeets);
-  ASSERT_TRUE(db.ok());
-  auto espec = (*db)->BuildEquationalSpec();
-  ASSERT_TRUE(espec.ok());
-  Path a = Path::Zero();
-  Path big = a;
-  for (int i = 0; i < 6; ++i) big = big.Extend(0);
-
-  ASSERT_TRUE(failpoint::Configure("cc.drain=alloc").ok());
-  // The membership test still answers (soundly, possibly under-approximate):
-  // the closure keeps whatever merges landed before the interrupt.
-  (void)espec->Congruent(a, big);
-  EXPECT_GE(failpoint::HitCount("cc.drain"), 1u);
-  // The interrupt surfaces as a Status on the explaining API.
-  auto proof = espec->ExplainCongruence(a, big);
-  ASSERT_FALSE(proof.ok());
-  EXPECT_TRUE(proof.status().IsResourceExhausted())
-      << proof.status().ToString();
-
-  failpoint::Clear();
-  // A fresh spec (fresh closure) answers normally after the clear: every
-  // equation of R is trivially in Cl(R).
-  auto fresh = (*db)->BuildEquationalSpec();
-  ASSERT_TRUE(fresh.ok());
-  ASSERT_FALSE(fresh->equations().empty());
-  for (const Equation& eq : fresh->equations()) {
-    const auto [t1, t2] = fresh->EquationPaths(eq);
-    EXPECT_TRUE(fresh->Congruent(t1, t2));
-  }
-}
-
 TEST_F(FailpointTest, TemporalStepUnwinds) {
   constexpr char kRotation[] = R"(
     OnCall(0, m0).

@@ -24,9 +24,10 @@
 //    and once with the checksum resealed, so that mutations reach the
 //    section decoders. Every graph spec that loads must then answer reads
 //    without throwing: membership on each path to depth frontier+1 for the
-//    first dictionary atom, through (B, F) and through the (B, R) built
-//    over it, with Congruent(0, path), and one query per functional
-//    predicate, answered and enumerated;
+//    first dictionary atom, Congruent(0, path) and ExplainCongruence(0,
+//    path) over the (B, R) built on it, and one query per functional
+//    predicate, answered and enumerated. Each proof must run from 0 to the
+//    path, and each of its steps must name an equation of R;
 //  * "RWAL" → the delta-log scanner (tests/fuzz_corpus/wal/*.rwal). Torn
 //    tails are by-design not errors, so the scanner additionally must
 //    report them consistently, never read past the buffer, and never
@@ -41,10 +42,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "src/core/equational_spec.h"
@@ -87,13 +92,49 @@ std::string Resealed(std::string_view input) {
   return out;
 }
 
+// A violated invariant is a crash, which the fuzzer reports.
+void Require(bool ok, const char* what) {
+  if (ok) return;
+  std::fprintf(stderr, "fuzz invariant violated: %s\n", what);
+  std::abort();
+}
+
+using EquationSet = std::set<std::tuple<uint32_t, relspec::FuncId, uint32_t>>;
+
+// A proof from (B, R) that 0 == p: a chain from 0 to p of steps that each
+// name an equation of R (`in_r`).
+void CheckProof(const relspec::EquationalSpecification& eq,
+                const EquationSet& in_r, const relspec::Path& p) {
+  auto proof = eq.ExplainCongruence(relspec::Path::Zero(), p);
+  Require(proof.ok() == eq.Congruent(relspec::Path::Zero(), p),
+          "ExplainCongruence and Congruent disagree");
+  if (!proof.ok()) return;
+  const std::vector<relspec::CongruenceStep>& steps = proof->steps;
+  Require(proof->lhs.empty() && proof->rhs == p, "proof of other terms");
+  Require(steps.empty() ? p.empty()
+                        : steps.front().lhs.empty() && steps.back().rhs == p,
+          "proof endpoints");
+  for (size_t i = 0; i < steps.size(); ++i) {
+    Require(i == 0 || steps[i - 1].rhs == steps[i].lhs, "broken chain");
+    const relspec::Equation& e = steps[i].equation;
+    Require(in_r.count({e.cluster, e.symbol, e.target}) == 1,
+            "proof step is not an equation of R");
+  }
+}
+
 // The reads a daemon serves from a loaded spec, and the (B, R) over it.
 // None may throw or crash.
 void ReadLoadedSpec(relspec::GraphSpecification loaded) {
   auto spec =
       std::make_shared<const relspec::GraphSpecification>(std::move(loaded));
   auto eq = relspec::BuildEquationalSpecification(spec);
-  if (eq.ok()) (void)relspec::Snapshot::Serialize(*eq);
+  EquationSet in_r;
+  if (eq.ok()) {
+    (void)relspec::Snapshot::Serialize(*eq);
+    for (const relspec::Equation& e : eq->equations()) {
+      in_r.insert({e.cluster, e.symbol, e.target});
+    }
+  }
   const std::vector<relspec::FuncId>& alphabet = spec->alphabet();
   if (!spec->atom_dictionary().empty()) {
     const relspec::SliceAtom& atom = spec->atom_dictionary()[0];
@@ -102,10 +143,7 @@ void ReadLoadedSpec(relspec::GraphSpecification loaded) {
       std::vector<relspec::Path> next;
       for (const relspec::Path& p : layer) {
         (void)spec->Holds(p, atom.pred, atom.args);
-        if (eq.ok()) {
-          (void)eq->Holds(p, atom.pred, atom.args);
-          (void)eq->Congruent(relspec::Path::Zero(), p);
-        }
+        if (eq.ok()) CheckProof(*eq, in_r, p);
         for (relspec::FuncId f : alphabet) {
           if (next.size() < 4096) next.push_back(p.Extend(f));
         }

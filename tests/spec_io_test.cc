@@ -101,7 +101,7 @@ TEST(SpecIo, EquationalSpecRoundTrip) {
   ConstId tony = *symbols.FindConstant("Tony");
   for (int n = 0; n <= 15; ++n) {
     Path p = NatPath(symbols, n);
-    EXPECT_EQ(back->Holds(p, meets, {tony}), n % 2 == 0) << n;
+    EXPECT_EQ(back->spec().Holds(p, meets, {tony}), n % 2 == 0) << n;
   }
   EXPECT_EQ(SpecIo::Serialize(*back), text);
 }

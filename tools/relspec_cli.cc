@@ -515,7 +515,6 @@ int RunCli(int argc, char** argv) {
   if (!proofs.empty()) {
     auto espec = BuildEquationalSpecification(spec);
     if (!espec.ok()) return Fail(EngineExitCode(espec.status()), espec.status());
-    espec->set_governor(g_governor);
     for (const auto& [t1, t2] : proofs) {
       // Terms use the program's syntax, e.g. "4", "0" or "move(0, a, b)".
       auto path_of = [&](const std::string& text) -> StatusOr<Path> {

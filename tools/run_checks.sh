@@ -175,7 +175,7 @@ c = snap["counters"]
 assert c.get("fixpoint.rounds", 0) > 0, "no fixpoint rounds recorded"
 assert c.get("chi.hits", 0) + c.get("chi.misses", 0) == c.get("chi.lookups"), \
     "chi hit/miss/lookup invariant violated"
-assert c.get("uf.finds", 0) > 0, "no union-find activity recorded"
+assert c.get("eqspec.cl_proofs", 0) >= 1, "no --prove proof recorded"
 for phase in ("engine.build", "fixpoint", "algorithm_q"):
     assert snap["phases"].get(phase, {}).get("count", 0) >= 1, \
         f"phase {phase} missing"
