@@ -100,7 +100,7 @@ void BM_GraphSpec_MembershipWalk(benchmark::State& state) {
   std::vector<FuncId> syms(static_cast<size_t>(state.range(0)), succ);
   Path deep{std::move(syms)};
   for (auto _ : state) {
-    bool holds = gspec->Holds(deep, oncall, {m0});
+    bool holds = gspec->Holds(deep, oncall, std::vector<ConstId>{m0});
     benchmark::DoNotOptimize(holds);
   }
   state.counters["depth"] = static_cast<double>(state.range(0));

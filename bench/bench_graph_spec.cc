@@ -2,7 +2,8 @@
 // its size has exponential upper and lower bounds. E24 — Algorithm Q's cost
 // in chain depth (BM_AlgorithmQ_Chain, below). E29 — snapshot save on the
 // same chain (BM_SnapshotSave_Chain). E38 — copying that chain's label
-// graph (BM_LabelGraphCopy_Chain).
+// graph (BM_LabelGraphCopy_Chain). E40 — copying a 420-team rotation's
+// whole graph specification (BM_GraphSpecCopy_Rotation).
 //
 // Expected shape: construction time and specification size grow linearly in
 // k on the benign rotation family and exponentially in n on the subset
@@ -145,6 +146,29 @@ void BM_LabelGraphCopy_Chain(benchmark::State& state) {
   state.counters["clusters"] = static_cast<double>(graph.num_clusters());
 }
 BENCHMARK(BM_LabelGraphCopy_Chain)->Arg(512)->Unit(benchmark::kMicrosecond);
+
+// E40 — the copy FunctionalDatabase::BuildGraphSpec() returns, on a
+// 420-team rotation: 420 constants, 420 slice atoms and 420 globals over
+// a small graph. The symbol table, the dictionary and the globals are flat
+// arrays with IdIndex indexes, so the copy is a fixed number of vector
+// copies whatever the number of names, atoms and globals.
+void BM_GraphSpecCopy_Rotation(benchmark::State& state) {
+  auto db = FunctionalDatabase::FromSource(
+      RotationProgram(static_cast<int>(state.range(0))));
+  if (!db.ok()) {
+    state.SkipWithError(db.status().ToString().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    auto copy = (*db)->BuildGraphSpec();
+    benchmark::DoNotOptimize(copy);
+  }
+  state.counters["atoms"] =
+      static_cast<double>((*db)->spec()->atom_dictionary().size());
+  state.counters["globals"] =
+      static_cast<double>((*db)->spec()->globals().size());
+}
+BENCHMARK(BM_GraphSpecCopy_Rotation)->Arg(420)->Unit(benchmark::kMicrosecond);
 
 // E29 — snapshot save against chain depth: the graph and equational
 // snapshots of BM_AlgorithmQ_Chain's counter program, serialized back to

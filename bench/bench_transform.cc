@@ -138,6 +138,32 @@ void BM_FrontEnd_Mixed(benchmark::State& state) {
 }
 BENCHMARK(BM_FrontEnd_Mixed)->Arg(18);
 
+// E40 — Ground alone on the build workload's rotation(420): 420 rule
+// instances, each interning two slice atoms from one reused buffer into
+// the flat universe. Expected shape: one rule vector per new ground rule,
+// no heap block per atom.
+void BM_Ground_Rotation(benchmark::State& state) {
+  auto p = ParseProgram(RotationProgram(static_cast<int>(state.range(0))));
+  if (!p.ok() || !NormalizeProgram(&*p).ok() || !MixedToPure(&*p).ok()) {
+    state.SkipWithError("front end failed");
+    return;
+  }
+  size_t rules = 0, atoms = 0;
+  for (auto _ : state) {
+    auto g = Ground(*p);
+    if (!g.ok()) {
+      state.SkipWithError(g.status().ToString().c_str());
+      return;
+    }
+    rules = g->local_rules().size() + g->global_rules().size();
+    atoms = g->num_atoms();
+    benchmark::DoNotOptimize(g);
+  }
+  state.counters["ground_rules"] = static_cast<double>(rules);
+  state.counters["atoms"] = static_cast<double>(atoms);
+}
+BENCHMARK(BM_Ground_Rotation)->Arg(420);
+
 // ROADMAP item 20 — the parser alone, at input speed: ParseProgram (lex,
 // syntax, lowering and validation) on the build workload's counter(9) and
 // rotation(420) texts. Expected shape: time follows the bytes read, so the

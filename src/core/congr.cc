@@ -16,7 +16,7 @@ uint32_t BoundedCongrResult::TermIndex(const Path& path) const {
 }
 
 bool BoundedCongrResult::Holds(const Path& path, PredId pred,
-                               const std::vector<ConstId>& args) const {
+                               std::span<const ConstId> args) const {
   uint32_t t = TermIndex(path);
   if (t == kInvalidId) return false;
   datalog::Tuple tuple;
@@ -118,7 +118,7 @@ StatusOr<BoundedCongrResult> EvaluateCongrBounded(
     uint32_t rep = it->second;
     const auto& atoms = spec.atom_dictionary();
     spec.graph().label(ci).ForEach([&](size_t b) {
-      const SliceAtom& sa = atoms[b];
+      const AtomRef sa = atoms[static_cast<AtomIdx>(b)];
       datalog::Tuple tuple;
       tuple.push_back(rep);
       tuple.insert(tuple.end(), sa.args.begin(), sa.args.end());
@@ -126,7 +126,7 @@ StatusOr<BoundedCongrResult> EvaluateCongrBounded(
     });
   }
   for (const auto& [pred, args] : spec.globals()) {
-    db.Insert(pred, args);
+    db.Insert(pred, datalog::Tuple(args.begin(), args.end()));
   }
   for (const Equation& e : eq.equations()) {
     const auto [t1, t2] = eq.EquationPaths(e);

@@ -45,7 +45,7 @@ struct BoundedCongrResult {
   uint32_t TermIndex(const Path& path) const;
   /// Membership of pred(path, args...) in the materialized fixpoint.
   bool Holds(const Path& path, PredId pred,
-             const std::vector<ConstId>& args) const;
+             std::span<const ConstId> args) const;
 };
 
 /// Pretty-prints the CONGR rule set for the given specification's

@@ -158,13 +158,14 @@ StatusOr<EquationalSpecification> BuildEquationalSpecification(
   };
   //  (a) the initial frontier layer, whose terms extend trunk paths, in
   //      shortlex order;
-  for (const auto& [path, cluster] : graph.BoundaryEntries()) {
-    if (path.empty()) continue;  // 0 itself: the first, Active, term
-    const uint32_t parent = graph.ClusterOf(path.Parent());
-    if (!is_tree_edge(parent, path.Outermost(), cluster)) {
-      out.equations_.push_back({parent, path.Outermost(), cluster});
-    }
-  }
+  graph.ForEachBoundaryEntry(
+      [&](std::span<const FuncId> path, uint32_t cluster) {
+        if (path.empty()) return;  // 0 itself: the first, Active, term
+        const uint32_t parent = graph.ClusterOf(path.first(path.size() - 1));
+        if (!is_tree_edge(parent, path.back(), cluster)) {
+          out.equations_.push_back({parent, path.back(), cluster});
+        }
+      });
   //  (b) children of Active representatives beyond the trunk.
   for (uint32_t ci = 0; ci < graph.num_clusters(); ++ci) {
     if (ci == graph.unknown_cluster()) continue;

@@ -86,8 +86,9 @@ class Recorder {
     global_ctx_ = DynamicBitset(ground_.num_ctx());
 
     // Database facts are axioms.
-    for (const auto& [path, atom] : ground_.pinned_facts()) {
-      SetPositional(path, atom, Just{});
+    for (size_t i = 0; i < ground_.num_pinned_facts(); ++i) {
+      const auto [path, atom] = ground_.pinned_fact(i);
+      SetPositional(Path(path), atom, Just{});
     }
     for (CtxIdx g : ground_.global_facts()) {
       SetGlobal(g, Just{});
@@ -177,15 +178,16 @@ class Recorder {
  private:
   // Evaluates a context proposition and appends its key on success.
   bool CtxPropHolds(CtxIdx c, std::vector<FactKey>* premises) {
-    const CtxProp& prop = ground_.ctx_prop(c);
+    const CtxProp prop = ground_.ctx_prop(c);
     if (prop.kind == CtxProp::Kind::kGlobal) {
       if (!global_ctx_.Test(c)) return false;
       premises->push_back(GlobalKey(c));
       return true;
     }
-    auto it = labels_.find(prop.path);
+    const Path path(prop.path);
+    auto it = labels_.find(path);
     if (it == labels_.end() || !it->second.Test(prop.atom)) return false;
-    premises->push_back(PositionalKey(prop.path, prop.atom));
+    premises->push_back(PositionalKey(path, prop.atom));
     return true;
   }
 
@@ -220,11 +222,11 @@ class Recorder {
         return SetPositional(w.Extend(ground_.alphabet()[rule.head_sym]),
                              rule.head_id, std::move(just));
       case GroundRule::HeadKind::kCtx: {
-        const CtxProp& prop = ground_.ctx_prop(rule.head_id);
+        const CtxProp prop = ground_.ctx_prop(rule.head_id);
         if (prop.kind == CtxProp::Kind::kGlobal) {
           return SetGlobal(rule.head_id, std::move(just));
         }
-        return SetPositional(prop.path, prop.atom, std::move(just));
+        return SetPositional(Path(prop.path), prop.atom, std::move(just));
       }
     }
     return false;
@@ -271,7 +273,7 @@ void Render(const Derivation& d, const GroundProgram& ground,
             const SymbolTable& symbols, int indent, std::string* out) {
   out->append(static_cast<size_t>(indent) * 2, ' ');
   if (d.is_positional) {
-    const SliceAtom& a = ground.atom(d.atom);
+    const AtomRef a = ground.atom(d.atom);
     *out += symbols.predicate(a.pred).name + "(" + d.position.ToString(symbols);
     for (ConstId c : a.args) *out += "," + symbols.constant_name(c);
     *out += ")";
@@ -306,7 +308,7 @@ std::string Derivation::ToString(const GroundProgram& ground,
 StatusOr<Derivation> ExplainFact(const GroundProgram& ground, const Path& path,
                                  const SliceAtom& fact,
                                  const ExplainOptions& options) {
-  AtomIdx atom = ground.FindAtom(fact);
+  AtomIdx atom = ground.FindAtom(fact.pred, fact.args);
   if (atom == kInvalidId) {
     return Status::NotFound("fact is outside the derivable atom universe");
   }

@@ -101,8 +101,9 @@ StatusOr<Labeling> ComputeFixpoint(const GroundProgram& ground,
 
   // Initial facts.
   for (CtxIdx g : ground.global_facts()) ctx.Set(g);
-  for (const auto& [path, atom] : ground.pinned_facts()) {
-    auto it = out.trunk_labels_.find(terms.FromSymbols(path.symbols()));
+  for (size_t i = 0; i < ground.num_pinned_facts(); ++i) {
+    const auto [path, atom] = ground.pinned_fact(i);
+    auto it = out.trunk_labels_.find(terms.FromSymbols(path));
     if (it == out.trunk_labels_.end()) {
       return Status::Internal("pinned fact at a non-trunk path");
     }
@@ -186,10 +187,10 @@ Status Labeling::RunToFixpoint(const FixpointOptions& options) {
 
     // 2. Context -> trunk pinned sync.
     for (CtxIdx i = 0; i < ground.num_ctx(); ++i) {
-      const CtxProp& prop = ground.ctx_prop(i);
+      const CtxProp prop = ground.ctx_prop(i);
       if (prop.kind != CtxProp::Kind::kPinned || !ctx.Test(i)) continue;
       DynamicBitset& label =
-          trunk_labels_.at(terms.FromSymbols(prop.path.symbols()));
+          trunk_labels_.at(terms.FromSymbols(prop.path));
       if (!label.Test(prop.atom)) {
         label.Set(prop.atom);
         RELSPEC_COUNTER("fixpoint.pinned_syncs");
@@ -249,9 +250,9 @@ Status Labeling::RunToFixpoint(const FixpointOptions& options) {
 
     // 4. Trunk -> context pinned sync.
     for (CtxIdx i = 0; i < ground.num_ctx(); ++i) {
-      const CtxProp& prop = ground.ctx_prop(i);
+      const CtxProp prop = ground.ctx_prop(i);
       if (prop.kind != CtxProp::Kind::kPinned || ctx.Test(i)) continue;
-      if (trunk_labels_.at(terms.FromSymbols(prop.path.symbols()))
+      if (trunk_labels_.at(terms.FromSymbols(prop.path))
               .Test(prop.atom)) {
         ctx.Set(i);
         changed = true;
@@ -302,7 +303,7 @@ const DynamicBitset& BoundedLabeling::LabelOf(const Path& path) const {
 }
 
 bool BoundedLabeling::Holds(const Path& path, const SliceAtom& atom) const {
-  AtomIdx idx = ground_->FindAtom(atom);
+  AtomIdx idx = ground_->FindAtom(atom.pred, atom.args);
   if (idx == kInvalidId) return false;
   return LabelOf(path).Test(idx);
 }
@@ -336,8 +337,9 @@ StatusOr<BoundedLabeling> ComputeBoundedFixpoint(const GroundProgram& ground,
   }
 
   for (CtxIdx g : ground.global_facts()) out.ctx_.Set(g);
-  for (const auto& [path, atom] : ground.pinned_facts()) {
-    auto it = out.labels_.find(terms.FromSymbols(path.symbols()));
+  for (size_t i = 0; i < ground.num_pinned_facts(); ++i) {
+    const auto [path, atom] = ground.pinned_fact(i);
+    auto it = out.labels_.find(terms.FromSymbols(path));
     if (it == out.labels_.end()) {
       return Status::InvalidArgument(
           "bounded fixpoint bound is smaller than the trunk depth");
@@ -361,9 +363,9 @@ StatusOr<BoundedLabeling> ComputeBoundedFixpoint(const GroundProgram& ground,
     }
     // Pinned syncs.
     for (CtxIdx i = 0; i < ground.num_ctx(); ++i) {
-      const CtxProp& prop = ground.ctx_prop(i);
+      const CtxProp prop = ground.ctx_prop(i);
       if (prop.kind != CtxProp::Kind::kPinned) continue;
-      auto it = out.labels_.find(terms.FromSymbols(prop.path.symbols()));
+      auto it = out.labels_.find(terms.FromSymbols(prop.path));
       if (it == out.labels_.end()) continue;
       if (out.ctx_.Test(i) && !it->second.Test(prop.atom)) {
         it->second.Set(prop.atom);

@@ -6,27 +6,13 @@
 
 namespace relspec {
 
-AtomIdx GraphSpecification::FindAtom(PredId pred,
-                                     const std::vector<ConstId>& args) const {
-  auto it = atom_index_.find(SliceAtom{pred, args});
-  return it == atom_index_.end() ? kInvalidId : it->second;
-}
-
 bool GraphSpecification::Holds(const Path& path, PredId pred,
-                               const std::vector<ConstId>& args) const {
+                               std::span<const ConstId> args) const {
   const AtomIdx atom = FindAtom(pred, args);
   if (atom == kInvalidId) return false;
   uint32_t cluster = graph_.ClusterOf(path);
   if (cluster == kInvalidId) return false;
   return graph_.label(cluster).Test(atom);
-}
-
-bool GraphSpecification::HoldsGlobal(PredId pred,
-                                     const std::vector<ConstId>& args) const {
-  for (const auto& [p, a] : globals_) {
-    if (p == pred && a == args) return true;
-  }
-  return false;
 }
 
 StatusOr<bool> GraphSpecification::HoldsFact(const Atom& fact) const {
@@ -66,8 +52,10 @@ std::vector<SliceAtom> GraphSpecification::SliceOf(const Path& path) const {
   std::vector<SliceAtom> out;
   uint32_t cluster = graph_.ClusterOf(path);
   if (cluster == kInvalidId) return out;
-  graph_.label(cluster).ForEach(
-      [&](size_t i) { out.push_back(atoms_[i]); });
+  graph_.label(cluster).ForEach([&](size_t i) {
+    const AtomRef atom = atoms_[static_cast<AtomIdx>(i)];
+    out.push_back(SliceAtom{atom.pred, {atom.args.begin(), atom.args.end()}});
+  });
   return out;
 }
 
@@ -97,7 +85,7 @@ std::string GraphSpecification::ToString() const {
     out += StrFormat("cluster %u%s: repr=%s\n", i,
                      graph_.is_trunk(i) ? " (trunk)" : "", repr.c_str());
     graph_.label(i).ForEach([&](size_t a) {
-      const SliceAtom& atom = atoms_[a];
+      const AtomRef atom = atoms_[static_cast<AtomIdx>(a)];
       std::string tuple = symbols_.predicate(atom.pred).name + "(" + repr;
       for (ConstId cc : atom.args) {
         tuple += "," + symbols_.constant_name(cc);
@@ -124,16 +112,26 @@ std::string GraphSpecification::ToString() const {
   return out;
 }
 
-std::vector<std::pair<PredId, std::vector<ConstId>>> GlobalsOf(
-    const Labeling& labeling) {
-  std::vector<std::pair<PredId, std::vector<ConstId>>> out;
+AtomTable GlobalsOf(const Labeling& labeling) {
   const GroundProgram& ground = labeling.ground();
-  for (CtxIdx i = 0; i < ground.num_ctx(); ++i) {
-    const CtxProp& prop = ground.ctx_prop(i);
-    if (prop.kind == CtxProp::Kind::kGlobal && labeling.ctx().Test(i)) {
-      out.emplace_back(prop.pred, prop.args);
+  auto for_each_global = [&](auto&& fn) {
+    for (CtxIdx i = 0; i < ground.num_ctx(); ++i) {
+      const CtxProp prop = ground.ctx_prop(i);
+      if (prop.kind == CtxProp::Kind::kGlobal && labeling.ctx().Test(i)) {
+        fn(prop);
+      }
     }
-  }
+  };
+  // Sized first, so the table allocates each array once.
+  size_t rows = 0, args = 0;
+  for_each_global([&](const CtxProp& prop) {
+    ++rows;
+    args += prop.args.size();
+  });
+  AtomTable out;
+  out.Reserve(rows, args);
+  for_each_global(
+      [&](const CtxProp& prop) { out.Intern(prop.pred, prop.args); });
   return out;
 }
 
@@ -145,9 +143,6 @@ StatusOr<GraphSpecification> BuildGraphSpecification(
   out.symbols_ = symbols;
   const GroundProgram& ground = labeling->ground();
   out.atoms_ = ground.atoms();
-  for (AtomIdx i = 0; i < ground.num_atoms(); ++i) {
-    out.atom_index_.emplace(ground.atom(i), i);
-  }
   out.globals_ = GlobalsOf(*labeling);
   return out;
 }

@@ -8,6 +8,12 @@
 // by the Link walk (find the representative of the term's cluster, check the
 // slice) without consulting Z or D.
 //
+// Every part is flat: the symbol table's names and indexes, the dictionary
+// and the globals (AtomTables, each row found by probing its index) and the
+// label graph's cluster arrays. So a copy of the specification, such as
+// FunctionalDatabase::BuildGraphSpec returns, is a fixed number of array
+// copies whatever the number of names, atoms, globals or clusters.
+//
 // It is also the one copy of the primary database B: the equational
 // specification (B, R) (equational_spec.h) shares a GraphSpecification
 // through a shared pointer and adds only the equations R.
@@ -15,10 +21,12 @@
 #ifndef RELSPEC_CORE_GRAPH_SPEC_H_
 #define RELSPEC_CORE_GRAPH_SPEC_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/ast/ast.h"
+#include "src/core/atom_table.h"
 #include "src/core/label_graph.h"
 #include "src/term/symbol_table.h"
 
@@ -28,12 +36,17 @@ class GraphSpecification {
  public:
   /// Membership of the functional fact pred(path, args...).
   bool Holds(const Path& path, PredId pred,
-             const std::vector<ConstId>& args) const;
+             std::span<const ConstId> args) const;
   /// The index of the slice atom pred(args...) in atom_dictionary(), or
   /// kInvalidId when no slice can hold it. (B, R) finds its atoms here too.
-  AtomIdx FindAtom(PredId pred, const std::vector<ConstId>& args) const;
-  /// Membership of a ground non-functional fact.
-  bool HoldsGlobal(PredId pred, const std::vector<ConstId>& args) const;
+  AtomIdx FindAtom(PredId pred, std::span<const ConstId> args) const {
+    return atoms_.Find(pred, args);
+  }
+  /// Membership of a ground non-functional fact: a probe of the globals'
+  /// index.
+  bool HoldsGlobal(PredId pred, std::span<const ConstId> args) const {
+    return globals_.Find(pred, args) != kInvalidId;
+  }
   /// Membership of one ground fact over symbols(), functional or global.
   /// A term naming a mixed encoding the table lacks holds nowhere.
   /// InvalidArgument unless the atom is ground.
@@ -54,10 +67,10 @@ class GraphSpecification {
 
   const LabelGraph& graph() const { return graph_; }
   const SymbolTable& symbols() const { return symbols_; }
-  const std::vector<SliceAtom>& atom_dictionary() const { return atoms_; }
-  const std::vector<std::pair<PredId, std::vector<ConstId>>>& globals() const {
-    return globals_;
-  }
+  /// The slice atoms, in the ground program's AtomIdx order.
+  const AtomTable& atom_dictionary() const { return atoms_; }
+  /// The ground non-functional facts of B, in context order.
+  const AtomTable& globals() const { return globals_; }
   const std::vector<FuncId>& alphabet() const { return graph_.alphabet(); }
   int trunk_depth() const { return graph_.trunk_depth(); }
 
@@ -85,15 +98,13 @@ class GraphSpecification {
 
   LabelGraph graph_;
   SymbolTable symbols_;
-  std::vector<SliceAtom> atoms_;
-  std::unordered_map<SliceAtom, AtomIdx, SliceAtomHasher> atom_index_;
-  std::vector<std::pair<PredId, std::vector<ConstId>>> globals_;
+  AtomTable atoms_;
+  AtomTable globals_;
 };
 
 /// The spec's globals: the ground non-functional atoms true in `labeling`'s
 /// context, in context order.
-std::vector<std::pair<PredId, std::vector<ConstId>>> GlobalsOf(
-    const Labeling& labeling);
+AtomTable GlobalsOf(const Labeling& labeling);
 
 /// Extracts the self-contained (B, F) from a computed label graph, which it
 /// takes by value: pass an rvalue to move the graph in without a copy. The

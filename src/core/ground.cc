@@ -22,45 +22,23 @@ uint64_t MixHash(uint64_t h, uint64_t v) {
 }
 }  // namespace
 
-size_t SliceAtomHasher::operator()(const SliceAtom& a) const {
-  uint64_t h = 1469598103934665603ull;
-  h = MixHash(h, a.pred);
-  for (ConstId c : a.args) h = MixHash(h, c);
-  return static_cast<size_t>(h);
-}
-
-size_t GroundProgram::SliceAtomHash::operator()(const SliceAtom& a) const {
-  return SliceAtomHasher{}(a);
-}
-
-size_t GroundProgram::CtxPropHash::operator()(const CtxProp& p) const {
-  uint64_t h = 1469598103934665603ull;
-  h = MixHash(h, static_cast<uint64_t>(p.kind));
-  h = MixHash(h, p.pred);
-  for (ConstId c : p.args) h = MixHash(h, c);
-  h = MixHash(h, p.path.Hash());
-  h = MixHash(h, p.atom);
-  return static_cast<size_t>(h);
-}
-
-AtomIdx GroundProgram::FindAtom(const SliceAtom& key) const {
-  auto it = atom_index_.find(key);
-  return it == atom_index_.end() ? kInvalidId : it->second;
-}
-
-CtxIdx GroundProgram::FindGlobal(PredId pred,
-                                 const std::vector<ConstId>& args) const {
-  CtxProp key;
-  key.kind = CtxProp::Kind::kGlobal;
-  key.pred = pred;
-  key.args = args;
-  auto it = ctx_index_.find(key);
-  return it == ctx_index_.end() ? kInvalidId : it->second;
+CtxProp GroundProgram::ctx_prop(CtxIdx i) const {
+  const AtomRef row = ctx_[i];
+  CtxProp out;
+  if ((row.pred & kPinnedRow) == 0) {
+    out.pred = row.pred;
+    out.args = row.args;
+  } else {
+    out.kind = CtxProp::Kind::kPinned;
+    out.path = row.args;
+    out.atom = row.pred & ~kPinnedRow;
+  }
+  return out;
 }
 
 std::string GroundProgram::AtomToString(AtomIdx i,
                                         const SymbolTable& symbols) const {
-  const SliceAtom& a = atoms_[i];
+  const AtomRef a = atoms_[i];
   std::string out = symbols.predicate(a.pred).name + "(@";
   for (ConstId c : a.args) {
     out += ",";
@@ -72,7 +50,7 @@ std::string GroundProgram::AtomToString(AtomIdx i,
 
 std::string GroundProgram::CtxToString(CtxIdx i,
                                        const SymbolTable& symbols) const {
-  const CtxProp& p = ctx_props_[i];
+  const CtxProp p = ctx_prop(i);
   if (p.kind == CtxProp::Kind::kGlobal) {
     std::string out = symbols.predicate(p.pred).name + "(";
     for (size_t k = 0; k < p.args.size(); ++k) {
@@ -82,7 +60,7 @@ std::string GroundProgram::CtxToString(CtxIdx i,
     out += ")";
     return out;
   }
-  return StrFormat("pinned[%s: %s]", p.path.ToString(symbols).c_str(),
+  return StrFormat("pinned[%s: %s]", Path(p.path).ToString(symbols).c_str(),
                    AtomToString(p.atom, symbols).c_str());
 }
 
@@ -144,6 +122,11 @@ struct GroundRuleHash {
 // emitted in the same order as a nested scan of the facts followed by an
 // odometer over the domain (first free slot fastest), which fixes every atom
 // and rule index downstream.
+//
+// One plan, one instance buffer and one scratch rule are reused across rules
+// and instances: atoms are interned from the buffer, and a rule is copied out
+// only when it is new. So an instance whose atoms and rule already exist
+// allocates nothing.
 class Grounder {
  public:
   Grounder(const Program& program, const GroundOptions& options)
@@ -178,7 +161,7 @@ class Grounder {
       if (edb_[f.pred].is_edb) edb_[f.pred].facts.push_back(&f);
     }
 
-    RELSPEC_RETURN_NOT_OK(GroundFacts());
+    GroundFacts();
     for (const Rule& r : program_.rules) {
       RELSPEC_RETURN_NOT_OK(GroundOneRule(r));
     }
@@ -197,13 +180,15 @@ class Grounder {
   /// Where a compiled atom lands in a ground rule.
   enum class Place { kGlobal, kPinned, kEps, kChild };
 
+  /// A compiled atom. Its arguments, pinned path and first bindings are runs
+  /// [begin, end) of the plan's arrays.
   struct PlanAtom {
     PredId pred = kInvalidId;
-    std::vector<PlanArg> args;
+    uint32_t args_begin = 0, args_end = 0;  // into Plan::args
     Place place = Place::kGlobal;
-    Path path;       // kPinned
-    SymIdx sym = 0;  // kChild
-    std::vector<uint32_t> binds;  // EDB atoms: the slots they bind first
+    uint32_t path_begin = 0, path_end = 0;    // kPinned: into Plan::paths
+    SymIdx sym = 0;                           // kChild
+    uint32_t binds_begin = 0, binds_end = 0;  // EDB atoms: into Plan::binds
   };
 
   /// An EDB predicate's facts and their per-position index, built the
@@ -220,39 +205,47 @@ class Grounder {
     std::vector<PlanAtom> other;  // emitted into the ground rule
     PlanAtom head;
     std::vector<uint32_t> free;   // slots no EDB atom binds, ascending
+    std::vector<PlanArg> args;    // every atom's arguments
+    std::vector<FuncId> paths;    // pinned atoms' symbols, innermost first
+    std::vector<uint32_t> binds;  // the slots each EDB atom binds first
+
+    void Clear() {
+      edb.clear();
+      other.clear();
+      free.clear();
+      args.clear();
+      paths.clear();
+      binds.clear();
+    }
   };
 
-  /// The ascending non-functional variables of `rule`: slot i is vars[i].
-  static std::vector<VarId> RuleVariables(const Rule& rule) {
-    std::vector<VarId> vars;
-    std::optional<VarId> fv;
-    CollectVariables(rule.head, &vars, &fv);
-    for (const Atom& a : rule.body) CollectVariables(a, &vars, &fv);
-    std::sort(vars.begin(), vars.end());
-    return vars;
+  std::span<const PlanArg> ArgsOf(const PlanAtom& atom) const {
+    return std::span<const PlanArg>(plan_.args)
+        .subspan(atom.args_begin, atom.args_end - atom.args_begin);
   }
 
-  PlanAtom Compile(const Atom& atom, const std::vector<VarId>& vars) const {
+  /// Compiles `atom` over the slots of vars_ into plan_.
+  PlanAtom Compile(const Atom& atom) {
     PlanAtom out;
     out.pred = atom.pred;
-    out.args.reserve(atom.args.size());
+    out.args_begin = static_cast<uint32_t>(plan_.args.size());
     for (const NfArg& a : atom.args) {
       if (a.IsConstant()) {
-        out.args.push_back(PlanArg{false, a.id});
+        plan_.args.push_back(PlanArg{false, a.id});
       } else {
-        auto it = std::lower_bound(vars.begin(), vars.end(), a.id);
-        out.args.push_back(
-            PlanArg{true, static_cast<uint32_t>(it - vars.begin())});
+        auto it = std::lower_bound(vars_.begin(), vars_.end(), a.id);
+        plan_.args.push_back(
+            PlanArg{true, static_cast<uint32_t>(it - vars_.begin())});
       }
     }
+    out.args_end = static_cast<uint32_t>(plan_.args.size());
     if (!atom.fterm.has_value()) {
       out.place = Place::kGlobal;
     } else if (atom.fterm->IsGround()) {
       out.place = Place::kPinned;
-      std::vector<FuncId> syms;
-      syms.reserve(atom.fterm->apps.size());
-      for (const FuncApply& a : atom.fterm->apps) syms.push_back(a.fn);
-      out.path = Path(std::move(syms));
+      out.path_begin = static_cast<uint32_t>(plan_.paths.size());
+      for (const FuncApply& a : atom.fterm->apps) plan_.paths.push_back(a.fn);
+      out.path_end = static_cast<uint32_t>(plan_.paths.size());
     } else if (atom.fterm->depth() == 0) {
       out.place = Place::kEps;
     } else {  // depth 1: f(s)
@@ -263,83 +256,67 @@ class Grounder {
     return out;
   }
 
-  AtomIdx InternAtom(SliceAtom a) {
-    auto it = out_.atom_index_.find(a);
-    if (it != out_.atom_index_.end()) return it->second;
-    AtomIdx id = static_cast<AtomIdx>(out_.atoms_.size());
-    out_.atoms_.push_back(a);
-    out_.atom_index_.emplace(std::move(a), id);
-    return id;
+  AtomIdx InternAtom(PredId pred, std::span<const ConstId> args) {
+    return out_.atoms_.Intern(pred, args);
   }
 
-  CtxIdx InternCtx(CtxProp p) {
-    auto it = out_.ctx_index_.find(p);
-    if (it != out_.ctx_index_.end()) return it->second;
-    CtxIdx id = static_cast<CtxIdx>(out_.ctx_props_.size());
-    out_.ctx_props_.push_back(p);
-    out_.ctx_index_.emplace(std::move(p), id);
-    return id;
+  CtxIdx InternGlobal(PredId pred, std::span<const ConstId> args) {
+    return out_.ctx_.Intern(pred, args);
   }
 
-  CtxIdx InternGlobal(PredId pred, std::vector<ConstId> args) {
-    CtxProp prop;
-    prop.kind = CtxProp::Kind::kGlobal;
-    prop.pred = pred;
-    prop.args = std::move(args);
-    return InternCtx(std::move(prop));
+  CtxIdx InternPinned(std::span<const FuncId> path, AtomIdx atom) {
+    return out_.ctx_.Intern(atom | GroundProgram::kPinnedRow, path);
   }
 
-  CtxIdx InternPinned(Path path, AtomIdx atom) {
-    CtxProp prop;
-    prop.kind = CtxProp::Kind::kPinned;
-    prop.path = std::move(path);
-    prop.atom = atom;
-    return InternCtx(std::move(prop));
-  }
-
-  Status GroundFacts() {
+  void GroundFacts() {
     for (const Atom& f : program_.facts) {
-      std::vector<ConstId> args;
-      args.reserve(f.args.size());
-      for (const NfArg& a : f.args) args.push_back(a.id);
+      buf_.clear();
+      for (const NfArg& a : f.args) buf_.push_back(a.id);
       if (f.fterm.has_value()) {
-        std::vector<FuncId> syms;
-        syms.reserve(f.fterm->apps.size());
-        for (const FuncApply& a : f.fterm->apps) syms.push_back(a.fn);
-        AtomIdx atom = InternAtom(SliceAtom{f.pred, std::move(args)});
-        out_.pinned_facts_.emplace_back(Path(std::move(syms)), atom);
+        const AtomIdx atom = InternAtom(f.pred, buf_);
+        buf_.clear();
+        for (const FuncApply& a : f.fterm->apps) buf_.push_back(a.fn);
+        out_.pinned_facts_.Intern(atom, buf_);
       } else {
-        out_.global_facts_.push_back(InternGlobal(f.pred, std::move(args)));
+        out_.global_facts_.push_back(InternGlobal(f.pred, buf_));
       }
     }
-    return Status::OK();
   }
 
   // --- per-rule grounding ---
 
   Status GroundOneRule(const Rule& rule) {
-    const std::vector<VarId> vars = RuleVariables(rule);
-    Plan plan;
-    std::vector<bool> bound(vars.size(), false);
+    // The ascending non-functional variables of `rule`: slot i is vars_[i].
+    vars_.clear();
+    std::optional<VarId> fv;
+    CollectVariables(rule.head, &vars_, &fv);
+    for (const Atom& a : rule.body) CollectVariables(a, &vars_, &fv);
+    std::sort(vars_.begin(), vars_.end());
+
+    plan_.Clear();
+    bound_.assign(vars_.size(), false);
     for (const Atom& a : rule.body) {
       if (options_.edb_pruning && !a.fterm.has_value() && edb_[a.pred].is_edb) {
-        PlanAtom& atom = plan.edb.emplace_back(Compile(a, vars));
-        for (const PlanArg& arg : atom.args) {
-          if (arg.is_slot && !bound[arg.id]) {
-            bound[arg.id] = true;
-            atom.binds.push_back(arg.id);
+        PlanAtom atom = Compile(a);
+        atom.binds_begin = static_cast<uint32_t>(plan_.binds.size());
+        for (const PlanArg& arg : ArgsOf(atom)) {
+          if (arg.is_slot && !bound_[arg.id]) {
+            bound_[arg.id] = true;
+            plan_.binds.push_back(arg.id);
           }
         }
+        atom.binds_end = static_cast<uint32_t>(plan_.binds.size());
+        plan_.edb.push_back(atom);
       } else {
-        plan.other.push_back(Compile(a, vars));
+        plan_.other.push_back(Compile(a));
       }
     }
-    plan.head = Compile(rule.head, vars);
-    for (uint32_t v = 0; v < vars.size(); ++v) {
-      if (!bound[v]) plan.free.push_back(v);
+    plan_.head = Compile(rule.head);
+    for (uint32_t v = 0; v < vars_.size(); ++v) {
+      if (!bound_[v]) plan_.free.push_back(v);
     }
-    subst_.assign(vars.size(), kUnbound);
-    return MatchEdb(plan, 0);
+    subst_.assign(vars_.size(), kUnbound);
+    return MatchEdb(0);
   }
 
   /// The fact positions `atom` can match under the current bindings: the
@@ -347,12 +324,13 @@ class Grounder {
   /// fact. Sets `*none` when some bound argument matches no fact at all.
   const std::vector<uint32_t>* Candidates(const PlanAtom& atom, bool* none) {
     EdbFacts& e = edb_[atom.pred];
+    const std::span<const PlanArg> args = ArgsOf(atom);
     const std::vector<uint32_t>* best = nullptr;
-    for (size_t k = 0; k < atom.args.size(); ++k) {
-      const PlanArg& arg = atom.args[k];
+    for (size_t k = 0; k < args.size(); ++k) {
+      const PlanArg& arg = args[k];
       const ConstId val = arg.is_slot ? subst_[arg.id] : arg.id;
       if (val == kUnbound) continue;
-      if (e.by_arg.empty()) e.by_arg.resize(atom.args.size());
+      if (e.by_arg.empty()) e.by_arg.resize(args.size());
       if (e.by_arg[k].empty()) {  // MatchEdb only probes predicates with facts
         for (uint32_t i = 0; i < e.facts.size(); ++i) {
           e.by_arg[k][e.facts[i]->args[k].id].push_back(i);
@@ -370,20 +348,21 @@ class Grounder {
     return best;
   }
 
-  Status MatchEdb(const Plan& plan, size_t i) {
-    if (i == plan.edb.size()) return EnumerateFreeVars(plan);
-    const PlanAtom& atom = plan.edb[i];
+  Status MatchEdb(size_t i) {
+    if (i == plan_.edb.size()) return EnumerateFreeVars();
+    const PlanAtom& atom = plan_.edb[i];
     const std::vector<const Atom*>& facts = edb_[atom.pred].facts;
     if (facts.empty()) return Status::OK();  // no facts: no match
     bool none = false;
     const std::vector<uint32_t>* candidates = Candidates(atom, &none);
     if (none) return Status::OK();
+    const std::span<const PlanArg> args = ArgsOf(atom);
     const size_t n = candidates != nullptr ? candidates->size() : facts.size();
     for (size_t c = 0; c < n; ++c) {
       const Atom& fact = *facts[candidates != nullptr ? (*candidates)[c] : c];
       bool ok = true;
-      for (size_t k = 0; k < atom.args.size() && ok; ++k) {
-        const PlanArg& pat = atom.args[k];
+      for (size_t k = 0; k < args.size() && ok; ++k) {
+        const PlanArg& pat = args[k];
         const ConstId val = fact.args[k].id;
         if (!pat.is_slot) {
           ok = pat.id == val;
@@ -393,84 +372,93 @@ class Grounder {
           ok = subst_[pat.id] == val;
         }
       }
-      if (ok) RELSPEC_RETURN_NOT_OK(MatchEdb(plan, i + 1));
-      for (uint32_t v : atom.binds) subst_[v] = kUnbound;
+      if (ok) RELSPEC_RETURN_NOT_OK(MatchEdb(i + 1));
+      for (uint32_t b = atom.binds_begin; b < atom.binds_end; ++b) {
+        subst_[plan_.binds[b]] = kUnbound;
+      }
     }
     return Status::OK();
   }
 
-  Status EnumerateFreeVars(const Plan& plan) {
-    const std::vector<uint32_t>& free = plan.free;
-    if (free.empty()) return EmitInstance(plan);
+  Status EnumerateFreeVars() {
+    const std::vector<uint32_t>& free = plan_.free;
+    if (free.empty()) return EmitInstance();
     if (domain_.empty()) return Status::OK();  // cannot bind
-    std::vector<size_t> idx(free.size(), 0);
+    odometer_.assign(free.size(), 0);
     while (true) {
       for (size_t k = 0; k < free.size(); ++k) {
-        subst_[free[k]] = domain_[idx[k]];
+        subst_[free[k]] = domain_[odometer_[k]];
       }
-      RELSPEC_RETURN_NOT_OK(EmitInstance(plan));
+      RELSPEC_RETURN_NOT_OK(EmitInstance());
       size_t k = 0;
-      for (; k < idx.size(); ++k) {
-        if (++idx[k] < domain_.size()) break;
-        idx[k] = 0;
+      for (; k < odometer_.size(); ++k) {
+        if (++odometer_[k] < domain_.size()) break;
+        odometer_[k] = 0;
       }
-      if (k == idx.size()) break;
+      if (k == odometer_.size()) break;
     }
     for (uint32_t v : free) subst_[v] = kUnbound;
     return Status::OK();
   }
 
-  std::vector<ConstId> Instantiate(const PlanAtom& atom) const {
-    std::vector<ConstId> args;
-    args.reserve(atom.args.size());
-    for (const PlanArg& a : atom.args) {
-      args.push_back(a.is_slot ? subst_[a.id] : a.id);
+  /// `atom`'s arguments under the current substitution, in buf_.
+  std::span<const ConstId> Instantiate(const PlanAtom& atom) {
+    buf_.clear();
+    for (const PlanArg& a : ArgsOf(atom)) {
+      buf_.push_back(a.is_slot ? subst_[a.id] : a.id);
     }
-    return args;
+    return buf_;
   }
 
-  Status EmitInstance(const Plan& plan) {
-    GroundRule g;
-    for (const PlanAtom& a : plan.other) {
-      std::vector<ConstId> args = Instantiate(a);
+  std::span<const FuncId> PathOf(const PlanAtom& atom) const {
+    return std::span<const FuncId>(plan_.paths)
+        .subspan(atom.path_begin, atom.path_end - atom.path_begin);
+  }
+
+  Status EmitInstance() {
+    GroundRule& g = rule_;
+    g.body_eps.clear();
+    g.body_child.clear();
+    g.body_ctx.clear();
+    g.head_sym = 0;
+    for (const PlanAtom& a : plan_.other) {
+      const std::span<const ConstId> args = Instantiate(a);
       switch (a.place) {
         case Place::kGlobal:
-          g.body_ctx.push_back(InternGlobal(a.pred, std::move(args)));
+          g.body_ctx.push_back(InternGlobal(a.pred, args));
           break;
         case Place::kPinned:
           g.body_ctx.push_back(
-              InternPinned(a.path, InternAtom(SliceAtom{a.pred, std::move(args)})));
+              InternPinned(PathOf(a), InternAtom(a.pred, args)));
           break;
         case Place::kEps:
-          g.body_eps.push_back(InternAtom(SliceAtom{a.pred, std::move(args)}));
+          g.body_eps.push_back(InternAtom(a.pred, args));
           break;
         case Place::kChild:
-          g.body_child.emplace_back(
-              a.sym, InternAtom(SliceAtom{a.pred, std::move(args)}));
+          g.body_child.emplace_back(a.sym, InternAtom(a.pred, args));
           break;
       }
     }
 
-    const PlanAtom& h = plan.head;
-    std::vector<ConstId> head_args = Instantiate(h);
+    const PlanAtom& h = plan_.head;
+    const std::span<const ConstId> head_args = Instantiate(h);
     switch (h.place) {
       case Place::kGlobal:
         g.head_kind = GroundRule::HeadKind::kCtx;
-        g.head_id = InternGlobal(h.pred, std::move(head_args));
+        g.head_id = InternGlobal(h.pred, head_args);
         break;
       case Place::kPinned:
         g.head_kind = GroundRule::HeadKind::kCtx;
-        g.head_id = InternPinned(
-            h.path, InternAtom(SliceAtom{h.pred, std::move(head_args)}));
+        g.head_id = InternPinned(PathOf(h), InternAtom(h.pred, head_args));
         break;
       case Place::kEps:
         g.head_kind = GroundRule::HeadKind::kEps;
-        g.head_id = InternAtom(SliceAtom{h.pred, std::move(head_args)});
+        g.head_id = InternAtom(h.pred, head_args);
         break;
       case Place::kChild:
         g.head_kind = GroundRule::HeadKind::kChild;
         g.head_sym = h.sym;
-        g.head_id = InternAtom(SliceAtom{h.pred, std::move(head_args)});
+        g.head_id = InternAtom(h.pred, head_args);
         break;
     }
 
@@ -496,11 +484,11 @@ class Grounder {
     }
     if (g.IsLocal()) {
       seen_rules_.Insert(hash, static_cast<uint32_t>(out_.local_rules_.size()));
-      out_.local_rules_.push_back(std::move(g));
+      out_.local_rules_.push_back(g);
     } else {
       seen_rules_.Insert(hash, kGlobalRule | static_cast<uint32_t>(
                                                  out_.global_rules_.size()));
-      out_.global_rules_.push_back(std::move(g));
+      out_.global_rules_.push_back(g);
     }
     return Status::OK();
   }
@@ -518,7 +506,14 @@ class Grounder {
   GroundProgram out_;
   std::vector<ConstId> domain_;
   std::vector<EdbFacts> edb_;  // by predicate id
-  std::vector<ConstId> subst_;  // by slot of the rule being grounded
+  // Reused by every rule and instance:
+  std::vector<VarId> vars_;      // the rule's variables, by slot
+  std::vector<bool> bound_;      // by slot: some EDB atom binds it
+  Plan plan_;                    // the rule's compiled atoms
+  std::vector<ConstId> subst_;   // by slot of the rule being grounded
+  std::vector<size_t> odometer_; // free slots' domain positions
+  std::vector<ConstId> buf_;     // the atom being interned
+  GroundRule rule_;              // the instance being emitted
   /// The emitted rules by GroundRuleHash, compared in place.
   IdIndex seen_rules_;
 };

@@ -17,18 +17,25 @@
 // The least fixpoint of the program is then a labeling of the infinite tree
 // Sigma* (Sigma = pure function symbols) by subsets of U, plus a set of true
 // context propositions; src/core/fixpoint.h computes it.
+//
+// Layout: U, the context propositions and the pinned facts are flat
+// AtomTables (src/core/atom_table.h), read through views (AtomRef, CtxProp,
+// PinnedFact) that point into them. The grounder interns every atom from one
+// reused buffer, so the universe costs the tables' array doublings, not a
+// heap block per atom.
 
 #ifndef RELSPEC_CORE_GROUND_H_
 #define RELSPEC_CORE_GROUND_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/ast/ast.h"
 #include "src/base/status.h"
+#include "src/core/atom_table.h"
 #include "src/term/path.h"
 
 namespace relspec {
@@ -49,8 +56,10 @@ inline SymIdx AlphabetIndex(const std::vector<FuncId>& alphabet, FuncId f) {
              : static_cast<SymIdx>(it - alphabet.begin());
 }
 
-/// A slice atom: functional predicate + non-functional constant arguments.
-/// The functional component is implicit (the tree position).
+/// A slice atom as an owning value: functional predicate + non-functional
+/// constant arguments. The functional component is implicit (the tree
+/// position). Tables store atoms flat (AtomTable); this is for results such
+/// as GraphSpecification::SliceOf and for keys built by hand.
 struct SliceAtom {
   PredId pred = kInvalidId;
   std::vector<ConstId> args;
@@ -59,26 +68,25 @@ struct SliceAtom {
   }
 };
 
-struct SliceAtomHasher {
-  size_t operator()(const SliceAtom& a) const;
-};
-
-/// A context proposition.
+/// A context proposition, read in place from its GroundProgram.
 struct CtxProp {
   enum class Kind { kGlobal, kPinned };
   Kind kind = Kind::kGlobal;
   /// kGlobal: a ground non-functional atom.
   PredId pred = kInvalidId;
-  std::vector<ConstId> args;
-  /// kPinned: the position of the pinned slice atom...
-  Path path;
+  std::span<const ConstId> args;
+  /// kPinned: the position of the pinned slice atom (its symbols, innermost
+  /// first)...
+  std::span<const FuncId> path;
   /// ...and the atom itself.
   AtomIdx atom = 0;
+};
 
-  bool operator==(const CtxProp& o) const {
-    return kind == o.kind && pred == o.pred && args == o.args &&
-           path == o.path && atom == o.atom;
-  }
+/// A database fact at a ground position, read in place: the position's
+/// symbols (innermost first) and the slice atom.
+struct PinnedFact {
+  std::span<const FuncId> path;
+  AtomIdx atom = 0;
 };
 
 /// One grounded positional rule. Offsets: epsilon = the node s itself;
@@ -116,20 +124,29 @@ struct GroundRule {
 uint64_t GroundBodyHash(const GroundRule& rule);
 
 /// The grounded program: universe, alphabet, rules and initial facts.
+///
+/// The universe U, the context propositions and the pinned facts are
+/// AtomTables: flat rows in first-seen order, so an atom, a proposition or
+/// a fact costs no heap block of its own. Global and pinned propositions
+/// share one table, so they share one CtxIdx space.
 class GroundProgram {
  public:
   // --- universe ---
   size_t num_atoms() const { return atoms_.size(); }
-  size_t num_ctx() const { return ctx_props_.size(); }
-  const SliceAtom& atom(AtomIdx i) const { return atoms_[i]; }
-  const std::vector<SliceAtom>& atoms() const { return atoms_; }
-  const CtxProp& ctx_prop(CtxIdx i) const { return ctx_props_[i]; }
+  size_t num_ctx() const { return ctx_.size(); }
+  AtomRef atom(AtomIdx i) const { return atoms_[i]; }
+  const AtomTable& atoms() const { return atoms_; }
+  CtxProp ctx_prop(CtxIdx i) const;
 
   /// Finds an interned slice atom; kInvalidId if the atom never occurs (it
   /// is then certainly false everywhere).
-  AtomIdx FindAtom(const SliceAtom& key) const;
+  AtomIdx FindAtom(PredId pred, std::span<const ConstId> args) const {
+    return atoms_.Find(pred, args);
+  }
   /// Finds an interned global proposition; kInvalidId if absent.
-  CtxIdx FindGlobal(PredId pred, const std::vector<ConstId>& args) const;
+  CtxIdx FindGlobal(PredId pred, std::span<const ConstId> args) const {
+    return ctx_.Find(pred, args);
+  }
 
   // --- alphabet ---
   /// Pure function symbols occurring in the program, dense-renumbered in
@@ -145,9 +162,11 @@ class GroundProgram {
   // --- rules and facts ---
   const std::vector<GroundRule>& local_rules() const { return local_rules_; }
   const std::vector<GroundRule>& global_rules() const { return global_rules_; }
-  /// Initial pinned facts from D: (position, atom).
-  const std::vector<std::pair<Path, AtomIdx>>& pinned_facts() const {
-    return pinned_facts_;
+  /// Initial pinned facts from D, each once, in first-seen order.
+  size_t num_pinned_facts() const { return pinned_facts_.size(); }
+  PinnedFact pinned_fact(size_t i) const {
+    const AtomRef row = pinned_facts_[static_cast<uint32_t>(i)];
+    return PinnedFact{row.args, row.pred};
   }
   /// Initial global facts from D.
   const std::vector<CtxIdx>& global_facts() const { return global_facts_; }
@@ -160,22 +179,19 @@ class GroundProgram {
  private:
   friend class Grounder;
 
-  struct SliceAtomHash {
-    size_t operator()(const SliceAtom& a) const;
-  };
-  struct CtxPropHash {
-    size_t operator()(const CtxProp& p) const;
-  };
+  /// Set on the row of a pinned proposition in ctx_.
+  static constexpr uint32_t kPinnedRow = uint32_t{1} << 31;
 
-  std::vector<SliceAtom> atoms_;
-  std::unordered_map<SliceAtom, AtomIdx, SliceAtomHash> atom_index_;
-  std::vector<CtxProp> ctx_props_;
-  std::unordered_map<CtxProp, CtxIdx, CtxPropHash> ctx_index_;
+  AtomTable atoms_;
+  /// A global's row is (pred, args); a pinned proposition's row is
+  /// (atom | kPinnedRow, path symbols).
+  AtomTable ctx_;
   std::vector<FuncId> alphabet_;
   int trunk_depth_ = 0;
   std::vector<GroundRule> local_rules_;
   std::vector<GroundRule> global_rules_;
-  std::vector<std::pair<Path, AtomIdx>> pinned_facts_;
+  /// A pinned fact's row is (atom, path symbols).
+  AtomTable pinned_facts_;
   std::vector<CtxIdx> global_facts_;
 };
 

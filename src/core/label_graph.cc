@@ -11,20 +11,10 @@
 #include "src/base/str_util.h"
 
 namespace relspec {
-namespace {
 
-// The first cluster of the trunk's last layer, the frontier terms' parents:
-// in heap order, the first trunk cluster i whose first child k*i+1 lies past
-// the `num_trunk` trunk clusters.
-size_t LastTrunkLayer(size_t num_trunk, size_t k) {
-  return num_trunk == 0 || k == 0 ? 0 : (num_trunk - 1 + k - 1) / k;
-}
-
-}  // namespace
-
-uint32_t LabelGraph::ClusterOf(const Path& path) const {
+uint32_t LabelGraph::ClusterOf(std::span<const FuncId> path) const {
   uint32_t cur = 0;
-  for (FuncId f : path.symbols()) {
+  for (FuncId f : path) {
     const SymIdx s = SymIndexOf(f);
     if (s == kInvalidId) return kInvalidId;
     cur = SuccessorOf(cur, s);
@@ -53,27 +43,6 @@ size_t LabelGraph::ApproxBytes() const {
          trunk_.size() + label_words_.size() * sizeof(uint64_t) +
          successors_.size() * sizeof(uint32_t) +
          alphabet_.size() * sizeof(FuncId);
-}
-
-std::vector<std::pair<Path, uint32_t>> LabelGraph::BoundaryEntries() const {
-  std::vector<std::pair<Path, uint32_t>> out;
-  auto keep = [&](Path path, uint32_t cluster) {
-    if (cluster != unknown_cluster_) out.emplace_back(std::move(path), cluster);
-  };
-  if (frontier_depth_ == 0) {
-    if (num_clusters() > 0) keep(Path::Zero(), 0);
-    return out;
-  }
-  const size_t k = alphabet_.size();
-  size_t num_trunk = 0;
-  while (num_trunk < num_clusters() && trunk_[num_trunk]) ++num_trunk;
-  for (size_t i = LastTrunkLayer(num_trunk, k); i < num_trunk; ++i) {
-    const Path rep = Representative(static_cast<uint32_t>(i));
-    for (SymIdx s = 0; s < k; ++s) {
-      keep(rep.Extend(alphabet_[s]), SuccessorOf(static_cast<uint32_t>(i), s));
-    }
-  }
-  return out;
 }
 
 Path LabelGraph::Representative(uint32_t cluster) const {
@@ -233,7 +202,8 @@ StatusOr<LabelGraph> BuildLabelGraph(Labeling* labeling,
       queue.push_back({kInvalidId, parent, sym, static_cast<uint32_t>(i)});
     }
   } else {
-    for (size_t i = LastTrunkLayer(num_trunk, k); i < num_trunk; ++i) {
+    for (size_t i = LabelGraph::LastTrunkLayer(num_trunk, k); i < num_trunk;
+         ++i) {
       for (SymIdx s = 0; s < k; ++s) {
         Path child = trunk[i].Extend(ground.alphabet()[s]);
         uint32_t entry = labeling->BoundaryEntry(child.symbols());

@@ -46,6 +46,7 @@
 #ifndef RELSPEC_CORE_LABEL_GRAPH_H_
 #define RELSPEC_CORE_LABEL_GRAPH_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -113,7 +114,10 @@ class LabelGraph {
   /// The cluster containing `path`, or kInvalidId for paths that use symbols
   /// outside the alphabet (their labels are empty): the Link walk along
   /// successor edges from cluster 0. O(depth · log |Sigma|).
-  uint32_t ClusterOf(const Path& path) const;
+  uint32_t ClusterOf(std::span<const FuncId> path) const;
+  uint32_t ClusterOf(const Path& path) const {
+    return ClusterOf(path.symbols());
+  }
 
   /// The ascending alphabet; successor lists are indexed in its order.
   const std::vector<FuncId>& alphabet() const { return alphabet_; }
@@ -140,10 +144,13 @@ class LabelGraph {
   /// Number of Potential terms examined by the traversal.
   size_t num_potential() const { return num_potential_; }
 
-  /// The Link walk's entry points: each frontier-depth path, in shortlex
-  /// order, with the cluster its trunk parent's edge leads to. Paths whose
-  /// edge reaches the unknown sink of a truncated graph are left out.
-  std::vector<std::pair<Path, uint32_t>> BoundaryEntries() const;
+  /// The Link walk's entry points: calls fn(path, cluster) for each
+  /// frontier-depth path, in shortlex order, with the cluster its trunk
+  /// parent's edge leads to. `path` holds the symbols innermost first and
+  /// is valid during the call only. Paths whose edge reaches the unknown
+  /// sink of a truncated graph are left out.
+  template <typename Fn>
+  void ForEachBoundaryEntry(Fn&& fn) const;
 
   /// True when the BFS was interrupted by a resource breach under
   /// allow_partial; unresolved edges lead to unknown_cluster().
@@ -157,6 +164,13 @@ class LabelGraph {
  private:
   friend StatusOr<LabelGraph> BuildLabelGraph(Labeling*, const LabelGraphOptions&);
   friend class Snapshot;
+
+  /// The first cluster of the trunk's last layer, the frontier terms'
+  /// parents: in heap order, the first trunk cluster i whose first child
+  /// k*i+1 lies past the `num_trunk` trunk clusters.
+  static size_t LastTrunkLayer(size_t num_trunk, size_t k) {
+    return num_trunk == 0 || k == 0 ? 0 : (num_trunk - 1 + k - 1) / k;
+  }
 
   /// Sets the label universe; the graph must have no cluster yet.
   void SetNumAtoms(size_t num_atoms);
@@ -194,6 +208,36 @@ class LabelGraph {
   Status breach_;
   uint32_t unknown_cluster_ = kInvalidId;
 };
+
+template <typename Fn>
+void LabelGraph::ForEachBoundaryEntry(Fn&& fn) const {
+  if (frontier_depth_ == 0) {
+    if (num_clusters() > 0 && unknown_cluster_ != 0) {
+      fn(std::span<const FuncId>(), uint32_t{0});
+    }
+    return;
+  }
+  const size_t k = alphabet_.size();
+  size_t num_trunk = 0;
+  while (num_trunk < num_clusters() && trunk_[num_trunk]) ++num_trunk;
+  std::vector<FuncId> path;
+  for (size_t i = LastTrunkLayer(num_trunk, k); i < num_trunk; ++i) {
+    path.clear();
+    for (uint32_t c = static_cast<uint32_t>(i); parent_[c] != kInvalidId;
+         c = parent_[c]) {
+      path.push_back(symbol_[c]);
+    }
+    std::reverse(path.begin(), path.end());
+    path.push_back(0);
+    for (SymIdx s = 0; s < k; ++s) {
+      path.back() = alphabet_[s];
+      const uint32_t cluster = SuccessorOf(static_cast<uint32_t>(i), s);
+      if (cluster != unknown_cluster_) {
+        fn(std::span<const FuncId>(path), cluster);
+      }
+    }
+  }
+}
 
 /// Runs Algorithm Q against a converged least-fixpoint labeling.
 StatusOr<LabelGraph> BuildLabelGraph(Labeling* labeling,

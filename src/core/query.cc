@@ -254,7 +254,7 @@ StatusOr<QueryAnswer> AnswerQuery(std::shared_ptr<const GraphSpecification> spec
   const SymbolTable& symbols = spec->symbols();
   RELSPEC_RETURN_NOT_OK(ValidateQuery(query, symbols));
   const LabelGraph& graph = spec->graph();
-  const std::vector<SliceAtom>& atoms = spec->atom_dictionary();
+  const AtomTable& atoms = spec->atom_dictionary();
   std::optional<VarId> func_var = FunctionalVarOf(query);
 
   QueryAnswer out;
@@ -294,9 +294,9 @@ StatusOr<QueryAnswer> AnswerQuery(std::shared_ptr<const GraphSpecification> spec
       uint32_t c = start;
       for (SymIdx s : w.syms) c = graph.SuccessorOf(c, s);
       graph.label(c).ForEach([&](size_t b) {
-        const SliceAtom& sa = atoms[b];
+        const AtomRef sa = atoms[static_cast<AtomIdx>(b)];
         if (sa.pred != pred) return;
-        tuple = sa.args;
+        tuple.assign(sa.args.begin(), sa.args.end());
         tuple.insert(tuple.end(), w.binds.begin(), w.binds.end());
         emit(tuple);
       });
@@ -314,7 +314,9 @@ StatusOr<QueryAnswer> AnswerQuery(std::shared_ptr<const GraphSpecification> spec
     }
     if (!a.fterm.has_value()) {
       for (const auto& [pred, args] : spec->globals()) {
-        if (pred == a.pred && !holds_nowhere) plan.fixed_tuples.push_back(args);
+        if (pred == a.pred && !holds_nowhere) {
+          plan.fixed_tuples.emplace_back(args.begin(), args.end());
+        }
       }
       continue;
     }

@@ -56,6 +56,13 @@ uint64_t Checksum(std::string_view bytes) {
 
 class Writer {
  public:
+  /// A writer for a file of `size` bytes, which it allocates once. The
+  /// file starts with the header Finish fills in.
+  explicit Writer(size_t size) {
+    out_.reserve(size);
+    out_.resize(kHeaderSize);
+  }
+
   void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
   void U32(uint32_t v) { Store32(Grow(4), v); }
   void U64(uint64_t v) {
@@ -71,7 +78,6 @@ class Writer {
   void U32s(std::span<const uint32_t> vs) {
     StoreU32s(Grow(4 * (1 + vs.size())), vs);
   }
-  void PathOf(const Path& p) { U32s(p.symbols()); }
 
   /// Closes the pending section (tag recorded by Begin) by patching its
   /// length field.
@@ -105,12 +111,18 @@ class Writer {
     for (uint32_t v : vs) p = Store32(p, v);
     return p;
   }
-  /// Stores a bit set at `p`: its universe size, `count` (b.Count()), then
+  /// Stores a bit set at `p`: its universe size, its element count, then
   /// its elements ascending. Returns the byte after it.
-  static char* StoreBits(char* p, BitView b, size_t count) {
+  static char* StoreBits(char* p, BitView b) {
     p = Store32(p, static_cast<uint32_t>(b.size()));
-    p = Store32(p, static_cast<uint32_t>(count));
-    b.ForEach([&](size_t i) { p = Store32(p, static_cast<uint32_t>(i)); });
+    char* count = p;
+    p += 4;
+    uint32_t n = 0;
+    b.ForEach([&](size_t i) {
+      p = Store32(p, static_cast<uint32_t>(i));
+      ++n;
+    });
+    Store32(count, n);
     return p;
   }
 
@@ -129,7 +141,7 @@ class Writer {
 
  private:
   /// The file: a header, patched by Finish, then the sections.
-  std::string out_ = std::string(kHeaderSize, '\0');
+  std::string out_;
   size_t section_start_ = 0;
 };
 
@@ -235,6 +247,49 @@ class Reader {
 // Shared section payloads
 // ---------------------------------------------------------------------------
 
+// The bytes of each section, header included, so that a snapshot is sized
+// before it is written.
+constexpr size_t kSectionHeader = 4 + 8;
+
+size_t SymbolsBytes(const SymbolTable& symbols) {
+  size_t n = kSectionHeader + 3 * 4;
+  for (PredId p = 0; p < symbols.num_predicates(); ++p) {
+    n += 4 + symbols.predicate(p).name.size() + 4 + 1;
+  }
+  for (FuncId f = 0; f < symbols.num_functions(); ++f) {
+    n += 4 + symbols.function(f).name.size() + 4;
+  }
+  for (ConstId c = 0; c < symbols.num_constants(); ++c) {
+    n += 4 + symbols.constant_name(c).size();
+  }
+  return n;
+}
+
+// A table of atoms or globals: a count, then per row its predicate, its
+// argument count and its arguments.
+size_t AtomsBytes(const AtomTable& atoms) {
+  return kSectionHeader + 4 + 8 * atoms.size() + 4 * atoms.num_args();
+}
+
+size_t MetaBytes(bool truncated, const Status& breach) {
+  return kSectionHeader + 4 + 4 + 4 + 1 +
+         (truncated ? 4 + 4 + breach.message().size() : 0);
+}
+
+// `bits` is the number of label elements over all clusters.
+size_t ClustersBytes(const LabelGraph& g, bool successors, size_t bits) {
+  const size_t k = g.alphabet().size();
+  return kSectionHeader + 4 +
+         g.num_clusters() * (1 + 4 * 4 + (successors ? 4 * (1 + k) : 0)) +
+         4 * bits;
+}
+
+size_t LabelBits(const LabelGraph& g) {
+  size_t bits = 0;
+  for (uint32_t c = 0; c < g.num_clusters(); ++c) bits += g.label(c).Count();
+  return bits;
+}
+
 void WriteSymbols(const SymbolTable& symbols, Writer* w) {
   w->Begin(kSecSymbols);
   w->U32(static_cast<uint32_t>(symbols.num_predicates()));
@@ -287,47 +342,74 @@ Status ReadSymbols(Reader* r, SymbolTable* symbols) {
   return Status::OK();
 }
 
-void WriteAtoms(const std::vector<SliceAtom>& atoms, Writer* w) {
-  w->Begin(kSecAtoms);
+// Atoms and globals share a row layout: u32 pred | u32 argc | argc u32s.
+void WriteAtomRows(uint32_t tag, const AtomTable& atoms, Writer* w) {
+  w->Begin(tag);
   w->U32(static_cast<uint32_t>(atoms.size()));
-  for (const SliceAtom& a : atoms) {
+  for (const AtomRef a : atoms) {
     w->U32(a.pred);
     w->U32s(a.args);
   }
   w->End();
 }
 
-Status ReadAtoms(Reader* r, const SymbolTable& symbols,
-                 std::vector<SliceAtom>* atoms) {
+// Reads rows into the empty `atoms`: each row's predicate must be one
+// `fits(info, argc)` accepts, its constants in range, and no row may repeat
+// an earlier one. `what` names the section in messages.
+template <typename Fits>
+Status ReadAtomRows(Reader* r, const SymbolTable& symbols, const char* what,
+                    Fits&& fits, AtomTable* atoms) {
   uint32_t n = 0;
   RELSPEC_RETURN_NOT_OK(r->U32(&n));
-  atoms->clear();
+  std::vector<ConstId> args;
   for (uint32_t i = 0; i < n; ++i) {
-    SliceAtom a;
-    RELSPEC_RETURN_NOT_OK(r->U32(&a.pred));
-    if (a.pred >= symbols.num_predicates()) {
-      return Status::InvalidArgument("snapshot: atom predicate out of range");
+    PredId pred = 0;
+    RELSPEC_RETURN_NOT_OK(r->U32(&pred));
+    if (pred >= symbols.num_predicates()) {
+      return Status::InvalidArgument(
+          StrFormat("snapshot: %s predicate out of range", what));
     }
     uint32_t argc = 0;
     RELSPEC_RETURN_NOT_OK(r->U32(&argc));
+    args.clear();
     for (uint32_t k = 0; k < argc; ++k) {
       uint32_t c = 0;
       RELSPEC_RETURN_NOT_OK(r->U32(&c));
       if (c >= symbols.num_constants()) {
-        return Status::InvalidArgument("snapshot: atom constant out of range");
+        return Status::InvalidArgument(
+            StrFormat("snapshot: %s constant out of range", what));
       }
-      a.args.push_back(c);
+      args.push_back(c);
     }
-    // A slice atom is P(t, args...) of a functional predicate: a query
-    // joins its args as one column each.
-    const PredicateInfo& info = symbols.predicate(a.pred);
-    if (!info.functional || static_cast<int64_t>(argc) + 1 != info.arity) {
+    if (!fits(symbols.predicate(pred), argc)) {
       return Status::InvalidArgument(
-          "snapshot: atom does not fit its predicate");
+          StrFormat("snapshot: %s does not fit its predicate", what));
     }
-    atoms->push_back(std::move(a));
+    if (atoms->Intern(pred, args) != i) {
+      return Status::InvalidArgument(StrFormat("snapshot: duplicate %s", what));
+    }
   }
   return Status::OK();
+}
+
+// A slice atom is P(t, args...) of a functional predicate: a query joins
+// its args as one column each.
+Status ReadAtoms(Reader* r, const SymbolTable& symbols, AtomTable* atoms) {
+  return ReadAtomRows(
+      r, symbols, "atom",
+      [](const PredicateInfo& info, uint32_t argc) {
+        return info.functional && static_cast<int64_t>(argc) + 1 == info.arity;
+      },
+      atoms);
+}
+
+Status ReadGlobals(Reader* r, const SymbolTable& symbols, AtomTable* globals) {
+  return ReadAtomRows(
+      r, symbols, "global",
+      [](const PredicateInfo& info, uint32_t argc) {
+        return !info.functional && static_cast<int64_t>(argc) == info.arity;
+      },
+      globals);
 }
 
 // Version 2 cluster: u8 trunk | u32 parent | u32 symbol | label bits, then
@@ -335,21 +417,17 @@ Status ReadAtoms(Reader* r, const SymbolTable& symbols,
 // where version 2 writes (parent, symbol), and successors for both kinds.
 // The records are read off the graph's cluster arrays; the section is
 // sized first, so it costs one Grow.
-void WriteClusters(const LabelGraph& g, bool successors, Writer* w) {
+void WriteClusters(const LabelGraph& g, bool successors, size_t bits,
+                   Writer* w) {
   w->Begin(kSecClusters);
   const uint32_t n = static_cast<uint32_t>(g.num_clusters());
-  const size_t k = g.alphabet().size();
-  size_t bits = 0;
-  for (uint32_t c = 0; c < n; ++c) bits += g.label(c).Count();
-  char* p = w->Grow(4 + n * (1 + 4 * 4 + (successors ? 4 * (1 + k) : 0)) +
-                    4 * bits);
+  char* p = w->Grow(ClustersBytes(g, successors, bits) - kSectionHeader);
   p = Writer::Store32(p, n);
   for (uint32_t c = 0; c < n; ++c) {
-    const BitView label = g.label(c);
     *p++ = static_cast<char>(g.is_trunk(c) ? 1 : 0);
     p = Writer::Store32(p, g.parent(c));
     p = Writer::Store32(p, g.symbol(c));
-    p = Writer::StoreBits(p, label, label.Count());
+    p = Writer::StoreBits(p, g.label(c));
     if (successors) p = Writer::StoreU32s(p, g.successors(c));
   }
   w->End();
@@ -390,51 +468,6 @@ bool TrunkIsHeap(const LabelGraph& g, uint64_t num_trunk) {
     }
   }
   return true;
-}
-
-void WriteGlobals(
-    const std::vector<std::pair<PredId, std::vector<ConstId>>>& globals,
-    Writer* w) {
-  w->Begin(kSecGlobals);
-  w->U32(static_cast<uint32_t>(globals.size()));
-  for (const auto& [pred, args] : globals) {
-    w->U32(pred);
-    w->U32s(args);
-  }
-  w->End();
-}
-
-Status ReadGlobals(
-    Reader* r, const SymbolTable& symbols,
-    std::vector<std::pair<PredId, std::vector<ConstId>>>* globals) {
-  uint32_t n = 0;
-  RELSPEC_RETURN_NOT_OK(r->U32(&n));
-  globals->clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    std::pair<PredId, std::vector<ConstId>> g;
-    RELSPEC_RETURN_NOT_OK(r->U32(&g.first));
-    if (g.first >= symbols.num_predicates()) {
-      return Status::InvalidArgument("snapshot: global predicate out of range");
-    }
-    uint32_t argc = 0;
-    RELSPEC_RETURN_NOT_OK(r->U32(&argc));
-    for (uint32_t k = 0; k < argc; ++k) {
-      uint32_t c = 0;
-      RELSPEC_RETURN_NOT_OK(r->U32(&c));
-      if (c >= symbols.num_constants()) {
-        return Status::InvalidArgument(
-            "snapshot: global constant out of range");
-      }
-      g.second.push_back(c);
-    }
-    const PredicateInfo& info = symbols.predicate(g.first);
-    if (info.functional || static_cast<int64_t>(argc) != info.arity) {
-      return Status::InvalidArgument(
-          "snapshot: global does not fit its predicate");
-    }
-    globals->push_back(std::move(g));
-  }
-  return Status::OK();
 }
 
 // meta payload: trunk_depth, frontier_depth, unknown_cluster, truncated
@@ -560,8 +593,21 @@ StatusOr<Section> FindSection(const std::vector<Section>& sections,
 
 std::string Snapshot::Serialize(const GraphSpecification& spec) {
   RELSPEC_PHASE("snapshot.save");
-  Writer w;
   const LabelGraph& g = spec.graph();
+  const size_t bits = LabelBits(g);
+  // The boundary section is a stored copy of the trunk's frontier edges,
+  // which the loader checks: per entry its path and its cluster.
+  size_t boundary_entries = 0, boundary_symbols = 0;
+  g.ForEachBoundaryEntry([&](std::span<const FuncId> path, uint32_t) {
+    ++boundary_entries;
+    boundary_symbols += path.size();
+  });
+  Writer w(kHeaderSize + MetaBytes(g.truncated(), g.breach()) +
+           SymbolsBytes(spec.symbols()) + kSectionHeader + 4 +
+           4 * spec.alphabet().size() + AtomsBytes(spec.atom_dictionary()) +
+           ClustersBytes(g, /*successors=*/true, bits) + kSectionHeader + 4 +
+           8 * boundary_entries + 4 * boundary_symbols +
+           AtomsBytes(spec.globals()));
   WriteMeta(g.trunk_depth(), g.frontier_depth(), g.unknown_cluster(),
             g.truncated(), g.breach(), &w);
   WriteSymbols(spec.symbols(), &w);
@@ -570,20 +616,18 @@ std::string Snapshot::Serialize(const GraphSpecification& spec) {
   w.U32s(spec.alphabet());
   w.End();
 
-  WriteAtoms(spec.atom_dictionary(), &w);
-  WriteClusters(g, /*successors=*/true, &w);
+  WriteAtomRows(kSecAtoms, spec.atom_dictionary(), &w);
+  WriteClusters(g, /*successors=*/true, bits, &w);
 
-  // A stored copy of the trunk's frontier edges, which the loader checks.
-  const std::vector<std::pair<Path, uint32_t>> boundary = g.BoundaryEntries();
   w.Begin(kSecBoundary);
-  w.U32(static_cast<uint32_t>(boundary.size()));
-  for (const auto& [path, cluster] : boundary) {
-    w.PathOf(path);
+  w.U32(static_cast<uint32_t>(boundary_entries));
+  g.ForEachBoundaryEntry([&](std::span<const FuncId> path, uint32_t cluster) {
+    w.U32s(path);
     w.U32(cluster);
-  }
+  });
   w.End();
 
-  WriteGlobals(spec.globals(), &w);
+  WriteAtomRows(kSecGlobals, spec.globals(), &w);
   return w.Finish(Kind::kGraph);
 }
 
@@ -657,9 +701,6 @@ StatusOr<GraphSpecification> Snapshot::ParseGraphSpec(std::string_view bytes) {
     RELSPEC_ASSIGN_OR_RETURN(Section s, FindSection(sections, kSecAtoms));
     Reader r(s.data, s.size);
     RELSPEC_RETURN_NOT_OK(ReadAtoms(&r, spec.symbols_, &spec.atoms_));
-    for (AtomIdx i = 0; i < spec.atoms_.size(); ++i) {
-      spec.atom_index_.emplace(spec.atoms_[i], i);
-    }
   }
   {
     // Either version's records, into the graph's arrays. The alphabet
@@ -741,23 +782,32 @@ StatusOr<GraphSpecification> Snapshot::ParseGraphSpec(std::string_view bytes) {
     // the Link walk reads; it must agree with them entry for entry.
     RELSPEC_ASSIGN_OR_RETURN(Section s, FindSection(sections, kSecBoundary));
     Reader r(s.data, s.size);
-    const std::vector<std::pair<Path, uint32_t>> expected = g.BoundaryEntries();
+    const Status mismatch = Status::InvalidArgument(
+        "snapshot: boundary does not match the trunk's frontier edges");
+    size_t expected = 0;
+    g.ForEachBoundaryEntry([&](std::span<const FuncId>, uint32_t) {
+      ++expected;
+    });
     uint32_t n = 0;
     RELSPEC_RETURN_NOT_OK(r.U32(&n));
-    if (n != expected.size()) {
-      return Status::InvalidArgument(
-          "snapshot: boundary does not match the trunk's frontier edges");
-    }
-    for (uint32_t i = 0; i < n; ++i) {
-      Path p;
-      uint32_t cluster = 0;
-      RELSPEC_RETURN_NOT_OK(r.PathOf(&p));
-      RELSPEC_RETURN_NOT_OK(r.U32(&cluster));
-      if (p != expected[i].first || cluster != expected[i].second) {
-        return Status::InvalidArgument(
-            "snapshot: boundary does not match the trunk's frontier edges");
-      }
-    }
+    if (n != expected) return mismatch;
+    // Each entry is compared as it is read: its depth, its symbols, its
+    // cluster. The first short read or differing value stops the reads.
+    Status read = Status::OK();
+    bool same = true;
+    auto expect = [&](uint32_t want) {
+      uint32_t stored = 0;
+      if (!read.ok() || !same) return;
+      read = r.U32(&stored);
+      same = read.ok() && stored == want;
+    };
+    g.ForEachBoundaryEntry([&](std::span<const FuncId> path, uint32_t cluster) {
+      expect(static_cast<uint32_t>(path.size()));
+      for (FuncId f : path) expect(f);
+      expect(cluster);
+    });
+    RELSPEC_RETURN_NOT_OK(read);
+    if (!same) return mismatch;
   }
   {
     RELSPEC_ASSIGN_OR_RETURN(Section s, FindSection(sections, kSecGlobals));
@@ -776,17 +826,22 @@ StatusOr<GraphSpecification> Snapshot::ParseGraphSpec(std::string_view bytes) {
 std::string Snapshot::Serialize(const EquationalSpecification& eq) {
   RELSPEC_PHASE("snapshot.save");
   const GraphSpecification& spec = eq.spec();
-  Writer w;
+  const std::vector<Equation>& equations = eq.equations();
+  const size_t bits = LabelBits(spec.graph());
+  Writer w(kHeaderSize + MetaBytes(spec.truncated(), spec.breach()) +
+           SymbolsBytes(spec.symbols()) + AtomsBytes(spec.atom_dictionary()) +
+           ClustersBytes(spec.graph(), /*successors=*/false, bits) +
+           kSectionHeader + 4 + 12 * equations.size() +
+           AtomsBytes(spec.globals()));
   WriteMeta(spec.trunk_depth(), /*frontier_depth=*/0,
             /*unknown_cluster=*/kInvalidId, spec.truncated(), spec.breach(),
             &w);
   WriteSymbols(spec.symbols(), &w);
-  WriteAtoms(spec.atom_dictionary(), &w);
-  WriteClusters(spec.graph(), /*successors=*/false, &w);
+  WriteAtomRows(kSecAtoms, spec.atom_dictionary(), &w);
+  WriteClusters(spec.graph(), /*successors=*/false, bits, &w);
 
   // Version 2 equation: u32 cluster | u32 symbol | u32 target cluster.
   w.Begin(kSecEquations);
-  const std::vector<Equation>& equations = eq.equations();
   char* p = w.Grow(4 * (1 + 3 * equations.size()));
   p = Writer::Store32(p, static_cast<uint32_t>(equations.size()));
   for (const Equation& e : equations) {
@@ -796,7 +851,7 @@ std::string Snapshot::Serialize(const EquationalSpecification& eq) {
   }
   w.End();
 
-  WriteGlobals(spec.globals(), &w);
+  WriteAtomRows(kSecGlobals, spec.globals(), &w);
   return w.Finish(Kind::kEquational);
 }
 

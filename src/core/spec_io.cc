@@ -28,19 +28,18 @@ void SerializeSymbols(const SymbolTable& symbols, std::ostringstream* out) {
   *out << "end\n";
 }
 
-void SerializeAtoms(const std::vector<SliceAtom>& atoms,
-                    const SymbolTable& symbols, std::ostringstream* out) {
+void SerializeAtoms(const AtomTable& atoms, const SymbolTable& symbols,
+                    std::ostringstream* out) {
   *out << "atoms " << atoms.size() << "\n";
-  for (const SliceAtom& a : atoms) {
+  for (const AtomRef a : atoms) {
     *out << symbols.predicate(a.pred).name;
     for (ConstId c : a.args) *out << " " << symbols.constant_name(c);
     *out << "\n";
   }
 }
 
-void SerializeGlobals(
-    const std::vector<std::pair<PredId, std::vector<ConstId>>>& globals,
-    const SymbolTable& symbols, std::ostringstream* out) {
+void SerializeGlobals(const AtomTable& globals, const SymbolTable& symbols,
+                      std::ostringstream* out) {
   for (const auto& [pred, args] : globals) {
     *out << "global " << symbols.predicate(pred).name;
     for (ConstId c : args) *out << " " << symbols.constant_name(c);
@@ -92,10 +91,11 @@ std::string SpecIo::Serialize(const GraphSpecification& spec) {
   SerializeAtoms(spec.atom_dictionary(), spec.symbols(), &out);
   SerializeClusters(spec.graph(), /*successors=*/true,
                     spec.symbols(), &out);
-  for (const auto& [path, cluster] : spec.graph().BoundaryEntries()) {
-    out << "boundary " << PathWord(path, spec.symbols()) << " " << cluster
-        << "\n";
-  }
+  spec.graph().ForEachBoundaryEntry(
+      [&](std::span<const FuncId> path, uint32_t cluster) {
+        out << "boundary " << PathWord(Path(path), spec.symbols()) << " "
+            << cluster << "\n";
+      });
   SerializeGlobals(spec.globals(), spec.symbols(), &out);
   out << "end\n";
   return out.str();

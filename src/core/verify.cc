@@ -24,7 +24,7 @@ Status VerifyQuotientModel(const GraphSpecification& spec,
     if (i != kInvalidId) ctx.Set(i);
   }
   for (CtxIdx i = 0; i < ground.num_ctx(); ++i) {
-    const CtxProp& prop = ground.ctx_prop(i);
+    const CtxProp prop = ground.ctx_prop(i);
     if (prop.kind != CtxProp::Kind::kPinned) continue;
     const uint32_t cl = graph.ClusterOf(prop.path);
     if (cl != kInvalidId && graph.label(cl).Test(prop.atom)) {
@@ -33,7 +33,8 @@ Status VerifyQuotientModel(const GraphSpecification& spec,
   }
 
   // 1. Database facts are present.
-  for (const auto& [path, atom] : ground.pinned_facts()) {
+  for (size_t i = 0; i < ground.num_pinned_facts(); ++i) {
+    const auto [path, atom] = ground.pinned_fact(i);
     uint32_t cl = graph.ClusterOf(path);
     if (cl == kInvalidId || !graph.label(cl).Test(atom)) {
       return Status::Internal("quotient model is missing a pinned fact of D");

@@ -19,7 +19,7 @@ const DynamicBitset& TemporalSpec::LabelAt(uint64_t n) const {
 
 bool TemporalSpec::Holds(uint64_t n, PredId pred,
                          const std::vector<ConstId>& args) const {
-  AtomIdx idx = ground_->FindAtom(SliceAtom{pred, args});
+  AtomIdx idx = ground_->FindAtom(pred, args);
   if (idx == kInvalidId) return false;
   return LabelAt(n).Test(idx);
 }
@@ -27,7 +27,7 @@ bool TemporalSpec::Holds(uint64_t n, PredId pred,
 PeriodicSet TemporalSpec::AnswersFor(PredId pred,
                                      const std::vector<ConstId>& args) const {
   PeriodicSet out;
-  AtomIdx idx = ground_->FindAtom(SliceAtom{pred, args});
+  AtomIdx idx = ground_->FindAtom(pred, args);
   if (idx == kInvalidId) return out;
   for (size_t n = 0; n < prefix_.size(); ++n) {
     if (prefix_[n].Test(idx)) out.AddPoint(n);
@@ -88,8 +88,9 @@ StatusOr<TemporalSpec> TemporalEngine::ComputeSpec(size_t max_states,
   // Pinned facts by time position.
   std::vector<DynamicBitset> pinned(static_cast<size_t>(c) + 1,
                                     DynamicBitset(num_atoms));
-  for (const auto& [path, atom] : ground.pinned_facts()) {
-    pinned[static_cast<size_t>(path.depth())].Set(atom);
+  for (size_t i = 0; i < ground.num_pinned_facts(); ++i) {
+    const auto [path, atom] = ground.pinned_fact(i);
+    pinned[path.size()].Set(atom);
   }
 
   // Local closure at one position; returns ctx emissions via the shared ctx.
@@ -149,9 +150,9 @@ StatusOr<TemporalSpec> TemporalEngine::ComputeSpec(size_t max_states,
 
     // Pinned context propositions into their positions.
     for (CtxIdx i = 0; i < ground.num_ctx(); ++i) {
-      const CtxProp& prop = ground.ctx_prop(i);
+      const CtxProp prop = ground.ctx_prop(i);
       if (prop.kind == CtxProp::Kind::kPinned && ctx.Test(i)) {
-        pinned[static_cast<size_t>(prop.path.depth())].Set(prop.atom);
+        pinned[prop.path.size()].Set(prop.atom);
       }
     }
 
@@ -172,9 +173,9 @@ StatusOr<TemporalSpec> TemporalEngine::ComputeSpec(size_t max_states,
       close_position(&current, &ctx_changed);
       // label -> ctx pinned sync.
       for (CtxIdx i = 0; i < ground.num_ctx(); ++i) {
-        const CtxProp& prop = ground.ctx_prop(i);
+        const CtxProp prop = ground.ctx_prop(i);
         if (prop.kind == CtxProp::Kind::kPinned && !ctx.Test(i) &&
-            static_cast<size_t>(prop.path.depth()) == n &&
+            prop.path.size() == n &&
             current.Test(prop.atom)) {
           ctx.Set(i);
           ctx_changed = true;

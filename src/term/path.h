@@ -16,6 +16,7 @@
 #define RELSPEC_TERM_PATH_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,8 @@ class Path {
  public:
   Path() = default;
   explicit Path(std::vector<FuncId> symbols) : symbols_(std::move(symbols)) {}
+  explicit Path(std::span<const FuncId> symbols)
+      : symbols_(symbols.begin(), symbols.end()) {}
 
   /// The functional constant 0.
   static Path Zero() { return Path(); }

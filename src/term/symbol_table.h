@@ -3,6 +3,12 @@
 // All engine data structures work with dense integer ids; names only matter
 // at parse and print time. Id spaces are separate per symbol kind.
 //
+// Each kind keeps its names in one vector indexed by id, and an IdIndex over
+// that vector finds a name's id: a probe hashes the string_view and compares
+// it with the stored name in place. So interning or finding a name allocates
+// nothing beyond the name itself and the arrays' doublings, and a copy of the
+// table is a handful of vector copies.
+//
 // Terminology follows the paper (Section 2.1):
 //  * predicates are functional (carry a functional argument in a fixed
 //    position) or non-functional (plain DATALOG);
@@ -15,12 +21,11 @@
 #define RELSPEC_TERM_SYMBOL_TABLE_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "src/base/id_index.h"
 #include "src/base/status.h"
 
 namespace relspec {
@@ -88,21 +93,11 @@ class SymbolTable {
   std::vector<FunctionInfo> functions_;
   std::vector<std::string> constants_;
   std::vector<std::string> variables_;
-  // Hashes a name as a string_view, so a lookup by view allocates nothing.
-  struct NameHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view name) const {
-      return std::hash<std::string_view>{}(name);
-    }
-  };
-  template <typename Id>
-  using NameIndex =
-      std::unordered_map<std::string, Id, NameHash, std::equal_to<>>;
-
-  NameIndex<PredId> predicate_index_;
-  NameIndex<FuncId> function_index_;
-  NameIndex<ConstId> constant_index_;
-  NameIndex<VarId> variable_index_;
+  // Each kind's ids by name; the names stay in the vectors above.
+  IdIndex predicate_index_;
+  IdIndex function_index_;
+  IdIndex constant_index_;
+  IdIndex variable_index_;
 };
 
 }  // namespace relspec

@@ -1,9 +1,12 @@
-// Heap blocks of the back end. The chi table and the label graph keep their
+// Heap blocks of the build. The chi table and the label graph keep their
 // entries and clusters in flat arrays, so the blocks that ComputeFixpoint
 // and BuildLabelGraph allocate grow with the doublings of those arrays, not
 // with the number of chi entries or clusters. A congruence test or proof
 // over (B, R) walks its terms, so its blocks do not grow with the clusters
-// or the equations of R either. This binary replaces the
+// or the equations of R either. The front end is flat the same way: the
+// symbol table, the ground universe and the dictionary and globals of
+// (B, F) allocate per array doubling, not per name, atom or global, and the
+// grounder allocates per new ground rule at most. This binary replaces the
 // global operator new with a counting one, which is why it is a binary of
 // its own. A sanitizer build interposes its own allocator and skips it.
 
@@ -17,10 +20,12 @@
 #include "bench/bench_util.h"
 #include "src/core/engine.h"
 #include "src/core/fixpoint.h"
+#include "src/core/graph_spec.h"
 #include "src/core/ground.h"
 #include "src/core/label_graph.h"
 #include "src/core/mixed_to_pure.h"
 #include "src/core/normalize.h"
+#include "src/core/snapshot.h"
 #include "src/parser/parser.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -135,6 +140,97 @@ TEST(HeapBlocks, CongruenceDoesNotGrowWithClusters) {
   constexpr size_t kSlack = 16;
   EXPECT_LE(large, small + kSlack);
   EXPECT_LE(small, large + kSlack);
+}
+
+struct FrontEndBlocks {
+  size_t symbols_copy = 0;
+  size_t ground = 0;
+  size_t graph_spec = 0;
+  size_t graph_spec_copy = 0;
+  size_t snapshot = 0;
+  size_t ground_rules = 0;
+  size_t atoms = 0;
+  size_t globals = 0;
+};
+
+// The heap blocks of the front half of a build of RotationProgram(k): a
+// copy of the parsed symbol table, Ground, BuildGraphSpecification, a copy
+// of the specification (the one FunctionalDatabase::BuildGraphSpec
+// returns) and its snapshot. The program has k constants, k slice atoms,
+// k globals and k ground rules.
+FrontEndBlocks MeasureFrontEnd(int k) {
+  FrontEndBlocks out;
+  auto program = ParseProgram(relspec_bench::RotationProgram(k));
+  EXPECT_TRUE(program.ok()) << program.status().ToString();
+  EXPECT_TRUE(NormalizeProgram(&*program).ok());
+  EXPECT_TRUE(MixedToPure(&*program).ok());
+  size_t start = g_blocks.load();
+  {
+    const SymbolTable copy = program->symbols;
+    out.symbols_copy = g_blocks.load() - start;
+  }
+  start = g_blocks.load();
+  auto ground = Ground(*program);
+  out.ground = g_blocks.load() - start;
+  EXPECT_TRUE(ground.ok()) << ground.status().ToString();
+  auto labeling = ComputeFixpoint(*ground);
+  EXPECT_TRUE(labeling.ok()) << labeling.status().ToString();
+  auto graph = BuildLabelGraph(&*labeling);
+  EXPECT_TRUE(graph.ok()) << graph.status().ToString();
+  start = g_blocks.load();
+  auto spec = BuildGraphSpecification(std::move(*graph), &*labeling,
+                                      program->symbols);
+  out.graph_spec = g_blocks.load() - start;
+  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+  start = g_blocks.load();
+  {
+    const GraphSpecification copy = *spec;
+    out.graph_spec_copy = g_blocks.load() - start;
+  }
+  start = g_blocks.load();
+  {
+    const std::string bytes = Snapshot::Serialize(*spec);
+    out.snapshot = g_blocks.load() - start;
+  }
+  out.ground_rules =
+      ground->local_rules().size() + ground->global_rules().size();
+  out.atoms = ground->num_atoms();
+  out.globals = spec->globals().size();
+  std::printf("rotation(%d): %zu rules, %zu atoms, %zu globals; blocks: "
+              "symbol table copy %zu, Ground %zu, BuildGraphSpecification "
+              "%zu, spec copy %zu, snapshot %zu\n",
+              k, out.ground_rules, out.atoms, out.globals, out.symbols_copy,
+              out.ground, out.graph_spec, out.graph_spec_copy, out.snapshot);
+  return out;
+}
+
+// rotation(400) has 300 more constants, slice atoms, globals and ground
+// rules than rotation(100). The copies and the
+// specification build gain a few blocks from array doublings at most, the
+// snapshot is sized before it is written, and Ground may gain a small
+// constant per ground rule (its rule vectors); a block per name, atom or
+// global would add hundreds everywhere.
+TEST(HeapBlocks, FrontEndBlocksDoNotGrowPerNameOrAtom) {
+  if (RELSPEC_ALLOC_TEST_SANITIZED) {
+    GTEST_SKIP() << "the sanitizer's allocator replaces operator new";
+  }
+  const FrontEndBlocks small = MeasureFrontEnd(100);
+  const FrontEndBlocks large = MeasureFrontEnd(400);
+  ASSERT_EQ(large.ground_rules, small.ground_rules + 300);
+  ASSERT_EQ(large.atoms, small.atoms + 300);
+  ASSERT_EQ(large.globals, small.globals + 300);
+  constexpr size_t kDoublings = 16;
+  EXPECT_LE(large.symbols_copy, small.symbols_copy + kDoublings);
+  EXPECT_LE(large.graph_spec, small.graph_spec + kDoublings);
+  EXPECT_LE(large.graph_spec_copy, small.graph_spec_copy + kDoublings);
+  // The snapshot's buffer, sized first, and the boundary walk's symbol
+  // buffer, once to size the section and once to write it.
+  EXPECT_LE(large.snapshot, 3u);
+  EXPECT_EQ(large.snapshot, small.snapshot);
+  constexpr size_t kPerRule = 2;
+  EXPECT_LE(large.ground,
+            small.ground + kDoublings +
+                kPerRule * (large.ground_rules - small.ground_rules));
 }
 
 }  // namespace

@@ -50,7 +50,7 @@ class ClosureOracle {
   }
 
   /// Membership of the functional fact pred(path, args...).
-  bool Holds(const Path& path, PredId pred, const std::vector<ConstId>& args) {
+  bool Holds(const Path& path, PredId pred, std::span<const ConstId> args) {
     const AtomIdx atom = spec_.FindAtom(pred, args);
     if (atom == kInvalidId) return false;
     TermId t0 = path.ToTerm(&arena_);
@@ -170,7 +170,7 @@ inline void ExpectWalkAgreesWithOracle(const EquationalSpecification& eq,
     }
   }
   for (const Path& path : paths) {
-    for (const SliceAtom& atom : spec.atom_dictionary()) {
+    for (const AtomRef atom : spec.atom_dictionary()) {
       if (oracle.Holds(path, atom.pred, atom.args) !=
           spec.Holds(path, atom.pred, atom.args)) {
         ADD_FAILURE() << label << " " << path.ToString(symbols)

@@ -67,9 +67,11 @@ TEST(Congr, BoundedEvaluationMatchesSpecification) {
   ConstId jan = *spec->spec().symbols().FindConstant("Jan");
   for (int n = 0; n <= kBound; ++n) {
     Path p = NatPath(spec->spec().symbols(), n);
-    EXPECT_EQ(result->Holds(p, meets, {tony}), spec->spec().Holds(p, meets, {tony}))
+    EXPECT_EQ(result->Holds(p, meets, std::vector<ConstId>{tony}),
+              spec->spec().Holds(p, meets, std::vector<ConstId>{tony}))
         << n;
-    EXPECT_EQ(result->Holds(p, meets, {jan}), spec->spec().Holds(p, meets, {jan}))
+    EXPECT_EQ(result->Holds(p, meets, std::vector<ConstId>{jan}),
+              spec->spec().Holds(p, meets, std::vector<ConstId>{jan}))
         << n;
   }
   EXPECT_GT(result->stats.tuples_derived, 0u);
@@ -119,7 +121,8 @@ TEST(Congr, ListExampleAgreement) {
   ConstId a = *spec->spec().symbols().FindConstant("a");
   // Exhaustive agreement over the bounded universe.
   for (const Path& p : result->terms) {
-    EXPECT_EQ(result->Holds(p, member, {a}), spec->spec().Holds(p, member, {a}))
+    EXPECT_EQ(result->Holds(p, member, std::vector<ConstId>{a}),
+              spec->spec().Holds(p, member, std::vector<ConstId>{a}))
         << p.depth();
   }
 }
@@ -143,7 +146,8 @@ TEST(Congr, UnknownTermOutsideUniverse) {
   PredId meets = *spec->spec().symbols().FindPredicate("Meets");
   ConstId tony = *spec->spec().symbols().FindConstant("Tony");
   // Depth 4 exceeds the bound: reported absent (not an error).
-  EXPECT_FALSE(result->Holds(NatPath(spec->spec().symbols(), 4), meets, {tony}));
+  EXPECT_FALSE(result->Holds(NatPath(spec->spec().symbols(), 4), meets,
+                             std::vector<ConstId>{tony}));
 }
 
 }  // namespace

@@ -84,7 +84,7 @@ TEST_P(DifferentialTest, SnapshotReloadIsByteIdentical) {
   const GroundProgram& ground = db->ground();
   for (const Path& p : UniverseUpTo(ground, 5)) {
     for (AtomIdx i = 0; i < ground.num_atoms(); ++i) {
-      const SliceAtom& atom = ground.atom(i);
+      const AtomRef atom = ground.atom(i);
       ASSERT_EQ(spec->Holds(p, atom.pred, atom.args),
                 reloaded->Holds(p, atom.pred, atom.args));
     }

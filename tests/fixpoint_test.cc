@@ -42,7 +42,7 @@ SliceAtom AtomOf(const Built& b, const std::string& pred,
 // Membership read straight off the labeling: the atom's bit in the label of
 // `path`.
 bool Holds(Labeling& l, const Path& path, const SliceAtom& atom) {
-  const AtomIdx idx = l.ground().FindAtom(atom);
+  const AtomIdx idx = l.ground().FindAtom(atom.pred, atom.args);
   return idx != kInvalidId && l.LabelOf(path).Test(idx);
 }
 
@@ -367,7 +367,8 @@ TEST(Fixpoint, ChiClosureWorkIsLinearOnRotation) {
     visits.push_back(snap.counter("chi.rule_visits"));
   }
   EXPECT_GT(visits[0], 0u);
-  EXPECT_LE(static_cast<double>(visits[2]), 2.2 * static_cast<double>(visits[1]))
+  EXPECT_LE(static_cast<double>(visits[2]),
+            2.2 * static_cast<double>(visits[1]))
       << visits[0] << " " << visits[1] << " " << visits[2];
 }
 
@@ -481,7 +482,7 @@ TEST(ChiGroups, UpRulesOfferedPastTheScanFireInTheSamePass) {
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     const GroundProgram& g = b->ground;
     auto rule_with_head = [&](const std::string& pred) {
-      const AtomIdx head = g.FindAtom(AtomOf(*b, pred, {}));
+      const AtomIdx head = g.FindAtom(AtomOf(*b, pred, {}).pred, {});
       for (size_t r = 0; r < g.local_rules().size(); ++r) {
         const GroundRule& rule = g.local_rules()[r];
         if (rule.head_kind == GroundRule::HeadKind::kEps &&
@@ -496,7 +497,7 @@ TEST(ChiGroups, UpRulesOfferedPastTheScanFireInTheSamePass) {
     DynamicBitset ctx(g.num_ctx());
     ChiEngine chi(&g, &ctx);
     DynamicBitset seed(g.num_atoms());
-    seed.Set(g.FindAtom(AtomOf(*b, "P", {})));
+    seed.Set(g.FindAtom(AtomOf(*b, "P", {}).pred, {}));
     ScopedMetrics metrics;
     const uint32_t entry = chi.EntryFor(seed.words());
     ASSERT_TRUE(chi.ProcessAllOnce().ok());

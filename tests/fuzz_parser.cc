@@ -137,7 +137,7 @@ void ReadLoadedSpec(relspec::GraphSpecification loaded) {
   }
   const std::vector<relspec::FuncId>& alphabet = spec->alphabet();
   if (!spec->atom_dictionary().empty()) {
-    const relspec::SliceAtom& atom = spec->atom_dictionary()[0];
+    const relspec::AtomRef atom = spec->atom_dictionary()[0];
     std::vector<relspec::Path> layer{relspec::Path::Zero()};
     for (int depth = 0; depth <= spec->graph().frontier_depth() + 1; ++depth) {
       std::vector<relspec::Path> next;

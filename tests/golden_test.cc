@@ -203,7 +203,7 @@ TEST_P(GoldenTest, VersionOneSnapshotsLoadToGolden) {
   for (int depth = 0; depth <= max_depth; ++depth) {
     std::vector<Path> next;
     for (const Path& path : layer) {
-      for (const SliceAtom& atom : specs.graph.atom_dictionary()) {
+      for (const AtomRef atom : specs.graph.atom_dictionary()) {
         const bool want = specs.graph.Holds(path, atom.pred, atom.args);
         EXPECT_EQ(graph->Holds(path, atom.pred, atom.args), want)
             << c.name << " graph " << path.ToString(specs.graph.symbols());
@@ -473,7 +473,7 @@ TEST(ChiBuildsGolden, SpecMembershipAgreesWithLabeling) {
           EXPECT_TRUE(truncated);
           EXPECT_EQ(db.breach().ToString(), labeling.breach().ToString());
         }
-        const std::vector<SliceAtom>& atoms = spec.atom_dictionary();
+        const AtomTable& atoms = spec.atom_dictionary();
         const int max_depth = labeling.trunk_depth() + 3;
         ++builds[truncated];
         size_t missed_here = 0;

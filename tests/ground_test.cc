@@ -37,8 +37,8 @@ TEST(Ground, MeetsProgramStructure) {
   // Next keeps only the two real pairs.
   EXPECT_EQ(g->local_rules().size(), 2u);
   EXPECT_TRUE(g->global_rules().empty());
-  EXPECT_EQ(g->pinned_facts().size(), 1u);
-  EXPECT_EQ(g->pinned_facts()[0].first.depth(), 0);
+  EXPECT_EQ(g->num_pinned_facts(), 1u);
+  EXPECT_EQ(g->pinned_fact(0).path.size(), 0u);
   EXPECT_EQ(g->global_facts().size(), 2u);
   // Each local rule: body at s, head at +1(s).
   for (const GroundRule& r : g->local_rules()) {
@@ -80,7 +80,7 @@ TEST(Ground, PinnedAtomsForGroundTerms) {
   EXPECT_EQ(r.head_kind, GroundRule::HeadKind::kCtx);
   ASSERT_EQ(r.body_ctx.size(), 1u);
   EXPECT_EQ(g->ctx_prop(r.body_ctx[0]).kind, CtxProp::Kind::kPinned);
-  EXPECT_EQ(g->ctx_prop(r.body_ctx[0]).path.depth(), 3);
+  EXPECT_EQ(g->ctx_prop(r.body_ctx[0]).path.size(), 3u);
 }
 
 TEST(Ground, GlobalHeadFromFunctionalBodyIsLocalExistential) {
@@ -157,12 +157,10 @@ TEST(Ground, FindAtomAndFindGlobal) {
   bool found_meets_jan = false;
   for (AtomIdx i = 0; i < g->num_atoms(); ++i) {
     if (g->atom(i).args.size() == 1) found_meets_jan = true;
-    EXPECT_EQ(g->FindAtom(g->atom(i)), i);
+    EXPECT_EQ(g->FindAtom(g->atom(i).pred, g->atom(i).args), i);
   }
   EXPECT_TRUE(found_meets_jan);
-  SliceAtom missing;
-  missing.pred = 999;
-  EXPECT_EQ(g->FindAtom(missing), kInvalidId);
+  EXPECT_EQ(g->FindAtom(999, {}), kInvalidId);
   EXPECT_EQ(g->FindGlobal(999, {}), kInvalidId);
 }
 

@@ -76,7 +76,7 @@ void RunPipelineInvariants(const std::string& source) {
   // the inner universe, and (B, R)'s walk with the [DST80] closure over R.
   for (const Path& p : inner) {
     for (AtomIdx i = 0; i < ground.num_atoms(); ++i) {
-      const SliceAtom& atom = ground.atom(i);
+      const AtomRef atom = ground.atom(i);
       EXPECT_EQ(gspec->Holds(p, atom.pred, atom.args),
                 labeling.LabelOf(p).Test(i))
           << "graph spec vs labeling";
@@ -94,7 +94,7 @@ void RunPipelineInvariants(const std::string& source) {
   EXPECT_EQ(Snapshot::Serialize(*ereload), Snapshot::Serialize(*espec));
   for (const Path& p : inner) {
     for (AtomIdx i = 0; i < ground.num_atoms(); ++i) {
-      const SliceAtom& atom = ground.atom(i);
+      const AtomRef atom = ground.atom(i);
       EXPECT_EQ(greload->Holds(p, atom.pred, atom.args),
                 gspec->Holds(p, atom.pred, atom.args));
     }
@@ -174,7 +174,7 @@ TEST_P(RandomProgramTest, CongrBoundedAgreement) {
   const GroundProgram& ground = (*db)->ground();
   for (const Path& p : UniverseUpTo(ground, 4)) {
     for (AtomIdx i = 0; i < ground.num_atoms(); ++i) {
-      const SliceAtom& atom = ground.atom(i);
+      const AtomRef atom = ground.atom(i);
       EXPECT_EQ(congr->Holds(p, atom.pred, atom.args),
                 espec->spec().Holds(p, atom.pred, atom.args))
           << p.depth();
@@ -208,7 +208,7 @@ TEST_P(MergedFrontierTest, AgreesWithDefaultTraversal) {
   const GroundProgram& ground = (*db1)->ground();
   for (const Path& p : UniverseUpTo(ground, 6)) {
     for (AtomIdx i = 0; i < ground.num_atoms(); ++i) {
-      const SliceAtom& atom = ground.atom(i);
+      const AtomRef atom = ground.atom(i);
       EXPECT_EQ(s1->Holds(p, atom.pred, atom.args),
                 s2->Holds(p, atom.pred, atom.args));
     }

@@ -42,8 +42,8 @@ struct OracleAnswer {
   Tuples At(const Path& path) {
     Tuples out;
     fixpoint.labeling.LabelOf(path).ForEach([&](size_t b) {
-      const SliceAtom& sa = db->ground().atom(static_cast<AtomIdx>(b));
-      if (sa.pred == pred) out.push_back(sa.args);
+      const AtomRef sa = db->ground().atom(static_cast<AtomIdx>(b));
+      if (sa.pred == pred) out.emplace_back(sa.args.begin(), sa.args.end());
     });
     std::sort(out.begin(), out.end());
     return out;
@@ -54,10 +54,10 @@ struct OracleAnswer {
     Tuples out;
     const GroundProgram& ground = db->ground();
     for (CtxIdx ci = 0; ci < ground.num_ctx(); ++ci) {
-      const CtxProp& prop = ground.ctx_prop(ci);
+      const CtxProp prop = ground.ctx_prop(ci);
       if (prop.kind == CtxProp::Kind::kGlobal && prop.pred == pred &&
           fixpoint.labeling.ctx().Test(ci)) {
-        out.push_back(prop.args);
+        out.emplace_back(prop.args.begin(), prop.args.end());
       }
     }
     std::sort(out.begin(), out.end());

@@ -69,10 +69,10 @@ TEST(SnapshotTest, GraphRoundTripPreservesMembership) {
   ASSERT_TRUE(tony.ok() && jan.ok() && meets.ok() && f.ok());
   Path p = Path::Zero();
   for (int d = 0; d <= 9; ++d) {
-    EXPECT_EQ(spec->Holds(p, *meets, {*tony}),
-              reloaded->Holds(p, *meets, {*tony}));
-    EXPECT_EQ(spec->Holds(p, *meets, {*jan}),
-              reloaded->Holds(p, *meets, {*jan}));
+    EXPECT_EQ(spec->Holds(p, *meets, std::vector<ConstId>{*tony}),
+              reloaded->Holds(p, *meets, std::vector<ConstId>{*tony}));
+    EXPECT_EQ(spec->Holds(p, *meets, std::vector<ConstId>{*jan}),
+              reloaded->Holds(p, *meets, std::vector<ConstId>{*jan}));
     p = p.Extend(*f);
   }
 }
@@ -448,6 +448,47 @@ TEST(SnapshotTest, AlphabetMustBeStrictlyAscending) {
   PatchU32(&swapped, alphabet + 4, second);
   ExpectRejectedAfterPatch(swapped, alphabet + 8, first);
   ExpectRejectedAfterPatch(bin, alphabet + 8, first);  // duplicated
+}
+
+// The dictionary and the globals are indexed by their rows, so a row may
+// appear once: a file that repeats one would have its readers find
+// whichever copy the index probes first.
+void ExpectDuplicateRejected(const std::string& forged, const char* what) {
+  Status st = Snapshot::ParseGraphSpec(forged).status();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find(std::string("duplicate ") + what),
+            std::string::npos)
+      << st.ToString();
+}
+
+TEST(SnapshotTest, DuplicateAtomIsRejected) {
+  auto g = BuildGraph(kMeets);
+  ASSERT_TRUE(g.ok());
+  const std::string bin = Snapshot::Serialize(*g);
+  // Atoms: u32 count, then (pred, argc = 1, constant) per Meets atom.
+  const size_t atoms = SectionPayload(bin, 4);
+  ASSERT_EQ(ReadU32(bin, atoms), 2u);
+  ASSERT_EQ(ReadU32(bin, atoms + 4), ReadU32(bin, atoms + 16));
+  ASSERT_NE(ReadU32(bin, atoms + 12), ReadU32(bin, atoms + 24));
+  std::string forged = bin;
+  PatchU32(&forged, atoms + 24, ReadU32(bin, atoms + 12));
+  SealChecksum(&forged);
+  ExpectDuplicateRejected(forged, "atom");
+}
+
+TEST(SnapshotTest, DuplicateGlobalIsRejected) {
+  auto g = BuildGraph(kMeets);
+  ASSERT_TRUE(g.ok());
+  const std::string bin = Snapshot::Serialize(*g);
+  // Globals: u32 count, then (pred, argc = 2, x, y) per Next fact.
+  const size_t globals = SectionPayload(bin, 8);
+  ASSERT_EQ(ReadU32(bin, globals), 2u);
+  ASSERT_EQ(ReadU32(bin, globals + 4), ReadU32(bin, globals + 20));
+  std::string forged = bin;
+  PatchU32(&forged, globals + 28, ReadU32(bin, globals + 12));
+  PatchU32(&forged, globals + 32, ReadU32(bin, globals + 16));
+  SealChecksum(&forged);
+  ExpectDuplicateRejected(forged, "global");
 }
 
 // The Link walk follows the trunk's edges from cluster 0, and the boundary

@@ -51,11 +51,13 @@ TEST(SpecIo, GraphSpecRoundTripMeets) {
   ConstId jan = *back->symbols().FindConstant("Jan");
   for (int n = 0; n <= 15; ++n) {
     Path p = NatPath(back->symbols(), n);
-    EXPECT_EQ(back->Holds(p, meets, {tony}), n % 2 == 0) << n;
-    EXPECT_EQ(back->Holds(p, meets, {jan}), n % 2 == 1) << n;
+    EXPECT_EQ(back->Holds(p, meets, std::vector<ConstId>{tony}),
+              n % 2 == 0) << n;
+    EXPECT_EQ(back->Holds(p, meets, std::vector<ConstId>{jan}),
+              n % 2 == 1) << n;
   }
   PredId next = *back->symbols().FindPredicate("Next");
-  EXPECT_TRUE(back->HoldsGlobal(next, {tony, jan}));
+  EXPECT_TRUE(back->HoldsGlobal(next, std::vector<ConstId>{tony, jan}));
 
   // The loaded spec prints the same text.
   EXPECT_EQ(SpecIo::Serialize(*back), text);
@@ -75,11 +77,11 @@ TEST(SpecIo, GraphSpecRoundTripListWithTwoSymbols) {
   FuncId fa = *back->symbols().FindFunction("ext{a}");
   FuncId fb = *back->symbols().FindFunction("ext{b}");
   Path ab = Path({fa, fb});
-  EXPECT_TRUE(back->Holds(ab, member, {a}));
-  EXPECT_TRUE(back->Holds(ab, member, {b}));
+  EXPECT_TRUE(back->Holds(ab, member, std::vector<ConstId>{a}));
+  EXPECT_TRUE(back->Holds(ab, member, std::vector<ConstId>{b}));
   Path aa = Path({fa, fa});
-  EXPECT_TRUE(back->Holds(aa, member, {a}));
-  EXPECT_FALSE(back->Holds(aa, member, {b}));
+  EXPECT_TRUE(back->Holds(aa, member, std::vector<ConstId>{a}));
+  EXPECT_FALSE(back->Holds(aa, member, std::vector<ConstId>{b}));
 }
 
 TEST(SpecIo, EquationalSpecRoundTrip) {
@@ -101,7 +103,8 @@ TEST(SpecIo, EquationalSpecRoundTrip) {
   ConstId tony = *symbols.FindConstant("Tony");
   for (int n = 0; n <= 15; ++n) {
     Path p = NatPath(symbols, n);
-    EXPECT_EQ(back->spec().Holds(p, meets, {tony}), n % 2 == 0) << n;
+    EXPECT_EQ(back->spec().Holds(p, meets, std::vector<ConstId>{tony}),
+              n % 2 == 0) << n;
   }
   EXPECT_EQ(SpecIo::Serialize(*back), text);
 }

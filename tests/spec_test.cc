@@ -108,13 +108,53 @@ TEST(LabelGraph, TrunkIsAHeapAndBoundaryEntriesAreItsFrontierEdges) {
       EXPECT_EQ(graph.ClusterOf(trunk[i]), i) << i;
     }
     EXPECT_FALSE(graph.is_trunk(static_cast<uint32_t>(trunk.size())));
-    const auto entries = graph.BoundaryEntries();
+    std::vector<std::pair<Path, uint32_t>> entries;
+    graph.ForEachBoundaryEntry(
+        [&](std::span<const FuncId> path, uint32_t cluster) {
+          entries.emplace_back(Path(path), cluster);
+        });
     ASSERT_EQ(entries.size(), layer.size()) << "merge=" << merge;
     for (size_t j = 0; j < layer.size(); ++j) {
       EXPECT_EQ(entries[j].first, layer[j]) << j;
       EXPECT_EQ(entries[j].second, graph.ClusterOf(layer[j])) << j;
     }
   }
+}
+
+// HoldsGlobal probes the globals' index instead of scanning them: on a
+// 420-team rotation every Rotate fact holds, a reversed pair (no fact) does
+// not, and neither does a fact naming a constant the table lacks.
+TEST(GraphSpec, HoldsGlobalFindsEveryGlobalOfRotation420) {
+  constexpr int kTeams = 420;
+  auto db =
+      FunctionalDatabase::FromSource(relspec_bench::RotationProgram(kTeams));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const GraphSpecification& spec = *(*db)->spec();
+  const SymbolTable& symbols = spec.symbols();
+  const PredId rotate = *symbols.FindPredicate("Rotate");
+  ASSERT_EQ(spec.globals().size(), static_cast<size_t>(kTeams));
+  for (const auto& [pred, args] : spec.globals()) {
+    EXPECT_TRUE(spec.HoldsGlobal(pred, args));
+  }
+  auto team = [&](int i) {
+    return *symbols.FindConstant("m" + std::to_string(i % kTeams));
+  };
+  for (int i = 0; i < kTeams; ++i) {
+    EXPECT_TRUE(spec.HoldsGlobal(
+        rotate, std::vector<ConstId>{team(i), team(i + 1)}))
+        << i;
+    EXPECT_FALSE(spec.HoldsGlobal(
+        rotate, std::vector<ConstId>{team(i + 1), team(i)}))
+        << i;
+  }
+  const ConstId unknown = static_cast<ConstId>(symbols.num_constants());
+  EXPECT_FALSE(
+      spec.HoldsGlobal(rotate, std::vector<ConstId>{team(0), unknown}));
+  auto q = ParseQuery("? Rotate(m0, nobody).", symbols);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  auto holds = spec.HoldsFact(*q);
+  ASSERT_TRUE(holds.ok()) << holds.status().ToString();
+  EXPECT_FALSE(*holds);
 }
 
 TEST(GraphSpec, SelfContainedMembership) {
@@ -126,13 +166,15 @@ TEST(GraphSpec, SelfContainedMembership) {
   ConstId tony = *spec->symbols().FindConstant("Tony");
   ConstId jan = *spec->symbols().FindConstant("Jan");
   for (int n = 0; n <= 20; ++n) {
-    EXPECT_EQ(spec->Holds(NatPath(**db, n), meets, {tony}), n % 2 == 0) << n;
-    EXPECT_EQ(spec->Holds(NatPath(**db, n), meets, {jan}), n % 2 == 1) << n;
+    EXPECT_EQ(spec->Holds(NatPath(**db, n), meets, std::vector<ConstId>{tony}),
+              n % 2 == 0) << n;
+    EXPECT_EQ(spec->Holds(NatPath(**db, n), meets, std::vector<ConstId>{jan}),
+              n % 2 == 1) << n;
   }
   // Non-functional relations are part of B.
   PredId next = *spec->symbols().FindPredicate("Next");
-  EXPECT_TRUE(spec->HoldsGlobal(next, {tony, jan}));
-  EXPECT_FALSE(spec->HoldsGlobal(next, {tony, tony}));
+  EXPECT_TRUE(spec->HoldsGlobal(next, std::vector<ConstId>{tony, jan}));
+  EXPECT_FALSE(spec->HoldsGlobal(next, std::vector<ConstId>{tony, tony}));
 }
 
 TEST(GraphSpec, SlicesMatchPaperExample) {
@@ -159,7 +201,8 @@ TEST(GraphSpec, UnknownTermsAndAtomsAreFalse) {
   ASSERT_TRUE(spec.ok());
   PredId meets = *spec->symbols().FindPredicate("Meets");
   // A constant the program never mentions.
-  EXPECT_FALSE(spec->Holds(NatPath(**db, 0), meets, {9999}));
+  EXPECT_FALSE(
+      spec->Holds(NatPath(**db, 0), meets, std::vector<ConstId>{9999}));
   // A path through an unknown symbol.
   SymbolTable copy = spec->symbols();
   (void)copy;
@@ -409,7 +452,8 @@ TEST(EquationalSpec, AgreesWithGraphSpecEverywhere) {
   testutil::ClosureOracle oracle(*espec);
   for (int n = 0; n <= 25; ++n) {
     Path p = NatPath(**db, n);
-    EXPECT_EQ(oracle.Holds(p, meets, {tony}), gspec->Holds(p, meets, {tony}))
+    EXPECT_EQ(oracle.Holds(p, meets, std::vector<ConstId>{tony}),
+              gspec->Holds(p, meets, std::vector<ConstId>{tony}))
         << n;
   }
 }
@@ -587,8 +631,10 @@ TEST(EquationalSpec, OutlivesItsEngineAndUpdates) {
 
   // R and B are first read here, after the engine is gone.
   for (int n = 0; n <= 9; ++n) {
-    EXPECT_EQ(espec->spec().Holds(days[n], meets, {tony}), n % 2 == 0) << n;
-    EXPECT_EQ(espec->spec().Holds(days[n], meets, {jan}), n % 2 == 1) << n;
+    EXPECT_EQ(espec->spec().Holds(days[n], meets, std::vector<ConstId>{tony}),
+              n % 2 == 0) << n;
+    EXPECT_EQ(espec->spec().Holds(days[n], meets, std::vector<ConstId>{jan}),
+              n % 2 == 1) << n;
   }
   EXPECT_TRUE(espec->Congruent(days[1], days[3]));
   EXPECT_TRUE(espec->Congruent(days[2], days[8]));
@@ -645,11 +691,13 @@ TEST(Verify, DetectsDroppedGlobal) {
   auto db = FunctionalDatabase::FromSource(kMeets);
   ASSERT_TRUE(db.ok());
   GraphSpecification spec = *(*db)->spec();
-  auto& globals =
-      const_cast<std::vector<std::pair<PredId, std::vector<ConstId>>>&>(
-          spec.globals());
+  auto& globals = const_cast<AtomTable&>(spec.globals());
   ASSERT_FALSE(globals.empty());
-  globals.erase(globals.begin());
+  AtomTable rest;
+  for (uint32_t i = 1; i < globals.size(); ++i) {
+    rest.Intern(globals[i].pred, globals[i].args);
+  }
+  globals = rest;
   EXPECT_FALSE(VerifyQuotientModel(spec, (*db)->ground()).ok());
 }
 
@@ -663,7 +711,7 @@ TEST(Verify, DetectsClearedPinnedTrunkBit) {
   const GroundProgram& ground = (*db)->ground();
   bool cleared = false;
   for (CtxIdx i = 0; i < ground.num_ctx() && !cleared; ++i) {
-    const CtxProp& prop = ground.ctx_prop(i);
+    const CtxProp prop = ground.ctx_prop(i);
     if (prop.kind != CtxProp::Kind::kPinned) continue;
     const uint32_t c = spec.graph().ClusterOf(prop.path);
     ASSERT_NE(c, kInvalidId);

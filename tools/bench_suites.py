@@ -46,7 +46,7 @@ SUITES = {
     "bench_graph_spec": (
         "bench_graph_spec",
         r"BM_AlgorithmQ_Chain/512$|BM_SnapshotSave_Chain/512$"
-        r"|BM_LabelGraphCopy_Chain/512$"),
+        r"|BM_LabelGraphCopy_Chain/512$|BM_GraphSpecCopy_Rotation/420$"),
     "bench_fixpoint": (
         "bench_fixpoint",
         r"BM_Fixpoint_Chain/512$|BM_Fixpoint_Rotation/420$"
@@ -54,7 +54,7 @@ SUITES = {
     "bench_transform": (
         "bench_transform",
         r"BM_FrontEnd_(Counter/9|Mixed/18)$"
-        r"|BM_Parse_(Counter/9|Rotation/420)$"),
+        r"|BM_Parse_(Counter/9|Rotation/420)$|BM_Ground_Rotation/420$"),
 }
 
 # Generous on purpose: shared runners swing wildly, so the gate catches

@@ -21,14 +21,16 @@
 #                sampled / always-on / full-ring JSONL dump) from
 #                bench/bench_slowlog.cc
 #   bench_graph_spec  E24 Algorithm Q, E29 snapshot save and E38 the label
-#                graph copy on a 512-state counter chain from
+#                graph copy on a 512-state counter chain, and E40 the whole
+#                graph specification's copy on a 420-team rotation, from
 #                bench/bench_graph_spec.cc
 #   bench_fixpoint  E26 the chi worklist (ComputeFixpoint alone) on the same
 #                chain, and E28 the counter-indexed closure on a 420-team
 #                rotation, from bench/bench_fixpoint.cc
 #   bench_transform  E32 the front end (parse, normalize, purify, ground)
-#                on counter(9) and mixed(18), and E37 the parse alone on
-#                counter(9) and rotation(420), from bench/bench_transform.cc
+#                on counter(9) and mixed(18), E37 the parse alone on
+#                counter(9) and rotation(420), and E40 Ground alone on
+#                rotation(420), from bench/bench_transform.cc
 #   bench_serve  a fixed-seed serving session from relspec_bench_serve
 #                (the same flags the CI perf job uses)
 #   bench_serve_durable  the same schedule served through per-lane WALs
